@@ -92,10 +92,19 @@ def _eval_number(text: str, where: str) -> float:
                 return a - b
             if isinstance(e.op, ast.Mult):
                 return a * b
+            if b == 0.0:
+                raise ParseError(f"{where}: division by zero in {text!r}")
             return a / b
         raise ParseError(f"{where}: unsupported expression {text!r}")
 
     return ev(node)
+
+
+def _eval_int(text: str, where: str) -> int:
+    value = _eval_number(text, where)
+    if not value.is_integer():
+        raise ParseError(f"{where}: expected an integer, got {text!r}")
+    return int(value)
 
 
 @dataclass
@@ -203,11 +212,11 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     for key, value in pairs.items():
         where = f"key {key!r}"
         if key in _INT_KEYS:
-            setattr(cfg, key, int(round(_eval_number(value, where))))
+            setattr(cfg, key, _eval_int(value, where))
         elif key in _FLOAT_KEYS:
             setattr(cfg, key, _eval_number(value, where))
         elif key == "dk_list":
-            cfg.dk_list = tuple(_eval_number(part, where) for part in value.split(",") if part.strip())
+            cfg.dk_list = tuple(_eval_number(part.strip(), where) for part in value.split(",") if part.strip())
         elif key == "measures":
             items = tuple(part.strip() for part in value.split(",") if part.strip())
             for item in items:
@@ -223,7 +232,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
                 orders.append("vn" if part == "vn" else _eval_number(part, where))
             cfg.renyi_orders = tuple(orders)
         elif key == "window":
-            cfg.window = value if value == "auto" else int(round(_eval_number(value, where)))
+            cfg.window = value if value == "auto" else _eval_int(value, where)
         elif key in ("model", "out"):
             setattr(cfg, key, value)
 

@@ -6,15 +6,17 @@ right-incoming ones up to k_fr, so the two-point function is
     <c_j^dag c_m> = int_{-k_fr}^{k_fl} dk/2pi  u_j(k)^* u_m(k),
 
 with u_m(k) the scattering-state amplitudes.  Expanding the product of
-amplitudes gives a handful of terms of the form f(k) * exp(i*x*k) with x an
-integer combination of the site indices; each term is evaluated with the
-oscillatory quadrature at its exact phase rate.  Identical (window, factor,
-phase) triples recur across matrix entries, so both builders memoize them.
+amplitudes gives a handful of terms f(k) * exp(i*x*k), each integrated over
+one momentum window at an integer rate x: j - m (Toeplitz) or j + m
+(Hankel).  Every entry of either regime is thus a sum of Fourier
+coefficients W(window, factor, x).  ``CorrelationBuilder`` holds one table
+per (window, factor), filled in aligned blocks of consecutive rates, and
+both matrix builders assemble whole blocks from it by numpy indexing.
 
 Two regimes are implemented:
 
-* ``FiniteDistance``: the integral above, entry by entry.
-* ``FarLimit``: the limit d_i/ell_i -> infinity at fixed d_l - d_r, where
+* finite distance: the integral above, windows (0, k_fl) and (0, k_fr).
+* far limit: the limit d_i/ell_i -> infinity at fixed d_l - d_r, where
   all terms whose phase grows with d_i average out (Riemann-Lebesgue) and
   the matrix becomes block-Toeplitz.  With indices counted outward from the
   scatterer on both sides, and writing W_T(x) and W_X(x) for the signed
@@ -42,7 +44,8 @@ from typing import Literal
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate_oscillatory, integrate_oscillatory_batch
+from .numerics import QuadratureSpec, integrate_oscillatory_batch
+from .numerics import integrate_oscillatory  # noqa: F401  read by perfbench/tracer.py
 from .scattering import BiasState, ScatteringModel
 
 __all__ = [
@@ -53,7 +56,6 @@ __all__ = [
     "correlation_matrix_finite",
     "correlation_matrix_far",
     "CorrelationBuilder",
-    "FarLimitBuilder",
     "write_matrix_dump",
     "read_matrix_dump",
 ]
@@ -168,125 +170,124 @@ class CorrelationMatrix:
 
 
 # ---------------------------------------------------------------------------
-# finite-distance regime
+# Fourier tables
+
+#: rates per table block; a block holds the rates BLOCK*b .. BLOCK*b + BLOCK-1
+BLOCK = 64
+
+#: smooth factors f(k) of the window integrals, from the amplitudes
+#: (r_l, t_r, t_l, r_r).  The conjugates of r_l and r_r are not listed:
+#: their terms are read as conjugates of the r_l and r_r tables.
+_FACTORS = {
+    "one": lambda r_l, t_r, t_l, r_r: np.ones_like(t_l),
+    "T": lambda r_l, t_r, t_l, r_r: np.abs(t_l) ** 2,
+    "R": lambda r_l, t_r, t_l, r_r: 1.0 - np.abs(t_l) ** 2,
+    "rL": lambda r_l, t_r, t_l, r_r: r_l,
+    "rR": lambda r_l, t_r, t_l, r_r: r_r,
+    "tLc": lambda r_l, t_r, t_l, r_r: np.conj(t_l),
+    "tLc_rL": lambda r_l, t_r, t_l, r_r: np.conj(t_l) * r_l,
+    "tR": lambda r_l, t_r, t_l, r_r: t_r,
+    "tR_rRc": lambda r_l, t_r, t_l, r_r: t_r * np.conj(r_r),
+}
 
 
 class CorrelationBuilder:
-    """Entrywise evaluator of <c_j^dag c_m> with memoized window integrals.
+    """Fourier tables W(window, factor, x) shared by every matrix of a sweep.
 
-    Each wavefunction product splits into terms f(k) exp(i*x*k) over the two
-    occupied windows (0, k_fl) and (0, k_fr); the integral of every distinct
-    (window, factor, phase) triple is computed once and cached, which makes
-    assembling a full matrix cheap since entries share phases through j - m
-    and j + m.
+    W(window, factor, x) = sign/(2pi) * int f(k) exp(i*x*k) dk over one of
+    three windows: "L" = (0, k_fl) and "R" = (0, k_fr), the occupied
+    left- and right-incoming states, and "V", the voltage window from k_fr
+    to k_fl (sign -1 when k_fl < k_fr).  Each table is filled in aligned
+    blocks of BLOCK consecutive integer rates, one batched quadrature per
+    block on a grid sized by the block alone, so every coefficient is a
+    pure function of (window, factor, block): it does not depend on which
+    matrix, or which thread, asked for it first.  Two threads filling the
+    same block compute the same values, so the race is harmless.
     """
 
     def __init__(self, model: ScatteringModel, bias: BiasState, spec: QuadratureSpec = ENTRY_SPEC):
         self.model = model
         self.bias = bias
         self.spec = spec
-        self._cache: dict[tuple[str, str, int], complex] = {}
+        self._windows = {
+            "L": (0.0, bias.k_fl, 1.0),
+            "R": (0.0, bias.k_fr, 1.0),
+            "V": (bias.k_minus, bias.k_plus, 1.0 if bias.k_fl >= bias.k_fr else -1.0),
+        }
+        self._blocks: dict[tuple[str, str, int], np.ndarray] = {}
 
-    # smooth prefactors by key; arrays in, arrays out
-    def _factor(self, key: str, k: np.ndarray) -> np.ndarray:
-        r_l, t_r, t_l, r_r = self.model.amplitudes(k)
-        if key == "one":
-            return np.ones_like(k, dtype=complex)
-        if key == "T":
-            return np.abs(t_l) ** 2
-        if key == "R":
-            return 1.0 - np.abs(t_l) ** 2
-        if key == "rL":
-            return r_l
-        if key == "rLc":
-            return np.conj(r_l)
-        if key == "rR":
-            return r_r
-        if key == "rRc":
-            return np.conj(r_r)
-        if key == "tLc":
-            return np.conj(t_l)
-        if key == "tLc_rL":
-            return np.conj(t_l) * r_l
-        if key == "tR":
-            return t_r
-        if key == "tR_rRc":
-            return t_r * np.conj(r_r)
-        raise KeyError(key)
-
-    def window_integral(self, window: str, key: str, rate: int) -> complex:
-        """(1/2pi) * int_0^K f_key(k) exp(i*rate*k) dk with K = k_fl or k_fr."""
-        memo_key = (window, key, rate)
-        val = self._cache.get(memo_key)
-        if val is None:
-            upper = self.bias.k_fl if window == "L" else self.bias.k_fr
-            val = integrate_oscillatory(
-                lambda k: self._factor(key, k), rate, 0.0, upper, self.spec
-            ) / (2.0 * np.pi)
-            self._cache[memo_key] = val
-        return val
-
-    def prefetch(self, terms) -> None:
-        """Batch-evaluate any uncached (window, key, rate) triples.
-
-        Groups the terms by integrand family, so one f evaluation on a shared
-        panel grid covers every phase in the family; assembling a matrix this
-        way costs a few batched integrals instead of thousands of scalar ones.
-        """
-        grouped: dict[tuple[str, str], set[int]] = {}
-        for window, key, rate in terms:
-            if (window, key, rate) not in self._cache:
-                grouped.setdefault((window, key), set()).add(rate)
-        for (window, key), rates in grouped.items():
-            upper = self.bias.k_fl if window == "L" else self.bias.k_fr
-            ordered = sorted(rates)
+    def prefetch(self, keys) -> None:
+        """Fill the missing table blocks among the (window, factor, block) keys."""
+        for key in keys:
+            if key in self._blocks:
+                continue
+            window, factor, block = key
+            lo, hi, sign = self._windows[window]
+            f = _FACTORS[factor]
             vals = integrate_oscillatory_batch(
-                lambda k: self._factor(key, k), ordered, 0.0, upper, self.spec
-            ) / (2.0 * np.pi)
-            for rate, val in zip(ordered, vals):
-                self._cache[(window, key, rate)] = complex(val)
+                lambda k: f(*self.model.amplitudes(k)),
+                range(BLOCK * block, BLOCK * (block + 1)),
+                lo,
+                hi,
+                self.spec,
+            )
+            self._blocks[key] = sign * vals / (2.0 * np.pi)
 
-    def _terms(self, j: int, m: int) -> list[tuple[str, str, int]]:
-        """Decomposition of u_j(k)^* u_m(k) integrated over the filled state.
+    def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
+        """W(window, factor, x) at an integer array of rates x, same shape."""
+        first = int(rates.min()) // BLOCK
+        span = range(first, int(rates.max()) // BLOCK + 1)
+        self.prefetch([(window, factor, b) for b in span])
+        table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
+        return table[rates - BLOCK * first]
 
-        Window "L" covers left-incoming states on (0, k_fl); window "R"
-        covers right-incoming states after the substitution k -> -k, which
-        conjugates every exponent.
-        """
-        m0 = self.model.m0
-        j_right = j > m0
-        m_right = m > m0
-        if j_right and m_right:
-            return [
-                ("L", "T", m - j),
-                ("R", "one", j - m),
-                ("R", "rR", j + m),
-                ("R", "rRc", -(j + m)),
-                ("R", "R", m - j),
-            ]
-        if not j_right and not m_right:
-            return [
-                ("L", "one", m - j),
-                ("L", "rL", -(j + m)),
-                ("L", "rLc", j + m),
-                ("L", "R", j - m),
-                ("R", "T", j - m),
-            ]
-        # j on the right, m on the left
-        return [
-            ("L", "tLc", m - j),
-            ("L", "tLc_rL", -(j + m)),
-            ("R", "tR", j - m),
-            ("R", "tR_rRc", -(j + m)),
-        ]
 
-    def entry(self, j: int, m: int) -> complex:
-        m0 = self.model.m0
-        if abs(j) <= m0 or abs(m) <= m0:
-            raise ValueError(f"sites must satisfy |site| > m0={m0}")
-        if j < -m0 and m > m0:
-            return np.conj(self.entry(m, j))
-        return sum(self.window_integral(*term) for term in self._terms(j, m))
+def _hermitian(block: np.ndarray) -> np.ndarray:
+    """The upper triangle of a diagonal block, mirrored by conjugation."""
+    upper = np.triu(block, 1)
+    return upper + upper.conj().T + np.diag(block.diagonal().real)
+
+
+# ---------------------------------------------------------------------------
+# finite-distance regime
+
+#: <c_j^dag c_m> for j and m outside the scattering region, per block of
+#: (side of j, side of m), as sums of table reads (window, factor, a, b,
+#: pair) at the rate a*j + b*m.  Window "R" holds the right-incoming states
+#: after the substitution k -> -k, which conjugates every exponent.  A pair
+#: term also stands for its conjugate partner (the conjugate factor at the
+#: opposite rate) and contributes 2*Re of the table value.  The block with
+#: j on the left and m on the right is the conjugate transpose of "RL".
+_FINITE_TERMS = {
+    "RR": (
+        ("L", "T", -1, 1, False),
+        ("R", "one", 1, -1, False),
+        ("R", "rR", 1, 1, True),
+        ("R", "R", -1, 1, False),
+    ),
+    "LL": (
+        ("L", "one", -1, 1, False),
+        ("L", "rL", -1, -1, True),
+        ("L", "R", 1, -1, False),
+        ("R", "T", 1, -1, False),
+    ),
+    "RL": (
+        ("L", "tLc", -1, 1, False),
+        ("L", "tLc_rL", -1, -1, False),
+        ("R", "tR", 1, -1, False),
+        ("R", "tR_rRc", -1, -1, False),
+    ),
+}
+
+
+def _finite_block(builder: CorrelationBuilder, kind: str, rows, cols) -> np.ndarray:
+    """Entries <c_j^dag c_m> for the sites j in rows and m in cols."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    out = np.zeros((rows.size, cols.size), dtype=complex)
+    for window, factor, a, b, pair in _FINITE_TERMS[kind]:
+        vals = builder.coefficients(window, factor, np.add.outer(a * rows, b * cols))
+        out += 2.0 * vals.real if pair else vals
+    return out
 
 
 def correlation_entry_finite(
@@ -297,7 +298,14 @@ def correlation_entry_finite(
     spec: QuadratureSpec = ENTRY_SPEC,
 ) -> complex:
     """Steady-state <c_j^dag c_m> for sites outside the scattering region."""
-    return CorrelationBuilder(model, bias, spec).entry(j, m)
+    m0 = model.m0
+    if abs(j) <= m0 or abs(m) <= m0:
+        raise ValueError(f"sites must satisfy |site| > m0={m0}")
+    builder = CorrelationBuilder(model, bias, spec)
+    if j < -m0 and m > m0:
+        return complex(np.conj(_finite_block(builder, "RL", [m], [j])[0, 0]))
+    kind = ("R" if j > m0 else "L") + ("R" if m > m0 else "L")
+    return complex(_finite_block(builder, kind, [j], [m])[0, 0])
 
 
 def _partition_sites(geom: SubsystemGeometry, which: Subsystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -320,32 +328,23 @@ def correlation_matrix_finite(
 ) -> CorrelationMatrix:
     """Finite-distance correlation matrix of the selected subsystem.
 
-    The upper triangle is computed and mirrored by conjugation, so the result
-    is Hermitian by construction.  Passing a shared ``builder`` reuses its
-    integral cache across matrices (useful for sweeps over nearby distances).
+    The diagonal blocks are Hermitian by construction (upper triangle
+    mirrored by conjugation).  Passing a shared ``builder`` reuses its
+    Fourier tables across matrices (useful for sweeps over nearby distances).
     """
     left, right = _partition_sites(geom, which)
-    sites = left + right
-    n = len(sites)
+    nl, n = len(left), len(left) + len(right)
     if builder is None:
         builder = CorrelationBuilder(model, bias, spec)
-    needed = []
-    for a in range(n):
-        for b in range(a, n):
-            j, m = sites[a], sites[b]
-            if j < -model.m0 and m > model.m0:
-                j, m = m, j
-            needed.extend(builder._terms(j, m))
-    builder.prefetch(needed)
     out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(a, n):
-            val = builder.entry(sites[a], sites[b])
-            out[a, b] = val
-            if b != a:
-                out[b, a] = np.conj(val)
-            else:
-                out[a, a] = val.real
+    if left:
+        out[:nl, :nl] = _hermitian(_finite_block(builder, "LL", left, left))
+    if right:
+        out[nl:, nl:] = _hermitian(_finite_block(builder, "RR", right, right))
+    if left and right:
+        rl = _finite_block(builder, "RL", right, left)
+        out[nl:, :nl] = rl
+        out[:nl, nl:] = rl.conj().T
     return CorrelationMatrix(out, left, right, regime="finite")
 
 
@@ -353,64 +352,17 @@ def correlation_matrix_finite(
 # far limit
 
 
-def _sea_kernel(kf: float, x: int) -> float:
+def _sea_kernel(kf: float, x: np.ndarray) -> np.ndarray:
     """Filled-sea kernel sin(kf x)/(pi x), with the x = 0 limit kf/pi."""
-    if x == 0:
-        return kf / np.pi
-    return np.sin(kf * x) / (np.pi * x)
+    safe = np.where(x == 0, 1, x)
+    return np.where(x == 0, kf / np.pi, np.sin(kf * x) / (np.pi * safe))
 
 
-class FarLimitBuilder:
-    """Memoized voltage-window integrals of the far-limit block entries."""
-
-    def __init__(self, model: ScatteringModel, bias: BiasState, spec: QuadratureSpec = ENTRY_SPEC):
-        self.model = model
-        self.bias = bias
-        self.spec = spec
-        # signed window: integrals run from k_fr to k_fl
-        self._sign = 1.0 if bias.k_fl >= bias.k_fr else -1.0
-        self._wt: dict[int, complex] = {}
-        self._wx: dict[int, complex] = {}
-
-    def _window(self, f, rate: int) -> complex:
-        lo, hi = self.bias.k_minus, self.bias.k_plus
-        if hi == lo:
-            return 0.0 + 0.0j
-        val = integrate_oscillatory(f, rate, lo, hi, self.spec) / (2.0 * np.pi)
-        return self._sign * val
-
-    def transmission_integral(self, x: int) -> complex:
-        """W_T(x): signed window integral of T(k) exp(i k x) / 2pi."""
-        val = self._wt.get(x)
-        if val is None:
-            val = self._window(lambda k: np.abs(self.model.amplitudes(k)[2]) ** 2, x)
-            self._wt[x] = val
-        return val
-
-    def cross_integral(self, x: int) -> complex:
-        """W_X(x): signed window integral of t_l(k)^* r_l(k) exp(i k x) / 2pi."""
-        val = self._wx.get(x)
-        if val is None:
-
-            def f(k):
-                r_l, _, t_l, _ = self.model.amplitudes(k)
-                return np.conj(t_l) * r_l
-
-            val = self._window(f, x)
-            self._wx[x] = val
-        return val
-
-    def entry_left(self, j: int, m: int) -> complex:
-        """Within A_L, indices counted outward from the scatterer."""
-        return _sea_kernel(self.bias.k_fl, j - m) - self.transmission_integral(m - j)
-
-    def entry_right(self, j: int, m: int) -> complex:
-        """Within A_R, indices counted outward from the scatterer."""
-        return _sea_kernel(self.bias.k_fr, j - m) + self.transmission_integral(m - j)
-
-    def entry_cross(self, j: int, m: int, d_l: int, d_r: int) -> complex:
-        """<c^dag_(A_R site j) c_(A_L site m)>; depends on d_l - d_r only."""
-        return self.cross_integral(d_l - d_r - j + m)
+def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -> np.ndarray:
+    """sea(kf, j-m) + sign * W_T(m-j) for j, m = 1..n."""
+    idx = np.arange(1, n + 1)
+    x = np.subtract.outer(idx, idx)
+    return _hermitian(_sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x))
 
 
 def correlation_matrix_far(
@@ -419,7 +371,7 @@ def correlation_matrix_far(
     geom: SubsystemGeometry,
     which: Subsystem = "A",
     spec: QuadratureSpec = ENTRY_SPEC,
-    builder: FarLimitBuilder | None = None,
+    builder: CorrelationBuilder | None = None,
 ) -> CorrelationMatrix:
     """Far-limit correlation matrix (d_i / ell_i -> infinity, d_l - d_r fixed).
 
@@ -430,36 +382,19 @@ def correlation_matrix_far(
     left, right = _partition_sites(geom, which)
     nl, nr = len(left), len(right)
     if builder is None:
-        builder = FarLimitBuilder(model, bias, spec)
-
+        builder = CorrelationBuilder(model, bias, spec)
     out = np.zeros((nl + nr, nl + nr), dtype=complex)
     if nl:
-        col = np.array([builder.entry_left(j, 1) for j in range(1, nl + 1)])
-        row = np.conj(col)
-        block = _toeplitz(col, row)
-        block[np.diag_indices(nl)] = block.diagonal().real
-        out[:nl, :nl] = block
+        out[:nl, :nl] = _far_diagonal(builder, bias.k_fl, -1.0, nl)
     if nr:
-        col = np.array([builder.entry_right(j, 1) for j in range(1, nr + 1)])
-        block = _toeplitz(col, np.conj(col))
-        block[np.diag_indices(nr)] = block.diagonal().real
-        out[nl:, nl:] = block
+        out[nl:, nl:] = _far_diagonal(builder, bias.k_fr, 1.0, nr)
     if nl and nr:
-        rl = np.array(
-            [[builder.entry_cross(j, m, geom.d_l, geom.d_r) for m in range(1, nl + 1)]
-             for j in range(1, nr + 1)]
-        )
+        # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
+        rates = geom.d_l - geom.d_r - np.subtract.outer(np.arange(1, nr + 1), np.arange(1, nl + 1))
+        rl = builder.coefficients("V", "tLc_rL", rates)
         out[nl:, :nl] = rl
         out[:nl, nl:] = rl.conj().T
     return CorrelationMatrix(out, left, right, regime="far")
-
-
-def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Toeplitz matrix from first column and first row (row[0] ignored)."""
-    n = len(col)
-    idx = np.subtract.outer(np.arange(n), np.arange(n))
-    vals = np.concatenate([row[:0:-1], col])
-    return vals[idx + n - 1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .config import ExperimentConfig
 from .correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
-    FarLimitBuilder,
     SubsystemGeometry,
     correlation_matrix_far,
     correlation_matrix_finite,
@@ -256,7 +255,7 @@ def run_sweep_length(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
     model = config.build_model()
     bias = config.build_bias()
     spec = _entry_spec(config)
-    builder = FarLimitBuilder(model, bias, spec)
+    builder = CorrelationBuilder(model, bias, spec)
     ells = list(range(config.ell_min, config.ell_max + 1, config.ell_step))
 
     def compute(ell: int) -> list[dict]:
@@ -265,8 +264,6 @@ def run_sweep_length(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
         base = {"ell": ell, "ell_mirror": geom.ell_mirror}
         return _measure_point_rows(model, bias, geom, cmat, config, base)
 
-    # warm the shared Toeplitz kernels serially, then fan out
-    compute(ells[-1])
     points = [row for rows in _map_ordered(compute, ells, config.threads) for row in rows]
     fits = _fit_rows(points, (), "ell_mirror")
     return _SWEEP_FIELDS, points + fits
@@ -285,7 +282,7 @@ def run_sweep_position(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     model = config.build_model()
     bias = config.build_bias()
     spec = _entry_spec(config)
-    builder = FarLimitBuilder(model, bias, spec)
+    builder = CorrelationBuilder(model, bias, spec)
     deltas = list(range(config.delta_min, config.delta_max + 1, config.delta_step))
     shift = max(0, -min(deltas))
 
@@ -295,7 +292,6 @@ def run_sweep_position(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         base = {"delta": delta, "ell_mirror": geom.ell_mirror, "regime": _position_regime(geom)}
         return _measure_point_rows(model, bias, geom, cmat, config, base)
 
-    compute(deltas[-1])
     points = [row for rows in _map_ordered(compute, deltas, config.threads) for row in rows]
     fits = _fit_rows(points, (), None)
     return _SWEEP_FIELDS, points + fits

@@ -41,7 +41,6 @@ __all__ = [
     "integrate_oscillatory_batch",
     "eig_hermitian",
     "eig_general",
-    "mat_mul",
     "mat_inverse",
 ]
 
@@ -258,19 +257,21 @@ def integrate_oscillatory_batch(
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
-    """Integrals of f_smooth(k) * exp(i * rate * k) for a batch of rates.
+    """Integrals of f_smooth(k) * exp(i * rate * k) for consecutive integer rates.
 
-    All rates share one composite Gauss-Legendre grid sized for the fastest
-    phase (so every rate gets at least nodes_per_panel nodes per period) and
-    a single evaluation of f_smooth; each integral is then a weighted phase
-    sum.  Agreement between the grid and its twice-refined version is
-    required to the spec tolerance, doubling further until the budget runs
-    out.  Equivalent to calling integrate_oscillatory per rate, at a small
-    fraction of the cost when the batch is large.
+    phase_rates must be r0, r0 + 1, r0 + 2, ...  All rates share one
+    composite Gauss-Legendre grid sized for the fastest phase (so every rate
+    gets at least nodes_per_panel nodes per period) and a single evaluation
+    of f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k)
+    once per node, then one complex multiply per further rate.  Agreement
+    between the grid and its twice-refined version is required to the spec
+    tolerance, doubling further until the budget runs out.
     """
     rates = np.asarray(phase_rates, dtype=float)
     if rates.size == 0:
         return np.zeros(0, dtype=complex)
+    if rates[0] != np.round(rates[0]) or np.any(np.diff(rates) != 1.0):
+        raise ValueError("integrate_oscillatory_batch requires consecutive integer rates")
     if a > b:
         raise ValueError("integrate_oscillatory_batch requires a <= b")
     if a == b:
@@ -281,10 +282,13 @@ def integrate_oscillatory_batch(
     def eval_on(n_panels: int) -> np.ndarray:
         nodes, weights = _fixed_grid(a, b, n_panels, spec.nodes_per_panel)
         base = np.asarray(f_smooth(nodes), dtype=complex) * weights
+        step = np.exp(1j * nodes)
+        phase = np.exp(1j * rates[0] * nodes)
         out = np.empty(rates.shape, dtype=complex)
-        for start in range(0, rates.size, 64):
-            chunk = rates[start : start + 64]
-            out[start : start + 64] = np.exp(1j * np.outer(chunk, nodes)) @ base
+        out[0] = phase @ base
+        for i in range(1, rates.size):
+            phase *= step
+            out[i] = phase @ base
         return out
 
     if 2 * n0 > spec.max_panels:
@@ -336,14 +340,6 @@ def eig_general(m) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def mat_mul(a, b) -> np.ndarray:
-    x = _as_matrix(a)
-    y = _as_matrix(b)
-    if x.shape[1] != y.shape[0]:
-        raise ValueError("incompatible shapes for matrix product")
-    return x @ y
 
 
 def mat_inverse(m) -> np.ndarray:

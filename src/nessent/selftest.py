@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import asymptotics as asy
-from .correlation import CorrelationMatrix, FarLimitBuilder, SubsystemGeometry, correlation_matrix_far
+from .correlation import CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from .entanglement import (
     correlation_moments,
     entropy_from_spectrum,

@@ -15,10 +15,10 @@ from nessent import asymptotics as asy
 from nessent import fockspace as fs
 from nessent.config import ExperimentConfig
 from nessent.correlation import (
+    CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
     correlation_matrix_far,
-    FarLimitBuilder,
 )
 from nessent.entanglement import (
     entropy_from_spectrum,
@@ -183,7 +183,7 @@ def test_criterion_05_closed_form_slopes():
 
 def test_criterion_06_symmetric_union_entropy_log_law():
     model = SingleImpurity(1.0)
-    builder = FarLimitBuilder(model, BIAS)
+    builder = CorrelationBuilder(model, BIAS)
     ells = [50, 80, 120, 180, 260, 400]
     s_a = []
     for ell in ells:

@@ -216,10 +216,10 @@ def test_entropy_assembly_reproduces_mi_symmetric():
 def test_contiguous_entropy_constant_residual():
     # numeric far-limit order-2 entropy of one interval minus its prediction
     # is length-independent (the fitted constant) across a 4x length span
-    from nessent.correlation import SubsystemGeometry, correlation_matrix_far, FarLimitBuilder
+    from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far
     from nessent.entanglement import renyi_entropy
 
-    builder = FarLimitBuilder(IMPURITY, BIAS)
+    builder = CorrelationBuilder(IMPURITY, BIAS)
     residuals = []
     for ell in (50, 100, 200):
         geom = SubsystemGeometry(0, 0, ell, 0, ell)

@@ -12,7 +12,7 @@ from nessent.correlation import (
     read_matrix_dump,
     write_matrix_dump,
 )
-from nessent.numerics import QuadratureSpec
+from nessent.numerics import QuadratureSpec, integrate_oscillatory
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, wavefunction
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
@@ -126,10 +126,44 @@ def test_finite_matrix_matches_entrywise_assembly():
     geom = SubsystemGeometry(0, 3, 4, 1, 3)
     cm = correlation_matrix_finite(IMPURITY, BIAS, geom, "A")
     sites = geom.sites_left() + geom.sites_right()
-    builder = CorrelationBuilder(IMPURITY, BIAS)
     for a, sa in enumerate(sites):
         for b, sb in enumerate(sites):
-            assert abs(cm.matrix[a, b] - builder.entry(sa, sb)) < 1e-12
+            assert abs(cm.matrix[a, b] - correlation_entry_finite(IMPURITY, BIAS, sa, sb)) < 1e-12
+
+
+def test_table_blocks_do_not_depend_on_request_order():
+    rates = np.arange(0, 201)
+    fresh = CorrelationBuilder(IMPURITY, BIAS)
+    primed = CorrelationBuilder(IMPURITY, BIAS)
+    for window, factor in (("L", "rL"), ("R", "tR_rRc"), ("V", "T")):
+        primed.coefficients(window, factor, np.array([150]))
+        a = fresh.coefficients(window, factor, rates)
+        b = primed.coefficients(window, factor, rates)
+        assert a.tobytes() == b.tobytes()
+
+
+def _amp(i):
+    return lambda k: IMPURITY.amplitudes(k)[i]
+
+
+MIRRORED = BiasState(np.pi / 2, 2 * np.pi / 3)
+
+
+@pytest.mark.parametrize(
+    "bias, window, factor, rate, f, lo, hi, sign",
+    [
+        (BIAS, "L", "rL", -37, _amp(0), 0.0, BIAS.k_fl, 1.0),
+        (BIAS, "R", "rR", 3999, _amp(3), 0.0, BIAS.k_fr, 1.0),
+        (BIAS, "R", "tR", -4001, _amp(1), 0.0, BIAS.k_fr, 1.0),
+        (BIAS, "V", "T", -5, lambda k: np.abs(_amp(2)(k)) ** 2, BIAS.k_fr, BIAS.k_fl, 1.0),
+        (BIAS, "V", "tLc_rL", 130, lambda k: np.conj(_amp(2)(k)) * _amp(0)(k), BIAS.k_fr, BIAS.k_fl, 1.0),
+        (MIRRORED, "V", "T", 70, lambda k: np.abs(_amp(2)(k)) ** 2, np.pi / 2, 2 * np.pi / 3, -1.0),
+    ],
+)
+def test_table_coefficients_match_scalar_quadrature(bias, window, factor, rate, f, lo, hi, sign):
+    table = CorrelationBuilder(IMPURITY, bias).coefficients(window, factor, np.array([rate]))[0]
+    scalar = sign * integrate_oscillatory(f, rate, lo, hi, QuadratureSpec(abs_tol=1e-12, max_panels=60000))
+    assert abs(table - scalar / (2 * np.pi)) < 1e-10
 
 
 def test_far_limit_entries_converge_with_distance():

@@ -1,15 +1,17 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config_text, read_csv
+from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config, parse_config_text, read_csv
 from nessent.experiments import (
     LengthMismatch,
     fit_constant,
     friedel_window,
     run_eval_asymptotics,
     run_scenario,
+    run_sweep_distance,
     run_sweep_length,
     run_sweep_position,
 )
@@ -111,6 +113,28 @@ def test_parse_config_scenario_mismatch():
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ParseError, match="line 2"):
         parse_config_text("scenario = selftest\nnot a pair\n")
+
+
+def test_parse_config_integer_keys_reject_fractions():
+    for key in ("ell_l", "window"):
+        with pytest.raises(ParseError, match=f"'{key}'.*integer"):
+            parse_config_text(f"scenario = selftest\n{key} = 2.6\n")
+    cfg = parse_config_text("scenario = selftest\nell_l = 6/2\nwindow = 12\n")
+    assert (cfg.ell_l, cfg.window) == (3, 12)
+
+
+def test_parse_config_division_by_zero_names_key():
+    with pytest.raises(ParseError, match="'d_r'"):
+        parse_config_text("scenario = selftest\nd_r = 1/0\n")
+
+
+def test_sample_configs_parse():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert len(paths) >= 5
+    for path in paths:
+        assert parse_config(path).scenario in path.read_text()
+    bias = parse_config(path.with_name("bias_sweep.cfg"))
+    assert bias.dk_list == pytest.approx((math.pi / 24, math.pi / 12, math.pi / 6))
 
 
 def test_csv_round_trip_preserves_12_digits(tmp_path):
@@ -322,3 +346,28 @@ def test_threaded_sweep_matches_serial():
     nums1 = [r["numeric"] for r in rows_of(rows1, row_type="point")]
     nums4 = [r["numeric"] for r in rows_of(rows4, row_type="point")]
     assert nums1 == nums4
+
+
+def test_threaded_distance_sweep_bytes_match_serial(tmp_path):
+    # distances 16..250 put the j+m rates in nine 64-rate table blocks
+    outputs = []
+    for threads in (1, 4):
+        cfg = ExperimentConfig(
+            scenario="sweep-distance",
+            model="single_impurity",
+            epsilon0=1.0,
+            k_fl=K_FL,
+            k_fr=K_FR,
+            ell=8,
+            d_over_ell_min=2,
+            d_over_ell_max=30,
+            n_centers=4,
+            fit_min_d_over_ell=2,
+            measures=("mi", "negativity"),
+            threads=threads,
+        )
+        fields, rows = run_sweep_distance(cfg)
+        path = tmp_path / f"threads{threads}.csv"
+        emit_csv(rows, path, fields)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -11,8 +11,8 @@ from nessent.numerics import (
     eig_hermitian,
     integrate,
     integrate_oscillatory,
+    integrate_oscillatory_batch,
     mat_inverse,
-    mat_mul,
 )
 
 SPEC = QuadratureSpec(abs_tol=1e-12)
@@ -74,6 +74,17 @@ def test_oscillatory_self_consistency_two_paths():
     a = integrate_oscillatory(f, 500.0, np.pi / 2, 2 * np.pi / 3, QuadratureSpec(abs_tol=1e-12, max_panels=2000))
     b = integrate(g, np.pi / 2, 2 * np.pi / 3, QuadratureSpec(abs_tol=1e-12, max_panels=20000))
     assert abs(a - b) < 1e-9
+
+
+def test_oscillatory_batch_consecutive_rates_closed_form():
+    rates = np.arange(-3, 61)
+    vals = integrate_oscillatory_batch(lambda k: np.ones_like(k), rates, 0.0, np.pi, SPEC)
+    safe = np.where(rates == 0, 1, rates)
+    exact = np.where(rates == 0, np.pi, (np.exp(1j * rates * np.pi) - 1.0) / (1j * safe))
+    assert np.abs(vals - exact).max() < 1e-12
+    for bad in ([0, 2, 3], [0.5, 1.5]):
+        with pytest.raises(ValueError):
+            integrate_oscillatory_batch(lambda k: np.ones_like(k), bad, 0.0, 1.0, SPEC)
 
 
 def test_oscillatory_panel_budget_raises():
@@ -183,13 +194,6 @@ def test_inverse_residual_oracle():
 def test_inverse_singular_raises():
     with pytest.raises(Singular):
         mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
-
-
-def test_mat_mul_shapes():
-    a = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        mat_mul(a, np.ones((3, 3)))
-    assert np.allclose(mat_mul(a, a), 2 * np.ones((2, 2)))
 
 
 def test_quadrature_spec_invariants():
