@@ -20,11 +20,21 @@ and the moments
     E_n = ln det[C_X^(n/2) + (I - C_X)^(n/2)]
         + (n/2) ln det[C_A^2 + (I - C_A)^2].
 
-The negativity itself is E_1, evaluated directly with principal-branch square
-roots rather than by extrapolating even moments; even n stays available for
-oracle tests.  C_X is not Hermitian, so its spectrum is taken with the
-general eigensolver; the imaginary residue of the result is asserted small
-and reported in the diagnostics instead of being silently discarded.
+C_X is never formed.  Gamma_- = Gamma_+^dag, so B = I + Gamma_+ Gamma_+^dag
+is Hermitian positive definite and B -/+ (Gamma_+ + Gamma_-) =
+(I -/+ Gamma_+)(I -/+ Gamma_+)^dag.  With B = L L^dag, the eigenvalues xi of
+C_X are sigma^2 / 2 for the singular values sigma of L^-1 (I - Gamma_+), and
+1 - xi = sigma'^2 / 2 for those of L^-1 (I + Gamma_+), ascending sigma paired
+with descending sigma'.  Both sides are real by construction and each small
+value is computed directly, so no square root is taken of an eigenvalue that
+is noise around the branch point.  Since Gamma_+ = Q Gamma Q with
+Q = diag(I, -iI) and Gamma = 2 C_A - I, det B = 2^N det[C_A^2 + (I - C_A)^2],
+so the second term comes from the diagonal of L.  The negativity itself is
+E_1 = sum ln[(sigma + sigma') / sqrt 2] + sum ln L_ii - (N/2) ln 2; even n
+stays available for oracle tests.  The pairing residual
+max |(sigma^2 + sigma'^2)/2 - 1| is asserted small and reported in the
+diagnostics.  The C_X construction is from Shapourian, Shiozaki & Ryu,
+PRB 95, 165101 (2017), and Eisler & Zimboras, NJP 17, 053048 (2015).
 """
 
 from __future__ import annotations
@@ -34,12 +44,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import CorrelationMatrix
-from .numerics import NumericsError, Singular, eig_general, eig_hermitian, mat_inverse
+from .numerics import NumericsError, eig_hermitian
+from .numerics import eig_general, mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
 __all__ = [
     "SpectrumError",
     "SingularResolvent",
-    "ImaginaryResidue",
     "EntanglementReport",
     "occupation_spectrum",
     "renyi_entropy",
@@ -54,8 +64,9 @@ __all__ = [
 #: eigenvalues may stray outside [0, 1] by at most this much before erroring
 CLAMP_SLACK = 1e-8
 
-#: tolerated imaginary part of the negativity and of C_X eigenvalues
-IMAG_TOL = 1e-7
+#: tolerated C_X pairing residual max |(sigma^2 + sigma'^2)/2 - 1|; xi and
+#: 1 - xi come from two separate solves, so their sum checks both
+PAIRING_TOL = 1e-7
 
 
 class SpectrumError(ValueError):
@@ -63,11 +74,8 @@ class SpectrumError(ValueError):
 
 
 class SingularResolvent(NumericsError):
-    """I + Gamma_+ Gamma_- is numerically singular."""
-
-
-class ImaginaryResidue(NumericsError):
-    """Imaginary part of the negativity exceeded the tolerance."""
+    """The whitened pencil of I + Gamma_+ Gamma_- failed: no Cholesky factor,
+    or a C_X pairing residual above PAIRING_TOL."""
 
 
 @dataclass
@@ -81,7 +89,7 @@ class EntanglementReport:
     mutual_info: float
     coherent_info: float
     negativity: float | None = None
-    max_imag_residue: float = 0.0
+    pairing_residual: float = 0.0
     clamp_count: int = 0
 
 
@@ -158,79 +166,49 @@ def correlation_moments(c, p: int) -> float:
     return float(np.trace(power).real)
 
 
-#: imaginary parts below this are floating-point noise, not spectrum content
-IMAG_NOISE_FLOOR = 1e-12
-
-
-def _cleaned_spectrum(xi: np.ndarray) -> np.ndarray:
-    """Drop machine-noise imaginary parts and clamp tiny negatives to 0.
-
-    Fractional powers amplify noise around the branch point: an eigenvalue
-    that is really 0 but comes back as -1e-13 or +1e-16j would contribute
-    sqrt-of-that, 1e-7 in the worst case.  Only sub-noise-floor imaginary
-    parts are discarded; anything larger flows through to the residue check.
-    """
-    z = xi.astype(complex).copy()
-    real = np.abs(z.imag) < IMAG_NOISE_FLOOR
-    z[real] = z[real].real
-    fix = real & (z.real > -CLAMP_SLACK) & (z.real < 0.0)
-    z[fix] = 0.0
-    return z
-
-
-def _principal_power(z: np.ndarray, exponent: float) -> np.ndarray:
-    return z.astype(complex) ** exponent
-
-
-def _negativity_detail(c: CorrelationMatrix, n: float) -> tuple[float, float, float]:
-    """(value, max |Im| of C_X spectrum, |Im| of the raw result)."""
+def _negativity_detail(c: CorrelationMatrix, n: float) -> tuple[float, float]:
+    """(E_n, pairing residual max |(sigma^2 + sigma'^2)/2 - 1|)."""
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("fermionic negativity needs both blocks non-empty")
     if n != 1 and (n < 2 or int(n) != n or int(n) % 2 != 0):
         raise ValueError("negativity order must be 1 or an even integer")
     a = c.matrix
-    nl = c.n_left
     dim = a.shape[0]
-    cll, clr = a[:nl, :nl], a[:nl, nl:]
-    crl, crr = a[nl:, :nl], a[nl:, nl:]
-    eye = np.eye(dim, dtype=complex)
+    diag = np.diag_indices(dim)
 
-    def gamma(sign: float) -> np.ndarray:
-        g = np.zeros((dim, dim), dtype=complex)
-        g[:nl, :nl] = 2.0 * cll - np.eye(nl)
-        g[nl:, nl:] = np.eye(dim - nl) - 2.0 * crr
-        g[:nl, nl:] = sign * 2j * clr
-        g[nl:, :nl] = sign * 2j * crl
-        return g
+    q = np.where(np.arange(dim) < c.n_left, 1.0, -1j)
+    g_plus = (2.0 * a - np.eye(dim)) * np.outer(q, q)
 
-    g_plus = gamma(-1.0)
-    g_minus = gamma(+1.0)
+    # one side at a time, so that at most one extra dim x dim temporary lives
+    b = g_plus @ g_plus.conj().T
+    b[diag] += 1.0
     try:
-        resolvent = mat_inverse(eye + g_plus @ g_minus)
-    except Singular as exc:
-        raise SingularResolvent(str(exc)) from exc
-    c_x = 0.5 * (eye - resolvent @ (g_plus + g_minus))
+        chol = np.linalg.cholesky(b)
+        del b
+        side = -g_plus
+        side[diag] += 1.0
+        sigma = np.linalg.svd(np.linalg.solve(chol, side), compute_uv=False)[::-1]
+        del side
+        g_plus[diag] += 1.0
+        sigma_p = np.linalg.svd(np.linalg.solve(chol, g_plus), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolvent(f"whitened pencil of I + Gamma_+ Gamma_-: {exc}") from exc
+    log_det_half = float(np.log(chol.diagonal().real).sum())
 
-    xi = eig_general(c_x)
-    max_imag_eig = float(np.abs(xi.imag).max()) if xi.size else 0.0
-    half = n / 2.0
-    xi_lo = _cleaned_spectrum(xi)
-    xi_hi = _cleaned_spectrum(1.0 - xi)
-    first = np.log(_principal_power(xi_lo, half) + _principal_power(xi_hi, half)).sum()
-
-    nu, _ = occupation_spectrum(c)
-    second = half * np.log(nu**2 + (1.0 - nu) ** 2).sum()
-
-    total = first + second
-    imag_residue = abs(float(total.imag))
-    if imag_residue > IMAG_TOL:
-        raise ImaginaryResidue(f"negativity imaginary residue {imag_residue:.3e}")
-    return float(total.real), max_imag_eig, imag_residue
+    residual = float(np.abs(0.5 * (sigma**2 + sigma_p**2) - 1.0).max())
+    if not residual <= PAIRING_TOL:
+        raise SingularResolvent(f"C_X pairing residual {residual:.3e} exceeds {PAIRING_TOL:.1e}")
+    if n == 1:
+        first = np.log((sigma + sigma_p) / np.sqrt(2.0)).sum()
+    else:
+        half = n / 2.0
+        first = np.log((0.5 * sigma**2) ** half + (0.5 * sigma_p**2) ** half).sum()
+    return float(first + n * (log_det_half - 0.5 * dim * np.log(2.0))), residual
 
 
 def fermionic_negativity(c: CorrelationMatrix, n: float = 1) -> float:
     """Logarithmic fermionic negativity (n = 1) or the even moment E_n."""
-    value, _, _ = _negativity_detail(c, n)
+    value, _ = _negativity_detail(c, n)
     return value
 
 
@@ -261,7 +239,5 @@ def measures(
         clamp_count=clamp_a + clamp_l + clamp_r,
     )
     if with_negativity:
-        value, max_imag_eig, imag_residue = _negativity_detail(c, 1)
-        report.negativity = value
-        report.max_imag_residue = max(max_imag_eig, imag_residue)
+        report.negativity, report.pairing_residual = _negativity_detail(c, 1)
     return report

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nessent.correlation import CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from nessent.entanglement import (
     EntanglementReport,
-    ImaginaryResidue,
+    SingularResolvent,
     SpectrumError,
     correlation_moments,
     entropy_from_spectrum,
@@ -31,6 +32,12 @@ def diag_cm(values, nl):
     values = np.asarray(values, dtype=complex)
     nr = len(values) - nl
     return CorrelationMatrix(np.diag(values), tuple(range(-nl, 0)), tuple(range(1, nr + 1)))
+
+
+def far_fig2(ell):
+    """Fig. 2 far-limit matrix at epsilon0 = 1, mirrored intervals of length ell."""
+    bias = BiasState(2 * np.pi / 3, np.pi / 2)
+    return correlation_matrix_far(SingleImpurity(1.0), bias, SubsystemGeometry(0, 0, ell, 0, ell), "A")
 
 
 def test_renyi_pure_state_slice_is_zero():
@@ -177,6 +184,14 @@ def test_negativity_rejects_odd_order_and_empty_block():
         fermionic_negativity(lonely, 1)
 
 
+def test_negativity_nonfinite_input_raises_singular_resolvent():
+    for entry in ((0, 1), (1, 1)):
+        mat = np.full((2, 2), 0.5, dtype=complex)
+        mat[entry] = np.nan
+        with pytest.raises(SingularResolvent):
+            fermionic_negativity(CorrelationMatrix(mat, (-1,), (1,)), 1)
+
+
 def test_negativity_relation_to_half_renyi_mi_slope():
     # volume-law relation: negativity = half the order-1/2 Renyi MI, at
     # leading order in the mirror size
@@ -194,9 +209,76 @@ def test_negativity_relation_to_half_renyi_mi_slope():
 
 
 def test_cxi_spectrum_real_in_practice():
-    model = SingleImpurity(1.0)
-    bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    geom = SubsystemGeometry(0, 0, 30, 0, 30)
-    cm = correlation_matrix_far(model, bias, geom, "A")
-    rep = measures(cm, "vn", with_negativity=True)
-    assert rep.max_imag_residue < 1e-7
+    # the C_X spectrum is real by construction; what is checked is that the
+    # two whitened sides pair up, xi + (1 - xi) = 1
+    rep = measures(far_fig2(30), "vn", with_negativity=True)
+    assert rep.pairing_residual < 1e-7
+
+
+@pytest.mark.parametrize("nl,nr", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 3), (2, 4), (4, 2)])
+def test_negativity_pure_state_fock_oracle(nl, nr):
+    # a pure state puts most of the C_X spectrum exactly at 0 or 1, the
+    # branch point of the square roots
+    rng = np.random.default_rng(300 + 10 * nl + nr)
+    dim = nl + nr
+    occupied = np.arange(dim) < rng.integers(1, dim)
+    cm, _ = cm_from_spectrum(rng, nl, nr, occupied.astype(float))
+    oracle = fs.negativity_dm(fs.gaussian_density_matrix(cm.matrix), list(range(nl)), dim)
+    assert abs(fermionic_negativity(cm, 1) - oracle) < 1e-12
+
+
+def test_negativity_stable_under_roundoff_perturbation():
+    cm = far_fig2(100)
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(cm.dim, cm.dim)) + 1j * rng.normal(size=(cm.dim, cm.dim))
+    h = 0.5 * (h + h.conj().T)
+    nudged = CorrelationMatrix(cm.matrix + 1e-13 * h / np.abs(h).max(), cm.sites_left, cm.sites_right)
+    assert abs(fermionic_negativity(nudged, 1) - fermionic_negativity(cm, 1)) < 1e-9
+
+
+def mp_negativity(cm, mp):
+    """E_1 from C_X and its general eigenvalues in mpmath, the float64 matrix
+    taken as exact."""
+    dim, nl = cm.dim, cm.n_left
+    c = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in cm.matrix])
+    eye = mp.eye(dim)
+    gamma = [mp.matrix(dim, dim), mp.matrix(dim, dim)]
+    for i in range(dim):
+        for j in range(dim):
+            if i < nl and j < nl:
+                gamma[0][i, j] = gamma[1][i, j] = 2 * c[i, j] - eye[i, j]
+            elif i >= nl and j >= nl:
+                gamma[0][i, j] = gamma[1][i, j] = eye[i, j] - 2 * c[i, j]
+            else:
+                gamma[0][i, j] = -2j * c[i, j]
+                gamma[1][i, j] = 2j * c[i, j]
+    g_plus, g_minus = gamma
+    c_x = (eye - mp.inverse(eye + g_plus * g_minus) * (g_plus + g_minus)) / 2
+    xi = [min(max(mp.re(x), 0), 1) for x in mp.eig(c_x, left=False, right=False)]
+    first = mp.fsum(mp.log(mp.sqrt(x) + mp.sqrt(1 - x)) for x in xi)
+    return first + mp.log(mp.re(mp.det(c * c + (eye - c) * (eye - c)))) / 2
+
+
+@pytest.mark.parametrize("ell", [10, 20])
+def test_negativity_matches_mpmath_reference(ell):
+    mpmath = pytest.importorskip("mpmath")
+    cm = far_fig2(ell)
+    with mpmath.workdps(40):
+        reference = float(mp_negativity(cm, mpmath))
+    assert abs(fermionic_negativity(cm, 1) - reference) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
+def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):
+    # mixed states with some occupations pinned exactly at 0 or 1
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(0.0, 1.0, size=nl + nr)
+    pinned = min(n_pinned, nl + nr)
+    nu[:pinned] = rng.integers(0, 2, size=pinned)
+    cm, _ = cm_from_spectrum(rng, nl, nr, nu)
+    value = fermionic_negativity(cm, 1)
+    assert value >= -1e-12
+    swap = np.r_[nl:nl + nr, 0:nl]
+    swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], tuple(range(-nr, 0)), tuple(range(1, nl + 1)))
+    assert abs(fermionic_negativity(swapped, 1) - value) < 1e-12
