@@ -32,11 +32,12 @@ from .correlation import (
 )
 from .entanglement import (
     EntanglementReport,
+    block_spectra,
     correlation_moments,
+    entropy,
     fermionic_negativity,
     measures,
-    renyi_entropy,
-    von_neumann_entropy,
+    report_from_spectra,
 )
 from .asymptotics import (
     AsymptoticPrediction,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .scattering import BiasState, ConstantTransmission, ScatteringModel, SingleImpurity, TrivialScatterer
@@ -28,41 +28,6 @@ SCENARIOS = (
 )
 
 MEASURES = ("mi", "ci", "negativity", "entropy")
-
-_KNOWN_KEYS = {
-    "scenario",
-    "model",
-    "epsilon0",
-    "eta",
-    "transmission",
-    "k_fl",
-    "k_fr",
-    "measures",
-    "renyi_orders",
-    "out",
-    "threads",
-    "abs_tol",
-    "rel_tol",
-    "max_panels",
-    "nodes_per_panel",
-    "ell_min",
-    "ell_max",
-    "ell_step",
-    "ell",
-    "ell_l",
-    "ell_r",
-    "d_l",
-    "d_r",
-    "delta_min",
-    "delta_max",
-    "delta_step",
-    "dk_list",
-    "d_over_ell_min",
-    "d_over_ell_max",
-    "n_centers",
-    "window",
-    "fit_min_d_over_ell",
-}
 
 
 class ParseError(ValueError):
@@ -98,6 +63,11 @@ def _eval_number(text: str, where: str) -> float:
         raise ParseError(f"{where}: unsupported expression {text!r}")
 
     return ev(node)
+
+
+def order_label(order) -> str:
+    """How an entropy order is written in the CSV; order 1 is von Neumann."""
+    return "vn" if order in ("vn", 1) else format(float(order), "g")
 
 
 def _eval_int(text: str, where: str) -> int:
@@ -163,6 +133,10 @@ class ExperimentConfig:
             raise ParseError(str(exc)) from exc
 
 
+#: every config key is an ExperimentConfig field, parsed by its declared
+#: type unless parse_config_text names it; ``raw`` keeps the text
+_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig) if f.name != "raw"}
+
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "sweep-length": ("k_fl", "k_fr", "ell_min", "ell_max"),
     "sweep-position": ("k_fl", "k_fr", "ell_l", "ell_r", "delta_min", "delta_max"),
@@ -170,16 +144,6 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "sweep-distance": ("k_fl", "k_fr", "ell", "d_over_ell_min", "d_over_ell_max"),
     "eval-asymptotics": ("k_fl", "k_fr", "ell_l", "ell_r", "d_l", "d_r"),
     "selftest": (),
-}
-
-_INT_KEYS = {
-    "threads", "max_panels", "nodes_per_panel", "ell_min", "ell_max", "ell_step",
-    "ell", "ell_l", "ell_r", "d_l", "d_r", "delta_min", "delta_max", "delta_step",
-    "n_centers",
-}
-_FLOAT_KEYS = {
-    "epsilon0", "eta", "transmission", "k_fl", "k_fr", "abs_tol", "rel_tol",
-    "d_over_ell_min", "d_over_ell_max", "fit_min_d_over_ell",
 }
 
 
@@ -192,7 +156,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {rawline!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
@@ -211,11 +175,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     cfg = ExperimentConfig(scenario=scenario, raw=dict(pairs))
     for key, value in pairs.items():
         where = f"key {key!r}"
-        if key in _INT_KEYS:
-            setattr(cfg, key, _eval_int(value, where))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, _eval_number(value, where))
-        elif key == "dk_list":
+        if key == "dk_list":
             cfg.dk_list = tuple(_eval_number(part.strip(), where) for part in value.split(",") if part.strip())
         elif key == "measures":
             items = tuple(part.strip() for part in value.split(",") if part.strip())
@@ -224,16 +184,27 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
                     raise ParseError(f"{where}: unknown measure {item!r}")
             cfg.measures = items
         elif key == "renyi_orders":
-            orders: list[Any] = []
+            orders: dict[str, Any] = {}
             for part in value.split(","):
                 part = part.strip()
                 if not part:
                     continue
-                orders.append("vn" if part == "vn" else _eval_number(part, where))
-            cfg.renyi_orders = tuple(orders)
+                order = "vn" if part == "vn" else _eval_number(part, where)
+                if order != "vn" and not 0 < order < math.inf:
+                    raise ParseError(f"{where}: Renyi order must be positive and finite, got {part!r}")
+                # two orders with one CSV label would merge into one series
+                label = order_label(order)
+                if label in orders:
+                    raise ParseError(f"{where}: duplicate order {part!r} (CSV label {label!r})")
+                orders[label] = order
+            cfg.renyi_orders = tuple(orders.values())
         elif key == "window":
             cfg.window = value if value == "auto" else _eval_int(value, where)
-        elif key in ("model", "out"):
+        elif _KEY_TYPES[key] == "int":
+            setattr(cfg, key, _eval_int(value, where))
+        elif _KEY_TYPES[key] == "float":
+            setattr(cfg, key, _eval_number(value, where))
+        else:
             setattr(cfg, key, value)
 
     for key in _REQUIRED[scenario]:

@@ -6,8 +6,11 @@ measures follow from the eigenvalues nu of the restricted correlation matrix:
     Renyi:        S_n = 1/(1-n) * sum ln[nu^n + (1-nu)^n]
     von Neumann:  S   = -sum [nu ln nu + (1-nu) ln(1-nu)]
 
-Mutual information is S(A_L) + S(A_R) - S(A) and the coherent information is
-fixed to the direction I(A_L > A_R) = S(A_R) - S(A).
+(Peschel, J. Phys. A 36, L205 (2003)).  ``block_spectra`` takes the spectra
+of A_L, A_R and A once, and ``report_from_spectra`` turns them into one
+``EntanglementReport`` per order: mutual information S(A_L) + S(A_R) - S(A)
+and the coherent information, fixed to the direction
+I(A_L > A_R) = S(A_R) - S(A).
 
 The fermionic negativity uses the partial time-reversal of one block.  With
 C_A = [[C_LL, C_LR], [C_RL, C_RR]] one forms
@@ -40,6 +43,7 @@ PRB 95, 165101 (2017), and Eisler & Zimboras, NJP 17, 053048 (2015).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +56,10 @@ __all__ = [
     "SingularResolvent",
     "EntanglementReport",
     "occupation_spectrum",
-    "renyi_entropy",
-    "von_neumann_entropy",
     "entropy",
-    "entropy_from_spectrum",
+    "BlockSpectra",
+    "block_spectra",
+    "report_from_spectra",
     "correlation_moments",
     "measures",
     "fermionic_negativity",
@@ -116,43 +120,56 @@ def occupation_spectrum(c, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray
     return np.clip(nu, 0.0, 1.0), clamped
 
 
-def renyi_entropy(c, n: float) -> float:
-    """Order-n Renyi entropy from the correlation spectrum (n > 0, n != 1)."""
-    if not n > 0 or n == 1:
-        raise ValueError("Renyi order must be positive and different from 1")
-    nu, _ = occupation_spectrum(c)
+def entropy(nu: np.ndarray, order: float | str = "vn") -> float:
+    """Entropy of a clamped occupation spectrum: Renyi of finite order n > 0,
+    or von Neumann for order "vn" or 1.  The order is checked before any
+    shortcut, so a bad order fails on every spectrum."""
+    von_neumann = order == "vn" or order == 1
+    if not von_neumann and not 0 < float(order) < np.inf:
+        raise ValueError(f"Renyi order must be positive and finite, or 'vn'; got {order!r}")
     interior = nu[(nu > 0.0) & (nu < 1.0)]
     if interior.size == 0:
         return 0.0
-    return float(np.log(interior**n + (1.0 - interior) ** n).sum() / (1.0 - n))
-
-
-def von_neumann_entropy(c) -> float:
-    nu, _ = occupation_spectrum(c)
-    interior = nu[(nu > 0.0) & (nu < 1.0)]
-    if interior.size == 0:
-        return 0.0
-    return float(-(interior * np.log(interior) + (1.0 - interior) * np.log1p(-interior)).sum())
-
-
-def entropy(c, order: float | str) -> float:
-    """Renyi entropy of the given order, or von Neumann for order "vn"."""
-    if order == "vn" or order == 1:
-        return von_neumann_entropy(c)
-    return renyi_entropy(c, float(order))
-
-
-def entropy_from_spectrum(nu: np.ndarray, order: float | str) -> float:
-    """Entropy evaluated directly on a clamped occupation spectrum."""
-    interior = nu[(nu > 0.0) & (nu < 1.0)]
-    if interior.size == 0:
-        return 0.0
-    if order == "vn" or order == 1:
-        return float(-(interior * np.log(interior) + (1 - interior) * np.log1p(-interior)).sum())
+    if von_neumann:
+        return float(-(interior * np.log(interior) + (1.0 - interior) * np.log1p(-interior)).sum())
     n = float(order)
-    if not n > 0 or n == 1:
-        raise ValueError("Renyi order must be positive and different from 1")
     return float(np.log(interior**n + (1.0 - interior) ** n).sum() / (1.0 - n))
+
+
+class BlockSpectra(NamedTuple):
+    """Clamped occupation spectra of A_L, A_R and A, and their clamp count."""
+
+    left: np.ndarray
+    right: np.ndarray
+    union: np.ndarray
+    clamp_count: int
+
+
+def block_spectra(c: CorrelationMatrix) -> BlockSpectra:
+    """The three spectra every entropy-based measure of a partition reads."""
+    if c.n_left == 0 or c.n_right == 0:
+        raise ValueError("measures needs both blocks in the partition")
+    nu_a, clamp_a = occupation_spectrum(c)
+    nu_l, clamp_l = occupation_spectrum(c.block_left())
+    nu_r, clamp_r = occupation_spectrum(c.block_right())
+    return BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r)
+
+
+def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> EntanglementReport:
+    """Entropies of the two blocks and of the union, assembled into MI and CI.
+
+    The coherent information direction is I(A_L > A_R) = S(A_R) - S(A).
+    """
+    s_al, s_ar, s_a = (entropy(nu, order) for nu in spectra[:3])
+    return EntanglementReport(
+        renyi_order=order,
+        s_al=s_al,
+        s_ar=s_ar,
+        s_a=s_a,
+        mutual_info=s_al + s_ar - s_a,
+        coherent_info=s_ar - s_a,
+        clamp_count=spectra.clamp_count,
+    )
 
 
 def correlation_moments(c, p: int) -> float:
@@ -217,27 +234,8 @@ def measures(
     order: float | str = "vn",
     with_negativity: bool = False,
 ) -> EntanglementReport:
-    """Entropies of the two blocks and of the union, assembled into MI and CI.
-
-    The coherent information direction is I(A_L > A_R) = S(A_R) - S(A).
-    """
-    if c.n_left == 0 or c.n_right == 0:
-        raise ValueError("measures needs both blocks in the partition")
-    nu_a, clamp_a = occupation_spectrum(c)
-    nu_l, clamp_l = occupation_spectrum(c.block_left())
-    nu_r, clamp_r = occupation_spectrum(c.block_right())
-    s_al = entropy_from_spectrum(nu_l, order)
-    s_ar = entropy_from_spectrum(nu_r, order)
-    s_a = entropy_from_spectrum(nu_a, order)
-    report = EntanglementReport(
-        renyi_order=order,
-        s_al=s_al,
-        s_ar=s_ar,
-        s_a=s_a,
-        mutual_info=s_al + s_ar - s_a,
-        coherent_info=s_ar - s_a,
-        clamp_count=clamp_a + clamp_l + clamp_r,
-    )
+    """MI, CI and the entropies of one partition, plus the negativity on request."""
+    report = report_from_spectra(block_spectra(c), order)
     if with_negativity:
         report.negativity, report.pairing_residual = _negativity_detail(c, 1)
     return report

@@ -12,12 +12,12 @@ deterministic for a fixed config.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import asymptotics as asy
-from .config import ExperimentConfig
+from .config import ExperimentConfig, order_label
 from .correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
@@ -26,7 +26,7 @@ from .correlation import (
     correlation_matrix_finite,
     ENTRY_SPEC,
 )
-from .entanglement import entropy_from_spectrum, fermionic_negativity, occupation_spectrum
+from .entanglement import block_spectra, fermionic_negativity, measures, report_from_spectra
 from .numerics import QuadratureSpec
 from .scattering import BiasState, ScatteringModel
 
@@ -55,46 +55,21 @@ class FitResult:
     offset: float
     residual_max: float
     residual_rms: float
-    slope_fitted: float | None = None
-    slope_predicted: float | None = None
-    slope_rel_err: float | None = None
 
 
-def fit_constant(numeric, analytic, driver=None, predicted_slope=None) -> FitResult:
-    """Mean offset between the series, plus residuals of the adjusted fit.
-
-    With ``driver`` given (the linear driver of the prediction, for example
-    the mirror overlap per point), the numeric series is also regressed
-    against it and the fitted slope compared with ``predicted_slope``.
-    """
+def fit_constant(numeric, analytic) -> FitResult:
+    """Mean offset between the series, plus residuals of the adjusted fit."""
     num = np.asarray(numeric, dtype=float)
     ana = np.asarray(analytic, dtype=float)
     if num.shape != ana.shape or num.ndim != 1 or num.size < 3:
         raise LengthMismatch("fit_constant needs two equal-length series of at least 3 points")
     offset = float(np.mean(num - ana))
     resid = num - ana - offset
-    result = FitResult(
+    return FitResult(
         offset=offset,
         residual_max=float(np.abs(resid).max()),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
     )
-    if driver is not None:
-        drv = np.asarray(driver, dtype=float)
-        if drv.shape != num.shape:
-            raise LengthMismatch("driver series must match the numeric series")
-        slope, _ = np.polyfit(drv, num, 1)
-        rel = None
-        if predicted_slope is not None and predicted_slope != 0:
-            rel = abs(slope - predicted_slope) / abs(predicted_slope)
-        result = FitResult(
-            offset=result.offset,
-            residual_max=result.residual_max,
-            residual_rms=result.residual_rms,
-            slope_fitted=float(slope),
-            slope_predicted=predicted_slope,
-            slope_rel_err=rel,
-        )
-    return result
 
 
 def _map_ordered(fn, items, threads: int):
@@ -105,18 +80,10 @@ def _map_ordered(fn, items, threads: int):
 
 
 def _entry_spec(config: ExperimentConfig) -> QuadratureSpec:
-    return QuadratureSpec(
-        abs_tol=config.abs_tol if config.abs_tol is not None else ENTRY_SPEC.abs_tol,
-        rel_tol=config.rel_tol if config.rel_tol is not None else ENTRY_SPEC.rel_tol,
-        max_panels=config.max_panels if config.max_panels is not None else ENTRY_SPEC.max_panels,
-        nodes_per_panel=(
-            config.nodes_per_panel if config.nodes_per_panel is not None else ENTRY_SPEC.nodes_per_panel
-        ),
-    )
-
-
-def _order_label(order) -> str:
-    return "vn" if order in ("vn", 1) else format(float(order), "g")
+    """ENTRY_SPEC with the quadrature overrides the config sets."""
+    names = ("abs_tol", "rel_tol", "max_panels", "nodes_per_panel")
+    overrides = {name: getattr(config, name) for name in names if getattr(config, name) is not None}
+    return replace(ENTRY_SPEC, **overrides)
 
 
 def _measure_point_rows(
@@ -128,17 +95,17 @@ def _measure_point_rows(
     base: dict,
 ) -> list[dict]:
     """Numeric + analytic values of every requested measure on one matrix."""
-    nu_a, _ = occupation_spectrum(cmat)
-    nu_l, _ = occupation_spectrum(cmat.block_left())
-    nu_r, _ = occupation_spectrum(cmat.block_right())
+    spectra = block_spectra(cmat)
+    orders = config.renyi_orders + (("vn",) if "ci" in config.measures else ())
+    reports = {order: report_from_spectra(spectra, order) for order in orders}
     rows: list[dict] = []
 
-    def point(measure, order_label, numeric, pred: asy.AsymptoticPrediction | None):
+    def point(measure, label, numeric, pred: asy.AsymptoticPrediction | None):
         row = dict(base)
         row.update(
             row_type="point",
             measure=measure,
-            order=order_label,
+            order=label,
             numeric=numeric,
             analytic_linear=pred.linear_term if pred else None,
             analytic_log=pred.log_term if pred else None,
@@ -149,30 +116,26 @@ def _measure_point_rows(
     for measure in config.measures:
         if measure == "mi":
             for order in config.renyi_orders:
-                s_al = entropy_from_spectrum(nu_l, order)
-                s_ar = entropy_from_spectrum(nu_r, order)
-                s_a = entropy_from_spectrum(nu_a, order)
-                point("mi", _order_label(order), s_al + s_ar - s_a, asy.mi_prediction(model, bias, geom, order))
+                mi = reports[order].mutual_info
+                point("mi", order_label(order), mi, asy.mi_prediction(model, bias, geom, order))
         elif measure == "ci":
-            s_ar = entropy_from_spectrum(nu_r, "vn")
-            s_a = entropy_from_spectrum(nu_a, "vn")
-            point("ci", "vn", s_ar - s_a, asy.ci_prediction(model, bias, geom))
+            point("ci", "vn", reports["vn"].coherent_info, asy.ci_prediction(model, bias, geom))
         elif measure == "negativity":
             value = fermionic_negativity(cmat, 1)
             point("negativity", "1", value, asy.negativity_prediction(model, bias, geom))
         elif measure == "entropy":
             for order in config.renyi_orders:
-                label = _order_label(order)
+                label, rep = order_label(order), reports[order]
                 point(
                     "entropy_al",
                     label,
-                    entropy_from_spectrum(nu_l, order),
+                    rep.s_al,
                     asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order),
                 )
                 point(
                     "entropy_ar",
                     label,
-                    entropy_from_spectrum(nu_r, order),
+                    rep.s_ar,
                     asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order),
                 )
                 if geom.is_symmetric:
@@ -180,7 +143,7 @@ def _measure_point_rows(
                     pred = asy.AsymptoticPrediction(0.0, coeff * np.log(geom.ell_l))
                 else:
                     pred = None
-                point("entropy_a", label, entropy_from_spectrum(nu_a, order), pred)
+                point("entropy_a", label, rep.s_a, pred)
     return rows
 
 
@@ -205,28 +168,19 @@ def _fit_rows(points: list[dict], group_keys: tuple[str, ...], driver_key: str |
             continue
         numeric = [r["numeric"] for r in rows]
         analytic = [r["analytic"] for r in rows]
-        driver = [r[driver_key] for r in rows] if driver_key else None
-        predicted = None
-        slope_source = numeric
-        if driver is not None:
-            drv = np.asarray(driver, float)
+        fit = fit_constant(numeric, analytic)
+        fitted = predicted = rel_err = None
+        if driver_key:
+            drv = np.asarray([r[driver_key] for r in rows], float)
             lin = np.asarray([r["analytic_linear"] for r in rows], float)
             if np.ptp(drv) > 0:
                 predicted = float(np.polyfit(drv, lin, 1)[0])
             # the volume-law slope is read off after removing the exactly
             # known logarithmic part, which would otherwise bias it
-            slope_source = np.asarray(numeric) - np.asarray([r["analytic_log"] for r in rows], float)
-        fit = fit_constant(numeric, analytic, driver, predicted)
-        if driver is not None:
-            slope_fit = fit_constant(slope_source, analytic, driver, predicted)
-            fit = FitResult(
-                offset=fit.offset,
-                residual_max=fit.residual_max,
-                residual_rms=fit.residual_rms,
-                slope_fitted=slope_fit.slope_fitted,
-                slope_predicted=slope_fit.slope_predicted,
-                slope_rel_err=slope_fit.slope_rel_err,
-            )
+            log = np.asarray([r["analytic_log"] for r in rows], float)
+            fitted = float(np.polyfit(drv, np.asarray(numeric, float) - log, 1)[0])
+            if predicted:
+                rel_err = abs(fitted - predicted) / abs(predicted)
         half = len(rows) // 2
         first = fit_constant(numeric[:half], analytic[:half]) if half >= 3 else None
         second = fit_constant(numeric[half:], analytic[half:]) if len(rows) - half >= 3 else None
@@ -239,9 +193,9 @@ def _fit_rows(points: list[dict], group_keys: tuple[str, ...], driver_key: str |
             residual_rms=fit.residual_rms,
             offset_first_half=first.offset if first else None,
             offset_second_half=second.offset if second else None,
-            slope_fitted=fit.slope_fitted,
-            slope_predicted=fit.slope_predicted,
-            slope_rel_err=fit.slope_rel_err,
+            slope_fitted=fitted,
+            slope_predicted=predicted,
+            slope_rel_err=rel_err,
         )
         for drop in ("ell", "ell_mirror", "delta", "regime"):
             if drop not in group_keys:
@@ -362,33 +316,23 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         np.round(np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)).astype(int)
     )
 
-    far_geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
-    far_cmat = correlation_matrix_far(model, bias, far_geom, "A", spec)
-    nu_far, _ = occupation_spectrum(far_cmat)
-    far_mi = (
-        entropy_from_spectrum(occupation_spectrum(far_cmat.block_left())[0], "vn")
-        + entropy_from_spectrum(occupation_spectrum(far_cmat.block_right())[0], "vn")
-        - entropy_from_spectrum(nu_far, "vn")
-    )
-    far_neg = fermionic_negativity(far_cmat, 1)
-    far_vals = {"mi": far_mi, "negativity": far_neg}
     wanted = [m for m in ("mi", "negativity") if m in config.measures] or ["mi"]
 
+    def measured(cmat: CorrelationMatrix) -> dict[str, float]:
+        out: dict[str, float] = {}
+        if "mi" in wanted:
+            out["mi"] = measures(cmat).mutual_info
+        if "negativity" in wanted:
+            out["negativity"] = fermionic_negativity(cmat, 1)
+        return out
+
+    far_geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
+    far_vals = measured(correlation_matrix_far(model, bias, far_geom, "A", spec))
     builder = CorrelationBuilder(model, bias, spec)
 
     def one_distance(d: int) -> dict[str, float]:
         geom = SubsystemGeometry(model.m0, d, ell, d, ell)
-        cmat = correlation_matrix_finite(model, bias, geom, "A", spec, builder)
-        out: dict[str, float] = {}
-        if "mi" in wanted:
-            out["mi"] = (
-                entropy_from_spectrum(occupation_spectrum(cmat.block_left())[0], "vn")
-                + entropy_from_spectrum(occupation_spectrum(cmat.block_right())[0], "vn")
-                - entropy_from_spectrum(occupation_spectrum(cmat)[0], "vn")
-            )
-        if "negativity" in wanted:
-            out["negativity"] = fermionic_negativity(cmat, 1)
-        return out
+        return measured(correlation_matrix_finite(model, bias, geom, "A", spec, builder))
 
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
@@ -444,10 +388,10 @@ def run_eval_asymptotics(config: ExperimentConfig) -> tuple[list[str], list[dict
     geom = SubsystemGeometry(model.m0, config.d_l, config.ell_l, config.d_r, config.ell_r)
     rows: list[dict] = []
 
-    def add(measure: str, order_label: str, pred: asy.AsymptoticPrediction):
+    def add(measure: str, label: str, pred: asy.AsymptoticPrediction):
         kernels = ";".join(f"{k}={format(v, '.12g')}" for k, v in sorted(pred.kernel_values.items()))
         rows.append(
-            {"measure": measure, "order": order_label, "ell_mirror": geom.ell_mirror,
+            {"measure": measure, "order": label, "ell_mirror": geom.ell_mirror,
              "linear": pred.linear_term, "log": pred.log_term,
              "total": pred.total_minus_constant, "kernels": kernels}
         )
@@ -455,14 +399,14 @@ def run_eval_asymptotics(config: ExperimentConfig) -> tuple[list[str], list[dict
     for measure in config.measures:
         if measure == "mi":
             for order in config.renyi_orders:
-                add("mi", _order_label(order), asy.mi_prediction(model, bias, geom, order))
+                add("mi", order_label(order), asy.mi_prediction(model, bias, geom, order))
         elif measure == "ci":
             add("ci", "vn", asy.ci_prediction(model, bias, geom))
         elif measure == "negativity":
             add("negativity", "1", asy.negativity_prediction(model, bias, geom))
         elif measure == "entropy":
             for order in config.renyi_orders:
-                label = _order_label(order)
+                label = order_label(order)
                 add("entropy_al", label, asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order))
                 add("entropy_ar", label, asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order))
     return _EVAL_FIELDS, rows

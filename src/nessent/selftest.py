@@ -1,8 +1,9 @@
 """Fast invariant suite behind the ``selftest`` CLI scenario.
 
 Each check is a small, self-contained property with a hard threshold; the
-runner prints one PASS/FAIL line per property.  The heavyweight acceptance
-checks live in the pytest suite; this is the quick smoke screen.
+runner prints one PASS/FAIL line per property.  pytest runs each check in
+``CHECKS`` as its own case, so a property lives here or in pytest, not both;
+the heavyweight acceptance checks live in pytest.  Keep the list under 1 s.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from . import asymptotics as asy
 from .correlation import CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from .entanglement import (
     correlation_moments,
-    entropy_from_spectrum,
+    entropy,
     fermionic_negativity,
     measures,
     occupation_spectrum,
-    renyi_entropy,
-    von_neumann_entropy,
 )
 from .fockspace import gaussian_density_matrix, negativity_dm, partial_trace, vn_entropy_dm
 from .numerics import QuadratureSpec, integrate, integrate_oscillatory
@@ -44,9 +43,13 @@ def _random_correlation(rng, nl, nr):
 
 @check
 def smatrix_unitarity_grid():
-    ks = np.linspace(1e-3, np.pi - 1e-3, 200)
+    ks = np.linspace(1e-4, np.pi - 1e-4, 1000)
     worst = 0.0
-    for model in (SingleImpurity(0.7), SingleImpurity(2.5, 0.8), ConstantTransmission(0.3), TrivialScatterer()):
+    models = (
+        SingleImpurity(0.5), SingleImpurity(0.7), SingleImpurity(1.0), SingleImpurity(2.0, 0.7),
+        SingleImpurity(2.5, 0.8), ConstantTransmission(0.3), ConstantTransmission(1.0), TrivialScatterer(),
+    )
+    for model in models:
         for k in ks:
             worst = max(worst, s_matrix(model, k).unitarity_defect())
     assert worst < 1e-12, f"unitarity defect {worst}"
@@ -54,6 +57,7 @@ def smatrix_unitarity_grid():
 
 @check
 def single_impurity_transmission_value():
+    # epsilon0 = 2 eta at band center: T = sin^2 k / (sin^2 k + 1) = 1/2
     model = SingleImpurity(2.0, 1.0)
     assert abs(transmission(model, np.pi / 2) - 0.5) < 1e-14
 
@@ -82,14 +86,14 @@ def kernel_exact_zeros():
 
 @check
 def integrate_linearity():
-    rng = np.random.default_rng(7)
-    spec = QuadratureSpec(abs_tol=1e-11)
+    spec = QuadratureSpec(abs_tol=1e-12)
     f = lambda x: np.exp(-x) * np.sin(3 * x)
     g = lambda x: 1.0 / (1.0 + x**2)
-    alpha, beta = rng.normal(), rng.normal()
-    lhs = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, spec)
-    rhs = alpha * integrate(f, 0.0, 2.0, spec) + beta * integrate(g, 0.0, 2.0, spec)
-    assert abs(lhs - rhs) < 2e-11
+    int_f, int_g = integrate(f, 0.0, 2.0, spec), integrate(g, 0.0, 2.0, spec)
+    corners = [(0.0, 0.0), (2.0, -2.0), (-2.0, 2.0), (-2.0, -2.0)]
+    for alpha, beta in corners + list(np.random.default_rng(7).uniform(-2.0, 2.0, size=(16, 2))):
+        lhs = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, spec)
+        assert abs(lhs - alpha * int_f - beta * int_g) < 2e-12 * (1 + abs(alpha) + abs(beta))
 
 
 @check
@@ -116,8 +120,8 @@ def far_matrix_spectrum_in_unit_interval():
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
     geom = SubsystemGeometry(0, 0, 24, 0, 24)
     cmat = correlation_matrix_far(model, bias, geom, "A")
-    nu, _ = occupation_spectrum(cmat)
-    assert nu.min() > -1e-8 and nu.max() < 1 + 1e-8
+    nu = np.linalg.eigvalsh(cmat.matrix)  # unclamped: occupation_spectrum clips to [0, 1]
+    assert nu.min() > -1e-8 and nu.max() < 1 + 1e-8, f"spectrum [{nu.min()}, {nu.max()}]"
 
 
 @check
@@ -127,7 +131,7 @@ def entropy_spectral_oracle():
         cm = _random_correlation(rng, 3, 3)
         nu = np.linalg.eigvalsh(cm.matrix)
         direct = float(np.log(nu**2 + (1 - nu) ** 2).sum() / (1 - 2))
-        assert abs(renyi_entropy(cm, 2.0) - direct) < 1e-10
+        assert abs(entropy(occupation_spectrum(cm)[0], 2.0) - direct) < 1e-10
 
 
 @check
@@ -135,7 +139,7 @@ def moment_dual_path():
     rng = np.random.default_rng(13)
     cm = _random_correlation(rng, 2, 3)
     nu = np.linalg.eigvalsh(cm.matrix)
-    for p in (1, 2, 3, 4):
+    for p in (1, 2, 3, 4, 5):
         assert abs(correlation_moments(cm, p) - (nu**p).sum()) < 1e-10
 
 
@@ -175,9 +179,10 @@ def mutual_information_nonnegative():
 def renyi_continuity_near_one():
     rng = np.random.default_rng(29)
     cm = _random_correlation(rng, 3, 3)
-    vn = von_neumann_entropy(cm)
-    lo = renyi_entropy(cm, 1.0 - 1e-4)
-    hi = renyi_entropy(cm, 1.0 + 1e-4)
+    nu, _ = occupation_spectrum(cm)
+    vn = entropy(nu, "vn")
+    lo = entropy(nu, 1.0 - 1e-4)
+    hi = entropy(nu, 1.0 + 1e-4)
     assert abs(0.5 * (lo + hi) - vn) < 1e-3 * (1.0 + abs(vn))
 
 
@@ -187,10 +192,11 @@ def prediction_relabeling_invariance():
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
     geom = SubsystemGeometry(0, 7, 40, 3, 60)
     mirrored = SubsystemGeometry(0, 3, 60, 7, 40)
-    a = asy.mi_prediction(model, bias, geom, 2.0)
-    b = asy.mi_prediction(model, bias, mirrored, 2.0)
-    assert abs(a.log_term - b.log_term) < 1e-10
-    assert abs(a.linear_term - b.linear_term) < 1e-12
+    for order in ("vn", 2.0):
+        a = asy.mi_prediction(model, bias, geom, order)
+        b = asy.mi_prediction(model, bias, mirrored, order)
+        assert abs(a.log_term - b.log_term) < 1e-10
+        assert abs(a.linear_term - b.linear_term) < 1e-12
 
 
 @check

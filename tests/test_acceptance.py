@@ -20,13 +20,7 @@ from nessent.correlation import (
     SubsystemGeometry,
     correlation_matrix_far,
 )
-from nessent.entanglement import (
-    entropy_from_spectrum,
-    measures,
-    occupation_spectrum,
-    renyi_entropy,
-    von_neumann_entropy,
-)
+from nessent.entanglement import block_spectra, entropy, measures, occupation_spectrum, report_from_spectra
 from nessent.experiments import run_sweep_distance, run_sweep_length, run_sweep_position
 from nessent.scattering import BiasState, SingleImpurity
 
@@ -81,12 +75,13 @@ def test_criterion_02_spectral_oracle():
         nl = int(rng.integers(1, 4))
         nr = int(rng.integers(1, 8 - nl + 1))
         cm, nu = random_correlation(rng, nl, nr)
+        spectrum, _ = occupation_spectrum(cm)
         for n in (0.5, 2.0, 3.0):
             direct = float(np.log(nu**n + (1 - nu) ** n).sum() / (1 - n))
-            worst_entropy = max(worst_entropy, abs(renyi_entropy(cm, n) - direct))
+            worst_entropy = max(worst_entropy, abs(entropy(spectrum, n) - direct))
         direct_vn = float(-(np.where(nu * (1 - nu) > 0, nu * np.log(np.maximum(nu, 1e-300))
                                      + (1 - nu) * np.log(np.maximum(1 - nu, 1e-300)), 0.0)).sum())
-        worst_entropy = max(worst_entropy, abs(von_neumann_entropy(cm) - direct_vn))
+        worst_entropy = max(worst_entropy, abs(entropy(spectrum, "vn") - direct_vn))
         from nessent.entanglement import correlation_moments
 
         for p in (1, 2, 3, 5):
@@ -188,7 +183,7 @@ def test_criterion_06_symmetric_union_entropy_log_law():
     s_a = []
     for ell in ells:
         cm = correlation_matrix_far(model, BIAS, SubsystemGeometry(0, 0, ell, 0, ell), "A", builder=builder)
-        s_a.append(von_neumann_entropy(cm))
+        s_a.append(entropy(occupation_spectrum(cm)[0], "vn"))
     coef = float(np.polyfit(np.log(ells), s_a, 1)[0])
     rel = abs(coef - 2.0 / 3.0) / (2.0 / 3.0)
     report(6, rel < 0.07, f"union-entropy log coefficient {coef:.4f} vs 2/3, rel err {rel:.4f} (tol 0.07)")
@@ -275,23 +270,11 @@ def test_criterion_09_order_one_continuity():
         delta = int(rng.integers(-4, 5))
         geom = SubsystemGeometry(0, max(0, delta), ell, max(0, -delta), ell)
         cm = correlation_matrix_far(model, bias, geom, "A")
-        nu_a, _ = occupation_spectrum(cm)
-        nu_l, _ = occupation_spectrum(cm.block_left())
-        nu_r, _ = occupation_spectrum(cm.block_right())
-
-        def mi_at(order):
-            return (
-                entropy_from_spectrum(nu_l, order)
-                + entropy_from_spectrum(nu_r, order)
-                - entropy_from_spectrum(nu_a, order)
-            )
-
-        def ci_at(order):
-            return entropy_from_spectrum(nu_r, order) - entropy_from_spectrum(nu_a, order)
-
-        for value_at in (mi_at, ci_at):
-            vn = value_at("vn")
-            central = 0.5 * (value_at(1 - h) + value_at(1 + h))
+        spectra = block_spectra(cm)
+        reports = {order: report_from_spectra(spectra, order) for order in ("vn", 1 - h, 1 + h)}
+        for field in ("mutual_info", "coherent_info"):
+            vn = getattr(reports["vn"], field)
+            central = 0.5 * (getattr(reports[1 - h], field) + getattr(reports[1 + h], field))
             worst = max(worst, abs(central - vn) / (1.0 + abs(vn)))
         pred_vn = asy.mi_prediction(model, bias, geom, "vn").total_minus_constant
         pred_c = 0.5 * (

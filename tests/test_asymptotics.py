@@ -162,16 +162,6 @@ def test_mi_prediction_touching_case():
         assert abs(pred.log_term - expected) < 1e-10
 
 
-def test_mi_prediction_relabeling_invariance():
-    geom = SubsystemGeometry(0, 7, 40, 3, 60)
-    swapped = SubsystemGeometry(0, 3, 60, 7, 40)
-    for order in ("vn", 2.0):
-        a = asy.mi_prediction(IMPURITY, BIAS, geom, order)
-        b = asy.mi_prediction(IMPURITY, BIAS, swapped, order)
-        assert abs(a.log_term - b.log_term) < 1e-10
-        assert abs(a.linear_term - b.linear_term) < 1e-12
-
-
 def test_mi_prediction_shift_invariance():
     a = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(0, 11, 30, 4, 50), 2.0)
     b = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(0, 111, 30, 104, 50), 2.0)
@@ -217,7 +207,7 @@ def test_contiguous_entropy_constant_residual():
     # numeric far-limit order-2 entropy of one interval minus its prediction
     # is length-independent (the fitted constant) across a 4x length span
     from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far
-    from nessent.entanglement import renyi_entropy
+    from nessent.entanglement import entropy, occupation_spectrum
 
     builder = CorrelationBuilder(IMPURITY, BIAS)
     residuals = []
@@ -225,7 +215,7 @@ def test_contiguous_entropy_constant_residual():
         geom = SubsystemGeometry(0, 0, ell, 0, ell)
         cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A_L", builder=builder)
         pred = asy.contiguous_entropy_prediction(IMPURITY, BIAS, ell, "L", 2.0)
-        residuals.append(renyi_entropy(cm, 2.0) - pred.total_minus_constant)
+        residuals.append(entropy(occupation_spectrum(cm)[0], 2.0) - pred.total_minus_constant)
     assert max(residuals) - min(residuals) < 0.05
 
 

@@ -190,12 +190,6 @@ def test_far_diag_constant_transmission():
     assert cm.matrix[0, 0].real == pytest.approx(expected, abs=1e-12)
 
 
-def test_far_cross_block_vanishes_without_window():
-    eq = BiasState(np.pi / 2, np.pi / 2)
-    cm = correlation_matrix_far(IMPURITY, eq, SubsystemGeometry(0, 5, 6, 5, 6), "A")
-    assert np.abs(cm.cross_block()).max() == 0.0
-
-
 def test_far_within_blocks_toeplitz():
     geom = SubsystemGeometry(0, 0, 12, 0, 12)
     cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A")

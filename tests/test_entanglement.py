@@ -1,19 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nessent.correlation import CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
+from nessent.correlation import (
+    CorrelationBuilder,
+    CorrelationMatrix,
+    SubsystemGeometry,
+    correlation_matrix_far,
+    correlation_matrix_finite,
+)
 from nessent.entanglement import (
+    CLAMP_SLACK,
     EntanglementReport,
     SingularResolvent,
     SpectrumError,
     correlation_moments,
-    entropy_from_spectrum,
+    entropy,
     fermionic_negativity,
     measures,
     occupation_spectrum,
-    renyi_entropy,
-    von_neumann_entropy,
 )
 from nessent import fockspace as fs
 from nessent.scattering import BiasState, SingleImpurity
@@ -34,6 +41,10 @@ def diag_cm(values, nl):
     return CorrelationMatrix(np.diag(values), tuple(range(-nl, 0)), tuple(range(1, nr + 1)))
 
 
+def spectrum_of(cm):
+    return occupation_spectrum(cm)[0]
+
+
 def far_fig2(ell):
     """Fig. 2 far-limit matrix at epsilon0 = 1, mirrored intervals of length ell."""
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
@@ -41,12 +52,12 @@ def far_fig2(ell):
 
 
 def test_renyi_pure_state_slice_is_zero():
-    assert renyi_entropy(diag_cm([0, 1, 0], 1), 2.0) == 0.0
-    assert renyi_entropy(diag_cm([0, 1, 0], 1), 0.5) == 0.0
+    assert entropy(spectrum_of(diag_cm([0, 1, 0], 1)), 2.0) == 0.0
+    assert entropy(spectrum_of(diag_cm([0, 1, 0], 1)), 0.5) == 0.0
 
 
 def test_renyi_half_filled_mode():
-    assert renyi_entropy(diag_cm([0.5], 0), 2.0) == pytest.approx(np.log(2.0), abs=1e-14)
+    assert entropy(spectrum_of(diag_cm([0.5], 0)), 2.0) == pytest.approx(np.log(2.0), abs=1e-14)
 
 
 def test_renyi_spectral_oracle():
@@ -54,27 +65,31 @@ def test_renyi_spectral_oracle():
     cm, nu = cm_from_spectrum(rng, 3, 3)
     for n in (0.5, 2.0, 3.0):
         direct = float(np.log(nu**n + (1 - nu) ** n).sum() / (1 - n))
-        assert abs(renyi_entropy(cm, n) - direct) < 1e-10
+        assert abs(entropy(spectrum_of(cm), n) - direct) < 1e-10
 
 
 def test_renyi_rejects_bad_order():
-    cm = diag_cm([0.5], 0)
-    for n in (0.0, -1.0, 1.0):
-        with pytest.raises(ValueError):
-            renyi_entropy(cm, n)
+    # the pure spectrum takes the zero-entropy shortcut, which must not skip
+    # the order check
+    for nu in (np.array([0.5]), np.array([0.0, 1.0])):
+        for n in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                entropy(nu, n)
 
 
 def test_von_neumann_values():
-    assert von_neumann_entropy(diag_cm([0.5], 0)) == pytest.approx(np.log(2.0))
-    assert von_neumann_entropy(diag_cm([0.0, 1.0], 1)) == 0.0
+    assert entropy(spectrum_of(diag_cm([0.5], 0)), "vn") == pytest.approx(np.log(2.0))
+    assert entropy(spectrum_of(diag_cm([0.0, 1.0], 1)), "vn") == 0.0
+    assert entropy(np.array([0.3, 0.5]), 1) == entropy(np.array([0.3, 0.5]), "vn")
 
 
 def test_von_neumann_is_renyi_limit():
     rng = np.random.default_rng(3)
     cm, _ = cm_from_spectrum(rng, 2, 3)
-    vn = von_neumann_entropy(cm)
+    nu = spectrum_of(cm)
+    vn = entropy(nu, "vn")
     h = 1e-5
-    central = 0.5 * (renyi_entropy(cm, 1 - h) + renyi_entropy(cm, 1 + h))
+    central = 0.5 * (entropy(nu, 1 - h) + entropy(nu, 1 + h))
     assert abs(central - vn) < 1e-6
 
 
@@ -93,13 +108,6 @@ def test_moments_trace_and_diagonal():
     assert correlation_moments(cm, 3) == pytest.approx(0.25)
 
 
-def test_moments_dual_path_oracle():
-    rng = np.random.default_rng(5)
-    cm, nu = cm_from_spectrum(rng, 2, 3)
-    for p in range(1, 6):
-        assert abs(correlation_moments(cm, p) - (nu**p).sum()) < 1e-10
-
-
 def test_renyi2_matches_logdet_identity():
     # S_2 = -ln det[C^2 + (I-C)^2], evaluated through an independent path
     rng = np.random.default_rng(7)
@@ -108,7 +116,7 @@ def test_renyi2_matches_logdet_identity():
     eye = np.eye(cm.dim)
     sign, logdet = np.linalg.slogdet(c @ c + (eye - c) @ (eye - c))
     assert sign == pytest.approx(1.0)
-    assert abs(renyi_entropy(cm, 2.0) + logdet) < 1e-9
+    assert abs(entropy(spectrum_of(cm), 2.0) + logdet) < 1e-9
 
 
 def test_measures_uncorrelated_blocks():
@@ -282,3 +290,58 @@ def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):
     swap = np.r_[nl:nl + nr, 0:nl]
     swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], tuple(range(-nr, 0)), tuple(range(1, nl + 1)))
     assert abs(fermionic_negativity(swapped, 1) - value) < 1e-12
+
+
+# --- properties of real builder output -----------------------------------------
+
+MOMENTA = (2 * np.pi / 3, np.pi / 2)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_builder(epsilon0, flip):
+    """One builder per (epsilon0, bias orientation), reused across examples."""
+    k_fl, k_fr = MOMENTA[::-1] if flip else MOMENTA
+    return CorrelationBuilder(SingleImpurity(epsilon0), BiasState(k_fl, k_fr))
+
+
+def builder_matrix(regime, epsilon0, flip, geom):
+    builder = shared_builder(epsilon0, flip)
+    assemble = correlation_matrix_far if regime == "far" else correlation_matrix_finite
+    return assemble(builder.model, builder.bias, geom, "A", builder=builder)
+
+
+builder_inputs = st.tuples(
+    st.sampled_from(("far", "finite")),
+    st.sampled_from((0.5, 0.875, 1.25, 1.625, 2.0)),
+    st.booleans(),
+    st.integers(0, 15),
+    st.integers(1, 15),
+    st.integers(0, 15),
+    st.integers(1, 15),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_inputs)
+def test_builder_output_spectrum_mi_and_ci_bounds(inputs):
+    regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
+    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+    for block in (cm.matrix, cm.block_left().matrix, cm.block_right().matrix):
+        nu = np.linalg.eigvalsh(block)
+        assert nu.min() >= -CLAMP_SLACK and nu.max() <= 1.0 + CLAMP_SLACK
+    rep = measures(cm, "vn")
+    assert rep.mutual_info >= -1e-12
+    assert abs(rep.coherent_info) <= rep.s_al + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_inputs)
+def test_builder_output_mi_monotone_and_mirror_symmetric(inputs):
+    regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
+    mi = measures(builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))).mutual_info
+    # strong subadditivity: one more site in A_L cannot lower I(A_L : A_R)
+    longer = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l + 1, d_r, ell_r))
+    assert measures(longer).mutual_info >= mi - 1e-12
+    # parity: swapping the intervals together with the two Fermi momenta
+    mirrored = builder_matrix(regime, epsilon0, not flip, SubsystemGeometry(0, d_r, ell_r, d_l, ell_l))
+    assert abs(measures(mirrored).mutual_info - mi) < 1e-10

@@ -7,6 +7,7 @@ import pytest
 from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config, parse_config_text, read_csv
 from nessent.experiments import (
     LengthMismatch,
+    _fit_rows,
     fit_constant,
     friedel_window,
     run_eval_asymptotics,
@@ -41,13 +42,23 @@ def test_fit_constant_bounded_noise():
     assert fit.residual_max >= fit.residual_rms >= 0.0
 
 
-def test_fit_constant_slope_check():
+def test_fit_rows_slope_check():
+    # the slope is fitted after the exactly known log part is removed, and
+    # compared with the slope of the linear part of the prediction
     driver = np.arange(10, dtype=float)
-    ana = 2.0 * driver
-    num = 2.05 * driver + 1.0
-    fit = fit_constant(num, ana, driver, predicted_slope=2.0)
-    assert fit.slope_fitted == pytest.approx(2.05, abs=1e-10)
-    assert fit.slope_rel_err == pytest.approx(0.025, abs=1e-10)
+    log = 0.3 * np.log1p(driver)
+    points = [
+        {"measure": "mi", "order": "vn", "ell_mirror": m, "numeric": 2.05 * m + 1.0 + lg,
+         "analytic_linear": 2.0 * m, "analytic_log": lg, "analytic": 2.0 * m + lg}
+        for m, lg in zip(driver, log)
+    ]
+    (fit,) = _fit_rows(points, (), "ell_mirror")
+    assert fit["slope_fitted"] == pytest.approx(2.05, abs=1e-10)
+    assert fit["slope_predicted"] == pytest.approx(2.0, abs=1e-12)
+    assert fit["slope_rel_err"] == pytest.approx(0.025, abs=1e-10)
+    assert fit["residual_max"] == pytest.approx(0.225, abs=1e-10)
+    (no_driver,) = _fit_rows(points, (), None)
+    assert no_driver["slope_fitted"] is None and no_driver["slope_predicted"] is None
 
 
 def test_fit_constant_length_mismatch():
@@ -121,6 +132,21 @@ def test_parse_config_integer_keys_reject_fractions():
             parse_config_text(f"scenario = selftest\n{key} = 2.6\n")
     cfg = parse_config_text("scenario = selftest\nell_l = 6/2\nwindow = 12\n")
     assert (cfg.ell_l, cfg.window) == (3, 12)
+
+
+def test_parse_config_rejects_nonpositive_renyi_order():
+    for value in ("-1", "0", "vn, 2, -0.5", "1e400"):
+        with pytest.raises(ParseError, match="'renyi_orders'.*positive"):
+            parse_config_text(f"scenario = selftest\nrenyi_orders = {value}\n")
+
+
+def test_parse_config_rejects_duplicate_renyi_order():
+    # order 1 is the von Neumann entropy, so "vn, 1" names one order twice;
+    # orders the CSV prints alike would merge into one fitted series
+    for value in ("vn, 1", "1, vn", "2, 0.5, 2", "vn, vn", "0.5, 1/2", "0.5, 0.5000001"):
+        with pytest.raises(ParseError, match="'renyi_orders'.*duplicate"):
+            parse_config_text(f"scenario = selftest\nrenyi_orders = {value}\n")
+    assert parse_config_text("scenario = selftest\nrenyi_orders = vn, 0.5, 2\n").renyi_orders == ("vn", 0.5, 2.0)
 
 
 def test_parse_config_division_by_zero_names_key():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nessent.numerics import (
     NonConvergence,
@@ -90,16 +89,6 @@ def test_oscillatory_batch_consecutive_rates_closed_form():
 def test_oscillatory_panel_budget_raises():
     with pytest.raises(NonConvergence):
         integrate_oscillatory(lambda k: np.ones_like(k), 1e7, 0.0, np.pi, QuadratureSpec(max_panels=100))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-2, 2), st.floats(-2, 2))
-def test_integrate_linearity(alpha, beta):
-    f = lambda x: np.exp(-x) * np.sin(3 * x)
-    g = lambda x: 1.0 / (1.0 + x**2)
-    lhs = integrate(lambda x: alpha * f(x) + beta * g(x), 0.0, 2.0, SPEC)
-    rhs = alpha * integrate(f, 0.0, 2.0, SPEC) + beta * integrate(g, 0.0, 2.0, SPEC)
-    assert abs(lhs - rhs) < 2e-12 * (1 + abs(alpha) + abs(beta))
 
 
 def test_eig_hermitian_identity():

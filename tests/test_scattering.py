@@ -36,11 +36,6 @@ def test_no_impurity_is_transparent():
     assert abs(s.r_l) < 1e-15
 
 
-def test_impurity_transmission_half():
-    # epsilon0 = 2 eta at band center: T = sin^2 k / (sin^2 k + 1) = 1/2
-    assert transmission(SingleImpurity(2.0, 1.0), np.pi / 2) == pytest.approx(0.5, abs=1e-14)
-
-
 def test_impurity_transmission_four_fifths():
     assert transmission(SingleImpurity(1.0, 1.0), np.pi / 2) == pytest.approx(0.8, abs=1e-14)
 
