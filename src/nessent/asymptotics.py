@@ -22,10 +22,11 @@ representation,
 
 is exposed as ``log_kernel_first_rep`` purely as a cross-check oracle.
 ``log_kernel_pair`` is the analogous two-step kernel of a transmission /
-reflection pair, again with both representations.  ``log_kernel_vn`` and
-``log_kernel_pair_vn`` are their n -> 1 limits, and ``log_kernel_entropy_vn``
-is the n -> 1 limit of log_kernel(n, p)/(1-n), which enters the von Neumann
-entropy of a single interval.
+reflection pair, again with both representations.  The predictions read
+every kernel divided by 1-n; ``log_kernel_entropy_vn`` and
+``log_kernel_pair_vn`` are the n -> 1 limits of log_kernel(n, p)/(1-n) and
+log_kernel_pair(n, t)/(1-n), so von Neumann is the n = 1 case of one formula
+at every order, with (1+n)/(12n) (1/6 at n = 1) per sharp occupation step.
 
 Useful exact values: log_kernel(1, p) = 0 for every p, log_kernel(n, 1) = 0,
 and log_kernel(n, 0) = (1-n)(1+n)/(12 n).
@@ -39,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .correlation import SubsystemGeometry
+from .entanglement import renyi_index
 from .numerics import QuadratureSpec, integrate
 from .scattering import BiasState, ScatteringModel, transmission
 
@@ -49,7 +51,6 @@ __all__ = [
     "log_kernel_first_rep",
     "log_kernel_pair",
     "log_kernel_pair_first_rep",
-    "log_kernel_vn",
     "log_kernel_pair_vn",
     "log_kernel_entropy_vn",
     "volume_coefficient_mi",
@@ -80,10 +81,6 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     mask = x > 0.0
     out[mask] = x[mask] * np.log(x[mask])
     return out
-
-
-def _xlogx_s(x: float) -> float:
-    return 0.0 if x <= 0.0 else x * np.log(x)
 
 
 @lru_cache(maxsize=None)
@@ -190,34 +187,18 @@ def log_kernel_pair_first_rep(n: float, t: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def log_kernel_vn(t: float) -> float:
-    """n -> 1 limit kernel of the step pair (enters the von Neumann MI)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
-    r = 1.0 - t
-    const = _xlogx_s(t) + _xlogx_s(r)
-
-    def integrand(x):
-        s1 = (_xlogx(1.0 + r * x) + _xlogx(1.0 + t * x)) / (1.0 + x)
-        s2 = (_xlogx(r + x) + _xlogx(t + x)) / (1.0 + x)
-        return (-s1 + const - s2) / (2.0 * np.pi**2 * x)
-
-    val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    return 1.0 / 24.0 + float(val.real)
-
-
-@lru_cache(maxsize=None)
 def log_kernel_pair_vn(t: float) -> float:
     """n -> 1 limit kernel of the separated step pair (von Neumann MI)."""
     r = 1.0 - t
-    const = _xlogx_s(t) + _xlogx_s(r)
+    const = _xlogx(t) + _xlogx(r)
 
     def integrand(x):
         num = (_xlogx(r + t * x) + _xlogx(t + r * x)) / (1.0 + x)
         return (num - const) / (np.pi**2 * x)
 
     val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    return log_kernel_vn(t) + 1.0 / 12.0 + float(val.real)
+    step = log_kernel_entropy_vn(t) + log_kernel_entropy_vn(r) - 1.0 / 6.0
+    return step + 1.0 / 12.0 + float(val.real)
 
 
 @lru_cache(maxsize=None)
@@ -226,42 +207,49 @@ def log_kernel_entropy_vn(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("step height must lie in [0, 1]")
     q = 1.0 - p
-    const = _xlogx_s(p) + _xlogx_s(q)
+    const = _xlogx(p) + _xlogx(q)
 
     def integrand(x):
         s1 = (_xlogx(1.0 + p * x) + _xlogx(q * x)) / (1.0 + x)
-        s2 = (_xlogx(x + p) + _xlogx_s(q)) / (1.0 + x)
+        s2 = (_xlogx(x + p) + _xlogx(q)) / (1.0 + x)
         return (s1 + s2 - const) / (2.0 * np.pi**2 * x)
 
     val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
     return 1.0 / 12.0 - float(val.real)
 
 
-def _transmission_profile(model: ScatteringModel):
-    def t_of_k(k: np.ndarray) -> np.ndarray:
-        return np.abs(model.amplitudes(k)[2]) ** 2
-
-    return t_of_k
-
-
 def _window_integral(model: ScatteringModel, bias: BiasState, per_mode) -> float:
     """Integral of per_mode(T(k)) over the voltage window (unnormalized)."""
     if bias.window_width == 0.0:
         return 0.0
-    t_of_k = _transmission_profile(model)
 
     def integrand(k):
-        return per_mode(t_of_k(k))
+        return per_mode(np.abs(model.amplitudes(k)[2]) ** 2)
 
     val = integrate(integrand, bias.k_minus, bias.k_plus, WINDOW_SPEC)
     return float(val.real)
 
 
-def _renyi_density(order) :
-    if order == "vn" or order == 1:
+def _renyi_density(order):
+    n = renyi_index(order)
+    if n == 1.0:
         return lambda t: -(_xlogx(t) + _xlogx(1.0 - t))
-    n = float(order)
     return lambda t: np.log(t**n + (1.0 - t) ** n) / (1.0 - n)
+
+
+def _step_kernel(n: float, p: float) -> float:
+    """log_kernel(n, p)/(1-n) at Renyi index n, its limit at n = 1."""
+    return log_kernel_entropy_vn(p) if n == 1.0 else log_kernel(n, p) / (1.0 - n)
+
+
+def _pair_kernel(n: float, t: float) -> float:
+    """log_kernel_pair(n, t)/(1-n) at Renyi index n, its limit at n = 1."""
+    return log_kernel_pair_vn(t) if n == 1.0 else log_kernel_pair(n, t) / (1.0 - n)
+
+
+def _sharp_step(n: float) -> float:
+    """ln(ell) coefficient (1+n)/(12n) of one sharp occupation step, 1/6 at n = 1."""
+    return (1.0 + n) / (12.0 * n)
 
 
 def volume_coefficient_mi(model: ScatteringModel, bias: BiasState, order="vn") -> float:
@@ -269,14 +257,12 @@ def volume_coefficient_mi(model: ScatteringModel, bias: BiasState, order="vn") -
     return _window_integral(model, bias, _renyi_density(order)) / np.pi
 
 
-def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="vn", which: str = "A_L") -> float:
+def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="vn") -> float:
     """Entropy volume coefficient (dk/2pi weight).
 
     The same density applies to A_L and A_R per site and to the union per
-    unmirrored site, so ``which`` only expresses intent.
+    unmirrored site.
     """
-    if which not in ("A_L", "A_R", "A"):
-        raise ValueError(f"unknown subsystem {which!r}")
     return _window_integral(model, bias, _renyi_density(order)) / (2.0 * np.pi)
 
 
@@ -330,21 +316,15 @@ def mi_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeomet
     Valid in the far regime.  The logarithmic coefficients are averaged over
     the transmissions at the two Fermi momenta.
     """
+    n = renyi_index(order)
     linear = geom.ell_mirror * volume_coefficient_mi(model, bias, order)
     pair_ratio, step_ratio = _geometry_ratios(geom)
     kernels: dict = {}
     log_term = 0.0
     for tag, kf in (("k_fl", bias.k_fl), ("k_fr", bias.k_fr)):
         t = transmission(model, kf)
-        if order == "vn" or order == 1:
-            pair_k = log_kernel_pair_vn(t)
-            step_k = log_kernel_vn(t)
-        else:
-            n = float(order)
-            pair_k = log_kernel_pair(n, t) / (1.0 - n)
-            step_k = (
-                log_kernel(n, t) + log_kernel(n, 1.0 - t) - (1.0 / n - n) / 12.0
-            ) / (1.0 - n)
+        pair_k = _pair_kernel(n, t)
+        step_k = _step_kernel(n, t) + _step_kernel(n, 1.0 - t) - _sharp_step(n)
         kernels[f"pair[{tag}]"] = pair_k
         kernels[f"step[{tag}]"] = step_k
         log_term += 0.5 * (pair_k * pair_ratio + step_k * step_ratio)
@@ -367,19 +347,12 @@ def contiguous_entropy_prediction(
     other = bias.k_fr if side == "L" else bias.k_fl
     t_own = transmission(model, own)
     r_other = 1.0 - transmission(model, other)
+    n = renyi_index(order)
     linear = ell * volume_coefficient_entropy(model, bias, order)
-    kernels: dict = {}
-    if order == "vn" or order == 1:
-        k_own = log_kernel_entropy_vn(t_own)
-        k_other = log_kernel_entropy_vn(r_other)
-        coeff = 1.0 / 6.0 + k_own + k_other
-    else:
-        n = float(order)
-        k_own = log_kernel(n, t_own) / (1.0 - n)
-        k_other = log_kernel(n, r_other) / (1.0 - n)
-        coeff = (1.0 + n) / (12.0 * n) + k_own + k_other
-    kernels["step[own]"] = k_own
-    kernels["step[other]"] = k_other
+    k_own = _step_kernel(n, t_own)
+    k_other = _step_kernel(n, r_other)
+    coeff = _sharp_step(n) + k_own + k_other
+    kernels = {"step[own]": k_own, "step[other]": k_other}
     return AsymptoticPrediction(linear, coeff * np.log(ell), kernels)
 
 
@@ -394,24 +367,15 @@ def ci_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeomet
     return AsymptoticPrediction(linear, mi.log_term - s_al.log_term, kernels)
 
 
-def negativity_prediction(
-    model: ScatteringModel,
-    bias: BiasState,
-    geom: SubsystemGeometry,
-    with_log_term: bool | None = None,
-) -> AsymptoticPrediction:
+def negativity_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeometry) -> AsymptoticPrediction:
     """Fermionic-negativity asymptotics.
 
     The volume term is valid for any geometry; the logarithmic term is known
-    only for the mirror-symmetric configuration and is refused otherwise.
+    only for the mirror-symmetric configuration and is zero otherwise.
     """
     linear = geom.ell_mirror * volume_coefficient_negativity(model, bias)
-    if with_log_term is None:
-        with_log_term = geom.is_symmetric
-    if not with_log_term:
-        return AsymptoticPrediction(linear, 0.0, {})
     if not geom.is_symmetric:
-        raise GeometryError("negativity log term is only available for the symmetric geometry")
+        return AsymptoticPrediction(linear, 0.0, {})
     kernels: dict = {}
     coeff = -0.25
     for tag, kf in (("k_fl", bias.k_fl), ("k_fr", bias.k_fr)):
@@ -425,10 +389,6 @@ def negativity_prediction(
 
 
 def disjoint_symmetric_log_coefficient(order="vn") -> float:
-    """ln(ell) coefficient of the union entropy in the symmetric far regime."""
-    if order == "vn" or order == 1:
-        return 2.0 / 3.0
-    n = float(order)
-    if not n > 0:
-        raise ValueError("order must be positive")
-    return (1.0 + n) / (3.0 * n)
+    """ln(ell) coefficient of the union entropy in the symmetric far regime:
+    four sharp occupation steps."""
+    return 4.0 * _sharp_step(renyi_index(order))

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from .entanglement import renyi_index
 from .scattering import BiasState, ConstantTransmission, ScatteringModel, SingleImpurity, TrivialScatterer
 
 __all__ = ["ParseError", "ExperimentConfig", "parse_config", "parse_config_text", "emit_csv", "format_value"]
@@ -67,7 +68,7 @@ def _eval_number(text: str, where: str) -> float:
 
 def order_label(order) -> str:
     """How an entropy order is written in the CSV; order 1 is von Neumann."""
-    return "vn" if order in ("vn", 1) else format(float(order), "g")
+    return "vn" if renyi_index(order) == 1.0 else format(float(order), "g")
 
 
 def _eval_int(text: str, where: str) -> int:
@@ -146,6 +147,33 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "selftest": (),
 }
 
+#: the range of each key a config file sets, checked at parse time so that a
+#: bad value fails here, naming its key, and not inside a runner
+_RANGES = {
+    "eta": ("positive", lambda c: c.eta > 0),
+    "transmission": ("in [0, 1]", lambda c: 0.0 <= c.transmission <= 1.0),
+    "abs_tol": ("positive", lambda c: c.abs_tol > 0),
+    "rel_tol": ("non-negative", lambda c: c.rel_tol >= 0),
+    "max_panels": ("at least 1", lambda c: c.max_panels >= 1),
+    "nodes_per_panel": ("at least 4", lambda c: c.nodes_per_panel >= 4),
+    "ell_min": ("at least 1", lambda c: c.ell_min >= 1),
+    "ell_max": ("at least ell_min", lambda c: c.ell_max >= c.ell_min),
+    "ell_step": ("at least 1", lambda c: c.ell_step >= 1),
+    "ell_l": ("at least 1", lambda c: c.ell_l >= 1),
+    "ell_r": ("at least 1", lambda c: c.ell_r >= 1),
+    "d_l": ("non-negative", lambda c: c.d_l >= 0),
+    "d_r": ("non-negative", lambda c: c.d_r >= 0),
+    "delta_max": ("at least delta_min", lambda c: c.delta_max >= c.delta_min),
+    "delta_step": ("at least 1", lambda c: c.delta_step >= 1),
+    "dk_list": ("a non-empty list", lambda c: len(c.dk_list) > 0),
+    "ell": ("at least 1", lambda c: c.ell >= 1),
+    "d_over_ell_min": ("such that d_over_ell_min * ell rounds to at least 1",
+                       lambda c: round(c.d_over_ell_min * c.ell) >= 1),
+    "d_over_ell_max": ("at least d_over_ell_min", lambda c: c.d_over_ell_max >= c.d_over_ell_min),
+    "n_centers": ("at least 1", lambda c: c.n_centers >= 1),
+    "window": ("'auto' or at least 2", lambda c: c.window == "auto" or c.window >= 2),
+}
+
 
 def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfig:
     pairs: dict[str, str] = {}
@@ -190,8 +218,10 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
                 if not part:
                     continue
                 order = "vn" if part == "vn" else _eval_number(part, where)
-                if order != "vn" and not 0 < order < math.inf:
-                    raise ParseError(f"{where}: Renyi order must be positive and finite, got {part!r}")
+                try:
+                    renyi_index(order)
+                except ValueError as exc:
+                    raise ParseError(f"{where}: {exc}") from exc
                 # two orders with one CSV label would merge into one series
                 label = order_label(order)
                 if label in orders:
@@ -210,6 +240,9 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     for key in _REQUIRED[scenario]:
         if key not in pairs:
             raise ParseError(f"missing required key {key!r} for scenario {scenario}")
+    for key, (rule, holds) in _RANGES.items():
+        if key in pairs and not holds(cfg):
+            raise ParseError(f"key {key!r}: must be {rule}, got {pairs[key]!r}")
     if cfg.model not in ("single_impurity", "constant", "trivial"):
         raise ParseError(f"unknown model {cfg.model!r}")
     if not cfg.measures:

@@ -44,7 +44,7 @@ from typing import Literal
 
 import numpy as np
 
-from .numerics import QuadratureSpec, integrate_oscillatory_batch
+from .numerics import NumericsError, QuadratureSpec, integrate_oscillatory_batch
 from .numerics import integrate_oscillatory  # noqa: F401  read by perfbench/tracer.py
 from .scattering import BiasState, ScatteringModel
 
@@ -224,13 +224,12 @@ class CorrelationBuilder:
             window, factor, block = key
             lo, hi, sign = self._windows[window]
             f = _FACTORS[factor]
-            vals = integrate_oscillatory_batch(
-                lambda k: f(*self.model.amplitudes(k)),
-                range(BLOCK * block, BLOCK * (block + 1)),
-                lo,
-                hi,
-                self.spec,
-            )
+            rates = range(BLOCK * block, BLOCK * (block + 1))
+            try:
+                vals = integrate_oscillatory_batch(lambda k: f(*self.model.amplitudes(k)), rates, lo, hi, self.spec)
+            except NumericsError as exc:
+                where = f"W(window {window}, factor {factor}, rates {rates[0]}..{rates[-1]})"
+                raise type(exc)(f"{where}: {exc}") from exc
             self._blocks[key] = sign * vals / (2.0 * np.pi)
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ __all__ = [
     "SingularResolvent",
     "EntanglementReport",
     "occupation_spectrum",
+    "renyi_index",
     "entropy",
     "BlockSpectra",
     "block_spectra",
@@ -120,19 +121,25 @@ def occupation_spectrum(c, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray
     return np.clip(nu, 0.0, 1.0), clamped
 
 
+def renyi_index(order: float | str) -> float:
+    """The Renyi index n of an entropy order: "vn" (von Neumann) and 1 are
+    both n = 1.0, any other order must be a positive finite number."""
+    n = 1.0 if order == "vn" else float(order)
+    if not 0 < n < np.inf:
+        raise ValueError(f"Renyi order must be positive and finite, or 'vn'; got {order!r}")
+    return n
+
+
 def entropy(nu: np.ndarray, order: float | str = "vn") -> float:
     """Entropy of a clamped occupation spectrum: Renyi of finite order n > 0,
-    or von Neumann for order "vn" or 1.  The order is checked before any
-    shortcut, so a bad order fails on every spectrum."""
-    von_neumann = order == "vn" or order == 1
-    if not von_neumann and not 0 < float(order) < np.inf:
-        raise ValueError(f"Renyi order must be positive and finite, or 'vn'; got {order!r}")
+    or von Neumann at n = 1.  The order is checked before any shortcut, so a
+    bad order fails on every spectrum."""
+    n = renyi_index(order)
     interior = nu[(nu > 0.0) & (nu < 1.0)]
     if interior.size == 0:
         return 0.0
-    if von_neumann:
+    if n == 1.0:
         return float(-(interior * np.log(interior) + (1.0 - interior) * np.log1p(-interior)).sum())
-    n = float(order)
     return float(np.log(interior**n + (1.0 - interior) ** n).sum() / (1.0 - n))
 
 

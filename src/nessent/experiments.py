@@ -12,6 +12,7 @@ deterministic for a fixed config.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,8 @@ from .correlation import (
     correlation_matrix_finite,
     ENTRY_SPEC,
 )
-from .entanglement import block_spectra, fermionic_negativity, measures, report_from_spectra
-from .numerics import QuadratureSpec
+from .entanglement import SpectrumError, block_spectra, fermionic_negativity, measures, report_from_spectra
+from .numerics import NumericsError, QuadratureSpec
 from .scattering import BiasState, ScatteringModel
 
 __all__ = [
@@ -86,6 +87,44 @@ def _entry_spec(config: ExperimentConfig) -> QuadratureSpec:
     return replace(ENTRY_SPEC, **overrides)
 
 
+@contextmanager
+def _failure_at(where: str):
+    """Prefix a numerical failure with the sweep point it happened at."""
+    try:
+        yield
+    except (NumericsError, SpectrumError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _predictions(model: ScatteringModel, bias: BiasState, geom: SubsystemGeometry, config: ExperimentConfig):
+    """(measure, order, CSV label, prediction or None) of every requested
+    measure, in CSV row order."""
+    for measure in config.measures:
+        if measure == "mi":
+            for order in config.renyi_orders:
+                yield "mi", order, order_label(order), asy.mi_prediction(model, bias, geom, order)
+        elif measure == "ci":
+            yield "ci", "vn", "vn", asy.ci_prediction(model, bias, geom)
+        elif measure == "negativity":
+            yield "negativity", 1, "1", asy.negativity_prediction(model, bias, geom)
+        elif measure == "entropy":
+            for order in config.renyi_orders:
+                label = order_label(order)
+                yield "entropy_al", order, label, asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order)
+                yield "entropy_ar", order, label, asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order)
+                union = None
+                if geom.is_symmetric:
+                    coeff = asy.disjoint_symmetric_log_coefficient(order)
+                    union = asy.AsymptoticPrediction(0.0, coeff * np.log(geom.ell_l))
+                yield "entropy_a", order, label, union
+
+
+#: the EntanglementReport field behind each entropy-based CSV measure
+_REPORT_FIELDS = {
+    "mi": "mutual_info", "ci": "coherent_info", "entropy_al": "s_al", "entropy_ar": "s_ar", "entropy_a": "s_a",
+}
+
+
 def _measure_point_rows(
     model: ScatteringModel,
     bias: BiasState,
@@ -96,11 +135,15 @@ def _measure_point_rows(
 ) -> list[dict]:
     """Numeric + analytic values of every requested measure on one matrix."""
     spectra = block_spectra(cmat)
-    orders = config.renyi_orders + (("vn",) if "ci" in config.measures else ())
-    reports = {order: report_from_spectra(spectra, order) for order in orders}
+    reports: dict = {}
     rows: list[dict] = []
-
-    def point(measure, label, numeric, pred: asy.AsymptoticPrediction | None):
+    for measure, order, label, pred in _predictions(model, bias, geom, config):
+        if measure == "negativity":
+            numeric = fermionic_negativity(cmat, 1)
+        else:
+            if label not in reports:
+                reports[label] = report_from_spectra(spectra, order)
+            numeric = getattr(reports[label], _REPORT_FIELDS[measure])
         row = dict(base)
         row.update(
             row_type="point",
@@ -112,38 +155,6 @@ def _measure_point_rows(
             analytic=pred.total_minus_constant if pred else None,
         )
         rows.append(row)
-
-    for measure in config.measures:
-        if measure == "mi":
-            for order in config.renyi_orders:
-                mi = reports[order].mutual_info
-                point("mi", order_label(order), mi, asy.mi_prediction(model, bias, geom, order))
-        elif measure == "ci":
-            point("ci", "vn", reports["vn"].coherent_info, asy.ci_prediction(model, bias, geom))
-        elif measure == "negativity":
-            value = fermionic_negativity(cmat, 1)
-            point("negativity", "1", value, asy.negativity_prediction(model, bias, geom))
-        elif measure == "entropy":
-            for order in config.renyi_orders:
-                label, rep = order_label(order), reports[order]
-                point(
-                    "entropy_al",
-                    label,
-                    rep.s_al,
-                    asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order),
-                )
-                point(
-                    "entropy_ar",
-                    label,
-                    rep.s_ar,
-                    asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order),
-                )
-                if geom.is_symmetric:
-                    coeff = asy.disjoint_symmetric_log_coefficient(order)
-                    pred = asy.AsymptoticPrediction(0.0, coeff * np.log(geom.ell_l))
-                else:
-                    pred = None
-                point("entropy_a", label, rep.s_a, pred)
     return rows
 
 
@@ -156,12 +167,11 @@ _SWEEP_FIELDS = [
 ]
 
 
-def _fit_rows(points: list[dict], group_keys: tuple[str, ...], driver_key: str | None) -> list[dict]:
-    """One constant-offset fit row per (measure, order, *group_keys) series."""
+def _fit_rows(points: list[dict], driver_key: str | None) -> list[dict]:
+    """One constant-offset fit row per (measure, order) series."""
     groups: dict[tuple, list[dict]] = {}
     for row in points:
-        key = (row["measure"], row["order"]) + tuple(row.get(k) for k in group_keys)
-        groups.setdefault(key, []).append(row)
+        groups.setdefault((row["measure"], row["order"]), []).append(row)
     fits = []
     for key, rows in groups.items():
         if len(rows) < 3 or any(r["analytic"] is None for r in rows):
@@ -187,6 +197,7 @@ def _fit_rows(points: list[dict], group_keys: tuple[str, ...], driver_key: str |
         row = dict(rows[0])
         row.update(
             row_type="fit",
+            ell=None, ell_mirror=None, delta=None, regime=None,
             numeric=None, analytic=None, analytic_linear=None, analytic_log=None,
             offset=fit.offset,
             residual_max=fit.residual_max,
@@ -197,30 +208,38 @@ def _fit_rows(points: list[dict], group_keys: tuple[str, ...], driver_key: str |
             slope_predicted=predicted,
             slope_rel_err=rel_err,
         )
-        for drop in ("ell", "ell_mirror", "delta", "regime"):
-            if drop not in group_keys:
-                row[drop] = None
         fits.append(row)
     return fits
 
 
-def run_sweep_length(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
-    """Symmetric far-limit sweep over the interval length (Fig. 2 layout)."""
+def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, driver_key: str | None):
+    """Far-limit matrices and measures at each sweep coordinate, then one fit
+    row per series; ``point(model, coord)`` gives the geometry and the
+    coordinate columns of a point."""
     model = config.build_model()
     bias = config.build_bias()
     spec = _entry_spec(config)
     builder = CorrelationBuilder(model, bias, spec)
-    ells = list(range(config.ell_min, config.ell_max + 1, config.ell_step))
 
-    def compute(ell: int) -> list[dict]:
+    def compute(coord: int) -> list[dict]:
+        geom, base = point(model, coord)
+        with _failure_at(f"{name}={coord}"):
+            cmat = correlation_matrix_far(model, bias, geom, "A", spec, builder)
+            return _measure_point_rows(model, bias, geom, cmat, config, base)
+
+    points = [row for rows in _map_ordered(compute, coords, config.threads) for row in rows]
+    return _SWEEP_FIELDS, points + _fit_rows(points, driver_key)
+
+
+def run_sweep_length(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
+    """Symmetric far-limit sweep over the interval length (Fig. 2 layout)."""
+
+    def point(model: ScatteringModel, ell: int):
         geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
-        cmat = correlation_matrix_far(model, bias, geom, "A", spec, builder)
-        base = {"ell": ell, "ell_mirror": geom.ell_mirror}
-        return _measure_point_rows(model, bias, geom, cmat, config, base)
+        return geom, {"ell": ell, "ell_mirror": geom.ell_mirror}
 
-    points = [row for rows in _map_ordered(compute, ells, config.threads) for row in rows]
-    fits = _fit_rows(points, (), "ell_mirror")
-    return _SWEEP_FIELDS, points + fits
+    ells = list(range(config.ell_min, config.ell_max + 1, config.ell_step))
+    return _far_sweep(config, "ell", ells, point, "ell_mirror")
 
 
 def _position_regime(geom: SubsystemGeometry) -> str:
@@ -233,32 +252,22 @@ def _position_regime(geom: SubsystemGeometry) -> str:
 
 def run_sweep_position(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
     """Far-limit sweep over d_l - d_r at fixed lengths (Fig. 3 layout)."""
-    model = config.build_model()
-    bias = config.build_bias()
-    spec = _entry_spec(config)
-    builder = CorrelationBuilder(model, bias, spec)
     deltas = list(range(config.delta_min, config.delta_max + 1, config.delta_step))
     shift = max(0, -min(deltas))
 
-    def compute(delta: int) -> list[dict]:
+    def point(model: ScatteringModel, delta: int):
         geom = SubsystemGeometry(model.m0, shift + delta, config.ell_l, shift, config.ell_r)
-        cmat = correlation_matrix_far(model, bias, geom, "A", spec, builder)
-        base = {"delta": delta, "ell_mirror": geom.ell_mirror, "regime": _position_regime(geom)}
-        return _measure_point_rows(model, bias, geom, cmat, config, base)
+        return geom, {"delta": delta, "ell_mirror": geom.ell_mirror, "regime": _position_regime(geom)}
 
-    points = [row for rows in _map_ordered(compute, deltas, config.threads) for row in rows]
-    fits = _fit_rows(points, (), None)
-    return _SWEEP_FIELDS, points + fits
+    return _far_sweep(config, "delta", deltas, point, None)
 
 
 def run_sweep_bias(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
     """Length sweeps repeated for several voltage windows above a fixed k_fr."""
-    if not config.dk_list:
-        raise LengthMismatch("sweep-bias needs a non-empty dk_list")
     all_rows: list[dict] = []
     for dk in config.dk_list:
-        sub = ExperimentConfig(**{**config.__dict__, "k_fl": config.k_fr + dk, "raw": {}})
-        _, rows = run_sweep_length(sub)
+        with _failure_at(f"dk={dk:.12g}"):
+            _, rows = run_sweep_length(replace(config, k_fl=config.k_fr + dk))
         for row in rows:
             row["dk"] = dk
         all_rows.extend(rows)
@@ -326,13 +335,15 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
             out["negativity"] = fermionic_negativity(cmat, 1)
         return out
 
-    far_geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
-    far_vals = measured(correlation_matrix_far(model, bias, far_geom, "A", spec))
     builder = CorrelationBuilder(model, bias, spec)
+    with _failure_at("far limit"):
+        far_geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
+        far_vals = measured(correlation_matrix_far(model, bias, far_geom, "A", spec, builder))
 
     def one_distance(d: int) -> dict[str, float]:
         geom = SubsystemGeometry(model.m0, d, ell, d, ell)
-        return measured(correlation_matrix_finite(model, bias, geom, "A", spec, builder))
+        with _failure_at(f"d={d}"):
+            return measured(correlation_matrix_finite(model, bias, geom, "A", spec, builder))
 
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
@@ -387,28 +398,15 @@ def run_eval_asymptotics(config: ExperimentConfig) -> tuple[list[str], list[dict
     bias = config.build_bias()
     geom = SubsystemGeometry(model.m0, config.d_l, config.ell_l, config.d_r, config.ell_r)
     rows: list[dict] = []
-
-    def add(measure: str, label: str, pred: asy.AsymptoticPrediction):
+    for measure, _, label, pred in _predictions(model, bias, geom, config):
+        if pred is None:
+            continue
         kernels = ";".join(f"{k}={format(v, '.12g')}" for k, v in sorted(pred.kernel_values.items()))
         rows.append(
             {"measure": measure, "order": label, "ell_mirror": geom.ell_mirror,
              "linear": pred.linear_term, "log": pred.log_term,
              "total": pred.total_minus_constant, "kernels": kernels}
         )
-
-    for measure in config.measures:
-        if measure == "mi":
-            for order in config.renyi_orders:
-                add("mi", order_label(order), asy.mi_prediction(model, bias, geom, order))
-        elif measure == "ci":
-            add("ci", "vn", asy.ci_prediction(model, bias, geom))
-        elif measure == "negativity":
-            add("negativity", "1", asy.negativity_prediction(model, bias, geom))
-        elif measure == "entropy":
-            for order in config.renyi_orders:
-                label = order_label(order)
-                add("entropy_al", label, asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order))
-                add("entropy_ar", label, asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order))
     return _EVAL_FIELDS, rows
 
 

@@ -42,6 +42,19 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "ell_min" in err
 
 
+def test_cli_numerical_failure_names_sweep_point_and_integral(tmp_path, capsys):
+    # a panel budget far too small for the first table block of the far limit
+    cfg = tmp_path / "starved.cfg"
+    cfg.write_text(TINY_CONFIG + "max_panels = 10\n")
+    assert main(["sweep-length", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error kind=NonConvergence message="ell=8: W(window V, factor T, rates -64..-1): ')
+    assert err.count("\n") == 1
+    cfg.write_text(TINY_CONFIG.replace("sweep-length", "sweep-bias") + "dk_list = pi/6\nmax_panels = 10\n")
+    assert main(["sweep-bias", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert 'message="dk=0.523598775598: ell=8: W(window V' in capsys.readouterr().err
+
+
 def test_cli_requires_config(capsys):
     assert main(["sweep-length"]) == 1
     assert "error kind=ParseError" in capsys.readouterr().err

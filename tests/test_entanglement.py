@@ -21,6 +21,7 @@ from nessent.entanglement import (
     fermionic_negativity,
     measures,
     occupation_spectrum,
+    renyi_index,
 )
 from nessent import fockspace as fs
 from nessent.scattering import BiasState, SingleImpurity
@@ -75,6 +76,14 @@ def test_renyi_rejects_bad_order():
         for n in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 entropy(nu, n)
+
+
+def test_renyi_index_is_the_one_order_rule():
+    assert renyi_index("vn") == renyi_index(1) == renyi_index(1.0) == 1.0
+    assert (renyi_index(0.5), renyi_index(2)) == (0.5, 2.0)
+    for bad in (0, -1.0, float("nan"), float("inf"), "bogus"):
+        with pytest.raises(ValueError):
+            renyi_index(bad)
 
 
 def test_von_neumann_values():
@@ -164,13 +173,19 @@ def test_negativity_and_measures_fock_oracle_3p3(seed):
     rng = np.random.default_rng(100 + seed)
     cm, _ = cm_from_spectrum(rng, 3, 3)
     rho = fs.gaussian_density_matrix(cm.matrix)
-    s_l = fs.vn_entropy_dm(fs.partial_trace(rho, [0, 1, 2], 6))
-    s_r = fs.vn_entropy_dm(fs.partial_trace(rho, [3, 4, 5], 6))
-    s_a = fs.vn_entropy_dm(rho)
+    rho_l = fs.partial_trace(rho, [0, 1, 2], 6)
+    rho_r = fs.partial_trace(rho, [3, 4, 5], 6)
+    s_l, s_r, s_a = (fs.vn_entropy_dm(r) for r in (rho_l, rho_r, rho))
     rep = measures(cm, "vn", with_negativity=True)
     assert abs(rep.mutual_info - (s_l + s_r - s_a)) < 1e-8
     assert abs(rep.coherent_info - (s_r - s_a)) < 1e-8
     assert abs(rep.negativity - fs.negativity_dm(rho, [0, 1, 2], 6)) < 1e-8
+    for n in (0.5, 2.0, 3.0):
+        s_l, s_r, s_a = (fs.renyi_entropy_dm(r, n) for r in (rho_l, rho_r, rho))
+        rep = measures(cm, n)
+        assert abs(rep.s_al - s_l) < 1e-8
+        assert abs(rep.s_a - s_a) < 1e-8
+        assert abs(rep.mutual_info - (s_l + s_r - s_a)) < 1e-8
 
 
 def test_even_negativity_moment_fock_oracle():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,12 @@ def test_fit_rows_slope_check():
          "analytic_linear": 2.0 * m, "analytic_log": lg, "analytic": 2.0 * m + lg}
         for m, lg in zip(driver, log)
     ]
-    (fit,) = _fit_rows(points, (), "ell_mirror")
+    (fit,) = _fit_rows(points, "ell_mirror")
     assert fit["slope_fitted"] == pytest.approx(2.05, abs=1e-10)
     assert fit["slope_predicted"] == pytest.approx(2.0, abs=1e-12)
     assert fit["slope_rel_err"] == pytest.approx(0.025, abs=1e-10)
     assert fit["residual_max"] == pytest.approx(0.225, abs=1e-10)
-    (no_driver,) = _fit_rows(points, (), None)
+    (no_driver,) = _fit_rows(points, None)
     assert no_driver["slope_fitted"] is None and no_driver["slope_predicted"] is None
 
 
@@ -147,6 +148,39 @@ def test_parse_config_rejects_duplicate_renyi_order():
         with pytest.raises(ParseError, match="'renyi_orders'.*duplicate"):
             parse_config_text(f"scenario = selftest\nrenyi_orders = {value}\n")
     assert parse_config_text("scenario = selftest\nrenyi_orders = vn, 0.5, 2\n").renyi_orders == ("vn", 0.5, 2.0)
+
+
+OUT_OF_RANGE = [
+    ("ell_step = 0", "ell_step"),
+    ("delta_step = 0", "delta_step"),
+    ("ell_min = 0", "ell_min"),
+    ("delta_min = 5\ndelta_max = 1", "delta_max"),
+    ("ell_min = 9\nell_max = 8", "ell_max"),
+    ("ell_l = 0", "ell_l"),
+    ("d_r = -1", "d_r"),
+    ("n_centers = 0", "n_centers"),
+    ("d_over_ell_min = 0", "d_over_ell_min"),
+    ("ell = 1\nd_over_ell_min = 0.4", "d_over_ell_min"),
+    ("d_over_ell_min = 3\nd_over_ell_max = 2", "d_over_ell_max"),
+    ("window = 1", "window"),
+    ("dk_list = ,", "dk_list"),
+    ("eta = 0", "eta"),
+    ("transmission = 1.5", "transmission"),
+    ("abs_tol = 0", "abs_tol"),
+    ("rel_tol = -1", "rel_tol"),
+    ("max_panels = 0", "max_panels"),
+    ("nodes_per_panel = 2", "nodes_per_panel"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, key", OUT_OF_RANGE, ids=[lines.replace(" ", "").replace("\n", ";") for lines, _ in OUT_OF_RANGE]
+)
+def test_parse_config_out_of_range_value_names_key(lines, key):
+    # each of these reached a runner before, as a bare ValueError, an
+    # IndexError or an empty sweep
+    with pytest.raises(ParseError, match=f"'{key}': must be"):
+        parse_config_text(f"scenario = selftest\n{lines}\n")
 
 
 def test_parse_config_division_by_zero_names_key():
@@ -348,9 +382,22 @@ def test_eval_asymptotics_rows():
     )
     fields, rows = run_eval_asymptotics(cfg)
     measures_seen = {row["measure"] for row in rows}
-    assert {"mi", "ci", "negativity", "entropy_al", "entropy_ar"} <= measures_seen
+    assert {"mi", "ci", "negativity", "entropy_al", "entropy_ar", "entropy_a"} <= measures_seen
     for row in rows:
         assert row["total"] == pytest.approx(row["linear"] + row["log"])
+    # the union entropy of the symmetric geometry: four sharp steps, no
+    # volume term, in the rows the sweeps overlay, after entropy_ar
+    order = [(row["measure"], row["order"]) for row in rows]
+    union = [row for row in rows if row["measure"] == "entropy_a"]
+    assert [row["order"] for row in union] == ["vn", "2"]
+    for row, coeff in zip(union, (2 / 3, 0.5)):
+        assert order.index(("entropy_a", row["order"])) == order.index(("entropy_ar", row["order"])) + 1
+        assert row["linear"] == 0.0
+        assert row["log"] == pytest.approx(coeff * np.log(40), abs=1e-14)
+    # no union prediction off the symmetric geometry
+    _, asym = run_eval_asymptotics(replace(cfg, d_r=6))
+    assert "entropy_a" not in {row["measure"] for row in asym}
+    assert [(r["measure"], r["order"]) for r in asym] == [m for m in order if m[0] != "entropy_a"]
 
 
 def test_sweep_output_deterministic(tmp_path):
@@ -372,6 +419,22 @@ def test_threaded_sweep_matches_serial():
     nums1 = [r["numeric"] for r in rows_of(rows1, row_type="point")]
     nums4 = [r["numeric"] for r in rows_of(rows4, row_type="point")]
     assert nums1 == nums4
+
+
+def test_distance_sweep_failure_names_distance(monkeypatch):
+    import nessent.experiments as ex
+    from nessent.numerics import NonConvergence
+
+    def starved(model, bias, geom, *args):
+        raise NonConvergence("budget exhausted")
+
+    monkeypatch.setattr(ex, "correlation_matrix_finite", starved)
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", k_fl=K_FL, k_fr=K_FR, ell=8, d_over_ell_min=2, d_over_ell_max=10,
+        n_centers=3, measures=("mi",),
+    )
+    with pytest.raises(NonConvergence, match=r"^d=16: budget exhausted$"):
+        run_sweep_distance(cfg)
 
 
 def test_threaded_distance_sweep_bytes_match_serial(tmp_path):

@@ -14,22 +14,6 @@ from nessent.scattering import (
     wavefunction,
 )
 
-MODELS = [
-    SingleImpurity(0.5),
-    SingleImpurity(1.0),
-    SingleImpurity(2.0, 0.7),
-    ConstantTransmission(0.3),
-    ConstantTransmission(1.0),
-    TrivialScatterer(),
-]
-
-
-@pytest.mark.parametrize("model", MODELS)
-def test_unitarity_on_grid(model):
-    for k in np.linspace(1e-4, np.pi - 1e-4, 1000):
-        assert s_matrix(model, k).unitarity_defect() < 1e-12
-
-
 def test_no_impurity_is_transparent():
     s = s_matrix(SingleImpurity(0.0), 1.234)
     assert s.t_l == pytest.approx(1.0)

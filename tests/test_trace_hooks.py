@@ -33,7 +33,15 @@ rc = cli.main(["sweep-length", "--config", {config!r}, "--out", {out!r}, "--thre
 print(json.dumps({{"rc": rc, "spans": [rec["name"] for rec in tracer.spans]}}))
 """
 
-SPANS = ("entanglement.spectrum", "entanglement.negativity", "experiments.fit", "asymptotics.predict")
+SPANS = (
+    "entanglement.spectrum",
+    "entanglement.negativity",
+    "experiments.fit",
+    "asymptotics.predict",
+    "correlation.far",
+    "correlation.prefetch",
+    "numerics.quad_batch",
+)
 
 
 def test_traced_run_keeps_csv_bytes_and_opens_layer_spans(tmp_path):
