@@ -48,7 +48,6 @@ from .asymptotics import (
     negativity_prediction,
     volume_coefficient_entropy,
     volume_coefficient_mi,
-    volume_coefficient_negativity,
 )
 from .numerics import (
     NonConvergence,

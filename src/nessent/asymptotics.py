@@ -7,29 +7,45 @@ integrals over the voltage window and fixed kernels of the transmission
 probabilities at the two Fermi momenta.  The remaining constant is never
 predicted here; experiment runners fit it.
 
-Kernels.  For order n > 0 and a probability p, ``log_kernel(n, p)`` is
+One density.  Every volume coefficient and every log kernel reads the binary
+Renyi entropy of the split (a, b)/(a + b),
 
-    -n/12 + int_0^1 dx/(2 pi^2 x) { ln[(1+p x)^n + ((1-p) x)^n]
-                                    + ln[(x+p)^n + (1-p)^n]
-                                    - ln[p^n + (1-p)^n] },
+    h_n(a, b) = ln[(a^n + b^n) / (a + b)^n] / (1 - n),
 
-a subtracted representation free of interior singularities (the endpoint
-x -> 0 behaviour is integrable and handled by graded panels).  An equivalent
-representation,
+with both parts passed in exactly; von Neumann (n = 1) is an ordinary order,
+h_1(a, b) = ln(a + b) - (a ln a + b ln b)/(a + b).  The volume terms integrate
+h_n(T, 1 - T) over the voltage window.  The log term of one occupation step
+of height p (q = 1 - p) is
+
+    step_kernel(n, p) = int_0^1 dx/(2 pi^2 x) [ h_n(1 + p x, q x)
+                                                + h_n(x + p, q) - h_n(p, q) ],
+
+and that of a transmission / reflection pair (t, r = 1 - t) is
+
+    pair_kernel(n, t) = int_0^1 dx/(2 pi^2 x) [ h_n(1 + t x, r x) + h_n(1 + r x, t x)
+                                                + h_n(x + t, r) + h_n(x + r, t)
+                                                - 2 h_n(t + r x, r + t x) ].
+
+Both integrands are free of interior singularities (the x -> 0 end is
+integrable and handled by graded panels).  The 1/(1 - n) factor is applied
+after quadrature, never inside an integrand, where it would scale the
+integrand's round-off by 1/|1 - n| near von Neumann.  Exact values:
+step_kernel(n, 1) = 0 and step_kernel(n, 0) = (1 + n)/(12 n), the kernel of
+one sharp step (1/6 at n = 1).
+
+``log_kernel(n, p) = (1 - n) step_kernel(n, p)`` and ``log_kernel_pair`` are
+the same kernels in the normalization of the unsubtracted representation
 
     (n / 2 pi^2) int_p^1 dx  (x^(n-1) - (1-x)^(n-1)) / (x^n + (1-x)^n)
                              * ln[(1-x)/(x-p)],
 
-is exposed as ``log_kernel_first_rep`` purely as a cross-check oracle.
-``log_kernel_pair`` is the analogous two-step kernel of a transmission /
-reflection pair, again with both representations.  The predictions read
-every kernel divided by 1-n; ``log_kernel_entropy_vn`` and
-``log_kernel_pair_vn`` are the n -> 1 limits of log_kernel(n, p)/(1-n) and
-log_kernel_pair(n, t)/(1-n), so von Neumann is the n = 1 case of one formula
-at every order, with (1+n)/(12n) (1/6 at n = 1) per sharp occupation step.
+which ``log_kernel_first_rep`` and ``log_kernel_pair_first_rep`` expose purely
+as cross-check oracles.
 
-Useful exact values: log_kernel(1, p) = 0 for every p, log_kernel(n, 1) = 0,
-and log_kernel(n, 0) = (1-n)(1+n)/(12 n).
+The fermionic negativity is half the order-1/2 mutual information here:
+h_{1/2}(T, 1 - T) = 2 ln(sqrt T + sqrt(1 - T)) is twice its volume density,
+and its log term is half the order-1/2 one, known for the mirror-symmetric
+geometry only.
 """
 
 from __future__ import annotations
@@ -47,15 +63,14 @@ from .scattering import BiasState, ScatteringModel, transmission
 __all__ = [
     "GeometryError",
     "AsymptoticPrediction",
+    "step_kernel",
+    "pair_kernel",
     "log_kernel",
     "log_kernel_first_rep",
     "log_kernel_pair",
     "log_kernel_pair_first_rep",
-    "log_kernel_pair_vn",
-    "log_kernel_entropy_vn",
     "volume_coefficient_mi",
     "volume_coefficient_entropy",
-    "volume_coefficient_negativity",
     "mi_prediction",
     "contiguous_entropy_prediction",
     "ci_prediction",
@@ -83,25 +98,54 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_entropy(n: float):
+    """The binary Renyi entropy h_n(a, b) of the split (a, b)/(a + b) as a
+    pair (f, scale) with h_n = scale * f(a, b); an integral of f is multiplied
+    by scale after quadrature."""
+    if n == 1.0:
+        return (lambda a, b: np.log(a + b) - (_xlogx(a) + _xlogx(b)) / (a + b)), 1.0
+    return (lambda a, b: np.log(a**n + b**n) - n * np.log(a + b)), 1.0 / (1.0 - n)
+
+
 @lru_cache(maxsize=None)
-def log_kernel(n: float, p: float) -> float:
+def step_kernel(n: float, p: float) -> float:
     """Log-term kernel of a single occupation step of height p (0 <= p <= 1)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("step height must lie in [0, 1]")
     if not n > 0:
         raise ValueError("order must be positive")
     q = 1.0 - p
-    norm = np.log(p**n + q**n)
+    h, scale = _split_entropy(n)
 
     def integrand(x):
-        return (
-            np.log((1.0 + p * x) ** n + (q * x) ** n)
-            + np.log((x + p) ** n + q**n)
-            - norm
-        ) / (2.0 * np.pi**2 * x)
+        return (h(1.0 + p * x, q * x) + h(x + p, q) - h(p, q)) / (2.0 * np.pi**2 * x)
 
-    val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    return float(val.real) - n / 12.0
+    return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
+
+
+@lru_cache(maxsize=None)
+def pair_kernel(n: float, t: float) -> float:
+    """Log-term kernel of a transmission/reflection step pair (T, R = 1-T)."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    r = 1.0 - t
+    h, scale = _split_entropy(n)
+
+    def integrand(x):
+        steps = h(1.0 + t * x, r * x) + h(1.0 + r * x, t * x) + h(x + t, r) + h(x + r, t)
+        return (steps - 2.0 * h(t + r * x, r + t * x)) / (2.0 * np.pi**2 * x)
+
+    return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
+
+
+def log_kernel(n: float, p: float) -> float:
+    """(1 - n) step_kernel(n, p), the normalization of log_kernel_first_rep."""
+    return (1.0 - n) * step_kernel(n, p)
+
+
+def log_kernel_pair(n: float, t: float) -> float:
+    """(1 - n) pair_kernel(n, t), the normalization of log_kernel_pair_first_rep."""
+    return (1.0 - n) * pair_kernel(n, t)
 
 
 def _integral_sqrt_endpoints(fn_dist, lo: float, hi: float, spec: QuadratureSpec) -> float:
@@ -147,25 +191,6 @@ def log_kernel_first_rep(n: float, p: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def log_kernel_pair(n: float, t: float) -> float:
-    """Log-term kernel of a transmission/reflection step pair (T, R = 1-T)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
-    r = 1.0 - t
-
-    def integrand(x):
-        a = np.log((1.0 + t * x) ** n + (r * x) ** n)
-        b = np.log((1.0 + r * x) ** n + (t * x) ** n)
-        mixed = np.log((t + r * x) ** n + (r + t * x) ** n)
-        cc = np.log((x + t) ** n + r**n) - mixed
-        d = np.log((x + r) ** n + t**n) - mixed
-        return (a + b + cc + d) / (2.0 * np.pi**2 * x)
-
-    val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    return float(val.real) - n / 12.0
-
-
-@lru_cache(maxsize=None)
 def log_kernel_pair_first_rep(n: float, t: float) -> float:
     """Unsubtracted representation of log_kernel_pair; test oracle only."""
     r = 1.0 - t
@@ -186,65 +211,17 @@ def log_kernel_pair_first_rep(n: float, t: float) -> float:
     return base + val * n / (2.0 * np.pi**2)
 
 
-@lru_cache(maxsize=None)
-def log_kernel_pair_vn(t: float) -> float:
-    """n -> 1 limit kernel of the separated step pair (von Neumann MI)."""
-    r = 1.0 - t
-    const = _xlogx(t) + _xlogx(r)
-
-    def integrand(x):
-        num = (_xlogx(r + t * x) + _xlogx(t + r * x)) / (1.0 + x)
-        return (num - const) / (np.pi**2 * x)
-
-    val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    step = log_kernel_entropy_vn(t) + log_kernel_entropy_vn(r) - 1.0 / 6.0
-    return step + 1.0 / 12.0 + float(val.real)
-
-
-@lru_cache(maxsize=None)
-def log_kernel_entropy_vn(p: float) -> float:
-    """n -> 1 limit of log_kernel(n, p)/(1-n) (von Neumann interval entropy)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("step height must lie in [0, 1]")
-    q = 1.0 - p
-    const = _xlogx(p) + _xlogx(q)
-
-    def integrand(x):
-        s1 = (_xlogx(1.0 + p * x) + _xlogx(q * x)) / (1.0 + x)
-        s2 = (_xlogx(x + p) + _xlogx(q)) / (1.0 + x)
-        return (s1 + s2 - const) / (2.0 * np.pi**2 * x)
-
-    val = integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True)
-    return 1.0 / 12.0 - float(val.real)
-
-
-def _window_integral(model: ScatteringModel, bias: BiasState, per_mode) -> float:
-    """Integral of per_mode(T(k)) over the voltage window (unnormalized)."""
+def _window_integral(model: ScatteringModel, bias: BiasState, order) -> float:
+    """Integral of h_n(T(k), 1 - T(k)) over the voltage window (unnormalized)."""
     if bias.window_width == 0.0:
         return 0.0
+    h, scale = _split_entropy(renyi_index(order))
 
     def integrand(k):
-        return per_mode(np.abs(model.amplitudes(k)[2]) ** 2)
+        t = np.abs(model.amplitudes(k)[2]) ** 2
+        return h(t, 1.0 - t)
 
-    val = integrate(integrand, bias.k_minus, bias.k_plus, WINDOW_SPEC)
-    return float(val.real)
-
-
-def _renyi_density(order):
-    n = renyi_index(order)
-    if n == 1.0:
-        return lambda t: -(_xlogx(t) + _xlogx(1.0 - t))
-    return lambda t: np.log(t**n + (1.0 - t) ** n) / (1.0 - n)
-
-
-def _step_kernel(n: float, p: float) -> float:
-    """log_kernel(n, p)/(1-n) at Renyi index n, its limit at n = 1."""
-    return log_kernel_entropy_vn(p) if n == 1.0 else log_kernel(n, p) / (1.0 - n)
-
-
-def _pair_kernel(n: float, t: float) -> float:
-    """log_kernel_pair(n, t)/(1-n) at Renyi index n, its limit at n = 1."""
-    return log_kernel_pair_vn(t) if n == 1.0 else log_kernel_pair(n, t) / (1.0 - n)
+    return scale * float(integrate(integrand, bias.k_minus, bias.k_plus, WINDOW_SPEC).real)
 
 
 def _sharp_step(n: float) -> float:
@@ -254,7 +231,7 @@ def _sharp_step(n: float) -> float:
 
 def volume_coefficient_mi(model: ScatteringModel, bias: BiasState, order="vn") -> float:
     """Mutual-information volume coefficient per mirrored site (dk/pi weight)."""
-    return _window_integral(model, bias, _renyi_density(order)) / np.pi
+    return _window_integral(model, bias, order) / np.pi
 
 
 def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="vn") -> float:
@@ -263,12 +240,7 @@ def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="v
     The same density applies to A_L and A_R per site and to the union per
     unmirrored site.
     """
-    return _window_integral(model, bias, _renyi_density(order)) / (2.0 * np.pi)
-
-
-def volume_coefficient_negativity(model: ScatteringModel, bias: BiasState) -> float:
-    """Negativity volume coefficient per mirrored site (dk/pi weight)."""
-    return _window_integral(model, bias, lambda t: np.log(np.sqrt(t) + np.sqrt(1.0 - t))) / np.pi
+    return _window_integral(model, bias, order) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -323,8 +295,8 @@ def mi_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeomet
     log_term = 0.0
     for tag, kf in (("k_fl", bias.k_fl), ("k_fr", bias.k_fr)):
         t = transmission(model, kf)
-        pair_k = _pair_kernel(n, t)
-        step_k = _step_kernel(n, t) + _step_kernel(n, 1.0 - t) - _sharp_step(n)
+        pair_k = pair_kernel(n, t)
+        step_k = step_kernel(n, t) + step_kernel(n, 1.0 - t) - _sharp_step(n)
         kernels[f"pair[{tag}]"] = pair_k
         kernels[f"step[{tag}]"] = step_k
         log_term += 0.5 * (pair_k * pair_ratio + step_k * step_ratio)
@@ -349,8 +321,8 @@ def contiguous_entropy_prediction(
     r_other = 1.0 - transmission(model, other)
     n = renyi_index(order)
     linear = ell * volume_coefficient_entropy(model, bias, order)
-    k_own = _step_kernel(n, t_own)
-    k_other = _step_kernel(n, r_other)
+    k_own = step_kernel(n, t_own)
+    k_other = step_kernel(n, r_other)
     coeff = _sharp_step(n) + k_own + k_other
     kernels = {"step[own]": k_own, "step[other]": k_other}
     return AsymptoticPrediction(linear, coeff * np.log(ell), kernels)
@@ -368,24 +340,15 @@ def ci_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeomet
 
 
 def negativity_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeometry) -> AsymptoticPrediction:
-    """Fermionic-negativity asymptotics.
+    """Fermionic-negativity asymptotics: half the order-1/2 MI prediction.
 
     The volume term is valid for any geometry; the logarithmic term is known
     only for the mirror-symmetric configuration and is zero otherwise.
     """
-    linear = geom.ell_mirror * volume_coefficient_negativity(model, bias)
+    mi = mi_prediction(model, bias, geom, 0.5)
     if not geom.is_symmetric:
-        return AsymptoticPrediction(linear, 0.0, {})
-    kernels: dict = {}
-    coeff = -0.25
-    for tag, kf in (("k_fl", bias.k_fl), ("k_fr", bias.k_fr)):
-        t = transmission(model, kf)
-        k_t = log_kernel(0.5, t)
-        k_r = log_kernel(0.5, 1.0 - t)
-        kernels[f"half_step_t[{tag}]"] = k_t
-        kernels[f"half_step_r[{tag}]"] = k_r
-        coeff += k_t + k_r
-    return AsymptoticPrediction(linear, coeff * np.log(geom.ell_l), kernels)
+        return AsymptoticPrediction(0.5 * mi.linear_term, 0.0, {})
+    return AsymptoticPrediction(0.5 * mi.linear_term, 0.5 * mi.log_term, mi.kernel_values)
 
 
 def disjoint_symmetric_log_coefficient(order="vn") -> float:

@@ -148,8 +148,11 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
 }
 
 #: the range of each key a config file sets, checked at parse time so that a
-#: bad value fails here, naming its key, and not inside a runner
+#: bad value fails here, naming its key, and not inside a runner; the momenta
+#: come before dk_list, so that a bad k_fr is not blamed on dk_list
 _RANGES = {
+    "k_fl": ("in (0, pi)", lambda c: 0.0 < c.k_fl < math.pi),
+    "k_fr": ("in (0, pi)", lambda c: 0.0 < c.k_fr < math.pi),
     "eta": ("positive", lambda c: c.eta > 0),
     "transmission": ("in [0, 1]", lambda c: 0.0 <= c.transmission <= 1.0),
     "abs_tol": ("positive", lambda c: c.abs_tol > 0),
@@ -165,7 +168,13 @@ _RANGES = {
     "d_r": ("non-negative", lambda c: c.d_r >= 0),
     "delta_max": ("at least delta_min", lambda c: c.delta_max >= c.delta_min),
     "delta_step": ("at least 1", lambda c: c.delta_step >= 1),
-    "dk_list": ("a non-empty list", lambda c: len(c.dk_list) > 0),
+    "dk_list": ("a non-empty list with every k_fr + dk in (0, pi)",
+                lambda c: len(c.dk_list) > 0 and all(0.0 < c.k_fr + dk < math.pi for dk in c.dk_list)),
+    # sweep-distance computes von Neumann MI and the negativity only
+    "measures": ("mi or negativity for sweep-distance",
+                 lambda c: c.scenario != "sweep-distance" or set(c.measures) <= {"mi", "negativity"}),
+    "renyi_orders": ("vn for sweep-distance",
+                     lambda c: c.scenario != "sweep-distance" or all(renyi_index(o) == 1.0 for o in c.renyi_orders)),
     "ell": ("at least 1", lambda c: c.ell >= 1),
     "d_over_ell_min": ("such that d_over_ell_min * ell rounds to at least 1",
                        lambda c: round(c.d_over_ell_min * c.ell) >= 1),

@@ -134,7 +134,7 @@ def _measure_point_rows(
     base: dict,
 ) -> list[dict]:
     """Numeric + analytic values of every requested measure on one matrix."""
-    spectra = block_spectra(cmat)
+    spectra = None
     reports: dict = {}
     rows: list[dict] = []
     for measure, order, label, pred in _predictions(model, bias, geom, config):
@@ -142,6 +142,8 @@ def _measure_point_rows(
             numeric = fermionic_negativity(cmat, 1)
         else:
             if label not in reports:
+                if spectra is None:
+                    spectra = block_spectra(cmat)
                 reports[label] = report_from_spectra(spectra, order)
             numeric = getattr(reports[label], _REPORT_FIELDS[measure])
         row = dict(base)
@@ -325,7 +327,7 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         np.round(np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)).astype(int)
     )
 
-    wanted = [m for m in ("mi", "negativity") if m in config.measures] or ["mi"]
+    wanted = [m for m in ("mi", "negativity") if m in config.measures]
 
     def measured(cmat: CorrelationMatrix) -> dict[str, float]:
         out: dict[str, float] = {}

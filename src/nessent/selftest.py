@@ -78,10 +78,11 @@ def kernel_dual_representations():
 
 @check
 def kernel_exact_zeros():
-    for p in (0.0, 0.25, 0.5, 1.0):
-        assert abs(asy.log_kernel(1.0, p)) < 1e-10
-    for n in (0.5, 2.0, 3.0):
-        assert abs(asy.log_kernel(n, 1.0)) < 1e-9
+    # a full step carries no log term, nor does a pair at T = 0 or 1
+    for n in (0.5, 1.0, 2.0, 3.0):
+        assert abs(asy.step_kernel(n, 1.0)) < 1e-9
+        for t in (0.0, 1.0):
+            assert abs(asy.pair_kernel(n, t)) < 1e-10
 
 
 @check

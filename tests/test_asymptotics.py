@@ -12,9 +12,30 @@ DK6 = BiasState(np.pi / 2 + np.pi / 6, np.pi / 2)
 
 
 def vn_step(t):
-    """Combined n -> 1 step kernel of a transmission/reflection pair, as the
+    """Combined n = 1 step kernel of a transmission/reflection pair, as the
     von Neumann MI prediction reads it: two single steps minus one sharp one."""
-    return asy.log_kernel_entropy_vn(t) + asy.log_kernel_entropy_vn(1 - t) - 1.0 / 6.0
+    return asy.step_kernel(1.0, t) + asy.step_kernel(1.0, 1 - t) - 1.0 / 6.0
+
+
+def mp_split_entropy(mp, n, a, b):
+    """Binary Renyi entropy of the split (a, b)/(a + b) in mpmath."""
+    if n == 1:
+        xlogx = lambda v: v * mp.log(v) if v > 0 else mp.mpf(0)
+        return mp.log(a + b) - (xlogx(a) + xlogx(b)) / (a + b)
+    return mp.log((a**n + b**n) / (a + b) ** n) / (1 - n)
+
+
+def mp_kernels(mp, n, p):
+    """(step, pair) kernels of the module docstring by tanh-sinh quadrature,
+    split near the x -> 0 end where the order-1/2 integrand has sqrt cusps."""
+    q = 1 - p
+    h = lambda a, b: mp_split_entropy(mp, n, a, b)
+    step = lambda x: (h(1 + p * x, q * x) + h(x + p, q) - h(p, q)) / (2 * mp.pi**2 * x)
+    pair = lambda x: (
+        h(1 + p * x, q * x) + h(1 + q * x, p * x) + h(x + p, q) + h(x + q, p) - 2 * h(p + q * x, q + p * x)
+    ) / (2 * mp.pi**2 * x)
+    points = [0, mp.mpf("1e-8"), mp.mpf("1e-4"), 1]
+    return mp.quad(step, points), mp.quad(pair, points)
 
 
 # --- kernels ---------------------------------------------------------------
@@ -38,9 +59,22 @@ def test_kernel_vanishes_at_full_step(n):
 
 
 def test_kernel_exact_value_at_zero_step():
-    # log_kernel(n, 0) = (1-n)(1+n)/(12 n), from the dilogarithm integral
+    # log_kernel(n, 0) = (1-n)(1+n)/(12 n), from the dilogarithm integral, so
+    # step_kernel(n, 0) = (1+n)/(12 n), the kernel of one sharp step
     for n in (0.5, 2.0, 3.0):
         assert asy.log_kernel(n, 0.0) == pytest.approx((1 - n) * (1 + n) / (12 * n), abs=1e-11)
+    for n in (0.5, 1.0, 2.0, 3.0):
+        assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+def test_kernels_match_mpmath_reference(n):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        for p in ("0", "0.3", "0.5", "0.8", "1"):
+            step, pair = mp_kernels(mpmath, mpmath.mpf(n), mpmath.mpf(p))
+            assert abs(asy.step_kernel(n, float(p)) - float(step)) < 5e-12, p
+            assert abs(asy.pair_kernel(n, float(p)) - float(pair)) < 5e-12, p
 
 
 def test_pair_kernel_symmetric_in_t_and_r():
@@ -52,7 +86,7 @@ def test_pair_kernel_symmetric_in_t_and_r():
 def test_vn_kernels_symmetric():
     for t in (0.1, 0.25, 0.4, 0.8):
         assert abs(vn_step(t) - vn_step(1 - t)) < 1e-10
-        assert abs(asy.log_kernel_pair_vn(t) - asy.log_kernel_pair_vn(1 - t)) < 1e-10
+        assert abs(asy.pair_kernel(1.0, t) - asy.pair_kernel(1.0, 1 - t)) < 1e-10
 
 
 def test_vn_kernel_finite_difference_oracle():
@@ -61,7 +95,7 @@ def test_vn_kernel_finite_difference_oracle():
         r = 1 - t
 
         def combo(n):
-            return (asy.log_kernel(n, t) + asy.log_kernel(n, r) - (1 / n - n) / 12.0) / (1 - n)
+            return asy.step_kernel(n, t) + asy.step_kernel(n, r) - (1 + n) / (12 * n)
 
         central = 0.5 * (combo(1 - h) + combo(1 + h))
         assert abs(vn_step(t) - central) < 1e-3 * max(abs(central), 1e-3)
@@ -71,16 +105,13 @@ def test_vn_pair_kernel_finite_difference_oracle():
     h = 1e-4
     for t in (0.2, 0.5, 0.7):
 
-        def combo(n):
-            return asy.log_kernel_pair(n, t) / (1 - n)
-
-        central = 0.5 * (combo(1 - h) + combo(1 + h))
-        assert abs(asy.log_kernel_pair_vn(t) - central) < 1e-3 * max(abs(central), 1e-3)
+        central = 0.5 * (asy.pair_kernel(1 - h, t) + asy.pair_kernel(1 + h, t))
+        assert abs(asy.pair_kernel(1.0, t) - central) < 1e-3 * max(abs(central), 1e-3)
 
 
 def test_vn_entropy_kernel_values_and_identity():
-    assert asy.log_kernel_entropy_vn(1.0) == pytest.approx(0.0, abs=1e-11)
-    assert asy.log_kernel_entropy_vn(0.0) == pytest.approx(1.0 / 6.0, abs=1e-11)
+    assert asy.step_kernel(1.0, 1.0) == pytest.approx(0.0, abs=1e-11)
+    assert asy.step_kernel(1.0, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-11)
 
 
 # --- volume coefficients ----------------------------------------------------
@@ -90,7 +121,8 @@ def test_volume_coefficients_trivial_model():
     for order in ("vn", 0.5, 2.0):
         assert asy.volume_coefficient_mi(TrivialScatterer(), BIAS, order) == pytest.approx(0.0, abs=1e-14)
         assert asy.volume_coefficient_entropy(TrivialScatterer(), BIAS, order) == pytest.approx(0.0, abs=1e-14)
-    assert asy.volume_coefficient_negativity(TrivialScatterer(), BIAS) == pytest.approx(0.0, abs=1e-14)
+    geom = SubsystemGeometry(0, 0, 30, 0, 30)
+    assert asy.negativity_prediction(TrivialScatterer(), BIAS, geom).linear_term == pytest.approx(0.0, abs=30e-14)
 
 
 def test_volume_coefficient_mi_constant_half_vn():
@@ -110,15 +142,22 @@ def test_volume_coefficient_entropy_constant_half_order_two():
 
 
 def test_volume_coefficient_negativity_constant_half():
-    # ln(sqrt(1/2) + sqrt(1/2)) = ln sqrt 2 -> coefficient ln2 / 12
-    assert asy.volume_coefficient_negativity(HALF, DK6) == pytest.approx(np.log(2) / 12, abs=1e-12)
+    # ln(sqrt(1/2) + sqrt(1/2)) = ln sqrt 2 -> coefficient ln2 / 12 per mirrored site
+    geom = SubsystemGeometry(0, 0, 36, 0, 36)
+    assert asy.negativity_prediction(HALF, DK6, geom).linear_term == pytest.approx(36 * np.log(2) / 12, abs=36e-12)
 
 
 def test_negativity_coefficient_is_half_of_order_half_mi():
+    # the negativity's own density ln(sqrt T + sqrt(1 - T)), integrated apart
+    # from the order-1/2 binary entropy the prediction reads
+    from nessent.numerics import integrate
+
+    geom = SubsystemGeometry(0, 0, 30, 5, 40)
     for model in (IMPURITY, HALF):
-        lhs = asy.volume_coefficient_negativity(model, BIAS)
-        rhs = 0.5 * asy.volume_coefficient_mi(model, BIAS, 0.5)
-        assert abs(lhs - rhs) < 1e-12
+        t = lambda k: np.abs(model.amplitudes(k)[2]) ** 2
+        density = integrate(lambda k: np.log(np.sqrt(t(k)) + np.sqrt(1 - t(k))), BIAS.k_minus, BIAS.k_plus)
+        lhs = asy.negativity_prediction(model, BIAS, geom).linear_term
+        assert abs(lhs - geom.ell_mirror * density.real / np.pi) < geom.ell_mirror * 1e-12
 
 
 def test_zero_window_kills_volume_terms():

@@ -164,6 +164,10 @@ OUT_OF_RANGE = [
     ("d_over_ell_min = 3\nd_over_ell_max = 2", "d_over_ell_max"),
     ("window = 1", "window"),
     ("dk_list = ,", "dk_list"),
+    ("k_fr = pi/2\ndk_list = 3", "dk_list"),
+    ("dk_list = pi/12, -pi/2", "dk_list"),
+    ("k_fl = 4", "k_fl"),
+    ("k_fr = 0\ndk_list = pi/12", "k_fr"),
     ("eta = 0", "eta"),
     ("transmission = 1.5", "transmission"),
     ("abs_tol = 0", "abs_tol"),
@@ -181,6 +185,27 @@ def test_parse_config_out_of_range_value_names_key(lines, key):
     # IndexError or an empty sweep
     with pytest.raises(ParseError, match=f"'{key}': must be"):
         parse_config_text(f"scenario = selftest\n{lines}\n")
+
+
+DISTANCE_CONFIG = "scenario = sweep-distance\nk_fl = 2*pi/3\nk_fr = pi/2\nell = 8\nd_over_ell_min = 2\nd_over_ell_max = 10\n"
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("measures = ci", "measures"),
+        ("measures = mi, entropy", "measures"),
+        ("renyi_orders = 0.5", "renyi_orders"),
+        ("renyi_orders = vn, 2", "renyi_orders"),
+    ],
+)
+def test_sweep_distance_rejects_what_it_cannot_compute(line, key):
+    # sweep-distance computes von Neumann MI and the negativity only, and
+    # its CSV has no order column
+    with pytest.raises(ParseError, match=f"'{key}': must be .* for sweep-distance"):
+        parse_config_text(f"{DISTANCE_CONFIG}{line}\n")
+    cfg = parse_config_text(f"{DISTANCE_CONFIG}measures = negativity, mi\nrenyi_orders = 1\n")
+    assert cfg.measures == ("negativity", "mi")
 
 
 def test_parse_config_division_by_zero_names_key():
@@ -460,3 +485,23 @@ def test_threaded_distance_sweep_bytes_match_serial(tmp_path):
         emit_csv(rows, path, fields)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("measures, spectra", [(("negativity",), 0), (("mi",), 9), (("negativity", "ci"), 9)])
+def test_point_rows_compute_only_the_spectra_they_read(monkeypatch, measures, spectra):
+    # block_spectra takes three occupation spectra per point; the negativity
+    # reads none of them
+    import nessent.entanglement as ent
+
+    calls = []
+    spectrum = ent.occupation_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    monkeypatch.setattr(ent, "occupation_spectrum", counted)
+    cfg = small_length_config(ell_min=6, ell_max=14, ell_step=4, measures=measures, renyi_orders=("vn",))
+    _, rows = run_sweep_length(cfg)
+    assert len(rows_of(rows, row_type="point")) == 3 * len(measures)
+    assert len(calls) == spectra
