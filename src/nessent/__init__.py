@@ -32,11 +32,13 @@ from .correlation import (
 )
 from .entanglement import (
     EntanglementReport,
+    Partition,
     block_spectra,
     correlation_moments,
     entropy,
     fermionic_negativity,
     measures,
+    partition,
     report_from_spectra,
 )
 from .asymptotics import (

@@ -26,8 +26,11 @@ and that of a transmission / reflection pair (t, r = 1 - t) is
                                                 + h_n(x + t, r) + h_n(x + r, t)
                                                 - 2 h_n(t + r x, r + t x) ].
 
-Both integrands are free of interior singularities (the x -> 0 end is
-integrable and handled by graded panels).  The 1/(1 - n) factor is applied
+Both are integrated in s with x = s^2 (dx/x = 2 ds/s): below order 1 the
+brackets carry a (q x)^n term, and the substitution turns its x^(n-1) cusp
+at x = 0 into the milder s^(2n-1), so the graded panels meet the tolerance
+with few nodes at every order.  Neither integrand has an interior
+singularity.  The 1/(1 - n) factor is applied
 after quadrature, never inside an integrand, where it would scale the
 integrand's round-off by 1/|1 - n| near von Neumann.  Exact values:
 step_kernel(n, 1) = 0 and step_kernel(n, 0) = (1 + n)/(12 n), the kernel of
@@ -117,8 +120,9 @@ def step_kernel(n: float, p: float) -> float:
     q = 1.0 - p
     h, scale = _split_entropy(n)
 
-    def integrand(x):
-        return (h(1.0 + p * x, q * x) + h(x + p, q) - h(p, q)) / (2.0 * np.pi**2 * x)
+    def integrand(s):
+        x = s * s
+        return (h(1.0 + p * x, q * x) + h(x + p, q) - h(p, q)) / (np.pi**2 * s)
 
     return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
 
@@ -131,9 +135,10 @@ def pair_kernel(n: float, t: float) -> float:
     r = 1.0 - t
     h, scale = _split_entropy(n)
 
-    def integrand(x):
+    def integrand(s):
+        x = s * s
         steps = h(1.0 + t * x, r * x) + h(1.0 + r * x, t * x) + h(x + t, r) + h(x + r, t)
-        return (steps - 2.0 * h(t + r * x, r + t * x)) / (2.0 * np.pi**2 * x)
+        return (steps - 2.0 * h(t + r * x, r + t * x)) / (np.pi**2 * s)
 
     return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
 

@@ -358,10 +358,17 @@ def _sea_kernel(kf: float, x: np.ndarray) -> np.ndarray:
 
 
 def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -> np.ndarray:
-    """sea(kf, j-m) + sign * W_T(m-j) for j, m = 1..n."""
-    idx = np.arange(1, n + 1)
-    x = np.subtract.outer(idx, idx)
-    return _hermitian(_sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x))
+    """sea(kf, j-m) + sign * W_T(m-j) for j, m = 1..n, gathered from its
+    2n - 1 Toeplitz values at the offsets x = j - m.  As in _hermitian, the
+    upper triangle (x < 0) is kept, the lower one is its conjugate and the
+    diagonal is real; adding 0.0 to the conjugate gives a zero imaginary
+    part the sign _hermitian's sum gives it, so the bytes match."""
+    x = np.arange(1 - n, n)
+    values = _sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x)
+    upper = values[: n - 1]
+    values = np.concatenate([upper, values[n - 1 : n].real, upper[::-1].conj() + 0.0])
+    idx = np.arange(n)
+    return values[np.subtract.outer(idx, idx) + n - 1]
 
 
 def correlation_matrix_far(

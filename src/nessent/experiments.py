@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -27,7 +28,14 @@ from .correlation import (
     correlation_matrix_finite,
     ENTRY_SPEC,
 )
-from .entanglement import SpectrumError, block_spectra, fermionic_negativity, measures, report_from_spectra
+from .entanglement import (
+    SpectrumError,
+    block_spectra,
+    deflates,
+    fermionic_negativity,
+    partition,
+    report_from_spectra,
+)
 from .numerics import NumericsError, QuadratureSpec
 from .scattering import BiasState, ScatteringModel
 
@@ -132,19 +140,27 @@ def _measure_point_rows(
     cmat: CorrelationMatrix,
     config: ExperimentConfig,
     base: dict,
+    memo: dict,
 ) -> list[dict]:
-    """Numeric + analytic values of every requested measure on one matrix."""
-    spectra = None
+    """Numeric + analytic values of every requested measure on one matrix;
+    ``memo`` is the sweep's block-eigenpair memo (see ``partition``)."""
+
+    @cache
+    def deflated():
+        return partition(cmat, memo)
+
+    @cache
+    def spectra(deflate: bool):
+        return block_spectra(deflated() if deflate else cmat)
+
     reports: dict = {}
     rows: list[dict] = []
     for measure, order, label, pred in _predictions(model, bias, geom, config):
         if measure == "negativity":
-            numeric = fermionic_negativity(cmat, 1)
+            numeric = fermionic_negativity(deflated(), 1)
         else:
             if label not in reports:
-                if spectra is None:
-                    spectra = block_spectra(cmat)
-                reports[label] = report_from_spectra(spectra, order)
+                reports[label] = report_from_spectra(spectra(deflates(order)), order)
             numeric = getattr(reports[label], _REPORT_FIELDS[measure])
         row = dict(base)
         row.update(
@@ -222,12 +238,13 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     bias = config.build_bias()
     spec = _entry_spec(config)
     builder = CorrelationBuilder(model, bias, spec)
+    memo: dict = {}
 
     def compute(coord: int) -> list[dict]:
         geom, base = point(model, coord)
         with _failure_at(f"{name}={coord}"):
             cmat = correlation_matrix_far(model, bias, geom, "A", spec, builder)
-            return _measure_point_rows(model, bias, geom, cmat, config, base)
+            return _measure_point_rows(model, bias, geom, cmat, config, base, memo)
 
     points = [row for rows in _map_ordered(compute, coords, config.threads) for row in rows]
     return _SWEEP_FIELDS, points + _fit_rows(points, driver_key)
@@ -330,11 +347,12 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
 
     def measured(cmat: CorrelationMatrix) -> dict[str, float]:
+        deflated = partition(cmat)
         out: dict[str, float] = {}
         if "mi" in wanted:
-            out["mi"] = measures(cmat).mutual_info
+            out["mi"] = report_from_spectra(block_spectra(deflated)).mutual_info
         if "negativity" in wanted:
-            out["negativity"] = fermionic_negativity(cmat, 1)
+            out["negativity"] = fermionic_negativity(deflated, 1)
         return out
 
     builder = CorrelationBuilder(model, bias, spec)

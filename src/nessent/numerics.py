@@ -16,9 +16,10 @@ singularities are never evaluated at the endpoint itself.
 
 The eigenvalue and inverse routines wrap LAPACK (through ``numpy.linalg``)
 behind the checks the rest of the package relies on: Hermiticity is verified
-and enforced by symmetrization before ``eigvalsh``, and inverses are checked
-against an explicit residual.  Only eigenvalues are ever needed, never
-eigenvectors.
+and enforced by symmetrization before ``eigvalsh`` or ``eigh``, and inverses
+are checked against an explicit residual.  Eigenvectors are taken only of the
+diagonal blocks of a partition, which the entanglement measures deflate to
+their coupled modes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ __all__ = [
     "integrate",
     "integrate_oscillatory",
     "integrate_oscillatory_batch",
+    "check_hermitian",
     "eig_hermitian",
+    "eigh_hermitian",
     "eig_general",
     "mat_inverse",
 ]
@@ -317,6 +320,26 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
+def check_hermitian(upper: np.ndarray, lower: np.ndarray | None = None, herm_tol: float = 1e-10) -> None:
+    """Raise NotHermitian unless ||lower - upper^dag||_max <= herm_tol * max(1, ||upper||_max).
+
+    With lower omitted this checks upper itself; given, upper and lower are
+    the two off-diagonal blocks of one matrix.
+    """
+    lower = upper if lower is None else lower
+    scale = max(1.0, float(np.abs(upper).max()))
+    dev = float(np.abs(lower - upper.conj().T).max())
+    if dev > herm_tol * scale:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {herm_tol * scale:.3e}")
+
+
+def _hermitian_part(m, herm_tol: float) -> np.ndarray:
+    """(M + M^dag)/2, after check_hermitian(M)."""
+    a = _as_matrix(m)
+    check_hermitian(a, herm_tol=herm_tol)
+    return 0.5 * (a + a.conj().T)
+
+
 def eig_hermitian(m, herm_tol: float = 1e-10) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
@@ -324,13 +347,13 @@ def eig_hermitian(m, herm_tol: float = 1e-10) -> np.ndarray:
     it is symmetrized to (M + M^dag)/2 before solving, since quadrature noise
     breaks exact Hermiticity at the 1e-12 level.
     """
-    a = _as_matrix(m)
-    scale = max(1.0, float(np.abs(a).max()))
-    dev = float(np.abs(a - a.conj().T).max())
-    if dev > herm_tol * scale:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {herm_tol * scale:.3e}")
-    sym = 0.5 * (a + a.conj().T)
-    return np.linalg.eigvalsh(sym)
+    return np.linalg.eigvalsh(_hermitian_part(m, herm_tol))
+
+
+def eigh_hermitian(m, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and the matching orthonormal eigenvectors (as
+    columns) of a Hermitian matrix, behind the same check as eig_hermitian."""
+    return np.linalg.eigh(_hermitian_part(m, herm_tol))
 
 
 def eig_general(m) -> np.ndarray:

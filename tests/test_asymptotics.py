@@ -73,8 +73,8 @@ def test_kernels_match_mpmath_reference(n):
     with mpmath.workdps(25):
         for p in ("0", "0.3", "0.5", "0.8", "1"):
             step, pair = mp_kernels(mpmath, mpmath.mpf(n), mpmath.mpf(p))
-            assert abs(asy.step_kernel(n, float(p)) - float(step)) < 5e-12, p
-            assert abs(asy.pair_kernel(n, float(p)) - float(pair)) < 5e-12, p
+            assert abs(asy.step_kernel(n, float(p)) - float(step)) < 1e-15, p
+            assert abs(asy.pair_kernel(n, float(p)) - float(pair)) < 1e-15, p
 
 
 def test_pair_kernel_symmetric_in_t_and_r():

@@ -200,6 +200,25 @@ def test_far_within_blocks_toeplitz():
             assert np.abs(diag - diag[0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("k_fl, k_fr", [(2 * np.pi / 3, np.pi / 2), (np.pi / 2, 2 * np.pi / 3), (np.pi / 2, np.pi / 2)])
+def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
+    # the blocks are gathered from 2n - 1 Toeplitz values; the reference
+    # evaluates all n^2 entries sea(kf, j-m) + sign * W_T(m-j) and mirrors the
+    # upper triangle
+    bias = BiasState(k_fl, k_fr)
+    builder = CorrelationBuilder(IMPURITY, bias)
+    for n in (1, 2, 7, 64, 65, 130):
+        cm = correlation_matrix_far(IMPURITY, bias, SubsystemGeometry(0, 0, n, 0, n), "A", builder=builder)
+        idx = np.arange(1, n + 1)
+        x = np.subtract.outer(idx, idx)
+        for block, kf, sign in ((cm.block_left().matrix, k_fl, -1.0), (cm.block_right().matrix, k_fr, 1.0)):
+            sea = np.where(x == 0, kf / np.pi, np.sin(kf * x) / (np.pi * np.where(x == 0, 1, x)))
+            full = sea + sign * builder.coefficients("V", "T", -x)
+            upper = np.triu(full, 1)
+            direct = upper + upper.conj().T + np.diag(full.diagonal().real)
+            assert block.tobytes() == direct.tobytes(), n
+
+
 def test_far_cross_block_carries_offset_phase():
     # cross entries depend on d_l - d_r only through a shifted argument
     g1 = SubsystemGeometry(0, 9, 5, 2, 5)

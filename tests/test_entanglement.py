@@ -16,12 +16,15 @@ from nessent.entanglement import (
     EntanglementReport,
     SingularResolvent,
     SpectrumError,
+    block_spectra,
     correlation_moments,
     entropy,
     fermionic_negativity,
     measures,
     occupation_spectrum,
+    partition,
     renyi_index,
+    report_from_spectra,
 )
 from nessent import fockspace as fs
 from nessent.scattering import BiasState, SingleImpurity
@@ -360,3 +363,59 @@ def test_builder_output_mi_monotone_and_mirror_symmetric(inputs):
     # parity: swapping the intervals together with the two Fermi momenta
     mirrored = builder_matrix(regime, epsilon0, not flip, SubsystemGeometry(0, d_r, ell_r, d_l, ell_l))
     assert abs(measures(mirrored).mutual_info - mi) < 1e-10
+
+
+# --- deflation to the coupled modes ------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from(("far", "finite")),
+        st.sampled_from((0.5, 0.875, 1.25, 1.625, 2.0)),
+        st.booleans(),
+        st.integers(0, 15),
+        st.integers(1, 60),
+        st.integers(0, 15),
+        st.integers(1, 60),
+    )
+)
+def test_deflated_partition_matches_full_matrix(inputs):
+    regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
+    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+    full = report_from_spectra(block_spectra(cm), "vn")
+    deflated = partition(cm)
+    rep = report_from_spectra(block_spectra(deflated), "vn")
+    assert abs(rep.mutual_info - full.mutual_info) < 1e-11
+    assert abs(rep.coherent_info - full.coherent_info) < 1e-11
+    assert abs(fermionic_negativity(deflated, 1) - fermionic_negativity(cm, 1)) < 1e-11
+
+
+def test_partition_deflates_most_far_modes():
+    cm = far_fig2(100)
+    deflated = partition(cm)
+    active = deflated.reduced.dim
+    assert active < cm.dim // 2
+    assert active + deflated.deflated_left.size + deflated.deflated_right.size == cm.dim
+    assert np.minimum(deflated.deflated_left, 1 - deflated.deflated_left).max() <= 1e-13
+    rep = measures(cm, "vn", with_negativity=True)
+    full = report_from_spectra(block_spectra(cm), "vn")
+    assert abs(rep.s_a - full.s_a) < 1e-11
+    assert abs(rep.negativity - fermionic_negativity(cm, 1)) < 1e-11
+
+
+def test_partition_without_coupling_keeps_no_mode():
+    # an empty voltage window makes the cross block exactly zero
+    cm = correlation_matrix_far(
+        SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2), SubsystemGeometry(0, 0, 20, 3, 30), "A"
+    )
+    assert not np.any(cm.cross_block())
+    deflated = partition(cm)
+    assert deflated.reduced.dim == 0
+    assert (deflated.deflated_left.size, deflated.deflated_right.size) == (20, 30)
+    rep = measures(cm, "vn", with_negativity=True)
+    assert rep.mutual_info == 0.0 and rep.negativity == 0.0
+    assert rep.s_al > 0.0 and rep.coherent_info == -rep.s_al
+    assert report_from_spectra(block_spectra(deflated), 2.0).mutual_info == 0.0
+    # a deflated mode adds ln[nu^2 + (1 - nu)^2] to E_2
+    assert abs(fermionic_negativity(deflated, 2) - fermionic_negativity(cm, 2)) < 1e-10

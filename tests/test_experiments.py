@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config, parse_config_text, read_csv
+from nessent.correlation import CorrelationMatrix
+from nessent.entanglement import SpectrumError
+from nessent.numerics import NotHermitian
 from nessent.experiments import (
     LengthMismatch,
     _fit_rows,
@@ -487,21 +490,94 @@ def test_threaded_distance_sweep_bytes_match_serial(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("measures, spectra", [(("negativity",), 0), (("mi",), 9), (("negativity", "ci"), 9)])
-def test_point_rows_compute_only_the_spectra_they_read(monkeypatch, measures, spectra):
-    # block_spectra takes three occupation spectra per point; the negativity
-    # reads none of them
-    import nessent.entanglement as ent
-
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name."""
     calls = []
-    spectrum = ent.occupation_spectrum
+    fn = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return spectrum(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(ent, "occupation_spectrum", counted)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("measures, spectra", [(("negativity",), 0), (("mi",), 3), (("negativity", "ci"), 3)])
+def test_point_rows_compute_only_the_spectra_they_read(monkeypatch, measures, spectra):
+    # von Neumann entropies take one occupation spectrum per point, that of
+    # the deflated union; the negativity reads none
+    import nessent.entanglement as ent
+
+    calls = count_calls(monkeypatch, ent, "occupation_spectrum")
     cfg = small_length_config(ell_min=6, ell_max=14, ell_step=4, measures=measures, renyi_orders=("vn",))
     _, rows = run_sweep_length(cfg)
     assert len(rows_of(rows, row_type="point")) == 3 * len(measures)
     assert len(calls) == spectra
+
+
+@pytest.mark.parametrize("orders, spectra", [((0.5,), 9), (("vn", 0.5), 12)])
+def test_sub_unit_orders_keep_the_full_spectra(monkeypatch, orders, spectra):
+    # below order 1 the three full spectra are taken, once per point
+    import nessent.entanglement as ent
+
+    calls = count_calls(monkeypatch, ent, "occupation_spectrum")
+    cfg = small_length_config(ell_min=6, ell_max=14, ell_step=4, measures=("mi", "entropy"), renyi_orders=orders)
+    run_sweep_length(cfg)
+    assert len(calls) == spectra
+
+
+def position_config(**overrides):
+    """Five far-limit placements of unequal intervals."""
+    base = dict(
+        scenario="sweep-position", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR,
+        ell_l=12, ell_r=24, delta_min=-8, delta_max=8, delta_step=4, measures=("mi",), renyi_orders=("vn",),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_position_sweep_decomposes_each_block_once(monkeypatch):
+    # the diagonal blocks do not depend on the offset, so the sweep's memo
+    # serves every point after the first
+    import nessent.entanglement as ent
+
+    calls = count_calls(monkeypatch, ent, "eigh_hermitian")
+    _, rows = run_sweep_position(position_config(measures=("mi", "ci", "negativity")))
+    assert len(rows_of(rows, row_type="point", measure="mi")) == 5
+    assert sorted(block.shape for (block,) in calls) == [(12, 12), (24, 24)]
+
+
+def test_threaded_position_sweep_bytes_match_serial(tmp_path):
+    outputs = []
+    for threads in (1, 4):
+        cfg = position_config(delta_min=-20, delta_max=32, measures=("mi", "negativity"), threads=threads)
+        fields, rows = run_sweep_position(cfg)
+        path = tmp_path / f"threads{threads}.csv"
+        emit_csv(rows, path, fields)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "left, cross, error, message",
+    [
+        ([[1.0 + 1e-6, 0.0], [0.0, 0.5]], 0.01, SpectrumError, "correlation eigenvalue 1.000001"),
+        ([[0.5, 0.3], [0.0, 0.5]], 0.01, NotHermitian, "Hermiticity deviation"),
+        ([[0.5, 0.0], [0.0, 0.5]], 0.01j, NotHermitian, "Hermiticity deviation"),
+    ],
+)
+def test_block_eigen_failures_name_the_sweep_point(monkeypatch, left, cross, error, message):
+    # the partition checks each block as eig_hermitian does, the cross
+    # blocks against each other, and clamps as occupation_spectrum does
+    import nessent.experiments as ex
+
+    def broken(*args):
+        mat = np.full((4, 4), cross, dtype=complex)
+        mat[:2, :2] = left
+        mat[2:, 2:] = [[0.5, 0.0], [0.0, 0.4]]
+        return CorrelationMatrix(mat, (-1, -2), (1, 2), "far")
+
+    monkeypatch.setattr(ex, "correlation_matrix_far", broken)
+    with pytest.raises(error, match=rf"^delta=-8: {message}"):
+        run_sweep_position(position_config())

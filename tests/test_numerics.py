@@ -8,6 +8,7 @@ from nessent.numerics import (
     Singular,
     eig_general,
     eig_hermitian,
+    eigh_hermitian,
     integrate,
     integrate_oscillatory,
     integrate_oscillatory_batch,
@@ -120,11 +121,16 @@ def test_eig_hermitian_known_decomposition():
     lam = np.sort(rng.uniform(-2, 2, size=6))
     m = (u * lam) @ u.conj().T
     assert np.abs(eig_hermitian(m) - lam).max() < 1e-10
+    nu, vecs = eigh_hermitian(m)
+    assert np.abs(nu - lam).max() < 1e-10
+    assert np.abs((vecs * nu) @ vecs.conj().T - m).max() < 1e-10
+    assert np.abs(vecs.conj().T @ vecs - np.eye(6)).max() < 1e-12
 
 
 def test_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for solve in (eig_hermitian, eigh_hermitian):
+        with pytest.raises(NotHermitian):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_hermitian_trace_sum():
