@@ -361,12 +361,13 @@ def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -
     """sea(kf, j-m) + sign * W_T(m-j) for j, m = 1..n, gathered from its
     2n - 1 Toeplitz values at the offsets x = j - m.  As in _hermitian, the
     upper triangle (x < 0) is kept, the lower one is its conjugate and the
-    diagonal is real; adding 0.0 to the conjugate gives a zero imaginary
-    part the sign _hermitian's sum gives it, so the bytes match."""
-    x = np.arange(1 - n, n)
+    diagonal is real, so W_T is read at the rates -x = 0..n-1 only; adding
+    0.0 to the conjugate gives a zero imaginary part the sign _hermitian's
+    sum gives it, so the bytes match."""
+    x = np.arange(1 - n, 1)
     values = _sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x)
-    upper = values[: n - 1]
-    values = np.concatenate([upper, values[n - 1 : n].real, upper[::-1].conj() + 0.0])
+    upper = values[:-1]
+    values = np.concatenate([upper, values[-1:].real, upper[::-1].conj() + 0.0])
     idx = np.arange(n)
     return values[np.subtract.outer(idx, idx) + n - 1]
 

@@ -7,9 +7,28 @@ families:
   (logs, x**(n-1) with n >= 1/2), handled by globally adaptive panel
   bisection with fixed-order Gauss-Legendre nodes and geometric panel
   grading toward a singular endpoint;
-* oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5, where the
-  initial panel count grows linearly with the number of oscillation periods
-  so that every period receives a full set of nodes.
+* oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5: Gauss-
+  Legendre with one panel per period below a phase extent omega_min =
+  min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256, Filon-Clenshaw-Curtis
+  (FCC) with a rate-independent cost above it.
+
+FCC (Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31, 1253 (2011);
+QUADPACK's QAWO splits high and low frequency the same way) maps [a, b] to
+[-1, 1] by k = m + h x, interpolates f on the N + 1 first-kind Chebyshev
+points (interior, like Gauss-Legendre nodes) and integrates each T_n against
+exp(i omega x), omega = mu h, exactly.  The moments
+mu_n = int_{-1}^{1} T_n(x) exp(i omega x) dx follow from mu_0 = 2 sin(omega)/omega,
+mu_1 = (2 cos(omega) - mu_0)/(i omega), mu_2 = (B_2 - 4 mu_1)/(i omega) and
+
+    mu_{n+1} = (n+1)/(i omega) [B_{n+1}/(n+1) - B_{n-1}/(n-1) - 2 mu_n]
+               + (n+1)/(n-1) mu_{n-1},   B_n = e^{i omega} - (-1)^n e^{-i omega},
+
+a forward recurrence that is stable only for n <= |omega|.  N starts at
+nodes_per_panel and doubles; degree N is checked against degree 2N with the
+Gauss-Legendre acceptance test, while 2N <= omega_min (stability) and
+2N + 1 <= max_panels * nodes_per_panel (the same budget in nodes).  When no
+degree passes, the batch falls back to the Gauss-Legendre grid, which
+raises NonConvergence on its panel budget.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
@@ -33,6 +52,7 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
+    "FILON_MIN_PHASE",
     "NumericsError",
     "NonConvergence",
     "NotHermitian",
@@ -253,6 +273,83 @@ def _fixed_grid(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarr
     return nodes, weights
 
 
+#: smallest phase extent min|rate| * (b - a)/2 of a batch that takes the
+#: Filon-Clenshaw-Curtis rule instead of the Gauss-Legendre grid
+FILON_MIN_PHASE = 256.0
+
+_CHEBYSHEV_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n + 1 first-kind Chebyshev points cos(pi (j + 1/2)/(n + 1)) and the
+    DCT-II matrix taking values there to the coefficients c_0..c_n of the
+    interpolant sum c_k T_k."""
+    rule = _CHEBYSHEV_CACHE.get(n)
+    if rule is None:
+        theta = np.pi * (np.arange(n + 1) + 0.5) / (n + 1)
+        dct = (2.0 / (n + 1)) * np.cos(np.outer(np.arange(n + 1), theta))
+        dct[0] *= 0.5
+        rule = (np.cos(theta), dct)
+        _CHEBYSHEV_CACHE[n] = rule
+    return rule
+
+
+def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
+    """mu_n(omega) = int_{-1}^{1} T_n(x) exp(i omega x) dx for n = 0..n_max
+    (rows), by the forward recurrence; stable for n <= |omega|."""
+    inv = 1.0 / (1j * omega)
+    # B_n / (i omega) with B_n = exp(i omega) - (-1)^n exp(-i omega)
+    boundary = (2.0 * np.sin(omega) / omega, 2.0 * np.cos(omega) * inv)
+    mu = np.empty((n_max + 1, omega.size), dtype=complex)
+    mu[0] = boundary[0]
+    mu[1] = boundary[1] - mu[0] * inv
+    mu[2] = boundary[0] - 4.0 * mu[1] * inv
+    for n in range(2, n_max):
+        mu[n + 1] = (
+            (-2.0 / (n - 1)) * boundary[(n + 1) % 2]
+            - (2.0 * (n + 1)) * mu[n] * inv
+            + ((n + 1) / (n - 1)) * mu[n - 1]
+        )
+    return mu
+
+
+def _filon_batch(f_smooth, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> np.ndarray | None:
+    """Filon-Clenshaw-Curtis estimate of the batch, or None when its phase
+    extent is below FILON_MIN_PHASE or no degree within the stability bound
+    and the budget meets the target.
+
+    With h = (b - a)/2 and m = (a + b)/2, f_smooth(m + h x) is interpolated
+    by sum c_n T_n(x) on Chebyshev points and each T_n is integrated against
+    exp(i rate (m + h x)) exactly, so the cost does not depend on the rate.
+    Degree N is checked against degree 2N; both use one moment recurrence.
+    """
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    omega = rates * half
+    omega_min = float(np.abs(omega).min())
+    if omega_min < FILON_MIN_PHASE:
+        return None
+    scale = half * np.exp(1j * rates * mid)
+
+    def coefficients(n: int) -> np.ndarray:
+        x, dct = _chebyshev_rule(n)
+        return dct @ np.asarray(f_smooth(mid + half * x), dtype=complex)
+
+    n = spec.nodes_per_panel
+    coarse = None
+    while 2 * n <= omega_min and 2 * n + 1 <= spec.max_panels * spec.nodes_per_panel:
+        mu = _chebyshev_moments(omega, 2 * n)
+        if coarse is None:
+            coarse = scale * (coefficients(n) @ mu[: n + 1])
+        fine = scale * (coefficients(2 * n) @ mu)
+        err = np.abs(fine - coarse)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
+        if bool(np.all(err <= tol)):
+            return fine
+        coarse = fine
+        n *= 2
+    return None
+
+
 def integrate_oscillatory_batch(
     f_smooth: Callable[[np.ndarray], np.ndarray],
     phase_rates,
@@ -262,13 +359,17 @@ def integrate_oscillatory_batch(
 ) -> np.ndarray:
     """Integrals of f_smooth(k) * exp(i * rate * k) for consecutive integer rates.
 
-    phase_rates must be r0, r0 + 1, r0 + 2, ...  All rates share one
-    composite Gauss-Legendre grid sized for the fastest phase (so every rate
-    gets at least nodes_per_panel nodes per period) and a single evaluation
-    of f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k)
-    once per node, then one complex multiply per further rate.  Agreement
-    between the grid and its twice-refined version is required to the spec
-    tolerance, doubling further until the budget runs out.
+    phase_rates must be r0, r0 + 1, r0 + 2, ...  When every rate has a phase
+    extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE, the batch first
+    tries the Filon-Clenshaw-Curtis rule (_filon_batch), whose cost does not
+    grow with the rate.  Otherwise, or when that rule does not converge, all
+    rates share one composite Gauss-Legendre grid sized for the fastest
+    phase (so every rate gets at least nodes_per_panel nodes per period) and
+    a single evaluation of f_smooth.  The phases follow by recurrence:
+    exp(i*r0*k) and exp(i*k) once per node, then one complex multiply per
+    further rate.  Agreement between the grid and its twice-refined version
+    is required to the spec tolerance, doubling further until the budget
+    runs out.
     """
     rates = np.asarray(phase_rates, dtype=float)
     if rates.size == 0:
@@ -279,6 +380,9 @@ def integrate_oscillatory_batch(
         raise ValueError("integrate_oscillatory_batch requires a <= b")
     if a == b:
         return np.zeros(rates.shape, dtype=complex)
+    filon = _filon_batch(f_smooth, rates, a, b, spec)
+    if filon is not None:
+        return filon
     rate_max = float(np.abs(rates).max())
     n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
 

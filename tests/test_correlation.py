@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from nessent.correlation import (
+    BLOCK,
     CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
@@ -140,6 +143,81 @@ def test_table_blocks_do_not_depend_on_request_order():
         a = fresh.coefficients(window, factor, rates)
         b = primed.coefficients(window, factor, rates)
         assert a.tobytes() == b.tobytes()
+
+
+def test_high_rate_blocks_do_not_depend_on_company_or_thread():
+    # blocks on both sides of the Filon-Clenshaw-Curtis switch (phase extent
+    # 256 is rate 245 on window L and rate 326 on window R)
+    keys = [(w, f, b) for w in ("L", "R") for f in ("rL", "tLc_rL") for b in (3, 4, 5, -6, 62)]
+
+    def block(builder, key):
+        window, factor, b = key
+        return builder.coefficients(window, factor, np.arange(BLOCK * b, BLOCK * (b + 1))).tobytes()
+
+    alone = {key: block(CorrelationBuilder(IMPURITY, BIAS), key) for key in keys}
+    after = CorrelationBuilder(IMPURITY, BIAS)
+    after.prefetch(keys[::-1])
+    shared = CorrelationBuilder(IMPURITY, BIAS)
+    with ThreadPoolExecutor(4) as pool:
+        list(pool.map(lambda key: shared.prefetch([key]), keys + keys[::-1]))
+    for key in keys:
+        assert block(after, key) == alone[key]
+        assert block(shared, key) == alone[key]
+
+
+def _mp_factor(mpmath, epsilon0, factor):
+    """A single-impurity factor continued off the real momentum axis:
+    t(k) = 1/(1 + i eps/(2 sin k)), and conj(t) on the real axis."""
+
+    def t(k, sign=1):
+        return 1 / (1 + sign * 1j * mpmath.mpf(epsilon0) / (2 * mpmath.sin(k)))
+
+    return {"rL": lambda k: t(k) - 1, "tR": t, "tLc": lambda k: t(k, -1)}[factor]
+
+
+def mp_window_integral(mpmath, f, kf, rate):
+    """int_0^kf f(k) exp(i rate k) dk / 2pi by mpmath.quad along a deformed path.
+
+    The first four periods, (0, c), are integrated on the real axis.  From c
+    and from kf the path runs straight to Im k = sign(rate) * inf, where the
+    phase decays as exp(-|rate| Im k); the legs are cut at 80 decay lengths
+    (e^-80 ~ 2e-35).  The factors have poles only at Re k = 0 and pi
+    (mod 2pi), so none lies between the legs.
+    """
+    g = lambda k: f(k) * mpmath.exp(1j * rate * k)
+    sign, scale = (1 if rate > 0 else -1), mpmath.mpf(abs(rate))
+    c = min(kf / 2, 8 * mpmath.pi / scale)
+
+    def leg(x):
+        return mpmath.quad(lambda u: g(x + 1j * sign * u / scale), [0, 4, 16, 80], method="gauss-legendre") / scale
+
+    direct = mpmath.quad(g, mpmath.linspace(0, c, 5), method="gauss-legendre")
+    return (direct + 1j * sign * (leg(c) - leg(kf))) / (2 * mpmath.pi)
+
+
+def test_deformed_path_matches_plain_mpmath_quad():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        f, kf, rate = _mp_factor(mpmath, 0.5, "tLc"), mpmath.mpf(BIAS.k_fr), -150
+        plain = mpmath.quad(lambda k: f(k) * mpmath.exp(1j * rate * k), mpmath.linspace(0, kf, 40))
+        assert abs(plain / (2 * mpmath.pi) - mp_window_integral(mpmath, f, kf, rate)) < 1e-27
+
+
+@pytest.mark.parametrize("epsilon0", [0.5, 2.0])
+def test_table_coefficients_match_mpmath_reference(epsilon0):
+    # rates on both sides of the Filon-Clenshaw-Curtis switch; table values
+    # include the 1/2pi.  On the Gauss-Legendre grid, rate 3906 was off by
+    # up to 1.1e-14.
+    mpmath = pytest.importorskip("mpmath")
+    builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
+    with mpmath.workdps(30):
+        for window, kf in (("L", BIAS.k_fl), ("R", BIAS.k_fr)):
+            for factor in ("rL", "tR", "tLc"):
+                f = _mp_factor(mpmath, epsilon0, factor)
+                for rate in (300, -300, 1000, 3906, 4000):
+                    reference = complex(mp_window_integral(mpmath, f, mpmath.mpf(kf), rate))
+                    table = builder.coefficients(window, factor, np.array([rate]))[0]
+                    assert abs(table - reference) <= 1e-15, (window, factor, rate)
 
 
 def _amp(i):
