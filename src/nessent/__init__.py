@@ -23,12 +23,12 @@ from .scattering import (
     wavefunction,
 )
 from .correlation import (
+    CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
     correlation_entry_finite,
     correlation_matrix_far,
     correlation_matrix_finite,
-    mirror_overlap,
 )
 from .entanglement import (
     EntanglementReport,

@@ -21,7 +21,6 @@ import sys
 
 from .config import SCENARIOS, ExperimentConfig, ParseError, emit_csv, parse_config
 from .experiments import run_scenario
-from .selftest import run_selftest
 
 
 def _default_threads() -> int:
@@ -45,6 +44,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.scenario == "selftest":
+            from .selftest import run_selftest
+
             return 0 if run_selftest() else 1
         if args.config is None:
             raise ParseError(f"scenario {args.scenario} requires --config")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .scattering import BiasState, ScatteringModel
 __all__ = [
     "SubsystemGeometry",
     "CorrelationMatrix",
-    "mirror_overlap",
     "correlation_entry_finite",
     "correlation_matrix_finite",
     "correlation_matrix_far",
@@ -63,8 +61,6 @@ __all__ = [
 #: entries need to resolve 1/d^2 tails of the measures, so they are computed
 #: a few digits tighter than the default
 ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=0.0, max_panels=60000, nodes_per_panel=16)
-
-Subsystem = Literal["A_L", "A_R", "A"]
 
 
 @dataclass(frozen=True)
@@ -120,36 +116,27 @@ class SubsystemGeometry:
         return tuple(base + j for j in range(1, self.ell_r + 1))
 
 
-def mirror_overlap(geom: SubsystemGeometry) -> tuple[int, int, int]:
-    """(ell_mirror, delta_ell_l, delta_ell_r) of the geometry."""
-    return geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r
-
-
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Correlation matrix restricted to A_L u A_R, with partition metadata.
+    """Correlation matrix of A_L u A_R split after its first n_left rows.
 
-    Rows/columns run over sites_left then sites_right, each ordered outward
-    from the scatterer.  Either site list may be empty.
+    Rows/columns run over A_L then A_R, each ordered outward from the
+    scatterer.  Either side may be empty.
     """
 
     matrix: np.ndarray
-    sites_left: tuple[int, ...] = ()
-    sites_right: tuple[int, ...] = ()
-    regime: str = "finite"
+    n_left: int
 
     def __post_init__(self) -> None:
-        dim = len(self.sites_left) + len(self.sites_right)
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("matrix shape does not match the site partition")
-
-    @property
-    def n_left(self) -> int:
-        return len(self.sites_left)
+        shape = self.matrix.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"correlation matrix must be square, got shape {shape}")
+        if not 0 <= self.n_left <= shape[0]:
+            raise ValueError(f"split n_left={self.n_left} outside [0, {shape[0]}]")
 
     @property
     def n_right(self) -> int:
-        return len(self.sites_right)
+        return self.dim - self.n_left
 
     @property
     def dim(self) -> int:
@@ -157,11 +144,11 @@ class CorrelationMatrix:
 
     def block_left(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[:n, :n], self.sites_left, (), self.regime)
+        return CorrelationMatrix(self.matrix[:n, :n], n)
 
     def block_right(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[n:, n:], (), self.sites_right, self.regime)
+        return CorrelationMatrix(self.matrix[n:, n:], 0)
 
     def cross_block(self) -> np.ndarray:
         """<c_L^dag c_R> block (rows A_L, columns A_R)."""
@@ -193,6 +180,9 @@ _FACTORS = {
 
 class CorrelationBuilder:
     """Fourier tables W(window, factor, x) shared by every matrix of a sweep.
+
+    The builder is the one owner of the model, the bias and the quadrature
+    spec; both matrix builders read them from it and take only a geometry.
 
     W(window, factor, x) = sign/(2pi) * int f(k) exp(i*x*k) dk over one of
     three windows: "L" = (0, k_fl) and "R" = (0, k_fr), the occupied
@@ -307,44 +297,22 @@ def correlation_entry_finite(
     return complex(_finite_block(builder, kind, [j], [m])[0, 0])
 
 
-def _partition_sites(geom: SubsystemGeometry, which: Subsystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if which == "A_L":
-        return geom.sites_left(), ()
-    if which == "A_R":
-        return (), geom.sites_right()
-    if which == "A":
-        return geom.sites_left(), geom.sites_right()
-    raise ValueError(f"unknown subsystem {which!r}")
-
-
-def correlation_matrix_finite(
-    model: ScatteringModel,
-    bias: BiasState,
-    geom: SubsystemGeometry,
-    which: Subsystem = "A",
-    spec: QuadratureSpec = ENTRY_SPEC,
-    builder: CorrelationBuilder | None = None,
-) -> CorrelationMatrix:
-    """Finite-distance correlation matrix of the selected subsystem.
+def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
+    """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
     The diagonal blocks are Hermitian by construction (upper triangle
-    mirrored by conjugation).  Passing a shared ``builder`` reuses its
-    Fourier tables across matrices (useful for sweeps over nearby distances).
+    mirrored by conjugation).  A builder shared across matrices reuses its
+    Fourier tables (useful for sweeps over nearby distances).
     """
-    left, right = _partition_sites(geom, which)
+    left, right = geom.sites_left(), geom.sites_right()
     nl, n = len(left), len(left) + len(right)
-    if builder is None:
-        builder = CorrelationBuilder(model, bias, spec)
     out = np.zeros((n, n), dtype=complex)
-    if left:
-        out[:nl, :nl] = _hermitian(_finite_block(builder, "LL", left, left))
-    if right:
-        out[nl:, nl:] = _hermitian(_finite_block(builder, "RR", right, right))
-    if left and right:
-        rl = _finite_block(builder, "RL", right, left)
-        out[nl:, :nl] = rl
-        out[:nl, nl:] = rl.conj().T
-    return CorrelationMatrix(out, left, right, regime="finite")
+    out[:nl, :nl] = _hermitian(_finite_block(builder, "LL", left, left))
+    out[nl:, nl:] = _hermitian(_finite_block(builder, "RR", right, right))
+    rl = _finite_block(builder, "RL", right, left)
+    out[nl:, :nl] = rl
+    out[:nl, nl:] = rl.conj().T
+    return CorrelationMatrix(out, nl)
 
 
 # ---------------------------------------------------------------------------
@@ -372,36 +340,24 @@ def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -
     return values[np.subtract.outer(idx, idx) + n - 1]
 
 
-def correlation_matrix_far(
-    model: ScatteringModel,
-    bias: BiasState,
-    geom: SubsystemGeometry,
-    which: Subsystem = "A",
-    spec: QuadratureSpec = ENTRY_SPEC,
-    builder: CorrelationBuilder | None = None,
-) -> CorrelationMatrix:
-    """Far-limit correlation matrix (d_i / ell_i -> infinity, d_l - d_r fixed).
+def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
+    """Far-limit correlation matrix of A_L u A_R in the builder's state
+    (d_i / ell_i -> infinity, d_l - d_r fixed).
 
     Within-block entries are Toeplitz; the cross block carries the phase
     exp(i k (d_l - d_r)) through its shifted argument and vanishes when the
     voltage window is empty.
     """
-    left, right = _partition_sites(geom, which)
-    nl, nr = len(left), len(right)
-    if builder is None:
-        builder = CorrelationBuilder(model, bias, spec)
+    nl, nr = geom.ell_l, geom.ell_r
     out = np.zeros((nl + nr, nl + nr), dtype=complex)
-    if nl:
-        out[:nl, :nl] = _far_diagonal(builder, bias.k_fl, -1.0, nl)
-    if nr:
-        out[nl:, nl:] = _far_diagonal(builder, bias.k_fr, 1.0, nr)
-    if nl and nr:
-        # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
-        rates = geom.d_l - geom.d_r - np.subtract.outer(np.arange(1, nr + 1), np.arange(1, nl + 1))
-        rl = builder.coefficients("V", "tLc_rL", rates)
-        out[nl:, :nl] = rl
-        out[:nl, nl:] = rl.conj().T
-    return CorrelationMatrix(out, left, right, regime="far")
+    out[:nl, :nl] = _far_diagonal(builder, builder.bias.k_fl, -1.0, nl)
+    out[nl:, nl:] = _far_diagonal(builder, builder.bias.k_fr, 1.0, nr)
+    # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
+    rates = geom.d_l - geom.d_r - np.subtract.outer(np.arange(1, nr + 1), np.arange(1, nl + 1))
+    rl = builder.coefficients("V", "tLc_rL", rates)
+    out[nl:, :nl] = rl
+    out[:nl, nl:] = rl.conj().T
+    return CorrelationMatrix(out, nl)
 
 
 # ---------------------------------------------------------------------------

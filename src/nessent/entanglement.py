@@ -38,13 +38,27 @@ when a nearly full mode faces a nearly empty one.  So a mode is deflated
 when min(nu, 1 - nu) <= DEFLATION_TOL and the sum over its partners of
 min(|Y_ij|, |Y_ij|^2 / (1 - |nu_i - nu_j|)) is at most DEFLATION_TOL too, or
 when its coupling row is exactly zero; if either block is left without
-active modes, the other one's are decoupled as well.  Below order 1 an
-entropy term mu^n / (1 - n) falls only as a power of mu below 1 (3e-7 per
-mode at n = 1/2, mu = 1e-13), so orders n < 1 keep the full three spectra
-(``deflates``).  When both blocks of a fig. 3 sweep repeat from point to
-point, a memo the caller keeps hands back the last eigenpairs of each side,
-matched on the block's entries, so that every value stays a pure function of
-the matrix whichever thread asks first.
+active modes, the other one's are decoupled as well.  When both blocks of a
+fig. 3 sweep repeat from point to point, a memo the caller keeps hands back
+the last eigenpairs of each side, matched on the block's entries, so that
+every value stays a pure function of the matrix whichever thread asks first.
+
+Orders n < 1 keep the full three spectra (``deflates``): an entropy term
+mu^n / (1 - n) falls only as a power of mu, and deflating would be no
+accuracy gain.  On fig. 2 far matrices (epsilon0 = 0.5, 1, 2 and constant
+T = 1/2) the order-1/2 MI was compared with a reference
+S_1/2 = 2 sum ln(sigma + sigma'), sigma and sigma' the singular values of
+the rows of V and W, where C = V V^dag and I - C = W W^dag (V V^dag matches
+the far builder to 3.4e-14; the reference moves by 1.3e-12 with 1.5x the
+quadrature nodes).  The error against it is
+
+    ell    full spectra (eigvalsh)     deflated
+     20    -2.5e-8 .. +7.5e-8          -1.7e-7 .. -2.4e-7
+    100    -5.1e-7 .. -1.1e-6          -1.1e-6 .. -1.5e-6
+    200    -2.3e-6 .. -3.4e-6          -1.9e-6 .. -2.2e-6
+
+and taking the block spectra from ``eigh`` and the union from U^dag C U
+errs by up to -5.2e-6 at ell = 200.
 
 The fermionic negativity uses the partial time-reversal of one block.  With
 C_A = [[C_LL, C_LR], [C_RL, C_RR]] one forms
@@ -199,11 +213,10 @@ class Partition(NamedTuple):
     """A partition deflated to its coupled modes.
 
     ``reduced`` is U^dag C U on the active modes: diag(nu) of the active
-    modes of A_L, then of A_R, with their coupling in the cross blocks; its
-    "sites" are the indices of the active modes in each block's ascending
-    spectrum.  ``deflated_left`` and ``deflated_right`` are the clamped
-    eigenvalues of the other modes, and ``clamp_count`` counts the block
-    eigenvalues clamped.  Either both blocks keep active modes or neither does.
+    modes of A_L, then of A_R, with their coupling in the cross blocks.
+    ``deflated_left`` and ``deflated_right`` are the clamped eigenvalues of
+    the other modes, and ``clamp_count`` counts the block eigenvalues
+    clamped.  Either both blocks keep active modes or neither does.
     """
 
     reduced: CorrelationMatrix
@@ -259,10 +272,7 @@ def partition(c: CorrelationMatrix, memo: dict | None = None) -> Partition:
     reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]]).astype(complex))
     reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
     reduced[k:, :k] = reduced[:k, k:].conj().T
-    modes = CorrelationMatrix(
-        reduced, tuple(np.flatnonzero(act_l).tolist()), tuple(np.flatnonzero(act_r).tolist()), c.regime
-    )
-    return Partition(modes, nu_l[~act_l], nu_r[~act_r], clamp_l + clamp_r)
+    return Partition(CorrelationMatrix(reduced, k), nu_l[~act_l], nu_r[~act_r], clamp_l + clamp_r)
 
 
 class BlockSpectra(NamedTuple):

@@ -133,17 +133,13 @@ _REPORT_FIELDS = {
 }
 
 
-def _measure_point_rows(
-    model: ScatteringModel,
-    bias: BiasState,
-    geom: SubsystemGeometry,
-    cmat: CorrelationMatrix,
-    config: ExperimentConfig,
-    base: dict,
-    memo: dict,
-) -> list[dict]:
-    """Numeric + analytic values of every requested measure on one matrix;
-    ``memo`` is the sweep's block-eigenpair memo (see ``partition``)."""
+def _point_values(cmat: CorrelationMatrix, memo: dict):
+    """``numeric(measure, order)``, the value of a CSV measure on one matrix.
+
+    The partition, each kind of spectra and each order's report are taken at
+    most once, whatever the measures asked; the negativity is E_1 at any
+    order.  ``memo`` is the sweep's block-eigenpair memo (see ``partition``).
+    """
 
     @cache
     def deflated():
@@ -154,20 +150,37 @@ def _measure_point_rows(
         return block_spectra(deflated() if deflate else cmat)
 
     reports: dict = {}
+
+    def numeric(measure: str, order) -> float:
+        if measure == "negativity":
+            return fermionic_negativity(deflated(), 1)
+        label = order_label(order)
+        if label not in reports:
+            reports[label] = report_from_spectra(spectra(deflates(order)), order)
+        return getattr(reports[label], _REPORT_FIELDS[measure])
+
+    return numeric
+
+
+def _measure_point_rows(
+    model: ScatteringModel,
+    bias: BiasState,
+    geom: SubsystemGeometry,
+    cmat: CorrelationMatrix,
+    config: ExperimentConfig,
+    base: dict,
+    memo: dict,
+) -> list[dict]:
+    """Numeric + analytic values of every requested measure on one matrix."""
+    numeric = _point_values(cmat, memo)
     rows: list[dict] = []
     for measure, order, label, pred in _predictions(model, bias, geom, config):
-        if measure == "negativity":
-            numeric = fermionic_negativity(deflated(), 1)
-        else:
-            if label not in reports:
-                reports[label] = report_from_spectra(spectra(deflates(order)), order)
-            numeric = getattr(reports[label], _REPORT_FIELDS[measure])
         row = dict(base)
         row.update(
             row_type="point",
             measure=measure,
             order=label,
-            numeric=numeric,
+            numeric=numeric(measure, order),
             analytic_linear=pred.linear_term if pred else None,
             analytic_log=pred.log_term if pred else None,
             analytic=pred.total_minus_constant if pred else None,
@@ -236,14 +249,13 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     coordinate columns of a point."""
     model = config.build_model()
     bias = config.build_bias()
-    spec = _entry_spec(config)
-    builder = CorrelationBuilder(model, bias, spec)
+    builder = CorrelationBuilder(model, bias, _entry_spec(config))
     memo: dict = {}
 
     def compute(coord: int) -> list[dict]:
         geom, base = point(model, coord)
         with _failure_at(f"{name}={coord}"):
-            cmat = correlation_matrix_far(model, bias, geom, "A", spec, builder)
+            cmat = correlation_matrix_far(builder, geom)
             return _measure_point_rows(model, bias, geom, cmat, config, base, memo)
 
     points = [row for rows in _map_ordered(compute, coords, config.threads) for row in rows]
@@ -335,7 +347,6 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     """
     model = config.build_model()
     bias = config.build_bias()
-    spec = _entry_spec(config)
     ell = config.ell
     window = friedel_window(bias.k_fl, bias.k_fr, config.window)
     d_min = int(round(config.d_over_ell_min * ell))
@@ -347,23 +358,16 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
 
     def measured(cmat: CorrelationMatrix) -> dict[str, float]:
-        deflated = partition(cmat)
-        out: dict[str, float] = {}
-        if "mi" in wanted:
-            out["mi"] = report_from_spectra(block_spectra(deflated)).mutual_info
-        if "negativity" in wanted:
-            out["negativity"] = fermionic_negativity(deflated, 1)
-        return out
+        numeric = _point_values(cmat, {})
+        return {measure: numeric(measure, "vn") for measure in wanted}
 
-    builder = CorrelationBuilder(model, bias, spec)
+    builder = CorrelationBuilder(model, bias, _entry_spec(config))
     with _failure_at("far limit"):
-        far_geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
-        far_vals = measured(correlation_matrix_far(model, bias, far_geom, "A", spec, builder))
+        far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(model.m0, 0, ell, 0, ell)))
 
     def one_distance(d: int) -> dict[str, float]:
-        geom = SubsystemGeometry(model.m0, d, ell, d, ell)
         with _failure_at(f"d={d}"):
-            return measured(correlation_matrix_finite(model, bias, geom, "A", spec, builder))
+            return measured(correlation_matrix_finite(builder, SubsystemGeometry(model.m0, d, ell, d, ell)))
 
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}

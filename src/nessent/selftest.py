@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import asymptotics as asy
-from .correlation import CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
+from .correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from .entanglement import (
     correlation_moments,
     entropy,
@@ -38,7 +38,7 @@ def _random_correlation(rng, nl, nr):
     nu = rng.uniform(0.02, 0.98, size=dim)
     _, u = np.linalg.eigh(h)
     c = (u * nu) @ u.conj().T
-    return CorrelationMatrix(c, tuple(range(-nl, 0)), tuple(range(1, nr + 1)))
+    return CorrelationMatrix(c, nl)
 
 
 @check
@@ -111,7 +111,7 @@ def far_cross_block_zero_without_window():
     model = SingleImpurity(1.0)
     bias = BiasState(np.pi / 2, np.pi / 2)
     geom = SubsystemGeometry(0, 3, 5, 3, 5)
-    cmat = correlation_matrix_far(model, bias, geom, "A")
+    cmat = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
     assert np.abs(cmat.cross_block()).max() == 0.0
 
 
@@ -120,7 +120,7 @@ def far_matrix_spectrum_in_unit_interval():
     model = SingleImpurity(1.0)
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
     geom = SubsystemGeometry(0, 0, 24, 0, 24)
-    cmat = correlation_matrix_far(model, bias, geom, "A")
+    cmat = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
     nu = np.linalg.eigvalsh(cmat.matrix)  # unclamped: occupation_spectrum clips to [0, 1]
     assert nu.min() > -1e-8 and nu.max() < 1 + 1e-8, f"spectrum [{nu.min()}, {nu.max()}]"
 
@@ -164,7 +164,7 @@ def negativity_product_state_zero():
     c = cm.matrix.copy()
     c[:2, 2:] = 0.0
     c[2:, :2] = 0.0
-    cm0 = CorrelationMatrix(c, cm.sites_left, cm.sites_right)
+    cm0 = CorrelationMatrix(c, cm.n_left)
     assert abs(fermionic_negativity(cm0, 1)) < 1e-8
 
 

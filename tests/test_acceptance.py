@@ -42,7 +42,7 @@ def random_correlation(rng, nl, nr):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     _, u = np.linalg.eigh(0.5 * (h + h.conj().T))
     nu = rng.uniform(0.0, 1.0, size=dim)
-    return CorrelationMatrix((u * nu) @ u.conj().T, tuple(range(-nl, 0)), tuple(range(1, nr + 1))), np.sort(nu)
+    return CorrelationMatrix((u * nu) @ u.conj().T, nl), np.sort(nu)
 
 
 def rows_of(rows, **sel):
@@ -182,7 +182,7 @@ def test_criterion_06_symmetric_union_entropy_log_law():
     ells = [50, 80, 120, 180, 260, 400]
     s_a = []
     for ell in ells:
-        cm = correlation_matrix_far(model, BIAS, SubsystemGeometry(0, 0, ell, 0, ell), "A", builder=builder)
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, ell, 0, ell))
         s_a.append(entropy(occupation_spectrum(cm)[0], "vn"))
     coef = float(np.polyfit(np.log(ells), s_a, 1)[0])
     rel = abs(coef - 2.0 / 3.0) / (2.0 / 3.0)
@@ -269,7 +269,7 @@ def test_criterion_09_order_one_continuity():
         ell = int(rng.integers(8, 25))
         delta = int(rng.integers(-4, 5))
         geom = SubsystemGeometry(0, max(0, delta), ell, max(0, -delta), ell)
-        cm = correlation_matrix_far(model, bias, geom, "A")
+        cm = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
         spectra = block_spectra(cm)
         reports = {order: report_from_spectra(spectra, order) for order in ("vn", 1 - h, 1 + h)}
         for field in ("mutual_info", "coherent_info"):
@@ -298,12 +298,12 @@ def test_criterion_10_cxi_reality():
     for epsilon0 in (0.5, 1.0, 2.0):
         model = SingleImpurity(epsilon0)
         for ell in (20, 60, 120):
-            cm = correlation_matrix_far(model, BIAS, SubsystemGeometry(0, 0, ell, 0, ell), "A")
+            cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 0, ell, 0, ell))
             rep = measures(cm, "vn", with_negativity=True)
             worst = max(worst, rep.pairing_residual)
     model = SingleImpurity(1.0)
     for d in (150, 600):
-        cm = correlation_matrix_finite(model, BIAS, SubsystemGeometry(0, d, 30, d, 30), "A")
+        cm = correlation_matrix_finite(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, d, 30, d, 30))
         rep = measures(cm, "vn", with_negativity=True)
         worst = max(worst, rep.pairing_residual)
     for _ in range(10):

@@ -255,7 +255,7 @@ def test_contiguous_entropy_constant_residual():
     residuals = []
     for ell in (50, 100, 200):
         geom = SubsystemGeometry(0, 0, ell, 0, ell)
-        cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A_L", builder=builder)
+        cm = correlation_matrix_far(builder, geom).block_left()
         pred = asy.contiguous_entropy_prediction(IMPURITY, BIAS, ell, "L", 2.0)
         residuals.append(entropy(occupation_spectrum(cm)[0], 2.0) - pred.total_minus_constant)
     assert max(residuals) - min(residuals) < 0.05

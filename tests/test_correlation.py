@@ -11,7 +11,6 @@ from nessent.correlation import (
     correlation_entry_finite,
     correlation_matrix_far,
     correlation_matrix_finite,
-    mirror_overlap,
     read_matrix_dump,
     write_matrix_dump,
 )
@@ -30,17 +29,17 @@ def brute_force_overlap(geom):
 
 def test_mirror_overlap_symmetric():
     geom = SubsystemGeometry(0, 10, 50, 10, 50)
-    assert mirror_overlap(geom) == (50, 0, 0)
+    assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (50, 0, 0)
 
 
 def test_mirror_overlap_disjoint_images():
     geom = SubsystemGeometry(0, 0, 10, 20, 10)
-    assert mirror_overlap(geom) == (0, 10, 10)
+    assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (0, 10, 10)
 
 
 def test_mirror_overlap_partial():
     geom = SubsystemGeometry(0, 0, 100, 30, 100)
-    assert mirror_overlap(geom) == (70, 30, 30)
+    assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (70, 30, 30)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -110,7 +109,7 @@ def test_entry_rejects_scattering_region():
 
 def test_finite_matrix_reduces_to_entry():
     geom = SubsystemGeometry(0, 2, 1, 2, 1)
-    cm = correlation_matrix_finite(IMPURITY, BIAS, geom, "A_R")
+    cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom).block_right()
     entry = correlation_entry_finite(IMPURITY, BIAS, 3, 3)
     assert cm.matrix.shape == (1, 1)
     assert abs(cm.matrix[0, 0] - entry) < 1e-14
@@ -118,7 +117,7 @@ def test_finite_matrix_reduces_to_entry():
 
 def test_finite_matrix_hermitian_and_contractive():
     geom = SubsystemGeometry(0, 1, 10, 2, 10)
-    cm = correlation_matrix_finite(TrivialScatterer(), BIAS, geom, "A")
+    cm = correlation_matrix_finite(CorrelationBuilder(TrivialScatterer(), BIAS), geom)
     m = cm.matrix
     assert np.abs(m - m.conj().T).max() == 0.0
     nu = np.linalg.eigvalsh(m)
@@ -127,7 +126,7 @@ def test_finite_matrix_hermitian_and_contractive():
 
 def test_finite_matrix_matches_entrywise_assembly():
     geom = SubsystemGeometry(0, 3, 4, 1, 3)
-    cm = correlation_matrix_finite(IMPURITY, BIAS, geom, "A")
+    cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
     sites = geom.sites_left() + geom.sites_right()
     for a, sa in enumerate(sites):
         for b, sb in enumerate(sites):
@@ -247,30 +246,30 @@ def test_table_coefficients_match_scalar_quadrature(bias, window, factor, rate, 
 def test_far_limit_entries_converge_with_distance():
     # entrywise limit of the finite-distance matrix; SM-style 1/d envelope
     geom = lambda d: SubsystemGeometry(0, d, 4, d, 4)
-    far = correlation_matrix_far(IMPURITY, BIAS, geom(500), "A")
+    far = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom(500))
     for d in (500, 1500):
-        fin = correlation_matrix_finite(IMPURITY, BIAS, geom(d), "A")
+        fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom(d))
         assert np.abs(fin.matrix - far.matrix).max() < 3.0 / d
 
 
 def test_far_limit_mirrored_bias_ordering():
     mirrored = BiasState(np.pi / 2, 2 * np.pi / 3)
     geom = SubsystemGeometry(0, 600, 4, 600, 4)
-    far = correlation_matrix_far(IMPURITY, mirrored, geom, "A")
-    fin = correlation_matrix_finite(IMPURITY, mirrored, geom, "A")
+    far = correlation_matrix_far(CorrelationBuilder(IMPURITY, mirrored), geom)
+    fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, mirrored), geom)
     assert np.abs(fin.matrix - far.matrix).max() < 3.0 / 600
 
 
 def test_far_diag_constant_transmission():
     model = ConstantTransmission(0.37)
-    cm = correlation_matrix_far(model, BIAS, SubsystemGeometry(0, 0, 3, 0, 3), "A_R")
+    cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 0, 3, 0, 3)).block_right()
     expected = BIAS.k_fr / np.pi + 0.37 * (BIAS.k_fl - BIAS.k_fr) / (2 * np.pi)
     assert cm.matrix[0, 0].real == pytest.approx(expected, abs=1e-12)
 
 
 def test_far_within_blocks_toeplitz():
     geom = SubsystemGeometry(0, 0, 12, 0, 12)
-    cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A")
+    cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     n = 12
     for block in (cm.matrix[:n, :n], cm.matrix[n:, n:]):
         for off in range(-n + 1, n):
@@ -286,7 +285,7 @@ def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
     bias = BiasState(k_fl, k_fr)
     builder = CorrelationBuilder(IMPURITY, bias)
     for n in (1, 2, 7, 64, 65, 130):
-        cm = correlation_matrix_far(IMPURITY, bias, SubsystemGeometry(0, 0, n, 0, n), "A", builder=builder)
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, n, 0, n))
         idx = np.arange(1, n + 1)
         x = np.subtract.outer(idx, idx)
         for block, kf, sign in ((cm.block_left().matrix, k_fl, -1.0), (cm.block_right().matrix, k_fr, 1.0)):
@@ -301,8 +300,8 @@ def test_far_cross_block_carries_offset_phase():
     # cross entries depend on d_l - d_r only through a shifted argument
     g1 = SubsystemGeometry(0, 9, 5, 2, 5)
     g2 = SubsystemGeometry(0, 16, 5, 9, 5)
-    c1 = correlation_matrix_far(IMPURITY, BIAS, g1, "A")
-    c2 = correlation_matrix_far(IMPURITY, BIAS, g2, "A")
+    c1 = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), g1)
+    c2 = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), g2)
     assert np.abs(c1.matrix - c2.matrix).max() < 1e-13
 
 
@@ -310,8 +309,8 @@ def test_far_finite_mi_agreement_moderate_distance():
     from nessent.entanglement import measures
 
     geom = SubsystemGeometry(0, 200, 20, 200, 20)
-    fin = correlation_matrix_finite(IMPURITY, BIAS, geom, "A")
-    far = correlation_matrix_far(IMPURITY, BIAS, geom, "A")
+    fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
+    far = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     mi_fin = measures(fin, "vn").mutual_info
     mi_far = measures(far, "vn").mutual_info
     assert abs(mi_fin - mi_far) < 0.05
@@ -319,7 +318,7 @@ def test_far_finite_mi_agreement_moderate_distance():
 
 def test_matrix_dump_round_trip(tmp_path):
     geom = SubsystemGeometry(0, 1, 3, 1, 2)
-    cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A")
+    cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     path = tmp_path / "matrix.bin"
     write_matrix_dump(cm, path)
     back = read_matrix_dump(path)
@@ -333,9 +332,21 @@ def test_matrix_dump_round_trip(tmp_path):
 
 def test_partition_block_views():
     geom = SubsystemGeometry(0, 1, 2, 1, 3)
-    cm = correlation_matrix_far(IMPURITY, BIAS, geom, "A")
+    cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     assert cm.block_left().matrix.shape == (2, 2)
     assert cm.block_right().matrix.shape == (3, 3)
     assert cm.cross_block().shape == (2, 3)
-    with pytest.raises(ValueError):
-        CorrelationMatrix(np.eye(3), (-1,), (1,))
+    assert (cm.n_left, cm.n_right, cm.dim) == (2, 3, 5)
+    assert (cm.block_left().n_left, cm.block_right().n_left) == (2, 0)
+
+
+def test_correlation_matrix_validates_shape_and_split():
+    for n_left in (0, 2, 3):
+        assert CorrelationMatrix(np.eye(3), n_left).n_right == 3 - n_left
+    with pytest.raises(ValueError, match="square"):
+        CorrelationMatrix(np.eye(3)[:2], 1)
+    with pytest.raises(ValueError, match="square"):
+        CorrelationMatrix(np.ones(3), 1)
+    for n_left in (-1, 4):
+        with pytest.raises(ValueError, match="outside"):
+            CorrelationMatrix(np.eye(3), n_left)

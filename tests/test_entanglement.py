@@ -36,13 +36,12 @@ def cm_from_spectrum(rng, nl, nr, spectrum=None):
     _, u = np.linalg.eigh(0.5 * (h + h.conj().T))
     nu = rng.uniform(0.02, 0.98, size=dim) if spectrum is None else np.asarray(spectrum)
     mat = (u * nu) @ u.conj().T
-    return CorrelationMatrix(mat, tuple(range(-nl, 0)), tuple(range(1, nr + 1))), np.sort(nu)
+    return CorrelationMatrix(mat, nl), np.sort(nu)
 
 
 def diag_cm(values, nl):
     values = np.asarray(values, dtype=complex)
-    nr = len(values) - nl
-    return CorrelationMatrix(np.diag(values), tuple(range(-nl, 0)), tuple(range(1, nr + 1)))
+    return CorrelationMatrix(np.diag(values), nl)
 
 
 def spectrum_of(cm):
@@ -52,7 +51,7 @@ def spectrum_of(cm):
 def far_fig2(ell):
     """Fig. 2 far-limit matrix at epsilon0 = 1, mirrored intervals of length ell."""
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    return correlation_matrix_far(SingleImpurity(1.0), bias, SubsystemGeometry(0, 0, ell, 0, ell), "A")
+    return correlation_matrix_far(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(0, 0, ell, 0, ell))
 
 
 def test_renyi_pure_state_slice_is_zero():
@@ -137,7 +136,7 @@ def test_measures_uncorrelated_blocks():
     c = cm.matrix.copy()
     c[:2, 2:] = 0.0
     c[2:, :2] = 0.0
-    product = CorrelationMatrix(c, cm.sites_left, cm.sites_right)
+    product = CorrelationMatrix(c, cm.n_left)
     rep = measures(product, "vn", with_negativity=True)
     assert abs(rep.mutual_info) < 1e-9
     assert rep.coherent_info == pytest.approx(-rep.s_al, abs=1e-9)
@@ -145,7 +144,7 @@ def test_measures_uncorrelated_blocks():
 
 
 def test_measures_maximally_entangled_pair():
-    cm = CorrelationMatrix(np.full((2, 2), 0.5, dtype=complex), (-1,), (1,))
+    cm = CorrelationMatrix(np.full((2, 2), 0.5, dtype=complex), 1)
     rep = measures(cm, "vn", with_negativity=True)
     assert abs(rep.s_a) < 1e-10
     assert rep.mutual_info == pytest.approx(2 * np.log(2.0), abs=1e-10)
@@ -164,7 +163,7 @@ def test_measures_mi_identity_and_report_fields():
 
 
 def test_negativity_two_site_fock_oracle():
-    cm = CorrelationMatrix(np.full((2, 2), 0.5, dtype=complex), (-1,), (1,))
+    cm = CorrelationMatrix(np.full((2, 2), 0.5, dtype=complex), 1)
     rho = fs.gaussian_density_matrix(cm.matrix)
     oracle = fs.negativity_dm(rho, [0], 2)
     assert oracle == pytest.approx(np.log(2.0), abs=1e-10)
@@ -205,7 +204,7 @@ def test_negativity_rejects_odd_order_and_empty_block():
     cm, _ = cm_from_spectrum(rng, 2, 2)
     with pytest.raises(ValueError):
         fermionic_negativity(cm, 3)
-    lonely = CorrelationMatrix(np.eye(2, dtype=complex) * 0.5, (-2, -1), ())
+    lonely = CorrelationMatrix(np.eye(2, dtype=complex) * 0.5, 2)
     with pytest.raises(ValueError):
         fermionic_negativity(lonely, 1)
 
@@ -215,7 +214,7 @@ def test_negativity_nonfinite_input_raises_singular_resolvent():
         mat = np.full((2, 2), 0.5, dtype=complex)
         mat[entry] = np.nan
         with pytest.raises(SingularResolvent):
-            fermionic_negativity(CorrelationMatrix(mat, (-1,), (1,)), 1)
+            fermionic_negativity(CorrelationMatrix(mat, 1), 1)
 
 
 def test_negativity_relation_to_half_renyi_mi_slope():
@@ -226,7 +225,7 @@ def test_negativity_relation_to_half_renyi_mi_slope():
     vals = {}
     for ell in (40, 80):
         geom = SubsystemGeometry(0, 0, ell, 0, ell)
-        cm = correlation_matrix_far(model, bias, geom, "A")
+        cm = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
         rep = measures(cm, 0.5, with_negativity=True)
         vals[ell] = (rep.negativity, rep.mutual_info)
     neg_slope = (vals[80][0] - vals[40][0]) / 40.0
@@ -258,7 +257,7 @@ def test_negativity_stable_under_roundoff_perturbation():
     rng = np.random.default_rng(17)
     h = rng.normal(size=(cm.dim, cm.dim)) + 1j * rng.normal(size=(cm.dim, cm.dim))
     h = 0.5 * (h + h.conj().T)
-    nudged = CorrelationMatrix(cm.matrix + 1e-13 * h / np.abs(h).max(), cm.sites_left, cm.sites_right)
+    nudged = CorrelationMatrix(cm.matrix + 1e-13 * h / np.abs(h).max(), cm.n_left)
     assert abs(fermionic_negativity(nudged, 1) - fermionic_negativity(cm, 1)) < 1e-9
 
 
@@ -306,7 +305,7 @@ def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):
     value = fermionic_negativity(cm, 1)
     assert value >= -1e-12
     swap = np.r_[nl:nl + nr, 0:nl]
-    swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], tuple(range(-nr, 0)), tuple(range(1, nl + 1)))
+    swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], nr)
     assert abs(fermionic_negativity(swapped, 1) - value) < 1e-12
 
 
@@ -323,9 +322,8 @@ def shared_builder(epsilon0, flip):
 
 
 def builder_matrix(regime, epsilon0, flip, geom):
-    builder = shared_builder(epsilon0, flip)
     assemble = correlation_matrix_far if regime == "far" else correlation_matrix_finite
-    return assemble(builder.model, builder.bias, geom, "A", builder=builder)
+    return assemble(shared_builder(epsilon0, flip), geom)
 
 
 builder_inputs = st.tuples(
@@ -407,7 +405,7 @@ def test_partition_deflates_most_far_modes():
 def test_partition_without_coupling_keeps_no_mode():
     # an empty voltage window makes the cross block exactly zero
     cm = correlation_matrix_far(
-        SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2), SubsystemGeometry(0, 0, 20, 3, 30), "A"
+        CorrelationBuilder(SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2)), SubsystemGeometry(0, 0, 20, 3, 30)
     )
     assert not np.any(cm.cross_block())
     deflated = partition(cm)

@@ -453,7 +453,7 @@ def test_distance_sweep_failure_names_distance(monkeypatch):
     import nessent.experiments as ex
     from nessent.numerics import NonConvergence
 
-    def starved(model, bias, geom, *args):
+    def starved(builder, geom):
         raise NonConvergence("budget exhausted")
 
     monkeypatch.setattr(ex, "correlation_matrix_finite", starved)
@@ -572,11 +572,11 @@ def test_block_eigen_failures_name_the_sweep_point(monkeypatch, left, cross, err
     # blocks against each other, and clamps as occupation_spectrum does
     import nessent.experiments as ex
 
-    def broken(*args):
+    def broken(builder, geom):
         mat = np.full((4, 4), cross, dtype=complex)
         mat[:2, :2] = left
         mat[2:, 2:] = [[0.5, 0.0], [0.0, 0.4]]
-        return CorrelationMatrix(mat, (-1, -2), (1, 2), "far")
+        return CorrelationMatrix(mat, 2)
 
     monkeypatch.setattr(ex, "correlation_matrix_far", broken)
     with pytest.raises(error, match=rf"^delta=-8: {message}"):
