@@ -144,11 +144,11 @@ class CorrelationMatrix:
 
     def block_left(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[:n, :n], n)
+        return type(self)(self.matrix[:n, :n], n)
 
     def block_right(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[n:, n:], 0)
+        return type(self)(self.matrix[n:, n:], 0)
 
     def cross_block(self) -> np.ndarray:
         """<c_L^dag c_R> block (rows A_L, columns A_R)."""

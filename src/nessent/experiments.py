@@ -33,6 +33,7 @@ from .entanglement import (
     block_spectra,
     deflates,
     fermionic_negativity,
+    fold,
     partition,
     report_from_spectra,
 )
@@ -139,7 +140,9 @@ def _point_values(cmat: CorrelationMatrix, memo: dict):
     The partition, each kind of spectra and each order's report are taken at
     most once, whatever the measures asked; the negativity is E_1 at any
     order.  ``memo`` is the sweep's block-eigenpair memo (see ``partition``).
+    The matrix is folded once, here (see ``fold``).
     """
+    cmat = fold(cmat)
 
     @cache
     def deflated():

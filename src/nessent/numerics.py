@@ -35,10 +35,11 @@ singularities are never evaluated at the endpoint itself.
 
 The eigenvalue and inverse routines wrap LAPACK (through ``numpy.linalg``)
 behind the checks the rest of the package relies on: Hermiticity is verified
-and enforced by symmetrization before ``eigvalsh`` or ``eigh``, and inverses
-are checked against an explicit residual.  Eigenvectors are taken only of the
-diagonal blocks of a partition, which the entanglement measures deflate to
-their coupled modes.
+before ``eigvalsh`` or ``eigh``, which read one triangle of the matrix as it
+is, and inverses are checked against an explicit residual.  A real matrix
+stays real, so a real symmetric one is solved in real arithmetic.
+Eigenvectors are taken only of the diagonal blocks of a partition, which the
+entanglement measures deflate to their coupled modes.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
     "FILON_MIN_PHASE",
+    "HERM_TOL",
     "NumericsError",
     "NonConvergence",
     "NotHermitian",
@@ -66,6 +68,10 @@ __all__ = [
     "eig_general",
     "mat_inverse",
 ]
+
+
+#: relative Hermiticity tolerance of check_hermitian and the eigensolvers
+HERM_TOL = 1e-10
 
 
 class NumericsError(Exception):
@@ -418,13 +424,14 @@ def integrate_oscillatory_batch(
 
 
 def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    a = a if np.iscomplexobj(a) else a.astype(float, copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("expected a square matrix of dimension >= 1")
     return a
 
 
-def check_hermitian(upper: np.ndarray, lower: np.ndarray | None = None, herm_tol: float = 1e-10) -> None:
+def check_hermitian(upper: np.ndarray, lower: np.ndarray | None = None, herm_tol: float = HERM_TOL) -> None:
     """Raise NotHermitian unless ||lower - upper^dag||_max <= herm_tol * max(1, ||upper||_max).
 
     With lower omitted this checks upper itself; given, upper and lower are
@@ -432,32 +439,36 @@ def check_hermitian(upper: np.ndarray, lower: np.ndarray | None = None, herm_tol
     """
     lower = upper if lower is None else lower
     scale = max(1.0, float(np.abs(upper).max()))
-    dev = float(np.abs(lower - upper.conj().T).max())
+    diff = lower - upper.conj().T
+    dev = float(np.abs(diff, out=diff).real.max())  # in place: one temporary
     if dev > herm_tol * scale:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {herm_tol * scale:.3e}")
 
 
-def _hermitian_part(m, herm_tol: float) -> np.ndarray:
-    """(M + M^dag)/2, after check_hermitian(M)."""
+def _checked(m, herm_tol: float | None) -> np.ndarray:
+    """M as a matrix, after check_hermitian(M) unless herm_tol is None."""
     a = _as_matrix(m)
-    check_hermitian(a, herm_tol=herm_tol)
-    return 0.5 * (a + a.conj().T)
+    if herm_tol is not None:
+        check_hermitian(a, herm_tol=herm_tol)
+    return a
 
 
-def eig_hermitian(m, herm_tol: float = 1e-10) -> np.ndarray:
+def eig_hermitian(m, herm_tol: float | None = HERM_TOL) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
     The matrix must satisfy ||M - M^dag||_max <= herm_tol * max(1, ||M||_max);
-    it is symmetrized to (M + M^dag)/2 before solving, since quadrature noise
-    breaks exact Hermiticity at the 1e-12 level.
+    LAPACK then reads its lower triangle, so a deviation within the tolerance
+    (quadrature noise breaks exact Hermiticity at the 1e-12 level) is read as
+    the Hermitian matrix of that triangle.  herm_tol=None skips the check,
+    for a matrix its caller has checked.
     """
-    return np.linalg.eigvalsh(_hermitian_part(m, herm_tol))
+    return np.linalg.eigvalsh(_checked(m, herm_tol))
 
 
-def eigh_hermitian(m, herm_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigh_hermitian(m, herm_tol: float | None = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and the matching orthonormal eigenvectors (as
     columns) of a Hermitian matrix, behind the same check as eig_hermitian."""
-    return np.linalg.eigh(_hermitian_part(m, herm_tol))
+    return np.linalg.eigh(_checked(m, herm_tol))
 
 
 def eig_general(m) -> np.ndarray:

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,15 +12,18 @@ from nessent.correlation import (
     correlation_matrix_far,
     correlation_matrix_finite,
 )
+import nessent.entanglement as ent
 from nessent.entanglement import (
     CLAMP_SLACK,
     EntanglementReport,
+    FoldedMatrix,
     SingularResolvent,
     SpectrumError,
     block_spectra,
     correlation_moments,
     entropy,
     fermionic_negativity,
+    fold,
     measures,
     occupation_spectrum,
     partition,
@@ -27,7 +31,7 @@ from nessent.entanglement import (
     report_from_spectra,
 )
 from nessent import fockspace as fs
-from nessent.scattering import BiasState, SingleImpurity
+from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity
 
 
 def cm_from_spectrum(rng, nl, nr, spectrum=None):
@@ -417,3 +421,94 @@ def test_partition_without_coupling_keeps_no_mode():
     assert report_from_spectra(block_spectra(deflated), 2.0).mutual_info == 0.0
     # a deflated mode adds ln[nu^2 + (1 - nu)^2] to E_2
     assert abs(fermionic_negativity(deflated, 2) - fermionic_negativity(cm, 2)) < 1e-10
+
+
+# --- folding to real symmetric form ---------------------------------------------
+
+
+def fold_geometry(mirror, d_l, d_r, ell_l, ell_r):
+    """Intervals at the offsets drawn or, with mirror, the nearby geometry
+    with 2(d_l - d_r) = ell_r - ell_l."""
+    if mirror:
+        ell_r += (ell_r - ell_l) % 2
+        shift = (ell_r - ell_l) // 2
+        d_l, d_r = d_r + max(shift, 0), d_r + max(-shift, 0)
+    return SubsystemGeometry(0, d_l, ell_l, d_r, ell_r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(
+        st.sampled_from(("far", "finite")),
+        st.sampled_from((0.5, 0.875, 1.25, 1.625, 2.0)),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 15),
+        st.integers(0, 15),
+        st.integers(1, 60),
+        st.integers(1, 59),
+    )
+)
+def test_folded_measures_match_the_complex_path(inputs):
+    regime, epsilon0, flip, mirror, *offsets = inputs
+    cm = builder_matrix(regime, epsilon0, flip, fold_geometry(mirror, *offsets))
+    folded = measures(cm, "vn", with_negativity=True)
+    # a negative tolerance folds nothing: every solve runs on the complex matrix
+    with mock.patch.object(ent, "FOLD_TOL", -1.0):
+        assert fold(cm) is cm
+        plain = measures(cm, "vn", with_negativity=True)
+    assert abs(folded.mutual_info - plain.mutual_info) < 1e-11
+    assert abs(folded.coherent_info - plain.coherent_info) < 1e-11
+    assert abs(folded.negativity - plain.negativity) < 1e-11
+
+
+def record_block_dtypes(monkeypatch):
+    """The dtypes of the blocks wider than one site that the partition hands
+    to eigh_hermitian (a single site is real either way)."""
+    dtypes = []
+    solve = ent.eigh_hermitian
+
+    def recorded(block, *args):
+        if block.shape[0] > 1:
+            dtypes.append(block.dtype)
+        return solve(block, *args)
+
+    monkeypatch.setattr(ent, "eigh_hermitian", recorded)
+    return dtypes
+
+
+#: (d_l, ell_l, d_r, ell_r): mirror-symmetric ones and near misses; the
+#: fourth has a one-site A_L, whose block record_block_dtypes skips
+FOLD_GEOMETRIES = [
+    (0, 20, 0, 20), (5, 12, 0, 22), (0, 30, 4, 22), (7, 1, 2, 11),
+    (3, 20, 0, 20), (0, 12, 0, 24), (1, 10, 0, 13), (0, 21, 0, 20),
+]
+
+
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("model", [SingleImpurity(0.5), SingleImpurity(2.0), ConstantTransmission(0.5)])
+def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, model, flip):
+    k_fl, k_fr = MOMENTA[::-1] if flip else MOMENTA
+    builder = CorrelationBuilder(model, BiasState(k_fl, k_fr))
+    dtypes = record_block_dtypes(monkeypatch)
+    for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+        folded = fold(cm)
+        assert isinstance(folded, FoldedMatrix) == (2 * (d_l - d_r) == ell_r - ell_l)
+        if folded is not cm:
+            assert folded.matrix.dtype == np.float64 and folded.n_left == cm.n_left
+            assert np.array_equal(folded.matrix, folded.matrix.T)
+            assert np.abs(np.linalg.eigvalsh(folded.matrix) - np.linalg.eigvalsh(cm.matrix)).max() < 1e-14
+        partition(cm)
+    assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 1
+    assert all(dtype == np.float64 for dtype in dtypes)
+
+
+def test_finite_matrices_never_fold(monkeypatch):
+    dtypes = record_block_dtypes(monkeypatch)
+    for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
+        cm = builder_matrix("finite", 1.0, False, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+        assert fold(cm) is cm
+        partition(cm)
+    assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 1
+    assert all(dtype == np.complex128 for dtype in dtypes)

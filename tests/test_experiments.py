@@ -440,8 +440,10 @@ def test_sweep_output_deterministic(tmp_path):
 
 
 def test_threaded_sweep_matches_serial():
-    cfg1 = small_length_config(measures=("mi",), renyi_orders=("vn",), threads=1)
-    cfg4 = small_length_config(measures=("mi",), renyi_orders=("vn",), threads=4)
+    # mirror-symmetric intervals: every point folds to a real union, so the
+    # real spectra and the real negativity pencil run on every thread
+    cfg1 = small_length_config(measures=("mi", "ci", "negativity"), renyi_orders=("vn", 0.5), threads=1)
+    cfg4 = small_length_config(measures=("mi", "ci", "negativity"), renyi_orders=("vn", 0.5), threads=4)
     _, rows1 = run_sweep_length(cfg1)
     _, rows4 = run_sweep_length(cfg4)
     nums1 = [r["numeric"] for r in rows_of(rows1, row_type="point")]
