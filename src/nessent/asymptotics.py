@@ -216,11 +216,13 @@ def log_kernel_pair_first_rep(n: float, t: float) -> float:
     return base + val * n / (2.0 * np.pi**2)
 
 
-def _window_integral(model: ScatteringModel, bias: BiasState, order) -> float:
-    """Integral of h_n(T(k), 1 - T(k)) over the voltage window (unnormalized)."""
+@lru_cache(maxsize=None)
+def _window_integral(model: ScatteringModel, bias: BiasState, n: float) -> float:
+    """Integral of h_n(T(k), 1 - T(k)) over the voltage window (unnormalized),
+    once per (model, bias, Renyi index n)."""
     if bias.window_width == 0.0:
         return 0.0
-    h, scale = _split_entropy(renyi_index(order))
+    h, scale = _split_entropy(n)
 
     def integrand(k):
         t = np.abs(model.amplitudes(k)[2]) ** 2
@@ -236,7 +238,7 @@ def _sharp_step(n: float) -> float:
 
 def volume_coefficient_mi(model: ScatteringModel, bias: BiasState, order="vn") -> float:
     """Mutual-information volume coefficient per mirrored site (dk/pi weight)."""
-    return _window_integral(model, bias, order) / np.pi
+    return _window_integral(model, bias, renyi_index(order)) / np.pi
 
 
 def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="vn") -> float:
@@ -245,7 +247,7 @@ def volume_coefficient_entropy(model: ScatteringModel, bias: BiasState, order="v
     The same density applies to A_L and A_R per site and to the union per
     unmirrored site.
     """
-    return _window_integral(model, bias, order) / (2.0 * np.pi)
+    return _window_integral(model, bias, renyi_index(order)) / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,10 @@ Two regimes are implemented:
   where sea(kf, x) = sin(kf x)/(pi x) is the filled-sea kernel.  Only the
   voltage window contributes to the cross block; for k_fl = k_fr it vanishes
   identically.  The signed convention makes the same expressions valid for
-  either sign of k_fl - k_fr.
+  either sign of k_fl - k_fr.  ``correlation_matrix_far`` returns a
+  ``FarMatrix``: these site entries, plus the builder's diagonal blocks in
+  folded real form and the cross block in the folded basis, which the
+  ``entanglement`` module docstring derives.
 
 Index convention: within each block, row/column 1 is the site nearest the
 scatterer and indices ascend away from it.  A flipped convention would
@@ -42,6 +45,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import NumericsError, QuadratureSpec, integrate_oscillatory_batch
 from .numerics import integrate_oscillatory  # noqa: F401  read by perfbench/tracer.py
@@ -50,6 +54,9 @@ from .scattering import BiasState, ScatteringModel
 __all__ = [
     "SubsystemGeometry",
     "CorrelationMatrix",
+    "FoldedMatrix",
+    "FarBlock",
+    "FarMatrix",
     "correlation_entry_finite",
     "correlation_matrix_finite",
     "correlation_matrix_far",
@@ -61,6 +68,11 @@ __all__ = [
 #: entries need to resolve 1/d^2 tails of the measures, so they are computed
 #: a few digits tighter than the default
 ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=0.0, max_panels=60000, nodes_per_panel=16)
+
+#: a far-limit union folds when the parity defect of the W_X values it reads,
+#: max |w(x) + conj w(-x)|, is at most this relative to its largest diagonal
+#: entry (far matrices reach about 3e-16)
+FOLD_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -144,16 +156,24 @@ class CorrelationMatrix:
 
     def block_left(self) -> "CorrelationMatrix":
         n = self.n_left
-        return type(self)(self.matrix[:n, :n], n)
+        return CorrelationMatrix(self.matrix[:n, :n], n)
 
     def block_right(self) -> "CorrelationMatrix":
         n = self.n_left
-        return type(self)(self.matrix[n:, n:], 0)
+        return CorrelationMatrix(self.matrix[n:, n:], 0)
 
     def cross_block(self) -> np.ndarray:
         """<c_L^dag c_R> block (rows A_L, columns A_R)."""
         n = self.n_left
         return self.matrix[:n, n:]
+
+
+class FoldedMatrix(CorrelationMatrix):
+    """Q^dag C Q of a far-limit correlation matrix C (or of one of its
+    diagonal blocks), Q = (I - iP)/sqrt 2 with P = diag(J_L, -J_R) and J the
+    site reversal: real symmetric by construction, with the split, the
+    spectra, MI, CI and every E_n of C, so the eigensolvers do not check it
+    (the ``entanglement`` module docstring derives the fold)."""
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +225,7 @@ class CorrelationBuilder:
             "V": (bias.k_minus, bias.k_plus, 1.0 if bias.k_fl >= bias.k_fr else -1.0),
         }
         self._blocks: dict[tuple[str, str, int], np.ndarray] = {}
+        self._far: dict[str, FarBlock] = {}
 
     def prefetch(self, keys) -> None:
         """Fill the missing table blocks among the (window, factor, block) keys."""
@@ -229,6 +250,22 @@ class CorrelationBuilder:
         self.prefetch([(window, factor, b) for b in span])
         table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
         return table[rates - BLOCK * first]
+
+    def far_block(self, side: str, n: int) -> "FarBlock":
+        """The far-limit diagonal block of n sites on side "L" (A_L) or "R"
+        (A_R).  The builder keeps the last block of each side, so a sweep at
+        fixed lengths reuses its blocks, and their eigenpairs, at every
+        point, and a length sweep holds at most two.
+        A block is a pure function of its key, so two threads building the
+        same one build equal blocks."""
+        block = self._far.get(side)
+        if block is None or block.site.shape[0] != n:
+            kf, sign = (self.bias.k_fl, -1.0) if side == "L" else (self.bias.k_fr, 1.0)
+            # B[j, m] = values[j - m + n - 1]: a read-only view of the 2n - 1 values
+            site = sliding_window_view(_far_diagonal(self, kf, sign, n), n)[:, ::-1]
+            # Re B - s J Im B with s = -sign: P = J on A_L and -J on A_R
+            self._far[side] = block = FarBlock(site, FoldedMatrix(site.real + sign * site.imag[::-1], 0))
+        return block
 
 
 def _hermitian(block: np.ndarray) -> np.ndarray:
@@ -326,38 +363,84 @@ def _sea_kernel(kf: float, x: np.ndarray) -> np.ndarray:
 
 
 def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -> np.ndarray:
-    """sea(kf, j-m) + sign * W_T(m-j) for j, m = 1..n, gathered from its
-    2n - 1 Toeplitz values at the offsets x = j - m.  As in _hermitian, the
-    upper triangle (x < 0) is kept, the lower one is its conjugate and the
-    diagonal is real, so W_T is read at the rates -x = 0..n-1 only; adding
-    0.0 to the conjugate gives a zero imaginary part the sign _hermitian's
-    sum gives it, so the bytes match."""
+    """The 2n - 1 Toeplitz values of the block sea(kf, j-m) + sign * W_T(m-j)
+    for j, m = 1..n, at the offsets x = j - m = 1-n .. n-1.  As in
+    _hermitian, the upper triangle (x < 0) is kept, the lower one is its
+    conjugate and the diagonal is real, so W_T is read at the rates
+    -x = 0..n-1 only; adding 0.0 to the conjugate gives a zero imaginary part
+    the sign _hermitian's sum gives it, so the bytes match."""
     x = np.arange(1 - n, 1)
     values = _sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x)
     upper = values[:-1]
-    values = np.concatenate([upper, values[-1:].real, upper[::-1].conj() + 0.0])
-    idx = np.arange(n)
-    return values[np.subtract.outer(idx, idx) + n - 1]
+    return np.concatenate([upper, values[-1:].real, upper[::-1].conj() + 0.0])
 
 
-def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
+@dataclass
+class FarBlock:
+    """A far-limit diagonal block B of a builder: its site entries, its
+    folded real form Re B - s J Im B (s = 1 on A_L, -1 on A_R), and the
+    folded form's clamped eigenpairs once a partition has asked for them
+    (``entanglement.partition``)."""
+
+    site: np.ndarray
+    folded: FoldedMatrix
+    pairs: tuple | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class FarMatrix(CorrelationMatrix):
+    """A far-limit correlation matrix with what its builder knows about it:
+    the builder's diagonal blocks ``left`` and ``right``, and the cross block
+    in the folded basis, ``coupling`` = F = Q_L^dag C_LR Q_R.  F is real,
+    of shape (n_left, n_right), exactly when the union folds (``folds``);
+    otherwise it holds Re F and Im F stacked as (2, n_left, n_right)."""
+
+    left: FarBlock
+    right: FarBlock
+    coupling: np.ndarray
+
+    @property
+    def folds(self) -> bool:
+        return self.coupling.ndim == 2
+
+
+def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FarMatrix:
     """Far-limit correlation matrix of A_L u A_R in the builder's state
     (d_i / ell_i -> infinity, d_l - d_r fixed).
 
     Within-block entries are Toeplitz; the cross block carries the phase
     exp(i k (d_l - d_r)) through its shifted argument and vanishes when the
-    voltage window is empty.
+    voltage window is empty.  The union folds to real form when the centres
+    of the two intervals are mirror images, 2(d_l - d_r) = ell_r - ell_l,
+    and the W_X values read satisfy w(-x) = -conj w(x) to FOLD_TOL of the
+    largest entry (0 <= C <= I bounds every entry by the largest diagonal
+    one).  Either way F is gathered from the same W_X values as the cross
+    block, one Toeplitz and one Hankel read.
     """
     nl, nr = geom.ell_l, geom.ell_r
+    left, right = builder.far_block("L", nl), builder.far_block("R", nr)
+    # W_X(d_l - d_r + x) at x = 1 - nr .. nl - 1.  A_L site m and A_R site j
+    # (from 0) read x = m - j in the cross block, a Toeplitz view of w, and F
+    # reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
+    low = geom.d_l - geom.d_r - nr + 1
+    w = builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
     out = np.zeros((nl + nr, nl + nr), dtype=complex)
-    out[:nl, :nl] = _far_diagonal(builder, builder.bias.k_fl, -1.0, nl)
-    out[nl:, nl:] = _far_diagonal(builder, builder.bias.k_fr, 1.0, nr)
+    out[:nl, :nl] = left.site
+    out[nl:, nl:] = right.site
     # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
-    rates = geom.d_l - geom.d_r - np.subtract.outer(np.arange(1, nr + 1), np.arange(1, nl + 1))
-    rl = builder.coefficients("V", "tLc_rL", rates)
-    out[nl:, :nl] = rl
-    out[:nl, nl:] = rl.conj().T
-    return CorrelationMatrix(out, nl)
+    out[nl:, :nl] = sliding_window_view(w, nl)[::-1]
+    out[:nl, nl:] = out[nl:, :nl].conj().T
+    tol = FOLD_TOL * max(abs(left.site[0, 0]), abs(right.site[0, 0]))
+    if 2 * (geom.d_l - geom.d_r) == nr - nl and np.abs(w + w[::-1].conj()).max() <= tol:
+        coupling = sliding_window_view(w.real[::-1], nr)[::-1] + sliding_window_view(w.imag, nr)
+    else:
+        # F = (C - J_L C J_R)/2 + i (J_L C + C J_R)/2 with C = C_LR, each
+        # half formed on the 1-D values before its view
+        u, v = w.conj(), w[::-1].conj()
+        toe, han = (u - v) / 2, 0.5j * (u + v)
+        toe, han = np.stack([toe.real, toe.imag]), np.stack([han.real, han.imag])
+        coupling = sliding_window_view(toe[:, ::-1], nr, axis=-1)[:, ::-1] + sliding_window_view(han, nr, axis=-1)
+    return FarMatrix(out, nl, left=left, right=right, coupling=coupling)
 
 
 # ---------------------------------------------------------------------------

@@ -38,32 +38,39 @@ when a nearly full mode faces a nearly empty one.  So a mode is deflated
 when min(nu, 1 - nu) <= DEFLATION_TOL and the sum over its partners of
 min(|Y_ij|, |Y_ij|^2 / (1 - |nu_i - nu_j|)) is at most DEFLATION_TOL too, or
 when its coupling row is exactly zero; if either block is left without
-active modes, the other one's are decoupled as well.  When both blocks of a
-fig. 3 sweep repeat from point to point, a memo the caller keeps hands back
-the last eigenpairs of each side, matched on the block's entries, so that
-every value stays a pure function of the matrix whichever thread asks first.
+active modes, the other one's are decoupled as well.  A far-limit matrix
+brings its diagonal blocks from its builder (``FarMatrix``), which keeps
+the last block of each side, with its eigenpairs once a partition has
+solved them, so a fig. 3 sweep, whose blocks do not depend on the offset,
+decomposes each block once.  The eigenpairs are a pure function of the
+block, so every value is the same whichever thread asks first.
 
 Folding.  Every far-limit diagonal block B is Hermitian Toeplitz, hence
-persymmetric: J conj(B) J = B, J reversing the sites.  When the geometry is
-mirror symmetric, 2(d_l - d_r) = ell_r - ell_l (the centres of the two
-intervals equally far from the scatterer), the cross block obeys the
-same relation up to a sign, because t_l^* r_l is imaginary for a
-parity-symmetric unitary S-matrix, and the whole matrix satisfies
-P conj(C) P = C with P = diag(J_L, -J_R).  Then Q = (I - iP)/sqrt 2, a
-block-local unitary, makes Q^dag C Q = Re C - P Im C real symmetric, at
-O(n^2) cost, with every spectrum, the partition, MI, CI and E_n of C.
-``fold`` decides this once per matrix: it tests the cross block and then
-both diagonal blocks against the relation, each on its first row before
-the whole, and folds when the defect max|P conj(C) P - C|, which bounds
-|Im Q^dag C Q|, is at most FOLD_TOL times the largest diagonal entry (far
-matrices reach about 3e-16).  The folded ``FoldedMatrix`` is checked for
-Hermiticity once, so its spectra, its partition's block ``eigh``, the
-reduced matrix and the negativity pencil all run in real arithmetic and
-unchecked.  When only the blocks are persymmetric, as at fig. 3's offsets,
-each block is folded on its own when it is decomposed (P = J on A_L, -J on
-A_R as in the union), and its eigenvectors are U = Q V for the real V.
-Finite-distance blocks are Toeplitz plus Hankel, never persymmetric, and
-are left alone.
+centrohermitian: J conj(B) J = B, J reversing the sites (Lee, LAA 29, 205
+(1980); Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 128 (1990)).
+So Q = (I - isJ)/sqrt 2 (s = 1 on A_L, -1 on A_R), a block-local unitary,
+makes Q^dag B Q = Re B - sJ Im B real symmetric.  The builder keeps each
+block in that folded form, and ``partition`` decomposes it with a real
+``eigh``, unchecked, since it is symmetric by construction.  The cross
+block enters through F = Q_L^dag C_LR Q_R, which the builder gathers in
+O(n_l n_r) from the same W_X values as C_LR, one Toeplitz and one Hankel
+view, and the coupling of the block modes is V_L^T F V_R for the real
+eigenvectors V.  F is real when the geometry is mirror symmetric,
+2(d_l - d_r) = ell_r - ell_l (the centres of the two intervals equally far
+from the scatterer), because t_l^* r_l is imaginary for a parity-symmetric
+unitary S-matrix, so that w(-x) = -conj w(x) for the W_X values; the
+builder checks that relation on the O(n_l + n_r) values it reads, to
+``correlation.FOLD_TOL`` times the largest diagonal entry (far matrices reach about
+3e-16).  The whole matrix then satisfies P conj(C) P = C with
+P = diag(J_L, -J_R), and Q = (I - iP)/sqrt 2 makes Q^dag C Q =
+Re C - P Im C real symmetric, with every spectrum, the partition, MI, CI
+and E_n of C: ``fold`` assembles that ``FoldedMatrix`` from the folded
+blocks and F, for the full spectra and the full negativity pencil.
+Otherwise, as at fig. 3's offsets, F is complex, and Re F and Im F go
+through the two real products as one stacked array: a real V times a
+complex F would run in complex arithmetic.  Matrices the far builder did
+not make, finite-distance (Toeplitz plus Hankel, never centrohermitian) or
+built by hand, take the plain complex path with every Hermiticity check.
 
 Orders n < 1 keep the full three spectra (``deflates``): an entropy term
 mu^n / (1 - n) falls only as a power of mu, and deflating would be no
@@ -126,7 +133,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
+from .correlation import CorrelationMatrix, FarMatrix, FoldedMatrix
 from .numerics import HERM_TOL, NumericsError, check_hermitian, eig_hermitian, eigh_hermitian
 from .numerics import eig_general, mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
@@ -157,11 +164,6 @@ CLAMP_SLACK = 1e-8
 #: below it is deflated (see the module docstring)
 DEFLATION_TOL = 1e-13
 
-#: a block or a union is folded to real form when its mirror-symmetry defect
-#: is at most this, relative to its largest diagonal entry (see the module
-#: docstring)
-FOLD_TOL = 1e-14
-
 #: tolerated C_X pairing residual max |(sigma^2 + sigma'^2)/2 - 1|; xi and
 #: 1 - xi come from two separate solves, so their sum checks both
 PAIRING_TOL = 1e-7
@@ -191,62 +193,24 @@ class EntanglementReport:
     clamp_count: int = 0
 
 
-class FoldedMatrix(CorrelationMatrix):
-    """Q^dag C Q of a correlation matrix C whose union is mirror symmetric:
-    real symmetric, with the split, the spectra, MI, CI and every E_n of C.
-    It was checked for Hermiticity when it was folded, so the eigensolvers
-    do not check it, or its diagonal blocks, again."""
-
-
 def _matrix_of(c) -> np.ndarray:
     if isinstance(c, CorrelationMatrix):
         return c.matrix
     return np.asarray(c)
 
 
-def _mirrors(x: np.ndarray, sign: float, tol: float) -> bool:
-    """Whether sign * J conj(x) J equals x to tol, J reversing the sites; the
-    first row is compared first, so that a mismatch costs O(n)."""
-    return bool(
-        np.abs(x[0] - sign * x[-1, ::-1].conj()).max() <= tol
-        and np.abs(x - sign * x[::-1, ::-1].conj()).max() <= tol
-    )
-
-
-def _fold_tol(x: np.ndarray) -> float:
-    # 0 <= C <= I bounds every |C_ij| by the largest diagonal entry
-    return FOLD_TOL * float(np.abs(x.diagonal()).max())
-
-
-def _fold_block(block: np.ndarray, sign: float) -> np.ndarray:
-    """A persymmetric complex diagonal block B folded by Q = (I - i sign J)/sqrt 2
-    to the real Re B - sign J Im B; any other block as it is."""
-    if np.iscomplexobj(block) and _mirrors(block, 1.0, _fold_tol(block)):
-        return block.real - sign * block.imag[::-1]
-    return block
-
-
 def fold(c: CorrelationMatrix) -> CorrelationMatrix:
-    """The real FoldedMatrix Q^dag C Q when the union of C is mirror
-    symmetric, P conj(C) P = C with P = diag(J_L, -J_R); otherwise c itself.
-
-    The two diagonal blocks and the cross block are tested apart, cross block
-    first, each on its first row before the whole; the folded matrix is
-    checked for Hermiticity once and its cross blocks are mirrored exactly.
-    """
-    if isinstance(c, FoldedMatrix) or not np.iscomplexobj(c.matrix) or c.n_left == 0 or c.n_right == 0:
+    """The real FoldedMatrix Q^dag C Q of a far-limit matrix whose union
+    folds, assembled from its builder's folded blocks and its coupling F
+    (``FarMatrix``); any other matrix as it is."""
+    if not (isinstance(c, FarMatrix) and c.folds):
         return c
-    a, nl = c.matrix, c.n_left
-    tol = _fold_tol(a)
-    if not (_mirrors(a[nl:, :nl], -1.0, tol) and _mirrors(a[:nl, :nl], 1.0, tol) and _mirrors(a[nl:, nl:], 1.0, tol)):
-        return c
-    sign = np.where(np.arange(c.dim) < nl, 1.0, -1.0)
-    mirror = np.concatenate([np.arange(nl)[::-1], np.arange(nl, c.dim)[::-1]])
-    folded = a.imag[mirror]
-    folded *= -sign[:, None]
-    folded += a.real
-    check_hermitian(folded)
-    folded[:nl, nl:] = folded[nl:, :nl].T
+    nl = c.n_left
+    folded = np.empty((c.dim, c.dim))
+    folded[:nl, :nl] = c.left.folded.matrix
+    folded[nl:, nl:] = c.right.folded.matrix
+    folded[:nl, nl:] = c.coupling
+    folded[nl:, :nl] = c.coupling.T
     return FoldedMatrix(folded, nl)
 
 
@@ -255,8 +219,8 @@ def occupation_spectrum(c, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray
 
     Values within clamp_slack of the interval are clamped; anything further
     out raises SpectrumError, since log(negative) must be impossible yet a
-    genuine spectral violation has to surface.  A FoldedMatrix is not
-    checked for Hermiticity again.
+    genuine spectral violation has to surface.  A FoldedMatrix is symmetric
+    by construction and is not checked for Hermiticity.
     """
     herm_tol = None if isinstance(c, FoldedMatrix) else HERM_TOL
     return _clamped(eig_hermitian(_matrix_of(c), herm_tol), clamp_slack)
@@ -316,52 +280,45 @@ class Partition(NamedTuple):
     clamp_count: int
 
 
-def _block_eigenpairs(
-    block: np.ndarray, sign: float, side: str, memo: dict, checked: bool
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Clamped eigenvalues, eigenvectors and clamp count of a diagonal block,
-    solved in real arithmetic when it folds (P = sign J on this side);
-    memo[side] keeps the last block of that side with its result."""
-    last = memo.get(side)
-    if last is not None and np.array_equal(last[0], block):
-        return last[1:]
-    folded = _fold_block(block, sign)
-    nu, vecs = eigh_hermitian(folded, None) if checked else eigh_hermitian(folded)
-    if folded is not block:
-        # U = Q V = (V - i sign J V) / sqrt 2, written in place
-        real = vecs
-        vecs = np.empty(real.shape, dtype=complex)
-        np.divide(real, np.sqrt(2.0), out=vecs.real)
-        np.divide(real[::-1], -sign * np.sqrt(2.0), out=vecs.imag)
-    nu, clamped = _clamped(nu)
-    # one tuple, stored in one assignment: a thread reading memo[side] sees
-    # either the old entry or the new one, and both are pure functions of
-    # their block
-    memo[side] = (block.copy(), nu, vecs, clamped)
-    return nu, vecs, clamped
+def _block_eigenpairs(block: np.ndarray, checked: bool) -> tuple[np.ndarray, int, np.ndarray]:
+    """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block,
+    checked for Hermiticity unless ``checked`` says it needs no check."""
+    nu, vecs = eigh_hermitian(block, None) if checked else eigh_hermitian(block)
+    return (*_clamped(nu), vecs)
 
 
-def partition(c: CorrelationMatrix, memo: dict | None = None) -> Partition:
+def partition(c: CorrelationMatrix) -> Partition:
     """The partition's reduced matrix on its active modes, and the deflated
     spectra; the deflation rule is in the module docstring.
 
-    The matrix is folded first (``fold``).  Unless it folded, the cross
-    block is read from the rows of A_L, once checked against the rows of A_R,
-    and each diagonal block is checked when it is decomposed.  ``memo``, a
-    dict the caller keeps across the matrices of a sweep, remembers the last
-    block decomposed per side.
+    A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
+    folded blocks, symmetric by construction, and couples them through F in
+    real arithmetic.  Any other matrix takes the eigenpairs of its own
+    blocks, each checked for Hermiticity, as is its cross block, read from
+    the rows of A_L and checked against the rows of A_R.
     """
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("a partition needs both blocks non-empty")
-    memo = {} if memo is None else memo
-    c = fold(c)
     nl = c.n_left
-    checked = isinstance(c, FoldedMatrix)
-    if not checked:
+    if isinstance(c, FarMatrix):
+        # each builder block is decomposed once and its eigenpairs kept on it,
+        # in one assignment: a thread reading them sees None or the result,
+        # a pure function of the block
+        for block in (c.left, c.right):
+            if block.pairs is None:
+                block.pairs = _block_eigenpairs(block.folded.matrix, True)
+        (nu_l, clamp_l, vec_l), (nu_r, clamp_r, vec_r) = c.left.pairs, c.right.pairs
+        cross = c.coupling
+    else:
         check_hermitian(c.matrix[:nl, nl:], c.matrix[nl:, :nl])
-    nu_l, vec_l, clamp_l = _block_eigenpairs(c.matrix[:nl, :nl], 1.0, "left", memo, checked)
-    nu_r, vec_r, clamp_r = _block_eigenpairs(c.matrix[nl:, nl:], -1.0, "right", memo, checked)
-    coupling = vec_l.conj().T @ c.matrix[:nl, nl:] @ vec_r
+        nu_l, clamp_l, vec_l = _block_eigenpairs(c.matrix[:nl, :nl], False)
+        nu_r, clamp_r, vec_r = _block_eigenpairs(c.matrix[nl:, nl:], False)
+        cross = c.matrix[:nl, nl:]
+    # a stacked (Re F, Im F) keeps a complex F in real products, V^T F V
+    # for each part; a real V times a complex F would run in complex ones
+    coupling = vec_l.conj().T @ cross @ vec_r
+    if coupling.ndim == 3:
+        coupling = coupling[0] + 1j * coupling[1]
     size = np.abs(coupling)
     # two-mode estimate of each coupling's share of E_1, min(|y|, |y|^2 / pair)
     pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_l, nu_r)), size)
@@ -396,9 +353,9 @@ class BlockSpectra(NamedTuple):
 def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
     """The spectra every entropy-based measure of a partition reads: three
     ``eigvalsh`` of a full matrix, or the active and deflated spectra of a
-    partition, whose union spectrum is that of the reduced matrix.  A full
-    matrix is folded first, and each diagonal block on its own if the union
-    does not fold."""
+    partition, whose union spectrum is that of the reduced matrix.  A
+    far-limit matrix reads its builder's folded blocks, and its folded union
+    when the union folds (``fold``)."""
     if isinstance(c, Partition):
         modes = c.reduced
         nu = modes.matrix.diagonal().real
@@ -408,13 +365,8 @@ def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
         )
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("measures needs both blocks in the partition")
-    c = fold(c)
-    if isinstance(c, FoldedMatrix):
-        left, right = c.block_left(), c.block_right()
-    else:
-        nl = c.n_left
-        left, right = _fold_block(c.matrix[:nl, :nl], 1.0), _fold_block(c.matrix[nl:, nl:], -1.0)
-    nu_a, clamp_a = occupation_spectrum(c)
+    left, right = (c.left.folded, c.right.folded) if isinstance(c, FarMatrix) else (c.block_left(), c.block_right())
+    nu_a, clamp_a = occupation_spectrum(fold(c))
     nu_l, clamp_l = occupation_spectrum(left)
     nu_r, clamp_r = occupation_spectrum(right)
     return BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r)
@@ -516,7 +468,6 @@ def measures(
     with_negativity: bool = False,
 ) -> EntanglementReport:
     """MI, CI and the entropies of one partition, plus the negativity on request."""
-    c = fold(c)
     part = partition(c) if with_negativity or deflates(order) else None
     report = report_from_spectra(block_spectra(part if deflates(order) else c), order)
     if with_negativity:

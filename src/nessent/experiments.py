@@ -33,7 +33,6 @@ from .entanglement import (
     block_spectra,
     deflates,
     fermionic_negativity,
-    fold,
     partition,
     report_from_spectra,
 )
@@ -134,19 +133,17 @@ _REPORT_FIELDS = {
 }
 
 
-def _point_values(cmat: CorrelationMatrix, memo: dict):
+def _point_values(cmat: CorrelationMatrix):
     """``numeric(measure, order)``, the value of a CSV measure on one matrix.
 
     The partition, each kind of spectra and each order's report are taken at
     most once, whatever the measures asked; the negativity is E_1 at any
-    order.  ``memo`` is the sweep's block-eigenpair memo (see ``partition``).
-    The matrix is folded once, here (see ``fold``).
+    order.
     """
-    cmat = fold(cmat)
 
     @cache
     def deflated():
-        return partition(cmat, memo)
+        return partition(cmat)
 
     @cache
     def spectra(deflate: bool):
@@ -172,10 +169,9 @@ def _measure_point_rows(
     cmat: CorrelationMatrix,
     config: ExperimentConfig,
     base: dict,
-    memo: dict,
 ) -> list[dict]:
     """Numeric + analytic values of every requested measure on one matrix."""
-    numeric = _point_values(cmat, memo)
+    numeric = _point_values(cmat)
     rows: list[dict] = []
     for measure, order, label, pred in _predictions(model, bias, geom, config):
         row = dict(base)
@@ -253,13 +249,12 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     model = config.build_model()
     bias = config.build_bias()
     builder = CorrelationBuilder(model, bias, _entry_spec(config))
-    memo: dict = {}
 
     def compute(coord: int) -> list[dict]:
         geom, base = point(model, coord)
         with _failure_at(f"{name}={coord}"):
             cmat = correlation_matrix_far(builder, geom)
-            return _measure_point_rows(model, bias, geom, cmat, config, base, memo)
+            return _measure_point_rows(model, bias, geom, cmat, config, base)
 
     points = [row for rows in _map_ordered(compute, coords, config.threads) for row in rows]
     return _SWEEP_FIELDS, points + _fit_rows(points, driver_key)
@@ -361,7 +356,7 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
 
     def measured(cmat: CorrelationMatrix) -> dict[str, float]:
-        numeric = _point_values(cmat, {})
+        numeric = _point_values(cmat)
         return {measure: numeric(measure, "vn") for measure in wanted}
 
     builder = CorrelationBuilder(model, bias, _entry_spec(config))

@@ -1,5 +1,4 @@
 import functools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -453,10 +452,8 @@ def test_folded_measures_match_the_complex_path(inputs):
     regime, epsilon0, flip, mirror, *offsets = inputs
     cm = builder_matrix(regime, epsilon0, flip, fold_geometry(mirror, *offsets))
     folded = measures(cm, "vn", with_negativity=True)
-    # a negative tolerance folds nothing: every solve runs on the complex matrix
-    with mock.patch.object(ent, "FOLD_TOL", -1.0):
-        assert fold(cm) is cm
-        plain = measures(cm, "vn", with_negativity=True)
+    # a matrix the far builder did not make takes the plain complex path
+    plain = measures(CorrelationMatrix(cm.matrix, cm.n_left), "vn", with_negativity=True)
     assert abs(folded.mutual_info - plain.mutual_info) < 1e-11
     assert abs(folded.coherent_info - plain.coherent_info) < 1e-11
     assert abs(folded.negativity - plain.negativity) < 1e-11
@@ -485,6 +482,11 @@ FOLD_GEOMETRIES = [
 ]
 
 
+def folding_unitary(n, sign):
+    """Q = (I - i sign J)/sqrt 2 on one block, J reversing its sites."""
+    return (np.eye(n) - 1j * sign * np.eye(n)[::-1]) / np.sqrt(2.0)
+
+
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("model", [SingleImpurity(0.5), SingleImpurity(2.0), ConstantTransmission(0.5)])
 def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, model, flip):
@@ -493,14 +495,26 @@ def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, 
     dtypes = record_block_dtypes(monkeypatch)
     for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
         cm = correlation_matrix_far(builder, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+        nl = cm.n_left
+        # the builder's folded blocks are Re B - s J Im B of the site blocks
+        for block, site, sign in ((cm.left, cm.matrix[:nl, :nl], 1.0), (cm.right, cm.matrix[nl:, nl:], -1.0)):
+            assert block.folded.matrix.dtype == np.float64
+            assert np.array_equal(block.folded.matrix, site.real - sign * site.imag[::-1])
+        # F = Q_L^dag C_LR Q_R, real or as stacked real and imaginary parts
+        exact = folding_unitary(ell_l, 1.0).conj().T @ cm.cross_block() @ folding_unitary(ell_r, -1.0)
+        coupling = cm.coupling if cm.folds else cm.coupling[0] + 1j * cm.coupling[1]
+        assert np.abs(coupling - exact).max() <= 1e-15 * np.abs(exact).max()
+        assert cm.folds == (2 * (d_l - d_r) == ell_r - ell_l)
         folded = fold(cm)
-        assert isinstance(folded, FoldedMatrix) == (2 * (d_l - d_r) == ell_r - ell_l)
-        if folded is not cm:
+        assert isinstance(folded, FoldedMatrix) == cm.folds
+        if cm.folds:
             assert folded.matrix.dtype == np.float64 and folded.n_left == cm.n_left
             assert np.array_equal(folded.matrix, folded.matrix.T)
             assert np.abs(np.linalg.eigvalsh(folded.matrix) - np.linalg.eigvalsh(cm.matrix)).max() < 1e-14
         partition(cm)
-    assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 1
+    # one block pair per geometry, less the one-site A_L and the A_R block of
+    # the third geometry, which the builder kept from the second
+    assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 2
     assert all(dtype == np.float64 for dtype in dtypes)
 
 

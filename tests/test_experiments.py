@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -529,6 +530,26 @@ def test_sub_unit_orders_keep_the_full_spectra(monkeypatch, orders, spectra):
     assert len(calls) == spectra
 
 
+def test_sweep_integrates_each_window_once_per_order(monkeypatch):
+    # the volume coefficients are cached per (model, bias, Renyi index), so a
+    # sweep runs one window quadrature per order, whatever its points
+    import nessent.asymptotics as asy
+
+    windows = []
+    integrate = asy.integrate
+
+    def counted(f, lo, hi, spec, **kwargs):
+        if spec is asy.WINDOW_SPEC:
+            windows.append((lo, hi))
+        return integrate(f, lo, hi, spec, **kwargs)
+
+    asy._window_integral.cache_clear()
+    monkeypatch.setattr(asy, "integrate", counted)
+    _, rows = run_sweep_length(small_length_config(measures=("mi", "entropy"), renyi_orders=("vn", 0.5)))
+    assert len(rows_of(rows, row_type="point", measure="mi")) == 14
+    assert len(windows) == 2
+
+
 def position_config(**overrides):
     """Five far-limit placements of unequal intervals."""
     base = dict(
@@ -540,24 +561,33 @@ def position_config(**overrides):
 
 
 def test_position_sweep_decomposes_each_block_once(monkeypatch):
-    # the diagonal blocks do not depend on the offset, so the sweep's memo
-    # serves every point after the first
+    # the diagonal blocks do not depend on the offset, so the builder's
+    # blocks serve every point after the first, including delta = 6, where
+    # 2 delta = ell_r - ell_l and the union folds
     import nessent.entanglement as ent
 
     calls = count_calls(monkeypatch, ent, "eigh_hermitian")
-    _, rows = run_sweep_position(position_config(measures=("mi", "ci", "negativity")))
-    assert len(rows_of(rows, row_type="point", measure="mi")) == 5
-    assert sorted(block.shape for (block,) in calls) == [(12, 12), (24, 24)]
+    _, rows = run_sweep_position(position_config(measures=("mi", "ci", "negativity"), delta_step=2))
+    assert [row["delta"] for row in rows_of(rows, row_type="point", measure="mi")] == list(range(-8, 9, 2))
+    assert sorted(block.shape for block, *_ in calls) == [(12, 12), (24, 24)]
 
 
 def test_threaded_position_sweep_bytes_match_serial(tmp_path):
+    # the threads share the builder's blocks and their eigenpairs; a short
+    # switch interval interleaves them more often
     outputs = []
-    for threads in (1, 4):
-        cfg = position_config(delta_min=-20, delta_max=32, measures=("mi", "negativity"), threads=threads)
-        fields, rows = run_sweep_position(cfg)
-        path = tmp_path / f"threads{threads}.csv"
-        emit_csv(rows, path, fields)
-        outputs.append(path.read_bytes())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 4):
+            # delta = 6 folds, every other offset does not
+            cfg = position_config(delta_min=-18, delta_max=30, measures=("mi", "negativity"), threads=threads)
+            fields, rows = run_sweep_position(cfg)
+            path = tmp_path / f"threads{threads}.csv"
+            emit_csv(rows, path, fields)
+            outputs.append(path.read_bytes())
+    finally:
+        sys.setswitchinterval(interval)
     assert outputs[0] == outputs[1]
 
 
