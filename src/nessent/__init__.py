@@ -26,7 +26,6 @@ from .correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
-    correlation_entry_finite,
     correlation_matrix_far,
     correlation_matrix_finite,
 )

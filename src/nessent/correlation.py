@@ -31,8 +31,14 @@ Two regimes are implemented:
   identically.  The signed convention makes the same expressions valid for
   either sign of k_fl - k_fr.  ``correlation_matrix_far`` returns a
   ``FarMatrix``: these site entries, plus the builder's diagonal blocks in
-  folded real form and the cross block in the folded basis, which the
-  ``entanglement`` module docstring derives.
+  folded real form and the cross block in the folded basis, real when the
+  union folds and complex otherwise, which the ``entanglement`` module
+  docstring derives.
+
+A ``CorrelationMatrix`` is Hermitian: its constructor checks any matrix
+handed in from outside (``numerics.check_hermitian``), once, and the
+builders here, which make their matrices Hermitian exactly, say so with
+``built_hermitian=True``.  Nothing downstream checks again.
 
 Index convention: within each block, row/column 1 is the site nearest the
 scatterer and indices ascend away from it.  A flipped convention would
@@ -42,22 +48,20 @@ silently conjugate the cross block.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import NumericsError, QuadratureSpec, integrate_oscillatory_batch
+from .numerics import NumericsError, QuadratureSpec, check_hermitian, integrate_oscillatory_batch
 from .numerics import integrate_oscillatory  # noqa: F401  read by perfbench/tracer.py
 from .scattering import BiasState, ScatteringModel
 
 __all__ = [
     "SubsystemGeometry",
     "CorrelationMatrix",
-    "FoldedMatrix",
     "FarBlock",
     "FarMatrix",
-    "correlation_entry_finite",
     "correlation_matrix_finite",
     "correlation_matrix_far",
     "CorrelationBuilder",
@@ -133,11 +137,14 @@ class CorrelationMatrix:
     """Correlation matrix of A_L u A_R split after its first n_left rows.
 
     Rows/columns run over A_L then A_R, each ordered outward from the
-    scatterer.  Either side may be empty.
+    scatterer.  Either side may be empty.  The matrix is checked for
+    Hermiticity here, unless its maker built it Hermitian exactly and says
+    so with ``built_hermitian``.
     """
 
     matrix: np.ndarray
     n_left: int
+    built_hermitian: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
         shape = self.matrix.shape
@@ -145,6 +152,8 @@ class CorrelationMatrix:
             raise ValueError(f"correlation matrix must be square, got shape {shape}")
         if not 0 <= self.n_left <= shape[0]:
             raise ValueError(f"split n_left={self.n_left} outside [0, {shape[0]}]")
+        if not self.built_hermitian:
+            check_hermitian(self.matrix)
 
     @property
     def n_right(self) -> int:
@@ -156,24 +165,16 @@ class CorrelationMatrix:
 
     def block_left(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[:n, :n], n)
+        return CorrelationMatrix(self.matrix[:n, :n], n, built_hermitian=True)
 
     def block_right(self) -> "CorrelationMatrix":
         n = self.n_left
-        return CorrelationMatrix(self.matrix[n:, n:], 0)
+        return CorrelationMatrix(self.matrix[n:, n:], 0, built_hermitian=True)
 
     def cross_block(self) -> np.ndarray:
         """<c_L^dag c_R> block (rows A_L, columns A_R)."""
         n = self.n_left
         return self.matrix[:n, n:]
-
-
-class FoldedMatrix(CorrelationMatrix):
-    """Q^dag C Q of a far-limit correlation matrix C (or of one of its
-    diagonal blocks), Q = (I - iP)/sqrt 2 with P = diag(J_L, -J_R) and J the
-    site reversal: real symmetric by construction, with the split, the
-    spectra, MI, CI and every E_n of C, so the eigensolvers do not check it
-    (the ``entanglement`` module docstring derives the fold)."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ class CorrelationBuilder:
             # B[j, m] = values[j - m + n - 1]: a read-only view of the 2n - 1 values
             site = sliding_window_view(_far_diagonal(self, kf, sign, n), n)[:, ::-1]
             # Re B - s J Im B with s = -sign: P = J on A_L and -J on A_R
-            self._far[side] = block = FarBlock(site, FoldedMatrix(site.real + sign * site.imag[::-1], 0))
+            self._far[side] = block = FarBlock(site, site.real + sign * site.imag[::-1])
         return block
 
 
@@ -316,29 +317,12 @@ def _finite_block(builder: CorrelationBuilder, kind: str, rows, cols) -> np.ndar
     return out
 
 
-def correlation_entry_finite(
-    model: ScatteringModel,
-    bias: BiasState,
-    j: int,
-    m: int,
-    spec: QuadratureSpec = ENTRY_SPEC,
-) -> complex:
-    """Steady-state <c_j^dag c_m> for sites outside the scattering region."""
-    m0 = model.m0
-    if abs(j) <= m0 or abs(m) <= m0:
-        raise ValueError(f"sites must satisfy |site| > m0={m0}")
-    builder = CorrelationBuilder(model, bias, spec)
-    if j < -m0 and m > m0:
-        return complex(np.conj(_finite_block(builder, "RL", [m], [j])[0, 0]))
-    kind = ("R" if j > m0 else "L") + ("R" if m > m0 else "L")
-    return complex(_finite_block(builder, kind, [j], [m])[0, 0])
-
-
 def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
     """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
-    The diagonal blocks are Hermitian by construction (upper triangle
-    mirrored by conjugation).  A builder shared across matrices reuses its
+    Hermitian by construction: the diagonal blocks mirror their upper
+    triangle by conjugation, and the cross block is conjugate-transposed.  A
+    builder shared across matrices reuses its
     Fourier tables (useful for sweeps over nearby distances).
     """
     left, right = geom.sites_left(), geom.sites_right()
@@ -349,7 +333,7 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
     rl = _finite_block(builder, "RL", right, left)
     out[nl:, :nl] = rl
     out[:nl, nl:] = rl.conj().T
-    return CorrelationMatrix(out, nl)
+    return CorrelationMatrix(out, nl, built_hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +362,12 @@ def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -
 @dataclass
 class FarBlock:
     """A far-limit diagonal block B of a builder: its site entries, its
-    folded real form Re B - s J Im B (s = 1 on A_L, -1 on A_R), and the
-    folded form's clamped eigenpairs once a partition has asked for them
-    (``entanglement.partition``)."""
+    folded real form Re B - s J Im B (s = 1 on A_L, -1 on A_R), symmetric
+    entry for entry, and the folded form's clamped eigenpairs once a
+    partition has asked for them (``entanglement.partition``)."""
 
     site: np.ndarray
-    folded: FoldedMatrix
+    folded: np.ndarray
     pairs: tuple | None = None
 
 
@@ -391,9 +375,9 @@ class FarBlock:
 class FarMatrix(CorrelationMatrix):
     """A far-limit correlation matrix with what its builder knows about it:
     the builder's diagonal blocks ``left`` and ``right``, and the cross block
-    in the folded basis, ``coupling`` = F = Q_L^dag C_LR Q_R.  F is real,
-    of shape (n_left, n_right), exactly when the union folds (``folds``);
-    otherwise it holds Re F and Im F stacked as (2, n_left, n_right)."""
+    in the folded basis, ``coupling`` = F = Q_L^dag C_LR Q_R, of shape
+    (n_left, n_right).  F is real exactly when the union folds (``folds``),
+    and complex otherwise."""
 
     left: FarBlock
     right: FarBlock
@@ -401,7 +385,7 @@ class FarMatrix(CorrelationMatrix):
 
     @property
     def folds(self) -> bool:
-        return self.coupling.ndim == 2
+        return not np.iscomplexobj(self.coupling)
 
 
 def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FarMatrix:
@@ -438,9 +422,8 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
         # half formed on the 1-D values before its view
         u, v = w.conj(), w[::-1].conj()
         toe, han = (u - v) / 2, 0.5j * (u + v)
-        toe, han = np.stack([toe.real, toe.imag]), np.stack([han.real, han.imag])
-        coupling = sliding_window_view(toe[:, ::-1], nr, axis=-1)[:, ::-1] + sliding_window_view(han, nr, axis=-1)
-    return FarMatrix(out, nl, left=left, right=right, coupling=coupling)
+        coupling = sliding_window_view(toe[::-1], nr)[::-1] + sliding_window_view(han, nr)
+    return FarMatrix(out, nl, left=left, right=right, coupling=coupling, built_hermitian=True)
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ centrohermitian: J conj(B) J = B, J reversing the sites (Lee, LAA 29, 205
 (1980); Hill, Bates & Waters, SIAM J. Matrix Anal. Appl. 11, 128 (1990)).
 So Q = (I - isJ)/sqrt 2 (s = 1 on A_L, -1 on A_R), a block-local unitary,
 makes Q^dag B Q = Re B - sJ Im B real symmetric.  The builder keeps each
-block in that folded form, and ``partition`` decomposes it with a real
-``eigh``, unchecked, since it is symmetric by construction.  The cross
+block in that folded form, symmetric entry for entry, and ``partition``
+decomposes it with a real ``eigh``.  The cross
 block enters through F = Q_L^dag C_LR Q_R, which the builder gathers in
 O(n_l n_r) from the same W_X values as C_LR, one Toeplitz and one Hankel
 view, and the coupling of the block modes is V_L^T F V_R for the real
@@ -64,13 +64,18 @@ builder checks that relation on the O(n_l + n_r) values it reads, to
 3e-16).  The whole matrix then satisfies P conj(C) P = C with
 P = diag(J_L, -J_R), and Q = (I - iP)/sqrt 2 makes Q^dag C Q =
 Re C - P Im C real symmetric, with every spectrum, the partition, MI, CI
-and E_n of C: ``fold`` assembles that ``FoldedMatrix`` from the folded
-blocks and F, for the full spectra and the full negativity pencil.
-Otherwise, as at fig. 3's offsets, F is complex, and Re F and Im F go
-through the two real products as one stacked array: a real V times a
-complex F would run in complex arithmetic.  Matrices the far builder did
-not make, finite-distance (Toeplitz plus Hankel, never centrohermitian) or
-built by hand, take the plain complex path with every Hermiticity check.
+and E_n of C: ``fold`` assembles that matrix from the folded blocks and F,
+for the full spectra and the full negativity pencil.  Otherwise, as at
+fig. 3's offsets, F is complex, and ``partition`` takes V_L^T (Re F) V_R
+and V_L^T (Im F) V_R in real arithmetic, where a real V times a complex F
+would run in complex arithmetic.  Matrices the far builder did not make,
+finite-distance (Toeplitz plus Hankel, never centrohermitian) or built by
+hand, take the plain complex path.
+
+Hermiticity.  Every matrix here is a ``CorrelationMatrix``, checked for
+Hermiticity once when it is made from outside the package, or built
+Hermitian exactly by the package (``correlation`` module docstring), so
+no solver here checks again: ``eigvalsh`` and ``eigh`` read one triangle.
 
 Orders n < 1 keep the full three spectra (``deflates``): an entropy term
 mu^n / (1 - n) falls only as a power of mu, and deflating would be no
@@ -133,15 +138,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, FarMatrix, FoldedMatrix
-from .numerics import HERM_TOL, NumericsError, check_hermitian, eig_hermitian, eigh_hermitian
+from .correlation import CorrelationMatrix, FarMatrix
+from .numerics import NumericsError, eig_hermitian, eigh_hermitian
 from .numerics import eig_general, mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
 __all__ = [
     "SpectrumError",
     "SingularResolvent",
     "EntanglementReport",
-    "FoldedMatrix",
     "fold",
     "occupation_spectrum",
     "renyi_index",
@@ -200,30 +204,28 @@ def _matrix_of(c) -> np.ndarray:
 
 
 def fold(c: CorrelationMatrix) -> CorrelationMatrix:
-    """The real FoldedMatrix Q^dag C Q of a far-limit matrix whose union
-    folds, assembled from its builder's folded blocks and its coupling F
+    """The real symmetric Q^dag C Q of a far-limit matrix whose union folds,
+    assembled from its builder's folded blocks and its coupling F
     (``FarMatrix``); any other matrix as it is."""
     if not (isinstance(c, FarMatrix) and c.folds):
         return c
     nl = c.n_left
     folded = np.empty((c.dim, c.dim))
-    folded[:nl, :nl] = c.left.folded.matrix
-    folded[nl:, nl:] = c.right.folded.matrix
+    folded[:nl, :nl] = c.left.folded
+    folded[nl:, nl:] = c.right.folded
     folded[:nl, nl:] = c.coupling
     folded[nl:, :nl] = c.coupling.T
-    return FoldedMatrix(folded, nl)
+    return CorrelationMatrix(folded, nl, built_hermitian=True)
 
 
-def occupation_spectrum(c, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray, int]:
+def occupation_spectrum(c: CorrelationMatrix, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray, int]:
     """Eigenvalues of a correlation matrix clamped to [0, 1].
 
     Values within clamp_slack of the interval are clamped; anything further
     out raises SpectrumError, since log(negative) must be impossible yet a
-    genuine spectral violation has to surface.  A FoldedMatrix is symmetric
-    by construction and is not checked for Hermiticity.
+    genuine spectral violation has to surface.
     """
-    herm_tol = None if isinstance(c, FoldedMatrix) else HERM_TOL
-    return _clamped(eig_hermitian(_matrix_of(c), herm_tol), clamp_slack)
+    return _clamped(eig_hermitian(c.matrix), clamp_slack)
 
 
 def _clamped(nu: np.ndarray, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray, int]:
@@ -280,10 +282,9 @@ class Partition(NamedTuple):
     clamp_count: int
 
 
-def _block_eigenpairs(block: np.ndarray, checked: bool) -> tuple[np.ndarray, int, np.ndarray]:
-    """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block,
-    checked for Hermiticity unless ``checked`` says it needs no check."""
-    nu, vecs = eigh_hermitian(block, None) if checked else eigh_hermitian(block)
+def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block."""
+    nu, vecs = eigh_hermitian(block)
     return (*_clamped(nu), vecs)
 
 
@@ -292,10 +293,9 @@ def partition(c: CorrelationMatrix) -> Partition:
     spectra; the deflation rule is in the module docstring.
 
     A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
-    folded blocks, symmetric by construction, and couples them through F in
-    real arithmetic.  Any other matrix takes the eigenpairs of its own
-    blocks, each checked for Hermiticity, as is its cross block, read from
-    the rows of A_L and checked against the rows of A_R.
+    folded blocks and couples them through F in real arithmetic.  Any other
+    matrix takes the eigenpairs of its own blocks and its cross block, read
+    from the rows of A_L.
     """
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("a partition needs both blocks non-empty")
@@ -306,19 +306,20 @@ def partition(c: CorrelationMatrix) -> Partition:
         # a pure function of the block
         for block in (c.left, c.right):
             if block.pairs is None:
-                block.pairs = _block_eigenpairs(block.folded.matrix, True)
+                block.pairs = _block_eigenpairs(block.folded)
         (nu_l, clamp_l, vec_l), (nu_r, clamp_r, vec_r) = c.left.pairs, c.right.pairs
         cross = c.coupling
     else:
-        check_hermitian(c.matrix[:nl, nl:], c.matrix[nl:, :nl])
-        nu_l, clamp_l, vec_l = _block_eigenpairs(c.matrix[:nl, :nl], False)
-        nu_r, clamp_r, vec_r = _block_eigenpairs(c.matrix[nl:, nl:], False)
+        nu_l, clamp_l, vec_l = _block_eigenpairs(c.matrix[:nl, :nl])
+        nu_r, clamp_r, vec_r = _block_eigenpairs(c.matrix[nl:, nl:])
         cross = c.matrix[:nl, nl:]
-    # a stacked (Re F, Im F) keeps a complex F in real products, V^T F V
-    # for each part; a real V times a complex F would run in complex ones
-    coupling = vec_l.conj().T @ cross @ vec_r
-    if coupling.ndim == 3:
-        coupling = coupling[0] + 1j * coupling[1]
+    if np.iscomplexobj(cross) and not np.iscomplexobj(vec_l):
+        # V^T F V for Re F and Im F, stacked: a real V times a complex F
+        # would run in complex arithmetic
+        parts = vec_l.T @ np.stack([cross.real, cross.imag]) @ vec_r
+        coupling = parts[0] + 1j * parts[1]
+    else:
+        coupling = vec_l.conj().T @ cross @ vec_r
     size = np.abs(coupling)
     # two-mode estimate of each coupling's share of E_1, min(|y|, |y|^2 / pair)
     pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_l, nu_r)), size)
@@ -335,7 +336,7 @@ def partition(c: CorrelationMatrix) -> Partition:
     reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
     reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
     reduced[k:, :k] = reduced[:k, k:].conj().T
-    return Partition(CorrelationMatrix(reduced, k), nu_l[~act_l], nu_r[~act_r], clamp_l + clamp_r)
+    return Partition(CorrelationMatrix(reduced, k, built_hermitian=True), nu_l[~act_l], nu_r[~act_r], clamp_l + clamp_r)
 
 
 class BlockSpectra(NamedTuple):
@@ -365,7 +366,10 @@ def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
         )
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("measures needs both blocks in the partition")
-    left, right = (c.left.folded, c.right.folded) if isinstance(c, FarMatrix) else (c.block_left(), c.block_right())
+    if isinstance(c, FarMatrix):
+        left, right = (CorrelationMatrix(block.folded, 0, built_hermitian=True) for block in (c.left, c.right))
+    else:
+        left, right = c.block_left(), c.block_right()
     nu_a, clamp_a = occupation_spectrum(fold(c))
     nu_l, clamp_l = occupation_spectrum(left)
     nu_r, clamp_r = occupation_spectrum(right)

@@ -33,12 +33,13 @@ raises NonConvergence on its panel budget.
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
 
-The eigenvalue and inverse routines wrap LAPACK (through ``numpy.linalg``)
-behind the checks the rest of the package relies on: Hermiticity is verified
-before ``eigvalsh`` or ``eigh``, which read one triangle of the matrix as it
-is, and inverses are checked against an explicit residual.  A real matrix
-stays real, so a real symmetric one is solved in real arithmetic.
-Eigenvectors are taken only of the diagonal blocks of a partition, which the
+The eigenvalue and inverse routines wrap LAPACK (through ``numpy.linalg``).
+``eigvalsh`` and ``eigh`` read one triangle of the matrix as it is, so they
+take a matrix already known to be Hermitian: ``check_hermitian`` runs once,
+when a ``correlation.CorrelationMatrix`` is made from outside the package.
+Inverses are checked against an explicit residual.  A real matrix stays
+real, so a real symmetric one is solved in real arithmetic.  Eigenvectors
+are taken only of the diagonal blocks of a partition, which the
 entanglement measures deflate to their coupled modes.
 """
 
@@ -70,7 +71,7 @@ __all__ = [
 ]
 
 
-#: relative Hermiticity tolerance of check_hermitian and the eigensolvers
+#: relative Hermiticity tolerance of check_hermitian
 HERM_TOL = 1e-10
 
 
@@ -431,44 +432,29 @@ def _as_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(upper: np.ndarray, lower: np.ndarray | None = None, herm_tol: float = HERM_TOL) -> None:
-    """Raise NotHermitian unless ||lower - upper^dag||_max <= herm_tol * max(1, ||upper||_max).
-
-    With lower omitted this checks upper itself; given, upper and lower are
-    the two off-diagonal blocks of one matrix.
-    """
-    lower = upper if lower is None else lower
-    scale = max(1.0, float(np.abs(upper).max()))
-    diff = lower - upper.conj().T
-    dev = float(np.abs(diff, out=diff).real.max())  # in place: one temporary
-    if dev > herm_tol * scale:
-        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {herm_tol * scale:.3e}")
+def check_hermitian(m: np.ndarray) -> None:
+    """Raise NotHermitian unless ||M - M^dag||_max <= HERM_TOL * max(1, ||M||_max)."""
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    diff = m - m.conj().T
+    dev = float(np.abs(diff, out=diff).real.max(initial=0.0))  # in place: one temporary
+    if dev > HERM_TOL * scale:
+        raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL * scale:.3e}")
 
 
-def _checked(m, herm_tol: float | None) -> np.ndarray:
-    """M as a matrix, after check_hermitian(M) unless herm_tol is None."""
-    a = _as_matrix(m)
-    if herm_tol is not None:
-        check_hermitian(a, herm_tol=herm_tol)
-    return a
-
-
-def eig_hermitian(m, herm_tol: float | None = HERM_TOL) -> np.ndarray:
+def eig_hermitian(m) -> np.ndarray:
     """Ascending real eigenvalues of a Hermitian matrix.
 
-    The matrix must satisfy ||M - M^dag||_max <= herm_tol * max(1, ||M||_max);
-    LAPACK then reads its lower triangle, so a deviation within the tolerance
-    (quadrature noise breaks exact Hermiticity at the 1e-12 level) is read as
-    the Hermitian matrix of that triangle.  herm_tol=None skips the check,
-    for a matrix its caller has checked.
+    LAPACK reads the lower triangle, so a matrix within check_hermitian's
+    tolerance (quadrature noise breaks exact Hermiticity at the 1e-12 level)
+    is read as the Hermitian matrix of that triangle.
     """
-    return np.linalg.eigvalsh(_checked(m, herm_tol))
+    return np.linalg.eigvalsh(_as_matrix(m))
 
 
-def eigh_hermitian(m, herm_tol: float | None = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and the matching orthonormal eigenvectors (as
-    columns) of a Hermitian matrix, behind the same check as eig_hermitian."""
-    return np.linalg.eigh(_checked(m, herm_tol))
+    columns) of a Hermitian matrix, read as eig_hermitian reads it."""
+    return np.linalg.eigh(_as_matrix(m))
 
 
 def eig_general(m) -> np.ndarray:

@@ -8,13 +8,12 @@ from nessent.correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
-    correlation_entry_finite,
     correlation_matrix_far,
     correlation_matrix_finite,
     read_matrix_dump,
     write_matrix_dump,
 )
-from nessent.numerics import QuadratureSpec, integrate_oscillatory
+from nessent.numerics import NotHermitian, QuadratureSpec, integrate_oscillatory
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, wavefunction
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
@@ -67,9 +66,19 @@ def test_geometry_site_lists():
     assert geom.sites_right() == (6, 7)
 
 
+def finite_entry(model, bias, j, m):
+    """<c_j^dag c_m> read off the finite-distance matrix of the intervals
+    -1..-ell_l and 1..ell_r that hold both sites."""
+    ell_l = max([-s for s in (j, m) if s < 0], default=1)
+    ell_r = max([s for s in (j, m) if s > 0], default=1)
+    cm = correlation_matrix_finite(CorrelationBuilder(model, bias), SubsystemGeometry(0, 0, ell_l, 0, ell_r))
+    index = {s: -s - 1 if s < 0 else ell_l + s - 1 for s in (j, m)}
+    return cm.matrix[index[j], index[m]]
+
+
 def test_entry_filled_sea_density():
     eq = BiasState(np.pi / 2, np.pi / 2)
-    val = correlation_entry_finite(TrivialScatterer(), eq, 3, 3)
+    val = finite_entry(TrivialScatterer(), eq, 3, 3)
     assert val.real == pytest.approx(0.5, abs=1e-11)
     assert abs(val.imag) < 1e-12
 
@@ -78,7 +87,7 @@ def test_entry_filled_sea_density():
 def test_entry_filled_sea_kernel(x):
     kf = np.pi / 3
     eq = BiasState(kf, kf)
-    val = correlation_entry_finite(TrivialScatterer(), eq, 5 + x, 5)
+    val = finite_entry(TrivialScatterer(), eq, 5 + x, 5)
     assert abs(val - np.sin(kf * x) / (np.pi * x)) < 1e-11
 
 
@@ -93,26 +102,13 @@ def trapezoid_entry(model, bias, j, m, npts=1_000_001):
 
 
 def test_entry_against_trapezoid_oracle():
-    val = correlation_entry_finite(IMPURITY, BIAS, 5, 7)
+    val = finite_entry(IMPURITY, BIAS, 5, 7)
     assert abs(val - trapezoid_entry(IMPURITY, BIAS, 5, 7)) < 1e-8
 
 
 def test_cross_entry_against_trapezoid_oracle():
-    val = correlation_entry_finite(IMPURITY, BIAS, 4, -6)
+    val = finite_entry(IMPURITY, BIAS, 4, -6)
     assert abs(val - trapezoid_entry(IMPURITY, BIAS, 4, -6)) < 1e-8
-
-
-def test_entry_rejects_scattering_region():
-    with pytest.raises(ValueError):
-        correlation_entry_finite(IMPURITY, BIAS, 0, 3)
-
-
-def test_finite_matrix_reduces_to_entry():
-    geom = SubsystemGeometry(0, 2, 1, 2, 1)
-    cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom).block_right()
-    entry = correlation_entry_finite(IMPURITY, BIAS, 3, 3)
-    assert cm.matrix.shape == (1, 1)
-    assert abs(cm.matrix[0, 0] - entry) < 1e-14
 
 
 def test_finite_matrix_hermitian_and_contractive():
@@ -125,12 +121,13 @@ def test_finite_matrix_hermitian_and_contractive():
 
 
 def test_finite_matrix_matches_entrywise_assembly():
+    # each entry depends on its two sites only, not on the intervals around them
     geom = SubsystemGeometry(0, 3, 4, 1, 3)
     cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
     sites = geom.sites_left() + geom.sites_right()
     for a, sa in enumerate(sites):
         for b, sb in enumerate(sites):
-            assert abs(cm.matrix[a, b] - correlation_entry_finite(IMPURITY, BIAS, sa, sb)) < 1e-12
+            assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
 def test_table_blocks_do_not_depend_on_request_order():
@@ -350,3 +347,16 @@ def test_correlation_matrix_validates_shape_and_split():
     for n_left in (-1, 4):
         with pytest.raises(ValueError, match="outside"):
             CorrelationMatrix(np.eye(3), n_left)
+
+
+def test_correlation_matrix_rejects_nonhermitian():
+    with pytest.raises(NotHermitian, match="Hermiticity deviation"):
+        CorrelationMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+    # the tolerance is 1e-10 relative to max(1, largest entry)
+    near = 0.5 * np.eye(2, dtype=complex)
+    near[0, 1] = 0.5e-10j
+    CorrelationMatrix(near, 1)
+    near[0, 1] = 2e-10j
+    with pytest.raises(NotHermitian, match="Hermiticity deviation 2.000e-10 exceeds 1.000e-10"):
+        CorrelationMatrix(near, 1)
+    assert CorrelationMatrix(np.zeros((0, 0)), 0).dim == 0

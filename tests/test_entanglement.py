@@ -15,7 +15,6 @@ import nessent.entanglement as ent
 from nessent.entanglement import (
     CLAMP_SLACK,
     EntanglementReport,
-    FoldedMatrix,
     SingularResolvent,
     SpectrumError,
     block_spectra,
@@ -30,6 +29,7 @@ from nessent.entanglement import (
     report_from_spectra,
 )
 from nessent import fockspace as fs
+from nessent.numerics import NotHermitian
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity
 
 
@@ -210,6 +210,17 @@ def test_negativity_rejects_odd_order_and_empty_block():
     lonely = CorrelationMatrix(np.eye(2, dtype=complex) * 0.5, 2)
     with pytest.raises(ValueError):
         fermionic_negativity(lonely, 1)
+
+
+@pytest.mark.parametrize("solve", [measures, block_spectra, partition, fermionic_negativity, occupation_spectrum])
+def test_every_measure_rejects_a_nonhermitian_matrix(solve):
+    # one cross entry off by 0.05: the matrix is checked once, when it is made
+    rng = np.random.default_rng(31)
+    cm, _ = cm_from_spectrum(rng, 3, 3)
+    mat = cm.matrix.copy()
+    mat[0, 4] += 0.05
+    with pytest.raises(NotHermitian, match="^Hermiticity deviation"):
+        solve(CorrelationMatrix(mat, 3))
 
 
 def test_negativity_nonfinite_input_raises_singular_resolvent():
@@ -498,15 +509,17 @@ def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, 
         nl = cm.n_left
         # the builder's folded blocks are Re B - s J Im B of the site blocks
         for block, site, sign in ((cm.left, cm.matrix[:nl, :nl], 1.0), (cm.right, cm.matrix[nl:, nl:], -1.0)):
-            assert block.folded.matrix.dtype == np.float64
-            assert np.array_equal(block.folded.matrix, site.real - sign * site.imag[::-1])
-        # F = Q_L^dag C_LR Q_R, real or as stacked real and imaginary parts
+            assert block.folded.dtype == np.float64
+            assert np.array_equal(block.folded, site.real - sign * site.imag[::-1])
+            assert np.array_equal(block.folded, block.folded.T)
+        # F = Q_L^dag C_LR Q_R, real exactly when the union folds
         exact = folding_unitary(ell_l, 1.0).conj().T @ cm.cross_block() @ folding_unitary(ell_r, -1.0)
-        coupling = cm.coupling if cm.folds else cm.coupling[0] + 1j * cm.coupling[1]
-        assert np.abs(coupling - exact).max() <= 1e-15 * np.abs(exact).max()
+        assert cm.coupling.shape == (ell_l, ell_r)
+        assert cm.coupling.dtype == (np.float64 if cm.folds else np.complex128)
+        assert np.abs(cm.coupling - exact).max() <= 1e-15 * np.abs(exact).max()
         assert cm.folds == (2 * (d_l - d_r) == ell_r - ell_l)
         folded = fold(cm)
-        assert isinstance(folded, FoldedMatrix) == cm.folds
+        assert (folded is not cm) == cm.folds
         if cm.folds:
             assert folded.matrix.dtype == np.float64 and folded.n_left == cm.n_left
             assert np.array_equal(folded.matrix, folded.matrix.T)

@@ -600,8 +600,8 @@ def test_threaded_position_sweep_bytes_match_serial(tmp_path):
     ],
 )
 def test_block_eigen_failures_name_the_sweep_point(monkeypatch, left, cross, error, message):
-    # the partition checks each block as eig_hermitian does, the cross
-    # blocks against each other, and clamps as occupation_spectrum does
+    # a hand-built matrix is checked for Hermiticity when it is made, and
+    # the partition clamps as occupation_spectrum does
     import nessent.experiments as ex
 
     def broken(builder, geom):
@@ -613,3 +613,30 @@ def test_block_eigen_failures_name_the_sweep_point(monkeypatch, left, cross, err
     monkeypatch.setattr(ex, "correlation_matrix_far", broken)
     with pytest.raises(error, match=rf"^delta=-8: {message}"):
         run_sweep_position(position_config())
+
+
+def test_builder_matrices_are_never_checked_again(monkeypatch):
+    # check_hermitian runs once on a matrix made outside the package, and
+    # never on what the builders make Hermitian exactly
+    import nessent.correlation as cor
+    import nessent.entanglement as ent
+    import nessent.experiments as ex
+    import nessent.numerics as num
+    from nessent.correlation import CorrelationBuilder, SubsystemGeometry
+    from nessent.scattering import BiasState, SingleImpurity
+
+    calls = [count_calls(monkeypatch, m, "check_hermitian") for m in (num, cor, ent, ex) if hasattr(m, "check_hermitian")]
+    builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(K_FL, K_FR))
+    points = [
+        cor.correlation_matrix_far(builder, SubsystemGeometry(0, 6, 12, 0, 24)),
+        cor.correlation_matrix_far(builder, SubsystemGeometry(0, 4, 12, 0, 24)),
+        cor.correlation_matrix_finite(builder, SubsystemGeometry(0, 6, 8, 6, 8)),
+    ]
+    assert [getattr(cm, "folds", None) for cm in points] == [True, False, None]
+    for cm in points:
+        numeric = ex._point_values(cm)
+        for measure, order in (("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("entropy_a", 2.0), ("negativity", 1)):
+            assert np.isfinite(numeric(measure, order))
+    assert sum(map(len, calls)) == 0
+    CorrelationMatrix(points[2].matrix, points[2].n_left)
+    assert sum(map(len, calls)) == 1

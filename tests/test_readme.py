@@ -1,7 +1,12 @@
-"""The README's library examples run as written."""
+"""The README's library examples run as written, and the names it and the
+modules' ``__all__`` lists give exist."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import nessent
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,3 +17,14 @@ def test_readme_python_blocks_run_in_order():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i + 1}", "exec"), namespace)
+
+
+def test_readme_references_and_module_exports_resolve():
+    refs = set(re.findall(r"\bnessent\.(\w+)\.(\w+)", README.read_text(encoding="utf-8")))
+    assert refs, "README.md names no nessent.<module>.<name>"
+    for module, name in sorted(refs):
+        assert hasattr(importlib.import_module(f"nessent.{module}"), name), f"README.md names nessent.{module}.{name}"
+    for info in pkgutil.iter_modules(nessent.__path__):
+        module = importlib.import_module(f"nessent.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"nessent.{info.name}.__all__ lists {missing}"
