@@ -54,7 +54,6 @@ from .numerics import (
     NonConvergence,
     NotHermitian,
     QuadratureSpec,
-    Singular,
     integrate,
     integrate_oscillatory,
 )

@@ -35,8 +35,8 @@ Two regimes are implemented:
   union folds and complex otherwise, which the ``entanglement`` module
   docstring derives.
 
-A ``CorrelationMatrix`` is Hermitian: its constructor checks any matrix
-handed in from outside (``numerics.check_hermitian``), once, and the
+A ``CorrelationMatrix`` is finite and Hermitian: its constructor checks any
+matrix handed in from outside (``numerics.check_hermitian``), once, and the
 builders here, which make their matrices Hermitian exactly, say so with
 ``built_hermitian=True``.  Nothing downstream checks again.
 

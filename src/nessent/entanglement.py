@@ -72,10 +72,12 @@ would run in complex arithmetic.  Matrices the far builder did not make,
 finite-distance (Toeplitz plus Hankel, never centrohermitian) or built by
 hand, take the plain complex path.
 
-Hermiticity.  Every matrix here is a ``CorrelationMatrix``, checked for
-Hermiticity once when it is made from outside the package, or built
-Hermitian exactly by the package (``correlation`` module docstring), so
-no solver here checks again: ``eigvalsh`` and ``eigh`` read one triangle.
+Hermiticity.  Every matrix here is a ``CorrelationMatrix``: checked once,
+for finite entries and Hermiticity, when it is made from outside the
+package (``numerics.check_hermitian``), or built Hermitian exactly by the
+package (``correlation`` module docstring).  So the spectra and block
+eigenpairs come straight from ``numpy.linalg.eigvalsh`` and ``eigh``, which
+read one triangle, and no solver here checks again.
 
 Orders n < 1 keep the full three spectra (``deflates``): an entropy term
 mu^n / (1 - n) falls only as a power of mu, and deflating would be no
@@ -137,10 +139,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
 from .correlation import CorrelationMatrix, FarMatrix
-from .numerics import NumericsError, eig_hermitian, eigh_hermitian
-from .numerics import eig_general, mat_inverse  # noqa: F401  read by perfbench/tracer.py
+from .numerics import NumericsError
 
 __all__ = [
     "SpectrumError",
@@ -197,12 +199,6 @@ class EntanglementReport:
     clamp_count: int = 0
 
 
-def _matrix_of(c) -> np.ndarray:
-    if isinstance(c, CorrelationMatrix):
-        return c.matrix
-    return np.asarray(c)
-
-
 def fold(c: CorrelationMatrix) -> CorrelationMatrix:
     """The real symmetric Q^dag C Q of a far-limit matrix whose union folds,
     assembled from its builder's folded blocks and its coupling F
@@ -218,20 +214,20 @@ def fold(c: CorrelationMatrix) -> CorrelationMatrix:
     return CorrelationMatrix(folded, nl, built_hermitian=True)
 
 
-def occupation_spectrum(c: CorrelationMatrix, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray, int]:
+def occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
     """Eigenvalues of a correlation matrix clamped to [0, 1].
 
-    Values within clamp_slack of the interval are clamped; anything further
+    Values within CLAMP_SLACK of the interval are clamped; anything further
     out raises SpectrumError, since log(negative) must be impossible yet a
     genuine spectral violation has to surface.
     """
-    return _clamped(eig_hermitian(c.matrix), clamp_slack)
+    return _clamped(np.linalg.eigvalsh(c.matrix))
 
 
-def _clamped(nu: np.ndarray, clamp_slack: float = CLAMP_SLACK) -> tuple[np.ndarray, int]:
+def _clamped(nu: np.ndarray) -> tuple[np.ndarray, int]:
     """nu clamped to [0, 1] and the number of values clamped; SpectrumError
-    beyond clamp_slack."""
-    if nu.size and (nu.min() < -clamp_slack or nu.max() > 1.0 + clamp_slack):
+    beyond CLAMP_SLACK."""
+    if nu.size and (nu.min() < -CLAMP_SLACK or nu.max() > 1.0 + CLAMP_SLACK):
         worst = nu.min() if -nu.min() > nu.max() - 1.0 else nu.max()
         raise SpectrumError(f"correlation eigenvalue {worst} outside [0, 1] beyond slack")
     clamped = int((nu < 0.0).sum() + (nu > 1.0).sum())
@@ -284,7 +280,7 @@ class Partition(NamedTuple):
 
 def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block."""
-    nu, vecs = eigh_hermitian(block)
+    nu, vecs = np.linalg.eigh(block)
     return (*_clamped(nu), vecs)
 
 
@@ -397,11 +393,11 @@ def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> Ent
     )
 
 
-def correlation_moments(c, p: int) -> float:
+def correlation_moments(c: CorrelationMatrix, p: int) -> float:
     """Tr[C^p] by repeated matrix multiplication."""
     if p < 1:
         raise ValueError("moment order must be a positive integer")
-    a = _matrix_of(c)
+    a = c.matrix
     power = a.copy()
     for _ in range(p - 1):
         power = power @ a

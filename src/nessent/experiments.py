@@ -303,7 +303,11 @@ def run_sweep_bias(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
     return _SWEEP_FIELDS, all_rows
 
 
-def friedel_window(k_fl: float, k_fr: float, requested="auto", max_window: int = 48) -> int:
+#: widest window, in samples, that friedel_window chooses on its own
+MAX_WINDOW = 48
+
+
+def friedel_window(k_fl: float, k_fr: float, requested="auto") -> int:
     """Averaging window, in consecutive integer distances, for the density
     oscillations away from the scatterer.
 
@@ -320,7 +324,7 @@ def friedel_window(k_fl: float, k_fr: float, requested="auto", max_window: int =
         return w
     freqs = np.array([2.0 * k_fl, 2.0 * k_fr, k_fl + k_fr]) / (2.0 * np.pi)
     best_w, best_defect = 2, np.inf
-    for w in range(2, max_window + 1):
+    for w in range(2, MAX_WINDOW + 1):
         defect = float(np.max(np.abs(w * freqs - np.round(w * freqs))))
         if defect < best_defect - 1e-12:
             best_w, best_defect = w, defect

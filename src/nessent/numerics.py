@@ -1,4 +1,4 @@
-"""Quadrature and dense linear-algebra primitives used throughout the package.
+"""Quadrature primitives and the one correlation-matrix check used throughout the package.
 
 Every integral in this package is one-dimensional and falls into one of two
 families:
@@ -33,18 +33,16 @@ raises NonConvergence on its panel budget.
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
 
-The eigenvalue and inverse routines wrap LAPACK (through ``numpy.linalg``).
-``eigvalsh`` and ``eigh`` read one triangle of the matrix as it is, so they
-take a matrix already known to be Hermitian: ``check_hermitian`` runs once,
-when a ``correlation.CorrelationMatrix`` is made from outside the package.
-Inverses are checked against an explicit residual.  A real matrix stays
-real, so a real symmetric one is solved in real arithmetic.  Eigenvectors
-are taken only of the diagonal blocks of a partition, which the
-entanglement measures deflate to their coupled modes.
+``check_hermitian`` is the one matrix check: it runs once, when a
+``correlation.CorrelationMatrix`` is made from outside the package, and
+rejects non-finite entries as well as non-Hermitian ones.  ``entanglement``
+then calls ``numpy.linalg`` directly, whose ``eigvalsh`` and ``eigh`` read
+one triangle of a matrix that is already Hermitian.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Callable
@@ -59,15 +57,10 @@ __all__ = [
     "NumericsError",
     "NonConvergence",
     "NotHermitian",
-    "Singular",
     "integrate",
     "integrate_oscillatory",
     "integrate_oscillatory_batch",
     "check_hermitian",
-    "eig_hermitian",
-    "eigh_hermitian",
-    "eig_general",
-    "mat_inverse",
 ]
 
 
@@ -84,11 +77,8 @@ class NonConvergence(NumericsError):
 
 
 class NotHermitian(NumericsError):
-    """Raised when a matrix fails the Hermiticity check."""
-
-
-class Singular(NumericsError):
-    """Raised when a matrix is numerically singular."""
+    """Raised when a matrix fails the Hermiticity check or has a non-finite
+    entry."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +107,10 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GAUSS_CACHE.get(order)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(order)
-        rule = (x, w)
-        _GAUSS_CACHE[order] = rule
-    return rule
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
@@ -284,21 +268,16 @@ def _fixed_grid(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarr
 #: Filon-Clenshaw-Curtis rule instead of the Gauss-Legendre grid
 FILON_MIN_PHASE = 256.0
 
-_CHEBYSHEV_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n + 1 first-kind Chebyshev points cos(pi (j + 1/2)/(n + 1)) and the
     DCT-II matrix taking values there to the coefficients c_0..c_n of the
     interpolant sum c_k T_k."""
-    rule = _CHEBYSHEV_CACHE.get(n)
-    if rule is None:
-        theta = np.pi * (np.arange(n + 1) + 0.5) / (n + 1)
-        dct = (2.0 / (n + 1)) * np.cos(np.outer(np.arange(n + 1), theta))
-        dct[0] *= 0.5
-        rule = (np.cos(theta), dct)
-        _CHEBYSHEV_CACHE[n] = rule
-    return rule
+    theta = np.pi * (np.arange(n + 1) + 0.5) / (n + 1)
+    dct = (2.0 / (n + 1)) * np.cos(np.outer(np.arange(n + 1), theta))
+    dct[0] *= 0.5
+    return np.cos(theta), dct
 
 
 def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
@@ -424,57 +403,15 @@ def integrate_oscillatory_batch(
         coarse = fine
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m)
-    a = a if np.iscomplexobj(a) else a.astype(float, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("expected a square matrix of dimension >= 1")
-    return a
-
-
 def check_hermitian(m: np.ndarray) -> None:
-    """Raise NotHermitian unless ||M - M^dag||_max <= HERM_TOL * max(1, ||M||_max)."""
+    """Raise NotHermitian on a non-finite entry, or unless
+    ||M - M^dag||_max <= HERM_TOL * max(1, ||M||_max)."""
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise NotHermitian(f"non-finite entry {m[i, j]} at ({i}, {j})")
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     diff = m - m.conj().T
     dev = float(np.abs(diff, out=diff).real.max(initial=0.0))  # in place: one temporary
     if dev > HERM_TOL * scale:
         raise NotHermitian(f"Hermiticity deviation {dev:.3e} exceeds {HERM_TOL * scale:.3e}")
-
-
-def eig_hermitian(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix.
-
-    LAPACK reads the lower triangle, so a matrix within check_hermitian's
-    tolerance (quadrature noise breaks exact Hermiticity at the 1e-12 level)
-    is read as the Hermitian matrix of that triangle.
-    """
-    return np.linalg.eigvalsh(_as_matrix(m))
-
-
-def eigh_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and the matching orthonormal eigenvectors (as
-    columns) of a Hermitian matrix, read as eig_hermitian reads it."""
-    return np.linalg.eigh(_as_matrix(m))
-
-
-def eig_general(m) -> np.ndarray:
-    """Eigenvalue multiset of a general complex matrix (unordered)."""
-    a = _as_matrix(m)
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-
-
-def mat_inverse(m) -> np.ndarray:
-    """Inverse with an explicit residual check: ||M M^-1 - I||_max <= 1e-9 * dim."""
-    a = _as_matrix(m)
-    dim = a.shape[0]
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise Singular(f"matrix is singular: {exc}") from exc
-    residual = float(np.abs(a @ inv - np.eye(dim)).max())
-    if not np.isfinite(residual) or residual > 1e-9 * dim:
-        raise Singular(f"inverse residual {residual:.3e} exceeds {1e-9 * dim:.3e}")
-    return inv

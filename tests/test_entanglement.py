@@ -223,12 +223,25 @@ def test_every_measure_rejects_a_nonhermitian_matrix(solve):
         solve(CorrelationMatrix(mat, 3))
 
 
+@pytest.mark.parametrize("solve", [measures, fermionic_negativity])
+@pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((1, 0), np.nan), ((1, 1), np.inf)])
+def test_every_measure_rejects_a_nonfinite_matrix(solve, entry, value):
+    # eigvalsh reads one triangle, so a NaN in the other would go unseen
+    # unless the matrix is checked when it is made
+    mat = np.full((2, 2), 0.5)
+    mat[entry] = value
+    with pytest.raises(NotHermitian, match=r"^non-finite entry .* at \(%d, %d\)$" % entry):
+        solve(CorrelationMatrix(mat, 1))
+
+
 def test_negativity_nonfinite_input_raises_singular_resolvent():
+    # the pencil's own failure path: a matrix marked as a builder's skips
+    # the check on construction
     for entry in ((0, 1), (1, 1)):
         mat = np.full((2, 2), 0.5, dtype=complex)
         mat[entry] = np.nan
         with pytest.raises(SingularResolvent):
-            fermionic_negativity(CorrelationMatrix(mat, 1), 1)
+            fermionic_negativity(CorrelationMatrix(mat, 1, built_hermitian=True), 1)
 
 
 def test_negativity_relation_to_half_renyi_mi_slope():
@@ -471,17 +484,17 @@ def test_folded_measures_match_the_complex_path(inputs):
 
 
 def record_block_dtypes(monkeypatch):
-    """The dtypes of the blocks wider than one site that the partition hands
-    to eigh_hermitian (a single site is real either way)."""
+    """The dtypes of the blocks wider than one site that the partition
+    decomposes (a single site is real either way)."""
     dtypes = []
-    solve = ent.eigh_hermitian
+    solve = ent._block_eigenpairs
 
-    def recorded(block, *args):
+    def recorded(block):
         if block.shape[0] > 1:
             dtypes.append(block.dtype)
-        return solve(block, *args)
+        return solve(block)
 
-    monkeypatch.setattr(ent, "eigh_hermitian", recorded)
+    monkeypatch.setattr(ent, "_block_eigenpairs", recorded)
     return dtypes
 
 

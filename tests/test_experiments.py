@@ -566,7 +566,7 @@ def test_position_sweep_decomposes_each_block_once(monkeypatch):
     # 2 delta = ell_r - ell_l and the union folds
     import nessent.entanglement as ent
 
-    calls = count_calls(monkeypatch, ent, "eigh_hermitian")
+    calls = count_calls(monkeypatch, ent, "_block_eigenpairs")
     _, rows = run_sweep_position(position_config(measures=("mi", "ci", "negativity"), delta_step=2))
     assert [row["delta"] for row in rows_of(rows, row_type="point", measure="mi")] == list(range(-8, 9, 2))
     assert sorted(block.shape for block, *_ in calls) == [(12, 12), (24, 24)]

@@ -5,14 +5,9 @@ from nessent.numerics import (
     FILON_MIN_PHASE,
     NonConvergence,
     QuadratureSpec,
-    Singular,
-    eig_general,
-    eig_hermitian,
-    eigh_hermitian,
     integrate,
     integrate_oscillatory,
     integrate_oscillatory_batch,
-    mat_inverse,
 )
 
 SPEC = QuadratureSpec(abs_tol=1e-12)
@@ -143,99 +138,6 @@ def test_oscillatory_batch_filon_falls_back_to_gauss_legendre_budget():
 def test_oscillatory_panel_budget_raises():
     with pytest.raises(NonConvergence):
         integrate_oscillatory(lambda k: np.ones_like(k), 1e7, 0.0, np.pi, QuadratureSpec(max_panels=100))
-
-
-def test_eig_hermitian_identity():
-    assert np.allclose(eig_hermitian(np.eye(3)), [1, 1, 1])
-
-
-def test_eig_hermitian_pauli_x():
-    vals = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(vals, [-1.0, 1.0])
-
-
-def test_eig_hermitian_cubic_oracle():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = 0.5 * (m + m.conj().T)
-    # characteristic cubic expanded explicitly from the entries
-    tr = np.trace(m).real
-    sum2 = 0.5 * (np.trace(m).real ** 2 - np.trace(m @ m).real)
-    det = np.linalg.det(m).real
-    roots = np.roots([1.0, -tr, sum2, -det])
-    assert np.abs(roots.imag).max() < 1e-8
-    assert np.allclose(np.sort(roots.real), eig_hermitian(m), atol=1e-10)
-
-
-def test_eig_hermitian_known_decomposition():
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    _, u = np.linalg.eigh(h + h.conj().T)
-    lam = np.sort(rng.uniform(-2, 2, size=6))
-    m = (u * lam) @ u.conj().T
-    assert np.abs(eig_hermitian(m) - lam).max() < 1e-10
-    nu, vecs = eigh_hermitian(m)
-    assert np.abs(nu - lam).max() < 1e-10
-    assert np.abs((vecs * nu) @ vecs.conj().T - m).max() < 1e-10
-    assert np.abs(vecs.conj().T @ vecs - np.eye(6)).max() < 1e-12
-
-
-def test_eig_hermitian_trace_sum():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m = 0.5 * (m + m.conj().T)
-    assert abs(eig_hermitian(m).sum() - np.trace(m).real) < 1e-9 * 8
-
-
-def test_eig_general_diagonal():
-    vals = eig_general(np.diag([2.0, 3.0j]))
-    assert sorted(vals, key=lambda z: z.real) == pytest.approx([3.0j, 2.0])
-
-
-def test_eig_general_nilpotent():
-    vals = eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert np.abs(vals).max() < 1e-12
-
-
-def test_eig_general_determinant_residual_oracle():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    norm = np.linalg.norm(m, 2)
-    for lam in eig_general(m):
-        assert abs(np.linalg.det(m - lam * np.eye(4))) < 1e-8 * norm**4
-
-
-def test_eig_general_similarity_invariance():
-    rng = np.random.default_rng(13)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    s = rng.normal(size=(5, 5)) + np.eye(5) * 4.0
-    transformed = np.linalg.solve(s, m @ s)
-    a = np.sort_complex(eig_general(m))
-    b = np.sort_complex(eig_general(transformed))
-    assert np.abs(a - b).max() < 1e-8
-
-
-def test_eig_general_trace_sum():
-    rng = np.random.default_rng(17)
-    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert abs(eig_general(m).sum() - np.trace(m)) < 1e-8 * 6
-
-
-def test_inverse_identity_and_diagonal():
-    assert np.allclose(mat_inverse(np.eye(4)), np.eye(4))
-    assert np.allclose(mat_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
-
-
-def test_inverse_residual_oracle():
-    rng = np.random.default_rng(19)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 3.0 * np.eye(5)
-    inv = mat_inverse(m)
-    assert np.abs(m @ inv - np.eye(5)).max() < 1e-10
-
-
-def test_inverse_singular_raises():
-    with pytest.raises(Singular):
-        mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_quadrature_spec_invariants():
