@@ -11,11 +11,18 @@ one momentum window at an integer rate x: j - m (Toeplitz) or j + m
 (Hankel).  Every entry of either regime is thus a sum of Fourier
 coefficients W(window, factor, x).  ``CorrelationBuilder`` holds one table
 per (window, factor), filled in aligned blocks of consecutive rates, and
-both matrix builders assemble whole blocks from it by numpy indexing.
+both matrix builders assemble whole blocks from it by numpy indexing.  The
+factors asked for together on one (window, block) share one batched
+quadrature: its nodes, amplitudes and Chebyshev moments.
 
 Two regimes are implemented:
 
 * finite distance: the integral above, windows (0, k_fl) and (0, k_fr).
+  Three of the four terms of A_L and of A_R, and two of the four of the
+  cross block, are Toeplitz in the indices counted outward (rate j - m up
+  to sign) and do not depend on the distance.  The builder keeps them per
+  sweep, so each further matrix gathers only its four Hankel terms, and
+  adds the terms in table order, so every entry keeps its bytes.
 * far limit: the limit d_i/ell_i -> infinity at fixed d_l - d_r, where
   all terms whose phase grows with d_i average out (Riemann-Lebesgue) and
   the matrix becomes block-Toeplitz.  With indices counted outward from the
@@ -147,6 +154,7 @@ class CorrelationMatrix:
     built_hermitian: bool = field(default=False, kw_only=True)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", np.asarray(self.matrix))
         shape = self.matrix.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"correlation matrix must be square, got shape {shape}")
@@ -227,30 +235,45 @@ class CorrelationBuilder:
         }
         self._blocks: dict[tuple[str, str, int], np.ndarray] = {}
         self._far: dict[str, FarBlock] = {}
+        self._toeplitz: dict[tuple[str, int], tuple[tuple, np.ndarray]] = {}
 
     def prefetch(self, keys) -> None:
-        """Fill the missing table blocks among the (window, factor, block) keys."""
-        for key in keys:
-            if key in self._blocks:
-                continue
-            window, factor, block = key
+        """Fill the missing table blocks among the (window, factor, block)
+        keys: one batched quadrature per (window, block), whose factors share
+        its nodes, amplitudes and Chebyshev moments."""
+        groups: dict[tuple[str, int], dict[str, None]] = {}  # dicts as ordered sets
+        for window, factor, block in keys:
+            if (window, factor, block) not in self._blocks:
+                groups.setdefault((window, block), {})[factor] = None
+        for (window, block), factors in groups.items():
+            factors = list(factors)
             lo, hi, sign = self._windows[window]
-            f = _FACTORS[factor]
+            fs = [_FACTORS[factor] for factor in factors]
             rates = range(BLOCK * block, BLOCK * (block + 1))
+
+            def f_rows(k: np.ndarray) -> list:
+                amps = self.model.amplitudes(k)
+                return [f(*amps) for f in fs]
+
             try:
-                vals = integrate_oscillatory_batch(lambda k: f(*self.model.amplitudes(k)), rates, lo, hi, self.spec)
+                vals = integrate_oscillatory_batch(f_rows, rates, lo, hi, self.spec)
             except NumericsError as exc:
-                where = f"W(window {window}, factor {factor}, rates {rates[0]}..{rates[-1]})"
+                if len(factors) > 1:
+                    # a block fails in company exactly when one of its factors
+                    # fails alone, so filling them alone names that integral
+                    for factor in factors:
+                        self.prefetch([(window, factor, block)])
+                where = f"W(window {window}, factor {factors[0]}, rates {rates[0]}..{rates[-1]})"
                 raise type(exc)(f"{where}: {exc}") from exc
-            self._blocks[key] = sign * vals / (2.0 * np.pi)
+            for factor, row in zip(factors, vals):
+                self._blocks[(window, factor, block)] = sign * row / (2.0 * np.pi)
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
         """W(window, factor, x) at an integer array of rates x, same shape."""
-        first = int(rates.min()) // BLOCK
-        span = range(first, int(rates.max()) // BLOCK + 1)
+        span = _span(rates)
         self.prefetch([(window, factor, b) for b in span])
         table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
-        return table[rates - BLOCK * first]
+        return table[rates - BLOCK * span[0]]
 
     def far_block(self, side: str, n: int) -> "FarBlock":
         """The far-limit diagonal block of n sites on side "L" (A_L) or "R"
@@ -267,6 +290,11 @@ class CorrelationBuilder:
             # Re B - s J Im B with s = -sign: P = J on A_L and -J on A_R
             self._far[side] = block = FarBlock(site, site.real + sign * site.imag[::-1])
         return block
+
+
+def _span(rates: np.ndarray) -> range:
+    """The table blocks an integer array of rates reads."""
+    return range(int(rates.min()) // BLOCK, int(rates.max()) // BLOCK + 1)
 
 
 def _hermitian(block: np.ndarray) -> np.ndarray:
@@ -307,14 +335,44 @@ _FINITE_TERMS = {
 }
 
 
-def _finite_block(builder: CorrelationBuilder, kind: str, rows, cols) -> np.ndarray:
-    """Entries <c_j^dag c_m> for the sites j in rows and m in cols."""
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-    out = np.zeros((rows.size, cols.size), dtype=complex)
-    for window, factor, a, b, pair in _FINITE_TERMS[kind]:
-        vals = builder.coefficients(window, factor, np.add.outer(a * rows, b * cols))
-        out += 2.0 * vals.real if pair else vals
-    return out
+def _finite_blocks(builder: CorrelationBuilder, sites: dict) -> dict[str, np.ndarray]:
+    """Entries <c_j^dag c_m> of each block kind, for the kind's (rows, cols)
+    sites: its terms summed in _FINITE_TERMS order, so each entry keeps its
+    bytes whichever terms were kept.
+
+    A term whose rate a*j + b*m stays put as j and m step outward together
+    is Toeplitz in the outward indices and does not depend on the distance.
+    The builder keeps the last one per (kind, term) as a read-only view of
+    its values along the diagonals, tagged with its first rate and shape,
+    which fix all its rates, so a distance sweep gathers it once.  The
+    Hankel terms, and the terms of the first matrix, are gathered after one
+    prefetch of all their table blocks.
+    """
+    terms, gathers = {}, []
+    for kind, (rows, cols) in sites.items():
+        for index, (window, factor, a, b, pair) in enumerate(_FINITE_TERMS[kind]):
+            step = a * np.sign(rows[0])  # a site steps outward by its sign
+            if step + b * np.sign(cols[0]):
+                gathers.append(((kind, index), window, factor, np.add.outer(a * rows, b * cols), pair, None))
+                continue
+            # Toeplitz: the rate at outward indices (i, j) is first + step * (i - j)
+            tag = (int(a * rows[0] + b * cols[0]), rows.size, cols.size)
+            kept, terms[kind, index] = builder._toeplitz.get((kind, index), (None, None))
+            if kept != tag:
+                diagonals = tag[0] + step * np.arange(1 - cols.size, rows.size)
+                gathers.append(((kind, index), window, factor, diagonals, pair, tag))
+    builder.prefetch([(window, factor, blk) for _, window, factor, rates, _, _ in gathers for blk in _span(rates)])
+    for key, window, factor, rates, pair, tag in gathers:
+        vals = builder.coefficients(window, factor, rates)
+        terms[key] = 2.0 * vals.real if pair else vals
+        if tag is not None:
+            # term[i, j] = values[i - j + n_cols - 1]
+            terms[key] = sliding_window_view(terms[key], tag[2])[:, ::-1]
+            builder._toeplitz[key] = (tag, terms[key])
+    return {
+        kind: sum((terms[kind, i] for i in range(len(_FINITE_TERMS[kind]))), np.zeros((rows.size, cols.size), complex))
+        for kind, (rows, cols) in sites.items()
+    }
 
 
 def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
@@ -322,17 +380,18 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
 
     Hermitian by construction: the diagonal blocks mirror their upper
     triangle by conjugation, and the cross block is conjugate-transposed.  A
-    builder shared across matrices reuses its
-    Fourier tables (useful for sweeps over nearby distances).
+    builder shared across matrices reuses its Fourier tables and its
+    distance-independent terms (``_finite_blocks``), so a distance sweep
+    gathers only the four Hankel terms per matrix.
     """
-    left, right = geom.sites_left(), geom.sites_right()
-    nl, n = len(left), len(left) + len(right)
+    left, right = (np.asarray(s, dtype=np.int64) for s in (geom.sites_left(), geom.sites_right()))
+    blocks = _finite_blocks(builder, {"LL": (left, left), "RR": (right, right), "RL": (right, left)})
+    nl, n = left.size, left.size + right.size
     out = np.zeros((n, n), dtype=complex)
-    out[:nl, :nl] = _hermitian(_finite_block(builder, "LL", left, left))
-    out[nl:, nl:] = _hermitian(_finite_block(builder, "RR", right, right))
-    rl = _finite_block(builder, "RL", right, left)
-    out[nl:, :nl] = rl
-    out[:nl, nl:] = rl.conj().T
+    out[:nl, :nl] = _hermitian(blocks["LL"])
+    out[nl:, nl:] = _hermitian(blocks["RR"])
+    out[nl:, :nl] = blocks["RL"]
+    out[:nl, nl:] = blocks["RL"].conj().T
     return CorrelationMatrix(out, nl, built_hermitian=True)
 
 

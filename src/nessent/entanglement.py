@@ -112,23 +112,31 @@ and the moments
 C_X is never formed.  Gamma_- = Gamma_+^dag, so B = I + Gamma_+ Gamma_+^dag
 is Hermitian positive definite and B -/+ (Gamma_+ + Gamma_-) =
 (I -/+ Gamma_+)(I -/+ Gamma_+)^dag.  With B = L L^dag, the eigenvalues xi of
-C_X are sigma^2 / 2 for the singular values sigma of L^-1 (I - Gamma_+), and
-1 - xi = sigma'^2 / 2 for those of L^-1 (I + Gamma_+), ascending sigma paired
-with descending sigma'.  Both sides are real by construction and each small
-value is computed directly, so no square root is taken of an eigenvalue that
-is noise around the branch point.  The pencil drops the phases: with
-Gamma = 2 C_A - I and D = diag(I, -iI), Gamma_+ = D Gamma D, so
-B = D (I + Gamma^2) D^dag, L = D L0 D^dag for I + Gamma^2 = L0 L0^dag, and
-L^-1 (I -/+ Gamma_+) = D L0^-1 (Z -/+ Gamma) D with Z = D^dag D^dag =
-diag(I, -I).  The singular values are those of L0^-1 (Z -/+ Gamma), which
-stays in the matrix's own dtype, real for a folded one.  det(I + Gamma^2) =
-2^N det[C_A^2 + (I - C_A)^2], so the second term comes from the diagonal of
-L0.  The negativity itself is
-E_1 = sum ln[(sigma + sigma') / sqrt 2] + sum ln L0_ii - (N/2) ln 2; even n
-stays available for oracle tests.  The pairing residual
-max |(sigma^2 + sigma'^2)/2 - 1| is asserted small and reported in the
-diagnostics.  The C_X construction is from Shapourian, Shiozaki & Ryu,
-PRB 95, 165101 (2017), and Eisler & Zimboras, NJP 17, 053048 (2015).
+C_X are sigma^2 / 2 for the singular values sigma of M_- = L^-1 (I - Gamma_+),
+and 1 - xi = sigma'^2 / 2 for those of M_+ = L^-1 (I + Gamma_+).  The pencil
+drops the phases: with Gamma = 2 C_A - I and D = diag(I, -iI), Gamma_+ =
+D Gamma D, so B = D (I + Gamma^2) D^dag, L = D L0 D^dag for I + Gamma^2 =
+L0 L0^dag, and M_-/+ = D L0^-1 (Z -/+ Gamma) D with Z = D^dag D^dag =
+diag(I, -I), which stays in the matrix's own dtype, real for a folded one.
+M_- M_-^dag + M_+ M_+^dag = 2I, so the two share left singular vectors,
+sigma^2 + sigma'^2 = 2 pair by pair, and the products s = sigma sigma' =
+2 sqrt(xi (1 - xi)) are the singular values of the one matrix
+M_-^dag M_+ = W = (Z - Gamma)(I + Gamma^2)^-1 (Z + Gamma), formed by one
+solve and one product.  Since (sigma + sigma')^2 / 2 = 1 + s,
+
+    E_1 = (1/2) sum ln(1 + s) + sum ln L0_ii - (N/2) ln 2,
+
+with det(I + Gamma^2) = 2^N det[C_A^2 + (I - C_A)^2] from the diagonal of the
+Cholesky factor L0.  One SVD replaces the two of sigma and sigma' and their
+two solves, and ln(1 + s) reads no difference of nearly equal values, so no
+square root is taken of an eigenvalue that is noise around the branch point.
+Even n stays available for oracle tests: xi and 1 - xi are the roots
+(1 +/- sqrt(1 - s^2)) / 2, the large one taken directly and the small one
+as s^2 / (4 xi_large), which keeps its relative accuracy.  s <= 1 in exact
+arithmetic, so the pairing residual max(s) - 1 is asserted at most
+PAIRING_TOL and reported in the diagnostics; a NaN fails that check.  The C_X
+construction is from Shapourian, Shiozaki & Ryu, PRB 95, 165101 (2017), and
+Eisler & Zimboras, NJP 17, 053048 (2015).
 On a ``Partition`` the pencil runs on the reduced matrix only; a deflated
 mode of occupation nu adds ln[nu^n + (1 - nu)^n] to E_n, which is 0 at n = 1.
 """
@@ -170,8 +178,8 @@ CLAMP_SLACK = 1e-8
 #: below it is deflated (see the module docstring)
 DEFLATION_TOL = 1e-13
 
-#: tolerated C_X pairing residual max |(sigma^2 + sigma'^2)/2 - 1|; xi and
-#: 1 - xi come from two separate solves, so their sum checks both
+#: tolerated C_X pairing residual max(s) - 1 for the singular values
+#: s = 2 sqrt(xi (1 - xi)) of W, which are at most 1 in exact arithmetic
 PAIRING_TOL = 1e-7
 
 
@@ -405,7 +413,7 @@ def correlation_moments(c: CorrelationMatrix, p: int) -> float:
 
 
 def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[float, float]:
-    """(E_n, pairing residual max |(sigma^2 + sigma'^2)/2 - 1|)."""
+    """(E_n, pairing residual max(s) - 1)."""
     if n != 1 and (n < 2 or int(n) != n or int(n) % 2 != 0):
         raise ValueError("negativity order must be 1 or an even integer")
     if isinstance(c, Partition):
@@ -420,38 +428,34 @@ def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[floa
 
 
 def _whitened_pencil(c: CorrelationMatrix, n: float) -> tuple[float, float]:
-    """(E_n, pairing residual) of a matrix with both blocks non-empty, in its
-    own dtype."""
+    """(E_n, pairing residual max(s) - 1) of a matrix with both blocks
+    non-empty, in its own dtype."""
     a = c.matrix
     dim = a.shape[0]
     diag = np.diag_indices(dim)
     z = np.where(np.arange(dim) < c.n_left, 1.0, -1.0)
     gamma = 2.0 * a - np.eye(dim)
-
-    # one side at a time, so that at most one extra dim x dim temporary lives
     b = gamma @ gamma.conj().T
     b[diag] += 1.0
+    minus = -gamma
+    minus[diag] += z
+    gamma[diag] += z
     try:
-        chol = np.linalg.cholesky(b)
-        del b
-        side = -gamma
-        side[diag] += z
-        sigma = np.linalg.svd(np.linalg.solve(chol, side), compute_uv=False)[::-1]
-        del side
-        gamma[diag] += z
-        sigma_p = np.linalg.svd(np.linalg.solve(chol, gamma), compute_uv=False)
+        log_det_half = float(np.log(np.linalg.cholesky(b).diagonal().real).sum())
+        s = np.linalg.svd(minus @ np.linalg.solve(b, gamma), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(f"whitened pencil of I + Gamma_+ Gamma_-: {exc}") from exc
-    log_det_half = float(np.log(chol.diagonal().real).sum())
 
-    residual = float(np.abs(0.5 * (sigma**2 + sigma_p**2) - 1.0).max())
+    # not max(0, ...): a NaN must fail the check
+    residual = float(s.max()) - 1.0
     if not residual <= PAIRING_TOL:
         raise SingularResolvent(f"C_X pairing residual {residual:.3e} exceeds {PAIRING_TOL:.1e}")
     if n == 1:
-        first = np.log((sigma + sigma_p) / np.sqrt(2.0)).sum()
+        first = 0.5 * np.log1p(s).sum()
     else:
+        large = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - s * s, 0.0)))
         half = n / 2.0
-        first = np.log((0.5 * sigma**2) ** half + (0.5 * sigma_p**2) ** half).sum()
+        first = np.log((s * s / (4.0 * large)) ** half + large**half).sum()
     return float(first + n * (log_det_half - 0.5 * dim * np.log(2.0))), residual
 
 

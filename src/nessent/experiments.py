@@ -11,7 +11,6 @@ deterministic for a fixed config.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
@@ -84,6 +83,9 @@ def fit_constant(numeric, analytic) -> FitResult:
 def _map_ordered(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: concurrent.futures costs every serial run its import
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -23,12 +23,22 @@ mu_1 = (2 cos(omega) - mu_0)/(i omega), mu_2 = (B_2 - 4 mu_1)/(i omega) and
     mu_{n+1} = (n+1)/(i omega) [B_{n+1}/(n+1) - B_{n-1}/(n-1) - 2 mu_n]
                + (n+1)/(n-1) mu_{n-1},   B_n = e^{i omega} - (-1)^n e^{-i omega},
 
-a forward recurrence that is stable only for n <= |omega|.  N starts at
-nodes_per_panel and doubles; degree N is checked against degree 2N with the
-Gauss-Legendre acceptance test, while 2N <= omega_min (stability) and
-2N + 1 <= max_panels * nodes_per_panel (the same budget in nodes).  When no
-degree passes, the batch falls back to the Gauss-Legendre grid, which
-raises NonConvergence on its panel budget.
+a forward recurrence that is stable only for n <= |omega|.  Degree N is
+checked against degree 2N with the Gauss-Legendre acceptance test, N
+doubling while 2N <= omega_min (stability) and 2N + 1 <= max_panels *
+nodes_per_panel (the same budget in nodes).  N starts from the window
+alone: nodes_per_panel per unit of its width b - a, rounded to a
+power-of-two multiple of nodes_per_panel.  The degree f needs grows with the
+window it spans: on the Fermi windows of the Fig. S2 config (widths pi/2 and
+2 pi/3, where N starts at 32) every Filon block fails N = 16 and passes
+N = 32, while smooth integrands on [0, 1] pass at 16.
+The moments depend only on the window and the rates, so a batch of several
+integrands on one window block (f_smooth returning one row per integrand)
+runs one recurrence per degree for all of them; each integrand keeps its
+own acceptance test and arithmetic, so its values have the bytes they have
+alone.  Nothing keeps the moments beyond the batch.  When no degree passes,
+an integrand falls back to the Gauss-Legendre grid, which raises
+NonConvergence on its panel budget.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
@@ -299,15 +309,25 @@ def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
     return mu
 
 
-def _filon_batch(f_smooth, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> np.ndarray | None:
-    """Filon-Clenshaw-Curtis estimate of the batch, or None when its phase
-    extent is below FILON_MIN_PHASE or no degree within the stability bound
-    and the budget meets the target.
+def _accepted(coarse: np.ndarray, fine: np.ndarray, spec: QuadratureSpec) -> bool:
+    """The acceptance test of both rules: |fine - coarse| within the target
+    at every rate."""
+    return bool(np.all(np.abs(fine - coarse) <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))))
 
-    With h = (b - a)/2 and m = (a + b)/2, f_smooth(m + h x) is interpolated
-    by sum c_n T_n(x) on Chebyshev points and each T_n is integrated against
-    exp(i rate (m + h x)) exactly, so the cost does not depend on the rate.
-    Degree N is checked against degree 2N; both use one moment recurrence.
+
+def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list | None:
+    """Filon-Clenshaw-Curtis estimate of each row of the batch, or None for
+    a row that no degree within the stability bound and the budget brings to
+    the target; None for the whole batch when its phase extent is below
+    FILON_MIN_PHASE.
+
+    With h = (b - a)/2 and m = (a + b)/2, each row of rows(m + h x) is
+    interpolated by sum c_n T_n(x) on Chebyshev points and each T_n is
+    integrated against exp(i rate (m + h x)) exactly, so the cost does not
+    depend on the rate.  Degree N is checked against degree 2N.  The moments
+    depend only on the window and the rates, so each round runs one
+    recurrence for all rows; each row keeps its own acceptance test and its
+    own arithmetic, so it gets the value it gets alone.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     omega = rates * half
@@ -316,24 +336,63 @@ def _filon_batch(f_smooth, rates: np.ndarray, a: float, b: float, spec: Quadratu
         return None
     scale = half * np.exp(1j * rates * mid)
 
-    def coefficients(n: int) -> np.ndarray:
+    def estimates(n: int, mu: np.ndarray) -> list:
         x, dct = _chebyshev_rule(n)
-        return dct @ np.asarray(f_smooth(mid + half * x), dtype=complex)
+        return [scale * ((dct @ row) @ mu[: n + 1]) for row in rows(mid + half * x)]
 
-    n = spec.nodes_per_panel
-    coarse = None
+    # nodes_per_panel per unit of width, rounded to a power-of-two multiple
+    n = spec.nodes_per_panel * 2 ** max(0, int(np.rint(np.log2(b - a))))
+    coarse = out = None
     while 2 * n <= omega_min and 2 * n + 1 <= spec.max_panels * spec.nodes_per_panel:
         mu = _chebyshev_moments(omega, 2 * n)
         if coarse is None:
-            coarse = scale * (coefficients(n) @ mu[: n + 1])
-        fine = scale * (coefficients(2 * n) @ mu)
-        err = np.abs(fine - coarse)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
-        if bool(np.all(err <= tol)):
-            return fine
+            coarse = estimates(n, mu)
+            out = [None] * len(coarse)
+        fine = estimates(2 * n, mu)
+        out = [hi if v is None and _accepted(lo, hi, spec) else v for v, lo, hi in zip(out, coarse, fine)]
+        if all(v is not None for v in out):
+            break
         coarse = fine
         n *= 2
-    return None
+    return out
+
+
+def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec, out: list | None) -> list:
+    """out (one None per row when None) with each None replaced by the row's
+    composite Gauss-Legendre integrals, on a grid doubled until the row
+    meets the target; NonConvergence when the budget runs out first."""
+    rate_max = float(np.abs(rates).max())
+    n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
+
+    def eval_on(n_panels: int) -> np.ndarray:
+        nodes, weights = _fixed_grid(a, b, n_panels, spec.nodes_per_panel)
+        base = rows(nodes) * weights
+        step = np.exp(1j * nodes)
+        phase = np.exp(1j * rates[0] * nodes)
+        vals = np.empty((base.shape[0], rates.size), dtype=complex)
+        for i in range(rates.size):
+            if i:
+                phase *= step
+            vals[:, i] = [phase @ row for row in base]
+        return vals
+
+    if 2 * n0 > spec.max_panels:
+        raise NonConvergence(
+            f"batch with max rate {rate_max:g} needs {2 * n0} panels, budget is {spec.max_panels}"
+        )
+    coarse = eval_on(n0)
+    out = [None] * len(coarse) if out is None else out
+    while True:
+        fine = eval_on(2 * n0)
+        out = [hi if v is None and _accepted(lo, hi, spec) else v for v, lo, hi in zip(out, coarse, fine)]
+        pending = [i for i, v in enumerate(out) if v is None]
+        if not pending:
+            return out
+        n0 *= 2
+        if 2 * n0 > spec.max_panels:
+            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
+            raise NonConvergence(f"batch error {err:.3e} above target with {n0} panels")
+        coarse = fine
 
 
 def integrate_oscillatory_batch(
@@ -345,17 +404,19 @@ def integrate_oscillatory_batch(
 ) -> np.ndarray:
     """Integrals of f_smooth(k) * exp(i * rate * k) for consecutive integer rates.
 
-    phase_rates must be r0, r0 + 1, r0 + 2, ...  When every rate has a phase
-    extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE, the batch first
-    tries the Filon-Clenshaw-Curtis rule (_filon_batch), whose cost does not
-    grow with the rate.  Otherwise, or when that rule does not converge, all
-    rates share one composite Gauss-Legendre grid sized for the fastest
-    phase (so every rate gets at least nodes_per_panel nodes per period) and
-    a single evaluation of f_smooth.  The phases follow by recurrence:
-    exp(i*r0*k) and exp(i*k) once per node, then one complex multiply per
-    further rate.  Agreement between the grid and its twice-refined version
-    is required to the spec tolerance, doubling further until the budget
-    runs out.
+    phase_rates must be r0, r0 + 1, r0 + 2, ...  f_smooth may return one
+    row of values per integrand, shape (rows, k.size); the result then has
+    one row of integrals per integrand, each with the bytes it has alone.
+    When every rate has a phase extent |rate| * (b - a)/2 of at least
+    FILON_MIN_PHASE, the batch first tries the Filon-Clenshaw-Curtis rule
+    (_filon_rows), whose cost does not grow with the rate.  Otherwise, and
+    for the rows that rule does not converge, all rates share one composite
+    Gauss-Legendre grid sized for the fastest phase (so every rate gets at
+    least nodes_per_panel nodes per period) and a single evaluation of
+    f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k)
+    once per node, then one complex multiply per further rate.  Agreement
+    between the grid and its twice-refined version is required to the spec
+    tolerance, doubling further until the budget runs out.
     """
     rates = np.asarray(phase_rates, dtype=float)
     if rates.size == 0:
@@ -365,42 +426,18 @@ def integrate_oscillatory_batch(
     if a > b:
         raise ValueError("integrate_oscillatory_batch requires a <= b")
     if a == b:
-        return np.zeros(rates.shape, dtype=complex)
-    filon = _filon_batch(f_smooth, rates, a, b, spec)
-    if filon is not None:
-        return filon
-    rate_max = float(np.abs(rates).max())
-    n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
+        return np.zeros(np.shape(f_smooth(np.empty(0)))[:-1] + rates.shape, dtype=complex)
+    shape: list = []
 
-    def eval_on(n_panels: int) -> np.ndarray:
-        nodes, weights = _fixed_grid(a, b, n_panels, spec.nodes_per_panel)
-        base = np.asarray(f_smooth(nodes), dtype=complex) * weights
-        step = np.exp(1j * nodes)
-        phase = np.exp(1j * rates[0] * nodes)
-        out = np.empty(rates.shape, dtype=complex)
-        out[0] = phase @ base
-        for i in range(1, rates.size):
-            phase *= step
-            out[i] = phase @ base
-        return out
+    def rows(k: np.ndarray) -> np.ndarray:
+        vals = np.asarray(f_smooth(k), dtype=complex)
+        shape[:] = vals.shape[:-1]
+        return vals.reshape(-1, k.size)
 
-    if 2 * n0 > spec.max_panels:
-        raise NonConvergence(
-            f"batch with max rate {rate_max:g} needs {2 * n0} panels, budget is {spec.max_panels}"
-        )
-    coarse = eval_on(n0)
-    while True:
-        fine = eval_on(2 * n0)
-        err = np.abs(fine - coarse)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))
-        if bool(np.all(err <= tol)):
-            return fine
-        n0 *= 2
-        if 2 * n0 > spec.max_panels:
-            raise NonConvergence(
-                f"batch error {float(err.max()):.3e} above target with {n0} panels"
-            )
-        coarse = fine
+    out = _filon_rows(rows, rates, a, b, spec)
+    if out is None or any(v is None for v in out):
+        out = _grid_rows(rows, rates, a, b, spec, out)
+    return np.array(out).reshape(tuple(shape) + rates.shape)
 
 
 def check_hermitian(m: np.ndarray) -> None:

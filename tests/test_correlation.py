@@ -130,6 +130,33 @@ def test_finite_matrix_matches_entrywise_assembly():
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
+def test_finite_sweep_gathers_only_the_hankel_terms_after_its_first_matrix(monkeypatch):
+    # three of the four terms of A_L and A_R, and two of the cross block, do
+    # not depend on the distance; the builder keeps them, and the matrices
+    # keep the bytes of a fresh builder's, whatever came before them
+    gathers = []
+    coefficients = CorrelationBuilder.coefficients
+
+    def counted(builder, window, factor, rates):
+        gathers.append((window, factor))
+        return coefficients(builder, window, factor, rates)
+
+    monkeypatch.setattr(CorrelationBuilder, "coefficients", counted)
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    # the last geometry keeps the length of A_L, so its A_L terms are kept
+    geoms = [SubsystemGeometry(0, d, 6, d, 6) for d in (20, 21, 90)] + [SubsystemGeometry(0, 20, 6, 23, 5)]
+    counts, read = [], []
+    for geom in geoms:
+        gathers.clear()
+        cm = correlation_matrix_finite(builder, geom)
+        counts.append(len(gathers))
+        read.append(sorted(gathers))
+        fresh = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
+        assert cm.matrix.tobytes() == fresh.matrix.tobytes()
+    assert counts == [12, 4, 4, 9]
+    assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR")]
+
+
 def test_table_blocks_do_not_depend_on_request_order():
     rates = np.arange(0, 201)
     fresh = CorrelationBuilder(IMPURITY, BIAS)
@@ -143,8 +170,11 @@ def test_table_blocks_do_not_depend_on_request_order():
 
 def test_high_rate_blocks_do_not_depend_on_company_or_thread():
     # blocks on both sides of the Filon-Clenshaw-Curtis switch (phase extent
-    # 256 is rate 245 on window L and rate 326 on window R)
-    keys = [(w, f, b) for w in ("L", "R") for f in ("rL", "tLc_rL") for b in (3, 4, 5, -6, 62)]
+    # 256 is rate 245 on window L and rate 326 on window R), with the window
+    # partners rL, tLc on L and rR, tR on R, which one quadrature fills
+    # together when they are asked for together
+    partners = {"L": ("rL", "tLc", "tLc_rL"), "R": ("rL", "tLc_rL", "rR", "tR")}
+    keys = [(w, f, b) for w in ("L", "R") for f in partners[w] for b in (3, 4, 5, -6, 62)]
 
     def block(builder, key):
         window, factor, b = key
@@ -347,6 +377,17 @@ def test_correlation_matrix_validates_shape_and_split():
     for n_left in (-1, 4):
         with pytest.raises(ValueError, match="outside"):
             CorrelationMatrix(np.eye(3), n_left)
+
+
+def test_correlation_matrix_takes_nested_lists_through_the_same_checks():
+    cm = CorrelationMatrix([[0.5, 0.0], [0.0, 0.5]], 1)
+    assert isinstance(cm.matrix, np.ndarray) and (cm.n_left, cm.n_right) == (1, 1)
+    with pytest.raises(NotHermitian, match="Hermiticity deviation"):
+        CorrelationMatrix([[0.5, 0.2], [0.0, 0.5]], 1)
+    with pytest.raises(NotHermitian, match="non-finite"):
+        CorrelationMatrix([[0.5, float("nan")], [0.0, 0.5]], 1)
+    with pytest.raises(ValueError, match="square"):
+        CorrelationMatrix([0.5, 0.5], 1)
 
 
 def test_correlation_matrix_rejects_nonhermitian():

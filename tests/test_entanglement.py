@@ -320,6 +320,37 @@ def test_negativity_matches_mpmath_reference(ell):
     assert abs(fermionic_negativity(cm, 1) - reference) < 1e-12
 
 
+@pytest.mark.parametrize("d", [16, 59])
+def test_finite_negativity_matches_mpmath_reference(d):
+    # finite-distance matrices are complex and never fold; the reference is
+    # that of the full matrix, for the full pencil and the deflated one
+    mpmath = pytest.importorskip("mpmath")
+    bias = BiasState(2 * np.pi / 3, np.pi / 2)
+    cm = correlation_matrix_finite(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(0, d, 8, d, 8))
+    with mpmath.workdps(40):
+        reference = float(mp_negativity(cm, mpmath))
+    assert abs(fermionic_negativity(cm, 1) - reference) < 1e-13
+    assert abs(fermionic_negativity(partition(cm), 1) - reference) < 1e-13
+
+
+@pytest.mark.parametrize("stage", ["solve", "svd"])
+def test_negativity_nan_reaching_w_raises_singular_resolvent(monkeypatch, stage):
+    # a NaN in W, or in its singular values when the SVD returns rather than
+    # raises, must fail the pairing check and not read as a residual of 0
+    cm = far_fig2(10)
+    real = getattr(np.linalg, stage)
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out = out.astype(complex) if stage == "solve" else out.copy()
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(np.linalg, stage, poisoned)
+    with pytest.raises(SingularResolvent):
+        fermionic_negativity(cm, 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4), st.integers(0, 8))
 def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):

@@ -550,6 +550,36 @@ def test_sweep_integrates_each_window_once_per_order(monkeypatch):
     assert len(windows) == 2
 
 
+def test_distance_sweep_runs_one_moment_recurrence_per_window_block_and_degree(monkeypatch):
+    # d = 200..201 at ell = 4 put the j + m rates of both windows above the
+    # Filon-Clenshaw-Curtis switch; on window R, rR and tR read the same
+    # table blocks, and share their moments
+    import nessent.correlation as cor
+    import nessent.numerics as num
+
+    recurrences = count_calls(monkeypatch, num, "_chebyshev_moments")
+    filled = []
+    prefetch = cor.CorrelationBuilder.prefetch
+
+    def counted(builder, keys):
+        filled.extend(key for key in keys if key not in builder._blocks)
+        return prefetch(builder, keys)
+
+    monkeypatch.setattr(cor.CorrelationBuilder, "prefetch", counted)
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=50, d_over_ell_max=50, n_centers=1, window=2, measures=("mi", "negativity"),
+    )
+    run_sweep_distance(cfg)
+    runs = [(omega.tobytes(), degree) for omega, degree in recurrences]
+    assert runs and len(set(runs)) == len(runs)
+    shared = {block for window, factor, block in filled if factor == "rR"}
+    assert shared and shared == {block for window, factor, block in filled if factor == "tR"}
+    for block in shared:
+        omega = np.arange(64 * block, 64 * (block + 1), dtype=float) * (0.5 * K_FR)
+        assert omega.tobytes() in {omega for omega, _ in runs}
+
+
 def position_config(**overrides):
     """Five far-limit placements of unequal intervals."""
     base = dict(

@@ -3,7 +3,10 @@ module imports is used there, and every import kept for an outside reader
 says who reads it.  Imports in ``__init__.py`` are the package's exports."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +72,15 @@ def test_the_check_sees_an_unused_import():
     source = "import os, re\nfrom pathlib import Path as P\nx: 'P' = re.compile('os')\n"
     tree = ast.parse(source)
     assert [name for name, _ in imported_names(tree) if name not in used_names(tree)] == ["os"]
+
+
+def test_a_serial_cli_run_does_not_import_the_thread_pool():
+    # concurrent.futures, with the logging and queue it pulls in, is imported
+    # only when a sweep runs on more than one thread
+    code = "import sys, nessent.cli; print('concurrent.futures' in sys.modules)"
+    src = str(PACKAGE.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
