@@ -37,10 +37,11 @@ Two regimes are implemented:
   voltage window contributes to the cross block; for k_fl = k_fr it vanishes
   identically.  The signed convention makes the same expressions valid for
   either sign of k_fl - k_fr.  ``correlation_matrix_far`` returns a
-  ``FarMatrix``: these site entries, plus the builder's diagonal blocks in
-  folded real form and the cross block in the folded basis, real when the
-  union folds and complex otherwise, which the ``entanglement`` module
-  docstring derives.
+  ``FarMatrix``: the builder's diagonal blocks, their folded real form and
+  the cross block in the folded basis, real when the union folds and
+  complex otherwise, which the ``entanglement`` module docstring derives.
+  The solvers read only these, so the site entries are assembled when
+  something first reads them.
 
 A ``CorrelationMatrix`` is finite and Hermitian: its constructor checks any
 matrix handed in from outside (``numerics.check_hermitian``), once, and the
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -303,6 +305,19 @@ def _hermitian(block: np.ndarray) -> np.ndarray:
     return upper + upper.conj().T + np.diag(block.diagonal().real)
 
 
+def hermitian_matrix(left: np.ndarray, right: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The matrix with diagonal blocks ``left`` (A_L) and ``right`` (A_R),
+    ``cross`` in the A_R rows and A_L columns and its conjugate transpose in
+    the A_L rows, in the blocks' common dtype."""
+    nl = left.shape[0]
+    out = np.zeros((nl + right.shape[0],) * 2, dtype=np.result_type(left, right, cross))
+    out[:nl, :nl] = left
+    out[nl:, nl:] = right
+    out[nl:, :nl] = cross
+    out[:nl, nl:] = cross.conj().T
+    return out
+
+
 # ---------------------------------------------------------------------------
 # finite-distance regime
 
@@ -386,13 +401,8 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
     """
     left, right = (np.asarray(s, dtype=np.int64) for s in (geom.sites_left(), geom.sites_right()))
     blocks = _finite_blocks(builder, {"LL": (left, left), "RR": (right, right), "RL": (right, left)})
-    nl, n = left.size, left.size + right.size
-    out = np.zeros((n, n), dtype=complex)
-    out[:nl, :nl] = _hermitian(blocks["LL"])
-    out[nl:, nl:] = _hermitian(blocks["RR"])
-    out[nl:, :nl] = blocks["RL"]
-    out[:nl, nl:] = blocks["RL"].conj().T
-    return CorrelationMatrix(out, nl, built_hermitian=True)
+    out = hermitian_matrix(_hermitian(blocks["LL"]), _hermitian(blocks["RR"]), blocks["RL"])
+    return CorrelationMatrix(out, left.size, built_hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -430,21 +440,33 @@ class FarBlock:
     pairs: tuple | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
 class FarMatrix(CorrelationMatrix):
     """A far-limit correlation matrix with what its builder knows about it:
-    the builder's diagonal blocks ``left`` and ``right``, and the cross block
-    in the folded basis, ``coupling`` = F = Q_L^dag C_LR Q_R, of shape
-    (n_left, n_right).  F is real exactly when the union folds (``folds``),
-    and complex otherwise."""
+    the builder's diagonal blocks ``left`` and ``right``, the W_X values
+    ``cross_values`` its cross block reads, and that block in the folded basis,
+    ``coupling`` = F = Q_L^dag C_LR Q_R, of shape (n_left, n_right).  F is
+    real exactly when the union folds (``folds``), and complex otherwise.
+    The solvers read the blocks and F, so the site matrix is assembled only
+    when something reads ``matrix``."""
 
-    left: FarBlock
-    right: FarBlock
-    coupling: np.ndarray
+    def __init__(self, left: FarBlock, right: FarBlock, cross_values: np.ndarray, coupling: np.ndarray) -> None:
+        # frozen like any CorrelationMatrix, and built Hermitian exactly
+        vars(self).update(left=left, right=right, cross_values=cross_values, coupling=coupling)
+        vars(self).update(n_left=left.site.shape[0], built_hermitian=True)
+
+    @property
+    def dim(self) -> int:
+        return self.n_left + self.right.site.shape[0]
 
     @property
     def folds(self) -> bool:
         return not np.iscomplexobj(self.coupling)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
+        cross = sliding_window_view(self.cross_values, self.n_left)[::-1]
+        return hermitian_matrix(self.left.site, self.right.site, cross)
 
 
 def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FarMatrix:
@@ -467,12 +489,6 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
     # reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
     low = geom.d_l - geom.d_r - nr + 1
     w = builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
-    out = np.zeros((nl + nr, nl + nr), dtype=complex)
-    out[:nl, :nl] = left.site
-    out[nl:, nl:] = right.site
-    # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
-    out[nl:, :nl] = sliding_window_view(w, nl)[::-1]
-    out[:nl, nl:] = out[nl:, :nl].conj().T
     tol = FOLD_TOL * max(abs(left.site[0, 0]), abs(right.site[0, 0]))
     if 2 * (geom.d_l - geom.d_r) == nr - nl and np.abs(w + w[::-1].conj()).max() <= tol:
         coupling = sliding_window_view(w.real[::-1], nr)[::-1] + sliding_window_view(w.imag, nr)
@@ -482,7 +498,7 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
         u, v = w.conj(), w[::-1].conj()
         toe, han = (u - v) / 2, 0.5j * (u + v)
         coupling = sliding_window_view(toe[::-1], nr)[::-1] + sliding_window_view(han, nr)
-    return FarMatrix(out, nl, left=left, right=right, coupling=coupling, built_hermitian=True)
+    return FarMatrix(left, right, w, coupling)
 
 
 # ---------------------------------------------------------------------------

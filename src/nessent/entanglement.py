@@ -38,11 +38,11 @@ when a nearly full mode faces a nearly empty one.  So a mode is deflated
 when min(nu, 1 - nu) <= DEFLATION_TOL and the sum over its partners of
 min(|Y_ij|, |Y_ij|^2 / (1 - |nu_i - nu_j|)) is at most DEFLATION_TOL too, or
 when its coupling row is exactly zero; if either block is left without
-active modes, the other one's are decoupled as well.  A far-limit matrix
-brings its diagonal blocks from its builder (``FarMatrix``), which keeps
-the last block of each side, with its eigenpairs once a partition has
-solved them, so a fig. 3 sweep, whose blocks do not depend on the offset,
-decomposes each block once.  The eigenpairs are a pure function of the
+active modes, the other one's are decoupled as well.  Orders n < 1 keep
+more modes (below).  A far-limit matrix brings its diagonal blocks from its
+builder (``FarMatrix``), which keeps the last block of each side, with its
+eigenpairs once a partition has solved them, so a fig. 3 sweep, whose
+blocks do not depend on the offset, decomposes each block once.  The eigenpairs are a pure function of the
 block, so every value is the same whichever thread asks first.
 
 Folding.  Every far-limit diagonal block B is Hermitian Toeplitz, hence
@@ -79,24 +79,36 @@ package (``correlation`` module docstring).  So the spectra and block
 eigenpairs come straight from ``numpy.linalg.eigvalsh`` and ``eigh``, which
 read one triangle, and no solver here checks again.
 
-Orders n < 1 keep the full three spectra (``deflates``): an entropy term
-mu^n / (1 - n) falls only as a power of mu, and deflating would be no
-accuracy gain.  On fig. 2 far matrices (epsilon0 = 0.5, 1, 2 and constant
-T = 1/2) the order-1/2 MI was compared with a reference
+Orders n < 1 read the same partition, with a wider active set.  An
+order-n term of an edge mode reads mu^n, so at n = 1/2 it is first order in
+a dropped coupling: y moves an edge eigenvalue by about y^2 / gap, whose
+square root is about |y|.  So for n < 1 a mode is deflated only when the
+E_1 rule above deflates it and its first-order share sum_j |Y_ij| is at most
+LOW_ORDER_TOL = 3e-9 as well, 5x below the sqrt(eps) = 1.5e-8 round-off
+floor of the order-1/2 spectra themselves.  The n < 1 active modes are thus
+a superset of the others, and both sets are read from the one Y: a
+``Partition`` keeps its block modes, and ``partition(p, order)`` deflates it
+again for another order without a further decomposition.  On fig. 2 far
+matrices (epsilon0 = 0.5, 1, 2 and constant T = 1/2) 38-39 of 40 modes stay
+at ell = 20, 80-81 of 200 at ell = 100 and 106-108 of 400 at ell = 200.
+Their order-1/2 MI was compared with a reference
 S_1/2 = 2 sum ln(sigma + sigma'), sigma and sigma' the singular values of
 the rows of V and W, where C = V V^dag and I - C = W W^dag (V V^dag matches
 the far builder to 8.3e-15 at ell <= 100; the reference moves by 1.4e-12
-with 1.5x the quadrature nodes; tests/test_factored_projector.py).  With the
-folded spectra the error against it is
+with 1.5x the quadrature nodes; tests/test_factored_projector.py).  The
+error against it is
 
-    ell    full spectra (eigvalsh)     deflated
-     20    -6.0e-8 .. +5.8e-8          -1.4e-7 .. -2.3e-7
-    100    -3.1e-7 .. -4.9e-7          -1.2e-6 .. -1.6e-6
-    200    -1.6e-6 .. -2.5e-6          -2.0e-6 .. -2.3e-6
+    ell    partition, n < 1 rule    full folded spectra     E_1 rule
+     20    -4.1e-8 .. +3.1e-8       -6.0e-8 .. +5.8e-8      -1.4e-7 .. -2.3e-7
+    100    -2.5e-7 .. -4.7e-7       -3.1e-7 .. -4.9e-7      -1.2e-6 .. -1.6e-6
+    200    -1.2e-6 .. -1.6e-6       -1.6e-6 .. -2.5e-6      -2.0e-6 .. -2.3e-6
 
-(unfolded complex spectra: up to 7.5e-8, 1.1e-6 and 3.4e-6).  Taking the
-block spectra from ``eigh`` and the union from U^dag C U instead erred by
-up to -5.2e-6 at ell = 200 on the complex matrices.
+(unfolded complex spectra: up to 7.5e-8, 1.1e-6 and 3.4e-6, the band the
+test holds both paths to).  A looser tolerance leaves the band: 1.5e-8
+errs by up to 1.9x it at ell = 20, and 1e-7 by 3x.  Keeping every coupled
+mode (a tolerance of 1e-13) errs more than the full spectra, by up to
+-4.9e-6 at ell = 200.  The digits left are round-off of the spectra
+themselves.
 
 The fermionic negativity uses the partial time-reversal of one block.  With
 C_A = [[C_LL, C_LR], [C_RL, C_RR]] one forms
@@ -149,7 +161,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
-from .correlation import CorrelationMatrix, FarMatrix
+from .correlation import CorrelationMatrix, FarMatrix, hermitian_matrix
 from .numerics import NumericsError
 
 __all__ = [
@@ -160,7 +172,6 @@ __all__ = [
     "occupation_spectrum",
     "renyi_index",
     "entropy",
-    "deflates",
     "Partition",
     "partition",
     "BlockSpectra",
@@ -177,6 +188,11 @@ CLAMP_SLACK = 1e-8
 #: a block mode within this of 0 or 1 whose estimated share of E_1 is also
 #: below it is deflated (see the module docstring)
 DEFLATION_TOL = 1e-13
+
+#: orders n < 1 deflate such a mode only when its first-order share
+#: sum_j |Y_ij| is at most this too, 5x below the sqrt(eps) = 1.5e-8 round-off
+#: floor of their spectra (see the module docstring)
+LOW_ORDER_TOL = 3e-9
 
 #: tolerated C_X pairing residual max(s) - 1 for the singular values
 #: s = 2 sqrt(xi (1 - xi)) of W, which are at most 1 in exact arithmetic
@@ -213,13 +229,8 @@ def fold(c: CorrelationMatrix) -> CorrelationMatrix:
     (``FarMatrix``); any other matrix as it is."""
     if not (isinstance(c, FarMatrix) and c.folds):
         return c
-    nl = c.n_left
-    folded = np.empty((c.dim, c.dim))
-    folded[:nl, :nl] = c.left.folded
-    folded[nl:, nl:] = c.right.folded
-    folded[:nl, nl:] = c.coupling
-    folded[nl:, :nl] = c.coupling.T
-    return CorrelationMatrix(folded, nl, built_hermitian=True)
+    folded = hermitian_matrix(c.left.folded, c.right.folded, c.coupling.T)
+    return CorrelationMatrix(folded, c.n_left, built_hermitian=True)
 
 
 def occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
@@ -264,26 +275,25 @@ def entropy(nu: np.ndarray, order: float | str = "vn") -> float:
     return float(np.log(interior**n + (1.0 - interior) ** n).sum() / (1.0 - n))
 
 
-def deflates(order: float | str) -> bool:
-    """Whether an entropy of this order reads the deflated partition (n >= 1)
-    rather than the full spectra (n < 1); see the module docstring."""
-    return renyi_index(order) >= 1.0
-
-
 class Partition(NamedTuple):
-    """A partition deflated to its coupled modes.
+    """A partition deflated to the modes an entropy of its order keeps.
 
     ``reduced`` is U^dag C U on the active modes: diag(nu) of the active
     modes of A_L, then of A_R, with their coupling in the cross blocks.
     ``deflated_left`` and ``deflated_right`` are the clamped eigenvalues of
     the other modes, and ``clamp_count`` counts the block eigenvalues
     clamped.  Either both blocks keep active modes or neither does.
+    ``modes`` holds what every order's deflation reads: the clamped block
+    eigenvalues nu_l and nu_r, the clamp count, the coupling
+    Y = U_L^dag C_LR U_R, per block the modes the E_1 rule keeps, and per
+    block each mode's first-order share sum_j |Y_ij| (module docstring).
     """
 
     reduced: CorrelationMatrix
     deflated_left: np.ndarray
     deflated_right: np.ndarray
     clamp_count: int
+    modes: tuple
 
 
 def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -292,9 +302,8 @@ def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return (*_clamped(nu), vecs)
 
 
-def partition(c: CorrelationMatrix) -> Partition:
-    """The partition's reduced matrix on its active modes, and the deflated
-    spectra; the deflation rule is in the module docstring.
+def _block_modes(c: CorrelationMatrix) -> tuple:
+    """``Partition.modes`` of a matrix.
 
     A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
     folded blocks and couples them through F in real arithmetic.  Any other
@@ -311,12 +320,10 @@ def partition(c: CorrelationMatrix) -> Partition:
         for block in (c.left, c.right):
             if block.pairs is None:
                 block.pairs = _block_eigenpairs(block.folded)
-        (nu_l, clamp_l, vec_l), (nu_r, clamp_r, vec_r) = c.left.pairs, c.right.pairs
-        cross = c.coupling
+        pairs, cross = (c.left.pairs, c.right.pairs), c.coupling
     else:
-        nu_l, clamp_l, vec_l = _block_eigenpairs(c.matrix[:nl, :nl])
-        nu_r, clamp_r, vec_r = _block_eigenpairs(c.matrix[nl:, nl:])
-        cross = c.matrix[:nl, nl:]
+        pairs, cross = map(_block_eigenpairs, (c.matrix[:nl, :nl], c.matrix[nl:, nl:])), c.matrix[:nl, nl:]
+    (nu_l, clamp_l, vec_l), (nu_r, clamp_r, vec_r) = pairs
     if np.iscomplexobj(cross) and not np.iscomplexobj(vec_l):
         # V^T F V for Re F and Im F, stacked: a real V times a complex F
         # would run in complex arithmetic
@@ -329,18 +336,31 @@ def partition(c: CorrelationMatrix) -> Partition:
     pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_l, nu_r)), size)
     share = np.divide(size * size, pair, out=np.zeros_like(size), where=pair > 0.0)
 
-    def active(nu: np.ndarray, axis: int) -> np.ndarray:
+    def coupled(nu: np.ndarray, axis: int) -> np.ndarray:
         edge = (np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL) & (share.sum(axis=axis) <= DEFLATION_TOL)
         return ~edge & np.any(coupling, axis=axis)
 
-    act_l, act_r = active(nu_l, 1), active(nu_r, 0)
+    kept = coupled(nu_l, 1), coupled(nu_r, 0)
+    return nu_l, nu_r, clamp_l + clamp_r, coupling, kept, (size.sum(axis=1), size.sum(axis=0))
+
+
+def partition(c: CorrelationMatrix | Partition, order: float | str = "vn") -> Partition:
+    """The partition deflated for an entropy of this order; the rule is in
+    the module docstring, and the negativity reads order 1.  A partition
+    passed in is deflated again from its ``modes``, so the partitions of
+    several orders share one decomposition."""
+    modes = c.modes if isinstance(c, Partition) else _block_modes(c)
+    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first = modes
+    if renyi_index(order) < 1.0:
+        act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
     if not (act_l.any() and act_r.any()):
-        act_l[:] = act_r[:] = False
+        act_l, act_r = np.zeros_like(act_l), np.zeros_like(act_r)
     k = int(act_l.sum())
     reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
     reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
     reduced[k:, :k] = reduced[:k, k:].conj().T
-    return Partition(CorrelationMatrix(reduced, k, built_hermitian=True), nu_l[~act_l], nu_r[~act_r], clamp_l + clamp_r)
+    active = CorrelationMatrix(reduced, k, built_hermitian=True)
+    return Partition(active, nu_l[~act_l], nu_r[~act_r], clamp_count, modes)
 
 
 class BlockSpectra(NamedTuple):
@@ -362,21 +382,17 @@ def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
     far-limit matrix reads its builder's folded blocks, and its folded union
     when the union folds (``fold``)."""
     if isinstance(c, Partition):
-        modes = c.reduced
-        nu = modes.matrix.diagonal().real
-        union, clamp_a = occupation_spectrum(modes) if modes.dim else (nu, 0)
-        return BlockSpectra(
-            nu[: modes.n_left], nu[modes.n_left :], union, c.clamp_count + clamp_a, c.deflated_left, c.deflated_right
-        )
+        active, k = c.reduced, c.reduced.n_left
+        nu = active.matrix.diagonal().real
+        union, clamp_a = occupation_spectrum(active) if active.dim else (nu, 0)
+        return BlockSpectra(nu[:k], nu[k:], union, c.clamp_count + clamp_a, c.deflated_left, c.deflated_right)
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("measures needs both blocks in the partition")
     if isinstance(c, FarMatrix):
         left, right = (CorrelationMatrix(block.folded, 0, built_hermitian=True) for block in (c.left, c.right))
     else:
         left, right = c.block_left(), c.block_right()
-    nu_a, clamp_a = occupation_spectrum(fold(c))
-    nu_l, clamp_l = occupation_spectrum(left)
-    nu_r, clamp_r = occupation_spectrum(right)
+    (nu_a, clamp_a), (nu_l, clamp_l), (nu_r, clamp_r) = map(occupation_spectrum, (fold(c), left, right))
     return BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r)
 
 
@@ -472,8 +488,8 @@ def measures(
     with_negativity: bool = False,
 ) -> EntanglementReport:
     """MI, CI and the entropies of one partition, plus the negativity on request."""
-    part = partition(c) if with_negativity or deflates(order) else None
-    report = report_from_spectra(block_spectra(part if deflates(order) else c), order)
+    part = partition(c, order)
+    report = report_from_spectra(block_spectra(part), order)
     if with_negativity:
-        report.negativity, report.pairing_residual = _negativity_detail(part, 1)
+        report.negativity, report.pairing_residual = _negativity_detail(partition(part), 1)
     return report

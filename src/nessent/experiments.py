@@ -30,9 +30,9 @@ from .correlation import (
 from .entanglement import (
     SpectrumError,
     block_spectra,
-    deflates,
     fermionic_negativity,
     partition,
+    renyi_index,
     report_from_spectra,
 )
 from .numerics import NumericsError, QuadratureSpec
@@ -138,28 +138,31 @@ _REPORT_FIELDS = {
 def _point_values(cmat: CorrelationMatrix):
     """``numeric(measure, order)``, the value of a CSV measure on one matrix.
 
-    The partition, each kind of spectra and each order's report are taken at
-    most once, whatever the measures asked; the negativity is E_1 at any
-    order.
+    The block modes, the partition and spectra of each deflation rule
+    (orders below 1, or not) and each order's report are taken at most once,
+    whatever the measures asked; the negativity is E_1 at any order.
     """
 
+    # no cached function here calls itself: one that did would be a reference
+    # cycle, holding the point's arrays until the cycle collector runs
     @cache
     def deflated():
         return partition(cmat)
 
     @cache
-    def spectra(deflate: bool):
-        return block_spectra(deflated() if deflate else cmat)
+    def spectra(low_order: bool):
+        # every order below 1 reads one deflation, every other order another,
+        # both from the block modes of the latter
+        return block_spectra(partition(deflated(), 0.5) if low_order else deflated())
 
-    reports: dict = {}
+    @cache
+    def report(order):
+        return report_from_spectra(spectra(renyi_index(order) < 1.0), order)
 
     def numeric(measure: str, order) -> float:
         if measure == "negativity":
             return fermionic_negativity(deflated(), 1)
-        label = order_label(order)
-        if label not in reports:
-            reports[label] = report_from_spectra(spectra(deflates(order)), order)
-        return getattr(reports[label], _REPORT_FIELDS[measure])
+        return getattr(report(order), _REPORT_FIELDS[measure])
 
     return numeric
 

@@ -323,6 +323,29 @@ def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
             assert block.tobytes() == direct.tobytes(), n
 
 
+@pytest.mark.parametrize(
+    "geom", [SubsystemGeometry(0, 0, 20, 0, 20), SubsystemGeometry(0, 7, 30, 0, 45), SubsystemGeometry(0, 0, 1, 3, 64)]
+)
+def test_far_site_matrix_is_assembled_on_first_read(geom):
+    # the solvers read the blocks and F, so the site matrix waits for a
+    # reader; when one comes it holds the bytes of an entry-by-entry build
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    cm = correlation_matrix_far(builder, geom)
+    nl, nr = geom.ell_l, geom.ell_r
+    assert (cm.n_left, cm.n_right, cm.dim) == (nl, nr, nl + nr)
+    assert "matrix" not in vars(cm)
+    # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
+    low = geom.d_l - geom.d_r - nr + 1
+    w = builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
+    eager = np.zeros((nl + nr, nl + nr), dtype=complex)
+    eager[:nl, :nl] = cm.left.site
+    eager[nl:, nl:] = cm.right.site
+    eager[nl:, :nl] = [[w[nr - 1 - j + m] for m in range(nl)] for j in range(nr)]
+    eager[:nl, nl:] = eager[nl:, :nl].conj().T
+    assert cm.matrix.tobytes() == eager.tobytes()
+    assert cm.matrix is cm.matrix
+
+
 def test_far_cross_block_carries_offset_phase():
     # cross entries depend on d_l - d_r only through a shifted argument
     g1 = SubsystemGeometry(0, 9, 5, 2, 5)

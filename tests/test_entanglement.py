@@ -460,6 +460,30 @@ def test_partition_deflates_most_far_modes():
     assert abs(rep.negativity - fermionic_negativity(cm, 1)) < 1e-11
 
 
+def test_sub_unit_orders_deflate_the_same_modes_again(monkeypatch):
+    # orders below 1 keep a superset of the modes, read from the block modes
+    # the partition already holds: no second decomposition
+    cm = far_fig2(100)
+    vn = partition(cm)
+    solves = []
+    monkeypatch.setattr(ent, "_block_eigenpairs", lambda block: solves.append(block))
+    half = partition(vn, 0.5)
+    assert not solves and half.modes is vn.modes
+    monkeypatch.undo()
+    assert partition(cm, 0.5).reduced.matrix.tobytes() == half.reduced.matrix.tobytes()
+    assert partition(vn).reduced.matrix.tobytes() == vn.reduced.matrix.tobytes()
+    assert vn.reduced.dim < half.reduced.dim < cm.dim
+    for part in (vn, half):
+        assert part.reduced.dim + part.deflated_left.size + part.deflated_right.size == cm.dim
+    assert np.isin(vn.reduced.matrix.diagonal(), half.reduced.matrix.diagonal()).all()
+    # the modes only orders below 1 keep are those with a first-order share
+    # above the tolerance
+    _, _, _, coupling, (kept_l, kept_r), _ = vn.modes
+    extra_l = ~kept_l & (np.abs(coupling).sum(axis=1) > ent.LOW_ORDER_TOL)
+    extra_r = ~kept_r & (np.abs(coupling).sum(axis=0) > ent.LOW_ORDER_TOL)
+    assert half.reduced.dim == vn.reduced.dim + extra_l.sum() + extra_r.sum() > vn.reduced.dim
+
+
 def test_partition_without_coupling_keeps_no_mode():
     # an empty voltage window makes the cross block exactly zero
     cm = correlation_matrix_far(

@@ -519,15 +519,76 @@ def test_point_rows_compute_only_the_spectra_they_read(monkeypatch, measures, sp
     assert len(calls) == spectra
 
 
-@pytest.mark.parametrize("orders, spectra", [((0.5,), 9), (("vn", 0.5), 12)])
-def test_sub_unit_orders_keep_the_full_spectra(monkeypatch, orders, spectra):
-    # below order 1 the three full spectra are taken, once per point
+@pytest.mark.parametrize("orders, spectra", [((0.5,), 3), (("vn", 0.5), 6)])
+def test_sub_unit_orders_read_the_reduced_union(monkeypatch, orders, spectra):
+    # orders below 1 read a partition as the others do: one reduced union
+    # spectrum per point for each deflation rule
     import nessent.entanglement as ent
 
     calls = count_calls(monkeypatch, ent, "occupation_spectrum")
     cfg = small_length_config(ell_min=6, ell_max=14, ell_step=4, measures=("mi", "entropy"), renyi_orders=orders)
     run_sweep_length(cfg)
     assert len(calls) == spectra
+
+
+def test_fig2_point_takes_no_eigvalsh_of_block_size(monkeypatch):
+    # at ell = 100 the order-1/2 partition keeps about 80 of 200 modes: the
+    # block eigh pair is the only decomposition of a block's size, and each
+    # deflation rule takes one smaller union spectrum
+    sizes = {"eigh": [], "eigvalsh": []}
+    for name, calls in sizes.items():
+
+        def recorded(a, *args, solve=getattr(np.linalg, name), calls=calls, **kwargs):
+            calls.append(a.shape[0])
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    cfg = small_length_config(model="single_impurity", epsilon0=1.0, k_fl=K_FL, ell_min=100, ell_max=100)
+    _, rows = run_sweep_length(cfg)
+    assert len(rows_of(rows, row_type="point")) == 4
+    assert sizes["eigh"] == [100, 100]
+    assert len(sizes["eigvalsh"]) == 2 and max(sizes["eigvalsh"]) < 100
+
+
+def test_point_values_are_freed_without_the_cycle_collector():
+    # a point's partitions and spectra go with its closure as soon as the
+    # point is done, so a sweep's peak memory holds one point's worth
+    import gc
+    import weakref
+
+    import nessent.experiments as ex
+    from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far
+    from nessent.scattering import BiasState, SingleImpurity
+
+    builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(K_FL, K_FR))
+    cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, 12, 0, 12))
+    gc.disable()
+    try:
+        numeric = ex._point_values(cm)
+        for measure, order in (("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("negativity", 1)):
+            numeric(measure, order)
+        freed = weakref.ref(cm)
+        del numeric, cm
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_far_sweeps_never_assemble_the_site_matrix(monkeypatch):
+    import nessent.experiments as ex
+
+    made = []
+    far = ex.correlation_matrix_far
+
+    def recorded(builder, geom):
+        made.append(far(builder, geom))
+        return made[-1]
+
+    monkeypatch.setattr(ex, "correlation_matrix_far", recorded)
+    run_sweep_position(position_config(measures=("mi",)))
+    run_sweep_length(small_length_config(ell_min=6, ell_max=14))
+    assert len(made) == 5 + 3
+    assert not any("matrix" in vars(cm) for cm in made)
 
 
 def test_sweep_integrates_each_window_once_per_order(monkeypatch):
