@@ -36,6 +36,16 @@ class ParseError(ValueError):
 
 
 def _eval_number(text: str, where: str) -> float:
+    """A finite number written as an expression in + - * / and the constant
+    pi; ``1e400`` or ``1e308*10`` would be inf, and is rejected here, naming
+    the key, before any runner reads it."""
+    value = _eval_expr(text, where)
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: must be a finite number, got {text!r}")
+    return value
+
+
+def _eval_expr(text: str, where: str) -> float:
     """Evaluate a numeric expression limited to + - * / and the constant pi."""
     try:
         node = ast.parse(text, mode="eval").body
@@ -158,6 +168,7 @@ _RANGES = {
     "abs_tol": ("positive", lambda c: c.abs_tol > 0),
     "rel_tol": ("non-negative", lambda c: c.rel_tol >= 0),
     "max_panels": ("at least 1", lambda c: c.max_panels >= 1),
+    "threads": ("at least 1", lambda c: c.threads >= 1),
     "nodes_per_panel": ("at least 4", lambda c: c.nodes_per_panel >= 4),
     "ell_min": ("at least 1", lambda c: c.ell_min >= 1),
     "ell_max": ("at least ell_min", lambda c: c.ell_max >= c.ell_min),
@@ -216,9 +227,12 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
             cfg.dk_list = tuple(_eval_number(part.strip(), where) for part in value.split(",") if part.strip())
         elif key == "measures":
             items = tuple(part.strip() for part in value.split(",") if part.strip())
-            for item in items:
+            for index, item in enumerate(items):
                 if item not in MEASURES:
                     raise ParseError(f"{where}: unknown measure {item!r}")
+                # a repeated measure would write every point twice and fit the doubled series
+                if item in items[:index]:
+                    raise ParseError(f"{where}: duplicate measure {item!r}")
             cfg.measures = items
         elif key == "renyi_orders":
             orders: dict[str, Any] = {}
@@ -226,7 +240,8 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
                 part = part.strip()
                 if not part:
                     continue
-                order = "vn" if part == "vn" else _eval_number(part, where)
+                # renyi_index rejects a non-finite order with the rule it breaks
+                order = "vn" if part == "vn" else _eval_expr(part, where)
                 try:
                     renyi_index(order)
                 except ValueError as exc:

@@ -17,12 +17,6 @@ quadrature: its nodes, amplitudes and Chebyshev moments.
 
 Two regimes are implemented:
 
-* finite distance: the integral above, windows (0, k_fl) and (0, k_fr).
-  Three of the four terms of A_L and of A_R, and two of the four of the
-  cross block, are Toeplitz in the indices counted outward (rate j - m up
-  to sign) and do not depend on the distance.  The builder keeps them per
-  sweep, so each further matrix gathers only its four Hankel terms, and
-  adds the terms in table order, so every entry keeps its bytes.
 * far limit: the limit d_i/ell_i -> infinity at fixed d_l - d_r, where
   all terms whose phase grows with d_i average out (Riemann-Lebesgue) and
   the matrix becomes block-Toeplitz.  With indices counted outward from the
@@ -42,6 +36,19 @@ Two regimes are implemented:
   complex otherwise, which the ``entanglement`` module docstring derives.
   The solvers read only these, so the site entries are assembled when
   something first reads them.
+* finite distance: the far-limit matrix of the same d_l - d_r plus the
+  four terms Riemann-Lebesgue removes, one in each diagonal block and two in
+  the cross block.  Their rates j + m (up to sign) grow with the distance,
+  so they are Hankel in the outward indices; they are integrated over the
+  Fermi windows (0, k_fl) and (0, k_fr).  The distance-independent
+  (Toeplitz) terms of the integral above sum to the far-limit entries
+  exactly: on the diagonal blocks the two windows combine into the sea
+  kernel and W_T, and on the cross block the (0, k_fr) parts of
+  conj(t_l) r_l and t_r conj(r_r) cancel by the unitarity of S, which
+  leaves W_X.  Both regimes read the far blocks and the W_X values through
+  ``_far_parts``, so a distance sweep builds its far blocks once and each
+  matrix gathers only its Hankel terms and its W_X values.  The diagonal
+  Hankel terms are real and symmetric, so the sum stays Hermitian exactly.
 
 A ``CorrelationMatrix`` is finite and Hermitian: its constructor checks any
 matrix handed in from outside (``numerics.check_hermitian``), once, and the
@@ -197,15 +204,12 @@ BLOCK = 64
 #: (r_l, t_r, t_l, r_r).  The conjugates of r_l and r_r are not listed:
 #: their terms are read as conjugates of the r_l and r_r tables.
 _FACTORS = {
-    "one": lambda r_l, t_r, t_l, r_r: np.ones_like(t_l),
     "T": lambda r_l, t_r, t_l, r_r: np.abs(t_l) ** 2,
-    "R": lambda r_l, t_r, t_l, r_r: 1.0 - np.abs(t_l) ** 2,
     "rL": lambda r_l, t_r, t_l, r_r: r_l,
     "rR": lambda r_l, t_r, t_l, r_r: r_r,
     "tLc": lambda r_l, t_r, t_l, r_r: np.conj(t_l),
     "tLc_rL": lambda r_l, t_r, t_l, r_r: np.conj(t_l) * r_l,
     "tR": lambda r_l, t_r, t_l, r_r: t_r,
-    "tR_rRc": lambda r_l, t_r, t_l, r_r: t_r * np.conj(r_r),
 }
 
 
@@ -237,7 +241,6 @@ class CorrelationBuilder:
         }
         self._blocks: dict[tuple[str, str, int], np.ndarray] = {}
         self._far: dict[str, FarBlock] = {}
-        self._toeplitz: dict[tuple[str, int], tuple[tuple, np.ndarray]] = {}
 
     def prefetch(self, keys) -> None:
         """Fill the missing table blocks among the (window, factor, block)
@@ -281,9 +284,9 @@ class CorrelationBuilder:
         """The far-limit diagonal block of n sites on side "L" (A_L) or "R"
         (A_R).  The builder keeps the last block of each side, so a sweep at
         fixed lengths reuses its blocks, and their eigenpairs, at every
-        point, and a length sweep holds at most two.
-        A block is a pure function of its key, so two threads building the
-        same one build equal blocks."""
+        point, and a length sweep holds at most two.  A finite-distance
+        matrix reads the same blocks.  A block is a pure function of its
+        key, so two threads building the same one build equal blocks."""
         block = self._far.get(side)
         if block is None or block.site.shape[0] != n:
             kf, sign = (self.bias.k_fl, -1.0) if side == "L" else (self.bias.k_fr, 1.0)
@@ -297,12 +300,6 @@ class CorrelationBuilder:
 def _span(rates: np.ndarray) -> range:
     """The table blocks an integer array of rates reads."""
     return range(int(rates.min()) // BLOCK, int(rates.max()) // BLOCK + 1)
-
-
-def _hermitian(block: np.ndarray) -> np.ndarray:
-    """The upper triangle of a diagonal block, mirrored by conjugation."""
-    upper = np.triu(block, 1)
-    return upper + upper.conj().T + np.diag(block.diagonal().real)
 
 
 def hermitian_matrix(left: np.ndarray, right: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -321,88 +318,47 @@ def hermitian_matrix(left: np.ndarray, right: np.ndarray, cross: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 # finite-distance regime
 
-#: <c_j^dag c_m> for j and m outside the scattering region, per block of
-#: (side of j, side of m), as sums of table reads (window, factor, a, b,
-#: pair) at the rate a*j + b*m.  Window "R" holds the right-incoming states
-#: after the substitution k -> -k, which conjugates every exponent.  A pair
-#: term also stands for its conjugate partner (the conjugate factor at the
-#: opposite rate) and contributes 2*Re of the table value.  The block with
-#: j on the left and m on the right is the conjugate transpose of "RL".
+#: the Hankel terms of <c_j^dag c_m> for j and m outside the scattering
+#: region, per block of (side of j, side of m), as table reads (window,
+#: factor, a, b, pair) at the rate a*j + b*m, which grows with the distance.
+#: The rest of each entry is the far-limit entry of the same d_l - d_r
+#: (``_far_parts``).  Window "R" holds the right-incoming states after the
+#: substitution k -> -k, which conjugates every exponent.  A pair term also
+#: stands for its conjugate partner (the conjugate factor at the opposite
+#: rate) and contributes 2*Re of the table value.  The block with j on the
+#: left and m on the right is the conjugate transpose of "RL".
 _FINITE_TERMS = {
-    "RR": (
-        ("L", "T", -1, 1, False),
-        ("R", "one", 1, -1, False),
-        ("R", "rR", 1, 1, True),
-        ("R", "R", -1, 1, False),
-    ),
-    "LL": (
-        ("L", "one", -1, 1, False),
-        ("L", "rL", -1, -1, True),
-        ("L", "R", 1, -1, False),
-        ("R", "T", 1, -1, False),
-    ),
-    "RL": (
-        ("L", "tLc", -1, 1, False),
-        ("L", "tLc_rL", -1, -1, False),
-        ("R", "tR", 1, -1, False),
-        ("R", "tR_rRc", -1, -1, False),
-    ),
+    "RR": (("R", "rR", 1, 1, True),),
+    "LL": (("L", "rL", -1, -1, True),),
+    "RL": (("L", "tLc", -1, 1, False), ("R", "tR", 1, -1, False)),
 }
-
-
-def _finite_blocks(builder: CorrelationBuilder, sites: dict) -> dict[str, np.ndarray]:
-    """Entries <c_j^dag c_m> of each block kind, for the kind's (rows, cols)
-    sites: its terms summed in _FINITE_TERMS order, so each entry keeps its
-    bytes whichever terms were kept.
-
-    A term whose rate a*j + b*m stays put as j and m step outward together
-    is Toeplitz in the outward indices and does not depend on the distance.
-    The builder keeps the last one per (kind, term) as a read-only view of
-    its values along the diagonals, tagged with its first rate and shape,
-    which fix all its rates, so a distance sweep gathers it once.  The
-    Hankel terms, and the terms of the first matrix, are gathered after one
-    prefetch of all their table blocks.
-    """
-    terms, gathers = {}, []
-    for kind, (rows, cols) in sites.items():
-        for index, (window, factor, a, b, pair) in enumerate(_FINITE_TERMS[kind]):
-            step = a * np.sign(rows[0])  # a site steps outward by its sign
-            if step + b * np.sign(cols[0]):
-                gathers.append(((kind, index), window, factor, np.add.outer(a * rows, b * cols), pair, None))
-                continue
-            # Toeplitz: the rate at outward indices (i, j) is first + step * (i - j)
-            tag = (int(a * rows[0] + b * cols[0]), rows.size, cols.size)
-            kept, terms[kind, index] = builder._toeplitz.get((kind, index), (None, None))
-            if kept != tag:
-                diagonals = tag[0] + step * np.arange(1 - cols.size, rows.size)
-                gathers.append(((kind, index), window, factor, diagonals, pair, tag))
-    builder.prefetch([(window, factor, blk) for _, window, factor, rates, _, _ in gathers for blk in _span(rates)])
-    for key, window, factor, rates, pair, tag in gathers:
-        vals = builder.coefficients(window, factor, rates)
-        terms[key] = 2.0 * vals.real if pair else vals
-        if tag is not None:
-            # term[i, j] = values[i - j + n_cols - 1]
-            terms[key] = sliding_window_view(terms[key], tag[2])[:, ::-1]
-            builder._toeplitz[key] = (tag, terms[key])
-    return {
-        kind: sum((terms[kind, i] for i in range(len(_FINITE_TERMS[kind]))), np.zeros((rows.size, cols.size), complex))
-        for kind, (rows, cols) in sites.items()
-    }
 
 
 def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
     """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
-    Hermitian by construction: the diagonal blocks mirror their upper
-    triangle by conjugation, and the cross block is conjugate-transposed.  A
-    builder shared across matrices reuses its Fourier tables and its
-    distance-independent terms (``_finite_blocks``), so a distance sweep
-    gathers only the four Hankel terms per matrix.
+    The far-limit matrix of the same d_l - d_r plus the four Hankel terms of
+    _FINITE_TERMS, gathered after one prefetch of all their table blocks.
+    Hermitian by construction: the far blocks are, the Hankel terms of the
+    diagonal blocks are real and symmetric, and the cross block is
+    conjugate-transposed.  A builder shared across matrices reuses its
+    tables and its far blocks, so a distance sweep gathers only the Hankel
+    terms and the W_X values per matrix.
     """
-    left, right = (np.asarray(s, dtype=np.int64) for s in (geom.sites_left(), geom.sites_right()))
-    blocks = _finite_blocks(builder, {"LL": (left, left), "RR": (right, right), "RL": (right, left)})
-    out = hermitian_matrix(_hermitian(blocks["LL"]), _hermitian(blocks["RR"]), blocks["RL"])
-    return CorrelationMatrix(out, left.size, built_hermitian=True)
+    left, right, w = _far_parts(builder, geom)
+    sites = {"L": np.asarray(geom.sites_left(), dtype=np.int64), "R": np.asarray(geom.sites_right(), dtype=np.int64)}
+    reads = [
+        (kind, window, factor, np.add.outer(a * sites[kind[0]], b * sites[kind[1]]), pair)
+        for kind, terms in _FINITE_TERMS.items()
+        for window, factor, a, b, pair in terms
+    ]
+    builder.prefetch([(window, factor, blk) for _, window, factor, rates, _ in reads for blk in _span(rates)])
+    blocks = {"LL": left.site, "RR": right.site, "RL": _cross_block(w, geom.ell_l)}
+    for kind, window, factor, rates, pair in reads:
+        vals = builder.coefficients(window, factor, rates)
+        blocks[kind] = blocks[kind] + (2.0 * vals.real if pair else vals)
+    out = hermitian_matrix(blocks["LL"], blocks["RR"], blocks["RL"])
+    return CorrelationMatrix(out, geom.ell_l, built_hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +373,11 @@ def _sea_kernel(kf: float, x: np.ndarray) -> np.ndarray:
 
 def _far_diagonal(builder: CorrelationBuilder, kf: float, sign: float, n: int) -> np.ndarray:
     """The 2n - 1 Toeplitz values of the block sea(kf, j-m) + sign * W_T(m-j)
-    for j, m = 1..n, at the offsets x = j - m = 1-n .. n-1.  As in
-    _hermitian, the upper triangle (x < 0) is kept, the lower one is its
-    conjugate and the diagonal is real, so W_T is read at the rates
-    -x = 0..n-1 only; adding 0.0 to the conjugate gives a zero imaginary part
-    the sign _hermitian's sum gives it, so the bytes match."""
+    for j, m = 1..n, at the offsets x = j - m = 1-n .. n-1.  The upper
+    triangle (x < 0) is kept, the lower one is its conjugate and the
+    diagonal is real, so W_T is read at the rates -x = 0..n-1 only; adding
+    0.0 to the conjugate gives a zero imaginary part the sign that mirroring
+    the upper triangle entry by entry (U + U^dag) gives it."""
     x = np.arange(1 - n, 1)
     values = _sea_kernel(kf, x) + sign * builder.coefficients("V", "T", -x)
     upper = values[:-1]
@@ -464,9 +420,25 @@ class FarMatrix(CorrelationMatrix):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        # A_R row j, A_L column m: W_X(d_l - d_r - j + m)
-        cross = sliding_window_view(self.cross_values, self.n_left)[::-1]
-        return hermitian_matrix(self.left.site, self.right.site, cross)
+        return hermitian_matrix(self.left.site, self.right.site, _cross_block(self.cross_values, self.n_left))
+
+
+def _far_parts(builder: CorrelationBuilder, geom: SubsystemGeometry) -> tuple[FarBlock, FarBlock, np.ndarray]:
+    """The far-limit diagonal blocks of A_L and A_R and the W_X values
+    w = W_X(d_l - d_r + x) at x = 1 - ell_r .. ell_l - 1, which the cross
+    block reads (``_cross_block``): what a finite-distance matrix shares
+    with the far limit of the same d_l - d_r."""
+    nl, nr = geom.ell_l, geom.ell_r
+    left, right = builder.far_block("L", nl), builder.far_block("R", nr)
+    low = geom.d_l - geom.d_r - nr + 1
+    return left, right, builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
+
+
+def _cross_block(w: np.ndarray, nl: int) -> np.ndarray:
+    """The cross block, A_R row j and A_L column m (from 0) holding
+    W_X(d_l - d_r - j + m): a read-only Toeplitz view of the values w of
+    ``_far_parts``."""
+    return sliding_window_view(w, nl)[::-1]
 
 
 def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FarMatrix:
@@ -483,12 +455,9 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
     block, one Toeplitz and one Hankel read.
     """
     nl, nr = geom.ell_l, geom.ell_r
-    left, right = builder.far_block("L", nl), builder.far_block("R", nr)
-    # W_X(d_l - d_r + x) at x = 1 - nr .. nl - 1.  A_L site m and A_R site j
-    # (from 0) read x = m - j in the cross block, a Toeplitz view of w, and F
-    # reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
-    low = geom.d_l - geom.d_r - nr + 1
-    w = builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
+    # A_L site m and A_R site j (from 0) read x = m - j in the cross block,
+    # and F reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
+    left, right, w = _far_parts(builder, geom)
     tol = FOLD_TOL * max(abs(left.site[0, 0]), abs(right.site[0, 0]))
     if 2 * (geom.d_l - geom.d_r) == nr - nl and np.abs(w + w[::-1].conj()).max() <= tol:
         coupling = sliding_window_view(w.real[::-1], nr)[::-1] + sliding_window_view(w.imag, nr)

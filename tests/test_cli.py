@@ -56,9 +56,10 @@ def test_cli_numerical_failure_names_sweep_point_and_integral(tmp_path, capsys):
 
 
 def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path, capsys):
-    # the far-limit blocks fit a budget of 16 panels, the window-L grid of the
-    # finite distances does not; d = 160..240 puts the j + m rates of window L
-    # above the Filon-Clenshaw-Curtis switch, the j - m rates stay below it
+    # the far-limit blocks fit a budget of 16 panels, the Hankel terms of the
+    # finite distances do not all fit it: at d = 160 the j + m rates of window L
+    # are above the Filon-Clenshaw-Curtis switch, those of the narrower window
+    # R stay below it and need one Gauss-Legendre panel per period
     cfg = tmp_path / "starved.cfg"
     cfg.write_text(
         "scenario = sweep-distance\nmodel = single_impurity\nepsilon0 = 1\n"
@@ -68,7 +69,7 @@ def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path
     )
     assert main(["sweep-distance", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith('error kind=NonConvergence message="d=160: W(window L, factor one, rates -64..-1): ')
+    assert err.startswith('error kind=NonConvergence message="d=160: W(window R, factor rR, rates 320..383): ')
     assert err.count("\n") == 1
 
 

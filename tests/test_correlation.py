@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nessent.correlation import (
+    _FACTORS,
     BLOCK,
     CorrelationBuilder,
     CorrelationMatrix,
@@ -130,10 +131,10 @@ def test_finite_matrix_matches_entrywise_assembly():
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
-def test_finite_sweep_gathers_only_the_hankel_terms_after_its_first_matrix(monkeypatch):
-    # three of the four terms of A_L and A_R, and two of the cross block, do
-    # not depend on the distance; the builder keeps them, and the matrices
-    # keep the bytes of a fresh builder's, whatever came before them
+def test_finite_sweep_gathers_the_hankel_terms_and_the_cross_values_after_its_first_matrix(monkeypatch):
+    # a finite matrix is the far-limit matrix plus four Hankel terms; the
+    # builder keeps its far blocks, and the matrices keep the bytes of a
+    # fresh builder's, whatever came before them
     gathers = []
     coefficients = CorrelationBuilder.coefficients
 
@@ -143,7 +144,7 @@ def test_finite_sweep_gathers_only_the_hankel_terms_after_its_first_matrix(monke
 
     monkeypatch.setattr(CorrelationBuilder, "coefficients", counted)
     builder = CorrelationBuilder(IMPURITY, BIAS)
-    # the last geometry keeps the length of A_L, so its A_L terms are kept
+    # the last geometry keeps the length of A_L, so its A_L far block is kept
     geoms = [SubsystemGeometry(0, d, 6, d, 6) for d in (20, 21, 90)] + [SubsystemGeometry(0, 20, 6, 23, 5)]
     counts, read = [], []
     for geom in geoms:
@@ -153,15 +154,23 @@ def test_finite_sweep_gathers_only_the_hankel_terms_after_its_first_matrix(monke
         read.append(sorted(gathers))
         fresh = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
         assert cm.matrix.tobytes() == fresh.matrix.tobytes()
-    assert counts == [12, 4, 4, 9]
-    assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR")]
+    assert counts == [7, 5, 5, 6]
+    assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR"), ("V", "tLc_rL")]
+
+
+def test_every_table_factor_is_read():
+    # a factor that neither regime reads is dead code
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    correlation_matrix_far(builder, SubsystemGeometry(0, 0, 3, 0, 3))
+    correlation_matrix_finite(builder, SubsystemGeometry(0, 5, 3, 5, 3))
+    assert {factor for _, factor, _ in builder._blocks} == set(_FACTORS)
 
 
 def test_table_blocks_do_not_depend_on_request_order():
     rates = np.arange(0, 201)
     fresh = CorrelationBuilder(IMPURITY, BIAS)
     primed = CorrelationBuilder(IMPURITY, BIAS)
-    for window, factor in (("L", "rL"), ("R", "tR_rRc"), ("V", "T")):
+    for window, factor in (("L", "rL"), ("R", "tR"), ("V", "T")):
         primed.coefficients(window, factor, np.array([150]))
         a = fresh.coefficients(window, factor, rates)
         b = primed.coefficients(window, factor, rates)
@@ -244,6 +253,62 @@ def test_table_coefficients_match_mpmath_reference(epsilon0):
                     reference = complex(mp_window_integral(mpmath, f, mpmath.mpf(kf), rate))
                     table = builder.coefficients(window, factor, np.array([rate]))[0]
                     assert abs(table - reference) <= 1e-15, (window, factor, rate)
+
+
+def mp_occupied_integrals(mpmath, epsilon0, bias, pairs):
+    """int_{-k_fr}^{k_fl} conj(u_j(k)) u_m(k) dk / 2pi for each site pair (j, m)
+    of the single impurity, in mpmath arithmetic at its working precision.
+
+    The product of the two amplitudes is integrated as it stands, not split
+    into the builder's Fourier terms.  All pairs share one composite rule:
+    mpmath's 12-point Gauss-Legendre on subintervals one period of the fastest
+    phase exp(i (|j| + |m|) k) wide, on each side of k = 0.  At 30 digits,
+    on the sites 101..150 of either side, this agrees to 1e-20 with 24 points
+    per half period, which agree with mpmath.quad to 1e-30, at a tenth of the
+    cost of one mpmath.quad per pair.
+    """
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    eps = mpmath.mpf(epsilon0)
+    sites = sorted({s for pair in pairs for s in pair})
+    rate = max(abs(j) + abs(m) for j, m in pairs)
+    rule = GaussLegendre(mpmath.mp).calc_nodes(3, mpmath.mp.prec)
+    total = dict.fromkeys(pairs, mpmath.mpc(0))
+    for lo, hi in ((-mpmath.mpf(bias.k_fr), 0), (0, mpmath.mpf(bias.k_fl))):
+        edges = mpmath.linspace(lo, hi, int((hi - lo) * rate / (2 * mpmath.pi)) + 2)
+        for a, b in zip(edges[:-1], edges[1:]):
+            for x, weight in rule:
+                k = (a + b) / 2 + (b - a) / 2 * x
+                t = 1 / (1 + 1j * eps / (2 * mpmath.sin(abs(k))))
+                # transmitted on the far side of the impurity, incoming plus
+                # reflected (r = t - 1) on the near side
+                phase = {m: mpmath.expj(k * m) for m in sites}
+                u = {m: t * phase[m] if (k > 0) == (m > 0) else phase[m] + (t - 1) / phase[m] for m in sites}
+                for j, m in pairs:
+                    total[j, m] += weight * (b - a) / 2 * mpmath.conj(u[j]) * u[m]
+    return {pair: value / (2 * mpmath.pi) for pair, value in total.items()}
+
+
+def test_finite_entries_match_mpmath_reference():
+    # a Fig. S2 matrix (d = 100, ell = 50): entries of A_L, A_R and both
+    # cross blocks against the occupied-state integral itself, with the
+    # window edges at the float momenta the builder integrates to; the far
+    # blocks plus the Hankel terms err by at most 5.5e-16 here
+    mpmath = pytest.importorskip("mpmath")
+    geom = SubsystemGeometry(0, 100, 50, 100, 50)
+    cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
+    index = {site: i for i, site in enumerate(geom.sites_left() + geom.sites_right())}
+    left, right = (-101, -102, -117, -150), (101, 103, 129, 150)
+    pairs = [
+        (left[0], left[0]), (left[1], left[2]), (left[3], left[0]), (left[2], left[3]), (left[3], left[3]),
+        (right[0], right[0]), (right[1], right[2]), (right[3], right[0]), (right[2], right[3]), (right[3], right[3]),
+        (right[0], left[0]), (right[3], left[3]), (right[1], left[2]), (right[2], left[0]),
+        (left[0], right[0]), (left[1], right[3]),
+    ]
+    with mpmath.workdps(30):
+        reference = mp_occupied_integrals(mpmath, IMPURITY.epsilon0, BIAS, pairs)
+    for (j, m), value in reference.items():
+        assert abs(cm.matrix[index[j], index[m]] - complex(value)) <= 1e-15, (j, m)
 
 
 def _amp(i):

@@ -1,6 +1,6 @@
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +178,8 @@ OUT_OF_RANGE = [
     ("rel_tol = -1", "rel_tol"),
     ("max_panels = 0", "max_panels"),
     ("nodes_per_panel = 2", "nodes_per_panel"),
+    ("threads = 0", "threads"),
+    ("threads = -2", "threads"),
 ]
 
 
@@ -210,6 +212,27 @@ def test_sweep_distance_rejects_what_it_cannot_compute(line, key):
         parse_config_text(f"{DISTANCE_CONFIG}{line}\n")
     cfg = parse_config_text(f"{DISTANCE_CONFIG}measures = negativity, mi\nrenyi_orders = 1\n")
     assert cfg.measures == ("negativity", "mi")
+
+
+#: every key parsed as a float, and dk_list, a list of them
+FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type.startswith("float")] + ["dk_list"]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "1e308*10", "1e400 - 1e400"])
+def test_parse_config_rejects_non_finite_numbers(key, value):
+    # inf used to parse and reach a runner: d_over_ell_max = 1e400 raised
+    # OverflowError there, and eta = 1e400 wrote a CSV
+    with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
+        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+
+
+def test_parse_config_rejects_duplicate_measure():
+    # a repeated measure wrote every point twice and fitted the doubled series
+    for value in ("mi, mi", "mi, ci, negativity, ci"):
+        with pytest.raises(ParseError, match="'measures': duplicate measure"):
+            parse_config_text(f"scenario = selftest\nmeasures = {value}\n")
+    assert parse_config_text("scenario = selftest\nmeasures = ci, mi\n").measures == ("ci", "mi")
 
 
 def test_parse_config_division_by_zero_names_key():

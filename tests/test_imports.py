@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked on its syntax trees: every name a
-module imports is used there, and every import kept for an outside reader
-says who reads it.  Imports in ``__init__.py`` are the package's exports."""
+module imports is used there, every import kept for an outside reader
+says who reads it, and every module-level private name is read somewhere in
+the package.  Imports in ``__init__.py`` are the package's exports."""
 
 import ast
 import os
@@ -38,7 +39,7 @@ def used_names(tree: ast.Module) -> set[str]:
             annotations.append(node.returns)
         elif isinstance(node, (ast.arg, ast.AnnAssign)):
             annotations.append(node.annotation)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for annotation in filter(None, annotations):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -72,6 +73,43 @@ def test_the_check_sees_an_unused_import():
     source = "import os, re\nfrom pathlib import Path as P\nx: 'P' = re.compile('os')\n"
     tree = ast.parse(source)
     assert [name for name, _ in imported_names(tree) if name not in used_names(tree)] == ["os"]
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of every module-level private function, class and
+    assignment target (``_name``, not ``__dunder__``)."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, bare or as an attribute (``module._name``)."""
+    return used_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = set().union(*map(read_names, trees.values()))
+    unread = [
+        f"{name}:{line}: {private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree)
+        if private not in read
+    ]
+    assert not unread, "private names nothing in the package reads: " + ", ".join(unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    tree = ast.parse("import os\n_kept = 1\n_dead, ok = 2, 3\ndef _unused(): return os.sep + str(_kept)\n")
+    names = [name for name, _ in private_definitions(tree)]
+    assert names == ["_kept", "_dead", "_unused"]
+    assert [name for name in names if name not in read_names(tree)] == ["_dead", "_unused"]
 
 
 def test_a_serial_cli_run_does_not_import_the_thread_pool():
