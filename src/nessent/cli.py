@@ -51,7 +51,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ParseError(f"scenario {args.scenario} requires --config")
         config: ExperimentConfig = parse_config(args.config, args.scenario)
         if args.threads is not None:
-            config.threads = max(1, args.threads)
+            if args.threads < 1:
+                raise ParseError(f"--threads must be at least 1, got {args.threads}")
+            config.threads = args.threads
         elif "threads" not in config.raw:
             config.threads = _default_threads()
         out_path = args.out or config.out

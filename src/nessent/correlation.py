@@ -81,6 +81,8 @@ __all__ = [
     "correlation_matrix_finite",
     "correlation_matrix_far",
     "CorrelationBuilder",
+    "cross_rates",
+    "has_parity",
     "write_matrix_dump",
     "read_matrix_dump",
 ]
@@ -89,9 +91,10 @@ __all__ = [
 #: a few digits tighter than the default
 ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=0.0, max_panels=60000, nodes_per_panel=16)
 
-#: a far-limit union folds when the parity defect of the W_X values it reads,
-#: max |w(x) + conj w(-x)|, is at most this relative to its largest diagonal
-#: entry (far matrices reach about 3e-16)
+#: a far-limit union folds, and a far sweep shares the values of mirror-image
+#: geometries, when the parity defect of the W_X values read,
+#: max |w(x) + conj w(-x)|, is at most this relative to the largest diagonal
+#: entry (far matrices reach about 3e-16); ``has_parity`` applies it
 FOLD_TOL = 1e-14
 
 
@@ -423,15 +426,33 @@ class FarMatrix(CorrelationMatrix):
         return hermitian_matrix(self.left.site, self.right.site, _cross_block(self.cross_values, self.n_left))
 
 
+def cross_rates(geom: SubsystemGeometry) -> np.ndarray:
+    """The rates d_l - d_r + x, x = 1 - ell_r .. ell_l - 1, at which the
+    cross block of a geometry reads W_X.  Its mirror image, the offset
+    ell_r - ell_l - (d_l - d_r) at the same lengths, reads their negatives."""
+    low = geom.d_l - geom.d_r - geom.ell_r + 1
+    return np.arange(low, low + geom.ell_l + geom.ell_r - 1)
+
+
+def has_parity(w: np.ndarray, left: FarBlock, right: FarBlock) -> bool:
+    """Whether W_X values w, read at rates whose reversal is their negation,
+    satisfy w(-x) = -conj w(x) to FOLD_TOL of the largest diagonal entry of
+    the far blocks ``left`` and ``right`` (0 <= C <= I bounds every entry by
+    it).  A parity-symmetric unitary S-matrix makes t_l^* r_l imaginary, so
+    the relation holds up to round-off.  It decides both whether a far-limit
+    union folds and whether a sweep takes the values of a geometry from its
+    mirror image."""
+    tol = FOLD_TOL * max(abs(left.site[0, 0]), abs(right.site[0, 0]))
+    return bool(np.abs(w + w[::-1].conj()).max() <= tol)
+
+
 def _far_parts(builder: CorrelationBuilder, geom: SubsystemGeometry) -> tuple[FarBlock, FarBlock, np.ndarray]:
     """The far-limit diagonal blocks of A_L and A_R and the W_X values
     w = W_X(d_l - d_r + x) at x = 1 - ell_r .. ell_l - 1, which the cross
     block reads (``_cross_block``): what a finite-distance matrix shares
     with the far limit of the same d_l - d_r."""
-    nl, nr = geom.ell_l, geom.ell_r
-    left, right = builder.far_block("L", nl), builder.far_block("R", nr)
-    low = geom.d_l - geom.d_r - nr + 1
-    return left, right, builder.coefficients("V", "tLc_rL", np.arange(low, low + nl + nr - 1))
+    left, right = builder.far_block("L", geom.ell_l), builder.far_block("R", geom.ell_r)
+    return left, right, builder.coefficients("V", "tLc_rL", cross_rates(geom))
 
 
 def _cross_block(w: np.ndarray, nl: int) -> np.ndarray:
@@ -449,17 +470,15 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
     exp(i k (d_l - d_r)) through its shifted argument and vanishes when the
     voltage window is empty.  The union folds to real form when the centres
     of the two intervals are mirror images, 2(d_l - d_r) = ell_r - ell_l,
-    and the W_X values read satisfy w(-x) = -conj w(x) to FOLD_TOL of the
-    largest entry (0 <= C <= I bounds every entry by the largest diagonal
-    one).  Either way F is gathered from the same W_X values as the cross
+    and the W_X values read satisfy w(-x) = -conj w(x) (``has_parity``).
+    Either way F is gathered from the same W_X values as the cross
     block, one Toeplitz and one Hankel read.
     """
     nl, nr = geom.ell_l, geom.ell_r
     # A_L site m and A_R site j (from 0) read x = m - j in the cross block,
     # and F reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
     left, right, w = _far_parts(builder, geom)
-    tol = FOLD_TOL * max(abs(left.site[0, 0]), abs(right.site[0, 0]))
-    if 2 * (geom.d_l - geom.d_r) == nr - nl and np.abs(w + w[::-1].conj()).max() <= tol:
+    if 2 * (geom.d_l - geom.d_r) == nr - nl and has_parity(w, left, right):
         coupling = sliding_window_view(w.real[::-1], nr)[::-1] + sliding_window_view(w.imag, nr)
     else:
         # F = (C - J_L C J_R)/2 + i (J_L C + C J_R)/2 with C = C_LR, each

@@ -433,7 +433,9 @@ def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[floa
     if n != 1 and (n < 2 or int(n) != n or int(n) % 2 != 0):
         raise ValueError("negativity order must be 1 or an even integer")
     if isinstance(c, Partition):
-        off = (1.0 - n) * (entropy(c.deflated_left, n) + entropy(c.deflated_right, n))
+        # the deflated modes enter through (1 - n) times their entropies,
+        # nothing at n = 1
+        off = 0.0 if n == 1 else (1.0 - n) * (entropy(c.deflated_left, n) + entropy(c.deflated_right, n))
         if c.reduced.dim == 0:
             return off, 0.0
         value, residual = _whitened_pencil(c.reduced, n)

@@ -7,6 +7,16 @@ summarize the single constant offset between them, which is the only fitted
 parameter anywhere.  Sweep points are independent pure computations executed
 by a bounded worker pool and gathered in input order, so output is
 deterministic for a fixed config.
+
+For a parity-symmetric scatterer the far-limit state at the offset
+delta = d_l - d_r is the mirror image of the state at ell_r - ell_l - delta,
+and no measure tells them apart.  A far sweep therefore solves the first
+point of each such pair, in input order, and the other point copies its
+numeric values; every point still computes its own coordinates and
+predictions.  Whether the W_X values the sweep reads have that parity is
+decided by ``correlation.has_parity``, the test that also decides whether a
+far matrix folds.  Length and bias sweeps have no such pairs (each point is
+its own mirror image), so only position sweeps share.
 """
 
 from __future__ import annotations
@@ -25,6 +35,8 @@ from .correlation import (
     SubsystemGeometry,
     correlation_matrix_far,
     correlation_matrix_finite,
+    cross_rates,
+    has_parity,
     ENTRY_SPEC,
 )
 from .entanglement import (
@@ -106,27 +118,39 @@ def _failure_at(where: str):
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def _predictions(model: ScatteringModel, bias: BiasState, geom: SubsystemGeometry, config: ExperimentConfig):
-    """(measure, order, CSV label, prediction or None) of every requested
-    measure, in CSV row order."""
+def _series(config: ExperimentConfig):
+    """(measure, order, CSV label) of every requested series, in CSV row
+    order."""
     for measure in config.measures:
         if measure == "mi":
             for order in config.renyi_orders:
-                yield "mi", order, order_label(order), asy.mi_prediction(model, bias, geom, order)
+                yield "mi", order, order_label(order)
         elif measure == "ci":
-            yield "ci", "vn", "vn", asy.ci_prediction(model, bias, geom)
+            yield "ci", "vn", "vn"
         elif measure == "negativity":
-            yield "negativity", 1, "1", asy.negativity_prediction(model, bias, geom)
+            yield "negativity", 1, "1"
         elif measure == "entropy":
             for order in config.renyi_orders:
-                label = order_label(order)
-                yield "entropy_al", order, label, asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order)
-                yield "entropy_ar", order, label, asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order)
-                union = None
-                if geom.is_symmetric:
-                    coeff = asy.disjoint_symmetric_log_coefficient(order)
-                    union = asy.AsymptoticPrediction(0.0, coeff * np.log(geom.ell_l))
-                yield "entropy_a", order, label, union
+                for part in ("entropy_al", "entropy_ar", "entropy_a"):
+                    yield part, order, order_label(order)
+
+
+def _prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeometry, measure: str, order):
+    """The asymptotic prediction of one series at a geometry, or None."""
+    if measure == "mi":
+        return asy.mi_prediction(model, bias, geom, order)
+    if measure == "ci":
+        return asy.ci_prediction(model, bias, geom)
+    if measure == "negativity":
+        return asy.negativity_prediction(model, bias, geom)
+    if measure == "entropy_al":
+        return asy.contiguous_entropy_prediction(model, bias, geom.ell_l, "L", order)
+    if measure == "entropy_ar":
+        return asy.contiguous_entropy_prediction(model, bias, geom.ell_r, "R", order)
+    if not geom.is_symmetric:
+        return None
+    coeff = asy.disjoint_symmetric_log_coefficient(order)
+    return asy.AsymptoticPrediction(0.0, coeff * np.log(geom.ell_l))
 
 
 #: the EntanglementReport field behind each entropy-based CSV measure
@@ -167,24 +191,25 @@ def _point_values(cmat: CorrelationMatrix):
     return numeric
 
 
-def _measure_point_rows(
+def _point_rows(
     model: ScatteringModel,
     bias: BiasState,
     geom: SubsystemGeometry,
-    cmat: CorrelationMatrix,
-    config: ExperimentConfig,
+    series: list[tuple],
     base: dict,
+    numeric: list[float],
 ) -> list[dict]:
-    """Numeric + analytic values of every requested measure on one matrix."""
-    numeric = _point_values(cmat)
+    """The rows of one point: the numeric value of each ``_series`` entry,
+    in order, and its analytic prediction at the geometry."""
     rows: list[dict] = []
-    for measure, order, label, pred in _predictions(model, bias, geom, config):
+    for (measure, order, label), value in zip(series, numeric):
+        pred = _prediction(model, bias, geom, measure, order)
         row = dict(base)
         row.update(
             row_type="point",
             measure=measure,
             order=label,
-            numeric=numeric(measure, order),
+            numeric=value,
             analytic_linear=pred.linear_term if pred else None,
             analytic_log=pred.log_term if pred else None,
             analytic=pred.total_minus_constant if pred else None,
@@ -247,21 +272,65 @@ def _fit_rows(points: list[dict], driver_key: str | None) -> list[dict]:
     return fits
 
 
+def _mirror_key(geom: SubsystemGeometry) -> tuple[int, int, int]:
+    """The lengths and the smaller of the offsets delta = d_l - d_r and
+    ell_r - ell_l - delta, which a geometry and its mirror image share."""
+    delta = geom.d_l - geom.d_r
+    return geom.ell_l, geom.ell_r, min(delta, geom.ell_r - geom.ell_l - delta)
+
+
+def _mirrors_have_parity(builder: CorrelationBuilder, partners: list[tuple[str, SubsystemGeometry]]) -> bool:
+    """Whether the W_X values every mirror pair reads have parity
+    (``has_parity``), given the second geometry of each pair and the sweep
+    point it is.  The first geometry has read the negated rates of its
+    partner; the partner's own rates are read under its name, so a failing
+    quadrature names the point that needs it.
+
+    With P = diag(J_L, -J_R), the matrices at delta and at
+    ell_r - ell_l - delta are then P conj(C) P of each other: the diagonal
+    blocks are Hermitian Toeplitz, the two cross blocks read W_X at negated
+    rates (``cross_rates``), and no measure sees P or the conjugation."""
+    for where, geom in partners:
+        rates = cross_rates(geom)
+        with _failure_at(where):
+            w = builder.coefficients("V", "tLc_rL", np.concatenate([-rates[::-1], rates]))
+        if not has_parity(w, builder.far_block("L", geom.ell_l), builder.far_block("R", geom.ell_r)):
+            return False
+    return True
+
+
 def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, driver_key: str | None):
     """Far-limit matrices and measures at each sweep coordinate, then one fit
     row per series; ``point(model, coord)`` gives the geometry and the
-    coordinate columns of a point."""
+    coordinate columns of a point.  The first point of each mirror pair in
+    input order is solved; the second copies its numeric values, kept as
+    plain floats, when the pair's W_X values have parity, and is solved too
+    otherwise.  Every point builds its own rows and predictions."""
     model = config.build_model()
     bias = config.build_bias()
     builder = CorrelationBuilder(model, bias, _entry_spec(config))
+    series = list(_series(config))
+    placed = [point(model, coord) for coord in coords]
+    first: dict[tuple[int, int, int], int] = {}
+    reps = [first.setdefault(_mirror_key(geom), i) for i, (geom, _) in enumerate(placed)]
 
-    def compute(coord: int) -> list[dict]:
-        geom, base = point(model, coord)
+    def compute(i: int) -> list[float]:
+        with _failure_at(f"{name}={coords[i]}"):
+            numeric = _point_values(correlation_matrix_far(builder, placed[i][0]))
+            return [numeric(measure, order) for measure, order, _ in series]
+
+    def solved(indices: list[int]) -> dict[int, list[float]]:
+        return dict(zip(indices, _map_ordered(compute, indices, config.threads)))
+
+    values = solved(list(first.values()))
+    partners = [i for i, rep in enumerate(reps) if rep != i]
+    if not _mirrors_have_parity(builder, [(f"{name}={coords[i]}", placed[i][0]) for i in partners]):
+        values.update(solved(partners))
+        reps = list(range(len(coords)))
+    points = []
+    for coord, (geom, base), rep in zip(coords, placed, reps):
         with _failure_at(f"{name}={coord}"):
-            cmat = correlation_matrix_far(builder, geom)
-            return _measure_point_rows(model, bias, geom, cmat, config, base)
-
-    points = [row for rows in _map_ordered(compute, coords, config.threads) for row in rows]
+            points += _point_rows(model, bias, geom, series, base, values[rep])
     return _SWEEP_FIELDS, points + _fit_rows(points, driver_key)
 
 
@@ -429,7 +498,8 @@ def run_eval_asymptotics(config: ExperimentConfig) -> tuple[list[str], list[dict
     bias = config.build_bias()
     geom = SubsystemGeometry(model.m0, config.d_l, config.ell_l, config.d_r, config.ell_r)
     rows: list[dict] = []
-    for measure, _, label, pred in _predictions(model, bias, geom, config):
+    for measure, order, label in _series(config):
+        pred = _prediction(model, bias, geom, measure, order)
         if pred is None:
             continue
         kernels = ";".join(f"{k}={format(v, '.12g')}" for k, v in sorted(pred.kernel_values.items()))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from nessent.cli import main
 from nessent.correlation import CorrelationMatrix
@@ -164,3 +165,15 @@ def test_gaussian_density_matrix_reproduces_correlations():
         for m in range(4):
             val = np.trace(rho @ cs[j].conj().T @ cs[m])
             assert abs(val - c[j, m]) < 1e-12
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_threads_flag_below_one_is_a_parse_error(tmp_path, capsys, value):
+    # as threads = 0 in a config file is; no clamping to 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    out = tmp_path / "x.csv"
+    assert main(["sweep-length", "--config", str(cfg), "--out", str(out), "--threads", value]) == 1
+    err = capsys.readouterr().err
+    assert err == f'error kind=ParseError message="--threads must be at least 1, got {value}"\n'
+    assert not out.exists()

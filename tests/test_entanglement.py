@@ -607,3 +607,15 @@ def test_finite_matrices_never_fold(monkeypatch):
         partition(cm)
     assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 1
     assert all(dtype == np.complex128 for dtype in dtypes)
+
+
+def test_negativity_reads_the_deflated_entropies_only_where_they_count(monkeypatch):
+    # E_n adds (1 - n) times the deflated modes' entropies, nothing at n = 1
+    part = partition(far_fig2(20))
+    assert part.deflated_left.size and part.deflated_right.size
+    one, two = fermionic_negativity(part, 1), fermionic_negativity(part, 2)
+    calls = []
+    entropy = ent.entropy
+    monkeypatch.setattr(ent, "entropy", lambda *args: calls.append(args) or entropy(*args))
+    assert fermionic_negativity(part, 1) == one and not calls
+    assert fermionic_negativity(part, 2) == two and len(calls) == 2

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config, parse_config_text, read_csv
-from nessent.correlation import CorrelationMatrix
+from nessent.correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from nessent.entanglement import SpectrumError
-from nessent.numerics import NotHermitian
+from nessent.numerics import NonConvergence, NotHermitian
+from nessent.scattering import ScatteringModel, SingleImpurity
 from nessent.experiments import (
     LengthMismatch,
     _fit_rows,
@@ -610,7 +611,8 @@ def test_far_sweeps_never_assemble_the_site_matrix(monkeypatch):
     monkeypatch.setattr(ex, "correlation_matrix_far", recorded)
     run_sweep_position(position_config(measures=("mi",)))
     run_sweep_length(small_length_config(ell_min=6, ell_max=14))
-    assert len(made) == 5 + 3
+    # delta = 4 and 8 are mirror images at ell 12 and 24, and share a matrix
+    assert len(made) == 4 + 3
     assert not any("matrix" in vars(cm) for cm in made)
 
 
@@ -703,6 +705,73 @@ def test_threaded_position_sweep_bytes_match_serial(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert outputs[0] == outputs[1]
+
+
+class TurnedImpurity(ScatteringModel):
+    """SingleImpurity(1) with r_l turned by a momentum-dependent phase and
+    r_r rebuilt from it: a unitary S-matrix whose t_l^* r_l is not
+    imaginary, so the W_X values have no parity and mirror offsets differ."""
+
+    def amplitudes(self, k):
+        r, t, _, _ = SingleImpurity(1.0).amplitudes(k)
+        r_l = r * np.exp(0.5j * np.cos(2.0 * k))
+        return r_l, t, t, -np.conj(r_l) * t / np.conj(t)
+
+
+def position_values(rows):
+    return {(row["delta"], row["measure"], row["order"]): row["numeric"] for row in rows_of(rows, row_type="point")}
+
+
+def test_mirror_offsets_share_one_matrix(monkeypatch):
+    # at ell 12 and 24 the offsets delta and 12 - delta are mirror images:
+    # the first of each pair in input order is solved, the other copies it
+    import nessent.experiments as ex
+
+    made = count_calls(monkeypatch, ex, "correlation_matrix_far")
+    cfg = position_config(
+        delta_min=-18, delta_max=30, measures=("mi", "ci", "negativity", "entropy"), renyi_orders=("vn", 2.0, 0.5)
+    )
+    _, rows = run_sweep_position(cfg)
+    assert [geom.d_l - geom.d_r for _, geom in made] == list(range(-18, 7, 4))
+    values = position_values(rows)
+    assert len(values) == 13 * 14
+    for (delta, measure, order), value in values.items():
+        assert value == values[(12 - delta, measure, order)]
+    # the points still carry their own coordinates
+    points = rows_of(rows, row_type="point", measure="mi", order="vn")
+    assert [(row["delta"], row["regime"]) for row in points][-2:] == [(26, "no-overlap"), (30, "no-overlap")]
+
+
+def test_parity_breaking_model_solves_every_point(monkeypatch):
+    import nessent.experiments as ex
+
+    monkeypatch.setattr(ExperimentConfig, "build_model", lambda self: TurnedImpurity())
+    made = count_calls(monkeypatch, ex, "correlation_matrix_far")
+    cfg = position_config(delta_min=-18, delta_max=30, measures=("mi", "ci", "negativity"))
+    _, rows = run_sweep_position(cfg)
+    assert len(made) == 13
+    values = position_values(rows)
+    builder = CorrelationBuilder(TurnedImpurity(), cfg.build_bias())
+    for (delta, measure, order), value in values.items():
+        own = ex._point_values(correlation_matrix_far(builder, SubsystemGeometry(0, 18 + delta, 12, 18, 24)))
+        assert value == own(measure, "vn")
+    assert abs(values[(-18, "mi", "vn")] - values[(30, "mi", "vn")]) > 1e-6
+
+
+def test_position_sweep_failure_names_the_offset():
+    with pytest.raises(NonConvergence, match=r"^delta=-8: W\(window V, factor T, rates 0\.\.63\): "):
+        run_sweep_position(position_config(max_panels=10))
+
+
+def test_fig3_config_solves_each_mirror_pair_once(monkeypatch):
+    # the grid -140..240 is symmetric about (ell_r - ell_l) / 2 = 50
+    import nessent.experiments as ex
+
+    made = count_calls(monkeypatch, ex, "correlation_matrix_far")
+    path = Path(__file__).resolve().parents[1] / "configs" / "fig3_position.cfg"
+    _, rows = run_sweep_position(parse_config(path))
+    assert len(rows_of(rows, row_type="point")) == 77
+    assert len(made) == 39
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,11 @@ sqrt(1 - nu), each computed directly, so S_1/2 = 2 sum ln(sigma + sigma')
 eigenvalue that is round-off around 0 or 1.  It moves by about 1e-12 with
 1.5x the nodes.  The order-1/2 MI is held to the same band on the full
 spectra and on the production path, the partition of ``measures``.
+
+The far matrices at the offsets D and ell_r - ell_l - D, built and solved
+apart, are mirror images P conj(C) P with P = diag(J_L, -J_R) for a
+parity-symmetric scatterer, so every measure agrees between them: the
+symmetry by which a position sweep solves each mirror pair once.
 """
 
 from functools import cache
@@ -138,3 +143,25 @@ def test_order_half_mi_within_band_of_factored_reference(name, ell):
 def test_production_order_half_mi_within_band_of_factored_reference(name, ell):
     cm, reference = half_mi_case(name, ell)
     assert abs(measures(cm, 0.5).mutual_info - reference) <= HALF_MI_BAND[ell]
+
+
+@pytest.mark.parametrize("delta", [-20, -7, -3, 0, 5])
+@pytest.mark.parametrize("name", ["eps0.5", "eps2", "T1/2"])
+def test_mirror_offsets_have_the_same_measures(name, delta):
+    # ell 12 and 24: the offset 12 - delta mirrors delta, each matrix on its
+    # own builder; the order-1/2 MI keeps the band of the shorter length
+    ell_l, ell_r = 12, 24
+    cms = [
+        correlation_matrix_far(CorrelationBuilder(MODELS[name], BIAS), SubsystemGeometry(0, 30 + d, ell_l, 30, ell_r))
+        for d in (delta, ell_r - ell_l - delta)
+    ]
+    p = np.zeros((ell_l + ell_r,) * 2)
+    p[:ell_l, :ell_l] = np.eye(ell_l)[::-1]
+    p[ell_l:, ell_l:] = -np.eye(ell_r)[::-1]
+    assert np.abs(p @ cms[0].matrix.conj() @ p - cms[1].matrix).max() < 1e-15
+    for order in ("vn", 2.0):
+        first, second = (measures(cm, order, with_negativity=True) for cm in cms)
+        for field in ("mutual_info", "coherent_info", "s_a", "negativity"):
+            assert abs(getattr(first, field) - getattr(second, field)) < 1e-12
+    half = [measures(cm, 0.5).mutual_info for cm in cms]
+    assert abs(half[0] - half[1]) <= HALF_MI_BAND[20]
