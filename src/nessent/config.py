@@ -181,6 +181,9 @@ _RANGES = {
     "delta_step": ("at least 1", lambda c: c.delta_step >= 1),
     "dk_list": ("a non-empty list with every k_fr + dk in (0, pi)",
                 lambda c: len(c.dk_list) > 0 and all(0.0 < c.k_fr + dk < math.pi for dk in c.dk_list)),
+    # constant-T amplitudes give no valid finite-distance state (C exceeds I)
+    "model": ("single_impurity or trivial for sweep-distance",
+              lambda c: c.scenario != "sweep-distance" or c.model != "constant"),
     # sweep-distance computes von Neumann MI and the negativity only
     "measures": ("mi or negativity for sweep-distance",
                  lambda c: c.scenario != "sweep-distance" or set(c.measures) <= {"mi", "negativity"}),

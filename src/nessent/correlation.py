@@ -45,10 +45,16 @@ Two regimes are implemented:
   exactly: on the diagonal blocks the two windows combine into the sea
   kernel and W_T, and on the cross block the (0, k_fr) parts of
   conj(t_l) r_l and t_r conj(r_r) cancel by the unitarity of S, which
-  leaves W_X.  Both regimes read the far blocks and the W_X values through
-  ``_far_parts``, so a distance sweep builds its far blocks once and each
-  matrix gathers only its Hankel terms and its W_X values.  The diagonal
-  Hankel terms are real and symmetric, so the sum stays Hermitian exactly.
+  leaves W_X.  ``correlation_matrix_finite`` returns a ``FiniteMatrix``:
+  the ``FarMatrix`` of the same d_l - d_r and lengths, which the builder
+  keeps, and the 1-D values of the four Hankel terms, 2 ell_l - 1 and
+  2 ell_r - 1 real ones for the diagonal blocks and ell_l + ell_r - 1
+  complex ones for the cross block.  So a distance sweep builds its far
+  matrix once and each matrix reads only its Hankel values.  The solvers
+  partition it in the eigenbasis of the far blocks (``entanglement``
+  module docstring), and its site entries, too, are assembled from views
+  when something first reads them.  The diagonal Hankel terms are real and
+  symmetric, so the sum stays Hermitian exactly.
 
 A ``CorrelationMatrix`` is finite and Hermitian: its constructor checks any
 matrix handed in from outside (``numerics.check_hermitian``), once, and the
@@ -78,6 +84,7 @@ __all__ = [
     "CorrelationMatrix",
     "FarBlock",
     "FarMatrix",
+    "FiniteMatrix",
     "correlation_matrix_finite",
     "correlation_matrix_far",
     "CorrelationBuilder",
@@ -244,6 +251,7 @@ class CorrelationBuilder:
         }
         self._blocks: dict[tuple[str, str, int], np.ndarray] = {}
         self._far: dict[str, FarBlock] = {}
+        self._far_matrix: tuple | None = None
 
     def prefetch(self, keys) -> None:
         """Fill the missing table blocks among the (window, factor, block)
@@ -321,47 +329,78 @@ def hermitian_matrix(left: np.ndarray, right: np.ndarray, cross: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 # finite-distance regime
 
-#: the Hankel terms of <c_j^dag c_m> for j and m outside the scattering
-#: region, per block of (side of j, side of m), as table reads (window,
-#: factor, a, b, pair) at the rate a*j + b*m, which grows with the distance.
-#: The rest of each entry is the far-limit entry of the same d_l - d_r
-#: (``_far_parts``).  Window "R" holds the right-incoming states after the
-#: substitution k -> -k, which conjugates every exponent.  A pair term also
-#: stands for its conjugate partner (the conjugate factor at the opposite
-#: rate) and contributes 2*Re of the table value.  The block with j on the
-#: left and m on the right is the conjugate transpose of "RL".
-_FINITE_TERMS = {
-    "RR": (("R", "rR", 1, 1, True),),
-    "LL": (("L", "rL", -1, -1, True),),
-    "RL": (("L", "tLc", -1, 1, False), ("R", "tR", 1, -1, False)),
-}
+
+class FiniteMatrix(CorrelationMatrix):
+    """A finite-distance correlation matrix as its builder makes it: the
+    ``FarMatrix`` ``far`` of the same d_l - d_r and lengths, plus the four
+    Hankel terms as their 1-D values.  A_L sites j, m (from 0) add
+    ``hankel_left[j + m]`` (real), A_R sites add ``hankel_right[j + m]``
+    (real), and A_R row j, A_L column m of the cross block adds
+    ``hankel_cross[j + m]``.  The solvers read ``far`` and these values
+    (``entanglement.partition``), so the site matrix is assembled only when
+    something reads ``matrix``."""
+
+    def __init__(self, far: FarMatrix, hankel_left: np.ndarray, hankel_right: np.ndarray, hankel_cross: np.ndarray):
+        # frozen like any CorrelationMatrix, and built Hermitian exactly
+        vars(self).update(far=far, hankel_left=hankel_left, hankel_right=hankel_right, hankel_cross=hankel_cross)
+        vars(self).update(n_left=far.n_left, built_hermitian=True)
+
+    @property
+    def dim(self) -> int:
+        return self.far.dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        far, nl = self.far, self.n_left
+        return hermitian_matrix(
+            far.left.site + sliding_window_view(self.hankel_left, nl),
+            far.right.site + sliding_window_view(self.hankel_right, self.dim - nl),
+            _cross_block(far.cross_values, nl) + sliding_window_view(self.hankel_cross, nl),
+        )
 
 
-def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> CorrelationMatrix:
+def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FiniteMatrix:
     """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
-    The far-limit matrix of the same d_l - d_r plus the four Hankel terms of
-    _FINITE_TERMS, gathered after one prefetch of all their table blocks.
-    Hermitian by construction: the far blocks are, the Hankel terms of the
-    diagonal blocks are real and symmetric, and the cross block is
-    conjugate-transposed.  A builder shared across matrices reuses its
-    tables and its far blocks, so a distance sweep gathers only the Hankel
-    terms and the W_X values per matrix.
+    The far-limit matrix of the same d_l - d_r and lengths
+    (``correlation_matrix_far``; the builder keeps the last one, a pure
+    function of d_l - d_r and the lengths) plus the four
+    Hankel terms of <c_j^dag c_m> for j and m outside the scattering region,
+    read after one prefetch of all their table blocks.  Their rates grow
+    with the distance; window "R" holds the right-incoming states after the
+    substitution k -> -k, which conjugates every exponent.  With
+    b_l = m0 + d_l, b_r = m0 + d_r and sites j, m counted from 1:
+
+        within A_R:  2 Re W(R, rR, 2 b_r + j + m)
+        within A_L:  2 Re W(L, rL, 2 b_l + j + m)
+        A_R row j, A_L column m:  W(L, tLc, -s) + W(R, tR, s),  s = b_l + b_r + j + m
+
+    (a diagonal term stands for itself and its conjugate partner, the
+    conjugate factor at the opposite rate).  Hermitian by construction: the
+    far blocks are, the diagonal Hankel terms are real and symmetric, and
+    the A_L rows of the cross block are the conjugate transpose of its A_R
+    rows.  A builder shared across matrices reuses its tables and its far
+    matrix, so a distance sweep reads only the Hankel values per matrix.
     """
-    left, right, w = _far_parts(builder, geom)
-    sites = {"L": np.asarray(geom.sites_left(), dtype=np.int64), "R": np.asarray(geom.sites_right(), dtype=np.int64)}
-    reads = [
-        (kind, window, factor, np.add.outer(a * sites[kind[0]], b * sites[kind[1]]), pair)
-        for kind, terms in _FINITE_TERMS.items()
-        for window, factor, a, b, pair in terms
-    ]
-    builder.prefetch([(window, factor, blk) for _, window, factor, rates, _ in reads for blk in _span(rates)])
-    blocks = {"LL": left.site, "RR": right.site, "RL": _cross_block(w, geom.ell_l)}
-    for kind, window, factor, rates, pair in reads:
-        vals = builder.coefficients(window, factor, rates)
-        blocks[kind] = blocks[kind] + (2.0 * vals.real if pair else vals)
-    out = hermitian_matrix(blocks["LL"], blocks["RR"], blocks["RL"])
-    return CorrelationMatrix(out, geom.ell_l, built_hermitian=True)
+    key = (geom.d_l - geom.d_r, geom.ell_l, geom.ell_r)
+    kept = builder._far_matrix
+    if kept is not None and kept[0] == key:
+        far = kept[1]
+    else:
+        far = correlation_matrix_far(builder, geom)
+        # one assignment: a thread reads the last pair or the one before it
+        builder._far_matrix = (key, far)
+    b_l, b_r, nl, nr = geom.m0 + geom.d_l, geom.m0 + geom.d_r, geom.ell_l, geom.ell_r
+    cross = np.arange(b_l + b_r + 2, b_l + b_r + nl + nr + 1)
+    reads = (
+        ("R", "rR", np.arange(2 * b_r + 2, 2 * b_r + 2 * nr + 1)),
+        ("L", "rL", np.arange(2 * b_l + 2, 2 * b_l + 2 * nl + 1)),
+        ("L", "tLc", -cross),
+        ("R", "tR", cross),
+    )
+    builder.prefetch([(window, factor, blk) for window, factor, rates in reads for blk in _span(rates)])
+    right, left, t_lc, t_r = (builder.coefficients(window, factor, rates) for window, factor, rates in reads)
+    return FiniteMatrix(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +485,10 @@ def has_parity(w: np.ndarray, left: FarBlock, right: FarBlock) -> bool:
     return bool(np.abs(w + w[::-1].conj()).max() <= tol)
 
 
-def _far_parts(builder: CorrelationBuilder, geom: SubsystemGeometry) -> tuple[FarBlock, FarBlock, np.ndarray]:
-    """The far-limit diagonal blocks of A_L and A_R and the W_X values
-    w = W_X(d_l - d_r + x) at x = 1 - ell_r .. ell_l - 1, which the cross
-    block reads (``_cross_block``): what a finite-distance matrix shares
-    with the far limit of the same d_l - d_r."""
-    left, right = builder.far_block("L", geom.ell_l), builder.far_block("R", geom.ell_r)
-    return left, right, builder.coefficients("V", "tLc_rL", cross_rates(geom))
-
-
 def _cross_block(w: np.ndarray, nl: int) -> np.ndarray:
     """The cross block, A_R row j and A_L column m (from 0) holding
-    W_X(d_l - d_r - j + m): a read-only Toeplitz view of the values w of
-    ``_far_parts``."""
+    W_X(d_l - d_r - j + m): a read-only Toeplitz view of the W_X values w
+    at the rates ``cross_rates``."""
     return sliding_window_view(w, nl)[::-1]
 
 
@@ -477,7 +507,8 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
     nl, nr = geom.ell_l, geom.ell_r
     # A_L site m and A_R site j (from 0) read x = m - j in the cross block,
     # and F reads also x = m + j + 1 - nr (J_R reverses j), a Hankel view
-    left, right, w = _far_parts(builder, geom)
+    left, right = builder.far_block("L", nl), builder.far_block("R", nr)
+    w = builder.coefficients("V", "tLc_rL", cross_rates(geom))
     if 2 * (geom.d_l - geom.d_r) == nr - nl and has_parity(w, left, right):
         coupling = sliding_window_view(w.real[::-1], nr)[::-1] + sliding_window_view(w.imag, nr)
     else:

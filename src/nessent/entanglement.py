@@ -18,7 +18,10 @@ J. 57, 1371 (1978)), and such modes barely entangle A_L with A_R.
 ``partition`` takes the eigenpairs (nu, u) of the A_L and A_R blocks, forms
 their coupling Y = U_L^dag C_LR U_R, and keeps the active modes; the rest
 are deflated.  It returns the reduced matrix U^dag C U on the active modes
-and the deflated eigenvalues.  Why this is exact to round-off:
+and the deflated eigenvalues.  A finite-distance matrix takes the
+eigenpairs of its far matrix's blocks instead (below), so its modes carry
+same-block entries too, and nu is the diagonal of U^dag C U.  Why this is
+exact to round-off:
 
 * 0 <= C <= I, so Cauchy-Schwarz for C and for I - C bounds every coupling
   |Y_ij| of a block mode with min(nu, 1 - nu) = mu by sqrt(mu);
@@ -37,9 +40,12 @@ E_1 of about min(2|y|, 2|y|^2 / (1 - |nu_i - nu_j|)), first order in |y|
 when a nearly full mode faces a nearly empty one.  So a mode is deflated
 when min(nu, 1 - nu) <= DEFLATION_TOL and the sum over its partners of
 min(|Y_ij|, |Y_ij|^2 / (1 - |nu_i - nu_j|)) is at most DEFLATION_TOL too, or
-when its coupling row is exactly zero; if either block is left without
-active modes, the other one's are decoupled as well.  Orders n < 1 keep
-more modes (below).  A far-limit matrix brings its diagonal blocks from its
+when its coupling row is exactly zero.  Its partners are every other mode
+of its row of U^dag C U, the same block's included; in the eigenbasis of
+its own blocks those entries are exactly 0.  If either block is left
+without active modes, the other one's are decoupled as well, with the
+spectrum of their block where the modes do not diagonalize it.  Orders
+n < 1 keep more modes (below).  A far-limit matrix brings its diagonal blocks from its
 builder (``FarMatrix``), which keeps the last block of each side, with its
 eigenpairs once a partition has solved them, so a fig. 3 sweep, whose
 blocks do not depend on the offset, decomposes each block once.  The eigenpairs are a pure function of the
@@ -68,9 +74,27 @@ and E_n of C: ``fold`` assembles that matrix from the folded blocks and F,
 for the full spectra and the full negativity pencil.  Otherwise, as at
 fig. 3's offsets, F is complex, and ``partition`` takes V_L^T (Re F) V_R
 and V_L^T (Im F) V_R in real arithmetic, where a real V times a complex F
-would run in complex arithmetic.  Matrices the far builder did not make,
-finite-distance (Toeplitz plus Hankel, never centrohermitian) or built by
-hand, take the plain complex path.
+would run in complex arithmetic.  A matrix built by hand takes the plain
+complex path: ``eigh`` of its own blocks.
+
+Finite distance.  A finite-distance matrix (``correlation.FiniteMatrix``)
+is its far matrix plus four Hankel terms, Toeplitz plus Hankel blocks that
+are never centrohermitian, so it never folds.  ``partition`` takes it in
+the far blocks' eigenbasis U = Q V, the same block-local unitary for every
+distance: there its blocks are diag(nu_far) + U^dag H U for the Hankel
+term H of each block, and its coupling is U_L^dag C_LR U_R, both formed
+from the folded far coupling F and the Hankel terms folded on their 1-D
+values, Q^dag H Q = (H + JHJ)/2 + is (JH - HJ)/2 and likewise for the
+cross term, then carried to the modes by real products.  The deflation rule
+reads the same-block entries as well, and the spectra of the active
+blocks are the ``eigvalsh`` of the reduced matrix's diagonal blocks, about
+28 x 28 on Fig. S2, so no block of a finite matrix is decomposed with
+``eigh``: a distance sweep decomposes only its two far blocks, once.  Far
+from the scatterer the Hankel terms are small, and the far basis keeps
+the modes the blocks' own eigenbasis would (56 of 100 at every Fig. S2
+distance); near it every mode may stay active, and the result is exact to
+round-off either way.  Over the 288 Fig. S2 points, MI and E_1 of the
+partition stay within 6.7e-13 and 6.2e-14 of the undeflated spectra.
 
 Hermiticity.  Every matrix here is a ``CorrelationMatrix``: checked once,
 for finite entries and Hermiticity, when it is made from outside the
@@ -156,12 +180,13 @@ mode of occupation nu adds ln[nu^n + (1 - nu)^n] to E_n, which is 0 at n = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
-from .correlation import CorrelationMatrix, FarMatrix, hermitian_matrix
+from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix, hermitian_matrix
 from .numerics import NumericsError
 
 __all__ = [
@@ -275,25 +300,43 @@ def entropy(nu: np.ndarray, order: float | str = "vn") -> float:
     return float(np.log(interior**n + (1.0 - interior) ** n).sum() / (1.0 - n))
 
 
+class BlockModes(NamedTuple):
+    """What every order's deflation of a matrix reads, in a basis U of block
+    modes (module docstring).  ``nu_l`` and ``nu_r`` are the clamped
+    occupations of the modes, the diagonal of U^dag C U, and
+    ``clamp_count`` counts the values clamped; ``coupling`` is
+    Y = U_L^dag C_LR U_R; ``kept`` holds per block the modes the E_1 rule
+    keeps, and ``first`` per block each mode's first-order share, the sum of
+    the |off-diagonal entries| of its row.  ``matrix`` is None when U
+    diagonalizes both blocks, and otherwise the whole of U^dag C U, whose
+    same-block entries the rule reads too."""
+
+    nu_l: np.ndarray
+    nu_r: np.ndarray
+    clamp_count: int
+    coupling: np.ndarray
+    kept: tuple
+    first: tuple
+    matrix: np.ndarray | None = None
+
+
 class Partition(NamedTuple):
     """A partition deflated to the modes an entropy of its order keeps.
 
-    ``reduced`` is U^dag C U on the active modes: diag(nu) of the active
-    modes of A_L, then of A_R, with their coupling in the cross blocks.
-    ``deflated_left`` and ``deflated_right`` are the clamped eigenvalues of
-    the other modes, and ``clamp_count`` counts the block eigenvalues
-    clamped.  Either both blocks keep active modes or neither does.
-    ``modes`` holds what every order's deflation reads: the clamped block
-    eigenvalues nu_l and nu_r, the clamp count, the coupling
-    Y = U_L^dag C_LR U_R, per block the modes the E_1 rule keeps, and per
-    block each mode's first-order share sum_j |Y_ij| (module docstring).
+    ``reduced`` is U^dag C U on the active modes, those of A_L and then
+    those of A_R: their occupations on the diagonal, their coupling across
+    the blocks, and within the blocks too when ``modes.matrix`` is set.
+    ``deflated_left`` and ``deflated_right`` are the clamped occupations of
+    the other modes, and ``clamp_count`` counts the values clamped.  Either
+    both blocks keep active modes or neither does.  ``modes``
+    (``BlockModes``) holds what every order's deflation reads.
     """
 
     reduced: CorrelationMatrix
     deflated_left: np.ndarray
     deflated_right: np.ndarray
     clamp_count: int
-    modes: tuple
+    modes: BlockModes
 
 
 def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
@@ -302,46 +345,125 @@ def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     return (*_clamped(nu), vecs)
 
 
-def _block_modes(c: CorrelationMatrix) -> tuple:
+def _far_eigenpairs(c: FarMatrix) -> tuple:
+    """The eigenpairs of a far matrix's folded blocks.  Each builder block
+    is decomposed once and its eigenpairs kept on it, in one assignment: a
+    thread reading them sees None or the result, a pure function of the
+    block."""
+    for block in (c.left, c.right):
+        if block.pairs is None:
+            block.pairs = _block_eigenpairs(block.folded)
+    return c.left.pairs, c.right.pairs
+
+
+def _real_congruence(left: np.ndarray, middle: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left^T (Re middle) right and left^T (Im middle) right, stacked, for real
+    left and right: a real matrix times a complex one would run in complex
+    arithmetic."""
+    return left.T @ np.stack([middle.real, middle.imag]) @ right
+
+
+@lru_cache(maxsize=4)
+def _hankel_index(rows: int, cols: int) -> np.ndarray:
+    """Gather indices of shape (2, rows, cols) into two vectors of
+    rows + cols - 1 values laid end to end, the first read as the Hankel
+    matrix [j, m] -> v[j + m], the second as the Toeplitz matrix
+    [j, m] -> v[rows - 1 - j + m].  Read-only, since callers share it; a
+    finite matrix reads at most three shapes."""
+    hankel = np.add.outer(np.arange(rows), np.arange(cols))
+    index = np.stack([hankel, hankel[::-1] + rows + cols - 1])
+    index.flags.writeable = False
+    return index
+
+
+def _folded(v: np.ndarray, rows: int, a: float, b: float) -> np.ndarray:
+    """Q_a^dag K Q_b for the Hankel matrix K[j, m] = v[j + m] with ``rows``
+    rows and Q_s = (I - i s J)/sqrt 2: (K + ab JKJ)/2, Hankel, plus
+    i (a JK - b KJ)/2, Toeplitz, each formed on the 1-D values before its
+    gather."""
+    flip = v[::-1]
+    terms = np.concatenate([0.5 * (v + a * b * flip), 0.5 * (a * v - b * flip)])
+    hankel, toeplitz = terms[_hankel_index(rows, v.size + 1 - rows)]
+    return hankel + 1j * toeplitz
+
+
+def _shares(size: np.ndarray, nu_a: np.ndarray, nu_b: np.ndarray) -> np.ndarray:
+    """Two-mode estimate of each coupling's share of E_1,
+    min(|y|, |y|^2 / pair), between modes of occupations nu_a and nu_b."""
+    pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_a, nu_b)), size)
+    return np.divide(size * size, pair, out=np.zeros_like(size), where=pair > 0.0)
+
+
+def _coupled(nu: np.ndarray, share: np.ndarray, coupled: np.ndarray) -> np.ndarray:
+    """The modes the E_1 rule keeps, from their occupations, their summed
+    E_1 shares and whether they couple at all."""
+    edge = (np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL) & (share <= DEFLATION_TOL)
+    return ~edge & coupled
+
+
+def _finite_modes(c: FiniteMatrix) -> BlockModes:
+    """``Partition.modes`` of a finite-distance matrix in the eigenbasis
+    U = Q V of its far matrix's folded blocks.  There M = U^dag C U is
+    diag(nu_far) plus V^T X V for the folded far coupling and Hankel terms
+    X, each folded on its 1-D values and carried to the modes by real
+    products; the rule reads every off-diagonal entry of a mode's row,
+    same-block ones included."""
+    far, nl, dim = c.far, c.n_left, c.dim
+    (nu_l, _, vec_l), (nu_r, _, vec_r) = _far_eigenpairs(far)
+    m = np.empty((dim, dim), dtype=complex)
+    for rows, vec, h, sign in ((slice(0, nl), vec_l, c.hankel_left, 1.0), (slice(nl, dim), vec_r, c.hankel_right, -1.0)):
+        re, im = _real_congruence(vec, _folded(h, vec.shape[0], sign, sign), vec)
+        # exactly Hermitian: the symmetric part of re, the antisymmetric one of im
+        np.add(re, re.T, out=m.real[rows, rows])
+        np.subtract(im, im.T, out=m.imag[rows, rows])
+        m[rows, rows] *= 0.5
+    # the cross term of the A_L rows is K[m, j] = conj hankel_cross[j + m]
+    re, im = _real_congruence(vec_l, far.coupling + _folded(c.hankel_cross.conj(), nl, 1.0, -1.0), vec_r)
+    m.real[:nl, nl:], m.imag[:nl, nl:] = re, im
+    m.real[nl:, :nl], m.imag[nl:, :nl] = re.T, -im.T
+    nu, clamp_count = _clamped(np.concatenate([nu_l, nu_r]) + m.real.diagonal())
+    np.fill_diagonal(m, nu)
+    size = np.abs(m)
+    np.fill_diagonal(size, 0.0)
+    first = size.sum(axis=1)
+    kept = _coupled(nu, _shares(size, nu, nu).sum(axis=1), first > 0.0)
+    return BlockModes(
+        nu[:nl], nu[nl:], clamp_count, m[:nl, nl:], (kept[:nl], kept[nl:]), (first[:nl], first[nl:]), m
+    )
+
+
+def _block_modes(c: CorrelationMatrix) -> BlockModes:
     """``Partition.modes`` of a matrix.
 
     A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
-    folded blocks and couples them through F in real arithmetic.  Any other
-    matrix takes the eigenpairs of its own blocks and its cross block, read
-    from the rows of A_L.
+    folded blocks and couples them through F in real arithmetic.  A
+    finite-distance matrix (``FiniteMatrix``) takes the same eigenpairs,
+    those of its far matrix (``_finite_modes``).  Any other matrix takes the
+    eigenpairs of its own blocks and its cross block, read from the rows of
+    A_L.
     """
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("a partition needs both blocks non-empty")
+    if isinstance(c, FiniteMatrix):
+        return _finite_modes(c)
     nl = c.n_left
     if isinstance(c, FarMatrix):
-        # each builder block is decomposed once and its eigenpairs kept on it,
-        # in one assignment: a thread reading them sees None or the result,
-        # a pure function of the block
-        for block in (c.left, c.right):
-            if block.pairs is None:
-                block.pairs = _block_eigenpairs(block.folded)
-        pairs, cross = (c.left.pairs, c.right.pairs), c.coupling
+        pairs, cross = _far_eigenpairs(c), c.coupling
     else:
         pairs, cross = map(_block_eigenpairs, (c.matrix[:nl, :nl], c.matrix[nl:, nl:])), c.matrix[:nl, nl:]
     (nu_l, clamp_l, vec_l), (nu_r, clamp_r, vec_r) = pairs
     if np.iscomplexobj(cross) and not np.iscomplexobj(vec_l):
-        # V^T F V for Re F and Im F, stacked: a real V times a complex F
-        # would run in complex arithmetic
-        parts = vec_l.T @ np.stack([cross.real, cross.imag]) @ vec_r
-        coupling = parts[0] + 1j * parts[1]
+        re, im = _real_congruence(vec_l, cross, vec_r)
+        coupling = re + 1j * im
     else:
         coupling = vec_l.conj().T @ cross @ vec_r
     size = np.abs(coupling)
-    # two-mode estimate of each coupling's share of E_1, min(|y|, |y|^2 / pair)
-    pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_l, nu_r)), size)
-    share = np.divide(size * size, pair, out=np.zeros_like(size), where=pair > 0.0)
-
-    def coupled(nu: np.ndarray, axis: int) -> np.ndarray:
-        edge = (np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL) & (share.sum(axis=axis) <= DEFLATION_TOL)
-        return ~edge & np.any(coupling, axis=axis)
-
-    kept = coupled(nu_l, 1), coupled(nu_r, 0)
-    return nu_l, nu_r, clamp_l + clamp_r, coupling, kept, (size.sum(axis=1), size.sum(axis=0))
+    share = _shares(size, nu_l, nu_r)
+    kept = (
+        _coupled(nu_l, share.sum(axis=1), np.any(coupling, axis=1)),
+        _coupled(nu_r, share.sum(axis=0), np.any(coupling, axis=0)),
+    )
+    return BlockModes(nu_l, nu_r, clamp_l + clamp_r, coupling, kept, (size.sum(axis=1), size.sum(axis=0)))
 
 
 def partition(c: CorrelationMatrix | Partition, order: float | str = "vn") -> Partition:
@@ -350,15 +472,25 @@ def partition(c: CorrelationMatrix | Partition, order: float | str = "vn") -> Pa
     passed in is deflated again from its ``modes``, so the partitions of
     several orders share one decomposition."""
     modes = c.modes if isinstance(c, Partition) else _block_modes(c)
-    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first = modes
+    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first, m = modes
     if renyi_index(order) < 1.0:
         act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
     if not (act_l.any() and act_r.any()):
+        # a block without partners is decoupled whole: its occupations, or
+        # the spectrum of its block where the modes do not diagonalize it
         act_l, act_r = np.zeros_like(act_l), np.zeros_like(act_r)
+        if m is not None:
+            nl = nu_l.size
+            (nu_l, clamp_l), (nu_r, clamp_r) = (_clamped(np.linalg.eigvalsh(b)) for b in (m[:nl, :nl], m[nl:, nl:]))
+            clamp_count += clamp_l + clamp_r
     k = int(act_l.sum())
-    reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
-    reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
-    reduced[k:, :k] = reduced[:k, k:].conj().T
+    if m is None:
+        reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
+        reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
+        reduced[k:, :k] = reduced[:k, k:].conj().T
+    else:
+        active = np.concatenate([act_l, act_r])
+        reduced = m[np.ix_(active, active)]
     active = CorrelationMatrix(reduced, k, built_hermitian=True)
     return Partition(active, nu_l[~act_l], nu_r[~act_r], clamp_count, modes)
 
@@ -384,8 +516,17 @@ def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
     if isinstance(c, Partition):
         active, k = c.reduced, c.reduced.n_left
         nu = active.matrix.diagonal().real
-        union, clamp_a = occupation_spectrum(active) if active.dim else (nu, 0)
-        return BlockSpectra(nu[:k], nu[k:], union, c.clamp_count + clamp_a, c.deflated_left, c.deflated_right)
+        if not active.dim:
+            return BlockSpectra(nu, nu, nu, c.clamp_count, c.deflated_left, c.deflated_right)
+        if c.modes.matrix is None:
+            (left, right), clamp = (nu[:k], nu[k:]), 0
+        else:
+            # the reduced blocks are not diagonal: their spectra, never
+            # their eigenvectors
+            (left, clamp_l), (right, clamp_r) = map(occupation_spectrum, (active.block_left(), active.block_right()))
+            clamp = clamp_l + clamp_r
+        union, clamp_a = occupation_spectrum(active)
+        return BlockSpectra(left, right, union, c.clamp_count + clamp + clamp_a, c.deflated_left, c.deflated_right)
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("measures needs both blocks in the partition")
     if isinstance(c, FarMatrix):

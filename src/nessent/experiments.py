@@ -420,6 +420,8 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     Distances are sampled in clusters of ``window`` consecutive integers
     around logarithmically spaced centers; the cluster mean removes the
     aliased Friedel oscillation, the spread around it gives the amplitude.
+    Every distance is solved once, on one worker pool for the whole sweep,
+    and the clusters read their values from it.
     """
     model = config.build_model()
     bias = config.build_bias()
@@ -445,11 +447,13 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         with _failure_at(f"d={d}"):
             return measured(correlation_matrix_finite(builder, SubsystemGeometry(model.m0, d, ell, d, ell)))
 
+    distances = sorted({d for center in centers for d in range(center, center + window)})
+    by_distance = dict(zip(distances, _map_ordered(one_distance, distances, config.threads)))
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
     for center in centers:
         ds = list(range(center, center + window))
-        values = _map_ordered(one_distance, ds, config.threads)
+        values = [by_distance[d] for d in ds]
         for measure in wanted:
             vals = np.array([v[measure] for v in values])
             mean = float(vals.mean())

@@ -131,10 +131,10 @@ def test_finite_matrix_matches_entrywise_assembly():
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
-def test_finite_sweep_gathers_the_hankel_terms_and_the_cross_values_after_its_first_matrix(monkeypatch):
+def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeypatch):
     # a finite matrix is the far-limit matrix plus four Hankel terms; the
-    # builder keeps its far blocks, and the matrices keep the bytes of a
-    # fresh builder's, whatever came before them
+    # builder keeps its last far matrix, and the matrices keep the bytes of
+    # a fresh builder's, whatever came before them
     gathers = []
     coefficients = CorrelationBuilder.coefficients
 
@@ -154,8 +154,11 @@ def test_finite_sweep_gathers_the_hankel_terms_and_the_cross_values_after_its_fi
         read.append(sorted(gathers))
         fresh = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
         assert cm.matrix.tobytes() == fresh.matrix.tobytes()
-    assert counts == [7, 5, 5, 6]
-    assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR"), ("V", "tLc_rL")]
+    # the first matrix reads the far blocks (V, T), the W_X values and four
+    # Hankel terms; at the same offset and lengths only the Hankel terms;
+    # the last reads one new far block and the W_X values of its offset
+    assert counts == [7, 4, 4, 6]
+    assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR")]
 
 
 def test_every_table_factor_is_read():

@@ -478,7 +478,7 @@ def test_sub_unit_orders_deflate_the_same_modes_again(monkeypatch):
     assert np.isin(vn.reduced.matrix.diagonal(), half.reduced.matrix.diagonal()).all()
     # the modes only orders below 1 keep are those with a first-order share
     # above the tolerance
-    _, _, _, coupling, (kept_l, kept_r), _ = vn.modes
+    coupling, (kept_l, kept_r) = vn.modes.coupling, vn.modes.kept
     extra_l = ~kept_l & (np.abs(coupling).sum(axis=1) > ent.LOW_ORDER_TOL)
     extra_r = ~kept_r & (np.abs(coupling).sum(axis=0) > ent.LOW_ORDER_TOL)
     assert half.reduced.dim == vn.reduced.dim + extra_l.sum() + extra_r.sum() > vn.reduced.dim
@@ -600,13 +600,76 @@ def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, 
 
 
 def test_finite_matrices_never_fold(monkeypatch):
-    dtypes = record_block_dtypes(monkeypatch)
+    # a finite matrix is partitioned in the eigenbasis of its far matrix's
+    # folded blocks: eigh sees those real blocks, at most once each, and
+    # never a block of the finite matrix
+    solved = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda block: solved.append(block) or eigh(block))
     for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
-        cm = builder_matrix("finite", 1.0, False, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+        cm = correlation_matrix_finite(
+            CorrelationBuilder(SingleImpurity(1.0), BiasState(*MOMENTA)), SubsystemGeometry(0, d_l, ell_l, d_r, ell_r)
+        )
         assert fold(cm) is cm
+        solved.clear()
         partition(cm)
-    assert len(dtypes) == 2 * len(FOLD_GEOMETRIES) - 1
-    assert all(dtype == np.complex128 for dtype in dtypes)
+        assert len(solved) == 2 and solved[0] is cm.far.left.folded and solved[1] is cm.far.right.folded
+        assert all(block.dtype == np.float64 for block in solved)
+        # the eigenpairs stay on the far blocks
+        partition(cm)
+        assert len(solved) == 2
+
+
+#: order-1/2 MI band of the far-basis partition against the undeflated
+#: complex spectra of a finite matrix at ell <= 50, the README band at
+#: ell = 100: those spectra are round-off themselves at order 1/2 (at
+#: ell = 20 they err by up to 2.8e-7 against 30-digit mpmath spectra, and
+#: the own-basis partition errs by up to 7e-7 against them at ell = 50)
+FINITE_HALF_MI_BAND = 1.1e-6
+
+
+@pytest.mark.parametrize("ell", [12, 20, 35, 50])
+@pytest.mark.parametrize("epsilon0", [0.5, 1.0, 2.0])
+def test_far_basis_partition_matches_the_undeflated_spectra(epsilon0, ell):
+    # a finite matrix is partitioned in the eigenbasis of its far blocks,
+    # where its diagonal blocks are not diagonal; every measure must still
+    # be that of the site matrix, near the scatterer as well as far from it
+    builder = shared_builder(epsilon0, False)
+    for d in (0, 1, 5, 20, 100):
+        cm = correlation_matrix_finite(builder, SubsystemGeometry(0, d, ell, d, ell))
+        plain = CorrelationMatrix(cm.matrix, ell)
+        full, vn = block_spectra(plain), partition(cm)
+        for order in ("vn", 2.0):
+            want = report_from_spectra(full, order)
+            got = report_from_spectra(block_spectra(partition(vn, order)), order)
+            assert abs(got.mutual_info - want.mutual_info) < 1e-11
+            assert abs(got.coherent_info - want.coherent_info) < 1e-11
+        assert abs(fermionic_negativity(vn, 1) - fermionic_negativity(plain, 1)) < 1e-11
+        half = report_from_spectra(block_spectra(partition(vn, 0.5)), 0.5).mutual_info
+        assert abs(half - report_from_spectra(full, 0.5).mutual_info) <= FINITE_HALF_MI_BAND
+        if d >= 2 * ell:
+            # far from the scatterer the far basis deflates as well as the
+            # blocks' own eigenbasis, up to one mode within round-off of the
+            # 1e-13 edge (ell = 35 at epsilon0 = 2 keeps 49 modes, not 48)
+            own = partition(plain).reduced.dim
+            assert own <= vn.reduced.dim <= own + 1
+
+
+def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
+    # an empty voltage window and the cross Hankel term zeroed leave no
+    # cross block: the one-site A_L couples to nothing and A_R only within
+    # itself, so A_R is decoupled whole, and its deflated values are its
+    # block's spectrum, not the diagonal of the far basis
+    builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2))
+    cm = correlation_matrix_finite(builder, SubsystemGeometry(0, 3, 1, 3, 20))
+    cut = type(cm)(cm.far, cm.hankel_left, cm.hankel_right, np.zeros_like(cm.hankel_cross))
+    part = partition(cut)
+    assert part.reduced.dim == 0 and (part.deflated_left.size, part.deflated_right.size) == (1, 20)
+    full = report_from_spectra(block_spectra(CorrelationMatrix(cut.matrix, 1)), "vn")
+    rep = report_from_spectra(block_spectra(part), "vn")
+    assert rep.mutual_info == 0.0 and fermionic_negativity(part, 1) == 0.0
+    assert rep.s_ar > 1.0 and abs(rep.s_ar - full.s_ar) < 1e-12
+    assert abs(rep.coherent_info - full.coherent_info) < 1e-12
 
 
 def test_negativity_reads_the_deflated_entropies_only_where_they_count(monkeypatch):

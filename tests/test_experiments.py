@@ -204,11 +204,14 @@ DISTANCE_CONFIG = "scenario = sweep-distance\nk_fl = 2*pi/3\nk_fr = pi/2\nell = 
         ("measures = mi, entropy", "measures"),
         ("renyi_orders = 0.5", "renyi_orders"),
         ("renyi_orders = vn, 2", "renyi_orders"),
+        ("model = constant", "model"),
     ],
 )
 def test_sweep_distance_rejects_what_it_cannot_compute(line, key):
     # sweep-distance computes von Neumann MI and the negativity only, and
-    # its CSV has no order column
+    # its CSV has no order column; constant-T amplitudes give no valid
+    # finite-distance state (at ell = 50, T = 0.3, C exceeds I by 5.5e-3 at
+    # d = 0 and by 4.4e-10 at d = 5, which was clamped silently)
     with pytest.raises(ParseError, match=f"'{key}': must be .* for sweep-distance"):
         parse_config_text(f"{DISTANCE_CONFIG}{line}\n")
     cfg = parse_config_text(f"{DISTANCE_CONFIG}measures = negativity, mi\nrenyi_orders = 1\n")
@@ -515,6 +518,44 @@ def test_threaded_distance_sweep_bytes_match_serial(tmp_path):
         emit_csv(rows, path, fields)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def distance_config(**overrides):
+    """A distance sweep at ell = 8 over d = 16..250, in four clusters."""
+    base = dict(
+        scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=8,
+        d_over_ell_min=2, d_over_ell_max=30, n_centers=4, fit_min_d_over_ell=2, measures=("mi", "negativity"),
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def test_distance_sweep_maps_its_distances_once(monkeypatch):
+    # one worker pool per sweep, whatever the number of clusters, and a
+    # distance two clusters share is solved once
+    import nessent.experiments as ex
+
+    calls = count_calls(monkeypatch, ex, "_map_ordered")
+    # twelve clusters of consecutive distances between 16 and 80 overlap
+    _, rows = run_sweep_distance(distance_config(d_over_ell_max=10, n_centers=12, threads=2))
+    assert len(calls) == 1
+    mapped = calls[0][1]
+    points = [row["d"] for row in rows_of(rows, row_type="point", measure="mi")]
+    assert mapped == sorted(set(points)) and len(mapped) < len(points)
+
+
+def test_distance_sweep_decomposes_only_its_far_blocks(monkeypatch):
+    # every finite matrix is partitioned in the eigenbasis of the far blocks,
+    # which the far point decomposes: no site matrix is assembled, and the
+    # two real far blocks are the only blocks eigh sees
+    import nessent.correlation as cor
+
+    assembled = count_calls(monkeypatch, cor, "hermitian_matrix")
+    solved = count_calls(monkeypatch, np.linalg, "eigh")
+    _, rows = run_sweep_distance(distance_config())
+    assert rows_of(rows, row_type="fit")
+    assert not assembled
+    assert [(block.shape, block.dtype) for block, in solved] == [((8, 8), np.float64)] * 2
 
 
 def count_calls(monkeypatch, module, name):
