@@ -53,7 +53,8 @@ def _eval_expr(text: str, where: str) -> float:
         raise ParseError(f"{where}: cannot parse number {text!r}") from exc
 
     def ev(e) -> float:
-        if isinstance(e, ast.Constant) and isinstance(e.value, (int, float)):
+        # bool is an int subclass, so True and False are rejected by name
+        if isinstance(e, ast.Constant) and isinstance(e.value, (int, float)) and not isinstance(e.value, bool):
             return float(e.value)
         if isinstance(e, ast.Name) and e.id == "pi":
             return math.pi

@@ -443,7 +443,7 @@ class FarMatrix(CorrelationMatrix):
     the builder's diagonal blocks ``left`` and ``right``, the W_X values
     ``cross_values`` its cross block reads, and that block in the folded basis,
     ``coupling`` = F = Q_L^dag C_LR Q_R, of shape (n_left, n_right).  F is
-    real exactly when the union folds (``folds``), and complex otherwise.
+    real exactly when the union folds, and complex otherwise.
     The solvers read the blocks and F, so the site matrix is assembled only
     when something reads ``matrix``."""
 
@@ -455,10 +455,6 @@ class FarMatrix(CorrelationMatrix):
     @property
     def dim(self) -> int:
         return self.n_left + self.right.site.shape[0]
-
-    @property
-    def folds(self) -> bool:
-        return not np.iscomplexobj(self.coupling)
 
     @cached_property
     def matrix(self) -> np.ndarray:

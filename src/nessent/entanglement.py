@@ -6,11 +6,11 @@ measures follow from the eigenvalues nu of the restricted correlation matrix:
     Renyi:        S_n = 1/(1-n) * sum ln[nu^n + (1-nu)^n]
     von Neumann:  S   = -sum [nu ln nu + (1-nu) ln(1-nu)]
 
-(Peschel, J. Phys. A 36, L205 (2003)).  ``block_spectra`` takes the spectra
-of A_L, A_R and A once, and ``report_from_spectra`` turns them into one
-``EntanglementReport`` per order: mutual information S(A_L) + S(A_R) - S(A)
-and the coherent information, fixed to the direction
-I(A_L > A_R) = S(A_R) - S(A).
+(Peschel, J. Phys. A 36, L205 (2003)).  Every measure reads a ``Partition``
+(below): ``block_spectra`` takes its spectra of A_L, A_R and A once, and
+``report_from_spectra`` turns them into one ``EntanglementReport`` per
+order: mutual information S(A_L) + S(A_R) - S(A) and the coherent
+information, fixed to the direction I(A_L > A_R) = S(A_R) - S(A).
 
 Deflation.  Most eigenvalues of each diagonal block lie within round-off of
 0 or 1 (sine-kernel spectra cluster at the edges: Slepian, Bell Syst. Tech.
@@ -69,11 +69,10 @@ builder checks that relation on the O(n_l + n_r) values it reads, to
 ``correlation.FOLD_TOL`` times the largest diagonal entry (far matrices reach about
 3e-16).  The whole matrix then satisfies P conj(C) P = C with
 P = diag(J_L, -J_R), and Q = (I - iP)/sqrt 2 makes Q^dag C Q =
-Re C - P Im C real symmetric, with every spectrum, the partition, MI, CI
-and E_n of C: ``fold`` assembles that matrix from the folded blocks and F,
-for the full spectra and the full negativity pencil.  Otherwise, as at
-fig. 3's offsets, F is complex, and ``partition`` takes V_L^T (Re F) V_R
-and V_L^T (Im F) V_R in real arithmetic, where a real V times a complex F
+Re C - P Im C real symmetric: the coupling V_L^T F V_R is real, and so are
+the reduced matrix and its negativity pencil.  Otherwise, as at fig. 3's
+offsets, F is complex, and ``partition`` takes V_L^T (Re F) V_R and
+V_L^T (Im F) V_R in real arithmetic, where a real V times a complex F
 would run in complex arithmetic.  A matrix built by hand takes the plain
 complex path: ``eigh`` of its own blocks.
 
@@ -94,7 +93,8 @@ from the scatterer the Hankel terms are small, and the far basis keeps
 the modes the blocks' own eigenbasis would (56 of 100 at every Fig. S2
 distance); near it every mode may stay active, and the result is exact to
 round-off either way.  Over the 288 Fig. S2 points, MI and E_1 of the
-partition stay within 6.7e-13 and 6.2e-14 of the undeflated spectra.
+partition stay within 6.7e-13 and 6.2e-14 of the undeflated spectra and
+pencil of the whole matrix, which the tests keep as their oracle.
 
 Hermiticity.  Every matrix here is a ``CorrelationMatrix``: checked once,
 for finite entries and Hermiticity, when it is made from outside the
@@ -173,8 +173,9 @@ arithmetic, so the pairing residual max(s) - 1 is asserted at most
 PAIRING_TOL and reported in the diagnostics; a NaN fails that check.  The C_X
 construction is from Shapourian, Shiozaki & Ryu, PRB 95, 165101 (2017), and
 Eisler & Zimboras, NJP 17, 053048 (2015).
-On a ``Partition`` the pencil runs on the reduced matrix only; a deflated
-mode of occupation nu adds ln[nu^n + (1 - nu)^n] to E_n, which is 0 at n = 1.
+The pencil runs on a partition's reduced matrix only, a bare matrix being
+partitioned at order 1 first; a deflated mode of occupation nu adds
+ln[nu^n + (1 - nu)^n] to E_n, which is 0 at n = 1.
 """
 
 from __future__ import annotations
@@ -186,14 +187,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
-from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix, hermitian_matrix
+from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix
 from .numerics import NumericsError
 
 __all__ = [
     "SpectrumError",
     "SingularResolvent",
     "EntanglementReport",
-    "fold",
     "occupation_spectrum",
     "renyi_index",
     "entropy",
@@ -246,16 +246,6 @@ class EntanglementReport:
     negativity: float | None = None
     pairing_residual: float = 0.0
     clamp_count: int = 0
-
-
-def fold(c: CorrelationMatrix) -> CorrelationMatrix:
-    """The real symmetric Q^dag C Q of a far-limit matrix whose union folds,
-    assembled from its builder's folded blocks and its coupling F
-    (``FarMatrix``); any other matrix as it is."""
-    if not (isinstance(c, FarMatrix) and c.folds):
-        return c
-    folded = hermitian_matrix(c.left.folded, c.right.folded, c.coupling.T)
-    return CorrelationMatrix(folded, c.n_left, built_hermitian=True)
 
 
 def occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
@@ -496,45 +486,36 @@ def partition(c: CorrelationMatrix | Partition, order: float | str = "vn") -> Pa
 
 
 class BlockSpectra(NamedTuple):
-    """Clamped occupation spectra of A_L, A_R and A, their clamp count, and
-    the spectra a partition deflated (empty for full spectra)."""
+    """The clamped occupation spectra of a partition's active A_L, A_R and
+    A modes, their clamp count, and the spectra it deflated."""
 
     left: np.ndarray
     right: np.ndarray
     union: np.ndarray
     clamp_count: int
-    deflated_left: np.ndarray = np.zeros(0)
-    deflated_right: np.ndarray = np.zeros(0)
+    deflated_left: np.ndarray
+    deflated_right: np.ndarray
 
 
-def block_spectra(c: CorrelationMatrix | Partition) -> BlockSpectra:
-    """The spectra every entropy-based measure of a partition reads: three
-    ``eigvalsh`` of a full matrix, or the active and deflated spectra of a
-    partition, whose union spectrum is that of the reduced matrix.  A
-    far-limit matrix reads its builder's folded blocks, and its folded union
-    when the union folds (``fold``)."""
-    if isinstance(c, Partition):
-        active, k = c.reduced, c.reduced.n_left
-        nu = active.matrix.diagonal().real
-        if not active.dim:
-            return BlockSpectra(nu, nu, nu, c.clamp_count, c.deflated_left, c.deflated_right)
-        if c.modes.matrix is None:
-            (left, right), clamp = (nu[:k], nu[k:]), 0
-        else:
-            # the reduced blocks are not diagonal: their spectra, never
-            # their eigenvectors
-            (left, clamp_l), (right, clamp_r) = map(occupation_spectrum, (active.block_left(), active.block_right()))
-            clamp = clamp_l + clamp_r
-        union, clamp_a = occupation_spectrum(active)
-        return BlockSpectra(left, right, union, c.clamp_count + clamp + clamp_a, c.deflated_left, c.deflated_right)
-    if c.n_left == 0 or c.n_right == 0:
-        raise ValueError("measures needs both blocks in the partition")
-    if isinstance(c, FarMatrix):
-        left, right = (CorrelationMatrix(block.folded, 0, built_hermitian=True) for block in (c.left, c.right))
+def block_spectra(c: Partition) -> BlockSpectra:
+    """The spectra every entropy-based measure of a partition reads: the
+    active and deflated spectra, whose union spectrum is that of the reduced
+    matrix."""
+    if not isinstance(c, Partition):
+        raise TypeError(f"block_spectra reads a Partition, not a {type(c).__name__}: pass partition(c)")
+    active, k = c.reduced, c.reduced.n_left
+    nu = active.matrix.diagonal().real
+    if not active.dim:
+        return BlockSpectra(nu, nu, nu, c.clamp_count, c.deflated_left, c.deflated_right)
+    if c.modes.matrix is None:
+        (left, right), clamp = (nu[:k], nu[k:]), 0
     else:
-        left, right = c.block_left(), c.block_right()
-    (nu_a, clamp_a), (nu_l, clamp_l), (nu_r, clamp_r) = map(occupation_spectrum, (fold(c), left, right))
-    return BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r)
+        # the reduced blocks are not diagonal: their spectra, never their
+        # eigenvectors
+        (left, clamp_l), (right, clamp_r) = map(occupation_spectrum, (active.block_left(), active.block_right()))
+        clamp = clamp_l + clamp_r
+    union, clamp_a = occupation_spectrum(active)
+    return BlockSpectra(left, right, union, c.clamp_count + clamp + clamp_a, c.deflated_left, c.deflated_right)
 
 
 def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> EntanglementReport:
@@ -570,20 +551,19 @@ def correlation_moments(c: CorrelationMatrix, p: int) -> float:
 
 
 def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[float, float]:
-    """(E_n, pairing residual max(s) - 1)."""
+    """(E_n, pairing residual max(s) - 1) of a partition, a bare matrix
+    being partitioned at order 1."""
     if n != 1 and (n < 2 or int(n) != n or int(n) % 2 != 0):
         raise ValueError("negativity order must be 1 or an even integer")
-    if isinstance(c, Partition):
-        # the deflated modes enter through (1 - n) times their entropies,
-        # nothing at n = 1
-        off = 0.0 if n == 1 else (1.0 - n) * (entropy(c.deflated_left, n) + entropy(c.deflated_right, n))
-        if c.reduced.dim == 0:
-            return off, 0.0
-        value, residual = _whitened_pencil(c.reduced, n)
-        return value + off, residual
-    if c.n_left == 0 or c.n_right == 0:
-        raise ValueError("fermionic negativity needs both blocks non-empty")
-    return _whitened_pencil(fold(c), n)
+    if not isinstance(c, Partition):
+        c = partition(c)
+    # the deflated modes enter through (1 - n) times their entropies, nothing
+    # at n = 1
+    off = 0.0 if n == 1 else (1.0 - n) * (entropy(c.deflated_left, n) + entropy(c.deflated_right, n))
+    if c.reduced.dim == 0:
+        return off, 0.0
+    value, residual = _whitened_pencil(c.reduced, n)
+    return value + off, residual
 
 
 def _whitened_pencil(c: CorrelationMatrix, n: float) -> tuple[float, float]:
@@ -620,7 +600,7 @@ def _whitened_pencil(c: CorrelationMatrix, n: float) -> tuple[float, float]:
 
 def fermionic_negativity(c: CorrelationMatrix | Partition, n: float = 1) -> float:
     """Logarithmic fermionic negativity (n = 1) or the even moment E_n, of a
-    full matrix or of a deflated partition."""
+    partition, or of a matrix partitioned at order 1."""
     value, _ = _negativity_detail(c, n)
     return value
 

@@ -429,9 +429,9 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     window = friedel_window(bias.k_fl, bias.k_fr, config.window)
     d_min = int(round(config.d_over_ell_min * ell))
     d_max = int(round(config.d_over_ell_max * ell))
-    centers = np.unique(
-        np.round(np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)).astype(int)
-    )
+    # a sorted set, not np.unique, which imports numpy.ma on first use (numpy 2.4)
+    spaced = np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)
+    centers = sorted({int(c) for c in np.round(spaced)})
 
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
 

@@ -11,6 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import undeflated
+
 from nessent import asymptotics as asy
 from nessent import fockspace as fs
 from nessent.config import ExperimentConfig
@@ -20,7 +22,7 @@ from nessent.correlation import (
     SubsystemGeometry,
     correlation_matrix_far,
 )
-from nessent.entanglement import block_spectra, entropy, measures, occupation_spectrum, report_from_spectra
+from nessent.entanglement import entropy, measures, occupation_spectrum, report_from_spectra
 from nessent.experiments import run_sweep_distance, run_sweep_length, run_sweep_position
 from nessent.scattering import BiasState, SingleImpurity
 
@@ -270,7 +272,7 @@ def test_criterion_09_order_one_continuity():
         delta = int(rng.integers(-4, 5))
         geom = SubsystemGeometry(0, max(0, delta), ell, max(0, -delta), ell)
         cm = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
-        spectra = block_spectra(cm)
+        spectra = undeflated.spectra(cm)
         reports = {order: report_from_spectra(spectra, order) for order in ("vn", 1 - h, 1 + h)}
         for field in ("mutual_info", "coherent_info"):
             vn = getattr(reports["vn"], field)

@@ -1,3 +1,4 @@
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -435,17 +436,27 @@ def test_far_finite_mi_agreement_moderate_distance():
 
 
 def test_matrix_dump_round_trip(tmp_path):
-    geom = SubsystemGeometry(0, 1, 3, 1, 2)
-    cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
-    path = tmp_path / "matrix.bin"
-    write_matrix_dump(cm, path)
-    back = read_matrix_dump(path)
-    assert back.shape == cm.matrix.shape
-    assert np.abs(back - cm.matrix).max() == 0.0
-    # layout: uint64 dim then row-major little-endian float64 pairs
-    raw = path.read_bytes()
-    assert len(raw) == 8 + 16 * cm.dim**2
-    assert int.from_bytes(raw[:8], "little") == cm.dim
+    # a far matrix, a finite one, whose site matrix the dump assembles on
+    # its first read, and a complex one built by hand
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    finite = correlation_matrix_finite(builder, SubsystemGeometry(0, 4, 3, 2, 5))
+    assert "matrix" not in vars(finite)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    for cm in (
+        correlation_matrix_far(builder, SubsystemGeometry(0, 1, 3, 1, 2)),
+        finite,
+        CorrelationMatrix(0.25 * (h + h.conj().T), 1),
+    ):
+        path = tmp_path / "matrix.bin"
+        write_matrix_dump(cm, path)
+        back = read_matrix_dump(path)
+        assert back.dtype == np.complex128 and back.shape == (cm.dim, cm.dim)
+        assert back.tobytes() == cm.matrix.astype(np.complex128).tobytes()
+        # layout: uint64 dim then row-major little-endian float64 pairs
+        raw = path.read_bytes()
+        assert len(raw) == 8 + 16 * cm.dim**2
+        assert struct.unpack("<Q", raw[:8]) == (cm.dim,)
 
 
 def test_partition_block_views():

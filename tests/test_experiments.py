@@ -231,6 +231,19 @@ def test_parse_config_rejects_non_finite_numbers(key, value):
         parse_config_text(f"scenario = selftest\n{key} = {value}\n")
 
 
+#: every key parsed as an integer, and window, an integer or "auto"
+INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type.startswith("int")]
+
+
+@pytest.mark.parametrize("key", INT_KEYS + FLOAT_KEYS + ["renyi_orders"])
+@pytest.mark.parametrize("value", ["True", "False", "2*True"])
+def test_parse_config_rejects_booleans(key, value):
+    # bool is an int subclass: ell_min = True parsed as 1, epsilon0 = False
+    # as 0.0 and renyi_orders = True as order 1
+    with pytest.raises(ParseError, match=f"'{key}': unsupported expression"):
+        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+
+
 def test_parse_config_rejects_duplicate_measure():
     # a repeated measure wrote every point twice and fitted the doubled series
     for value in ("mi, mi", "mi, ci, negativity, ci"):
@@ -856,7 +869,10 @@ def test_builder_matrices_are_never_checked_again(monkeypatch):
         cor.correlation_matrix_far(builder, SubsystemGeometry(0, 4, 12, 0, 24)),
         cor.correlation_matrix_finite(builder, SubsystemGeometry(0, 6, 8, 6, 8)),
     ]
-    assert [getattr(cm, "folds", None) for cm in points] == [True, False, None]
+    # the first far union folds (a real F), the second does not, and the
+    # finite matrix has no F
+    assert [np.iscomplexobj(cm.coupling) for cm in points[:2]] == [False, True]
+    assert not hasattr(points[2], "coupling")
     for cm in points:
         numeric = ex._point_values(cm)
         for measure, order in (("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("entropy_a", 2.0), ("negativity", 1)):

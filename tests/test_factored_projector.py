@@ -1,4 +1,4 @@
-"""An independent check of the far-limit builder and of order-1/2 spectra.
+"""An independent check of the builders and of order-1/2 spectra.
 
 In the far limit the state on A_L u A_R is a restricted projector, so
 C = V V^dag and I - C = W W^dag with explicit factors whose columns are
@@ -17,12 +17,24 @@ sqrt(1 - nu), each computed directly, so S_1/2 = 2 sum ln(sigma + sigma')
 (ascending sigma paired with descending sigma') has no square root of an
 eigenvalue that is round-off around 0 or 1.  It moves by about 1e-12 with
 1.5x the nodes.  The order-1/2 MI is held to the same band on the full
-spectra and on the production path, the partition of ``measures``.
+spectra (the undeflated test oracle) and on the production path, the
+partition of ``measures``.
 
 The far matrices at the offsets D and ell_r - ell_l - D, built and solved
 apart, are mirror images P conj(C) P with P = diag(J_L, -J_R) for a
 parity-symmetric scatterer, so every measure agrees between them: the
 symmetry by which a position sweep solves each mirror pair once.
+
+At a finite distance C = V V^dag still holds, with the occupied scattering
+states as the columns of V: sqrt(w/2pi) conj u_x(k), u from
+``scattering.wavefunction``, left-incoming on (0, k_fl) and right-incoming on
+(0, k_fr).  W takes the empty states on (k_fl, pi) and (k_fr, pi) and the
+impurity's bound state b_x = N z^|x|, N = sqrt((1 - z^2)/(1 + z^2)), with
+z the root of z - 1/z = epsilon0/eta inside the unit disk: for
+epsilon0 > 0 its level lies above the band, so it is empty, and without it
+W W^dag misses I - C by 0.1-0.2 at d = 0.  The pairing sigma^2 + sigma'^2 = 1
+of a block's rows is the CS decomposition of the co-isometry [V_A W_A]
+(Paige & Wei, LAA 208/209, 303 (1994)).
 """
 
 from functools import cache
@@ -30,9 +42,10 @@ from functools import cache
 import numpy as np
 import pytest
 
-from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far
-from nessent.entanglement import block_spectra, measures, report_from_spectra
-from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity
+import undeflated
+from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far, correlation_matrix_finite
+from nessent.entanglement import measures, report_from_spectra
+from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, wavefunction
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
 MODELS = {
@@ -134,7 +147,7 @@ def half_mi_case(name, ell):
 @pytest.mark.parametrize("name", list(MODELS))
 def test_order_half_mi_within_band_of_factored_reference(name, ell):
     cm, reference = half_mi_case(name, ell)
-    mi = report_from_spectra(block_spectra(cm), 0.5).mutual_info
+    mi = report_from_spectra(undeflated.spectra(cm), 0.5).mutual_info
     assert abs(mi - reference) <= HALF_MI_BAND[ell]
 
 
@@ -165,3 +178,90 @@ def test_mirror_offsets_have_the_same_measures(name, delta):
             assert abs(getattr(first, field) - getattr(second, field)) < 1e-12
     half = [measures(cm, 0.5).mutual_info for cm in cms]
     assert abs(half[0] - half[1]) <= HALF_MI_BAND[20]
+
+
+# --- finite distance ------------------------------------------------------------
+
+#: order-1/2 MI band of the partition of a finite matrix against the factored
+#: reference, per length: 1.5x the largest error over epsilon0 = 0.5, 1, 2
+#: and d = 0, 1, 5, 20, 100 (9.2e-8, 2.4e-7 and 5.8e-7).  At ell = 50 the
+#: error reaches 1.03e-6, so no band tighter than the 1.1e-6 against the
+#: undeflated spectra in tests/test_entanglement.py is stated there.
+FINITE_HALF_MI_BAND = {12: 1.4e-7, 20: 3.7e-7, 35: 8.7e-7}
+
+FINITE_DISTANCES = (0, 1, 5, 20, 100)
+
+
+@cache
+def finite_builder(epsilon0):
+    return CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
+
+
+def finite_factors(epsilon0, d, ell):
+    """(C, V, W, b) for the mirrored intervals of length ell at distance d."""
+    geom = SubsystemGeometry(0, d, ell, d, ell)
+    cm = correlation_matrix_finite(finite_builder(epsilon0), geom)
+    model = SingleImpurity(epsilon0)
+    sites = geom.sites_left() + geom.sites_right()
+    rate = 2 * (d + ell)
+
+    def states(a, b, sign):
+        k, w = nodes(a, b, rate)
+        return np.conj([wavefunction(model, sign * k, x) for x in sites]) * np.sqrt(w / (2 * np.pi))
+
+    v = np.hstack([states(0.0, BIAS.k_fl, 1), states(0.0, BIAS.k_fr, -1)])
+    w = np.hstack([states(BIAS.k_fl, np.pi, 1), states(BIAS.k_fr, np.pi, -1)])
+    eta = model.eta
+    z = (epsilon0 / eta - np.sqrt((epsilon0 / eta) ** 2 + 4.0)) / 2.0
+    b = np.sqrt((1.0 - z * z) / (1.0 + z * z)) * z ** np.abs(sites)
+    return cm, v, w, b
+
+
+def entropies(v, w):
+    """(S_vn, S_1/2) of the rows of the factors: sigma^2 and sigma'^2 are the
+    occupations and the vacancies, each computed directly."""
+    sigma = np.linalg.svd(v, compute_uv=False)[::-1]
+    sigma_p = np.linalg.svd(w, compute_uv=False)
+    nu, vacancy = sigma * sigma, sigma_p * sigma_p
+    return -(nu * np.log(nu)).sum() - (vacancy * np.log(vacancy)).sum(), 2.0 * np.log(sigma + sigma_p).sum()
+
+
+@cache
+def finite_case(epsilon0, d, ell):
+    """(C, reference (MI, CI) at order vn, reference order-1/2 MI)."""
+    cm, v, w, b = finite_factors(epsilon0, d, ell)
+    w = np.hstack([w, b[:, None]])
+    (left, left_half), (right, right_half), (union, union_half) = (
+        entropies(v[rows], w[rows]) for rows in (slice(0, ell), slice(ell, None), slice(None))
+    )
+    return cm, (left + right - union, right - union), left_half + right_half - union_half
+
+
+@pytest.mark.parametrize("ell, d", [(12, 0), (12, 5), (20, 20), (35, 1), (50, 100), (12, 300)])
+@pytest.mark.parametrize("epsilon0", [0.5, 1.0, 2.0])
+def test_finite_factors_reproduce_the_builder(epsilon0, ell, d):
+    cm, v, w, b = finite_factors(epsilon0, d, ell)
+    vacancies = np.eye(cm.dim) - cm.matrix
+    assert np.abs(v @ v.conj().T - cm.matrix).max() < 5e-14
+    assert np.abs(w @ w.conj().T + np.outer(b, b) - vacancies).max() < 5e-14
+    if d == 0:
+        # the bound state is what the band's empty states miss near the impurity
+        assert np.abs(w @ w.conj().T - vacancies).max() > 0.1
+
+
+@pytest.mark.parametrize("ell", [12, 20, 35, 50])
+@pytest.mark.parametrize("epsilon0", [0.5, 1.0, 2.0])
+def test_finite_vn_mi_and_ci_match_the_factored_reference(epsilon0, ell):
+    for d in FINITE_DISTANCES:
+        cm, (mi, ci), _ = finite_case(epsilon0, d, ell)
+        rep = measures(cm, "vn")
+        assert abs(rep.mutual_info - mi) < 1e-11
+        assert abs(rep.coherent_info - ci) < 1e-11
+
+
+@pytest.mark.parametrize("ell", sorted(FINITE_HALF_MI_BAND))
+@pytest.mark.parametrize("epsilon0", [0.5, 1.0, 2.0])
+def test_finite_order_half_mi_within_band_of_factored_reference(epsilon0, ell):
+    for d in FINITE_DISTANCES:
+        cm, _, reference = finite_case(epsilon0, d, ell)
+        assert abs(measures(cm, 0.5).mutual_info - reference) <= FINITE_HALF_MI_BAND[ell]

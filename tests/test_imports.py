@@ -122,3 +122,21 @@ def test_a_serial_cli_run_does_not_import_the_thread_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_serial_distance_sweep_does_not_import_numpy_ma(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma on first use, 14-19 ms of every distance
+    # process; the sweep sorts its centers as a set instead
+    config = tmp_path / "distance.cfg"
+    config.write_text(
+        "scenario = sweep-distance\nk_fl = 2*pi/3\nk_fr = pi/2\nell = 8\n"
+        "d_over_ell_min = 2\nd_over_ell_max = 6\nn_centers = 3\nmeasures = mi\n"
+    )
+    code = "import sys, nessent.cli; status = nessent.cli.main(sys.argv[1:]); print(status, 'numpy.ma' in sys.modules)"
+    args = ["sweep-distance", "--config", str(config), "--out", str(tmp_path / "out.csv"), "--threads", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
