@@ -55,7 +55,10 @@ def _eval_expr(text: str, where: str) -> float:
     def ev(e) -> float:
         # bool is an int subclass, so True and False are rejected by name
         if isinstance(e, ast.Constant) and isinstance(e.value, (int, float)) and not isinstance(e.value, bool):
-            return float(e.value)
+            try:
+                return float(e.value)
+            except OverflowError:  # an int literal beyond the float range
+                raise ParseError(f"{where}: must be a finite number, got {text!r}") from None
         if isinstance(e, ast.Name) and e.id == "pi":
             return math.pi
         if isinstance(e, ast.UnaryOp) and isinstance(e.op, (ast.UAdd, ast.USub)):

@@ -23,7 +23,9 @@ mu_1 = (2 cos(omega) - mu_0)/(i omega), mu_2 = (B_2 - 4 mu_1)/(i omega) and
     mu_{n+1} = (n+1)/(i omega) [B_{n+1}/(n+1) - B_{n-1}/(n-1) - 2 mu_n]
                + (n+1)/(n-1) mu_{n-1},   B_n = e^{i omega} - (-1)^n e^{-i omega},
 
-a forward recurrence that is stable only for n <= |omega|.  Degree N is
+a forward recurrence that is stable only for n <= |omega|.  The
+coefficients c_n of the interpolant come from one FFT per integrand and
+degree (numpy.fft), so a degree takes memory linear in N.  Degree N is
 checked against degree 2N with the Gauss-Legendre acceptance test, N
 doubling while 2N <= omega_min (stability) and 2N + 1 <= max_panels *
 nodes_per_panel (the same budget in nodes).  N starts from the window
@@ -96,7 +98,9 @@ class QuadratureSpec:
     """Error targets and budget for the adaptive quadrature.
 
     abs_tol is the absolute error target, rel_tol the relative one; the
-    effective target is max(abs_tol, rel_tol * |estimate|).
+    effective target is max(abs_tol, rel_tol * |estimate|).  Both must be
+    finite: an infinite abs_tol accepts the first estimate, and a NaN
+    rel_tol never accepts one.
     """
 
     abs_tol: float = 1e-10
@@ -105,10 +109,10 @@ class QuadratureSpec:
     nodes_per_panel: int = 16
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be non-negative")
+        if not 0 < self.abs_tol < np.inf:
+            raise ValueError("abs_tol must be positive and finite")
+        if not 0 <= self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be non-negative and finite")
         if self.nodes_per_panel < 4:
             raise ValueError("nodes_per_panel must be at least 4")
         if self.max_panels < 1:
@@ -241,7 +245,7 @@ def integrate_oscillatory(
 
     The initial partition assigns at least one panel (hence nodes_per_panel
     nodes) per oscillation period, after which the usual adaptive refinement
-    applies.  Falls back to plain integration when the phase is slow.
+    applies.  At phase_rate 0 this is plain ``integrate`` on [a, b].
     """
     if a > b:
         raise ValueError("integrate_oscillatory requires a <= b")
@@ -279,15 +283,16 @@ def _fixed_grid(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarr
 FILON_MIN_PHASE = 256.0
 
 
-@functools.cache
-def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n + 1 first-kind Chebyshev points cos(pi (j + 1/2)/(n + 1)) and the
-    DCT-II matrix taking values there to the coefficients c_0..c_n of the
-    interpolant sum c_k T_k."""
-    theta = np.pi * (np.arange(n + 1) + 0.5) / (n + 1)
-    dct = (2.0 / (n + 1)) * np.cos(np.outer(np.arange(n + 1), theta))
-    dct[0] *= 0.5
-    return np.cos(theta), dct
+def _dct(values: np.ndarray) -> np.ndarray:
+    """The coefficients c_0..c_n of the interpolant sum c_k T_k of values at
+    the n + 1 first-kind Chebyshev points cos(pi (j + 1/2)/(n + 1)): the
+    DCT-II, as one FFT of the even extension of values, in memory linear
+    in n."""
+    m = values.size
+    spectrum = np.fft.fft(np.concatenate([values, values[::-1]]))[:m]
+    coeffs = spectrum * (np.exp(-0.5j * np.pi * np.arange(m) / m) / m)
+    coeffs[0] *= 0.5
+    return coeffs
 
 
 def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
@@ -337,8 +342,8 @@ def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpe
     scale = half * np.exp(1j * rates * mid)
 
     def estimates(n: int, mu: np.ndarray) -> list:
-        x, dct = _chebyshev_rule(n)
-        return [scale * ((dct @ row) @ mu[: n + 1]) for row in rows(mid + half * x)]
+        x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
+        return [scale * (_dct(row) @ mu[: n + 1]) for row in rows(mid + half * x)]
 
     # nodes_per_panel per unit of width, rounded to a power-of-two multiple
     n = spec.nodes_per_panel * 2 ** max(0, int(np.rint(np.log2(b - a))))

@@ -206,12 +206,19 @@ def test_high_rate_blocks_do_not_depend_on_company_or_thread():
 
 def _mp_factor(mpmath, epsilon0, factor):
     """A single-impurity factor continued off the real momentum axis:
-    t(k) = 1/(1 + i eps/(2 sin k)), and conj(t) on the real axis."""
+    t(k) = 1/(1 + i eps/(2 sin k)), and conj(t) on the real axis (where
+    r = t - 1 and T = |t|^2)."""
 
     def t(k, sign=1):
         return 1 / (1 + sign * 1j * mpmath.mpf(epsilon0) / (2 * mpmath.sin(k)))
 
-    return {"rL": lambda k: t(k) - 1, "tR": t, "tLc": lambda k: t(k, -1)}[factor]
+    return {
+        "rL": lambda k: t(k) - 1,
+        "tR": t,
+        "tLc": lambda k: t(k, -1),
+        "T": lambda k: t(k) * t(k, -1),
+        "tLc_rL": lambda k: t(k, -1) * (t(k) - 1),
+    }[factor]
 
 
 def mp_window_integral(mpmath, f, kf, rate):
@@ -246,7 +253,9 @@ def test_deformed_path_matches_plain_mpmath_quad():
 def test_table_coefficients_match_mpmath_reference(epsilon0):
     # rates on both sides of the Filon-Clenshaw-Curtis switch; table values
     # include the 1/2pi.  On the Gauss-Legendre grid, rate 3906 was off by
-    # up to 1.1e-14.
+    # up to 1.1e-14.  Every block here but those of rates +-300 on window R
+    # takes Filon-Clenshaw-Curtis, whose Chebyshev coefficients by FFT err by
+    # at most 2.6e-17 here (1.3e-16 with a dense DCT matrix).
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     with mpmath.workdps(30):
@@ -256,7 +265,26 @@ def test_table_coefficients_match_mpmath_reference(epsilon0):
                 for rate in (300, -300, 1000, 3906, 4000):
                     reference = complex(mp_window_integral(mpmath, f, mpmath.mpf(kf), rate))
                     table = builder.coefficients(window, factor, np.array([rate]))[0]
-                    assert abs(table - reference) <= 1e-15, (window, factor, rate)
+                    bound = 1e-15 if (window, abs(rate)) == ("R", 300) else 1e-16
+                    assert abs(table - reference) <= bound, (window, factor, rate)
+
+
+@pytest.mark.parametrize("epsilon0", [0.5, 2.0])
+def test_far_table_coefficients_match_mpmath_reference(epsilon0):
+    # the voltage-window factors of every far-limit matrix, on both sides of
+    # rate 0 and up to rate 294 (ell = 147); the panels of mpmath.quad are at
+    # most one period of rate 294 wide.  These blocks take the Gauss-Legendre
+    # grid, which errs here by up to 2e-16 at rate 53 and 7.5e-16 at rate 232.
+    mpmath = pytest.importorskip("mpmath")
+    builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
+    with mpmath.workdps(30):
+        edges = mpmath.linspace(mpmath.mpf(BIAS.k_fr), mpmath.mpf(BIAS.k_fl), 25)
+        for factor in ("T", "tLc_rL"):
+            f = _mp_factor(mpmath, epsilon0, factor)
+            for rate in (-63, -17, 0, 6, 53, 90, 127, 162, 232, 294):
+                integral = mpmath.quad(lambda k: f(k) * mpmath.exp(1j * rate * k), edges, method="gauss-legendre")
+                table = builder.coefficients("V", factor, np.array([rate]))[0]
+                assert abs(table - complex(integral / (2 * mpmath.pi))) <= 1e-15, (factor, rate)
 
 
 def mp_occupied_integrals(mpmath, epsilon0, bias, pairs):

@@ -222,8 +222,12 @@ def test_sweep_distance_rejects_what_it_cannot_compute(line, key):
 FLOAT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type.startswith("float")] + ["dk_list"]
 
 
+#: an integer literal that float() cannot hold
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("key", FLOAT_KEYS)
-@pytest.mark.parametrize("value", ["1e400", "-1e400", "1e308*10", "1e400 - 1e400"])
+@pytest.mark.parametrize("value", ["1e400", "-1e400", "1e308*10", "1e400 - 1e400", HUGE_INT])
 def test_parse_config_rejects_non_finite_numbers(key, value):
     # inf used to parse and reach a runner: d_over_ell_max = 1e400 raised
     # OverflowError there, and eta = 1e400 wrote a CSV
@@ -233,6 +237,16 @@ def test_parse_config_rejects_non_finite_numbers(key, value):
 
 #: every key parsed as an integer, and window, an integer or "auto"
 INT_KEYS = [f.name for f in fields(ExperimentConfig) if f.type.startswith("int")]
+
+
+@pytest.mark.parametrize("key", INT_KEYS + ["renyi_orders"])
+def test_parse_config_rejects_int_literals_beyond_float_range(key):
+    # ell_max = 1 followed by 400 zeros raised OverflowError, which the CLI
+    # reported as kind=OverflowError without naming the key
+    with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
+        parse_config_text(f"scenario = selftest\n{key} = {HUGE_INT}\n")
+    with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
+        parse_config_text(f"scenario = selftest\n{key} = 2 * -{HUGE_INT}\n")
 
 
 @pytest.mark.parametrize("key", INT_KEYS + FLOAT_KEYS + ["renyi_orders"])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nessent.numerics as num
 from nessent.numerics import (
     FILON_MIN_PHASE,
     NonConvergence,
@@ -135,6 +141,41 @@ def test_oscillatory_batch_filon_falls_back_to_gauss_legendre_budget():
     assert np.abs(vals[[0, -1]] - exact).max() < 1e-11
 
 
+KINK_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from nessent.numerics import NonConvergence, QuadratureSpec, integrate_oscillatory_batch
+
+sizes = []
+
+def kink(k):
+    sizes.append(k.size)
+    return np.abs(k - 0.5)
+
+try:
+    integrate_oscillatory_batch(kink, np.arange(70000, 70064), 0.0, 1.0, QuadratureSpec(abs_tol=1e-12))
+except NonConvergence as exc:
+    print(max(sizes), exc)
+"""
+
+
+def test_oscillatory_batch_kink_runs_filon_degrees_in_linear_memory():
+    # |k - 1/2| has Chebyshev coefficients that fall only as n^-2, so at
+    # rates 70000.. on [0, 1] (phase extent 35000) Filon-Clenshaw-Curtis
+    # doubles N up to its stability bound, 2N = 32768, and the
+    # Gauss-Legendre grid then needs 22304 panels of a budget of 20000.  A
+    # child capped at 1 GiB of address space runs it: a transform that is not
+    # linear in memory per degree, such as a dense (N + 1)^2 DCT matrix
+    # (2.1 GB at N = 16384), fails there as MemoryError without exhausting
+    # the host.
+    src = Path(num.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", KINK_CHILD], env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "32769 batch with max rate 70063 needs 22304 panels, budget is 20000"
+
+
 def test_oscillatory_panel_budget_raises():
     with pytest.raises(NonConvergence):
         integrate_oscillatory(lambda k: np.ones_like(k), 1e7, 0.0, np.pi, QuadratureSpec(max_panels=100))
@@ -143,6 +184,11 @@ def test_oscillatory_panel_budget_raises():
 def test_quadrature_spec_invariants():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
+    # abs_tol = inf accepted the first estimate (integrate(sin(40 k)^2, 0, 3)
+    # gave 1.666 for 1.494), and rel_tol = nan ran every block to its budget
+    for bad in (dict(abs_tol=np.inf), dict(abs_tol=np.nan), dict(rel_tol=np.inf), dict(rel_tol=np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(**bad)
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_panel=2)
     with pytest.raises(ValueError):
