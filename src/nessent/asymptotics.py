@@ -81,11 +81,11 @@ __all__ = [
     "disjoint_symmetric_log_coefficient",
 ]
 
-KERNEL_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=0.0, max_panels=40000, nodes_per_panel=16)
-WINDOW_SPEC = QuadratureSpec(abs_tol=1e-12, rel_tol=0.0, max_panels=20000, nodes_per_panel=16)
+KERNEL_SPEC = QuadratureSpec(abs_tol=1e-12, max_panels=40000)
+WINDOW_SPEC = QuadratureSpec(abs_tol=1e-12, max_panels=20000)
 #: the unsubtracted oracle representations carry hard endpoint singularities;
 #: 1e-10 is plenty for the 1e-8 cross-checks and keeps them cheap
-ORACLE_SPEC = QuadratureSpec(abs_tol=1e-10, rel_tol=0.0, max_panels=40000, nodes_per_panel=16)
+ORACLE_SPEC = QuadratureSpec(abs_tol=1e-10, max_panels=40000)
 
 
 class GeometryError(ValueError):

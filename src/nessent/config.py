@@ -1,6 +1,7 @@
 """Experiment configuration files and CSV output.
 
-Config files are flat UTF-8 ``key = value`` text; ``#`` starts a comment.
+Config files are flat UTF-8 ``key = value`` text, a leading byte order mark
+allowed; ``#`` starts a comment.
 Momenta accept simple arithmetic in ``pi`` (for example ``2*pi/3``), list
 values are comma separated.  Unknown keys are rejected so typos surface
 immediately.  CSV output uses a header row, 12 significant digits for floats
@@ -106,9 +107,7 @@ class ExperimentConfig:
     out: str | None = None
     threads: int = 1
     abs_tol: float | None = None
-    rel_tol: float | None = None
     max_panels: int | None = None
-    nodes_per_panel: int | None = None
     # sweep-length / sweep-bias
     ell_min: int = 20
     ell_max: int = 200
@@ -170,10 +169,8 @@ _RANGES = {
     "eta": ("positive", lambda c: c.eta > 0),
     "transmission": ("in [0, 1]", lambda c: 0.0 <= c.transmission <= 1.0),
     "abs_tol": ("positive", lambda c: c.abs_tol > 0),
-    "rel_tol": ("non-negative", lambda c: c.rel_tol >= 0),
     "max_panels": ("at least 1", lambda c: c.max_panels >= 1),
     "threads": ("at least 1", lambda c: c.threads >= 1),
-    "nodes_per_panel": ("at least 4", lambda c: c.nodes_per_panel >= 4),
     "ell_min": ("at least 1", lambda c: c.ell_min >= 1),
     "ell_max": ("at least ell_min", lambda c: c.ell_max >= c.ell_min),
     "ell_step": ("at least 1", lambda c: c.ell_step >= 1),
@@ -198,7 +195,7 @@ _RANGES = {
                        lambda c: round(c.d_over_ell_min * c.ell) >= 1),
     "d_over_ell_max": ("at least d_over_ell_min", lambda c: c.d_over_ell_max >= c.d_over_ell_min),
     "n_centers": ("at least 1", lambda c: c.n_centers >= 1),
-    "window": ("'auto' or at least 2", lambda c: c.window == "auto" or c.window >= 2),
+    "window": ("'auto' or at least 3", lambda c: c.window == "auto" or c.window >= 3),
 }
 
 
@@ -284,8 +281,15 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
 
 
 def parse_config(path, scenario: str | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), scenario)
+    """parse_config_text of a UTF-8 file, with or without a byte order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return parse_config_text(text, scenario)
 
 
 def format_value(value) -> str:

@@ -96,7 +96,7 @@ __all__ = [
 
 #: entries need to resolve 1/d^2 tails of the measures, so they are computed
 #: a few digits tighter than the default
-ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, rel_tol=0.0, max_panels=60000, nodes_per_panel=16)
+ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, max_panels=60000)
 
 #: a far-limit union folds, and a far sweep shares the values of mirror-image
 #: geometries, when the parity defect of the W_X values read,

@@ -104,7 +104,7 @@ def _map_ordered(fn, items, threads: int):
 
 def _entry_spec(config: ExperimentConfig) -> QuadratureSpec:
     """ENTRY_SPEC with the quadrature overrides the config sets."""
-    names = ("abs_tol", "rel_tol", "max_panels", "nodes_per_panel")
+    names = ("abs_tol", "max_panels")
     overrides = {name: getattr(config, name) for name in names if getattr(config, name) is not None}
     return replace(ENTRY_SPEC, **overrides)
 
@@ -389,16 +389,17 @@ def friedel_window(k_fl: float, k_fr: float, requested="auto") -> int:
     sum; on the integer sampling lattice these alias, so the window is chosen
     as the smallest span over which all three advance by nearly whole turns.
     Rounding the bare period 2 pi / (k_fl + k_fr) to one or two samples would
-    leave the aliased beats unsuppressed.
+    leave the aliased beats unsuppressed.  A window spans at least 3 samples:
+    the linear detrend of the amplitude leaves no residual through two.
     """
     if requested != "auto":
         w = int(requested)
-        if w < 2:
-            raise ValueError("window must span at least 2 samples")
+        if w < 3:
+            raise ValueError("window must span at least 3 samples")
         return w
     freqs = np.array([2.0 * k_fl, 2.0 * k_fr, k_fl + k_fr]) / (2.0 * np.pi)
-    best_w, best_defect = 2, np.inf
-    for w in range(2, MAX_WINDOW + 1):
+    best_w, best_defect = 3, np.inf
+    for w in range(3, MAX_WINDOW + 1):
         defect = float(np.max(np.abs(w * freqs - np.round(w * freqs))))
         if defect < best_defect - 1e-12:
             best_w, best_defect = w, defect

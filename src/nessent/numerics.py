@@ -10,7 +10,9 @@ families:
 * oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5: Gauss-
   Legendre with one panel per period below a phase extent omega_min =
   min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256, Filon-Clenshaw-Curtis
-  (FCC) with a rate-independent cost above it.
+  (FCC) with a rate-independent cost above it.  Both rules run one
+  refinement loop (_refine): size n against size 2n, n doubling while the
+  rule's bound allows it.
 
 FCC (Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31, 1253 (2011);
 QUADPACK's QAWO splits high and low frequency the same way) maps [a, b] to
@@ -26,11 +28,11 @@ mu_1 = (2 cos(omega) - mu_0)/(i omega), mu_2 = (B_2 - 4 mu_1)/(i omega) and
 a forward recurrence that is stable only for n <= |omega|.  The
 coefficients c_n of the interpolant come from one FFT per integrand and
 degree (numpy.fft), so a degree takes memory linear in N.  Degree N is
-checked against degree 2N with the Gauss-Legendre acceptance test, N
+checked against degree 2N with the acceptance test of the grid, N
 doubling while 2N <= omega_min (stability) and 2N + 1 <= max_panels *
-nodes_per_panel (the same budget in nodes).  N starts from the window
-alone: nodes_per_panel per unit of its width b - a, rounded to a
-power-of-two multiple of nodes_per_panel.  The degree f needs grows with the
+PANEL_NODES (the same budget in nodes).  N starts from the window
+alone: PANEL_NODES per unit of its width b - a, rounded to a
+power-of-two multiple of PANEL_NODES.  The degree f needs grows with the
 window it spans: on the Fermi windows of the Fig. S2 config (widths pi/2 and
 2 pi/3, where N starts at 32) every Filon block fails N = 16 and passes
 N = 32, while smooth integrands on [0, 1] pass at 16.
@@ -39,8 +41,9 @@ integrands on one window block (f_smooth returning one row per integrand)
 runs one recurrence per degree for all of them; each integrand keeps its
 own acceptance test and arithmetic, so its values have the bytes they have
 alone.  Nothing keeps the moments beyond the batch.  When no degree passes,
-an integrand falls back to the Gauss-Legendre grid, which raises
-NonConvergence on its panel budget.
+the batch raises NonConvergence naming the last degree, the bound that
+stopped it and the error of the last pair; it is not handed to the grid,
+whose own failure names its panel count.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
@@ -65,6 +68,7 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_SPEC",
     "FILON_MIN_PHASE",
+    "PANEL_NODES",
     "HERM_TOL",
     "NumericsError",
     "NonConvergence",
@@ -93,28 +97,27 @@ class NotHermitian(NumericsError):
     entry."""
 
 
+#: Gauss-Legendre nodes per panel of both Gauss-Legendre rules; also the
+#: nodes per panel of max_panels that the Filon-Clenshaw-Curtis degree may use
+PANEL_NODES = 16
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Error targets and budget for the adaptive quadrature.
+    """Error target and budget for the quadrature.
 
-    abs_tol is the absolute error target, rel_tol the relative one; the
-    effective target is max(abs_tol, rel_tol * |estimate|).  Both must be
-    finite: an infinite abs_tol accepts the first estimate, and a NaN
-    rel_tol never accepts one.
+    abs_tol is the absolute error target of every estimate.  It must be
+    finite: an infinite abs_tol would accept the first estimate.  max_panels
+    is the budget in panels of PANEL_NODES Gauss-Legendre nodes; a
+    Filon-Clenshaw-Curtis degree may use as many nodes.
     """
 
     abs_tol: float = 1e-10
-    rel_tol: float = 0.0
     max_panels: int = 20000
-    nodes_per_panel: int = 16
 
     def __post_init__(self) -> None:
         if not 0 < self.abs_tol < np.inf:
             raise ValueError("abs_tol must be positive and finite")
-        if not 0 <= self.rel_tol < np.inf:
-            raise ValueError("rel_tol must be non-negative and finite")
-        if self.nodes_per_panel < 4:
-            raise ValueError("nodes_per_panel must be at least 4")
         if self.max_panels < 1:
             raise ValueError("max_panels must be at least 1")
 
@@ -164,8 +167,7 @@ def _adaptive(f, edges: np.ndarray, spec: QuadratureSpec) -> complex:
     and half-order Gauss-Legendre rules.  The worst panel is bisected until
     the summed error estimate meets the target or the budget runs out.
     """
-    order_hi = spec.nodes_per_panel
-    order_lo = max(4, spec.nodes_per_panel // 2)
+    order_hi, order_lo = PANEL_NODES, PANEL_NODES // 2
     lo, hi = edges[:-1], edges[1:]
     est_hi = _eval_panels(f, lo, hi, order_hi)
     est_lo = _eval_panels(f, lo, hi, order_lo)
@@ -185,13 +187,12 @@ def _adaptive(f, edges: np.ndarray, spec: QuadratureSpec) -> complex:
     n_panels = len(heap)
 
     while True:
-        target = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= target:
+        if total_err <= spec.abs_tol:
             return total
         if n_panels + 1 > spec.max_panels or not heap:
             raise NonConvergence(
                 f"quadrature stalled at {n_panels} panels, "
-                f"error {total_err:.3e} > target {target:.3e}"
+                f"error {total_err:.3e} > target {spec.abs_tol:.3e}"
             )
         _, _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -243,7 +244,7 @@ def integrate_oscillatory(
 ) -> complex:
     """Integral of f_smooth(k) * exp(i * phase_rate * k) over [a, b].
 
-    The initial partition assigns at least one panel (hence nodes_per_panel
+    The initial partition assigns at least one panel (hence PANEL_NODES
     nodes) per oscillation period, after which the usual adaptive refinement
     applies.  At phase_rate 0 this is plain ``integrate`` on [a, b].
     """
@@ -267,9 +268,9 @@ def integrate_oscillatory(
     return _adaptive(g, edges, spec)
 
 
-def _fixed_grid(a: float, b: float, n_panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_grid(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of a uniform composite Gauss-Legendre rule."""
-    x, w = _gauss_rule(order)
+    x, w = _gauss_rule(PANEL_NODES)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -314,63 +315,80 @@ def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
     return mu
 
 
-def _accepted(coarse: np.ndarray, fine: np.ndarray, spec: QuadratureSpec) -> bool:
-    """The acceptance test of both rules: |fine - coarse| within the target
-    at every rate."""
-    return bool(np.all(np.abs(fine - coarse) <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(fine))))
+def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str, size) -> list:
+    """The rows of estimate(n), each checked against its row of estimate(2 n)
+    and accepted with the latter once every rate agrees to spec.abs_tol, n
+    doubling while 2 n <= limit: the refinement loop of both table rules.
+
+    NonConvergence(needs) when not even the first pair fits the limit; when
+    rows are still pending at it, NonConvergence naming size(n) of the last
+    estimate and the largest |fine - coarse| of a pending row in the last
+    pair.
+    """
+    if 2 * n > limit:
+        raise NonConvergence(needs)
+    coarse = estimate(n)
+    out = [None] * len(coarse)
+    while True:
+        fine = estimate(2 * n)
+        out = [hi if v is None and np.all(np.abs(hi - lo) <= spec.abs_tol) else v
+               for v, lo, hi in zip(out, coarse, fine)]
+        pending = [i for i, v in enumerate(out) if v is None]
+        if not pending:
+            return out
+        n *= 2
+        if 2 * n > limit:
+            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
+            raise NonConvergence(f"batch error {err:.3e} above target with {size(n)}")
+        coarse = fine
 
 
-def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list | None:
-    """Filon-Clenshaw-Curtis estimate of each row of the batch, or None for
-    a row that no degree within the stability bound and the budget brings to
-    the target; None for the whole batch when its phase extent is below
-    FILON_MIN_PHASE.
+def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
+    """Filon-Clenshaw-Curtis integrals of each row of the batch.
 
     With h = (b - a)/2 and m = (a + b)/2, each row of rows(m + h x) is
     interpolated by sum c_n T_n(x) on Chebyshev points and each T_n is
     integrated against exp(i rate (m + h x)) exactly, so the cost does not
-    depend on the rate.  Degree N is checked against degree 2N.  The moments
-    depend only on the window and the rates, so each round runs one
-    recurrence for all rows; each row keeps its own acceptance test and its
-    own arithmetic, so it gets the value it gets alone.
+    depend on the rate.  Degree N is checked against degree 2N, N doubling
+    while 2N is within the stability bound min|rate| h and 2N + 1 within the
+    node budget max_panels * PANEL_NODES.  The moments depend only on the
+    window and the rates, so each round runs one recurrence for all rows;
+    each row keeps its own acceptance test and its own arithmetic, so it
+    gets the value it gets alone.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     omega = rates * half
     omega_min = float(np.abs(omega).min())
-    if omega_min < FILON_MIN_PHASE:
-        return None
     scale = half * np.exp(1j * rates * mid)
+    mu = np.empty((0, rates.size), dtype=complex)
 
-    def estimates(n: int, mu: np.ndarray) -> list:
+    def estimate(n: int) -> list:
+        nonlocal mu
+        if len(mu) <= n:
+            # the first round's recurrence runs on to the degree it checks against
+            mu = _chebyshev_moments(omega, n if len(mu) else 2 * n)
         x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
         return [scale * (_dct(row) @ mu[: n + 1]) for row in rows(mid + half * x)]
 
-    # nodes_per_panel per unit of width, rounded to a power-of-two multiple
-    n = spec.nodes_per_panel * 2 ** max(0, int(np.rint(np.log2(b - a))))
-    coarse = out = None
-    while 2 * n <= omega_min and 2 * n + 1 <= spec.max_panels * spec.nodes_per_panel:
-        mu = _chebyshev_moments(omega, 2 * n)
-        if coarse is None:
-            coarse = estimates(n, mu)
-            out = [None] * len(coarse)
-        fine = estimates(2 * n, mu)
-        out = [hi if v is None and _accepted(lo, hi, spec) else v for v, lo, hi in zip(out, coarse, fine)]
-        if all(v is not None for v in out):
-            break
-        coarse = fine
-        n *= 2
-    return out
+    budget = spec.max_panels * PANEL_NODES
+    bound = f"node budget {budget}" if budget - 1 < omega_min else f"stability bound {omega_min:g}"
+    # PANEL_NODES per unit of width, rounded to a power-of-two multiple
+    n = PANEL_NODES * 2 ** max(0, int(np.rint(np.log2(b - a))))
+    return _refine(
+        estimate, n, min(int(omega_min), budget - 1), spec,
+        f"batch with phase extent {omega_min:g} needs degree {2 * n}, {bound}", lambda m: f"degree {m}, {bound}",
+    )
 
 
-def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec, out: list | None) -> list:
-    """out (one None per row when None) with each None replaced by the row's
-    composite Gauss-Legendre integrals, on a grid doubled until the row
-    meets the target; NonConvergence when the budget runs out first."""
+def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
+    """Composite Gauss-Legendre integrals of each row of the batch, on one
+    grid of at least one panel per period of the fastest rate, doubled until
+    the row meets the target within max_panels panels."""
     rate_max = float(np.abs(rates).max())
     n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
 
-    def eval_on(n_panels: int) -> np.ndarray:
-        nodes, weights = _fixed_grid(a, b, n_panels, spec.nodes_per_panel)
+    def estimate(n_panels: int) -> np.ndarray:
+        nodes, weights = _fixed_grid(a, b, n_panels)
         base = rows(nodes) * weights
         step = np.exp(1j * nodes)
         phase = np.exp(1j * rates[0] * nodes)
@@ -381,23 +399,10 @@ def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec
             vals[:, i] = [phase @ row for row in base]
         return vals
 
-    if 2 * n0 > spec.max_panels:
-        raise NonConvergence(
-            f"batch with max rate {rate_max:g} needs {2 * n0} panels, budget is {spec.max_panels}"
-        )
-    coarse = eval_on(n0)
-    out = [None] * len(coarse) if out is None else out
-    while True:
-        fine = eval_on(2 * n0)
-        out = [hi if v is None and _accepted(lo, hi, spec) else v for v, lo, hi in zip(out, coarse, fine)]
-        pending = [i for i, v in enumerate(out) if v is None]
-        if not pending:
-            return out
-        n0 *= 2
-        if 2 * n0 > spec.max_panels:
-            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
-            raise NonConvergence(f"batch error {err:.3e} above target with {n0} panels")
-        coarse = fine
+    return _refine(
+        estimate, n0, spec.max_panels, spec,
+        f"batch with max rate {rate_max:g} needs {2 * n0} panels, budget is {spec.max_panels}", lambda n: f"{n} panels",
+    )
 
 
 def integrate_oscillatory_batch(
@@ -412,16 +417,15 @@ def integrate_oscillatory_batch(
     phase_rates must be r0, r0 + 1, r0 + 2, ...  f_smooth may return one
     row of values per integrand, shape (rows, k.size); the result then has
     one row of integrals per integrand, each with the bytes it has alone.
-    When every rate has a phase extent |rate| * (b - a)/2 of at least
-    FILON_MIN_PHASE, the batch first tries the Filon-Clenshaw-Curtis rule
-    (_filon_rows), whose cost does not grow with the rate.  Otherwise, and
-    for the rows that rule does not converge, all rates share one composite
-    Gauss-Legendre grid sized for the fastest phase (so every rate gets at
-    least nodes_per_panel nodes per period) and a single evaluation of
+    The batch takes one of two rules, both refined by _refine.  When every
+    rate has a phase extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE,
+    it takes the Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does
+    not grow with the rate; a row that no degree within its bounds brings to
+    the target raises NonConvergence.  Otherwise all rates share one
+    composite Gauss-Legendre grid sized for the fastest phase (so every rate
+    gets at least PANEL_NODES nodes per period) and a single evaluation of
     f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k)
-    once per node, then one complex multiply per further rate.  Agreement
-    between the grid and its twice-refined version is required to the spec
-    tolerance, doubling further until the budget runs out.
+    once per node, then one complex multiply per further rate.
     """
     rates = np.asarray(phase_rates, dtype=float)
     if rates.size == 0:
@@ -439,10 +443,8 @@ def integrate_oscillatory_batch(
         shape[:] = vals.shape[:-1]
         return vals.reshape(-1, k.size)
 
-    out = _filon_rows(rows, rates, a, b, spec)
-    if out is None or any(v is None for v in out):
-        out = _grid_rows(rows, rates, a, b, spec, out)
-    return np.array(out).reshape(tuple(shape) + rates.shape)
+    rule = _filon_rows if float(np.abs(rates).min()) * (0.5 * (b - a)) >= FILON_MIN_PHASE else _grid_rows
+    return np.array(rule(rows, rates, a, b, spec)).reshape(tuple(shape) + rates.shape)
 
 
 def check_hermitian(m: np.ndarray) -> None:

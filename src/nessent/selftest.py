@@ -20,7 +20,7 @@ from .entanglement import (
     occupation_spectrum,
 )
 from .fockspace import gaussian_density_matrix, negativity_dm, partial_trace, vn_entropy_dm
-from .numerics import QuadratureSpec, integrate, integrate_oscillatory
+from .numerics import QuadratureSpec, integrate, integrate_oscillatory_batch
 from .scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, s_matrix, transmission
 
 CHECKS = []
@@ -98,12 +98,15 @@ def integrate_linearity():
 
 
 @check
-def oscillatory_matches_plain():
-    spec = QuadratureSpec(abs_tol=1e-11)
-    f = lambda k: np.sin(k) ** 2 / (np.sin(k) ** 2 + 1.0)
-    a = integrate_oscillatory(f, 0.0, 0.3, 1.2, spec)
-    b = integrate(f, 0.3, 1.2, spec)
-    assert abs(a - b) < 5e-11
+def oscillatory_batch_closed_form():
+    # int_0^kf exp(i x k) dk = (exp(i kf x) - 1)/(i x): rates 1..64 take the
+    # Gauss-Legendre grid, rates 1024..1087 (phase extent >= 1072) Filon-Clenshaw-Curtis
+    kf = 2 * np.pi / 3
+    for r0 in (1, 1024):
+        x = np.arange(r0, r0 + 64, dtype=float)
+        vals = integrate_oscillatory_batch(np.ones_like, x, 0.0, kf, QuadratureSpec(abs_tol=1e-13))
+        err = float(np.abs(vals - (np.exp(1j * kf * x) - 1.0) / (1j * x)).max())
+        assert err < 1e-12, f"rates {r0}..{r0 + 63}: error {err:.3e}"
 
 
 @check

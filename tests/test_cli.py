@@ -65,7 +65,7 @@ def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path
     cfg.write_text(
         "scenario = sweep-distance\nmodel = single_impurity\nepsilon0 = 1\n"
         "k_fl = 2*pi/3\nk_fr = pi/2\nell = 8\nd_over_ell_min = 20\nd_over_ell_max = 30\n"
-        "n_centers = 2\nwindow = 2\nfit_min_d_over_ell = 20\nmeasures = mi\nrenyi_orders = vn\n"
+        "n_centers = 2\nwindow = 3\nfit_min_d_over_ell = 20\nmeasures = mi\nrenyi_orders = vn\n"
         "max_panels = 16\n"
     )
     assert main(["sweep-distance", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1

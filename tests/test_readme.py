@@ -4,9 +4,11 @@ modules' ``__all__`` lists give exist."""
 import importlib
 import pkgutil
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import nessent
+from nessent.config import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +30,14 @@ def test_readme_references_and_module_exports_resolve():
         module = importlib.import_module(f"nessent.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"nessent.{info.name}.__all__ lists {missing}"
+
+
+def test_readme_config_keys_are_the_config_fields():
+    # the bullet list under "Config format": each bullet names its scenarios
+    # before the colon and its keys after it; parentheses hold values
+    section = README.read_text(encoding="utf-8").split("## Config format", 1)[1]
+    bullets = re.search(r"^\* .*?(?=\n\n)", section, re.M | re.S).group(0)
+    keys = set()
+    for bullet in re.split(r"^\* ", re.sub(r"\([^)]*\)", "", bullets), flags=re.M)[1:]:
+        keys.update(re.findall(r"`(\w+)`", bullet.split(":", 1)[1]))
+    assert keys == {f.name for f in fields(ExperimentConfig)} - {"raw"}

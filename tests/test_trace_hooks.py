@@ -20,7 +20,7 @@ measures = mi, ci, negativity
 renyi_orders = vn
 """
 
-# l = 4 at the two distances 8 and 9: a far matrix and two finite ones
+# l = 4 at the three distances 8, 9 and 10: a far matrix and three finite ones
 DISTANCE_CONFIG = """scenario = sweep-distance
 model = single_impurity
 epsilon0 = 1.0
@@ -30,7 +30,7 @@ ell = 4
 d_over_ell_min = 2
 d_over_ell_max = 2
 n_centers = 1
-window = 2
+window = 3
 measures = mi, negativity
 """
 
@@ -87,7 +87,7 @@ def test_traced_run_keeps_csv_bytes_and_opens_layer_spans(tmp_path):
 
 def test_traced_distance_sweep_keeps_csv_bytes_and_opens_finite_spans(tmp_path):
     spans = traced_spans(tmp_path, "sweep-distance", DISTANCE_CONFIG)
-    assert spans.count("correlation.finite") == 2
+    assert spans.count("correlation.finite") == 3
     assert spans.count("correlation.far") == 1
     for name in ("numerics.quad_batch", "entanglement.negativity"):
         assert spans.count(name) >= 1, f"span {name} never opened"
