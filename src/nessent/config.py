@@ -287,8 +287,10 @@ def parse_config(path, scenario: str | None = None) -> ExperimentConfig:
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"line {line}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+        # utf-8-sig reports exc.start in exc.object, the bytes after the BOM
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        at = exc.start + len(data) - len(exc.object)
+        raise ParseError(f"line {line}: not UTF-8 ({exc.reason} at byte {at})") from None
     return parse_config_text(text, scenario)
 
 

@@ -122,12 +122,15 @@ def test_parse_config_missing_required_key_names_it():
 def test_parse_config_unknown_key_and_scenario():
     with pytest.raises(ParseError, match="unknown key"):
         parse_config_text("scenario = selftest\nbogus = 1\n")
-    # the quadrature's relative target and panel order are fixed, not keys
-    for line in ("rel_tol = 0", "nodes_per_panel = 16"):
-        with pytest.raises(ParseError, match=f"line 2: unknown key '{line.split()[0]}'"):
-            parse_config_text(f"scenario = selftest\n{line}\n")
     with pytest.raises(ParseError, match="unknown scenario"):
         parse_config_text("scenario = sweep-everything\n")
+
+
+@pytest.mark.parametrize("key, value", [("rel_tol", "0"), ("nodes_per_panel", "16")])
+def test_parse_config_fixed_quadrature_settings_are_unknown_keys(key, value):
+    # the quadrature's relative target and panel order are fixed, not keys
+    with pytest.raises(ParseError, match=f"^line 2: unknown key '{key}'$"):
+        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
 
 
 def test_parse_config_scenario_mismatch():
@@ -300,6 +303,22 @@ def test_parse_config_non_utf8_byte_is_parse_error_naming_line(tmp_path):
     path = tmp_path / "latin1.cfg"
     path.write_bytes("scenario = selftest\n# \u00e9t\u00e9\nell = 3\n".encode("latin-1"))
     with pytest.raises(ParseError, match="^line 2: not UTF-8"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("data, line, at", [
+    (b"\xe9scenario = selftest\n", 1, 0),
+    (b"scenario = selftest\nell = 3\n# \xe9\n", 3, 30),
+    # utf-8-sig counts its offsets after the BOM: line 1, byte 4 before
+    (b"\xef\xbb\xbfscenario = selftest\n\xe9\n", 2, 23),
+    (b"\xef\xbb\xbfa\nb\n\xe9\n", 3, 7),
+    # a multi-byte sequence cut off at the end of the file
+    (b"scenario = selftest\n# \xc3", 2, 22),
+], ids=["first-byte", "third-line", "bom-second-line", "bom-short-lines", "truncated"])
+def test_parse_config_undecodable_byte_names_line_and_file_offset(tmp_path, data, line, at):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"^line {line}: not UTF-8 \(.* at byte {at}\)$"):
         parse_config(path)
 
 

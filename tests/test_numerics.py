@@ -144,6 +144,54 @@ def test_oscillatory_batch_filon_failure_names_degree_bound_and_error():
     assert 1e-12 < err < 1e-6
 
 
+@pytest.mark.parametrize("r0", [-40, 600], ids=["grid", "filon"])
+def test_oscillatory_batch_rows_have_the_bytes_they_have_alone(r0):
+    rates = np.arange(r0, r0 + 64)
+    fs = [lambda k: np.exp(0.3 * k) * np.cos(k), lambda k: 1.0 / (1.5 + k), np.ones_like]
+    rows = integrate_oscillatory_batch(lambda k: np.array([f(k) for f in fs]), rates, 0.0, 1.0, SPEC)
+    assert rows.shape == (3, 64)
+    for f, row in zip(fs, rows):
+        assert row.tobytes() == integrate_oscillatory_batch(f, rates, 0.0, 1.0, SPEC).tobytes()
+    assert np.abs(rows[0] - exp_cos_batch(rates, 0.0, 1.0)).max() < 1e-14
+
+
+def test_refine_accepts_each_row_at_its_first_passing_pair():
+    # row 0 agrees to 0.07 between sizes 4 and 8, row 1 only between 8 and
+    # 16; each keeps the finer estimate of the pair it passed, and every
+    # size is estimated once
+    calls = []
+
+    def estimate(n):
+        calls.append(n)
+        return [np.array([1.0 + 2.0**-n]), np.array([1.0 + 1.0 / n])]
+
+    out = num._refine(estimate, 4, 64, QuadratureSpec(abs_tol=0.07), "needs", str)
+    assert calls == [4, 8, 16]
+    assert out[0].tobytes() == np.array([1.0 + 2.0**-8]).tobytes()
+    assert out[1].tobytes() == np.array([1.0 + 1.0 / 16]).tobytes()
+
+
+def test_refine_first_pair_beyond_limit_raises_needs_without_estimating():
+    calls = []
+    with pytest.raises(NonConvergence, match="^needs 80, limit 64$"):
+        num._refine(lambda n: calls.append(n), 40, 64, SPEC, "needs 80, limit 64", str)
+    assert calls == []
+
+
+def test_refine_failure_reports_the_error_of_the_last_pair():
+    # sizes 4..64: the last pair is (32, 64), where the pending row moves by
+    # 1/96 - 1/192; row 1 passes at once and does not count
+    calls = []
+
+    def estimate(n):
+        calls.append(n)
+        return [np.array([1.0 / (3 * n), 0.0]), np.array([2.0])]
+
+    with pytest.raises(NonConvergence, match=r"^batch error 5\.208e-03 above target with size 64$"):
+        num._refine(estimate, 4, 64, SPEC, "needs", lambda n: f"size {n}")
+    assert calls == [4, 8, 16, 32, 64]
+
+
 KINK_CHILD = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
