@@ -40,10 +40,14 @@ The moments depend only on the window and the rates, so a batch of several
 integrands on one window block (f_smooth returning one row per integrand)
 runs one recurrence per degree for all of them; each integrand keeps its
 own acceptance test and arithmetic, so its values have the bytes they have
-alone.  Nothing keeps the moments beyond the batch.  When no degree passes,
-the batch raises NonConvergence naming the last degree, the bound that
-stopped it and the error of the last pair; it is not handed to the grid,
-whose own failure names its panel count.
+alone.  Nothing keeps the moments beyond the batch.  An integrand that no
+degree within these bounds brings to the target goes to the Gauss-Legendre
+grid, which raises NonConvergence on its panel budget.  That happens when f
+has a pole close to the window: t(k) = sin k/(sin k + i c), c =
+epsilon0/(2 eta), has one at distance about c from k = 0, where the
+windows L and R start, and at epsilon0 = 0.02 or 0.05 the Fig. S2
+distance sweep has blocks whose Chebyshev degree passes the stability
+bound.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
@@ -315,17 +319,20 @@ def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
     return mu
 
 
-def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str, size) -> list:
+def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str | None = None, size=None) -> list | None:
     """The rows of estimate(n), each checked against its row of estimate(2 n)
     and accepted with the latter once every rate agrees to spec.abs_tol, n
     doubling while 2 n <= limit: the refinement loop of both table rules.
 
-    NonConvergence(needs) when not even the first pair fits the limit; when
-    rows are still pending at it, NonConvergence naming size(n) of the last
-    estimate and the largest |fine - coarse| of a pending row in the last
-    pair.
+    Without needs, a row still pending at the limit is None, and the result
+    is None when not even the first pair fits it.  With needs, the first
+    case raises NonConvergence(needs) and the second NonConvergence naming
+    size(n) of the last estimate and the largest |fine - coarse| of a
+    pending row in the last pair.
     """
     if 2 * n > limit:
+        if needs is None:
+            return None
         raise NonConvergence(needs)
     coarse = estimate(n)
     out = [None] * len(coarse)
@@ -338,13 +345,17 @@ def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str, size
             return out
         n *= 2
         if 2 * n > limit:
+            if needs is None:
+                return out
             err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
             raise NonConvergence(f"batch error {err:.3e} above target with {size(n)}")
         coarse = fine
 
 
-def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
-    """Filon-Clenshaw-Curtis integrals of each row of the batch.
+def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list | None:
+    """Filon-Clenshaw-Curtis integrals of each row of the batch, None for a
+    row that no degree within the bounds brings to the target and for the
+    whole batch when not even the first pair of degrees fits them.
 
     With h = (b - a)/2 and m = (a + b)/2, each row of rows(m + h x) is
     interpolated by sum c_n T_n(x) on Chebyshev points and each T_n is
@@ -370,14 +381,9 @@ def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpe
         x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
         return [scale * (_dct(row) @ mu[: n + 1]) for row in rows(mid + half * x)]
 
-    budget = spec.max_panels * PANEL_NODES
-    bound = f"node budget {budget}" if budget - 1 < omega_min else f"stability bound {omega_min:g}"
     # PANEL_NODES per unit of width, rounded to a power-of-two multiple
     n = PANEL_NODES * 2 ** max(0, int(np.rint(np.log2(b - a))))
-    return _refine(
-        estimate, n, min(int(omega_min), budget - 1), spec,
-        f"batch with phase extent {omega_min:g} needs degree {2 * n}, {bound}", lambda m: f"degree {m}, {bound}",
-    )
+    return _refine(estimate, n, min(int(omega_min), spec.max_panels * PANEL_NODES - 1), spec)
 
 
 def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
@@ -421,11 +427,12 @@ def integrate_oscillatory_batch(
     rate has a phase extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE,
     it takes the Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does
     not grow with the rate; a row that no degree within its bounds brings to
-    the target raises NonConvergence.  Otherwise all rates share one
-    composite Gauss-Legendre grid sized for the fastest phase (so every rate
-    gets at least PANEL_NODES nodes per period) and a single evaluation of
-    f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k)
-    once per node, then one complex multiply per further rate.
+    the target goes to the grid alone, its company keeping their Filon
+    values.  Otherwise all rates share one composite Gauss-Legendre grid
+    sized for the fastest phase (so every rate gets at least PANEL_NODES
+    nodes per period) and a single evaluation of f_smooth.  The phases
+    follow by recurrence: exp(i*r0*k) and exp(i*k) once per node, then one
+    complex multiply per further rate.
     """
     rates = np.asarray(phase_rates, dtype=float)
     if rates.size == 0:
@@ -443,8 +450,15 @@ def integrate_oscillatory_batch(
         shape[:] = vals.shape[:-1]
         return vals.reshape(-1, k.size)
 
-    rule = _filon_rows if float(np.abs(rates).min()) * (0.5 * (b - a)) >= FILON_MIN_PHASE else _grid_rows
-    return np.array(rule(rows, rates, a, b, spec)).reshape(tuple(shape) + rates.shape)
+    filon = float(np.abs(rates).min()) * (0.5 * (b - a)) >= FILON_MIN_PHASE
+    out = _filon_rows(rows, rates, a, b, spec) if filon else None
+    if out is None:
+        out = _grid_rows(rows, rates, a, b, spec)
+    pending = [i for i, v in enumerate(out) if v is None]
+    if pending:
+        for i, v in zip(pending, _grid_rows(lambda k: rows(k)[pending], rates, a, b, spec)):
+            out[i] = v
+    return np.array(out).reshape(tuple(shape) + rates.shape)
 
 
 def check_hermitian(m: np.ndarray) -> None:

@@ -298,23 +298,17 @@ def test_parse_config_accepts_utf8_byte_order_mark(tmp_path):
     assert (cfg.scenario, cfg.ell) == ("selftest", 3)
 
 
-def test_parse_config_non_utf8_byte_is_parse_error_naming_line(tmp_path):
-    # a Latin-1 byte escaped as UnicodeDecodeError
-    path = tmp_path / "latin1.cfg"
-    path.write_bytes("scenario = selftest\n# \u00e9t\u00e9\nell = 3\n".encode("latin-1"))
-    with pytest.raises(ParseError, match="^line 2: not UTF-8"):
-        parse_config(path)
-
-
 @pytest.mark.parametrize("data, line, at", [
     (b"\xe9scenario = selftest\n", 1, 0),
     (b"scenario = selftest\nell = 3\n# \xe9\n", 3, 30),
+    # a Latin-1 file: each \u00e9 is the one byte 0xe9
+    ("scenario = selftest\n# \u00e9t\u00e9\nell = 3\n".encode("latin-1"), 2, 22),
     # utf-8-sig counts its offsets after the BOM: line 1, byte 4 before
     (b"\xef\xbb\xbfscenario = selftest\n\xe9\n", 2, 23),
     (b"\xef\xbb\xbfa\nb\n\xe9\n", 3, 7),
     # a multi-byte sequence cut off at the end of the file
     (b"scenario = selftest\n# \xc3", 2, 22),
-], ids=["first-byte", "third-line", "bom-second-line", "bom-short-lines", "truncated"])
+], ids=["first-byte", "third-line", "latin-1", "bom-second-line", "bom-short-lines", "truncated"])
 def test_parse_config_undecodable_byte_names_line_and_file_offset(tmp_path, data, line, at):
     path = tmp_path / "bad.cfg"
     path.write_bytes(data)
@@ -774,6 +768,33 @@ def test_distance_sweep_runs_one_moment_recurrence_per_window_block_and_degree(m
     for block in shared:
         omega = np.arange(64 * block, 64 * (block + 1), dtype=float) * (0.5 * K_FR)
         assert omega.tobytes() in {omega for omega, _ in runs}
+
+
+@pytest.mark.parametrize("epsilon0", [0.02, 0.05])
+def test_distance_sweep_hands_near_pole_filon_blocks_to_the_grid(monkeypatch, epsilon0):
+    # t(k) has a pole about epsilon0/2 from k = 0, where the windows L and R
+    # start; at d = 200 some blocks above the Filon-Clenshaw-Curtis switch
+    # pass its stability bound short of the target, and the Gauss-Legendre
+    # grid fills them
+    import nessent.numerics as num
+
+    handed = []
+    grid_rows = num._grid_rows
+
+    def counted(rows, rates, a, b, spec):
+        if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
+            handed.append(rates[0])
+        return grid_rows(rows, rates, a, b, spec)
+
+    monkeypatch.setattr(num, "_grid_rows", counted)
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=50, d_over_ell_max=50, n_centers=1, window=3, measures=("mi", "negativity"),
+    )
+    _, rows = run_sweep_distance(cfg)
+    assert handed
+    points = rows_of(rows, row_type="point")
+    assert points and all(np.isfinite(row["value"]) for row in points)
 
 
 def position_config(**overrides):

@@ -1,5 +1,4 @@
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,34 +124,42 @@ def test_oscillatory_batch_rule_switches_at_filon_min_phase(r0, filon):
     assert sizes == [16 * 2**j + 1 for j in range(len(sizes))]
 
 
-def test_oscillatory_batch_filon_failure_names_degree_bound_and_error():
-    # a Filon-Clenshaw-Curtis block that no degree brings to the target
-    # fails; it is not handed to the Gauss-Legendre grid
+def test_oscillatory_batch_filon_falls_back_to_gauss_legendre_budget():
     rates = np.arange(4000, 4064)
     f = lambda k: np.exp(0.3 * k) * np.cos(k)
-    # one panel of 16 nodes: not even the first pair of degrees, 16 and 32, fits
-    with pytest.raises(NonConvergence, match="phase extent 2000 needs degree 32, node budget 16$"):
+    # one panel of 16 nodes: no Chebyshev degree fits, and the grid needs hundreds
+    with pytest.raises(NonConvergence, match="needs"):
         integrate_oscillatory_batch(f, rates, 0.0, 1.0, QuadratureSpec(abs_tol=1e-12, max_panels=1))
-    # a kink is not resolved by any Chebyshev degree within the stability
-    # bound (2N <= 2000); the error reported is that of the last pair
+    # a kink is not resolved by any Chebyshev degree within the stability bound
+    # (2N <= 2000), so the block is handed to the grid
     sizes = []
     kink = lambda k: np.abs(k - 0.5)
-    with pytest.raises(NonConvergence, match="above target with degree 1024, stability bound 2000$") as failure:
-        integrate_oscillatory_batch(recorded(kink, sizes), rates, 0.0, 1.0, SPEC)
-    assert sizes == [16 * 2**j + 1 for j in range(7)]
-    err = float(str(failure.value).split()[2])
-    assert 1e-12 < err < 1e-6
+    vals = integrate_oscillatory_batch(recorded(kink, sizes), rates, 0.0, 1.0, SPEC)
+    assert sizes[:7] == [16 * 2**j + 1 for j in range(7)] and max(sizes) > 10_000
+    fine = QuadratureSpec(abs_tol=1e-13, max_panels=5000)
+    exact = [integrate_oscillatory(kink, r, 0.0, 1.0, fine) for r in (4000, 4063)]
+    assert np.abs(vals[[0, -1]] - exact).max() < 1e-11
 
 
-@pytest.mark.parametrize("r0", [-40, 600], ids=["grid", "filon"])
-def test_oscillatory_batch_rows_have_the_bytes_they_have_alone(r0):
-    rates = np.arange(r0, r0 + 64)
-    fs = [lambda k: np.exp(0.3 * k) * np.cos(k), lambda k: 1.0 / (1.5 + k), np.ones_like]
-    rows = integrate_oscillatory_batch(lambda k: np.array([f(k) for f in fs]), rates, 0.0, 1.0, SPEC)
-    assert rows.shape == (3, 64)
-    for f, row in zip(fs, rows):
-        assert row.tobytes() == integrate_oscillatory_batch(f, rates, 0.0, 1.0, SPEC).tobytes()
-    assert np.abs(rows[0] - exp_cos_batch(rates, 0.0, 1.0)).max() < 1e-14
+def test_oscillatory_batch_hands_only_failing_rows_to_the_grid():
+    # t(k) = sin k/(sin k + i c) has a pole about c from k = 0.  At c = 0.01
+    # (epsilon0 = 0.02, eta = 1) on [0, 2 pi/3], as on the window L of the
+    # Fig. S2 sweep, rates 256.. have phase extent 268 and no degree within
+    # the stability bound (2N <= 268) reaches the target, so that row goes to
+    # the grid; the smooth row in its company keeps its Filon bytes
+    a, b = 0.0, 2 * np.pi / 3
+    rates = np.arange(256, 320)
+    smooth = lambda k: np.exp(0.3 * k) * np.cos(k)
+    pole = lambda k: np.sin(k) / (np.sin(k) + 0.01j)
+    sizes = []
+    rows = integrate_oscillatory_batch(recorded(lambda k: np.array([smooth(k), pole(k)]), sizes), rates, a, b, SPEC)
+    assert sizes[:4] == [33, 65, 129, 257] and max(sizes) > 1000
+    for f, row in zip([smooth, pole], rows):
+        assert row.tobytes() == integrate_oscillatory_batch(f, rates, a, b, SPEC).tobytes()
+    assert np.abs(rows[0] - exp_cos_batch(rates, a, b)).max() < 1e-14
+    fine = QuadratureSpec(abs_tol=1e-13, max_panels=5000)
+    exact = [integrate_oscillatory(pole, r, a, b, fine) for r in (256, 319)]
+    assert np.abs(rows[1, [0, -1]] - exact).max() < 1e-11
 
 
 def test_refine_accepts_each_row_at_its_first_passing_pair():
@@ -175,6 +182,8 @@ def test_refine_first_pair_beyond_limit_raises_needs_without_estimating():
     calls = []
     with pytest.raises(NonConvergence, match="^needs 80, limit 64$"):
         num._refine(lambda n: calls.append(n), 40, 64, SPEC, "needs 80, limit 64", str)
+    # without needs, the result is None
+    assert num._refine(lambda n: calls.append(n), 40, 64, SPEC) is None
     assert calls == []
 
 
@@ -190,6 +199,9 @@ def test_refine_failure_reports_the_error_of_the_last_pair():
     with pytest.raises(NonConvergence, match=r"^batch error 5\.208e-03 above target with size 64$"):
         num._refine(estimate, 4, 64, SPEC, "needs", lambda n: f"size {n}")
     assert calls == [4, 8, 16, 32, 64]
+    # without needs, the pending row is None and the other keeps its value
+    out = num._refine(estimate, 4, 64, SPEC)
+    assert out[0] is None and out[1].tobytes() == np.array([2.0]).tobytes()
 
 
 KINK_CHILD = """
@@ -214,7 +226,8 @@ except NonConvergence as exc:
 def test_oscillatory_batch_kink_runs_filon_degrees_in_linear_memory():
     # |k - 1/2| has Chebyshev coefficients that fall only as n^-2, so at
     # rates 70000.. on [0, 1] (phase extent 35000) Filon-Clenshaw-Curtis
-    # doubles N up to its stability bound, 2N = 32768, and fails there.  A
+    # doubles N up to its stability bound, 2N = 32768, and the
+    # Gauss-Legendre grid then needs 22304 panels of a budget of 20000.  A
     # child capped at 1 GiB of address space runs it: a transform that is not
     # linear in memory per degree, such as a dense (N + 1)^2 DCT matrix
     # (2.1 GB at N = 16384), fails there as MemoryError without exhausting
@@ -223,10 +236,7 @@ def test_oscillatory_batch_kink_runs_filon_degrees_in_linear_memory():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", KINK_CHILD], env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    size, message = run.stdout.strip().split(" ", 1)
-    assert size == "32769"
-    failure = re.fullmatch(r"batch error (\S+) above target with degree 32768, stability bound 35000", message)
-    assert failure and float(failure[1]) > 0
+    assert run.stdout.strip() == "32769 batch with max rate 70063 needs 22304 panels, budget is 20000"
 
 
 def test_oscillatory_panel_budget_raises():
