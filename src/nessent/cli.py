@@ -5,9 +5,8 @@ Usage:
     nessent selftest
 
 Scenarios: sweep-length, sweep-position, sweep-bias, sweep-distance,
-eval-asymptotics, selftest.  The default thread count comes from the
-NESSENT_THREADS environment variable (1 if unset); --threads and the config
-file's ``threads`` key override it, in that order of precedence (flag wins).
+eval-asymptotics, selftest.  The worker-pool size is --threads if given,
+else the config file's ``threads`` key, else 1.
 
 Exit status is 0 iff every computation converged; on failure a single
 machine-readable line ``error kind=<Type> message="..."`` goes to stderr.
@@ -16,19 +15,10 @@ machine-readable line ``error kind=<Type> message="..."`` goes to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import SCENARIOS, ExperimentConfig, ParseError, emit_csv, parse_config
 from .experiments import run_scenario
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("NESSENT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,8 +44,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.threads < 1:
                 raise ParseError(f"--threads must be at least 1, got {args.threads}")
             config.threads = args.threads
-        elif "threads" not in config.raw:
-            config.threads = _default_threads()
         out_path = args.out or config.out
         if out_path is None:
             raise ParseError("no output path: pass --out or set 'out' in the config")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .entanglement import renyi_index
@@ -129,7 +129,6 @@ class ExperimentConfig:
     n_centers: int = 24
     window: int | str = "auto"
     fit_min_d_over_ell: float = 4.0
-    raw: dict[str, str] = field(default_factory=dict)
 
     def build_model(self) -> ScatteringModel:
         if self.model == "single_impurity":
@@ -148,8 +147,8 @@ class ExperimentConfig:
 
 
 #: every config key is an ExperimentConfig field, parsed by its declared
-#: type unless parse_config_text names it; ``raw`` keeps the text
-_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig) if f.name != "raw"}
+#: type unless parse_config_text names it
+_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "sweep-length": ("k_fl", "k_fr", "ell_min", "ell_max"),
@@ -183,13 +182,16 @@ _RANGES = {
     "dk_list": ("a non-empty list with every k_fr + dk in (0, pi)",
                 lambda c: len(c.dk_list) > 0 and all(0.0 < c.k_fr + dk < math.pi for dk in c.dk_list)),
     # constant-T amplitudes give no valid finite-distance state (C exceeds I)
-    "model": ("single_impurity or trivial for sweep-distance",
-              lambda c: c.scenario != "sweep-distance" or c.model != "constant"),
+    "model": ("single_impurity, constant or trivial, and single_impurity or trivial for sweep-distance",
+              lambda c: c.model in ("single_impurity", "trivial")
+              or (c.model == "constant" and c.scenario != "sweep-distance")),
     # sweep-distance computes von Neumann MI and the negativity only
-    "measures": ("mi or negativity for sweep-distance",
-                 lambda c: c.scenario != "sweep-distance" or set(c.measures) <= {"mi", "negativity"}),
-    "renyi_orders": ("vn for sweep-distance",
-                     lambda c: c.scenario != "sweep-distance" or all(renyi_index(o) == 1.0 for o in c.renyi_orders)),
+    "measures": ("non-empty, and mi or negativity for sweep-distance",
+                 lambda c: len(c.measures) > 0
+                 and (c.scenario != "sweep-distance" or set(c.measures) <= {"mi", "negativity"})),
+    "renyi_orders": ("non-empty, and vn for sweep-distance",
+                     lambda c: len(c.renyi_orders) > 0
+                     and (c.scenario != "sweep-distance" or all(renyi_index(o) == 1.0 for o in c.renyi_orders))),
     "ell": ("at least 1", lambda c: c.ell >= 1),
     "d_over_ell_min": ("such that d_over_ell_min * ell rounds to at least 1",
                        lambda c: round(c.d_over_ell_min * c.ell) >= 1),
@@ -224,7 +226,7 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     if scenario not in SCENARIOS:
         raise ParseError(f"unknown scenario {scenario!r}")
 
-    cfg = ExperimentConfig(scenario=scenario, raw=dict(pairs))
+    cfg = ExperimentConfig(scenario=scenario)
     for key, value in pairs.items():
         where = f"key {key!r}"
         if key == "dk_list":
@@ -271,12 +273,6 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
     for key, (rule, holds) in _RANGES.items():
         if key in pairs and not holds(cfg):
             raise ParseError(f"key {key!r}: must be {rule}, got {pairs[key]!r}")
-    if cfg.model not in ("single_impurity", "constant", "trivial"):
-        raise ParseError(f"unknown model {cfg.model!r}")
-    if not cfg.measures:
-        raise ParseError("measure list must be non-empty")
-    if cfg.scenario != "selftest" and not cfg.renyi_orders:
-        raise ParseError("renyi_orders must be non-empty")
     return cfg
 
 
@@ -302,7 +298,8 @@ def format_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".12g")
+        # + 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+        return format(value + 0.0, ".12g")
     return str(value)
 
 

@@ -109,19 +109,18 @@ FOLD_TOL = 1e-14
 class SubsystemGeometry:
     """Distances and lengths of the two intervals, counted from the scatterer.
 
-    A_L holds the sites -(m0+d_l+1) .. -(m0+d_l+ell_l) and A_R the sites
-    +(m0+d_r+1) .. +(m0+d_r+ell_r).
+    The scatterer sits at site 0; A_L holds the sites -(d_l+1) .. -(d_l+ell_l)
+    and A_R the sites d_r+1 .. d_r+ell_r.
     """
 
-    m0: int = 0
     d_l: int = 0
     ell_l: int = 1
     d_r: int = 0
     ell_r: int = 1
 
     def __post_init__(self) -> None:
-        if self.m0 < 0 or self.d_l < 0 or self.d_r < 0:
-            raise ValueError("m0 and distances must be non-negative")
+        if self.d_l < 0 or self.d_r < 0:
+            raise ValueError("distances must be non-negative")
         if self.ell_l < 1 or self.ell_r < 1:
             raise ValueError("interval lengths must be at least 1")
 
@@ -150,12 +149,10 @@ class SubsystemGeometry:
         return self.d_l == self.d_r and self.ell_l == self.ell_r
 
     def sites_left(self) -> tuple[int, ...]:
-        base = self.m0 + self.d_l
-        return tuple(-(base + j) for j in range(1, self.ell_l + 1))
+        return tuple(-(self.d_l + j) for j in range(1, self.ell_l + 1))
 
     def sites_right(self) -> tuple[int, ...]:
-        base = self.m0 + self.d_r
-        return tuple(base + j for j in range(1, self.ell_r + 1))
+        return tuple(self.d_r + j for j in range(1, self.ell_r + 1))
 
 
 @dataclass(frozen=True)
@@ -365,15 +362,15 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
     The far-limit matrix of the same d_l - d_r and lengths
     (``correlation_matrix_far``; the builder keeps the last one, a pure
     function of d_l - d_r and the lengths) plus the four
-    Hankel terms of <c_j^dag c_m> for j and m outside the scattering region,
+    Hankel terms of <c_j^dag c_m> for j and m off the scatterer's site,
     read after one prefetch of all their table blocks.  Their rates grow
     with the distance; window "R" holds the right-incoming states after the
-    substitution k -> -k, which conjugates every exponent.  With
-    b_l = m0 + d_l, b_r = m0 + d_r and sites j, m counted from 1:
+    substitution k -> -k, which conjugates every exponent.  With sites j, m
+    counted from 1:
 
-        within A_R:  2 Re W(R, rR, 2 b_r + j + m)
-        within A_L:  2 Re W(L, rL, 2 b_l + j + m)
-        A_R row j, A_L column m:  W(L, tLc, -s) + W(R, tR, s),  s = b_l + b_r + j + m
+        within A_R:  2 Re W(R, rR, 2 d_r + j + m)
+        within A_L:  2 Re W(L, rL, 2 d_l + j + m)
+        A_R row j, A_L column m:  W(L, tLc, -s) + W(R, tR, s),  s = d_l + d_r + j + m
 
     (a diagonal term stands for itself and its conjugate partner, the
     conjugate factor at the opposite rate).  Hermitian by construction: the
@@ -390,11 +387,11 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
         far = correlation_matrix_far(builder, geom)
         # one assignment: a thread reads the last pair or the one before it
         builder._far_matrix = (key, far)
-    b_l, b_r, nl, nr = geom.m0 + geom.d_l, geom.m0 + geom.d_r, geom.ell_l, geom.ell_r
-    cross = np.arange(b_l + b_r + 2, b_l + b_r + nl + nr + 1)
+    d_l, d_r, nl, nr = geom.d_l, geom.d_r, geom.ell_l, geom.ell_r
+    cross = np.arange(d_l + d_r + 2, d_l + d_r + nl + nr + 1)
     reads = (
-        ("R", "rR", np.arange(2 * b_r + 2, 2 * b_r + 2 * nr + 1)),
-        ("L", "rL", np.arange(2 * b_l + 2, 2 * b_l + 2 * nl + 1)),
+        ("R", "rR", np.arange(2 * d_r + 2, 2 * d_r + 2 * nr + 1)),
+        ("L", "rL", np.arange(2 * d_l + 2, 2 * d_l + 2 * nl + 1)),
         ("L", "tLc", -cross),
         ("R", "tR", cross),
     )

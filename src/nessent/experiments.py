@@ -28,7 +28,7 @@ from functools import cache
 import numpy as np
 
 from . import asymptotics as asy
-from .config import ExperimentConfig, order_label
+from .config import ExperimentConfig, format_value, order_label
 from .correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
@@ -301,7 +301,7 @@ def _mirrors_have_parity(builder: CorrelationBuilder, partners: list[tuple[str, 
 
 def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, driver_key: str | None):
     """Far-limit matrices and measures at each sweep coordinate, then one fit
-    row per series; ``point(model, coord)`` gives the geometry and the
+    row per series; ``point(coord)`` gives the geometry and the
     coordinate columns of a point.  The first point of each mirror pair in
     input order is solved; the second copies its numeric values, kept as
     plain floats, when the pair's W_X values have parity, and is solved too
@@ -310,7 +310,7 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     bias = config.build_bias()
     builder = CorrelationBuilder(model, bias, _entry_spec(config))
     series = list(_series(config))
-    placed = [point(model, coord) for coord in coords]
+    placed = [point(coord) for coord in coords]
     first: dict[tuple[int, int, int], int] = {}
     reps = [first.setdefault(_mirror_key(geom), i) for i, (geom, _) in enumerate(placed)]
 
@@ -337,8 +337,8 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
 def run_sweep_length(config: ExperimentConfig) -> tuple[list[str], list[dict]]:
     """Symmetric far-limit sweep over the interval length (Fig. 2 layout)."""
 
-    def point(model: ScatteringModel, ell: int):
-        geom = SubsystemGeometry(model.m0, 0, ell, 0, ell)
+    def point(ell: int):
+        geom = SubsystemGeometry(0, ell, 0, ell)
         return geom, {"ell": ell, "ell_mirror": geom.ell_mirror}
 
     ells = list(range(config.ell_min, config.ell_max + 1, config.ell_step))
@@ -358,8 +358,8 @@ def run_sweep_position(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     deltas = list(range(config.delta_min, config.delta_max + 1, config.delta_step))
     shift = max(0, -min(deltas))
 
-    def point(model: ScatteringModel, delta: int):
-        geom = SubsystemGeometry(model.m0, shift + delta, config.ell_l, shift, config.ell_r)
+    def point(delta: int):
+        geom = SubsystemGeometry(shift + delta, config.ell_l, shift, config.ell_r)
         return geom, {"delta": delta, "ell_mirror": geom.ell_mirror, "regime": _position_regime(geom)}
 
     return _far_sweep(config, "delta", deltas, point, None)
@@ -442,11 +442,11 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
 
     builder = CorrelationBuilder(model, bias, _entry_spec(config))
     with _failure_at("far limit"):
-        far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(model.m0, 0, ell, 0, ell)))
+        far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell)))
 
     def one_distance(d: int) -> dict[str, float]:
         with _failure_at(f"d={d}"):
-            return measured(correlation_matrix_finite(builder, SubsystemGeometry(model.m0, d, ell, d, ell)))
+            return measured(correlation_matrix_finite(builder, SubsystemGeometry(d, ell, d, ell)))
 
     distances = sorted({d for center in centers for d in range(center, center + window)})
     by_distance = dict(zip(distances, _map_ordered(one_distance, distances, config.threads)))
@@ -501,13 +501,13 @@ def run_eval_asymptotics(config: ExperimentConfig) -> tuple[list[str], list[dict
     """Closed-form predictions for one geometry, no numerics."""
     model = config.build_model()
     bias = config.build_bias()
-    geom = SubsystemGeometry(model.m0, config.d_l, config.ell_l, config.d_r, config.ell_r)
+    geom = SubsystemGeometry(config.d_l, config.ell_l, config.d_r, config.ell_r)
     rows: list[dict] = []
     for measure, order, label in _series(config):
         pred = _prediction(model, bias, geom, measure, order)
         if pred is None:
             continue
-        kernels = ";".join(f"{k}={format(v, '.12g')}" for k, v in sorted(pred.kernel_values.items()))
+        kernels = ";".join(f"{k}={format_value(v)}" for k, v in sorted(pred.kernel_values.items()))
         rows.append(
             {"measure": measure, "order": label, "ell_mirror": geom.ell_mirror,
              "linear": pred.linear_term, "log": pred.log_term,

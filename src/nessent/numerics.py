@@ -144,24 +144,15 @@ def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
     return (vals @ w) * half
 
 
-def _graded_edges(a: float, b: float, left: bool, right: bool, levels: int = 44) -> np.ndarray:
-    """Panel edges geometrically refined toward singular endpoints.
+def _graded_edges(a: float, b: float) -> np.ndarray:
+    """Panel edges geometrically refined toward a singular left endpoint.
 
-    Each level halves the distance to the endpoint; 44 levels push the
-    innermost panel to ~6e-14 of the range, deep enough for the tolerances
-    in use while keeping nodes representable away from the endpoint.
+    Each level halves the distance to a; 44 levels push the innermost
+    panel to ~6e-14 of the range, deep enough for the tolerances in use
+    while keeping nodes representable away from the endpoint.
     """
-    if not (left or right):
-        return np.array([a, b])
-    if left and right:
-        m = 0.5 * (a + b)
-        lo = _graded_edges(a, m, True, False, levels)
-        hi = _graded_edges(m, b, False, True, levels)
-        return np.concatenate([lo, hi[1:]])
-    frac = np.concatenate([[0.0], 2.0 ** np.arange(-levels, 1, dtype=float)])
-    if left:
-        return a + (b - a) * frac
-    return b - (b - a) * frac[::-1]
+    frac = np.concatenate([[0.0], 2.0 ** np.arange(-44, 1, dtype=float)])
+    return a + (b - a) * frac
 
 
 def _adaptive(f, edges: np.ndarray, spec: QuadratureSpec) -> complex:
@@ -222,20 +213,19 @@ def integrate(
     spec: QuadratureSpec = DEFAULT_SPEC,
     *,
     singular_left: bool = False,
-    singular_right: bool = False,
 ) -> complex:
     """Integral of f over [a, b].
 
     f must accept a numpy array of abscissae and return values elementwise
-    (real or complex).  Set singular_left / singular_right when the
-    integrand has an integrable singularity at that endpoint; the initial
-    partition is then geometrically graded toward it.
+    (real or complex).  Set singular_left when the integrand has an
+    integrable singularity at a; the initial partition is then
+    geometrically graded toward it.
     """
     if a > b:
         raise ValueError("integrate requires a <= b")
     if a == b:
         return 0.0 + 0.0j
-    edges = _graded_edges(a, b, singular_left, singular_right)
+    edges = _graded_edges(a, b) if singular_left else np.array([a, b])
     return _adaptive(f, edges, spec)
 
 

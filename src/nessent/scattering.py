@@ -68,10 +68,10 @@ class SMatrix:
 
 
 class ScatteringModel:
-    """Base class.  Subclasses implement ``amplitudes`` for array momenta."""
+    """Base class for a scatterer at site 0.
 
-    #: half-width of the scattering region; sites with |m| <= m0 are inside it
-    m0: int = 0
+    Subclasses implement ``amplitudes`` for array momenta.
+    """
 
     def amplitudes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(r_l, t_r, t_l, r_r) broadcast over an array of momenta in (0, pi)."""
@@ -171,8 +171,8 @@ def wavefunction(model: ScatteringModel, k, m: int):
     """Scattering-state amplitude at site m for signed momentum k.
 
     Positive k labels the state incoming from the left reservoir, negative k
-    the state incoming from the right.  Valid outside the scattering region
-    only (|m| > m0).  k may be an array of momenta of one sign.
+    the state incoming from the right.  Valid off the scatterer's site only
+    (m != 0).  k may be an array of momenta of one sign.
     """
     karr = np.asarray(k, dtype=float)
     if karr.size == 0:
@@ -182,8 +182,8 @@ def wavefunction(model: ScatteringModel, k, m: int):
     sign = np.sign(karr.flat[0])
     if np.any(np.sign(karr) != sign):
         raise DomainError("mixed-sign momentum arrays are not supported")
-    if abs(m) <= model.m0:
-        raise DomainError(f"site {m} lies inside the scattering region (m0={model.m0})")
+    if m == 0:
+        raise DomainError("site 0 is the scatterer's site")
     r_l, t_r, t_l, r_r = model.amplitudes(np.abs(karr))
     phase = np.exp(1j * karr * m)
     if m > 0:

@@ -113,7 +113,7 @@ def oscillatory_batch_closed_form():
 def far_cross_block_zero_without_window():
     model = SingleImpurity(1.0)
     bias = BiasState(np.pi / 2, np.pi / 2)
-    geom = SubsystemGeometry(0, 3, 5, 3, 5)
+    geom = SubsystemGeometry(3, 5, 3, 5)
     cmat = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
     assert np.abs(cmat.cross_block()).max() == 0.0
 
@@ -122,7 +122,7 @@ def far_cross_block_zero_without_window():
 def far_matrix_spectrum_in_unit_interval():
     model = SingleImpurity(1.0)
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    geom = SubsystemGeometry(0, 0, 24, 0, 24)
+    geom = SubsystemGeometry(0, 24, 0, 24)
     cmat = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
     nu = np.linalg.eigvalsh(cmat.matrix)  # unclamped: occupation_spectrum clips to [0, 1]
     assert nu.min() > -1e-8 and nu.max() < 1 + 1e-8, f"spectrum [{nu.min()}, {nu.max()}]"
@@ -194,8 +194,8 @@ def renyi_continuity_near_one():
 def prediction_relabeling_invariance():
     model = SingleImpurity(1.0)
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    geom = SubsystemGeometry(0, 7, 40, 3, 60)
-    mirrored = SubsystemGeometry(0, 3, 60, 7, 40)
+    geom = SubsystemGeometry(7, 40, 3, 60)
+    mirrored = SubsystemGeometry(3, 60, 7, 40)
     for order in ("vn", 2.0):
         a = asy.mi_prediction(model, bias, geom, order)
         b = asy.mi_prediction(model, bias, mirrored, order)
@@ -208,7 +208,7 @@ def entropy_assembly_matches_mi():
     model = SingleImpurity(1.0)
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
     ell = 80
-    geom = SubsystemGeometry(0, 5, ell, 5, ell)
+    geom = SubsystemGeometry(5, ell, 5, ell)
     mi = asy.mi_prediction(model, bias, geom, 2.0)
     s_l = asy.contiguous_entropy_prediction(model, bias, ell, "L", 2.0)
     s_r = asy.contiguous_entropy_prediction(model, bias, ell, "R", 2.0)
@@ -217,7 +217,7 @@ def entropy_assembly_matches_mi():
     assert abs((s_l.linear_term + s_r.linear_term) - mi.linear_term) < 1e-10
 
 
-def run_selftest(verbose_print=print) -> bool:
+def run_selftest() -> bool:
     """Run every registered property; returns True when all pass."""
     ok = True
     for fn in CHECKS:
@@ -226,10 +226,10 @@ def run_selftest(verbose_print=print) -> bool:
             fn()
         except AssertionError as exc:
             ok = False
-            verbose_print(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         except Exception as exc:  # noqa: BLE001 - report, keep going
             ok = False
-            verbose_print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
         else:
-            verbose_print(f"PASS {name}")
+            print(f"PASS {name}")
     return ok

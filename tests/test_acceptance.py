@@ -184,7 +184,7 @@ def test_criterion_06_symmetric_union_entropy_log_law():
     ells = [50, 80, 120, 180, 260, 400]
     s_a = []
     for ell in ells:
-        cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, ell, 0, ell))
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell))
         s_a.append(entropy(occupation_spectrum(cm)[0], "vn"))
     coef = float(np.polyfit(np.log(ells), s_a, 1)[0])
     rel = abs(coef - 2.0 / 3.0) / (2.0 / 3.0)
@@ -270,7 +270,7 @@ def test_criterion_09_order_one_continuity():
         bias = BiasState(float(ks[1]), float(ks[0]))
         ell = int(rng.integers(8, 25))
         delta = int(rng.integers(-4, 5))
-        geom = SubsystemGeometry(0, max(0, delta), ell, max(0, -delta), ell)
+        geom = SubsystemGeometry(max(0, delta), ell, max(0, -delta), ell)
         cm = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
         spectra = undeflated.spectra(cm)
         reports = {order: report_from_spectra(spectra, order) for order in ("vn", 1 - h, 1 + h)}
@@ -300,12 +300,12 @@ def test_criterion_10_cxi_reality():
     for epsilon0 in (0.5, 1.0, 2.0):
         model = SingleImpurity(epsilon0)
         for ell in (20, 60, 120):
-            cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 0, ell, 0, ell))
+            cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, ell, 0, ell))
             rep = measures(cm, "vn", with_negativity=True)
             worst = max(worst, rep.pairing_residual)
     model = SingleImpurity(1.0)
     for d in (150, 600):
-        cm = correlation_matrix_finite(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, d, 30, d, 30))
+        cm = correlation_matrix_finite(CorrelationBuilder(model, BIAS), SubsystemGeometry(d, 30, d, 30))
         rep = measures(cm, "vn", with_negativity=True)
         worst = max(worst, rep.pairing_residual)
     for _ in range(10):

@@ -121,7 +121,7 @@ def test_volume_coefficients_trivial_model():
     for order in ("vn", 0.5, 2.0):
         assert asy.volume_coefficient_mi(TrivialScatterer(), BIAS, order) == pytest.approx(0.0, abs=1e-14)
         assert asy.volume_coefficient_entropy(TrivialScatterer(), BIAS, order) == pytest.approx(0.0, abs=1e-14)
-    geom = SubsystemGeometry(0, 0, 30, 0, 30)
+    geom = SubsystemGeometry(0, 30, 0, 30)
     assert asy.negativity_prediction(TrivialScatterer(), BIAS, geom).linear_term == pytest.approx(0.0, abs=30e-14)
 
 
@@ -143,7 +143,7 @@ def test_volume_coefficient_entropy_constant_half_order_two():
 
 def test_volume_coefficient_negativity_constant_half():
     # ln(sqrt(1/2) + sqrt(1/2)) = ln sqrt 2 -> coefficient ln2 / 12 per mirrored site
-    geom = SubsystemGeometry(0, 0, 36, 0, 36)
+    geom = SubsystemGeometry(0, 36, 0, 36)
     assert asy.negativity_prediction(HALF, DK6, geom).linear_term == pytest.approx(36 * np.log(2) / 12, abs=36e-12)
 
 
@@ -152,7 +152,7 @@ def test_negativity_coefficient_is_half_of_order_half_mi():
     # from the order-1/2 binary entropy the prediction reads
     from nessent.numerics import integrate
 
-    geom = SubsystemGeometry(0, 0, 30, 5, 40)
+    geom = SubsystemGeometry(0, 30, 5, 40)
     for model in (IMPURITY, HALF):
         t = lambda k: np.abs(model.amplitudes(k)[2]) ** 2
         density = integrate(lambda k: np.log(np.sqrt(t(k)) + np.sqrt(1 - t(k))), BIAS.k_minus, BIAS.k_plus)
@@ -163,7 +163,7 @@ def test_negativity_coefficient_is_half_of_order_half_mi():
 def test_zero_window_kills_volume_terms():
     flat = BiasState(np.pi / 2, np.pi / 2)
     assert asy.volume_coefficient_mi(IMPURITY, flat, "vn") == 0.0
-    assert asy.mi_prediction(IMPURITY, flat, SubsystemGeometry(0, 0, 30, 0, 30), "vn").linear_term == 0.0
+    assert asy.mi_prediction(IMPURITY, flat, SubsystemGeometry(0, 30, 0, 30), "vn").linear_term == 0.0
 
 
 # --- predictions -------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_zero_window_kills_volume_terms():
 def test_mi_prediction_symmetric_two_path_oracle():
     # general sorted-length path vs the symbolic symmetric-case reduction
     ell = 64
-    geom = SubsystemGeometry(0, 9, ell, 9, ell)
+    geom = SubsystemGeometry(9, ell, 9, ell)
     for n in (0.5, 2.0, 3.0):
         pred = asy.mi_prediction(IMPURITY, BIAS, geom, n)
         total = 0.0
@@ -190,7 +190,7 @@ def test_mi_prediction_touching_case():
     # mirror image of A_L exactly touches A_R: no linear term, pair kernel
     # multiplies ln(ell_l * ell_r / (ell_l + ell_r))
     ell_l, ell_r = 40, 60
-    geom = SubsystemGeometry(0, ell_r + 5, ell_l, 5, ell_r)
+    geom = SubsystemGeometry(ell_r + 5, ell_l, 5, ell_r)
     assert geom.ell_mirror == 0
     for n in (0.5, 2.0):
         pred = asy.mi_prediction(IMPURITY, BIAS, geom, n)
@@ -205,8 +205,8 @@ def test_mi_prediction_touching_case():
 
 
 def test_mi_prediction_shift_invariance():
-    a = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(0, 11, 30, 4, 50), 2.0)
-    b = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(0, 111, 30, 104, 50), 2.0)
+    a = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(11, 30, 4, 50), 2.0)
+    b = asy.mi_prediction(IMPURITY, BIAS, SubsystemGeometry(111, 30, 104, 50), 2.0)
     assert abs(a.log_term - b.log_term) < 1e-12
     assert abs(a.linear_term - b.linear_term) < 1e-12
 
@@ -216,7 +216,7 @@ def test_mi_prediction_continuity_across_regimes():
     # offset; scan across both containment boundaries
     vals = []
     for delta in range(-8, 68, 1):
-        geom = SubsystemGeometry(0, 20 + delta, 30, 20, 50)
+        geom = SubsystemGeometry(20 + delta, 30, 20, 50)
         vals.append(asy.mi_prediction(IMPURITY, BIAS, geom, 2.0).total_minus_constant)
     steps = np.abs(np.diff(vals))
     interior = [s for i, s in enumerate(steps) if abs(i - 8) > 1 and abs(i - 28) > 1]
@@ -235,7 +235,7 @@ def test_contiguous_entropy_trivial_model():
 
 def test_entropy_assembly_reproduces_mi_symmetric():
     ell = 90
-    geom = SubsystemGeometry(0, 4, ell, 4, ell)
+    geom = SubsystemGeometry(4, ell, 4, ell)
     for order in ("vn", 2.0):
         mi = asy.mi_prediction(IMPURITY, BIAS, geom, order)
         s_l = asy.contiguous_entropy_prediction(IMPURITY, BIAS, ell, "L", order)
@@ -254,7 +254,7 @@ def test_contiguous_entropy_constant_residual():
     builder = CorrelationBuilder(IMPURITY, BIAS)
     residuals = []
     for ell in (50, 100, 200):
-        geom = SubsystemGeometry(0, 0, ell, 0, ell)
+        geom = SubsystemGeometry(0, ell, 0, ell)
         cm = correlation_matrix_far(builder, geom).block_left()
         pred = asy.contiguous_entropy_prediction(IMPURITY, BIAS, ell, "L", 2.0)
         residuals.append(entropy(occupation_spectrum(cm)[0], 2.0) - pred.total_minus_constant)
@@ -262,7 +262,7 @@ def test_contiguous_entropy_constant_residual():
 
 
 def test_ci_prediction_trivial_and_assembly():
-    geom = SubsystemGeometry(0, 6, 70, 6, 70)
+    geom = SubsystemGeometry(6, 70, 6, 70)
     trivial = asy.ci_prediction(TrivialScatterer(), BIAS, geom)
     assert trivial.linear_term == pytest.approx(0.0, abs=1e-13)
     ci = asy.ci_prediction(IMPURITY, BIAS, geom)
@@ -273,14 +273,14 @@ def test_ci_prediction_trivial_and_assembly():
 
 
 def test_ci_linear_constant_half():
-    geom = SubsystemGeometry(0, 0, 36, 0, 36)
+    geom = SubsystemGeometry(0, 36, 0, 36)
     pred = asy.ci_prediction(HALF, DK6, geom)
     assert pred.linear_term == pytest.approx(36 * np.log(2) / 12, abs=1e-10)
 
 
 def test_negativity_prediction_symmetric_log_term():
     ell = 48
-    geom = SubsystemGeometry(0, 3, ell, 3, ell)
+    geom = SubsystemGeometry(3, ell, 3, ell)
     pred = asy.negativity_prediction(IMPURITY, BIAS, geom)
     from nessent.scattering import transmission
 
@@ -293,7 +293,7 @@ def test_negativity_prediction_symmetric_log_term():
 
 
 def test_negativity_prediction_asymmetric_refuses_log():
-    geom = SubsystemGeometry(0, 0, 30, 5, 40)
+    geom = SubsystemGeometry(0, 30, 5, 40)
     pred = asy.negativity_prediction(IMPURITY, BIAS, geom)
     assert pred.log_term == 0.0 and pred.kernel_values == {}
 
@@ -305,7 +305,7 @@ def test_disjoint_symmetric_log_coefficient_values():
 
 
 def test_predictions_bracket_vn_near_order_one():
-    geom = SubsystemGeometry(0, 5, 45, 5, 45)
+    geom = SubsystemGeometry(5, 45, 5, 45)
     h = 1e-4
     vn = asy.mi_prediction(IMPURITY, BIAS, geom, "vn").total_minus_constant
     lo = asy.mi_prediction(IMPURITY, BIAS, geom, 1 - h).total_minus_constant

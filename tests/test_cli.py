@@ -122,13 +122,18 @@ def test_cli_repo_sample_config_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_env_var_sets_default_threads(tmp_path, monkeypatch):
-    from nessent.cli import _default_threads
+@pytest.mark.parametrize(
+    "config_line, flag, threads", [("", [], 1), ("threads = 3", [], 3), ("threads = 3", ["--threads", "2"], 2)]
+)
+def test_thread_count_is_flag_then_config_then_one(tmp_path, monkeypatch, config_line, flag, threads):
+    import nessent.cli
 
-    monkeypatch.setenv("NESSENT_THREADS", "7")
-    assert _default_threads() == 7
-    monkeypatch.setenv("NESSENT_THREADS", "junk")
-    assert _default_threads() == 1
+    seen = []
+    monkeypatch.setattr(nessent.cli, "run_scenario", lambda config: seen.append(config.threads) or ([], []))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{TINY_CONFIG}{config_line}\n")
+    assert main(["sweep-length", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *flag]) == 0
+    assert seen == [threads]
 
 
 def test_selftest_scenario_passes(capsys):

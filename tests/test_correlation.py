@@ -29,17 +29,17 @@ def brute_force_overlap(geom):
 
 
 def test_mirror_overlap_symmetric():
-    geom = SubsystemGeometry(0, 10, 50, 10, 50)
+    geom = SubsystemGeometry(10, 50, 10, 50)
     assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (50, 0, 0)
 
 
 def test_mirror_overlap_disjoint_images():
-    geom = SubsystemGeometry(0, 0, 10, 20, 10)
+    geom = SubsystemGeometry(0, 10, 20, 10)
     assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (0, 10, 10)
 
 
 def test_mirror_overlap_partial():
-    geom = SubsystemGeometry(0, 0, 100, 30, 100)
+    geom = SubsystemGeometry(0, 100, 30, 100)
     assert (geom.ell_mirror, geom.delta_ell_l, geom.delta_ell_r) == (70, 30, 30)
 
 
@@ -47,7 +47,7 @@ def test_mirror_overlap_partial():
 def test_mirror_overlap_brute_force(seed):
     rng = np.random.default_rng(seed)
     geom = SubsystemGeometry(
-        0, int(rng.integers(0, 40)), int(rng.integers(1, 60)),
+        int(rng.integers(0, 40)), int(rng.integers(1, 60)),
         int(rng.integers(0, 40)), int(rng.integers(1, 60)),
     )
     assert geom.ell_mirror == brute_force_overlap(geom)
@@ -57,13 +57,17 @@ def test_mirror_overlap_brute_force(seed):
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        SubsystemGeometry(0, -1, 5, 0, 5)
+        SubsystemGeometry(-1, 5, 0, 5)
     with pytest.raises(ValueError):
-        SubsystemGeometry(0, 0, 0, 0, 5)
+        SubsystemGeometry(0, 0, 0, 5)
+    # four fields: a call that still passes a leading scatterer offset fails
+    # instead of being read with its arguments shifted
+    with pytest.raises(TypeError):
+        SubsystemGeometry(0, 0, 5, 0, 5)
 
 
 def test_geometry_site_lists():
-    geom = SubsystemGeometry(1, 2, 3, 4, 2)
+    geom = SubsystemGeometry(3, 3, 5, 2)
     assert geom.sites_left() == (-4, -5, -6)
     assert geom.sites_right() == (6, 7)
 
@@ -73,7 +77,7 @@ def finite_entry(model, bias, j, m):
     -1..-ell_l and 1..ell_r that hold both sites."""
     ell_l = max([-s for s in (j, m) if s < 0], default=1)
     ell_r = max([s for s in (j, m) if s > 0], default=1)
-    cm = correlation_matrix_finite(CorrelationBuilder(model, bias), SubsystemGeometry(0, 0, ell_l, 0, ell_r))
+    cm = correlation_matrix_finite(CorrelationBuilder(model, bias), SubsystemGeometry(0, ell_l, 0, ell_r))
     index = {s: -s - 1 if s < 0 else ell_l + s - 1 for s in (j, m)}
     return cm.matrix[index[j], index[m]]
 
@@ -114,7 +118,7 @@ def test_cross_entry_against_trapezoid_oracle():
 
 
 def test_finite_matrix_hermitian_and_contractive():
-    geom = SubsystemGeometry(0, 1, 10, 2, 10)
+    geom = SubsystemGeometry(1, 10, 2, 10)
     cm = correlation_matrix_finite(CorrelationBuilder(TrivialScatterer(), BIAS), geom)
     m = cm.matrix
     assert np.abs(m - m.conj().T).max() == 0.0
@@ -124,7 +128,7 @@ def test_finite_matrix_hermitian_and_contractive():
 
 def test_finite_matrix_matches_entrywise_assembly():
     # each entry depends on its two sites only, not on the intervals around them
-    geom = SubsystemGeometry(0, 3, 4, 1, 3)
+    geom = SubsystemGeometry(3, 4, 1, 3)
     cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
     sites = geom.sites_left() + geom.sites_right()
     for a, sa in enumerate(sites):
@@ -146,7 +150,7 @@ def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeyp
     monkeypatch.setattr(CorrelationBuilder, "coefficients", counted)
     builder = CorrelationBuilder(IMPURITY, BIAS)
     # the last geometry keeps the length of A_L, so its A_L far block is kept
-    geoms = [SubsystemGeometry(0, d, 6, d, 6) for d in (20, 21, 90)] + [SubsystemGeometry(0, 20, 6, 23, 5)]
+    geoms = [SubsystemGeometry(d, 6, d, 6) for d in (20, 21, 90)] + [SubsystemGeometry(20, 6, 23, 5)]
     counts, read = [], []
     for geom in geoms:
         gathers.clear()
@@ -165,8 +169,8 @@ def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeyp
 def test_every_table_factor_is_read():
     # a factor that neither regime reads is dead code
     builder = CorrelationBuilder(IMPURITY, BIAS)
-    correlation_matrix_far(builder, SubsystemGeometry(0, 0, 3, 0, 3))
-    correlation_matrix_finite(builder, SubsystemGeometry(0, 5, 3, 5, 3))
+    correlation_matrix_far(builder, SubsystemGeometry(0, 3, 0, 3))
+    correlation_matrix_finite(builder, SubsystemGeometry(5, 3, 5, 3))
     assert {factor for _, factor, _ in builder._blocks} == set(_FACTORS)
 
 
@@ -327,7 +331,7 @@ def test_finite_entries_match_mpmath_reference():
     # window edges at the float momenta the builder integrates to; the far
     # blocks plus the Hankel terms err by at most 5.5e-16 here
     mpmath = pytest.importorskip("mpmath")
-    geom = SubsystemGeometry(0, 100, 50, 100, 50)
+    geom = SubsystemGeometry(100, 50, 100, 50)
     cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
     index = {site: i for i, site in enumerate(geom.sites_left() + geom.sites_right())}
     left, right = (-101, -102, -117, -150), (101, 103, 129, 150)
@@ -369,7 +373,7 @@ def test_table_coefficients_match_scalar_quadrature(bias, window, factor, rate, 
 
 def test_far_limit_entries_converge_with_distance():
     # entrywise limit of the finite-distance matrix; SM-style 1/d envelope
-    geom = lambda d: SubsystemGeometry(0, d, 4, d, 4)
+    geom = lambda d: SubsystemGeometry(d, 4, d, 4)
     far = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom(500))
     for d in (500, 1500):
         fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom(d))
@@ -378,7 +382,7 @@ def test_far_limit_entries_converge_with_distance():
 
 def test_far_limit_mirrored_bias_ordering():
     mirrored = BiasState(np.pi / 2, 2 * np.pi / 3)
-    geom = SubsystemGeometry(0, 600, 4, 600, 4)
+    geom = SubsystemGeometry(600, 4, 600, 4)
     far = correlation_matrix_far(CorrelationBuilder(IMPURITY, mirrored), geom)
     fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, mirrored), geom)
     assert np.abs(fin.matrix - far.matrix).max() < 3.0 / 600
@@ -386,13 +390,13 @@ def test_far_limit_mirrored_bias_ordering():
 
 def test_far_diag_constant_transmission():
     model = ConstantTransmission(0.37)
-    cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 0, 3, 0, 3)).block_right()
+    cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 3, 0, 3)).block_right()
     expected = BIAS.k_fr / np.pi + 0.37 * (BIAS.k_fl - BIAS.k_fr) / (2 * np.pi)
     assert cm.matrix[0, 0].real == pytest.approx(expected, abs=1e-12)
 
 
 def test_far_within_blocks_toeplitz():
-    geom = SubsystemGeometry(0, 0, 12, 0, 12)
+    geom = SubsystemGeometry(0, 12, 0, 12)
     cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     n = 12
     for block in (cm.matrix[:n, :n], cm.matrix[n:, n:]):
@@ -409,7 +413,7 @@ def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
     bias = BiasState(k_fl, k_fr)
     builder = CorrelationBuilder(IMPURITY, bias)
     for n in (1, 2, 7, 64, 65, 130):
-        cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, n, 0, n))
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, n, 0, n))
         idx = np.arange(1, n + 1)
         x = np.subtract.outer(idx, idx)
         for block, kf, sign in ((cm.block_left().matrix, k_fl, -1.0), (cm.block_right().matrix, k_fr, 1.0)):
@@ -421,7 +425,7 @@ def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
 
 
 @pytest.mark.parametrize(
-    "geom", [SubsystemGeometry(0, 0, 20, 0, 20), SubsystemGeometry(0, 7, 30, 0, 45), SubsystemGeometry(0, 0, 1, 3, 64)]
+    "geom", [SubsystemGeometry(0, 20, 0, 20), SubsystemGeometry(7, 30, 0, 45), SubsystemGeometry(0, 1, 3, 64)]
 )
 def test_far_site_matrix_is_assembled_on_first_read(geom):
     # the solvers read the blocks and F, so the site matrix waits for a
@@ -445,8 +449,8 @@ def test_far_site_matrix_is_assembled_on_first_read(geom):
 
 def test_far_cross_block_carries_offset_phase():
     # cross entries depend on d_l - d_r only through a shifted argument
-    g1 = SubsystemGeometry(0, 9, 5, 2, 5)
-    g2 = SubsystemGeometry(0, 16, 5, 9, 5)
+    g1 = SubsystemGeometry(9, 5, 2, 5)
+    g2 = SubsystemGeometry(16, 5, 9, 5)
     c1 = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), g1)
     c2 = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), g2)
     assert np.abs(c1.matrix - c2.matrix).max() < 1e-13
@@ -455,7 +459,7 @@ def test_far_cross_block_carries_offset_phase():
 def test_far_finite_mi_agreement_moderate_distance():
     from nessent.entanglement import measures
 
-    geom = SubsystemGeometry(0, 200, 20, 200, 20)
+    geom = SubsystemGeometry(200, 20, 200, 20)
     fin = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
     far = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     mi_fin = measures(fin, "vn").mutual_info
@@ -467,12 +471,12 @@ def test_matrix_dump_round_trip(tmp_path):
     # a far matrix, a finite one, whose site matrix the dump assembles on
     # its first read, and a complex one built by hand
     builder = CorrelationBuilder(IMPURITY, BIAS)
-    finite = correlation_matrix_finite(builder, SubsystemGeometry(0, 4, 3, 2, 5))
+    finite = correlation_matrix_finite(builder, SubsystemGeometry(4, 3, 2, 5))
     assert "matrix" not in vars(finite)
     rng = np.random.default_rng(5)
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     for cm in (
-        correlation_matrix_far(builder, SubsystemGeometry(0, 1, 3, 1, 2)),
+        correlation_matrix_far(builder, SubsystemGeometry(1, 3, 1, 2)),
         finite,
         CorrelationMatrix(0.25 * (h + h.conj().T), 1),
     ):
@@ -488,7 +492,7 @@ def test_matrix_dump_round_trip(tmp_path):
 
 
 def test_partition_block_views():
-    geom = SubsystemGeometry(0, 1, 2, 1, 3)
+    geom = SubsystemGeometry(1, 2, 1, 3)
     cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
     assert cm.block_left().matrix.shape == (2, 2)
     assert cm.block_right().matrix.shape == (3, 3)

@@ -55,7 +55,7 @@ def spectrum_of(cm):
 def far_fig2(ell):
     """Fig. 2 far-limit matrix at epsilon0 = 1, mirrored intervals of length ell."""
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    return correlation_matrix_far(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(0, 0, ell, 0, ell))
+    return correlation_matrix_far(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(0, ell, 0, ell))
 
 
 def test_renyi_pure_state_slice_is_zero():
@@ -263,7 +263,7 @@ def test_negativity_relation_to_half_renyi_mi_slope():
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
     vals = {}
     for ell in (40, 80):
-        geom = SubsystemGeometry(0, 0, ell, 0, ell)
+        geom = SubsystemGeometry(0, ell, 0, ell)
         cm = correlation_matrix_far(CorrelationBuilder(model, bias), geom)
         rep = measures(cm, 0.5, with_negativity=True)
         vals[ell] = (rep.negativity, rep.mutual_info)
@@ -339,7 +339,7 @@ def test_finite_negativity_matches_mpmath_reference(d):
     # that of the full matrix, for the full pencil and the deflated one
     mpmath = pytest.importorskip("mpmath")
     bias = BiasState(2 * np.pi / 3, np.pi / 2)
-    cm = correlation_matrix_finite(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(0, d, 8, d, 8))
+    cm = correlation_matrix_finite(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(d, 8, d, 8))
     with mpmath.workdps(40):
         reference = float(mp_negativity(cm, mpmath))
     assert abs(undeflated.negativity(cm, 1) - reference) < 1e-13
@@ -412,7 +412,7 @@ builder_inputs = st.tuples(
 @given(builder_inputs)
 def test_builder_output_spectrum_mi_and_ci_bounds(inputs):
     regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
-    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l, d_r, ell_r))
     for block in (cm.matrix, cm.block_left().matrix, cm.block_right().matrix):
         nu = np.linalg.eigvalsh(block)
         assert nu.min() >= -CLAMP_SLACK and nu.max() <= 1.0 + CLAMP_SLACK
@@ -425,12 +425,12 @@ def test_builder_output_spectrum_mi_and_ci_bounds(inputs):
 @given(builder_inputs)
 def test_builder_output_mi_monotone_and_mirror_symmetric(inputs):
     regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
-    mi = measures(builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))).mutual_info
+    mi = measures(builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l, d_r, ell_r))).mutual_info
     # strong subadditivity: one more site in A_L cannot lower I(A_L : A_R)
-    longer = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l + 1, d_r, ell_r))
+    longer = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l + 1, d_r, ell_r))
     assert measures(longer).mutual_info >= mi - 1e-12
     # parity: swapping the intervals together with the two Fermi momenta
-    mirrored = builder_matrix(regime, epsilon0, not flip, SubsystemGeometry(0, d_r, ell_r, d_l, ell_l))
+    mirrored = builder_matrix(regime, epsilon0, not flip, SubsystemGeometry(d_r, ell_r, d_l, ell_l))
     assert abs(measures(mirrored).mutual_info - mi) < 1e-10
 
 
@@ -451,7 +451,7 @@ def test_builder_output_mi_monotone_and_mirror_symmetric(inputs):
 )
 def test_deflated_partition_matches_full_matrix(inputs):
     regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
-    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+    cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l, d_r, ell_r))
     full = report_from_spectra(undeflated.spectra(cm), "vn")
     deflated = partition(cm)
     rep = report_from_spectra(block_spectra(deflated), "vn")
@@ -500,7 +500,7 @@ def test_sub_unit_orders_deflate_the_same_modes_again(monkeypatch):
 def test_partition_without_coupling_keeps_no_mode():
     # an empty voltage window makes the cross block exactly zero
     cm = correlation_matrix_far(
-        CorrelationBuilder(SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2)), SubsystemGeometry(0, 0, 20, 3, 30)
+        CorrelationBuilder(SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2)), SubsystemGeometry(0, 20, 3, 30)
     )
     assert not np.any(cm.cross_block())
     deflated = partition(cm)
@@ -524,7 +524,7 @@ def fold_geometry(mirror, d_l, d_r, ell_l, ell_r):
         ell_r += (ell_r - ell_l) % 2
         shift = (ell_r - ell_l) // 2
         d_l, d_r = d_r + max(shift, 0), d_r + max(-shift, 0)
-    return SubsystemGeometry(0, d_l, ell_l, d_r, ell_r)
+    return SubsystemGeometry(d_l, ell_l, d_r, ell_r)
 
 
 @settings(max_examples=60, deadline=None)
@@ -586,7 +586,7 @@ def test_far_blocks_always_fold_and_the_union_iff_mirror_symmetric(monkeypatch, 
     builder = CorrelationBuilder(model, BiasState(k_fl, k_fr))
     dtypes = record_block_dtypes(monkeypatch)
     for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
-        cm = correlation_matrix_far(builder, SubsystemGeometry(0, d_l, ell_l, d_r, ell_r))
+        cm = correlation_matrix_far(builder, SubsystemGeometry(d_l, ell_l, d_r, ell_r))
         nl = cm.n_left
         # the builder's folded blocks are Re B - s J Im B of the site blocks
         for block, site, sign in ((cm.left, cm.matrix[:nl, :nl], 1.0), (cm.right, cm.matrix[nl:, nl:], -1.0)):
@@ -623,7 +623,7 @@ def test_finite_matrices_never_fold(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda block: solved.append(block) or eigh(block))
     for d_l, ell_l, d_r, ell_r in FOLD_GEOMETRIES:
         cm = correlation_matrix_finite(
-            CorrelationBuilder(SingleImpurity(1.0), BiasState(*MOMENTA)), SubsystemGeometry(0, d_l, ell_l, d_r, ell_r)
+            CorrelationBuilder(SingleImpurity(1.0), BiasState(*MOMENTA)), SubsystemGeometry(d_l, ell_l, d_r, ell_r)
         )
         assert undeflated.folded(cm) is cm
         solved.clear()
@@ -653,7 +653,7 @@ def test_far_basis_partition_matches_the_undeflated_spectra(epsilon0, ell):
     # be that of the site matrix, near the scatterer as well as far from it
     builder = shared_builder(epsilon0, False)
     for d in (0, 1, 5, 20, 100):
-        cm = correlation_matrix_finite(builder, SubsystemGeometry(0, d, ell, d, ell))
+        cm = correlation_matrix_finite(builder, SubsystemGeometry(d, ell, d, ell))
         plain = CorrelationMatrix(cm.matrix, ell)
         full, vn = undeflated.spectra(plain), partition(cm)
         for order in ("vn", 2.0):
@@ -679,7 +679,7 @@ def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
     # itself, so A_R is decoupled whole, and its deflated values are its
     # block's spectrum, not the diagonal of the far basis
     builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(np.pi / 2, np.pi / 2))
-    cm = correlation_matrix_finite(builder, SubsystemGeometry(0, 3, 1, 3, 20))
+    cm = correlation_matrix_finite(builder, SubsystemGeometry(3, 1, 3, 20))
     cut = type(cm)(cm.far, cm.hankel_left, cm.hankel_right, np.zeros_like(cm.hankel_cross))
     part = partition(cut)
     assert part.reduced.dim == 0 and (part.deflated_left.size, part.deflated_right.size) == (1, 20)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nessent.config import ExperimentConfig, ParseError, emit_csv, parse_config, parse_config_text, read_csv
+from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text, read_csv
 from nessent.correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
 from nessent.entanglement import SpectrumError
 from nessent.numerics import NonConvergence, NotHermitian
@@ -191,6 +191,9 @@ OUT_OF_RANGE = [
     ("max_panels = 0", "max_panels"),
     ("threads = 0", "threads"),
     ("threads = -2", "threads"),
+    ("model = foo", "model"),
+    ("measures = ,", "measures"),
+    ("renyi_orders = ,", "renyi_orders"),
 ]
 
 
@@ -202,6 +205,21 @@ def test_parse_config_out_of_range_value_names_key(lines, key):
     # IndexError or an empty sweep
     with pytest.raises(ParseError, match=f"'{key}': must be"):
         parse_config_text(f"scenario = selftest\n{lines}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("scenario = selftest\nk_fl = 2*pi/3)\n", "^key 'k_fl': cannot parse number '2\\*pi/3\\)'$"),
+        ("scenario = selftest\nell = 3\nell = 4\n", "^line 3: duplicate key 'ell'$"),
+        ("ell = 3\n", "^missing required key 'scenario'$"),
+        ("scenario = selftest\nmeasures = mi, entanglement\n", "^key 'measures': unknown measure 'entanglement'$"),
+    ],
+    ids=["unparsable-number", "duplicate-key", "missing-scenario", "unknown-measure"],
+)
+def test_parse_config_malformed_value_names_key_or_line(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_config_text(text)
 
 
 DISTANCE_CONFIG = "scenario = sweep-distance\nk_fl = 2*pi/3\nk_fr = pi/2\nell = 8\nd_over_ell_min = 2\nd_over_ell_max = 10\n"
@@ -327,6 +345,17 @@ def test_csv_round_trip_preserves_12_digits(tmp_path):
     assert back[0]["d"] == ""
     assert path.read_bytes().endswith(b"\n")
     assert b"\r" not in path.read_bytes()
+
+
+def test_negative_zero_prints_as_zero():
+    # the order-2 volume term of a T = 0 prediction is 1/(1 - n) * 0.0 = -0.0
+    assert format_value(-0.0) == "0"
+    cfg = parse_config_text(
+        "scenario = eval-asymptotics\nmodel = constant\ntransmission = 0\nk_fl = 2*pi/3\nk_fr = pi/2\n"
+        "ell_l = 10\nell_r = 10\nd_l = 0\nd_r = 0\nmeasures = mi\nrenyi_orders = vn, 0.5, 2\n"
+    )
+    _, rows = run_scenario(cfg)
+    assert [format_value(row["linear"]) for row in rows] == ["0", "0", "0"]
 
 
 # --- runners ------------------------------------------------------------------
@@ -689,7 +718,7 @@ def test_point_values_are_freed_without_the_cycle_collector():
     from nessent.scattering import BiasState, SingleImpurity
 
     builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(K_FL, K_FR))
-    cm = correlation_matrix_far(builder, SubsystemGeometry(0, 0, 12, 0, 12))
+    cm = correlation_matrix_far(builder, SubsystemGeometry(0, 12, 0, 12))
     gc.disable()
     try:
         numeric = ex._point_values(cm)
@@ -884,7 +913,7 @@ def test_parity_breaking_model_solves_every_point(monkeypatch):
     values = position_values(rows)
     builder = CorrelationBuilder(TurnedImpurity(), cfg.build_bias())
     for (delta, measure, order), value in values.items():
-        own = ex._point_values(correlation_matrix_far(builder, SubsystemGeometry(0, 18 + delta, 12, 18, 24)))
+        own = ex._point_values(correlation_matrix_far(builder, SubsystemGeometry(18 + delta, 12, 18, 24)))
         assert value == own(measure, "vn")
     assert abs(values[(-18, "mi", "vn")] - values[(30, "mi", "vn")]) > 1e-6
 
@@ -942,9 +971,9 @@ def test_builder_matrices_are_never_checked_again(monkeypatch):
     calls = [count_calls(monkeypatch, m, "check_hermitian") for m in (num, cor, ent, ex) if hasattr(m, "check_hermitian")]
     builder = CorrelationBuilder(SingleImpurity(1.0), BiasState(K_FL, K_FR))
     points = [
-        cor.correlation_matrix_far(builder, SubsystemGeometry(0, 6, 12, 0, 24)),
-        cor.correlation_matrix_far(builder, SubsystemGeometry(0, 4, 12, 0, 24)),
-        cor.correlation_matrix_finite(builder, SubsystemGeometry(0, 6, 8, 6, 8)),
+        cor.correlation_matrix_far(builder, SubsystemGeometry(6, 12, 0, 24)),
+        cor.correlation_matrix_far(builder, SubsystemGeometry(4, 12, 0, 24)),
+        cor.correlation_matrix_finite(builder, SubsystemGeometry(6, 8, 6, 8)),
     ]
     # the first far union folds (a real F), the second does not, and the
     # finite matrix has no F

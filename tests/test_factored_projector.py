@@ -79,7 +79,7 @@ def nodes(a, b, rate):
 def factors(name, ell):
     """(C, V, W) for mirrored intervals of length ell."""
     model = MODELS[name]
-    geom = SubsystemGeometry(0, 0, ell, 0, ell)
+    geom = SubsystemGeometry(0, ell, 0, ell)
     cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), geom)
     k_fl, k_fr, shift = BIAS.k_fl, BIAS.k_fr, geom.d_l - geom.d_r
     sites = np.arange(1, ell + 1)
@@ -165,7 +165,7 @@ def test_mirror_offsets_have_the_same_measures(name, delta):
     # own builder; the order-1/2 MI keeps the band of the shorter length
     ell_l, ell_r = 12, 24
     cms = [
-        correlation_matrix_far(CorrelationBuilder(MODELS[name], BIAS), SubsystemGeometry(0, 30 + d, ell_l, 30, ell_r))
+        correlation_matrix_far(CorrelationBuilder(MODELS[name], BIAS), SubsystemGeometry(30 + d, ell_l, 30, ell_r))
         for d in (delta, ell_r - ell_l - delta)
     ]
     p = np.zeros((ell_l + ell_r,) * 2)
@@ -199,7 +199,7 @@ def finite_builder(epsilon0):
 
 def finite_factors(epsilon0, d, ell):
     """(C, V, W, b) for the mirrored intervals of length ell at distance d."""
-    geom = SubsystemGeometry(0, d, ell, d, ell)
+    geom = SubsystemGeometry(d, ell, d, ell)
     cm = correlation_matrix_finite(finite_builder(epsilon0), geom)
     model = SingleImpurity(epsilon0)
     sites = geom.sites_left() + geom.sites_right()

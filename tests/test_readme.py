@@ -40,4 +40,4 @@ def test_readme_config_keys_are_the_config_fields():
     keys = set()
     for bullet in re.split(r"^\* ", re.sub(r"\([^)]*\)", "", bullets), flags=re.M)[1:]:
         keys.update(re.findall(r"`(\w+)`", bullet.split(":", 1)[1]))
-    assert keys == {f.name for f in fields(ExperimentConfig)} - {"raw"}
+    assert keys == {f.name for f in fields(ExperimentConfig)}

@@ -104,7 +104,7 @@ def test_wavefunction_unitarity_identity():
 def test_wavefunction_domain_errors():
     model = SingleImpurity(1.0)
     with pytest.raises(DomainError):
-        wavefunction(model, 0.5, 0)  # inside the scattering region
+        wavefunction(model, 0.5, 0)  # the scatterer's site
     with pytest.raises(DomainError):
         wavefunction(model, 3.5, 4)  # outside the band
 
