@@ -26,13 +26,15 @@ and that of a transmission / reflection pair (t, r = 1 - t) is
                                                 + h_n(x + t, r) + h_n(x + r, t)
                                                 - 2 h_n(t + r x, r + t x) ].
 
-Both are integrated in s with x = s^2 (dx/x = 2 ds/s): below order 1 the
-brackets carry a (q x)^n term, and the substitution turns its x^(n-1) cusp
-at x = 0 into the milder s^(2n-1), so the graded panels meet the tolerance
-with few nodes at every order.  Neither integrand has an interior
-singularity.  The 1/(1 - n) factor is applied
-after quadrature, never inside an integrand, where it would scale the
-integrand's round-off by 1/|1 - n| near von Neumann.  Exact values:
+Both are integrated in s with x = s^m, m = max(2, ceil(1/n)) (dx/x = m ds/s):
+below order 1 the brackets carry a (q x)^n term, and the substitution turns
+its x^(n-1) cusp at x = 0 into s^(m n - 1) with m n - 1 >= 0, so the graded
+panels meet the tolerance with few nodes at every order.  From order 1/2 up
+m = 2; below it, x = s^2 would leave the cusp s^(2n - 1), which the panels
+resolve only to about 1e-12.  Neither integrand has an interior singularity.  The 1/(1 - n)
+factor is applied after quadrature, never inside an integrand, where it
+would scale the integrand's round-off by 1/|1 - n| near von Neumann.  Exact
+values:
 step_kernel(n, 1) = 0 and step_kernel(n, 0) = (1 + n)/(12 n), the kernel of
 one sharp step (1/6 at n = 1).
 
@@ -53,6 +55,7 @@ geometry only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -110,19 +113,26 @@ def _split_entropy(n: float):
     return (lambda a, b: np.log(a**n + b**n) - n * np.log(a + b)), 1.0 / (1.0 - n)
 
 
+def _kernel_power(n: float) -> int:
+    """The power m of the kernels' substitution x = s^m, max(2, ceil(1/n)):
+    it turns the x^(n-1) cusp of order n into s^(m n - 1), m n - 1 >= 0."""
+    if not n > 0:
+        raise ValueError("order must be positive")
+    return max(2, math.ceil(1.0 / n))
+
+
 @lru_cache(maxsize=None)
 def step_kernel(n: float, p: float) -> float:
     """Log-term kernel of a single occupation step of height p (0 <= p <= 1)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("step height must lie in [0, 1]")
-    if not n > 0:
-        raise ValueError("order must be positive")
+    m = _kernel_power(n)
     q = 1.0 - p
     h, scale = _split_entropy(n)
 
     def integrand(s):
-        x = s * s
-        return (h(1.0 + p * x, q * x) + h(x + p, q) - h(p, q)) / (np.pi**2 * s)
+        x = s**m
+        return (0.5 * m) * (h(1.0 + p * x, q * x) + h(x + p, q) - h(p, q)) / (np.pi**2 * s)
 
     return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
 
@@ -132,13 +142,14 @@ def pair_kernel(n: float, t: float) -> float:
     """Log-term kernel of a transmission/reflection step pair (T, R = 1-T)."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
+    m = _kernel_power(n)
     r = 1.0 - t
     h, scale = _split_entropy(n)
 
     def integrand(s):
-        x = s * s
+        x = s**m
         steps = h(1.0 + t * x, r * x) + h(1.0 + r * x, t * x) + h(x + t, r) + h(x + r, t)
-        return (steps - 2.0 * h(t + r * x, r + t * x)) / (np.pi**2 * s)
+        return (0.5 * m) * (steps - 2.0 * h(t + r * x, r + t * x)) / (np.pi**2 * s)
 
     return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
 

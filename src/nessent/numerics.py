@@ -4,15 +4,19 @@ Every integral in this package is one-dimensional and falls into one of two
 families:
 
 * smooth integrands, possibly with integrable endpoint singularities
-  (logs, x**(n-1) with n >= 1/2), handled by globally adaptive panel
-  bisection with fixed-order Gauss-Legendre nodes and geometric panel
-  grading toward a singular endpoint;
+  (logs, x**(n-1) with n >= 1/2), handled by composite Gauss-Legendre
+  rules over start panels: the single panel [a, b], or 45 panels graded
+  geometrically toward a singular left endpoint;
 * oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5: Gauss-
-  Legendre with one panel per period below a phase extent omega_min =
-  min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256, Filon-Clenshaw-Curtis
-  (FCC) with a rate-independent cost above it.  Both rules run one
-  refinement loop (_refine): size n against size 2n, n doubling while the
-  rule's bound allows it.
+  Legendre with one panel per period to start below a phase extent omega_min
+  = min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256, Filon-Clenshaw-Curtis
+  (FCC) with a rate-independent cost above it.
+
+Every rule runs one refinement loop (_refine): size n against size 2n, each
+row of estimates accepted once it agrees to abs_tol, n doubling while the
+rule's bound allows it.  For the Gauss-Legendre rules n counts the equal
+panels each start panel is split into (_composite_rule), and 2n times the
+start panels must stay within max_panels, the first pair included.
 
 FCC (Dominguez, Graham & Smyshlyaev, IMA J. Numer. Anal. 31, 1253 (2011);
 QUADPACK's QAWO splits high and low frequency the same way) maps [a, b] to
@@ -62,7 +66,6 @@ one triangle of a matrix that is already Hermitian.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,16 +137,6 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(order)
 
 
-def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
-    """Gauss-Legendre estimates for a batch of panels, one f call total."""
-    x, w = _gauss_rule(order)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    return (vals @ w) * half
-
-
 def _graded_edges(a: float, b: float) -> np.ndarray:
     """Panel edges geometrically refined toward a singular left endpoint.
 
@@ -155,55 +148,36 @@ def _graded_edges(a: float, b: float) -> np.ndarray:
     return a + (b - a) * frac
 
 
-def _adaptive(f, edges: np.ndarray, spec: QuadratureSpec) -> complex:
-    """Globally adaptive refinement over an initial panel partition.
+def _composite_rule(edges: np.ndarray, parts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule that splits the
+    panel between each pair of consecutive edges into parts equal panels."""
+    x, w = _gauss_rule(PANEL_NODES)
+    cuts = np.linspace(edges[:-1], edges[1:], parts + 1, axis=-1)
+    half = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    mid = 0.5 * (cuts[:, 1:] + cuts[:, :-1])
+    nodes = (mid[..., None] + half[..., None] * x).ravel()
+    weights = (half[..., None] * w).ravel()
+    return nodes, weights
 
-    The per-panel error estimate is the difference between the full-order
-    and half-order Gauss-Legendre rules.  The worst panel is bisected until
-    the summed error estimate meets the target or the budget runs out.
-    """
-    order_hi, order_lo = PANEL_NODES, PANEL_NODES // 2
-    lo, hi = edges[:-1], edges[1:]
-    est_hi = _eval_panels(f, lo, hi, order_hi)
-    est_lo = _eval_panels(f, lo, hi, order_lo)
-    if not (np.all(np.isfinite(est_hi)) and np.all(np.isfinite(est_lo))):
-        raise NonConvergence("integrand evaluated to a non-finite value")
-    errs = np.abs(est_hi - est_lo)
 
-    heap: list[tuple[float, int, float, float, complex, float]] = []
-    seq = 0
-    total = complex(0.0)
-    total_err = 0.0
-    for a, b, v, e in zip(lo, hi, est_hi, errs):
-        heapq.heappush(heap, (-e, seq, a, b, v, e))
-        seq += 1
-        total += v
-        total_err += e
-    n_panels = len(heap)
+def _panel_integral(f, edges: np.ndarray, spec: QuadratureSpec, parts: int = 1) -> complex:
+    """Integral of f over edges[0]..edges[-1] by _refine: each start panel
+    split into n equal Gauss-Legendre panels, n = parts, 2 parts, ..., each n
+    against 2 n, while 2 n times the start panels is within max_panels."""
+    starts = edges.size - 1
 
-    while True:
-        if total_err <= spec.abs_tol:
-            return total
-        if n_panels + 1 > spec.max_panels or not heap:
-            raise NonConvergence(
-                f"quadrature stalled at {n_panels} panels, "
-                f"error {total_err:.3e} > target {spec.abs_tol:.3e}"
-            )
-        _, _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        sub_lo = np.array([a, m])
-        sub_hi = np.array([m, b])
-        child_hi = _eval_panels(f, sub_lo, sub_hi, order_hi)
-        child_lo = _eval_panels(f, sub_lo, sub_hi, order_lo)
-        if not (np.all(np.isfinite(child_hi)) and np.all(np.isfinite(child_lo))):
+    def estimate(n: int) -> list:
+        nodes, weights = _composite_rule(edges, n)
+        vals = np.asarray(f(nodes), dtype=complex)
+        if not np.all(np.isfinite(vals)):
             raise NonConvergence("integrand evaluated to a non-finite value")
-        child_err = np.abs(child_hi - child_lo)
-        total += child_hi.sum() - v
-        total_err += child_err.sum() - e
-        for i in range(2):
-            heapq.heappush(heap, (-child_err[i], seq, sub_lo[i], sub_hi[i], child_hi[i], child_err[i]))
-            seq += 1
-        n_panels += 1
+        return [vals @ weights]
+
+    (value,) = _refine(
+        estimate, parts, spec.max_panels // starts, spec,
+        f"integral needs {2 * parts * starts} panels, budget is {spec.max_panels}", lambda n: f"{n * starts} panels",
+    )
+    return complex(value)
 
 
 def integrate(
@@ -217,16 +191,15 @@ def integrate(
     """Integral of f over [a, b].
 
     f must accept a numpy array of abscissae and return values elementwise
-    (real or complex).  Set singular_left when the integrand has an
-    integrable singularity at a; the initial partition is then
-    geometrically graded toward it.
+    (real or complex).  The start panel is [a, b]; set singular_left when the
+    integrand has an integrable singularity at a, and the 45 start panels of
+    _graded_edges are graded geometrically toward it.
     """
     if a > b:
         raise ValueError("integrate requires a <= b")
     if a == b:
         return 0.0 + 0.0j
-    edges = _graded_edges(a, b) if singular_left else np.array([a, b])
-    return _adaptive(f, edges, spec)
+    return _panel_integral(f, _graded_edges(a, b) if singular_left else np.array([a, b]), spec)
 
 
 def integrate_oscillatory(
@@ -238,39 +211,18 @@ def integrate_oscillatory(
 ) -> complex:
     """Integral of f_smooth(k) * exp(i * phase_rate * k) over [a, b].
 
-    The initial partition assigns at least one panel (hence PANEL_NODES
-    nodes) per oscillation period, after which the usual adaptive refinement
-    applies.  At phase_rate 0 this is plain ``integrate`` on [a, b].
+    The first estimate has at least one panel (hence PANEL_NODES nodes) per
+    oscillation period, and the panels then double as in ``integrate``,
+    which this is at phase_rate 0.
     """
     if a > b:
         raise ValueError("integrate_oscillatory requires a <= b")
     if a == b:
         return 0.0 + 0.0j
-    periods = abs(phase_rate) * (b - a) / (2.0 * np.pi)
-    n0 = int(np.ceil(periods)) + 1
-    if n0 > spec.max_panels:
-        raise NonConvergence(
-            f"phase rate {phase_rate:g} needs {n0} panels, budget is {spec.max_panels}"
-        )
-    if phase_rate == 0.0:
-        return _adaptive(f_smooth, np.array([a, b]), spec)
-
-    def g(k: np.ndarray) -> np.ndarray:
-        return np.asarray(f_smooth(k), dtype=complex) * np.exp(1j * phase_rate * k)
-
-    edges = np.linspace(a, b, n0 + 1)
-    return _adaptive(g, edges, spec)
-
-
-def _fixed_grid(a: float, b: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a uniform composite Gauss-Legendre rule."""
-    x, w = _gauss_rule(PANEL_NODES)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    n0 = int(np.ceil(abs(phase_rate) * (b - a) / (2.0 * np.pi))) + 1
+    return _panel_integral(
+        lambda k: np.asarray(f_smooth(k), dtype=complex) * np.exp(1j * phase_rate * k), np.array([a, b]), spec, n0
+    )
 
 
 #: smallest phase extent min|rate| * (b - a)/2 of a batch that takes the
@@ -312,7 +264,7 @@ def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
 def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str | None = None, size=None) -> list | None:
     """The rows of estimate(n), each checked against its row of estimate(2 n)
     and accepted with the latter once every rate agrees to spec.abs_tol, n
-    doubling while 2 n <= limit: the refinement loop of both table rules.
+    doubling while 2 n <= limit: the refinement loop of every quadrature.
 
     Without needs, a row still pending at the limit is None, and the result
     is None when not even the first pair fits it.  With needs, the first
@@ -384,7 +336,7 @@ def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec
     n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
 
     def estimate(n_panels: int) -> np.ndarray:
-        nodes, weights = _fixed_grid(a, b, n_panels)
+        nodes, weights = _composite_rule(np.array([a, b]), n_panels)
         base = rows(nodes) * weights
         step = np.exp(1j * nodes)
         phase = np.exp(1j * rates[0] * nodes)

@@ -26,15 +26,24 @@ def mp_split_entropy(mp, n, a, b):
 
 
 def mp_kernels(mp, n, p):
-    """(step, pair) kernels of the module docstring by tanh-sinh quadrature,
-    split near the x -> 0 end where the order-1/2 integrand has sqrt cusps."""
+    """(step, pair) kernels of the module docstring by tanh-sinh quadrature in
+    s with x = s^m, m >= 2/n: below order 1 the brackets carry (q x)^n, whose
+    x^(n-1) cusp at x = 0 becomes the smooth s^(m n - 1).  Split toward s = 0,
+    where the integrands vary fastest."""
     q = 1 - p
+    m = int(mp.ceil(2 / n))
     h = lambda a, b: mp_split_entropy(mp, n, a, b)
-    step = lambda x: (h(1 + p * x, q * x) + h(x + p, q) - h(p, q)) / (2 * mp.pi**2 * x)
-    pair = lambda x: (
-        h(1 + p * x, q * x) + h(1 + q * x, p * x) + h(x + p, q) + h(x + q, p) - 2 * h(p + q * x, q + p * x)
-    ) / (2 * mp.pi**2 * x)
-    points = [0, mp.mpf("1e-8"), mp.mpf("1e-4"), 1]
+
+    def step(s):
+        x = s**m
+        return m * (h(1 + p * x, q * x) + h(x + p, q) - h(p, q)) / (2 * mp.pi**2 * s)
+
+    def pair(s):
+        x = s**m
+        steps = h(1 + p * x, q * x) + h(1 + q * x, p * x) + h(x + p, q) + h(x + q, p)
+        return m * (steps - 2 * h(p + q * x, q + p * x)) / (2 * mp.pi**2 * s)
+
+    points = [0, mp.mpf("0.01"), mp.mpf("0.1"), mp.mpf("0.5"), 1]
     return mp.quad(step, points), mp.quad(pair, points)
 
 
@@ -65,14 +74,28 @@ def test_kernel_exact_value_at_zero_step():
         assert asy.log_kernel(n, 0.0) == pytest.approx((1 - n) * (1 + n) / (12 * n), abs=1e-11)
     for n in (0.5, 1.0, 2.0, 3.0):
         assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-11)
+    # below order 1/2 the substitution x = s^m, m = ceil(1/n), keeps every
+    # digit; x = s^2 leaves an s^(2n - 1) cusp that errs by up to 2.1e-12
+    for n in (0.1, 0.2, 0.25, 0.3, 0.4):
+        assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+def test_kernels_reject_non_positive_order():
+    for kernel in (asy.step_kernel, asy.pair_kernel):
+        for n in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match="order must be positive"):
+                kernel(n, 0.5)
+
+
+@pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 2.0])
 def test_kernels_match_mpmath_reference(n):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(25):
         for p in ("0", "0.3", "0.5", "0.8", "1"):
             step, pair = mp_kernels(mpmath, mpmath.mpf(n), mpmath.mpf(p))
+            if p == "0":
+                # the reference itself meets the exact (1 + n)/(12 n)
+                assert abs(step - (1 + mpmath.mpf(n)) / (12 * mpmath.mpf(n))) < mpmath.mpf("1e-20")
             assert abs(asy.step_kernel(n, float(p)) - float(step)) < 1e-15, p
             assert abs(asy.pair_kernel(n, float(p)) - float(pair)) < 1e-15, p
 

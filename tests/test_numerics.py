@@ -51,9 +51,29 @@ def test_integrate_rejects_reversed_range():
 
 
 def test_integrate_nonconvergence_on_budget():
+    # 1 against 2 panels, then 2 against 4; 8 panels exceed the budget
     tiny = QuadratureSpec(abs_tol=1e-14, max_panels=4)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match=r"^batch error 1\.505e-01 above target with 4 panels$"):
         integrate(lambda x: np.sin(40 * x) / (x + 1e-3), 0.0, 3.0, tiny)
+    # the first pair of the 45 graded start panels is 45 against 90 panels
+    with pytest.raises(NonConvergence, match="^integral needs 90 panels, budget is 89$"):
+        integrate(np.log, 0.0, 1.0, QuadratureSpec(max_panels=89), singular_left=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integrate_rejects_non_finite_integrand(bad):
+    f = lambda x: np.where(x > 0.5, bad, x)
+    for singular_left in (False, True):
+        with pytest.raises(NonConvergence, match="^integrand evaluated to a non-finite value$"):
+            integrate(f, 0.0, 1.0, SPEC, singular_left=singular_left)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_oscillatory_rejects_non_finite_integrand(bad):
+    f = lambda k: np.where(k > 0.5, bad, k)
+    for rate in (0.0, 30.0):
+        with pytest.raises(NonConvergence, match="^integrand evaluated to a non-finite value$"):
+            integrate_oscillatory(f, rate, 0.0, 1.0, SPEC)
 
 
 def test_oscillatory_closed_form_fast_phase():
@@ -68,8 +88,9 @@ def test_oscillatory_zero_phase_is_plain_length():
 
 
 def test_oscillatory_self_consistency_two_paths():
-    # same integrand evaluated with the oscillatory rule and with the plain
-    # adaptive rule given a 10x larger panel budget
+    # same integrand evaluated with the oscillatory rule (one panel per period
+    # to start) and with plain integrate (one panel to start) given a 10x
+    # larger panel budget
     f = lambda k: np.sin(k) ** 2 / (np.sin(k) ** 2 + 1.0)
     g = lambda k: f(k) * np.exp(1j * 500.0 * k)
     a = integrate_oscillatory(f, 500.0, np.pi / 2, 2 * np.pi / 3, QuadratureSpec(abs_tol=1e-12, max_panels=2000))
@@ -240,7 +261,8 @@ def test_oscillatory_batch_kink_runs_filon_degrees_in_linear_memory():
 
 
 def test_oscillatory_panel_budget_raises():
-    with pytest.raises(NonConvergence):
+    # one panel per period, and the first pair doubles them
+    with pytest.raises(NonConvergence, match="^integral needs 10000002 panels, budget is 100$"):
         integrate_oscillatory(lambda k: np.ones_like(k), 1e7, 0.0, np.pi, QuadratureSpec(max_panels=100))
 
 
