@@ -33,7 +33,6 @@ from .entanglement import (
     EntanglementReport,
     Partition,
     block_spectra,
-    correlation_moments,
     entropy,
     fermionic_negativity,
     measures,

@@ -38,14 +38,11 @@ values:
 step_kernel(n, 1) = 0 and step_kernel(n, 0) = (1 + n)/(12 n), the kernel of
 one sharp step (1/6 at n = 1).
 
-``log_kernel(n, p) = (1 - n) step_kernel(n, p)`` and ``log_kernel_pair`` are
-the same kernels in the normalization of the unsubtracted representation
-
-    (n / 2 pi^2) int_p^1 dx  (x^(n-1) - (1-x)^(n-1)) / (x^n + (1-x)^n)
-                             * ln[(1-x)/(x-p)],
-
-which ``log_kernel_first_rep`` and ``log_kernel_pair_first_rep`` expose purely
-as cross-check oracles.
+An empty voltage window (k_fl = k_fr) leaves no partial steps: the
+transmission and reflection steps at the common Fermi momentum merge into
+one sharp step, each interval sees one sharp Fermi sea, with log coefficient
+2 (1 + n)/(12 n), and the far cross block vanishes, so the mutual
+information and negativity carry no log term.
 
 The fermionic negativity is half the order-1/2 mutual information here:
 h_{1/2}(T, 1 - T) = 2 ln(sqrt T + sqrt(1 - T)) is twice its volume density,
@@ -71,10 +68,6 @@ __all__ = [
     "AsymptoticPrediction",
     "step_kernel",
     "pair_kernel",
-    "log_kernel",
-    "log_kernel_first_rep",
-    "log_kernel_pair",
-    "log_kernel_pair_first_rep",
     "volume_coefficient_mi",
     "volume_coefficient_entropy",
     "mi_prediction",
@@ -86,9 +79,6 @@ __all__ = [
 
 KERNEL_SPEC = QuadratureSpec(abs_tol=1e-12, max_panels=40000)
 WINDOW_SPEC = QuadratureSpec(abs_tol=1e-12, max_panels=20000)
-#: the unsubtracted oracle representations carry hard endpoint singularities;
-#: 1e-10 is plenty for the 1e-8 cross-checks and keeps them cheap
-ORACLE_SPEC = QuadratureSpec(abs_tol=1e-10, max_panels=40000)
 
 
 class GeometryError(ValueError):
@@ -152,79 +142,6 @@ def pair_kernel(n: float, t: float) -> float:
         return (0.5 * m) * (steps - 2.0 * h(t + r * x, r + t * x)) / (np.pi**2 * s)
 
     return scale * float(integrate(integrand, 0.0, 1.0, KERNEL_SPEC, singular_left=True).real)
-
-
-def log_kernel(n: float, p: float) -> float:
-    """(1 - n) step_kernel(n, p), the normalization of log_kernel_first_rep."""
-    return (1.0 - n) * step_kernel(n, p)
-
-
-def log_kernel_pair(n: float, t: float) -> float:
-    """(1 - n) pair_kernel(n, t), the normalization of log_kernel_pair_first_rep."""
-    return (1.0 - n) * pair_kernel(n, t)
-
-
-def _integral_sqrt_endpoints(fn_dist, lo: float, hi: float, spec: QuadratureSpec) -> float:
-    """Integral over (lo, hi) of an integrand given in endpoint distances.
-
-    ``fn_dist(dl, dr)`` evaluates the integrand at the point with distance dl
-    from lo and dr from hi.  The substitutions x = lo + u^2 and x = hi - v^2
-    remove endpoint power singularities like d**(n-1) for n >= 1/2 exactly
-    and hand the quadrature exact distances, leaving only log singularities
-    for the graded panels.
-    """
-    span = hi - lo
-    half = np.sqrt(0.5 * span)
-
-    def left(u):
-        d = u * u
-        return fn_dist(d, span - d) * 2.0 * u
-
-    def right(v):
-        d = v * v
-        return fn_dist(span - d, d) * 2.0 * v
-
-    a = integrate(left, 0.0, half, spec, singular_left=True)
-    b = integrate(right, 0.0, half, spec, singular_left=True)
-    return float((a + b).real)
-
-
-@lru_cache(maxsize=None)
-def log_kernel_first_rep(n: float, p: float) -> float:
-    """Unsubtracted representation of log_kernel; test oracle only."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("step height must lie in [0, 1]")
-    if p == 1.0:
-        return 0.0
-
-    def fn(dl, dr):
-        x = p + dl
-        ratio = (x ** (n - 1.0) - dr ** (n - 1.0)) / (x**n + dr**n)
-        return ratio * (np.log(dr) - np.log(dl))
-
-    val = _integral_sqrt_endpoints(fn, p, 1.0, ORACLE_SPEC)
-    return val * n / (2.0 * np.pi**2)
-
-
-@lru_cache(maxsize=None)
-def log_kernel_pair_first_rep(n: float, t: float) -> float:
-    """Unsubtracted representation of log_kernel_pair; test oracle only."""
-    r = 1.0 - t
-    base = log_kernel_first_rep(n, t) + log_kernel_first_rep(n, r)
-    if t == r:
-        return base
-    lo, hi = min(r, t), max(r, t)
-
-    # the sign of the signed integral from R to T and the ordering of the
-    # log distances flip together, so the lo-to-hi expression is universal
-    def fn(dl, dr):
-        x = lo + dl
-        y = (1.0 - hi) + dr  # distance to 1, stable when hi = 1
-        ratio = (x ** (n - 1.0) - y ** (n - 1.0)) / (x**n + y**n)
-        return ratio * (np.log(dl) - np.log(dr))
-
-    val = _integral_sqrt_endpoints(fn, lo, hi, ORACLE_SPEC)
-    return base + val * n / (2.0 * np.pi**2)
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +221,13 @@ def mi_prediction(model: ScatteringModel, bias: BiasState, geom: SubsystemGeomet
     """Mutual-information asymptotics up to the fitted constant.
 
     Valid in the far regime.  The logarithmic coefficients are averaged over
-    the transmissions at the two Fermi momenta.
+    the transmissions at the two Fermi momenta; without a voltage window
+    there is none.
     """
     n = renyi_index(order)
     linear = geom.ell_mirror * volume_coefficient_mi(model, bias, order)
+    if bias.window_width == 0.0:
+        return AsymptoticPrediction(linear, 0.0, {})
     pair_ratio, step_ratio = _geometry_ratios(geom)
     kernels: dict = {}
     log_term = 0.0
@@ -327,18 +247,21 @@ def contiguous_entropy_prediction(
     """Entropy asymptotics of a single interval far from the scatterer.
 
     The two occupation steps seen by the interval sit at its own-side Fermi
-    momentum (transmission step) and at the opposite one (reflection step).
+    momentum (transmission step) and at the opposite one (reflection step);
+    without a voltage window they merge into one sharp step.
     """
     if ell < 1:
         raise GeometryError("interval length must be at least 1")
     if side not in ("L", "R"):
         raise ValueError("side must be 'L' or 'R'")
+    n = renyi_index(order)
+    linear = ell * volume_coefficient_entropy(model, bias, order)
+    if bias.window_width == 0.0:
+        return AsymptoticPrediction(linear, 2.0 * _sharp_step(n) * np.log(ell), {})
     own = bias.k_fl if side == "L" else bias.k_fr
     other = bias.k_fr if side == "L" else bias.k_fl
     t_own = transmission(model, own)
     r_other = 1.0 - transmission(model, other)
-    n = renyi_index(order)
-    linear = ell * volume_coefficient_entropy(model, bias, order)
     k_own = step_kernel(n, t_own)
     k_other = step_kernel(n, r_other)
     coeff = _sharp_step(n) + k_own + k_other

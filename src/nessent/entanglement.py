@@ -202,7 +202,6 @@ __all__ = [
     "BlockSpectra",
     "block_spectra",
     "report_from_spectra",
-    "correlation_moments",
     "measures",
     "fermionic_negativity",
 ]
@@ -368,13 +367,12 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
 
 def _folded(v: np.ndarray, rows: int, a: float, b: float) -> np.ndarray:
     """Q_a^dag K Q_b for the Hankel matrix K[j, m] = v[j + m] with ``rows``
-    rows and Q_s = (I - i s J)/sqrt 2: (K + ab JKJ)/2, Hankel, plus
-    i (a JK - b KJ)/2, Toeplitz, each formed on the 1-D values before its
-    gather."""
+    rows and Q_s = (I - i s J)/sqrt 2, as the stack of its real part
+    (K + ab JKJ)/2, Hankel, and its imaginary part (a JK - b KJ)/2,
+    Toeplitz, each formed on the 1-D values before its gather."""
     flip = v[::-1]
     terms = np.concatenate([0.5 * (v + a * b * flip), 0.5 * (a * v - b * flip)])
-    hankel, toeplitz = terms[_hankel_index(rows, v.size + 1 - rows)]
-    return hankel + 1j * toeplitz
+    return terms[_hankel_index(rows, v.size + 1 - rows)]
 
 
 def _shares(size: np.ndarray, nu_a: np.ndarray, nu_b: np.ndarray) -> np.ndarray:
@@ -402,13 +400,14 @@ def _finite_modes(c: FiniteMatrix) -> BlockModes:
     (nu_l, _, vec_l), (nu_r, _, vec_r) = _far_eigenpairs(far)
     m = np.empty((dim, dim), dtype=complex)
     for rows, vec, h, sign in ((slice(0, nl), vec_l, c.hankel_left, 1.0), (slice(nl, dim), vec_r, c.hankel_right, -1.0)):
-        re, im = _real_congruence(vec, _folded(h, vec.shape[0], sign, sign), vec)
+        re, im = vec.T @ _folded(h, vec.shape[0], sign, sign) @ vec
         # exactly Hermitian: the symmetric part of re, the antisymmetric one of im
         np.add(re, re.T, out=m.real[rows, rows])
         np.subtract(im, im.T, out=m.imag[rows, rows])
         m[rows, rows] *= 0.5
     # the cross term of the A_L rows is K[m, j] = conj hankel_cross[j + m]
-    re, im = _real_congruence(vec_l, far.coupling + _folded(c.hankel_cross.conj(), nl, 1.0, -1.0), vec_r)
+    hankel, toeplitz = _folded(c.hankel_cross.conj(), nl, 1.0, -1.0)
+    re, im = _real_congruence(vec_l, far.coupling + (hankel + 1j * toeplitz), vec_r)
     m.real[:nl, nl:], m.imag[:nl, nl:] = re, im
     m.real[nl:, :nl], m.imag[nl:, :nl] = re.T, -im.T
     nu, clamp_count = _clamped(np.concatenate([nu_l, nu_r]) + m.real.diagonal())
@@ -537,17 +536,6 @@ def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> Ent
         coherent_info=s_r - s_u - off_l,
         clamp_count=spectra.clamp_count,
     )
-
-
-def correlation_moments(c: CorrelationMatrix, p: int) -> float:
-    """Tr[C^p] by repeated matrix multiplication."""
-    if p < 1:
-        raise ValueError("moment order must be a positive integer")
-    a = c.matrix
-    power = a.copy()
-    for _ in range(p - 1):
-        power = power @ a
-    return float(np.trace(power).real)
 
 
 def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[float, float]:

@@ -12,14 +12,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
-from .entanglement import (
-    correlation_moments,
-    entropy,
-    fermionic_negativity,
-    measures,
-    occupation_spectrum,
-)
-from .fockspace import gaussian_density_matrix, negativity_dm, partial_trace, vn_entropy_dm
+from .entanglement import entropy, fermionic_negativity, measures, occupation_spectrum
 from .numerics import QuadratureSpec, integrate, integrate_oscillatory_batch
 from .scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, s_matrix, transmission
 
@@ -60,20 +53,6 @@ def single_impurity_transmission_value():
     # epsilon0 = 2 eta at band center: T = sin^2 k / (sin^2 k + 1) = 1/2
     model = SingleImpurity(2.0, 1.0)
     assert abs(transmission(model, np.pi / 2) - 0.5) < 1e-14
-
-
-@check
-def kernel_dual_representations():
-    for n in (0.5, 2.0):
-        for p in (0.0, 0.3, 1.0):
-            a = asy.log_kernel(n, p)
-            b = asy.log_kernel_first_rep(n, p)
-            assert abs(a - b) < 1e-8, f"kernel reps differ at n={n}, p={p}: {a} vs {b}"
-    for n in (0.5, 2.0):
-        for t in (0.0, 0.5, 0.8):
-            a = asy.log_kernel_pair(n, t)
-            b = asy.log_kernel_pair_first_rep(n, t)
-            assert abs(a - b) < 1e-8, f"pair kernel reps differ at n={n}, T={t}"
 
 
 @check
@@ -136,28 +115,6 @@ def entropy_spectral_oracle():
         nu = np.linalg.eigvalsh(cm.matrix)
         direct = float(np.log(nu**2 + (1 - nu) ** 2).sum() / (1 - 2))
         assert abs(entropy(occupation_spectrum(cm)[0], 2.0) - direct) < 1e-10
-
-
-@check
-def moment_dual_path():
-    rng = np.random.default_rng(13)
-    cm = _random_correlation(rng, 2, 3)
-    nu = np.linalg.eigvalsh(cm.matrix)
-    for p in (1, 2, 3, 4, 5):
-        assert abs(correlation_moments(cm, p) - (nu**p).sum()) < 1e-10
-
-
-@check
-def fock_oracle_small():
-    rng = np.random.default_rng(17)
-    cm = _random_correlation(rng, 2, 2)
-    rho = gaussian_density_matrix(cm.matrix)
-    s_a = vn_entropy_dm(rho)
-    s_l = vn_entropy_dm(partial_trace(rho, [0, 1], 4))
-    s_r = vn_entropy_dm(partial_trace(rho, [2, 3], 4))
-    rep = measures(cm, "vn", with_negativity=True)
-    assert abs(rep.mutual_info - (s_l + s_r - s_a)) < 1e-8
-    assert abs(rep.negativity - negativity_dm(rho, [0, 1], 4)) < 1e-8
 
 
 @check

@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
+import fockspace as fs
+import oracles
 import undeflated
 
 from nessent import asymptotics as asy
-from nessent import fockspace as fs
 from nessent.config import ExperimentConfig
 from nessent.correlation import (
     CorrelationBuilder,
@@ -56,10 +57,10 @@ def test_criterion_01_kernel_dual_representations():
     worst_single = worst_pair = 0.0
     for n in (0.5, 1.5, 2.0, 3.0):
         for p in np.round(np.arange(0.0, 1.0001, 0.1), 10):
-            worst_single = max(worst_single, abs(asy.log_kernel(n, p) - asy.log_kernel_first_rep(n, p)))
-            worst_pair = max(worst_pair, abs(asy.log_kernel_pair(n, p) - asy.log_kernel_pair_first_rep(n, p)))
-    worst_one = max(abs(asy.log_kernel(1.0, round(p, 10))) for p in np.arange(0.0, 1.0001, 0.1))
-    worst_at_full = max(abs(asy.log_kernel(n, 1.0)) for n in (0.5, 1.5, 2.0, 3.0))
+            worst_single = max(worst_single, abs(oracles.log_kernel(n, p) - oracles.log_kernel_first_rep(n, p)))
+            worst_pair = max(worst_pair, abs(oracles.log_kernel_pair(n, p) - oracles.log_kernel_pair_first_rep(n, p)))
+    worst_one = max(abs(oracles.log_kernel(1.0, round(p, 10))) for p in np.arange(0.0, 1.0001, 0.1))
+    worst_at_full = max(abs(oracles.log_kernel(n, 1.0)) for n in (0.5, 1.5, 2.0, 3.0))
     elapsed = time.time() - t0
     ok = worst_single < 1e-8 and worst_pair < 1e-8 and worst_one < 1e-9 and worst_at_full < 1e-9 and elapsed < 10.0
     report(
@@ -84,10 +85,8 @@ def test_criterion_02_spectral_oracle():
         direct_vn = float(-(np.where(nu * (1 - nu) > 0, nu * np.log(np.maximum(nu, 1e-300))
                                      + (1 - nu) * np.log(np.maximum(1 - nu, 1e-300)), 0.0)).sum())
         worst_entropy = max(worst_entropy, abs(entropy(spectrum, "vn") - direct_vn))
-        from nessent.entanglement import correlation_moments
-
-        for p in (1, 2, 3, 5):
-            worst_moment = max(worst_moment, abs(correlation_moments(cm, p) - (nu**p).sum()))
+        for p in (1, 2, 3, 4, 5):
+            worst_moment = max(worst_moment, abs(oracles.correlation_moments(cm, p) - (nu**p).sum()))
     ok = worst_entropy < 1e-10 and worst_moment < 1e-10
     report(2, ok, f"entropy spectral diff {worst_entropy:.2e}, moment dual-path diff {worst_moment:.2e} (tol 1e-10)")
 
@@ -95,21 +94,24 @@ def test_criterion_02_spectral_oracle():
 def test_criterion_03_fock_space_oracle():
     rng = np.random.default_rng(333)
     worst = 0.0
-    for _ in range(50):
-        cm, _ = random_correlation(rng, 3, 3)
-        rho = fs.gaussian_density_matrix(cm.matrix)
-        s_l = fs.vn_entropy_dm(fs.partial_trace(rho, [0, 1, 2], 6))
-        s_r = fs.vn_entropy_dm(fs.partial_trace(rho, [3, 4, 5], 6))
-        s_a = fs.vn_entropy_dm(rho)
-        rep = measures(cm, "vn", with_negativity=True)
-        DIAGNOSTICS.append(rep.pairing_residual)
-        worst = max(
-            worst,
-            abs(rep.mutual_info - (s_l + s_r - s_a)),
-            abs(rep.coherent_info - (s_r - s_a)),
-            abs(rep.negativity - fs.negativity_dm(rho, [0, 1, 2], 6)),
-        )
-    report(3, worst < 1e-8, f"50 Fock-space oracles, worst MI/CI/negativity diff {worst:.2e} (tol 1e-8)")
+    # 50 states of 3 + 3 modes, then 10 of 2 + 2
+    for half, count in ((3, 50), (2, 10)):
+        left, right = list(range(half)), list(range(half, 2 * half))
+        for _ in range(count):
+            cm, _ = random_correlation(rng, half, half)
+            rho = fs.gaussian_density_matrix(cm.matrix)
+            s_l = fs.vn_entropy_dm(fs.partial_trace(rho, left, 2 * half))
+            s_r = fs.vn_entropy_dm(fs.partial_trace(rho, right, 2 * half))
+            s_a = fs.vn_entropy_dm(rho)
+            rep = measures(cm, "vn", with_negativity=True)
+            DIAGNOSTICS.append(rep.pairing_residual)
+            worst = max(
+                worst,
+                abs(rep.mutual_info - (s_l + s_r - s_a)),
+                abs(rep.coherent_info - (s_r - s_a)),
+                abs(rep.negativity - fs.negativity_dm(rho, left, 2 * half)),
+            )
+    report(3, worst < 1e-8, f"60 Fock-space oracles (3 + 3 and 2 + 2 modes), worst MI/CI/negativity diff {worst:.2e} (tol 1e-8)")
 
 
 def fig2_config(epsilon0):

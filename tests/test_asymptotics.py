@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nessent import asymptotics as asy
 from nessent.correlation import SubsystemGeometry
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer
@@ -53,25 +54,25 @@ def mp_kernels(mp, n, p):
 @pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 3.0])
 def test_kernel_dual_representations(n):
     for p in np.round(np.arange(0.0, 1.0001, 0.1), 10):
-        assert abs(asy.log_kernel(n, p) - asy.log_kernel_first_rep(n, p)) < 1e-8
-        assert abs(asy.log_kernel_pair(n, p) - asy.log_kernel_pair_first_rep(n, p)) < 1e-8
+        assert abs(oracles.log_kernel(n, p) - oracles.log_kernel_first_rep(n, p)) < 1e-8
+        assert abs(oracles.log_kernel_pair(n, p) - oracles.log_kernel_pair_first_rep(n, p)) < 1e-8
 
 
 def test_kernel_identically_zero_at_order_one():
     for p in np.round(np.arange(0.0, 1.0001, 0.1), 10):
-        assert abs(asy.log_kernel(1.0, p)) < 1e-10
+        assert abs(oracles.log_kernel(1.0, p)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [0.5, 1.5, 2.0, 3.0])
 def test_kernel_vanishes_at_full_step(n):
-    assert abs(asy.log_kernel(n, 1.0)) < 1e-9
+    assert abs(oracles.log_kernel(n, 1.0)) < 1e-9
 
 
 def test_kernel_exact_value_at_zero_step():
     # log_kernel(n, 0) = (1-n)(1+n)/(12 n), from the dilogarithm integral, so
     # step_kernel(n, 0) = (1+n)/(12 n), the kernel of one sharp step
     for n in (0.5, 2.0, 3.0):
-        assert asy.log_kernel(n, 0.0) == pytest.approx((1 - n) * (1 + n) / (12 * n), abs=1e-11)
+        assert oracles.log_kernel(n, 0.0) == pytest.approx((1 - n) * (1 + n) / (12 * n), abs=1e-11)
     for n in (0.5, 1.0, 2.0, 3.0):
         assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-11)
     # below order 1/2 the substitution x = s^m, m = ceil(1/n), keeps every
@@ -103,7 +104,7 @@ def test_kernels_match_mpmath_reference(n):
 def test_pair_kernel_symmetric_in_t_and_r():
     for n in (0.5, 2.0):
         for t in (0.1, 0.3, 0.45, 0.9):
-            assert abs(asy.log_kernel_pair(n, t) - asy.log_kernel_pair(n, 1 - t)) < 1e-10
+            assert abs(oracles.log_kernel_pair(n, t) - oracles.log_kernel_pair(n, 1 - t)) < 1e-10
 
 
 def test_vn_kernels_symmetric():
@@ -203,7 +204,7 @@ def test_mi_prediction_symmetric_two_path_oracle():
             from nessent.scattering import transmission
 
             t = transmission(IMPURITY, kf)
-            total += asy.log_kernel(n, t) + asy.log_kernel(n, 1 - t)
+            total += oracles.log_kernel(n, t) + oracles.log_kernel(n, 1 - t)
         coeff = total / (1 - n) - (1 + n) / (6 * n)
         assert abs(pred.log_term - coeff * np.log(ell)) < 1e-10
         assert pred.total_minus_constant == pred.linear_term + pred.log_term
@@ -223,7 +224,7 @@ def test_mi_prediction_touching_case():
         expected = 0.0
         for kf in (BIAS.k_fl, BIAS.k_fr):
             t = transmission(IMPURITY, kf)
-            expected += 0.5 * (asy.log_kernel_pair(n, t) / (1 - n)) * np.log(ell_l * ell_r / (ell_l + ell_r))
+            expected += 0.5 * (oracles.log_kernel_pair(n, t) / (1 - n)) * np.log(ell_l * ell_r / (ell_l + ell_r))
         assert abs(pred.log_term - expected) < 1e-10
 
 
@@ -310,7 +311,7 @@ def test_negativity_prediction_symmetric_log_term():
     coeff = -0.25
     for kf in (BIAS.k_fl, BIAS.k_fr):
         t = transmission(IMPURITY, kf)
-        coeff += asy.log_kernel(0.5, t) + asy.log_kernel(0.5, 1 - t)
+        coeff += oracles.log_kernel(0.5, t) + oracles.log_kernel(0.5, 1 - t)
     assert abs(pred.log_term - coeff * np.log(ell)) < 1e-10
     assert abs(pred.linear_term - 0.5 * asy.mi_prediction(IMPURITY, BIAS, geom, 0.5).linear_term) < 1e-12
 

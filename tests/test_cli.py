@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fockspace import annihilation_operators, gaussian_density_matrix
 from nessent.cli import main
 from nessent.correlation import CorrelationMatrix
-from nessent.fockspace import annihilation_operators, gaussian_density_matrix
 
 TINY_CONFIG = """
 scenario = sweep-length

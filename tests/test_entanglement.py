@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fockspace as fs
 import undeflated
+from oracles import correlation_moments
 from nessent.correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
@@ -20,7 +22,6 @@ from nessent.entanglement import (
     SingularResolvent,
     SpectrumError,
     block_spectra,
-    correlation_moments,
     entropy,
     fermionic_negativity,
     measures,
@@ -29,7 +30,6 @@ from nessent.entanglement import (
     renyi_index,
     report_from_spectra,
 )
-from nessent import fockspace as fs
 from nessent.numerics import NotHermitian
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity
 

@@ -490,7 +490,40 @@ def test_sweep_bias_zero_window_all_measures_vanish():
     for row in rows_of(rows, row_type="point"):
         floor = 1e-8 if row["measure"] == "mi" else 1e-6  # branch-point noise
         assert abs(row["numeric"]) < floor
-        assert row["analytic_linear"] == 0.0
+        assert row["analytic"] == 0.0
+
+
+def test_zero_bias_entropy_predictions_read_one_sharp_fermi_sea():
+    # at k_fl = k_fr each interval sees one sharp Fermi sea, two sharp steps:
+    # the entropies of A_L and A_R grow as (1 + n)/(6 n) ln(ell), and with
+    # MI = 0 (the test above) CI = -S(A_L)
+    cfg = small_length_config(
+        model="single_impurity",
+        epsilon0=1.0,
+        k_fl=K_FR,
+        ell_min=20,
+        ell_max=200,
+        ell_step=20,
+        measures=("ci", "entropy"),
+        renyi_orders=("vn", 2.0),
+    )
+    _, rows = run_sweep_length(cfg)
+    for measure, order, coeff in (
+        ("entropy_al", "vn", 1 / 3),
+        ("entropy_ar", "vn", 1 / 3),
+        ("entropy_al", "2", 1 / 4),
+        ("entropy_ar", "2", 1 / 4),
+        ("ci", "vn", -1 / 3),
+    ):
+        points = rows_of(rows, row_type="point", measure=measure, order=order)
+        log_ell = np.log([row["ell"] for row in points])
+        for row, log in zip(points, log_ell):
+            assert row["analytic_log"] == pytest.approx(coeff * log, rel=1e-12)
+        slope = np.polyfit(log_ell, [row["numeric"] for row in points], 1)[0]
+        # order 2 carries the larger ell^(-2/n) oscillation: 2.0e-3 in the
+        # slope, 4.0e-3 in the residual, against 1.5e-5 and 3.5e-5 at vn
+        assert abs(slope - coeff) < 5e-3, f"{measure} order {order}: slope {slope}"
+        assert rows_of(rows, row_type="fit", measure=measure, order=order)[0]["residual_max"] < 1e-2
 
 
 def test_sweep_bias_small_window_linearity():
