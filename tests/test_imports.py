@@ -1,7 +1,9 @@
 """Import hygiene of the package, checked on its syntax trees: every name a
 module imports is used there, every import kept for an outside reader
 says who reads it, and every module-level private name is read somewhere in
-the package.  Imports in ``__init__.py`` are the package's exports."""
+the package.  Imports in ``__init__.py`` are the package's exports.  The
+first two checks also cover the test-support modules beside this file (the
+Fock-space and kernel oracles, the undeflated reference paths)."""
 
 import ast
 import os
@@ -14,6 +16,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nessent"
 MODULES = sorted(PACKAGE.glob("*.py"))
+#: modules in tests/ that the tests import rather than collect
+SUPPORT = sorted(p for p in Path(__file__).parent.glob("*.py") if not p.name.startswith("test_"))
 
 #: a kept import must name its reader: ``# noqa: F401  read by <reader>``
 NOQA = re.compile(r"#\s*noqa:\s*F401\b(?P<rest>.*)$")
@@ -48,7 +52,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"] + SUPPORT, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     source = path.read_text()
     lines = source.splitlines()
@@ -62,7 +66,7 @@ def test_every_import_is_used(path):
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SUPPORT, ids=lambda p: p.name)
 def test_every_kept_import_names_its_reader(path):
     for number, line in enumerate(path.read_text().splitlines(), start=1):
         kept = NOQA.search(line)
