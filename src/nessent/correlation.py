@@ -12,8 +12,11 @@ one momentum window at an integer rate x: j - m (Toeplitz) or j + m
 coefficients W(window, factor, x).  ``CorrelationBuilder`` holds one table
 per (window, factor), filled in aligned blocks of consecutive rates, and
 both matrix builders assemble whole blocks from it by numpy indexing.  The
-factors asked for together on one (window, block) share one batched
-quadrature: its nodes, amplitudes and Chebyshev moments.
+missing blocks of one window asked for together, with the same factors,
+share one stacked quadrature: its nodes and amplitudes, and on the
+Filon-Clenshaw-Curtis rule its samples of f and its Chebyshev moment
+recurrences.  A distance sweep asks for every block its distances read at
+once (``finite_keys``).
 
 Two regimes are implemented:
 
@@ -87,6 +90,7 @@ __all__ = [
     "FiniteMatrix",
     "correlation_matrix_finite",
     "correlation_matrix_far",
+    "finite_keys",
     "CorrelationBuilder",
     "cross_rates",
     "has_parity",
@@ -230,11 +234,12 @@ class CorrelationBuilder:
     three windows: "L" = (0, k_fl) and "R" = (0, k_fr), the occupied
     left- and right-incoming states, and "V", the voltage window from k_fr
     to k_fl (sign -1 when k_fl < k_fr).  Each table is filled in aligned
-    blocks of BLOCK consecutive integer rates, one batched quadrature per
-    block on a grid sized by the block alone, so every coefficient is a
-    pure function of (window, factor, block): it does not depend on which
-    matrix, or which thread, asked for it first.  Two threads filling the
-    same block compute the same values, so the race is harmless.
+    blocks of BLOCK consecutive integer rates.  Blocks are filled in stacks
+    (``prefetch``), but each is refined on degrees or a grid sized by the
+    block alone, so every coefficient is a pure function of (window,
+    factor, block): it does not depend on which matrix, which stack, or
+    which thread asked for it first.  Two threads filling the same block
+    compute the same values, so the race is harmless.
     """
 
     def __init__(self, model: ScatteringModel, bias: BiasState, spec: QuadratureSpec = ENTRY_SPEC):
@@ -252,39 +257,61 @@ class CorrelationBuilder:
 
     def prefetch(self, keys) -> None:
         """Fill the missing table blocks among the (window, factor, block)
-        keys: one batched quadrature per (window, block), whose factors share
-        its nodes, amplitudes and Chebyshev moments."""
-        groups: dict[tuple[str, int], dict[str, None]] = {}  # dicts as ordered sets
+        keys.  The missing blocks of one window that miss the same factors
+        form one stack, filled by one call of ``integrate_oscillatory_batch``
+        with one row of rates per block: its factors share the nodes and the
+        amplitudes, and its Filon-Clenshaw-Curtis blocks the samples of f and
+        the Chebyshev moment recurrences.  Every value is the one a stack of
+        one block and one factor gives.  When a stack fails, the missing
+        blocks are filled one (window, block) and factor at a time, in key
+        order, and the first integral that fails alone names the error."""
+        wanted: dict[tuple[str, int], dict[str, None]] = {}  # dicts as ordered sets
         for window, factor, block in keys:
             if (window, factor, block) not in self._blocks:
-                groups.setdefault((window, block), {})[factor] = None
-        for (window, block), factors in groups.items():
-            factors = list(factors)
-            lo, hi, sign = self._windows[window]
-            fs = [_FACTORS[factor] for factor in factors]
-            rates = range(BLOCK * block, BLOCK * (block + 1))
+                wanted.setdefault((window, block), {})[factor] = None
+        stacks: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+        for (window, block), factors in wanted.items():
+            stacks.setdefault((window, tuple(sorted(factors))), []).append(block)
+        try:
+            for (window, factors), blocks in stacks.items():
+                self._fill(window, factors, blocks)
+        except NumericsError:
+            # a stack fails exactly when one of its integrals fails alone
+            for (window, block), factors in wanted.items():
+                for factor in factors:
+                    if (window, factor, block) not in self._blocks:
+                        try:
+                            self._fill(window, (factor,), [block])
+                        except NumericsError as exc:
+                            rates = f"{BLOCK * block}..{BLOCK * block + BLOCK - 1}"
+                            where = f"W(window {window}, factor {factor}, rates {rates})"
+                            raise type(exc)(f"{where}: {exc}") from exc
+            raise
 
-            def f_rows(k: np.ndarray) -> list:
-                amps = self.model.amplitudes(k)
-                return [f(*amps) for f in fs]
+    def _fill(self, window: str, factors: tuple[str, ...], blocks: list[int]) -> None:
+        """Fill the table blocks of the factors at the blocks of one window
+        by one stacked quadrature."""
+        lo, hi, sign = self._windows[window]
+        fs = [_FACTORS[factor] for factor in factors]
 
-            try:
-                vals = integrate_oscillatory_batch(f_rows, rates, lo, hi, self.spec)
-            except NumericsError as exc:
-                if len(factors) > 1:
-                    # a block fails in company exactly when one of its factors
-                    # fails alone, so filling them alone names that integral
-                    for factor in factors:
-                        self.prefetch([(window, factor, block)])
-                where = f"W(window {window}, factor {factors[0]}, rates {rates[0]}..{rates[-1]})"
-                raise type(exc)(f"{where}: {exc}") from exc
-            for factor, row in zip(factors, vals):
+        def f_rows(k: np.ndarray) -> list:
+            amps = self.model.amplitudes(k)
+            return [f(*amps) for f in fs]
+
+        rates = BLOCK * np.array(blocks)[:, None] + np.arange(BLOCK)
+        vals = integrate_oscillatory_batch(f_rows, rates, lo, hi, self.spec)
+        for factor, rows in zip(factors, vals):
+            for block, row in zip(blocks, rows):
                 self._blocks[(window, factor, block)] = sign * row / (2.0 * np.pi)
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
         """W(window, factor, x) at an integer array of rates x, same shape."""
+        self.prefetch([(window, factor, b) for b in _span(rates)])
+        return self._gather(window, factor, rates)
+
+    def _gather(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
+        """``coefficients`` from table blocks already filled."""
         span = _span(rates)
-        self.prefetch([(window, factor, b) for b in span])
         table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
         return table[rates - BLOCK * span[0]]
 
@@ -356,6 +383,25 @@ class FiniteMatrix(CorrelationMatrix):
         )
 
 
+def _hankel_reads(geom: SubsystemGeometry) -> tuple:
+    """(window, factor, rates) of the four Hankel terms of a finite-distance
+    matrix, in the order right, left, cross from L, cross from R."""
+    d_l, d_r, nl, nr = geom.d_l, geom.d_r, geom.ell_l, geom.ell_r
+    cross = np.arange(d_l + d_r + 2, d_l + d_r + nl + nr + 1)
+    return (
+        ("R", "rR", np.arange(2 * d_r + 2, 2 * d_r + 2 * nr + 1)),
+        ("L", "rL", np.arange(2 * d_l + 2, 2 * d_l + 2 * nl + 1)),
+        ("L", "tLc", -cross),
+        ("R", "tR", cross),
+    )
+
+
+def finite_keys(geom: SubsystemGeometry) -> list[tuple[str, str, int]]:
+    """The (window, factor, block) table keys that the Hankel terms of the
+    finite-distance matrix of geom read, in the order it reads them."""
+    return [(window, factor, blk) for window, factor, rates in _hankel_reads(geom) for blk in _span(rates)]
+
+
 def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FiniteMatrix:
     """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
@@ -387,16 +433,9 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
         far = correlation_matrix_far(builder, geom)
         # one assignment: a thread reads the last pair or the one before it
         builder._far_matrix = (key, far)
-    d_l, d_r, nl, nr = geom.d_l, geom.d_r, geom.ell_l, geom.ell_r
-    cross = np.arange(d_l + d_r + 2, d_l + d_r + nl + nr + 1)
-    reads = (
-        ("R", "rR", np.arange(2 * d_r + 2, 2 * d_r + 2 * nr + 1)),
-        ("L", "rL", np.arange(2 * d_l + 2, 2 * d_l + 2 * nl + 1)),
-        ("L", "tLc", -cross),
-        ("R", "tR", cross),
-    )
-    builder.prefetch([(window, factor, blk) for window, factor, rates in reads for blk in _span(rates)])
-    right, left, t_lc, t_r = (builder.coefficients(window, factor, rates) for window, factor, rates in reads)
+    reads = _hankel_reads(geom)
+    builder.prefetch(finite_keys(geom))
+    right, left, t_lc, t_r = (builder._gather(window, factor, rates) for window, factor, rates in reads)
     return FiniteMatrix(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
 
 

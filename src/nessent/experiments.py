@@ -21,7 +21,7 @@ its own mirror image), so only position sweeps share.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -36,6 +36,7 @@ from .correlation import (
     correlation_matrix_far,
     correlation_matrix_finite,
     cross_rates,
+    finite_keys,
     has_parity,
     ENTRY_SPEC,
 )
@@ -408,6 +409,18 @@ def friedel_window(k_fl: float, k_fr: float, requested="auto") -> int:
     return best_w
 
 
+def _distance_clusters(config: ExperimentConfig, bias: BiasState) -> list[range]:
+    """The clusters of ``window`` consecutive distances a distance sweep
+    samples, around logarithmically spaced centers, in ascending order."""
+    ell = config.ell
+    window = friedel_window(bias.k_fl, bias.k_fr, config.window)
+    d_min = int(round(config.d_over_ell_min * ell))
+    d_max = int(round(config.d_over_ell_max * ell))
+    # a sorted set, not np.unique, which imports numpy.ma on first use (numpy 2.4)
+    spaced = np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)
+    return [range(center, center + window) for center in sorted({int(c) for c in np.round(spaced)})]
+
+
 _DISTANCE_FIELDS = [
     "row_type", "measure", "d", "center_d", "value", "far_value",
     "window_mean", "avg_deviation", "amplitude",
@@ -421,18 +434,15 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     Distances are sampled in clusters of ``window`` consecutive integers
     around logarithmically spaced centers; the cluster mean removes the
     aliased Friedel oscillation, the spread around it gives the amplitude.
-    Every distance is solved once, on one worker pool for the whole sweep,
+    Every table block the distances read is filled before the first of
+    them, in one stacked quadrature per window and factor set; every
+    distance is then solved once, on one worker pool for the whole sweep,
     and the clusters read their values from it.
     """
     model = config.build_model()
     bias = config.build_bias()
     ell = config.ell
-    window = friedel_window(bias.k_fl, bias.k_fr, config.window)
-    d_min = int(round(config.d_over_ell_min * ell))
-    d_max = int(round(config.d_over_ell_max * ell))
-    # a sorted set, not np.unique, which imports numpy.ma on first use (numpy 2.4)
-    spaced = np.geomspace(d_min, max(d_min + 1, d_max - window + 1), config.n_centers)
-    centers = sorted({int(c) for c in np.round(spaced)})
+    clusters = _distance_clusters(config, bias)
 
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
 
@@ -448,12 +458,15 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         with _failure_at(f"d={d}"):
             return measured(correlation_matrix_finite(builder, SubsystemGeometry(d, ell, d, ell)))
 
-    distances = sorted({d for center in centers for d in range(center, center + window)})
+    distances = sorted({d for ds in clusters for d in ds})
+    # one stacked fill of every table block the distances read; a block that
+    # fails is left unfilled, and the first distance reading it raises
+    with suppress(NumericsError):
+        builder.prefetch([key for d in distances for key in finite_keys(SubsystemGeometry(d, ell, d, ell))])
     by_distance = dict(zip(distances, _map_ordered(one_distance, distances, config.threads)))
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
-    for center in centers:
-        ds = list(range(center, center + window))
+    for ds in clusters:
         values = [by_distance[d] for d in ds]
         for measure in wanted:
             vals = np.array([v[measure] for v in values])

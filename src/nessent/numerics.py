@@ -40,18 +40,23 @@ power-of-two multiple of PANEL_NODES.  The degree f needs grows with the
 window it spans: on the Fermi windows of the Fig. S2 config (widths pi/2 and
 2 pi/3, where N starts at 32) every Filon block fails N = 16 and passes
 N = 32, while smooth integrands on [0, 1] pass at 16.
-The moments depend only on the window and the rates, so a batch of several
-integrands on one window block (f_smooth returning one row per integrand)
-runs one recurrence per degree for all of them; each integrand keeps its
-own acceptance test and arithmetic, so its values have the bytes they have
-alone.  Nothing keeps the moments beyond the batch.  An integrand that no
-degree within these bounds brings to the target goes to the Gauss-Legendre
-grid, which raises NonConvergence on its panel budget.  That happens when f
-has a pole close to the window: t(k) = sin k/(sin k + i c), c =
-epsilon0/(2 eta), has one at distance about c from k = 0, where the
-windows L and R start, and at epsilon0 = 0.02 or 0.05 the Fig. S2
-distance sweep has blocks whose Chebyshev degree passes the stability
-bound.
+A batch takes several integrands (f_smooth returning one row per
+integrand) on a stack of blocks of rates in one window (phase_rates with
+one row per block).  The samples of f and the coefficients depend only on
+the window and the degree, so each degree samples f and takes each
+integrand's FFT once for the whole stack.  The moments depend on the rates
+too: each degree runs one recurrence per MOMENT_BLOCKS blocks that still
+have a pending row, and the moments live only as long as that degree's
+estimates of those blocks.  Each (integrand, block) row keeps its own
+acceptance test, its own stability bound (min|omega| of its block) and
+its own arithmetic, so its values have the bytes they have alone.  A row
+that no degree within these bounds brings to the target goes to the
+Gauss-Legendre grid alone, which raises NonConvergence on its panel
+budget.  That happens when f has a pole close to the window: t(k) =
+sin k/(sin k + i c), c = epsilon0/(2 eta), has one at distance about c
+from k = 0, where the windows L and R start, and at epsilon0 = 0.02 or
+0.05 the Fig. S2 distance sweep has blocks whose Chebyshev degree passes
+the stability bound.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.
@@ -243,89 +248,139 @@ def _dct(values: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
-    """mu_n(omega) = int_{-1}^{1} T_n(x) exp(i omega x) dx for n = 0..n_max
-    (rows), by the forward recurrence; stable for n <= |omega|."""
+    """mu_n(omega) = int_{-1}^{1} T_n(x) exp(i omega x) dx for n = 0..n_max,
+    by the forward recurrence; stable for n <= |omega|.  omega has shape
+    (..., R) and mu shape (..., n_max + 1, R): n runs along the rows of each
+    (n_max + 1, R) slab, which is contiguous."""
     inv = 1.0 / (1j * omega)
     # B_n / (i omega) with B_n = exp(i omega) - (-1)^n exp(-i omega)
     boundary = (2.0 * np.sin(omega) / omega, 2.0 * np.cos(omega) * inv)
-    mu = np.empty((n_max + 1, omega.size), dtype=complex)
-    mu[0] = boundary[0]
-    mu[1] = boundary[1] - mu[0] * inv
-    mu[2] = boundary[0] - 4.0 * mu[1] * inv
+    mu = np.empty(omega.shape[:-1] + (n_max + 1, omega.shape[-1]), dtype=complex)
+    mu[..., 0, :] = boundary[0]
+    mu[..., 1, :] = boundary[1] - mu[..., 0, :] * inv
+    mu[..., 2, :] = boundary[0] - 4.0 * mu[..., 1, :] * inv
     for n in range(2, n_max):
-        mu[n + 1] = (
+        mu[..., n + 1, :] = (
             (-2.0 / (n - 1)) * boundary[(n + 1) % 2]
-            - (2.0 * (n + 1)) * mu[n] * inv
-            + ((n + 1) / (n - 1)) * mu[n - 1]
+            - (2.0 * (n + 1)) * mu[..., n, :] * inv
+            + ((n + 1) / (n - 1)) * mu[..., n - 1, :]
         )
     return mu
 
 
-def _refine(estimate, n: int, limit: int, spec: QuadratureSpec, needs: str | None = None, size=None) -> list | None:
+def _refine(estimate, n: int, limit, spec: QuadratureSpec, needs: str | None = None, size=None) -> list | None:
     """The rows of estimate(n), each checked against its row of estimate(2 n)
     and accepted with the latter once every rate agrees to spec.abs_tol, n
     doubling while 2 n <= limit: the refinement loop of every quadrature.
 
-    Without needs, a row still pending at the limit is None, and the result
-    is None when not even the first pair fits it.  With needs, the first
-    case raises NonConvergence(needs) and the second NonConvergence naming
-    size(n) of the last estimate and the largest |fine - coarse| of a
+    limit may also hold one bound per row (without needs).  A row is then
+    estimated only while it is pending and 2 n is within its own bound, and
+    estimate(n, rows) returns the estimates of the listed rows only.
+
+    Without needs, a row still pending at its limit is None, and the result
+    is None when not even the first pair fits any row.  With needs, the
+    first case raises NonConvergence(needs) and the second NonConvergence
+    naming size(n) of the last estimate and the largest |fine - coarse| of a
     pending row in the last pair.
     """
-    if 2 * n > limit:
+    rowwise = np.ndim(limit) > 0
+    if 2 * n > (max(limit) if rowwise else limit):
         if needs is None:
             return None
         raise NonConvergence(needs)
-    coarse = estimate(n)
-    out = [None] * len(coarse)
+
+    def at(m: int, rows) -> dict:
+        # the estimates at size m of the listed rows, or of every row
+        if rowwise:
+            return dict(zip(rows, estimate(m, rows)))
+        vals = estimate(m)
+        return dict(enumerate(vals)) if rows is None else {i: vals[i] for i in rows}
+
+    coarse = at(n, [i for i, bound in enumerate(limit) if 2 * n <= bound] if rowwise else None)
+    out = [None] * (len(limit) if rowwise else len(coarse))
     while True:
-        fine = estimate(2 * n)
-        out = [hi if v is None and np.all(np.abs(hi - lo) <= spec.abs_tol) else v
-               for v, lo, hi in zip(out, coarse, fine)]
-        pending = [i for i, v in enumerate(out) if v is None]
+        fine = at(2 * n, list(coarse))
+        for i, lo in coarse.items():
+            if np.all(np.abs(fine[i] - lo) <= spec.abs_tol):
+                out[i] = fine[i]
+        pending = [i for i in coarse if out[i] is None]
         if not pending:
             return out
         n *= 2
-        if 2 * n > limit:
+        live = [i for i in pending if 2 * n <= (limit[i] if rowwise else limit)]
+        if not live:
             if needs is None:
                 return out
             err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
             raise NonConvergence(f"batch error {err:.3e} above target with {size(n)}")
-        coarse = fine
+        coarse = {i: fine[i] for i in live}
 
 
-def _filon_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list | None:
-    """Filon-Clenshaw-Curtis integrals of each row of the batch, None for a
-    row that no degree within the bounds brings to the target and for the
-    whole batch when not even the first pair of degrees fits them.
+#: table blocks per Chebyshev moment recurrence: at degree 128 the moments of
+#: eight blocks of 64 rates take about 1 MB
+MOMENT_BLOCKS = 8
+
+
+def _filon_rows(rows, blocks: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
+    """Filon-Clenshaw-Curtis integrals of each row of the batch at each block
+    of rates (one row of blocks each): per block, None when not even the
+    first pair of degrees fits it, else a list with one entry per row, None
+    for a row that no degree within the block's bounds brings to the target.
 
     With h = (b - a)/2 and m = (a + b)/2, each row of rows(m + h x) is
     interpolated by sum c_n T_n(x) on Chebyshev points and each T_n is
     integrated against exp(i rate (m + h x)) exactly, so the cost does not
     depend on the rate.  Degree N is checked against degree 2N, N doubling
-    while 2N is within the stability bound min|rate| h and 2N + 1 within the
-    node budget max_panels * PANEL_NODES.  The moments depend only on the
-    window and the rates, so each round runs one recurrence for all rows;
-    each row keeps its own acceptance test and its own arithmetic, so it
-    gets the value it gets alone.
+    while 2N is within the block's stability bound min|rate| h and 2N + 1
+    within the node budget max_panels * PANEL_NODES.  The samples and the
+    coefficients c_n depend only on the window and the degree, so each
+    degree takes them once for all blocks.  The moments depend on the rates
+    too: each degree runs one recurrence per MOMENT_BLOCKS blocks with a
+    pending row, the first one on to the degree it is checked against.
+    Each (row, block) keeps its own acceptance test and its own arithmetic
+    (its block's moments are contiguous, as they are alone), so it gets the
+    value it gets alone.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    omega = rates * half
-    omega_min = float(np.abs(omega).min())
-    scale = half * np.exp(1j * rates * mid)
-    mu = np.empty((0, rates.size), dtype=complex)
-
-    def estimate(n: int) -> list:
-        nonlocal mu
-        if len(mu) <= n:
-            # the first round's recurrence runs on to the degree it checks against
-            mu = _chebyshev_moments(omega, n if len(mu) else 2 * n)
-        x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
-        return [scale * (_dct(row) @ mu[: n + 1]) for row in rows(mid + half * x)]
-
+    omega = blocks * half
+    bounds = np.minimum(np.abs(omega).min(axis=1).astype(int), spec.max_panels * PANEL_NODES - 1)
     # PANEL_NODES per unit of width, rounded to a power-of-two multiple
-    n = PANEL_NODES * 2 ** max(0, int(np.rint(np.log2(b - a))))
-    return _refine(estimate, n, min(int(omega_min), spec.max_panels * PANEL_NODES - 1), spec)
+    start = PANEL_NODES * 2 ** max(0, int(np.rint(np.log2(b - a))))
+    if 2 * start > bounds.max():
+        return [None] * len(blocks)
+    coeffs: dict[int, list] = {}
+
+    def chebyshev(n: int) -> list:
+        # one sample of the rows and one DCT per row for every block
+        if n not in coeffs:
+            x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
+            coeffs[n] = [_dct(row) for row in rows(mid + half * x)]
+        return coeffs[n]
+
+    count = len(chebyshev(start))
+    scale = half * np.exp(1j * blocks * mid)
+    made: dict[int, dict] = {}
+
+    def estimate(n: int, wanted: list) -> list:
+        # row r is row r % count of the batch at block r // count
+        if n not in made:
+            degrees = (n, 2 * n) if n == start else (n,)
+            by_block: dict[int, list] = {}
+            for r in wanted:
+                by_block.setdefault(r // count, []).append(r)
+            live = list(by_block)
+            made.update((d, {}) for d in degrees)
+            for lo in range(0, len(live), MOMENT_BLOCKS):
+                chunk = live[lo : lo + MOMENT_BLOCKS]
+                for j, mu in zip(chunk, _chebyshev_moments(omega[chunk], degrees[-1])):
+                    for d in degrees:
+                        c = chebyshev(d)
+                        made[d].update((r, scale[j] * (c[r % count] @ mu[: d + 1])) for r in by_block[j])
+        done = made.pop(n)
+        return [done[r] for r in wanted]
+
+    out = _refine(estimate, start, np.repeat(bounds, count), spec)
+    return [out[j * count : (j + 1) * count] if 2 * start <= bound else None for j, bound in enumerate(bounds)]
 
 
 def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
@@ -360,26 +415,35 @@ def integrate_oscillatory_batch(
     b: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> np.ndarray:
-    """Integrals of f_smooth(k) * exp(i * rate * k) for consecutive integer rates.
+    """Integrals of f_smooth(k) * exp(i * rate * k) for blocks of consecutive
+    integer rates.
 
-    phase_rates must be r0, r0 + 1, r0 + 2, ...  f_smooth may return one
-    row of values per integrand, shape (rows, k.size); the result then has
-    one row of integrals per integrand, each with the bytes it has alone.
-    The batch takes one of two rules, both refined by _refine.  When every
-    rate has a phase extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE,
-    it takes the Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does
-    not grow with the rate; a row that no degree within its bounds brings to
-    the target goes to the grid alone, its company keeping their Filon
-    values.  Otherwise all rates share one composite Gauss-Legendre grid
-    sized for the fastest phase (so every rate gets at least PANEL_NODES
-    nodes per period) and a single evaluation of f_smooth.  The phases
-    follow by recurrence: exp(i*r0*k) and exp(i*k) once per node, then one
-    complex multiply per further rate.
+    phase_rates is one block r0, r0 + 1, r0 + 2, ..., or a 2-D stack of such
+    blocks of one length, one per row, each with its own r0.  f_smooth may
+    return one row of values per integrand, shape (rows, k.size); the result
+    then has shape (rows,) + phase_rates.shape, and each (integrand, block)
+    has the bytes it has alone, in a stack of one.  Each block takes one of
+    two rules, both refined by _refine.  When every rate of the block has a
+    phase extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE, it takes the
+    Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does not grow with
+    the rate and whose samples of f_smooth, coefficients and moment
+    recurrences the blocks of a stack share; a row that no degree within its
+    block's bounds brings to the target goes to the grid alone, its company
+    keeping their Filon values.  Otherwise all rates of the block share one
+    composite Gauss-Legendre grid sized for its fastest phase (so every rate
+    gets at least PANEL_NODES nodes per period) and a single evaluation of
+    f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k) once
+    per node, then one complex multiply per further rate.  The blocks go to
+    the grid in stack order, so a failure there is that of the first block
+    that fails.
     """
     rates = np.asarray(phase_rates, dtype=float)
+    if rates.ndim not in (1, 2):
+        raise ValueError("integrate_oscillatory_batch requires one block or a 2-D stack of blocks of rates")
     if rates.size == 0:
-        return np.zeros(0, dtype=complex)
-    if rates[0] != np.round(rates[0]) or np.any(np.diff(rates) != 1.0):
+        return np.zeros(rates.shape, dtype=complex)
+    blocks = rates.reshape(-1, rates.shape[-1])
+    if np.any(blocks[:, 0] != np.round(blocks[:, 0])) or np.any(np.diff(blocks) != 1.0):
         raise ValueError("integrate_oscillatory_batch requires consecutive integer rates")
     if a > b:
         raise ValueError("integrate_oscillatory_batch requires a <= b")
@@ -392,15 +456,21 @@ def integrate_oscillatory_batch(
         shape[:] = vals.shape[:-1]
         return vals.reshape(-1, k.size)
 
-    filon = float(np.abs(rates).min()) * (0.5 * (b - a)) >= FILON_MIN_PHASE
-    out = _filon_rows(rows, rates, a, b, spec) if filon else None
-    if out is None:
-        out = _grid_rows(rows, rates, a, b, spec)
-    pending = [i for i, v in enumerate(out) if v is None]
-    if pending:
-        for i, v in zip(pending, _grid_rows(lambda k: rows(k)[pending], rates, a, b, spec)):
-            out[i] = v
-    return np.array(out).reshape(tuple(shape) + rates.shape)
+    filon = np.abs(blocks).min(axis=1) * (0.5 * (b - a)) >= FILON_MIN_PHASE
+    found = [None] * len(blocks)
+    if filon.any():
+        for j, vals in zip(np.flatnonzero(filon), _filon_rows(rows, blocks[filon], a, b, spec)):
+            found[j] = vals
+    out = []
+    for block, vals in zip(blocks, found):
+        if vals is None:
+            vals = _grid_rows(rows, block, a, b, spec)
+        pending = [i for i, v in enumerate(vals) if v is None]
+        if pending:
+            for i, v in zip(pending, _grid_rows(lambda k: rows(k)[pending], block, a, b, spec)):
+                vals[i] = v
+        out.append(vals)
+    return np.array(out).swapaxes(0, 1).reshape(tuple(shape) + rates.shape)
 
 
 def check_hermitian(m: np.ndarray) -> None:

@@ -141,13 +141,13 @@ def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeyp
     # builder keeps its last far matrix, and the matrices keep the bytes of
     # a fresh builder's, whatever came before them
     gathers = []
-    coefficients = CorrelationBuilder.coefficients
+    gather = CorrelationBuilder._gather
 
     def counted(builder, window, factor, rates):
         gathers.append((window, factor))
-        return coefficients(builder, window, factor, rates)
+        return gather(builder, window, factor, rates)
 
-    monkeypatch.setattr(CorrelationBuilder, "coefficients", counted)
+    monkeypatch.setattr(CorrelationBuilder, "_gather", counted)
     builder = CorrelationBuilder(IMPURITY, BIAS)
     # the last geometry keeps the length of A_L, so its A_L far block is kept
     geoms = [SubsystemGeometry(d, 6, d, 6) for d in (20, 21, 90)] + [SubsystemGeometry(20, 6, 23, 5)]

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text, read_csv
-from nessent.correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
+from nessent.correlation import (
+    CorrelationBuilder,
+    CorrelationMatrix,
+    SubsystemGeometry,
+    correlation_matrix_far,
+    finite_keys,
+)
 from nessent.entanglement import SpectrumError
 from nessent.numerics import NonConvergence, NotHermitian
 from nessent.scattering import ScatteringModel, SingleImpurity
 from nessent.experiments import (
     LengthMismatch,
+    _distance_clusters,
     _fit_rows,
     fit_constant,
     friedel_window,
@@ -803,9 +810,11 @@ def test_sweep_integrates_each_window_once_per_order(monkeypatch):
 
 
 def test_distance_sweep_runs_one_moment_recurrence_per_window_block_and_degree(monkeypatch):
-    # d = 200..201 at ell = 4 put the j + m rates of both windows above the
-    # Filon-Clenshaw-Curtis switch; on window R, rR and tR read the same
-    # table blocks, and share their moments
+    # d/ell = 50..150 at ell = 4 put the j + m rates of both windows above
+    # the Filon-Clenshaw-Curtis switch, in several blocks per window.  Each
+    # block's omega row is in exactly one recurrence per degree, a
+    # recurrence stacks up to MOMENT_BLOCKS blocks, and on window R rR and
+    # tR read the same table blocks and share their recurrences
     import nessent.correlation as cor
     import nessent.numerics as num
 
@@ -820,16 +829,85 @@ def test_distance_sweep_runs_one_moment_recurrence_per_window_block_and_degree(m
     monkeypatch.setattr(cor.CorrelationBuilder, "prefetch", counted)
     cfg = ExperimentConfig(
         scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
-        d_over_ell_min=50, d_over_ell_max=50, n_centers=1, window=3, measures=("mi", "negativity"),
+        d_over_ell_min=50, d_over_ell_max=150, n_centers=3, window=3, measures=("mi", "negativity"),
     )
     run_sweep_distance(cfg)
-    runs = [(omega.tobytes(), degree) for omega, degree in recurrences]
+    runs = [(row.tobytes(), degree) for omega, degree in recurrences for row in omega]
     assert runs and len(set(runs)) == len(runs)
+    assert 1 < max(len(omega) for omega, _ in recurrences) <= num.MOMENT_BLOCKS
     shared = {block for window, factor, block in filled if factor == "rR"}
-    assert shared and shared == {block for window, factor, block in filled if factor == "tR"}
+    assert len(shared) > 1 and shared == {block for window, factor, block in filled if factor == "tR"}
     for block in shared:
         omega = np.arange(64 * block, 64 * (block + 1), dtype=float) * (0.5 * K_FR)
-        assert omega.tobytes() in {omega for omega, _ in runs}
+        assert omega.tobytes() in {row for row, _ in runs}
+
+
+FIGS2 = Path(__file__).resolve().parents[1] / "configs" / "figS2_distance.cfg"
+
+
+def figs2_table_keys(epsilon0: float):
+    """The Fig. S2 config at epsilon0 and the table keys its distances read."""
+    cfg = replace(parse_config(FIGS2, "sweep-distance"), epsilon0=epsilon0)
+    geoms = [SubsystemGeometry(d, cfg.ell, d, cfg.ell) for ds in _distance_clusters(cfg, cfg.build_bias()) for d in ds]
+    return cfg, [key for geom in geoms for key in finite_keys(geom)]
+
+
+@pytest.mark.parametrize("epsilon0", [1.0, 0.02])
+def test_stacked_table_fill_keeps_the_bytes_of_one_block_at_a_time(monkeypatch, epsilon0):
+    # the distance sweep fills every block its distances read in stacks of
+    # one window and factor set; each block keeps the bytes that filling it
+    # alone, one factor at a time, gives.  At epsilon0 = 0.02 every Filon
+    # block has a near-pole row that stays pending past the first pair of
+    # degrees, and some pass their block's stability bound and go to the grid
+    import nessent.experiments as ex
+    import nessent.numerics as num
+
+    handed = []
+    grid_rows = num._grid_rows
+
+    def counted(rows, rates, a, b, spec):
+        if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
+            handed.append(rates[0])
+        return grid_rows(rows, rates, a, b, spec)
+
+    monkeypatch.setattr(num, "_grid_rows", counted)
+    cfg, keys = figs2_table_keys(epsilon0)
+    stacked, alone = (CorrelationBuilder(cfg.build_model(), cfg.build_bias(), ex._entry_spec(cfg)) for _ in range(2))
+    stacked.prefetch(keys)
+    assert bool(handed) == (epsilon0 == 0.02)
+    for key in dict.fromkeys(keys):
+        alone.prefetch([key])
+    assert stacked._blocks.keys() == alone._blocks.keys() == set(keys)
+    assert all(stacked._blocks[key].tobytes() == alone._blocks[key].tobytes() for key in keys)
+
+
+@pytest.mark.parametrize(
+    "epsilon0, max_panels, d_over_ell, message",
+    [
+        # d = 154 and 155 read block 4 of window R, whose grid fits 180
+        # panels; d = 156 is the first to read block 5, whose grid does not
+        (1.0, 180, 38.5, "d=156: W(window R, factor rR, rates 320..383): "
+         "batch with max rate 383 needs 194 panels, budget is 180"),
+        # a near-pole Filon row handed to a grid that does not fit
+        (0.02, 300, 50, "d=200: W(window L, factor tLc, rates -448..-385): "
+         "batch with max rate 448 needs 302 panels, budget is 300"),
+    ],
+)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_distance_sweep_failure_names_the_first_distance_reading_the_block(
+    epsilon0, max_panels, d_over_ell, message, threads
+):
+    # the sweep fills its table blocks before its first distance, and leaves
+    # a block that fails unfilled; the messages are those of a build that
+    # filled each distance's blocks as it read them
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=d_over_ell, d_over_ell_max=d_over_ell, n_centers=1, window=5, measures=("mi",),
+        max_panels=max_panels, threads=threads,
+    )
+    with pytest.raises(NonConvergence) as failure:
+        run_sweep_distance(cfg)
+    assert str(failure.value) == message
 
 
 @pytest.mark.parametrize("epsilon0", [0.02, 0.05])

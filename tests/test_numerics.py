@@ -183,6 +183,62 @@ def test_oscillatory_batch_hands_only_failing_rows_to_the_grid():
     assert np.abs(rows[1, [0, -1]] - exact).max() < 1e-11
 
 
+STACK = np.arange(512, 576) + np.array([0, 1000, 3500])[:, None]
+RUNGE = lambda k: 1 / (1 + 25 * (k - 0.5) ** 2)
+
+
+def test_oscillatory_batch_stack_refines_each_row_within_its_block_bounds(monkeypatch):
+    # three blocks on [0, 1] with stability bounds 256, 756 and 2006; the
+    # smooth row passes at N = 16, the Runge row at 64 and the near-pole row
+    # at 256, beyond the first block's bound, so that row alone goes to the
+    # grid.  One sample of f per degree serves the stack, one recurrence per
+    # degree the blocks still pending, and each block keeps the bytes of a
+    # 1-D call
+    near = lambda k: 1 / (1 + 500 * (k - 0.5) ** 2)
+    f = lambda k: np.array([np.exp(0.3 * k) * np.cos(k), RUNGE(k), near(k)])
+    recurrences = []
+    moments = num._chebyshev_moments
+    monkeypatch.setattr(num, "_chebyshev_moments", lambda omega, n: recurrences.append((omega, n)) or moments(omega, n))
+    handed = []
+    grid_rows = num._grid_rows
+    monkeypatch.setattr(num, "_grid_rows", lambda rows, rates, *args: handed.append(rates[0]) or grid_rows(rows, rates, *args))
+    sizes = []
+    vals = integrate_oscillatory_batch(recorded(f, sizes), STACK, 0.0, 1.0, SPEC)
+    assert vals.shape == (3,) + STACK.shape
+    assert sizes[:6] == [17, 33, 65, 129, 257, 513] and handed == [512]
+    assert [(len(omega), n) for omega, n in recurrences] == [(3, 32), (3, 64), (3, 128), (3, 256), (2, 512)]
+    for block, row in zip(STACK, vals.swapaxes(0, 1)):
+        assert row.tobytes() == integrate_oscillatory_batch(f, block, 0.0, 1.0, SPEC).tobytes()
+    assert np.abs(vals[0] - exp_cos_batch(STACK, 0.0, 1.0)).max() < 1e-14
+
+
+def test_oscillatory_batch_starved_stack_keeps_bytes_and_fails_as_its_first_block():
+    # a node budget of 9 panels (2N + 1 <= 144) lets the Runge row pass at
+    # N = 64, past the first pair; at 8 panels it stays pending at 2N = 64,
+    # and the grid needs 186 panels for the first block: the stack raises
+    # what that block raises alone
+    f = lambda k: np.array([np.exp(0.3 * k) * np.cos(k), RUNGE(k)])
+    spec = QuadratureSpec(abs_tol=1e-12, max_panels=9)
+    sizes = []
+    vals = integrate_oscillatory_batch(recorded(f, sizes), STACK, 0.0, 1.0, spec)
+    assert sizes == [17, 33, 65, 129]
+    for block, row in zip(STACK, vals.swapaxes(0, 1)):
+        assert row.tobytes() == integrate_oscillatory_batch(f, block, 0.0, 1.0, spec).tobytes()
+    starved = QuadratureSpec(abs_tol=1e-12, max_panels=8)
+    with pytest.raises(NonConvergence) as alone:
+        integrate_oscillatory_batch(f, STACK[0], 0.0, 1.0, starved)
+    assert str(alone.value) == "batch with max rate 575 needs 186 panels, budget is 8"
+    with pytest.raises(NonConvergence, match=f"^{alone.value}$"):
+        integrate_oscillatory_batch(f, STACK, 0.0, 1.0, starved)
+
+
+def test_oscillatory_batch_rejects_non_consecutive_stack_rows_and_more_dimensions():
+    with pytest.raises(ValueError, match="consecutive"):
+        integrate_oscillatory_batch(lambda k: np.ones_like(k), [[0, 1, 2], [5, 6, 8]], 0.0, 1.0, SPEC)
+    with pytest.raises(ValueError, match="2-D stack"):
+        integrate_oscillatory_batch(lambda k: np.ones_like(k), np.zeros((1, 1, 3)), 0.0, 1.0, SPEC)
+
+
 def test_refine_accepts_each_row_at_its_first_passing_pair():
     # row 0 agrees to 0.07 between sizes 4 and 8, row 1 only between 8 and
     # 16; each keeps the finer estimate of the pair it passed, and every
