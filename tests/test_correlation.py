@@ -15,7 +15,7 @@ from nessent.correlation import (
     read_matrix_dump,
     write_matrix_dump,
 )
-from nessent.numerics import NotHermitian, QuadratureSpec, integrate_oscillatory
+from nessent.numerics import NonConvergence, NotHermitian, QuadratureSpec, integrate_oscillatory
 from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, wavefunction
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
@@ -134,6 +134,22 @@ def test_finite_matrix_matches_entrywise_assembly():
     for a, sa in enumerate(sites):
         for b, sb in enumerate(sites):
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
+
+
+def test_prefetch_failure_names_the_first_failing_integral_in_key_order():
+    # on window R = (0, pi/2) the blocks 3..5 (rates 192..383) lie below the
+    # Filon switch, and at 150 panels the grid fits block 3 only.  The
+    # stacks are (rR: blocks 3, 4) and (rR and tR: block 5), but the keys
+    # ask for block 5's tR before block 4, so that integral names the error,
+    # as a block-by-block fill in key order names it
+    builder = CorrelationBuilder(IMPURITY, BIAS, QuadratureSpec(abs_tol=1e-11, max_panels=150))
+    keys = [("R", "rR", 3), ("R", "tR", 5), ("R", "rR", 4), ("R", "rR", 5)]
+    with pytest.raises(NonConvergence) as failure:
+        builder.prefetch(keys)
+    assert str(failure.value) == (
+        "W(window R, factor tR, rates 320..383): batch with max rate 383 needs 194 panels, budget is 150"
+    )
+    assert set(builder._blocks) == {("R", "rR", 3)}
 
 
 def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeypatch):
