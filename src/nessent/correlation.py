@@ -234,12 +234,18 @@ class CorrelationBuilder:
     three windows: "L" = (0, k_fl) and "R" = (0, k_fr), the occupied
     left- and right-incoming states, and "V", the voltage window from k_fr
     to k_fl (sign -1 when k_fl < k_fr).  Each table is filled in aligned
-    blocks of BLOCK consecutive integer rates.  Blocks are filled in stacks
-    (``prefetch``), but each is refined on degrees or a grid sized by the
-    block alone, so every coefficient is a pure function of (window,
-    factor, block): it does not depend on which matrix, which stack, or
-    which thread asked for it first.  Two threads filling the same block
-    compute the same values, so the race is harmless.
+    blocks of BLOCK consecutive integer rates and read through
+    ``coefficients`` alone.  Blocks are filled in stacks (``prefetch``), one
+    ``integrate_oscillatory_batch`` call each, which learns the number of
+    factors from one call of the amplitudes on an empty array.  Every block
+    goes first to Filon-Clenshaw-Curtis within its Filon bound, which is 0
+    below ``numerics.FILON_MIN_PHASE``, and each factor row that Filon
+    leaves takes the one route to the Gauss-Legendre grid of its block.
+    Degrees and grid are sized by the block alone, so every coefficient is
+    a pure function of (window, factor, block): it does not depend on which
+    matrix, which stack, or which thread asked for it first.  Two threads
+    filling the same block compute the same values, so the race is
+    harmless.
     """
 
     def __init__(self, model: ScatteringModel, bias: BiasState, spec: QuadratureSpec = ENTRY_SPEC):
@@ -305,13 +311,10 @@ class CorrelationBuilder:
                 self._blocks[(window, factor, block)] = sign * row / (2.0 * np.pi)
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
-        """W(window, factor, x) at an integer array of rates x, same shape."""
-        self.prefetch([(window, factor, b) for b in _span(rates)])
-        return self._gather(window, factor, rates)
-
-    def _gather(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
-        """``coefficients`` from table blocks already filled."""
+        """W(window, factor, x) at an integer array of rates x, same shape:
+        the one read of the tables, which fills the blocks it reads first."""
         span = _span(rates)
+        self.prefetch([(window, factor, b) for b in span])
         table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
         return table[rates - BLOCK * span[0]]
 
@@ -433,9 +436,8 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
         far = correlation_matrix_far(builder, geom)
         # one assignment: a thread reads the last pair or the one before it
         builder._far_matrix = (key, far)
-    reads = _hankel_reads(geom)
     builder.prefetch(finite_keys(geom))
-    right, left, t_lc, t_r = (builder._gather(window, factor, rates) for window, factor, rates in reads)
+    right, left, t_lc, t_r = (builder.coefficients(*read) for read in _hankel_reads(geom))
     return FiniteMatrix(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
 
 

@@ -7,14 +7,15 @@ families:
   (logs, x**(n-1) with n >= 1/2), handled by composite Gauss-Legendre
   rules over start panels: the single panel [a, b], or 45 panels graded
   geometrically toward a singular left endpoint;
-* oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5: Gauss-
-  Legendre with one panel per period to start below a phase extent omega_min
-  = min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256, Filon-Clenshaw-Curtis
-  (FCC) with a rate-independent cost above it.
+* oscillatory integrands f(k) * exp(i*mu*k) with |mu| up to ~1e5:
+  Filon-Clenshaw-Curtis (FCC), with a rate-independent cost, within each
+  block's Filon bound, which is 0 below a phase extent omega_min =
+  min|mu| * (b - a)/2 of FILON_MIN_PHASE = 256; Gauss-Legendre with one
+  panel per period to start for every row that FCC leaves.
 
 Every rule runs one refinement loop (_refine): size n against size 2n, each
 row of estimates accepted once it agrees to abs_tol, n doubling while the
-rule's bound allows it.  For the Gauss-Legendre rules n counts the equal
+row's own bound allows it.  For the Gauss-Legendre rules n counts the equal
 panels each start panel is split into (_composite_rule), and 2n times the
 start panels must stay within max_panels, the first pair included.
 
@@ -33,33 +34,39 @@ a forward recurrence that is stable only for n <= |omega|.  The
 coefficients c_n of the interpolant come from one FFT per integrand and
 degree (numpy.fft), so a degree takes memory linear in N.  Degree N is
 checked against degree 2N with the acceptance test of the grid, N
-doubling while 2N <= omega_min (stability) and 2N + 1 <= max_panels *
-PANEL_NODES (the same budget in nodes).  N starts from the window
-alone: PANEL_NODES per unit of its width b - a, rounded to a
+doubling while 2N is within the block's Filon bound: omega_min
+(stability), capped so that 2N + 1 <= max_panels * PANEL_NODES (the same
+budget in nodes), and 0 when omega_min < FILON_MIN_PHASE.  N starts from
+the window alone: PANEL_NODES per unit of its width b - a, rounded to a
 power-of-two multiple of PANEL_NODES.  The degree f needs grows with the
 window it spans: on the Fermi windows of the Fig. S2 config (widths pi/2 and
 2 pi/3, where N starts at 32) every Filon block fails N = 16 and passes
 N = 32, while smooth integrands on [0, 1] pass at 16.
 A batch takes several integrands (f_smooth returning one row per
-integrand) on a stack of blocks of rates in one window (phase_rates with
-one row per block).  The samples of f and the coefficients depend only on
-the window and the degree, so each degree samples f and takes each
-integrand's FFT once for the whole stack.  The moments depend on the rates
+integrand, a shape it learns from one call on an empty array) on a stack
+of blocks of rates in one window (phase_rates with one row per block).
+Every block goes to FCC first.  The samples of f and the coefficients
+depend only on the window and the degree, so each degree samples f and
+takes each integrand's FFT once for the whole stack.  The moments depend on the rates
 too: each degree runs one recurrence per MOMENT_BLOCKS blocks that still
 have a pending row, and the moments live only as long as that degree's
 estimates of those blocks.  Each (integrand, block) row keeps its own
-acceptance test, its own stability bound (min|omega| of its block) and
-its own arithmetic, so its values have the bytes they have alone.  A row
-that no degree within these bounds brings to the target goes to the
-Gauss-Legendre grid alone, which raises NonConvergence on its panel
-budget.  That happens when f has a pole close to the window: t(k) =
-sin k/(sin k + i c), c = epsilon0/(2 eta), has one at distance about c
-from k = 0, where the windows L and R start, and at epsilon0 = 0.02 or
+acceptance test, its own Filon bound (that of its block) and its own
+arithmetic, so its values have the bytes they have alone.  A row that no
+degree within its bound brings to the target, all rows of a block below
+FILON_MIN_PHASE among them, takes the one route to the Gauss-Legendre
+grid of its block, which raises NonConvergence on its panel budget.  For
+a block of FCC rows that happens when f has a pole close to the window:
+t(k) = sin k/(sin k + i c), c = epsilon0/(2 eta), has one at distance
+about c from k = 0, where the windows L and R start, and at epsilon0 = 0.02 or
 0.05 the Fig. S2 distance sweep has blocks whose Chebyshev degree passes
 the stability bound.
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
-singularities are never evaluated at the endpoint itself.
+singularities are never evaluated at the endpoint itself.  Every rule
+raises NonConvergence at the first integrand value that is not finite,
+and every entry point raises ValueError on a limit or rate that is not
+finite, before f is evaluated.
 
 ``check_hermitian`` is the one matrix check: it runs once, when a
 ``correlation.CorrelationMatrix`` is made from outside the package, and
@@ -171,7 +178,7 @@ def _panel_integral(f, edges: np.ndarray, spec: QuadratureSpec, parts: int = 1) 
     against 2 n, while 2 n times the start panels is within max_panels."""
     starts = edges.size - 1
 
-    def estimate(n: int) -> list:
+    def estimate(n: int, rows: list) -> list:
         nodes, weights = _composite_rule(edges, n)
         vals = np.asarray(f(nodes), dtype=complex)
         if not np.all(np.isfinite(vals)):
@@ -179,10 +186,17 @@ def _panel_integral(f, edges: np.ndarray, spec: QuadratureSpec, parts: int = 1) 
         return [vals @ weights]
 
     (value,) = _refine(
-        estimate, parts, spec.max_panels // starts, spec,
+        estimate, parts, [spec.max_panels // starts], spec,
         f"integral needs {2 * parts * starts} panels, budget is {spec.max_panels}", lambda n: f"{n * starts} panels",
     )
     return complex(value)
+
+
+def _require_finite(caller: str, **args) -> None:
+    """Raise ValueError naming the first of args with a non-finite value."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{caller} requires a finite {name}")
 
 
 def integrate(
@@ -200,6 +214,7 @@ def integrate(
     integrand has an integrable singularity at a, and the 45 start panels of
     _graded_edges are graded geometrically toward it.
     """
+    _require_finite("integrate", a=a, b=b)
     if a > b:
         raise ValueError("integrate requires a <= b")
     if a == b:
@@ -220,6 +235,7 @@ def integrate_oscillatory(
     oscillation period, and the panels then double as in ``integrate``,
     which this is at phase_rate 0.
     """
+    _require_finite("integrate_oscillatory", phase_rate=phase_rate, a=a, b=b)
     if a > b:
         raise ValueError("integrate_oscillatory requires a <= b")
     if a == b:
@@ -268,52 +284,37 @@ def _chebyshev_moments(omega: np.ndarray, n_max: int) -> np.ndarray:
     return mu
 
 
-def _refine(estimate, n: int, limit, spec: QuadratureSpec, needs: str | None = None, size=None) -> list | None:
-    """The rows of estimate(n), each checked against its row of estimate(2 n)
-    and accepted with the latter once every rate agrees to spec.abs_tol, n
-    doubling while 2 n <= limit: the refinement loop of every quadrature.
+def _refine(estimate, n: int, limits, spec: QuadratureSpec, needs: str | None = None, size=None) -> list:
+    """The refinement loop of every quadrature, over rows with one bound
+    each in limits.  estimate(n, rows) returns the estimates at size n of
+    the listed rows; each row is checked against its estimate at 2 n and
+    accepted with the latter once every rate agrees to spec.abs_tol, n
+    doubling and the row estimated again while it is pending and 2 n is
+    within its bound.  estimate is asked only for such live rows.
 
-    limit may also hold one bound per row (without needs).  A row is then
-    estimated only while it is pending and 2 n is within its own bound, and
-    estimate(n, rows) returns the estimates of the listed rows only.
-
-    Without needs, a row still pending at its limit is None, and the result
-    is None when not even the first pair fits any row.  With needs, the
-    first case raises NonConvergence(needs) and the second NonConvergence
-    naming size(n) of the last estimate and the largest |fine - coarse| of a
-    pending row in the last pair.
+    Without needs, a row whose bound is reached while it is pending, or
+    before its first pair, is None.  With needs, a row whose first pair
+    does not fit raises NonConvergence(needs), and one whose bound is
+    reached while it is pending NonConvergence naming size(n) of the last
+    estimate and the largest |fine - coarse| of such rows in the last pair.
     """
-    rowwise = np.ndim(limit) > 0
-    if 2 * n > (max(limit) if rowwise else limit):
-        if needs is None:
-            return None
+    out = [None] * len(limits)
+    live = [i for i, bound in enumerate(limits) if 2 * n <= bound]
+    if needs is not None and len(live) < len(limits):
         raise NonConvergence(needs)
-
-    def at(m: int, rows) -> dict:
-        # the estimates at size m of the listed rows, or of every row
-        if rowwise:
-            return dict(zip(rows, estimate(m, rows)))
-        vals = estimate(m)
-        return dict(enumerate(vals)) if rows is None else {i: vals[i] for i in rows}
-
-    coarse = at(n, [i for i, bound in enumerate(limit) if 2 * n <= bound] if rowwise else None)
-    out = [None] * (len(limit) if rowwise else len(coarse))
-    while True:
-        fine = at(2 * n, list(coarse))
+    coarse = dict(zip(live, estimate(n, live))) if live else {}
+    while coarse:
+        fine = dict(zip(coarse, estimate(2 * n, list(coarse))))
         for i, lo in coarse.items():
             if np.all(np.abs(fine[i] - lo) <= spec.abs_tol):
                 out[i] = fine[i]
-        pending = [i for i in coarse if out[i] is None]
-        if not pending:
-            return out
         n *= 2
-        live = [i for i in pending if 2 * n <= (limit[i] if rowwise else limit)]
-        if not live:
-            if needs is None:
-                return out
-            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in pending)
+        stuck = [i for i in coarse if out[i] is None and 2 * n > limits[i]]
+        if stuck and needs is not None:
+            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in stuck)
             raise NonConvergence(f"batch error {err:.3e} above target with {size(n)}")
-        coarse = {i: fine[i] for i in live}
+        coarse = {i: fine[i] for i in coarse if out[i] is None and 2 * n <= limits[i]}
+    return out
 
 
 #: table blocks per Chebyshev moment recurrence: at degree 128 the moments of
@@ -321,33 +322,33 @@ def _refine(estimate, n: int, limit, spec: QuadratureSpec, needs: str | None = N
 MOMENT_BLOCKS = 8
 
 
-def _filon_rows(rows, blocks: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
-    """Filon-Clenshaw-Curtis integrals of each row of the batch at each block
-    of rates (one row of blocks each): per block, None when not even the
-    first pair of degrees fits it, else a list with one entry per row, None
-    for a row that no degree within the block's bounds brings to the target.
+def _filon_rows(rows, count: int, blocks: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
+    """Filon-Clenshaw-Curtis integrals of the count rows of the batch at
+    each block of rates (one row of blocks each): one list per block with
+    one entry per row, None for a row that no degree within its block's
+    bound brings to the target.
 
     With h = (b - a)/2 and m = (a + b)/2, each row of rows(m + h x) is
     interpolated by sum c_n T_n(x) on Chebyshev points and each T_n is
     integrated against exp(i rate (m + h x)) exactly, so the cost does not
     depend on the rate.  Degree N is checked against degree 2N, N doubling
-    while 2N is within the block's stability bound min|rate| h and 2N + 1
-    within the node budget max_panels * PANEL_NODES.  The samples and the
-    coefficients c_n depend only on the window and the degree, so each
-    degree takes them once for all blocks.  The moments depend on the rates
-    too: each degree runs one recurrence per MOMENT_BLOCKS blocks with a
-    pending row, the first one on to the degree it is checked against.
-    Each (row, block) keeps its own acceptance test and its own arithmetic
-    (its block's moments are contiguous, as they are alone), so it gets the
-    value it gets alone.
+    while 2N is within the block's bound: its stability bound min|rate| h,
+    capped by the node budget (2N + 1 <= max_panels * PANEL_NODES), and 0
+    when min|rate| h is below FILON_MIN_PHASE, so that a slower block's rows
+    are all None.  The samples and the coefficients c_n depend only on the
+    window and the degree, so each degree takes them once for all blocks.
+    The moments depend on the rates too: each degree runs one recurrence per
+    MOMENT_BLOCKS blocks with a pending row, the first one on to the degree
+    it is checked against.  Each (row, block) keeps its own acceptance test
+    and its own arithmetic (its block's moments are contiguous, as they are
+    alone), so it gets the value it gets alone.
     """
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
     omega = blocks * half
-    bounds = np.minimum(np.abs(omega).min(axis=1).astype(int), spec.max_panels * PANEL_NODES - 1)
+    phase = np.abs(omega).min(axis=1)
+    bounds = np.where(phase >= FILON_MIN_PHASE, np.minimum(phase.astype(int), spec.max_panels * PANEL_NODES - 1), 0)
     # PANEL_NODES per unit of width, rounded to a power-of-two multiple
     start = PANEL_NODES * 2 ** max(0, int(np.rint(np.log2(b - a))))
-    if 2 * start > bounds.max():
-        return [None] * len(blocks)
     coeffs: dict[int, list] = {}
 
     def chebyshev(n: int) -> list:
@@ -357,7 +358,6 @@ def _filon_rows(rows, blocks: np.ndarray, a: float, b: float, spec: QuadratureSp
             coeffs[n] = [_dct(row) for row in rows(mid + half * x)]
         return coeffs[n]
 
-    count = len(chebyshev(start))
     scale = half * np.exp(1j * blocks * mid)
     made: dict[int, dict] = {}
 
@@ -380,30 +380,32 @@ def _filon_rows(rows, blocks: np.ndarray, a: float, b: float, spec: QuadratureSp
         return [done[r] for r in wanted]
 
     out = _refine(estimate, start, np.repeat(bounds, count), spec)
-    return [out[j * count : (j + 1) * count] if 2 * start <= bound else None for j, bound in enumerate(bounds)]
+    return [out[j * count : (j + 1) * count] for j in range(len(blocks))]
 
 
-def _grid_rows(rows, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
-    """Composite Gauss-Legendre integrals of each row of the batch, on one
-    grid of at least one panel per period of the fastest rate, doubled until
-    the row meets the target within max_panels panels."""
+def _grid_rows(rows, count: int, rates: np.ndarray, a: float, b: float, spec: QuadratureSpec) -> list:
+    """Composite Gauss-Legendre integrals of the count rows of the batch, on
+    one grid of at least one panel per period of the fastest rate, doubled
+    until each row meets the target within max_panels panels; the phase dot
+    products are formed only for the rows still pending."""
     rate_max = float(np.abs(rates).max())
     n0 = int(np.ceil(rate_max * (b - a) / (2.0 * np.pi))) + 1
 
-    def estimate(n_panels: int) -> np.ndarray:
+    def estimate(n_panels: int, wanted: list) -> list:
         nodes, weights = _composite_rule(np.array([a, b]), n_panels)
-        base = rows(nodes) * weights
+        base = rows(nodes)[wanted]  # a copy, weighted in place
+        base *= weights
         step = np.exp(1j * nodes)
         phase = np.exp(1j * rates[0] * nodes)
-        vals = np.empty((base.shape[0], rates.size), dtype=complex)
+        vals = np.empty((len(wanted), rates.size), dtype=complex)
         for i in range(rates.size):
             if i:
                 phase *= step
             vals[:, i] = [phase @ row for row in base]
-        return vals
+        return list(vals)
 
     return _refine(
-        estimate, n0, spec.max_panels, spec,
+        estimate, n0, [spec.max_panels] * count, spec,
         f"batch with max rate {rate_max:g} needs {2 * n0} panels, budget is {spec.max_panels}", lambda n: f"{n} panels",
     )
 
@@ -420,57 +422,53 @@ def integrate_oscillatory_batch(
 
     phase_rates is one block r0, r0 + 1, r0 + 2, ..., or a 2-D stack of such
     blocks of one length, one per row, each with its own r0.  f_smooth may
-    return one row of values per integrand, shape (rows, k.size); the result
-    then has shape (rows,) + phase_rates.shape, and each (integrand, block)
-    has the bytes it has alone, in a stack of one.  Each block takes one of
-    two rules, both refined by _refine.  When every rate of the block has a
-    phase extent |rate| * (b - a)/2 of at least FILON_MIN_PHASE, it takes the
-    Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does not grow with
-    the rate and whose samples of f_smooth, coefficients and moment
-    recurrences the blocks of a stack share; a row that no degree within its
-    block's bounds brings to the target goes to the grid alone, its company
-    keeping their Filon values.  Otherwise all rates of the block share one
-    composite Gauss-Legendre grid sized for its fastest phase (so every rate
-    gets at least PANEL_NODES nodes per period) and a single evaluation of
-    f_smooth.  The phases follow by recurrence: exp(i*r0*k) and exp(i*k) once
-    per node, then one complex multiply per further rate.  The blocks go to
-    the grid in stack order, so a failure there is that of the first block
-    that fails.
+    return one row of values per integrand, shape (rows, k.size); it is
+    called once on an empty array first to learn that shape.  The result
+    has shape (rows,) + phase_rates.shape, and each (integrand, block) has
+    the bytes it has alone, in a stack of one.  Every block first goes to
+    the Filon-Clenshaw-Curtis rule (_filon_rows), whose cost does not grow
+    with the rate and whose samples of f_smooth, coefficients and moment
+    recurrences the blocks of a stack share.  A block with a rate of phase
+    extent |rate| * (b - a)/2 below FILON_MIN_PHASE has Filon bound 0 there,
+    so all its rows are left pending.  Each row that Filon leaves, for that
+    reason or because no degree within its block's bound brings it to the
+    target, goes to one composite Gauss-Legendre grid per block
+    (_grid_rows), its company keeping their Filon values.  The grid is
+    sized for the block's fastest phase (so every rate gets at least
+    PANEL_NODES nodes per period) and takes a single evaluation of f_smooth
+    per size; the phases follow by recurrence: exp(i*r0*k) and exp(i*k)
+    once per node, then one complex multiply per further rate.  The blocks
+    go to the grid in stack order, so a failure there is that of the first
+    block that fails.  An integrand value that is not finite raises
+    NonConvergence at once.
     """
     rates = np.asarray(phase_rates, dtype=float)
+    _require_finite("integrate_oscillatory_batch", phase_rates=rates, a=a, b=b)
     if rates.ndim not in (1, 2):
         raise ValueError("integrate_oscillatory_batch requires one block or a 2-D stack of blocks of rates")
-    if rates.size == 0:
-        return np.zeros(rates.shape, dtype=complex)
-    blocks = rates.reshape(-1, rates.shape[-1])
-    if np.any(blocks[:, 0] != np.round(blocks[:, 0])) or np.any(np.diff(blocks) != 1.0):
+    if np.any(rates != np.round(rates)) or np.any(np.diff(rates) != 1.0):
         raise ValueError("integrate_oscillatory_batch requires consecutive integer rates")
     if a > b:
         raise ValueError("integrate_oscillatory_batch requires a <= b")
-    if a == b:
-        return np.zeros(np.shape(f_smooth(np.empty(0)))[:-1] + rates.shape, dtype=complex)
-    shape: list = []
+    shape = np.shape(f_smooth(np.empty(0)))[:-1]
+    if a == b or rates.size == 0:
+        return np.zeros(shape + rates.shape, dtype=complex)
+    count = int(np.prod(shape))
 
     def rows(k: np.ndarray) -> np.ndarray:
-        vals = np.asarray(f_smooth(k), dtype=complex)
-        shape[:] = vals.shape[:-1]
-        return vals.reshape(-1, k.size)
+        vals = np.asarray(f_smooth(k), dtype=complex).reshape(count, k.size)
+        if not np.all(np.isfinite(vals)):
+            raise NonConvergence("integrand evaluated to a non-finite value")
+        return vals
 
-    filon = np.abs(blocks).min(axis=1) * (0.5 * (b - a)) >= FILON_MIN_PHASE
-    found = [None] * len(blocks)
-    if filon.any():
-        for j, vals in zip(np.flatnonzero(filon), _filon_rows(rows, blocks[filon], a, b, spec)):
-            found[j] = vals
-    out = []
+    blocks = rates.reshape(-1, rates.shape[-1])
+    found = _filon_rows(rows, count, blocks, a, b, spec)
     for block, vals in zip(blocks, found):
-        if vals is None:
-            vals = _grid_rows(rows, block, a, b, spec)
         pending = [i for i, v in enumerate(vals) if v is None]
         if pending:
-            for i, v in zip(pending, _grid_rows(lambda k: rows(k)[pending], block, a, b, spec)):
+            for i, v in zip(pending, _grid_rows(lambda k: rows(k)[pending], len(pending), block, a, b, spec)):
                 vals[i] = v
-        out.append(vals)
-    return np.array(out).swapaxes(0, 1).reshape(tuple(shape) + rates.shape)
+    return np.array(found).swapaxes(0, 1).reshape(shape + rates.shape)
 
 
 def check_hermitian(m: np.ndarray) -> None:

@@ -865,10 +865,10 @@ def test_stacked_table_fill_keeps_the_bytes_of_one_block_at_a_time(monkeypatch, 
     handed = []
     grid_rows = num._grid_rows
 
-    def counted(rows, rates, a, b, spec):
+    def counted(rows, count, rates, a, b, spec):
         if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
             handed.append(rates[0])
-        return grid_rows(rows, rates, a, b, spec)
+        return grid_rows(rows, count, rates, a, b, spec)
 
     monkeypatch.setattr(num, "_grid_rows", counted)
     cfg, keys = figs2_table_keys(epsilon0)
@@ -921,10 +921,10 @@ def test_distance_sweep_hands_near_pole_filon_blocks_to_the_grid(monkeypatch, ep
     handed = []
     grid_rows = num._grid_rows
 
-    def counted(rows, rates, a, b, spec):
+    def counted(rows, count, rates, a, b, spec):
         if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
             handed.append(rates[0])
-        return grid_rows(rows, rates, a, b, spec)
+        return grid_rows(rows, count, rates, a, b, spec)
 
     monkeypatch.setattr(num, "_grid_rows", counted)
     cfg = ExperimentConfig(

@@ -76,6 +76,41 @@ def test_oscillatory_rejects_non_finite_integrand(bad):
             integrate_oscillatory(f, rate, 0.0, 1.0, SPEC)
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [np.arange(64), np.arange(1024, 1088), np.arange(64) + np.array([1024, 0])[:, None]],
+    ids=["grid", "filon", "stack"],
+)
+def test_oscillatory_batch_rejects_non_finite_integrand_at_its_first_sample(rates):
+    # on [0, 1] rates 0.. take the grid and rates 1024.. Filon-Clenshaw-
+    # Curtis; a stack of both starts on Filon.  Either fails on the first
+    # sample of f rather than refining to the end of the panel budget
+    sizes = []
+    f = recorded(lambda k: np.where(k > 0.5, np.nan, k), sizes)
+    with pytest.raises(NonConvergence, match="^integrand evaluated to a non-finite value$"):
+        integrate_oscillatory_batch(f, rates, 0.0, 1.0, QuadratureSpec(abs_tol=1e-12, max_panels=60000))
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize(
+    "quad, args, name",
+    [
+        (integrate, (np.nan, 1.0), "a"),
+        (integrate, (0.0, np.inf), "b"),
+        (integrate_oscillatory, (np.inf, 0.0, 1.0), "phase_rate"),
+        (integrate_oscillatory, (np.nan, 0.0, 1.0), "phase_rate"),
+        (integrate_oscillatory, (1.0, -np.inf, 0.0), "a"),
+        (integrate_oscillatory_batch, ([np.nan], 0.0, 1.0), "phase_rates"),
+        (integrate_oscillatory_batch, (np.arange(64), 0.0, np.inf), "b"),
+    ],
+)
+def test_quadrature_rejects_non_finite_arguments_before_evaluating_f(quad, args, name):
+    calls = []
+    with pytest.raises(ValueError, match=f"^{quad.__name__} requires a finite {name}$"):
+        quad(lambda k: calls.append(k) or np.ones_like(k), *args)
+    assert calls == []
+
+
 def test_oscillatory_closed_form_fast_phase():
     val = integrate_oscillatory(lambda k: np.ones_like(k), 200.0, 0.0, np.pi, SPEC)
     exact = (np.exp(1j * 200 * np.pi) - 1.0) / (200j)
@@ -107,6 +142,8 @@ def test_oscillatory_batch_consecutive_rates_closed_form():
     for bad in ([0, 2, 3], [0.5, 1.5]):
         with pytest.raises(ValueError):
             integrate_oscillatory_batch(lambda k: np.ones_like(k), bad, 0.0, 1.0, SPEC)
+    # no rates: one empty row of results per integrand
+    assert integrate_oscillatory_batch(lambda k: np.array([k, k]), np.zeros((3, 0)), 0.0, 1.0, SPEC).shape == (2, 3, 0)
 
 
 def exp_cos_batch(rates, a, b):
@@ -118,8 +155,10 @@ def exp_cos_batch(rates, a, b):
 
 
 def recorded(f, sizes):
+    # the sizes of the calls of f, without the empty call that learns its shape
     def g(k):
-        sizes.append(int(np.size(k)))
+        if np.size(k):
+            sizes.append(int(np.size(k)))
         return f(k)
 
     return g
@@ -201,7 +240,12 @@ def test_oscillatory_batch_stack_refines_each_row_within_its_block_bounds(monkey
     monkeypatch.setattr(num, "_chebyshev_moments", lambda omega, n: recurrences.append((omega, n)) or moments(omega, n))
     handed = []
     grid_rows = num._grid_rows
-    monkeypatch.setattr(num, "_grid_rows", lambda rows, rates, *args: handed.append(rates[0]) or grid_rows(rows, rates, *args))
+
+    def handing(rows, count, rates, *args):
+        handed.append(rates[0])
+        return grid_rows(rows, count, rates, *args)
+
+    monkeypatch.setattr(num, "_grid_rows", handing)
     sizes = []
     vals = integrate_oscillatory_batch(recorded(f, sizes), STACK, 0.0, 1.0, SPEC)
     assert vals.shape == (3,) + STACK.shape
@@ -245,11 +289,11 @@ def test_refine_accepts_each_row_at_its_first_passing_pair():
     # size is estimated once
     calls = []
 
-    def estimate(n):
+    def estimate(n, rows):
         calls.append(n)
-        return [np.array([1.0 + 2.0**-n]), np.array([1.0 + 1.0 / n])]
+        return [[np.array([1.0 + 2.0**-n]), np.array([1.0 + 1.0 / n])][i] for i in rows]
 
-    out = num._refine(estimate, 4, 64, QuadratureSpec(abs_tol=0.07), "needs", str)
+    out = num._refine(estimate, 4, [64, 64], QuadratureSpec(abs_tol=0.07), "needs", str)
     assert calls == [4, 8, 16]
     assert out[0].tobytes() == np.array([1.0 + 2.0**-8]).tobytes()
     assert out[1].tobytes() == np.array([1.0 + 1.0 / 16]).tobytes()
@@ -258,9 +302,9 @@ def test_refine_accepts_each_row_at_its_first_passing_pair():
 def test_refine_first_pair_beyond_limit_raises_needs_without_estimating():
     calls = []
     with pytest.raises(NonConvergence, match="^needs 80, limit 64$"):
-        num._refine(lambda n: calls.append(n), 40, 64, SPEC, "needs 80, limit 64", str)
-    # without needs, the result is None
-    assert num._refine(lambda n: calls.append(n), 40, 64, SPEC) is None
+        num._refine(lambda n, rows: calls.append(n), 40, [64], SPEC, "needs 80, limit 64", str)
+    # without needs, the row is None
+    assert num._refine(lambda n, rows: calls.append(n), 40, [64], SPEC) == [None]
     assert calls == []
 
 
@@ -269,16 +313,41 @@ def test_refine_failure_reports_the_error_of_the_last_pair():
     # 1/96 - 1/192; row 1 passes at once and does not count
     calls = []
 
-    def estimate(n):
+    def estimate(n, rows):
         calls.append(n)
-        return [np.array([1.0 / (3 * n), 0.0]), np.array([2.0])]
+        return [[np.array([1.0 / (3 * n), 0.0]), np.array([2.0])][i] for i in rows]
 
     with pytest.raises(NonConvergence, match=r"^batch error 5\.208e-03 above target with size 64$"):
-        num._refine(estimate, 4, 64, SPEC, "needs", lambda n: f"size {n}")
+        num._refine(estimate, 4, [64, 64], SPEC, "needs", lambda n: f"size {n}")
     assert calls == [4, 8, 16, 32, 64]
     # without needs, the pending row is None and the other keeps its value
-    out = num._refine(estimate, 4, 64, SPEC)
+    out = num._refine(estimate, 4, [64, 64], SPEC)
     assert out[0] is None and out[1].tobytes() == np.array([2.0]).tobytes()
+
+
+def test_refine_keeps_each_row_within_its_own_bound():
+    # row 0 never settles and may reach size 16; row 1 settles between 32
+    # and 64, within its bound of 64; row 2's first pair (4, 8) passes its
+    # bound of 6, so it is never estimated
+    asked = []
+
+    def estimate(n, rows):
+        asked.append((n, list(rows)))
+        return [[np.array([1.0 / n]), np.array([0.0 if n >= 32 else 1.0 / n]), None][i] for i in rows]
+
+    out = num._refine(estimate, 4, [16, 64, 6], SPEC)
+    assert asked == [(4, [0, 1]), (8, [0, 1]), (16, [0, 1]), (32, [1]), (64, [1])]
+    assert out[0] is None and out[2] is None and out[1].tobytes() == np.array([0.0]).tobytes()
+    # with needs, row 0 reaching its bound pending raises, naming its last pair
+    asked.clear()
+    with pytest.raises(NonConvergence, match=r"^batch error 6\.250e-02 above target with size 16$"):
+        num._refine(estimate, 4, [16, 64], SPEC, "needs", lambda n: f"size {n}")
+    assert asked == [(4, [0, 1]), (8, [0, 1]), (16, [0, 1])]
+    # and a row whose first pair does not fit raises needs before any estimate
+    asked.clear()
+    with pytest.raises(NonConvergence, match="^needs$"):
+        num._refine(estimate, 4, [16, 64, 6], SPEC, "needs", str)
+    assert asked == []
 
 
 KINK_CHILD = """
