@@ -34,9 +34,10 @@ m = 2; below it, x = s^2 would leave the cusp s^(2n - 1), which the panels
 resolve only to about 1e-12.  Neither integrand has an interior singularity.  The 1/(1 - n)
 factor is applied after quadrature, never inside an integrand, where it
 would scale the integrand's round-off by 1/|1 - n| near von Neumann.  Exact
-values:
-step_kernel(n, 1) = 0 and step_kernel(n, 0) = (1 + n)/(12 n), the kernel of
-one sharp step (1/6 at n = 1).
+values, returned as such, not integrated: step_kernel(n, 1) = 0 and
+step_kernel(n, 0) = (1 + n)/(12 n), the kernel of one sharp step (1/6 at
+n = 1), and pair_kernel(n, 0) = pair_kernel(n, 1) = 0, since every
+bracket term there cancels or is h_n(a, 0) = 0.
 
 An empty voltage window (k_fl = k_fr) leaves no partial steps: the
 transmission and reflection steps at the common Fermi momentum merge into
@@ -117,6 +118,11 @@ def step_kernel(n: float, p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError("step height must lie in [0, 1]")
     m = _kernel_power(n)
+    # exact at the ends, where quadrature would leave round-off
+    if p == 1.0:
+        return 0.0
+    if p == 0.0:
+        return _sharp_step(n)
     q = 1.0 - p
     h, scale = _split_entropy(n)
 
@@ -133,6 +139,9 @@ def pair_kernel(n: float, t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise ValueError("transmission must lie in [0, 1]")
     m = _kernel_power(n)
+    # every h_n in the bracket cancels or is h_n(a, 0) = 0 at the ends
+    if t in (0.0, 1.0):
+        return 0.0
     r = 1.0 - t
     h, scale = _split_entropy(n)
 

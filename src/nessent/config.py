@@ -106,8 +106,6 @@ class ExperimentConfig:
     renyi_orders: tuple[Any, ...] = ("vn",)
     out: str | None = None
     threads: int = 1
-    abs_tol: float | None = None
-    max_panels: int | None = None
     # sweep-length / sweep-bias
     ell_min: int = 20
     ell_max: int = 200
@@ -148,7 +146,7 @@ class ExperimentConfig:
 
 #: every config key is an ExperimentConfig field, parsed by its declared
 #: type unless parse_config_text names it
-_KEY_TYPES = {f.name: f.type.removesuffix(" | None") for f in fields(ExperimentConfig)}
+_KEY_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "sweep-length": ("k_fl", "k_fr", "ell_min", "ell_max"),
@@ -167,8 +165,6 @@ _RANGES = {
     "k_fr": ("in (0, pi)", lambda c: 0.0 < c.k_fr < math.pi),
     "eta": ("positive", lambda c: c.eta > 0),
     "transmission": ("in [0, 1]", lambda c: 0.0 <= c.transmission <= 1.0),
-    "abs_tol": ("positive", lambda c: c.abs_tol > 0),
-    "max_panels": ("at least 1", lambda c: c.max_panels >= 1),
     "threads": ("at least 1", lambda c: c.threads >= 1),
     "ell_min": ("at least 1", lambda c: c.ell_min >= 1),
     "ell_max": ("at least ell_min", lambda c: c.ell_max >= c.ell_min),

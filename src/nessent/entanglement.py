@@ -140,10 +140,10 @@ C_A = [[C_LL, C_LR], [C_RL, C_RR]] one forms
     Gamma_pm = [[2 C_LL - I, -/+ 2i C_LR], [-/+ 2i C_RL, I - 2 C_RR]]
     C_X = (I - (I + Gamma_+ Gamma_-)^(-1) (Gamma_+ + Gamma_-)) / 2
 
-and the moments
+and the logarithmic negativity
 
-    E_n = ln det[C_X^(n/2) + (I - C_X)^(n/2)]
-        + (n/2) ln det[C_A^2 + (I - C_A)^2].
+    E_1 = ln det[C_X^(1/2) + (I - C_X)^(1/2)]
+        + (1/2) ln det[C_A^2 + (I - C_A)^2].
 
 C_X is never formed.  Gamma_- = Gamma_+^dag, so B = I + Gamma_+ Gamma_+^dag
 is Hermitian positive definite and B -/+ (Gamma_+ + Gamma_-) =
@@ -166,16 +166,12 @@ with det(I + Gamma^2) = 2^N det[C_A^2 + (I - C_A)^2] from the diagonal of the
 Cholesky factor L0.  One SVD replaces the two of sigma and sigma' and their
 two solves, and ln(1 + s) reads no difference of nearly equal values, so no
 square root is taken of an eigenvalue that is noise around the branch point.
-Even n stays available for oracle tests: xi and 1 - xi are the roots
-(1 +/- sqrt(1 - s^2)) / 2, the large one taken directly and the small one
-as s^2 / (4 xi_large), which keeps its relative accuracy.  s <= 1 in exact
-arithmetic, so the pairing residual max(s) - 1 is asserted at most
-PAIRING_TOL and reported in the diagnostics; a NaN fails that check.  The C_X
-construction is from Shapourian, Shiozaki & Ryu, PRB 95, 165101 (2017), and
-Eisler & Zimboras, NJP 17, 053048 (2015).
+s <= 1 in exact arithmetic, so the pairing residual max(s) - 1 is asserted
+at most PAIRING_TOL and reported in the diagnostics; a NaN fails that
+check.  The C_X construction is from Shapourian, Shiozaki & Ryu, PRB 95,
+165101 (2017), and Eisler & Zimboras, NJP 17, 053048 (2015).
 The pencil runs on a partition's reduced matrix only, a bare matrix being
-partitioned at order 1 first; a deflated mode of occupation nu adds
-ln[nu^n + (1 - nu)^n] to E_n, which is 0 at n = 1.
+partitioned at order 1 first; a deflated mode adds nothing to E_1.
 """
 
 from __future__ import annotations
@@ -538,24 +534,18 @@ def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> Ent
     )
 
 
-def _negativity_detail(c: CorrelationMatrix | Partition, n: float) -> tuple[float, float]:
-    """(E_n, pairing residual max(s) - 1) of a partition, a bare matrix
-    being partitioned at order 1."""
-    if n != 1 and (n < 2 or int(n) != n or int(n) % 2 != 0):
-        raise ValueError("negativity order must be 1 or an even integer")
+def _negativity_detail(c: CorrelationMatrix | Partition) -> tuple[float, float]:
+    """(E_1, pairing residual max(s) - 1) of a partition, a bare matrix
+    being partitioned at order 1; the deflated modes add nothing."""
     if not isinstance(c, Partition):
         c = partition(c)
-    # the deflated modes enter through (1 - n) times their entropies, nothing
-    # at n = 1
-    off = 0.0 if n == 1 else (1.0 - n) * (entropy(c.deflated_left, n) + entropy(c.deflated_right, n))
     if c.reduced.dim == 0:
-        return off, 0.0
-    value, residual = _whitened_pencil(c.reduced, n)
-    return value + off, residual
+        return 0.0, 0.0
+    return _whitened_pencil(c.reduced)
 
 
-def _whitened_pencil(c: CorrelationMatrix, n: float) -> tuple[float, float]:
-    """(E_n, pairing residual max(s) - 1) of a matrix with both blocks
+def _whitened_pencil(c: CorrelationMatrix) -> tuple[float, float]:
+    """(E_1, pairing residual max(s) - 1) of a matrix with both blocks
     non-empty, in its own dtype."""
     a = c.matrix
     dim = a.shape[0]
@@ -577,20 +567,13 @@ def _whitened_pencil(c: CorrelationMatrix, n: float) -> tuple[float, float]:
     residual = float(s.max()) - 1.0
     if not residual <= PAIRING_TOL:
         raise SingularResolvent(f"C_X pairing residual {residual:.3e} exceeds {PAIRING_TOL:.1e}")
-    if n == 1:
-        first = 0.5 * np.log1p(s).sum()
-    else:
-        large = 0.5 * (1.0 + np.sqrt(np.maximum(1.0 - s * s, 0.0)))
-        half = n / 2.0
-        first = np.log((s * s / (4.0 * large)) ** half + large**half).sum()
-    return float(first + n * (log_det_half - 0.5 * dim * np.log(2.0))), residual
+    return float(0.5 * np.log1p(s).sum() + (log_det_half - 0.5 * dim * np.log(2.0))), residual
 
 
-def fermionic_negativity(c: CorrelationMatrix | Partition, n: float = 1) -> float:
-    """Logarithmic fermionic negativity (n = 1) or the even moment E_n, of a
-    partition, or of a matrix partitioned at order 1."""
-    value, _ = _negativity_detail(c, n)
-    return value
+def fermionic_negativity(c: CorrelationMatrix | Partition) -> float:
+    """Logarithmic fermionic negativity E_1 of a partition, or of a matrix
+    partitioned at order 1."""
+    return _negativity_detail(c)[0]
 
 
 def measures(
@@ -602,5 +585,5 @@ def measures(
     part = partition(c, order)
     report = report_from_spectra(block_spectra(part), order)
     if with_negativity:
-        report.negativity, report.pairing_residual = _negativity_detail(partition(part), 1)
+        report.negativity, report.pairing_residual = _negativity_detail(partition(part))
     return report

@@ -38,7 +38,6 @@ from .correlation import (
     cross_rates,
     finite_keys,
     has_parity,
-    ENTRY_SPEC,
 )
 from .entanglement import (
     SpectrumError,
@@ -48,7 +47,7 @@ from .entanglement import (
     renyi_index,
     report_from_spectra,
 )
-from .numerics import NumericsError, QuadratureSpec
+from .numerics import NumericsError
 from .scattering import BiasState, ScatteringModel
 
 __all__ = [
@@ -101,13 +100,6 @@ def _map_ordered(fn, items, threads: int):
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _entry_spec(config: ExperimentConfig) -> QuadratureSpec:
-    """ENTRY_SPEC with the quadrature overrides the config sets."""
-    names = ("abs_tol", "max_panels")
-    overrides = {name: getattr(config, name) for name in names if getattr(config, name) is not None}
-    return replace(ENTRY_SPEC, **overrides)
 
 
 @contextmanager
@@ -186,7 +178,7 @@ def _point_values(cmat: CorrelationMatrix):
 
     def numeric(measure: str, order) -> float:
         if measure == "negativity":
-            return fermionic_negativity(deflated(), 1)
+            return fermionic_negativity(deflated())
         return getattr(report(order), _REPORT_FIELDS[measure])
 
     return numeric
@@ -309,7 +301,7 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     otherwise.  Every point builds its own rows and predictions."""
     model = config.build_model()
     bias = config.build_bias()
-    builder = CorrelationBuilder(model, bias, _entry_spec(config))
+    builder = CorrelationBuilder(model, bias)
     series = list(_series(config))
     placed = [point(coord) for coord in coords]
     first: dict[tuple[int, int, int], int] = {}
@@ -450,7 +442,7 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
         numeric = _point_values(cmat)
         return {measure: numeric(measure, "vn") for measure in wanted}
 
-    builder = CorrelationBuilder(model, bias, _entry_spec(config))
+    builder = CorrelationBuilder(model, bias)
     with _failure_at("far limit"):
         far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell)))
 

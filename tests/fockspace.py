@@ -132,12 +132,3 @@ def negativity_dm(rho: np.ndarray, left_modes: list[int], n: int) -> float:
     twisted = partial_time_reversal(rho, left_modes, n)
     sing = np.linalg.svd(twisted, compute_uv=False)
     return float(np.log(sing.sum()))
-
-
-def negativity_moment_dm(rho: np.ndarray, left_modes: list[int], n: int, order: int) -> float:
-    """ln Tr[(rho~^dag rho~)^(order/2)] for even order, from singular values."""
-    if order < 2 or order % 2 != 0:
-        raise ValueError("moment order must be a positive even integer")
-    twisted = partial_time_reversal(rho, left_modes, n)
-    sing = np.linalg.svd(twisted, compute_uv=False)
-    return float(np.log((sing**order).sum()))

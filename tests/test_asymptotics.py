@@ -73,12 +73,18 @@ def test_kernel_exact_value_at_zero_step():
     # step_kernel(n, 0) = (1+n)/(12 n), the kernel of one sharp step
     for n in (0.5, 2.0, 3.0):
         assert oracles.log_kernel(n, 0.0) == pytest.approx((1 - n) * (1 + n) / (12 * n), abs=1e-11)
-    for n in (0.5, 1.0, 2.0, 3.0):
-        assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-11)
-    # below order 1/2 the substitution x = s^m, m = ceil(1/n), keeps every
-    # digit; x = s^2 leaves an s^(2n - 1) cusp that errs by up to 2.1e-12
-    for n in (0.1, 0.2, 0.25, 0.3, 0.4):
-        assert asy.step_kernel(n, 0.0) == pytest.approx((1 + n) / (12 * n), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [0.1, 0.25, 0.5, 1.0, 2.0, 3.0])
+def test_kernels_are_exact_at_degenerate_transmission(n):
+    # at t = 0 and 1 every pair bracket term cancels or is h_n(a, 0) = 0, and
+    # so is every step bracket term at p = 1; p = 0 is one sharp step.
+    # Quadrature left about 2.3e-16 at n = 1/2, which a constant T = 0 sweep
+    # printed as its analytic_log
+    assert asy.pair_kernel(n, 0.0) == asy.pair_kernel(n, 1.0) == asy.step_kernel(n, 1.0) == 0.0
+    assert asy.step_kernel(n, 0.0) == (1 + n) / (12 * n)
+    geom = SubsystemGeometry(0, 40, 10, 60)
+    assert asy.mi_prediction(ConstantTransmission(0.0), DK6, geom, n).log_term == 0.0
 
 
 def test_kernels_reject_non_positive_order():

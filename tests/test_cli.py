@@ -43,30 +43,31 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "ell_min" in err
 
 
-def test_cli_numerical_failure_names_sweep_point_and_integral(tmp_path, capsys):
+def test_cli_numerical_failure_names_sweep_point_and_integral(tmp_path, capsys, starve):
     # a panel budget far too small for the first table block of the far limit
+    starve(10)
     cfg = tmp_path / "starved.cfg"
-    cfg.write_text(TINY_CONFIG + "max_panels = 10\n")
+    cfg.write_text(TINY_CONFIG)
     assert main(["sweep-length", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith('error kind=NonConvergence message="ell=8: W(window V, factor T, rates 0..63): ')
     assert err.count("\n") == 1
-    cfg.write_text(TINY_CONFIG.replace("sweep-length", "sweep-bias") + "dk_list = pi/6\nmax_panels = 10\n")
+    cfg.write_text(TINY_CONFIG.replace("sweep-length", "sweep-bias") + "dk_list = pi/6\n")
     assert main(["sweep-bias", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     assert 'message="dk=0.523598775598: ell=8: W(window V' in capsys.readouterr().err
 
 
-def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path, capsys):
+def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path, capsys, starve):
     # the far-limit blocks fit a budget of 16 panels, the Hankel terms of the
     # finite distances do not all fit it: at d = 160 the j + m rates of window L
     # are above the Filon-Clenshaw-Curtis switch, those of the narrower window
     # R stay below it and need one Gauss-Legendre panel per period
+    starve(16)
     cfg = tmp_path / "starved.cfg"
     cfg.write_text(
         "scenario = sweep-distance\nmodel = single_impurity\nepsilon0 = 1\n"
         "k_fl = 2*pi/3\nk_fr = pi/2\nell = 8\nd_over_ell_min = 20\nd_over_ell_max = 30\n"
         "n_centers = 2\nwindow = 3\nfit_min_d_over_ell = 20\nmeasures = mi\nrenyi_orders = vn\n"
-        "max_panels = 16\n"
     )
     assert main(["sweep-distance", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err

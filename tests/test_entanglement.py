@@ -171,7 +171,7 @@ def test_negativity_two_site_fock_oracle():
     rho = fs.gaussian_density_matrix(cm.matrix)
     oracle = fs.negativity_dm(rho, [0], 2)
     assert oracle == pytest.approx(np.log(2.0), abs=1e-10)
-    assert fermionic_negativity(cm, 1) == pytest.approx(oracle, abs=1e-10)
+    assert fermionic_negativity(cm) == pytest.approx(oracle, abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -194,23 +194,10 @@ def test_negativity_and_measures_fock_oracle_3p3(seed):
         assert abs(rep.mutual_info - (s_l + s_r - s_a)) < 1e-8
 
 
-def test_even_negativity_moment_fock_oracle():
-    rng = np.random.default_rng(200)
-    cm, _ = cm_from_spectrum(rng, 2, 2)
-    rho = fs.gaussian_density_matrix(cm.matrix)
-    for order in (2, 4):
-        oracle = fs.negativity_moment_dm(rho, [0, 1], 4, order)
-        assert abs(fermionic_negativity(cm, order) - oracle) < 1e-10
-
-
-def test_negativity_rejects_odd_order_and_empty_block():
-    rng = np.random.default_rng(13)
-    cm, _ = cm_from_spectrum(rng, 2, 2)
-    with pytest.raises(ValueError):
-        fermionic_negativity(cm, 3)
+def test_negativity_rejects_an_empty_block():
     lonely = CorrelationMatrix(np.eye(2, dtype=complex) * 0.5, 2)
     with pytest.raises(ValueError):
-        fermionic_negativity(lonely, 1)
+        fermionic_negativity(lonely)
 
 
 @pytest.mark.parametrize("solve", [measures, block_spectra, partition, fermionic_negativity, occupation_spectrum])
@@ -232,7 +219,7 @@ def test_block_spectra_reads_a_partition_only():
     with pytest.raises(TypeError, match="partition"):
         block_spectra(cm)
     assert not ent.BlockSpectra._field_defaults
-    assert fermionic_negativity(cm, 2) == fermionic_negativity(partition(cm), 2)
+    assert fermionic_negativity(cm) == fermionic_negativity(partition(cm))
 
 
 @pytest.mark.parametrize("solve", [measures, fermionic_negativity])
@@ -253,7 +240,7 @@ def test_negativity_nonfinite_input_raises_singular_resolvent():
         mat = np.full((2, 2), 0.5, dtype=complex)
         mat[entry] = np.nan
         with pytest.raises(SingularResolvent):
-            fermionic_negativity(CorrelationMatrix(mat, 1, built_hermitian=True), 1)
+            fermionic_negativity(CorrelationMatrix(mat, 1, built_hermitian=True))
 
 
 def test_negativity_relation_to_half_renyi_mi_slope():
@@ -288,7 +275,7 @@ def test_negativity_pure_state_fock_oracle(nl, nr):
     occupied = np.arange(dim) < rng.integers(1, dim)
     cm, _ = cm_from_spectrum(rng, nl, nr, occupied.astype(float))
     oracle = fs.negativity_dm(fs.gaussian_density_matrix(cm.matrix), list(range(nl)), dim)
-    assert abs(fermionic_negativity(cm, 1) - oracle) < 1e-12
+    assert abs(fermionic_negativity(cm) - oracle) < 1e-12
 
 
 def test_negativity_stable_under_roundoff_perturbation():
@@ -297,7 +284,7 @@ def test_negativity_stable_under_roundoff_perturbation():
     h = rng.normal(size=(cm.dim, cm.dim)) + 1j * rng.normal(size=(cm.dim, cm.dim))
     h = 0.5 * (h + h.conj().T)
     nudged = CorrelationMatrix(cm.matrix + 1e-13 * h / np.abs(h).max(), cm.n_left)
-    assert abs(fermionic_negativity(nudged, 1) - fermionic_negativity(cm, 1)) < 1e-9
+    assert abs(fermionic_negativity(nudged) - fermionic_negativity(cm)) < 1e-9
 
 
 def mp_negativity(cm, mp):
@@ -329,8 +316,8 @@ def test_negativity_matches_mpmath_reference(ell):
     cm = far_fig2(ell)
     with mpmath.workdps(40):
         reference = float(mp_negativity(cm, mpmath))
-    assert abs(undeflated.negativity(cm, 1) - reference) < 1e-12
-    assert abs(fermionic_negativity(cm, 1) - reference) < 1e-12
+    assert abs(undeflated.negativity(cm) - reference) < 1e-12
+    assert abs(fermionic_negativity(cm) - reference) < 1e-12
 
 
 @pytest.mark.parametrize("d", [16, 59])
@@ -342,8 +329,8 @@ def test_finite_negativity_matches_mpmath_reference(d):
     cm = correlation_matrix_finite(CorrelationBuilder(SingleImpurity(1.0), bias), SubsystemGeometry(d, 8, d, 8))
     with mpmath.workdps(40):
         reference = float(mp_negativity(cm, mpmath))
-    assert abs(undeflated.negativity(cm, 1) - reference) < 1e-13
-    assert abs(fermionic_negativity(partition(cm), 1) - reference) < 1e-13
+    assert abs(undeflated.negativity(cm) - reference) < 1e-13
+    assert abs(fermionic_negativity(partition(cm)) - reference) < 1e-13
 
 
 @pytest.mark.parametrize("stage", ["solve", "svd"])
@@ -361,7 +348,7 @@ def test_negativity_nan_reaching_w_raises_singular_resolvent(monkeypatch, stage)
 
     monkeypatch.setattr(np.linalg, stage, poisoned)
     with pytest.raises(SingularResolvent):
-        fermionic_negativity(cm, 1)
+        fermionic_negativity(cm)
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,11 +360,11 @@ def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):
     pinned = min(n_pinned, nl + nr)
     nu[:pinned] = rng.integers(0, 2, size=pinned)
     cm, _ = cm_from_spectrum(rng, nl, nr, nu)
-    value = fermionic_negativity(cm, 1)
+    value = fermionic_negativity(cm)
     assert value >= -1e-12
     swap = np.r_[nl:nl + nr, 0:nl]
     swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], nr)
-    assert abs(fermionic_negativity(swapped, 1) - value) < 1e-12
+    assert abs(fermionic_negativity(swapped) - value) < 1e-12
 
 
 # --- properties of real builder output -----------------------------------------
@@ -457,7 +444,7 @@ def test_deflated_partition_matches_full_matrix(inputs):
     rep = report_from_spectra(block_spectra(deflated), "vn")
     assert abs(rep.mutual_info - full.mutual_info) < 1e-11
     assert abs(rep.coherent_info - full.coherent_info) < 1e-11
-    assert abs(fermionic_negativity(deflated, 1) - undeflated.negativity(cm, 1)) < 1e-11
+    assert abs(fermionic_negativity(deflated) - undeflated.negativity(cm)) < 1e-11
 
 
 def test_partition_deflates_most_far_modes():
@@ -470,7 +457,7 @@ def test_partition_deflates_most_far_modes():
     rep = measures(cm, "vn", with_negativity=True)
     full = report_from_spectra(undeflated.spectra(cm), "vn")
     assert abs(rep.s_a - full.s_a) < 1e-11
-    assert abs(rep.negativity - undeflated.negativity(cm, 1)) < 1e-11
+    assert abs(rep.negativity - undeflated.negativity(cm)) < 1e-11
 
 
 def test_sub_unit_orders_deflate_the_same_modes_again(monkeypatch):
@@ -510,8 +497,6 @@ def test_partition_without_coupling_keeps_no_mode():
     assert rep.mutual_info == 0.0 and rep.negativity == 0.0
     assert rep.s_al > 0.0 and rep.coherent_info == -rep.s_al
     assert report_from_spectra(block_spectra(deflated), 2.0).mutual_info == 0.0
-    # a deflated mode adds ln[nu^2 + (1 - nu)^2] to E_2
-    assert abs(fermionic_negativity(deflated, 2) - undeflated.negativity(cm, 2)) < 1e-10
 
 
 # --- folding to real symmetric form ---------------------------------------------
@@ -661,7 +646,7 @@ def test_far_basis_partition_matches_the_undeflated_spectra(epsilon0, ell):
             got = report_from_spectra(block_spectra(partition(vn, order)), order)
             assert abs(got.mutual_info - want.mutual_info) < 1e-11
             assert abs(got.coherent_info - want.coherent_info) < 1e-11
-        assert abs(fermionic_negativity(vn, 1) - undeflated.negativity(plain, 1)) < 1e-11
+        assert abs(fermionic_negativity(vn) - undeflated.negativity(plain)) < 1e-11
         if ell in FINITE_HALF_MI_BAND:
             half = report_from_spectra(block_spectra(partition(vn, 0.5)), 0.5).mutual_info
             assert abs(half - report_from_spectra(full, 0.5).mutual_info) <= FINITE_HALF_MI_BAND[ell]
@@ -685,18 +670,17 @@ def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
     assert part.reduced.dim == 0 and (part.deflated_left.size, part.deflated_right.size) == (1, 20)
     full = report_from_spectra(undeflated.spectra(CorrelationMatrix(cut.matrix, 1)), "vn")
     rep = report_from_spectra(block_spectra(part), "vn")
-    assert rep.mutual_info == 0.0 and fermionic_negativity(part, 1) == 0.0
+    assert rep.mutual_info == 0.0 and fermionic_negativity(part) == 0.0
     assert rep.s_ar > 1.0 and abs(rep.s_ar - full.s_ar) < 1e-12
     assert abs(rep.coherent_info - full.coherent_info) < 1e-12
 
 
 def test_negativity_reads_the_deflated_entropies_only_where_they_count(monkeypatch):
-    # E_n adds (1 - n) times the deflated modes' entropies, nothing at n = 1
+    # a deflated mode adds nothing to E_1, so no deflated entropy is read
     part = partition(far_fig2(20))
     assert part.deflated_left.size and part.deflated_right.size
-    one, two = fermionic_negativity(part, 1), fermionic_negativity(part, 2)
+    one = fermionic_negativity(part)
     calls = []
     entropy = ent.entropy
     monkeypatch.setattr(ent, "entropy", lambda *args: calls.append(args) or entropy(*args))
-    assert fermionic_negativity(part, 1) == one and not calls
-    assert fermionic_negativity(part, 2) == two and len(calls) == 2
+    assert fermionic_negativity(part) == one and not calls

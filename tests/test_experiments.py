@@ -133,9 +133,11 @@ def test_parse_config_unknown_key_and_scenario():
         parse_config_text("scenario = sweep-everything\n")
 
 
-@pytest.mark.parametrize("key, value", [("rel_tol", "0"), ("nodes_per_panel", "16")])
+@pytest.mark.parametrize(
+    "key, value", [("rel_tol", "0"), ("nodes_per_panel", "16"), ("abs_tol", "1e-12"), ("max_panels", "10")]
+)
 def test_parse_config_fixed_quadrature_settings_are_unknown_keys(key, value):
-    # the quadrature's relative target and panel order are fixed, not keys
+    # the quadrature's targets, panel budget and panel order are fixed, not keys
     with pytest.raises(ParseError, match=f"^line 2: unknown key '{key}'$"):
         parse_config_text(f"scenario = selftest\n{key} = {value}\n")
 
@@ -194,8 +196,6 @@ OUT_OF_RANGE = [
     ("k_fr = 0\ndk_list = pi/12", "k_fr"),
     ("eta = 0", "eta"),
     ("transmission = 1.5", "transmission"),
-    ("abs_tol = 0", "abs_tol"),
-    ("max_panels = 0", "max_panels"),
     ("threads = 0", "threads"),
     ("threads = -2", "threads"),
     ("model = foo", "model"),
@@ -872,7 +872,7 @@ def test_stacked_table_fill_keeps_the_bytes_of_one_block_at_a_time(monkeypatch, 
 
     monkeypatch.setattr(num, "_grid_rows", counted)
     cfg, keys = figs2_table_keys(epsilon0)
-    stacked, alone = (CorrelationBuilder(cfg.build_model(), cfg.build_bias(), ex._entry_spec(cfg)) for _ in range(2))
+    stacked, alone = (CorrelationBuilder(cfg.build_model(), cfg.build_bias()) for _ in range(2))
     stacked.prefetch(keys)
     assert bool(handed) == (epsilon0 == 0.02)
     for key in dict.fromkeys(keys):
@@ -895,15 +895,16 @@ def test_stacked_table_fill_keeps_the_bytes_of_one_block_at_a_time(monkeypatch, 
 )
 @pytest.mark.parametrize("threads", [1, 2])
 def test_distance_sweep_failure_names_the_first_distance_reading_the_block(
-    epsilon0, max_panels, d_over_ell, message, threads
+    starve, epsilon0, max_panels, d_over_ell, message, threads
 ):
     # the sweep fills its table blocks before its first distance, and leaves
     # a block that fails unfilled; the messages are those of a build that
     # filled each distance's blocks as it read them
+    starve(max_panels)
     cfg = ExperimentConfig(
         scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
         d_over_ell_min=d_over_ell, d_over_ell_max=d_over_ell, n_centers=1, window=5, measures=("mi",),
-        max_panels=max_panels, threads=threads,
+        threads=threads,
     )
     with pytest.raises(NonConvergence) as failure:
         run_sweep_distance(cfg)
@@ -1029,9 +1030,10 @@ def test_parity_breaking_model_solves_every_point(monkeypatch):
     assert abs(values[(-18, "mi", "vn")] - values[(30, "mi", "vn")]) > 1e-6
 
 
-def test_position_sweep_failure_names_the_offset():
+def test_position_sweep_failure_names_the_offset(starve):
+    starve(10)
     with pytest.raises(NonConvergence, match=r"^delta=-8: W\(window V, factor T, rates 0\.\.63\): "):
-        run_sweep_position(position_config(max_panels=10))
+        run_sweep_position(position_config())
 
 
 def test_fig3_config_solves_each_mirror_pair_once(monkeypatch):

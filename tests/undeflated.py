@@ -33,6 +33,6 @@ def spectra(cm):
     return ent.BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r, empty, empty)
 
 
-def negativity(cm, n=1):
-    """E_n of the whitened pencil on the whole matrix."""
-    return ent._whitened_pencil(folded(cm), n)[0]
+def negativity(cm):
+    """E_1 of the whitened pencil on the whole matrix."""
+    return ent._whitened_pencil(folded(cm))[0]
