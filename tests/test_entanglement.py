@@ -194,6 +194,14 @@ def test_negativity_and_measures_fock_oracle_3p3(seed):
         assert abs(rep.mutual_info - (s_l + s_r - s_a)) < 1e-8
 
 
+def test_negativity_takes_no_order():
+    # E_1 is the only negativity: there is no order to pass
+    rng = np.random.default_rng(13)
+    cm, _ = cm_from_spectrum(rng, 2, 2)
+    with pytest.raises(TypeError):
+        fermionic_negativity(cm, 1)
+
+
 def test_negativity_rejects_an_empty_block():
     lonely = CorrelationMatrix(np.eye(2, dtype=complex) * 0.5, 2)
     with pytest.raises(ValueError):

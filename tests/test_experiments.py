@@ -8,6 +8,7 @@ import pytest
 
 from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text, read_csv
 from nessent.correlation import (
+    ENTRY_SPEC,
     CorrelationBuilder,
     CorrelationMatrix,
     SubsystemGeometry,
@@ -140,6 +141,14 @@ def test_parse_config_fixed_quadrature_settings_are_unknown_keys(key, value):
     # the quadrature's targets, panel budget and panel order are fixed, not keys
     with pytest.raises(ParseError, match=f"^line 2: unknown key '{key}'$"):
         parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "nodes_per_panel", "abs_tol", "max_panels"])
+def test_experiment_config_has_no_quadrature_field(key):
+    # the builders' quadrature is fixed: no config field can reach it
+    assert key not in {f.name for f in fields(ExperimentConfig)}
+    with pytest.raises(TypeError, match=key):
+        ExperimentConfig(scenario="selftest", **{key: 1})
 
 
 def test_parse_config_scenario_mismatch():
@@ -1034,6 +1043,35 @@ def test_position_sweep_failure_names_the_offset(starve):
     starve(10)
     with pytest.raises(NonConvergence, match=r"^delta=-8: W\(window V, factor T, rates 0\.\.63\): "):
         run_sweep_position(position_config())
+
+
+class _Built(Exception):
+    """Stops a runner at its first builder."""
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        small_length_config(),
+        small_length_config(scenario="sweep-bias", dk_list=(math.pi / 6,)),
+        position_config(),
+        distance_config(),
+    ],
+    ids=lambda cfg: cfg.scenario,
+)
+def test_every_runner_builds_on_the_entry_spec(monkeypatch, config):
+    # a runner hands its builder the model and bias only, so every sweep
+    # reads the one fixed quadrature
+    import nessent.experiments as ex
+
+    def built(*args, **kwargs):
+        builder = CorrelationBuilder(*args, **kwargs)
+        assert not kwargs and len(args) == 2 and builder.spec is ENTRY_SPEC
+        raise _Built
+
+    monkeypatch.setattr(ex, "CorrelationBuilder", built)
+    with pytest.raises(_Built):
+        run_scenario(config)
 
 
 def test_fig3_config_solves_each_mirror_pair_once(monkeypatch):
