@@ -13,6 +13,7 @@ from .scattering import (
     BiasState,
     ConstantTransmission,
     DomainError,
+    PoleData,
     ScatteringModel,
     SingleImpurity,
     SMatrix,

@@ -6,7 +6,7 @@ Usage:
 
 Scenarios: sweep-length, sweep-position, sweep-bias, sweep-distance,
 eval-asymptotics, selftest.  The worker-pool size is --threads if given,
-else the config file's ``threads`` key, else 1.
+else the config file's ``threads`` key, else 1.  selftest takes no flag.
 
 Exit status is 0 iff every computation converged; on failure a single
 machine-readable line ``error kind=<Type> message="..."`` goes to stderr.
@@ -34,6 +34,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.scenario == "selftest":
+            for flag, value in (("--config", args.config), ("--out", args.out), ("--threads", args.threads)):
+                if value is not None:
+                    raise ParseError(f"selftest takes no {flag}")
             from .selftest import run_selftest
 
             return 0 if run_selftest() else 1

@@ -11,12 +11,11 @@ one momentum window at an integer rate x: j - m (Toeplitz) or j + m
 (Hankel).  Every entry of either regime is thus a sum of Fourier
 coefficients W(window, factor, x).  ``CorrelationBuilder`` holds one table
 per (window, factor), filled in aligned blocks of consecutive rates, and
-both matrix builders assemble whole blocks from it by numpy indexing.  The
-missing blocks of one window asked for together, with the same factors,
-share one stacked quadrature: its nodes and amplitudes, and on the
-Filon-Clenshaw-Curtis rule its samples of f and its Chebyshev moment
-recurrences.  A distance sweep asks for every block its distances read at
-once (``finite_keys``).
+both matrix builders assemble whole blocks from it by numpy indexing.
+Every factor is a rational function of z = e^{ik} (the model's
+``pole_data``), so a block is integrated in closed form
+(``window_fourier``): no quadrature runs, and nothing in a table can fail
+to converge.
 
 Two regimes are implemented:
 
@@ -71,16 +70,19 @@ silently conjugate the cross block.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import NumericsError, QuadratureSpec, check_hermitian, integrate_oscillatory_batch
+from .numerics import check_hermitian
 from .numerics import integrate_oscillatory  # noqa: F401  read by perfbench/tracer.py
-from .scattering import BiasState, ScatteringModel
+from .scattering import BiasState, PoleData, ScatteringModel
+
+#: no batch quadrature is left to wrap; perfbench/tracer.py reads both names
+#: at install until the benchmark reads a run sidecar instead (ROADMAP item 4)
+integrate_oscillatory_batch = None
 
 __all__ = [
     "SubsystemGeometry",
@@ -90,17 +92,11 @@ __all__ = [
     "FiniteMatrix",
     "correlation_matrix_finite",
     "correlation_matrix_far",
-    "finite_keys",
     "CorrelationBuilder",
+    "window_fourier",
     "cross_rates",
     "has_parity",
-    "write_matrix_dump",
-    "read_matrix_dump",
 ]
-
-#: entries need to resolve 1/d^2 tails of the measures, so they are computed
-#: a few digits tighter than the default
-ENTRY_SPEC = QuadratureSpec(abs_tol=1e-11, max_panels=60000)
 
 #: a far-limit union folds, and a far sweep shares the values of mirror-image
 #: geometries, when the parity defect of the W_X values read,
@@ -211,47 +207,117 @@ class CorrelationMatrix:
 #: rates per table block; a block holds the rates BLOCK*b .. BLOCK*b + BLOCK-1
 BLOCK = 64
 
-#: smooth factors f(k) of the window integrals, from the amplitudes
-#: (r_l, t_r, t_l, r_r).  The conjugates of r_l and r_r are not listed:
-#: their terms are read as conjugates of the r_l and r_r tables.
+#: factors f(z) of the window integrals, from the pole data of the amplitudes
+#: (r_l, t_r, t_l, r_r).  The conjugate factors are not listed: W(window,
+#: "tLc", x) is read as conj W(window, "tL", -x), and the conjugates of r_l
+#: and r_r as conjugates of the r_l and r_r tables.
 _FACTORS = {
-    "T": lambda r_l, t_r, t_l, r_r: np.abs(t_l) ** 2,
+    "T": lambda r_l, t_r, t_l, r_r: t_l.conj() * t_l,
     "rL": lambda r_l, t_r, t_l, r_r: r_l,
     "rR": lambda r_l, t_r, t_l, r_r: r_r,
-    "tLc": lambda r_l, t_r, t_l, r_r: np.conj(t_l),
-    "tLc_rL": lambda r_l, t_r, t_l, r_r: np.conj(t_l) * r_l,
+    "tL": lambda r_l, t_r, t_l, r_r: t_l,
+    "tLc_rL": lambda r_l, t_r, t_l, r_r: t_l.conj() * r_l,
     "tR": lambda r_l, t_r, t_l, r_r: t_r,
 }
+
+#: the longest geometric series of a pole: |p| = 1 -+ 7e-4 needs about
+#: 2^16 terms, so the single impurity reaches it at epsilon0 = 1.4e-3 eta
+MAX_SERIES = 1 << 16
+
+
+def _ratio(p: complex) -> complex:
+    """The ratio of a pole's geometric series: p inside the unit circle,
+    1/p outside it."""
+    return p if abs(p) < 1 else 1 / p
+
+
+@lru_cache(maxsize=64)
+def _geometric(rho: complex) -> tuple[int, np.ndarray, np.ndarray]:
+    """For a ratio |rho| < 1: the series length n, after which the terms
+    rho^n/(1 - |rho|) of an upward sum fall below 2^-54; the weights
+    rho^(n-1) .. rho^0 of the sum's first n terms; and the BLOCK x BLOCK
+    lower-triangular Toeplitz matrix of powers rho^(j-i), every entry at
+    most 1 in modulus."""
+    a = abs(rho)
+    n = max(1, int(np.ceil(np.log(2.0**-54 * (1.0 - a)) / np.log(a))))
+    if n > MAX_SERIES:
+        raise ValueError(f"a pole {1 - a:.2g} from the unit circle needs {n} series terms, more than {MAX_SERIES}")
+    powers = rho ** np.arange(max(n, BLOCK))
+    r = np.arange(BLOCK)
+    return n, powers[n - 1 :: -1].copy(), np.tril(powers[np.subtract.outer(r, r)])
+
+
+def window_fourier(f: PoleData, a: float, b: float, x0: int) -> np.ndarray:
+    """int_a^b f(e^{ik}) e^{ixk} dk at the rates x = x0 .. x0 + BLOCK - 1, in
+    closed form.
+
+    With E_x = int e^{ixk} dk = e^{ixm} 2 sin(xh)/x (m and h the window's
+    centre and half width; exactly 0 on an empty window) and
+    J_x(p) = int z^x/(z - p) dk, the integral is
+    const E_x + sum_j c_j J_x(p_j), and J_{x+1} = p J_x + E_x.  That
+    recurrence runs only in its stable direction (Miller's method; Gautschi,
+    SIAM Rev. 9, 24 (1967)).  For |p| < 1 it runs upward: from J_0, one
+    complex log on the arc, to a block that starts within the series length
+    n of ``_geometric`` above rate 0, and otherwise from the series
+    J_x = sum_n p^n E_{x-1-n} cut after n terms.  For |p| > 1 it runs
+    downward from the series J_x = -sum_n p^(-n-1) E_{x+n}, cut likewise.
+    Over the block that is one start value and one lower-triangular
+    Toeplitz matrix of powers, so each value is a pure function of
+    (a, b, f, x0).
+    """
+    m, h = 0.5 * (a + b), 0.5 * (b - a)
+    rhos = [_ratio(p) for p in f.poles]
+    n = max((_geometric(rho)[0] for rho in rhos), default=0)
+    x = np.arange(x0 - n, x0 + BLOCK + n)
+    safe = np.where(x == 0, 1, x)
+    e = np.exp(1j * m * x) * np.where(x == 0, 2.0 * h, 2.0 * np.sin(h * x) / safe)
+    out = f.const * e[n : n + BLOCK]
+    for c, p, rho in zip(f.residues, f.poles, rhos):
+        k, weights, toeplitz = _geometric(rho)
+        # E along the stable direction: the k terms of the start sum, then the block
+        inside = abs(p) < 1
+        run = e[n - k : n + BLOCK - 1] if inside else e[n : n + BLOCK + k - 1][::-1]
+        v = run[k - 1 :].copy()
+        if inside and 0 <= x0 < k:
+            # upward from J_0 = [log(1 - p e^{-ik})]/(i p) over the arc, on
+            # which 1 - p e^{-ik} stays in the right half plane
+            j0 = (np.log(1 - p * np.exp(-1j * b)) - np.log(1 - p * np.exp(-1j * a))) / (1j * p)
+            v[0] = p**x0 * j0 + run[k - x0 : k] @ weights[k - x0 :]
+        else:
+            v[0] = run[:k] @ weights
+        s = toeplitz @ v
+        out = out + c * (s if inside else -rho * s[::-1])
+    return out
 
 
 class CorrelationBuilder:
     """Fourier tables W(window, factor, x) shared by every matrix of a sweep.
 
-    The builder is the one owner of the model, the bias and the quadrature
-    spec; both matrix builders read them from it and take only a geometry.
+    The builder is the one owner of the model and the bias; both matrix
+    builders read them from it and take only a geometry.
 
     W(window, factor, x) = sign/(2pi) * int f(k) exp(i*x*k) dk over one of
     three windows: "L" = (0, k_fl) and "R" = (0, k_fr), the occupied
     left- and right-incoming states, and "V", the voltage window from k_fr
-    to k_fl (sign -1 when k_fl < k_fr).  Each table is filled in aligned
-    blocks of BLOCK consecutive integer rates and read through
-    ``coefficients`` alone.  Blocks are filled in stacks (``prefetch``), one
-    ``integrate_oscillatory_batch`` call each, which learns the number of
-    factors from one call of the amplitudes on an empty array.  Every block
-    goes first to Filon-Clenshaw-Curtis within its Filon bound, which is 0
-    below ``numerics.FILON_MIN_PHASE``, and each factor row that Filon
-    leaves takes the one route to the Gauss-Legendre grid of its block.
-    Degrees and grid are sized by the block alone, so every coefficient is
-    a pure function of (window, factor, block): it does not depend on which
-    matrix, which stack, or which thread asked for it first.  Two threads
-    filling the same block compute the same values, so the race is
-    harmless.
+    to k_fl (sign -1 when k_fl < k_fr).  Each factor is a rational function
+    of z = e^{ik}, formed from the model's ``pole_data`` when the builder is
+    made, so a model without pole data fails here with ``TypeError``.  Each
+    table is filled in aligned blocks of BLOCK consecutive integer rates
+    (``prefetch``) by ``window_fourier``, in closed form, and read through
+    ``coefficients`` alone.  Every coefficient is a pure function of
+    (window, factor, block): it does not depend on which matrix, in which
+    order, or which thread asked for it first.  Two threads filling the
+    same block compute the same values, so the race is harmless.
     """
 
-    def __init__(self, model: ScatteringModel, bias: BiasState, spec: QuadratureSpec = ENTRY_SPEC):
+    def __init__(self, model: ScatteringModel, bias: BiasState):
         self.model = model
         self.bias = bias
-        self.spec = spec
+        amplitudes = model.pole_data()
+        self._factors = {name: f(*amplitudes) for name, f in _FACTORS.items()}
+        for f in self._factors.values():
+            for p in f.poles:
+                _geometric(_ratio(p))  # a pole too near the unit circle fails here
         self._windows = {
             "L": (0.0, bias.k_fl, 1.0),
             "R": (0.0, bias.k_fr, 1.0),
@@ -261,62 +327,27 @@ class CorrelationBuilder:
         self._far: dict[str, FarBlock] = {}
         self._far_matrix: tuple | None = None
 
-    def prefetch(self, keys) -> None:
+    def prefetch(self, keys: list) -> None:
         """Fill the missing table blocks among the (window, factor, block)
-        keys.  The missing blocks of one window that miss the same factors
-        form one stack, filled by one call of ``integrate_oscillatory_batch``
-        with one row of rates per block: its factors share the nodes and the
-        amplitudes, and its Filon-Clenshaw-Curtis blocks the samples of f and
-        the Chebyshev moment recurrences.  Every value is the one a stack of
-        one block and one factor gives.  When a stack fails, the missing
-        blocks are filled one (window, block) and factor at a time, in key
-        order, and the first integral that fails alone names the error."""
-        wanted: dict[tuple[str, int], dict[str, None]] = {}  # dicts as ordered sets
-        for window, factor, block in keys:
-            if (window, factor, block) not in self._blocks:
-                wanted.setdefault((window, block), {})[factor] = None
-        stacks: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-        for (window, block), factors in wanted.items():
-            stacks.setdefault((window, tuple(sorted(factors))), []).append(block)
-        try:
-            for (window, factors), blocks in stacks.items():
-                self._fill(window, factors, blocks)
-        except NumericsError:
-            # a stack fails exactly when one of its integrals fails alone
-            for (window, block), factors in wanted.items():
-                for factor in factors:
-                    if (window, factor, block) not in self._blocks:
-                        try:
-                            self._fill(window, (factor,), [block])
-                        except NumericsError as exc:
-                            rates = f"{BLOCK * block}..{BLOCK * block + BLOCK - 1}"
-                            where = f"W(window {window}, factor {factor}, rates {rates})"
-                            raise type(exc)(f"{where}: {exc}") from exc
-            raise
-
-    def _fill(self, window: str, factors: tuple[str, ...], blocks: list[int]) -> None:
-        """Fill the table blocks of the factors at the blocks of one window
-        by one stacked quadrature."""
-        lo, hi, sign = self._windows[window]
-        fs = [_FACTORS[factor] for factor in factors]
-
-        def f_rows(k: np.ndarray) -> list:
-            amps = self.model.amplitudes(k)
-            return [f(*amps) for f in fs]
-
-        rates = BLOCK * np.array(blocks)[:, None] + np.arange(BLOCK)
-        vals = integrate_oscillatory_batch(f_rows, rates, lo, hi, self.spec)
-        for factor, rows in zip(factors, vals):
-            for block, row in zip(blocks, rows):
-                self._blocks[(window, factor, block)] = sign * row / (2.0 * np.pi)
+        keys."""
+        for key in keys:
+            if key not in self._blocks:
+                window, factor, block = key
+                lo, hi, sign = self._windows[window]
+                self._blocks[key] = sign * window_fourier(self._factors[factor], lo, hi, BLOCK * block) / (2.0 * np.pi)
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
         """W(window, factor, x) at an integer array of rates x, same shape:
-        the one read of the tables, which fills the blocks it reads first."""
+        the one read of the tables, which fills the blocks it reads first.
+        The factor "tLc", conj t_l, reads W(tLc, x) = conj W(tL, -x)."""
+        conjugate = factor == "tLc"
+        if conjugate:
+            factor, rates = "tL", -rates
         span = _span(rates)
         self.prefetch([(window, factor, b) for b in span])
         table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
-        return table[rates - BLOCK * span[0]]
+        values = table[rates - BLOCK * span[0]]
+        return values.conj() if conjugate else values
 
     def far_block(self, side: str, n: int) -> "FarBlock":
         """The far-limit diagonal block of n sites on side "L" (A_L) or "R"
@@ -399,20 +430,14 @@ def _hankel_reads(geom: SubsystemGeometry) -> tuple:
     )
 
 
-def finite_keys(geom: SubsystemGeometry) -> list[tuple[str, str, int]]:
-    """The (window, factor, block) table keys that the Hankel terms of the
-    finite-distance matrix of geom read, in the order it reads them."""
-    return [(window, factor, blk) for window, factor, rates in _hankel_reads(geom) for blk in _span(rates)]
-
-
 def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FiniteMatrix:
     """Finite-distance correlation matrix of A_L u A_R in the builder's state.
 
     The far-limit matrix of the same d_l - d_r and lengths
     (``correlation_matrix_far``; the builder keeps the last one, a pure
     function of d_l - d_r and the lengths) plus the four
-    Hankel terms of <c_j^dag c_m> for j and m off the scatterer's site,
-    read after one prefetch of all their table blocks.  Their rates grow
+    Hankel terms of <c_j^dag c_m> for j and m off the scatterer's site.
+    Their rates grow
     with the distance; window "R" holds the right-incoming states after the
     substitution k -> -k, which conjugates every exponent.  With sites j, m
     counted from 1:
@@ -436,7 +461,6 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
         far = correlation_matrix_far(builder, geom)
         # one assignment: a thread reads the last pair or the one before it
         builder._far_matrix = (key, far)
-    builder.prefetch(finite_keys(geom))
     right, left, t_lc, t_r = (builder.coefficients(*read) for read in _hankel_reads(geom))
     return FiniteMatrix(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
 
@@ -552,24 +576,3 @@ def correlation_matrix_far(builder: CorrelationBuilder, geom: SubsystemGeometry)
         toe, han = (u - v) / 2, 0.5j * (u + v)
         coupling = sliding_window_view(toe[::-1], nr)[::-1] + sliding_window_view(han, nr)
     return FarMatrix(left, right, w, coupling)
-
-
-# ---------------------------------------------------------------------------
-# debugging dump: dim as uint64 LE, then row-major complex pairs as float64 LE
-
-
-def write_matrix_dump(cm: CorrelationMatrix, path) -> None:
-    a = np.ascontiguousarray(cm.matrix, dtype=complex)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", a.shape[0]))
-        pairs = np.empty((a.size, 2), dtype="<f8")
-        pairs[:, 0] = a.real.ravel()
-        pairs[:, 1] = a.imag.ravel()
-        fh.write(pairs.tobytes())
-
-
-def read_matrix_dump(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (dim,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(16 * dim * dim), dtype="<f8").reshape(dim * dim, 2)
-    return (data[:, 0] + 1j * data[:, 1]).reshape(dim, dim)

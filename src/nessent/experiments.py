@@ -21,7 +21,7 @@ its own mirror image), so only position sweeps share.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -36,7 +36,6 @@ from .correlation import (
     correlation_matrix_far,
     correlation_matrix_finite,
     cross_rates,
-    finite_keys,
     has_parity,
 )
 from .entanglement import (
@@ -426,9 +425,7 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     Distances are sampled in clusters of ``window`` consecutive integers
     around logarithmically spaced centers; the cluster mean removes the
     aliased Friedel oscillation, the spread around it gives the amplitude.
-    Every table block the distances read is filled before the first of
-    them, in one stacked quadrature per window and factor set; every
-    distance is then solved once, on one worker pool for the whole sweep,
+    Every distance is solved once, on one worker pool for the whole sweep,
     and the clusters read their values from it.
     """
     model = config.build_model()
@@ -451,10 +448,6 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
             return measured(correlation_matrix_finite(builder, SubsystemGeometry(d, ell, d, ell)))
 
     distances = sorted({d for ds in clusters for d in ds})
-    # one stacked fill of every table block the distances read; a block that
-    # fails is left unfilled, and the first distance reading it raises
-    with suppress(NumericsError):
-        builder.prefetch([key for d in distances for key in finite_keys(SubsystemGeometry(d, ell, d, ell))])
     by_distance = dict(zip(distances, _map_ordered(one_distance, distances, config.threads)))
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}

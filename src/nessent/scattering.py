@@ -21,6 +21,17 @@ Three models are provided:
   bit for bit.
 * ``TrivialScatterer``: t = 1, r = 0 (clean chain).
 
+Besides ``amplitudes``, a model states the pole data of its amplitudes
+(``pole_data``): each as a rational function of z = e^{ik} with simple
+poles, a constant plus sum_j c_j/(z - p_j) (``PoleData``).  The Fourier
+tables of ``correlation`` are integrated from it in closed form.  For the
+single impurity, with e = epsilon0/eta,
+
+    t = (z^2 - 1)/(z^2 - e z - 1) = 1 + e z/((z - p_+)(z - p_-)),
+
+whose poles p_+- = (e +- sqrt(e^2 + 4))/2 have p_+ p_- = -1, so one lies
+inside the unit circle and one outside; |p| - 1 is about e/2 for small e.
+
 The bias between the two reservoirs is described by ``BiasState``: scattering
 states incoming from the left (right) are filled up to momentum k_fl (k_fr).
 """
@@ -33,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "PoleData",
     "SMatrix",
     "ScatteringModel",
     "SingleImpurity",
@@ -67,15 +79,68 @@ class SMatrix:
         return float(np.abs(s.conj().T @ s - np.eye(2)).max())
 
 
+@dataclass(frozen=True)
+class PoleData:
+    """f(z) = const + sum_j residues[j]/(z - poles[j]) on the unit circle
+    z = e^{ik}: an amplitude, or a product of amplitudes and their
+    conjugates.  The poles are simple, finite, nonzero and off the unit
+    circle."""
+
+    const: complex = 0j
+    residues: tuple[complex, ...] = ()
+    poles: tuple[complex, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "const", complex(self.const))
+        object.__setattr__(self, "residues", tuple(complex(c) for c in self.residues))
+        object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
+        if len(self.residues) != len(self.poles):
+            raise ValueError("pole data needs one residue per pole")
+        if not all(np.isfinite(v) for v in (self.const, *self.residues, *self.poles)):
+            raise ValueError("pole data must be finite")
+        if any(p == 0 or abs(p) == 1 for p in self.poles):
+            raise ValueError("poles must be nonzero and off the unit circle")
+
+    def conj(self) -> "PoleData":
+        """conj f on the unit circle, where conj z = 1/z: each term c/(z - p)
+        becomes -(c*/p*) - (c*/p*^2)/(z - 1/p*)."""
+        c = [np.conj(c) / np.conj(p) for c, p in zip(self.residues, self.poles)]
+        q = [1 / np.conj(p) for p in self.poles]
+        return PoleData(np.conj(self.const) - sum(c), [-a * b for a, b in zip(c, q)], q)
+
+    def __mul__(self, other: "PoleData") -> "PoleData":
+        """The product, in partial fractions: c/(z - p) * d/(z - q) is
+        (c d/(p - q)) (1/(z - p) - 1/(z - q)), so no pole of one factor may
+        be a pole of the other."""
+        terms: dict[complex, complex] = {}
+        for c, p in zip(self.residues, self.poles):
+            terms[p] = terms.get(p, 0j) + c * other.const
+        for d, q in zip(other.residues, other.poles):
+            terms[q] = terms.get(q, 0j) + d * self.const
+        for c, p in zip(self.residues, self.poles):
+            for d, q in zip(other.residues, other.poles):
+                if p == q:
+                    raise ValueError(f"the product has a double pole at {p}")
+                w = c * d / (p - q)
+                terms[p] += w
+                terms[q] -= w
+        return PoleData(self.const * other.const, list(terms.values()), list(terms))
+
+
 class ScatteringModel:
     """Base class for a scatterer at site 0.
 
-    Subclasses implement ``amplitudes`` for array momenta.
+    Subclasses implement ``amplitudes`` for array momenta and ``pole_data``
+    for the Fourier tables of ``correlation.CorrelationBuilder``.
     """
 
     def amplitudes(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(r_l, t_r, t_l, r_r) broadcast over an array of momenta in (0, pi)."""
         raise NotImplementedError
+
+    def pole_data(self) -> tuple[PoleData, PoleData, PoleData, PoleData]:
+        """(r_l, t_r, t_l, r_r) as ``PoleData`` in z = e^{ik}."""
+        raise TypeError(f"{type(self).__name__} states no pole data: ScatteringModel.pole_data is not implemented")
 
 
 @dataclass(frozen=True)
@@ -91,6 +156,19 @@ class SingleImpurity(ScatteringModel):
         k = np.asarray(k, dtype=float)
         t = 1.0 / (1.0 + 1j * self.epsilon0 / (2.0 * self.eta * np.sin(k)))
         r = t - 1.0
+        return r, t, t, r
+
+    def pole_data(self):
+        e = self.epsilon0 / self.eta
+        poles = residues = ()
+        if e:
+            root = np.sqrt(e * e + 4.0)
+            # the pole of larger modulus without cancellation, the other from p_+ p_- = -1
+            big = 0.5 * (e + np.copysign(root, e))
+            poles = (big, -1.0 / big)
+            residues = tuple(e * p / (2.0 * p - e) for p in poles)
+        r = PoleData(0.0, residues, poles)
+        t = PoleData(1.0, residues, poles)
         return r, t, t, r
 
 
@@ -109,6 +187,10 @@ class ConstantTransmission(ScatteringModel):
         r = np.full(shape, 1j * np.sqrt(1.0 - self.t_prob), dtype=complex)
         return r, t, t, r
 
+    def pole_data(self):
+        r, t = PoleData(1j * np.sqrt(1.0 - self.t_prob)), PoleData(np.sqrt(self.t_prob))
+        return r, t, t, r
+
 
 @dataclass(frozen=True)
 class TrivialScatterer(ScatteringModel):
@@ -116,6 +198,10 @@ class TrivialScatterer(ScatteringModel):
         k = np.asarray(k, dtype=float)
         t = np.ones(k.shape, dtype=complex)
         r = np.zeros(k.shape, dtype=complex)
+        return r, t, t, r
+
+    def pole_data(self):
+        r, t = PoleData(0.0), PoleData(1.0)
         return r, t, t, r
 
 

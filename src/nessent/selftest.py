@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import asymptotics as asy
-from .correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far
+from .correlation import CorrelationBuilder, CorrelationMatrix, SubsystemGeometry, correlation_matrix_far, window_fourier
 from .entanglement import entropy, fermionic_negativity, measures, occupation_spectrum
-from .numerics import QuadratureSpec, integrate, integrate_oscillatory_batch
+from .numerics import QuadratureSpec, integrate, integrate_oscillatory
 from .scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, s_matrix, transmission
 
 CHECKS = []
@@ -75,15 +75,16 @@ def integrate_linearity():
 
 
 @check
-def oscillatory_batch_closed_form():
-    # int_0^kf exp(i x k) dk = (exp(i kf x) - 1)/(i x): rates 1..64 take the
-    # Gauss-Legendre grid, rates 1024..1087 (phase extent >= 1072) Filon-Clenshaw-Curtis
+def fourier_table_matches_quadrature():
+    # the closed-form table of t(k) = 1/(1 + i/(2 sin k)) on (0, 2 pi/3),
+    # from its pole data, against the quadrature of t(k) exp(i x k)
+    model = SingleImpurity(1.0)
     kf = 2 * np.pi / 3
-    for r0 in (1, 1024):
-        x = np.arange(r0, r0 + 64, dtype=float)
-        vals = integrate_oscillatory_batch(np.ones_like, x, 0.0, kf, QuadratureSpec(abs_tol=1e-13))
-        err = float(np.abs(vals - (np.exp(1j * kf * x) - 1.0) / (1j * x)).max())
-        assert err < 1e-12, f"rates {r0}..{r0 + 63}: error {err:.3e}"
+    for x0 in (0, 1024):
+        table = window_fourier(model.pole_data()[2], 0.0, kf, x0)
+        for j in (1, 63):
+            ref = integrate_oscillatory(lambda k: model.amplitudes(k)[2], x0 + j, 0.0, kf, QuadratureSpec(abs_tol=1e-13))
+            assert abs(table[j] - ref) < 1e-12, f"rate {x0 + j}: error {abs(table[j] - ref):.3e}"
 
 
 @check

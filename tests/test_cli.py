@@ -3,6 +3,7 @@ import pytest
 
 from fockspace import annihilation_operators, gaussian_density_matrix
 from nessent.cli import main
+from nessent.config import ExperimentConfig
 from nessent.correlation import CorrelationMatrix
 
 TINY_CONFIG = """
@@ -43,27 +44,29 @@ def test_cli_error_is_machine_readable(tmp_path, capsys):
     assert "ell_min" in err
 
 
-def test_cli_numerical_failure_names_sweep_point_and_integral(tmp_path, capsys, starve):
-    # a panel budget far too small for the first table block of the far limit
-    starve(10)
-    cfg = tmp_path / "starved.cfg"
+def test_cli_numerical_failure_names_sweep_point(tmp_path, capsys, monkeypatch):
+    # a transmission of 9 puts the far blocks' occupations outside [0, 1]
+    from test_experiments import Overfull
+
+    monkeypatch.setattr(ExperimentConfig, "build_model", lambda self: Overfull())
+    cfg = tmp_path / "overfull.cfg"
     cfg.write_text(TINY_CONFIG)
     assert main(["sweep-length", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith('error kind=NonConvergence message="ell=8: W(window V, factor T, rates 0..63): ')
+    assert err.startswith('error kind=SpectrumError message="ell=8: correlation eigenvalue ')
     assert err.count("\n") == 1
     cfg.write_text(TINY_CONFIG.replace("sweep-length", "sweep-bias") + "dk_list = pi/6\n")
     assert main(["sweep-bias", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-    assert 'message="dk=0.523598775598: ell=8: W(window V' in capsys.readouterr().err
+    assert 'message="dk=0.523598775598: ell=8: correlation eigenvalue' in capsys.readouterr().err
 
 
-def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path, capsys, starve):
-    # the far-limit blocks fit a budget of 16 panels, the Hankel terms of the
-    # finite distances do not all fit it: at d = 160 the j + m rates of window L
-    # are above the Filon-Clenshaw-Curtis switch, those of the narrower window
-    # R stay below it and need one Gauss-Legendre panel per period
-    starve(16)
-    cfg = tmp_path / "starved.cfg"
+def test_cli_finite_sweep_numerical_failure_names_distance(tmp_path, capsys, monkeypatch):
+    # the far limit and d = 160 solve; the matrix of d = 161 leaves [0, 1]
+    import nessent.experiments as ex
+    from test_experiments import _overfilled
+
+    monkeypatch.setattr(ex, "correlation_matrix_finite", _overfilled(ex.correlation_matrix_finite, {161}))
+    cfg = tmp_path / "overfilled.cfg"
     cfg.write_text(
         "scenario = sweep-distance\nmodel = single_impurity\nepsilon0 = 1\n"
         "k_fl = 2*pi/3\nk_fr = pi/2\nell = 8\nd_over_ell_min = 20\nd_over_ell_max = 30\n"
@@ -71,8 +74,22 @@ def test_cli_finite_sweep_numerical_failure_names_distance_and_integral(tmp_path
     )
     assert main(["sweep-distance", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith('error kind=NonConvergence message="d=160: W(window R, factor rR, rates 320..383): ')
+    assert err.startswith('error kind=SpectrumError message="d=161: correlation eigenvalue ')
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--config", "CFG", "--out", "x.csv"], "--config"), (["--out", "x.csv"], "--out"), (["--threads", "2"], "--threads")],
+)
+def test_cli_selftest_rejects_the_flags_it_does_not_take(tmp_path, capsys, flags, named):
+    # a config with an unknown key, which every other scenario rejects
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("scenario = selftest\nno_such_key = 1\n")
+    argv = ["selftest"] + [str(cfg) if flag == "CFG" else str(tmp_path / flag) if flag == "x.csv" else flag for flag in flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f'error kind=ParseError message="selftest takes no {named}"\n'
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_requires_config(capsys):

@@ -1,4 +1,3 @@
-import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,11 +11,17 @@ from nessent.correlation import (
     SubsystemGeometry,
     correlation_matrix_far,
     correlation_matrix_finite,
-    read_matrix_dump,
-    write_matrix_dump,
+    window_fourier,
 )
-from nessent.numerics import NonConvergence, NotHermitian, QuadratureSpec, integrate_oscillatory
-from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, TrivialScatterer, wavefunction
+from nessent.numerics import NotHermitian, QuadratureSpec, integrate_oscillatory
+from nessent.scattering import (
+    BiasState,
+    ConstantTransmission,
+    ScatteringModel,
+    SingleImpurity,
+    TrivialScatterer,
+    wavefunction,
+)
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
 IMPURITY = SingleImpurity(1.0)
@@ -136,22 +141,6 @@ def test_finite_matrix_matches_entrywise_assembly():
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
-def test_prefetch_failure_names_the_first_failing_integral_in_key_order():
-    # on window R = (0, pi/2) the blocks 3..5 (rates 192..383) lie below the
-    # Filon switch, and at 150 panels the grid fits block 3 only.  The
-    # stacks are (rR: blocks 3, 4) and (rR and tR: block 5), but the keys
-    # ask for block 5's tR before block 4, so that integral names the error,
-    # as a block-by-block fill in key order names it
-    builder = CorrelationBuilder(IMPURITY, BIAS, QuadratureSpec(abs_tol=1e-11, max_panels=150))
-    keys = [("R", "rR", 3), ("R", "tR", 5), ("R", "rR", 4), ("R", "rR", 5)]
-    with pytest.raises(NonConvergence) as failure:
-        builder.prefetch(keys)
-    assert str(failure.value) == (
-        "W(window R, factor tR, rates 320..383): batch with max rate 383 needs 194 panels, budget is 150"
-    )
-    assert set(builder._blocks) == {("R", "rR", 3)}
-
-
 def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeypatch):
     # a finite matrix is the far-limit matrix plus four Hankel terms; the
     # builder keeps its last far matrix, and the matrices keep the bytes of
@@ -202,11 +191,9 @@ def test_table_blocks_do_not_depend_on_request_order():
 
 
 def test_high_rate_blocks_do_not_depend_on_company_or_thread():
-    # blocks on both sides of the Filon-Clenshaw-Curtis switch (phase extent
-    # 256 is rate 245 on window L and rate 326 on window R), with the window
-    # partners rL, tLc on L and rR, tR on R, which one quadrature fills
-    # together when they are asked for together
-    partners = {"L": ("rL", "tLc", "tLc_rL"), "R": ("rL", "tLc_rL", "rR", "tR")}
+    # blocks at low and high rates of both signs, with the factors each
+    # window reads, filled alone, in reverse order and from four threads
+    partners = {"L": ("rL", "tL", "tLc_rL"), "R": ("rL", "tLc_rL", "rR", "tR")}
     keys = [(w, f, b) for w in ("L", "R") for f in partners[w] for b in (3, 4, 5, -6, 62)]
 
     def block(builder, key):
@@ -241,24 +228,27 @@ def _mp_factor(mpmath, epsilon0, factor):
     }[factor]
 
 
-def mp_window_integral(mpmath, f, kf, rate):
-    """int_0^kf f(k) exp(i rate k) dk / 2pi by mpmath.quad along a deformed path.
+def mp_window_integral(mpmath, f, kf, rate, lo=0):
+    """int_lo^kf f(k) exp(i rate k) dk / 2pi by mpmath.quad along a deformed path.
 
-    The first four periods, (0, c), are integrated on the real axis.  From c
-    and from kf the path runs straight to Im k = sign(rate) * inf, where the
-    phase decays as exp(-|rate| Im k); the legs are cut at 80 decay lengths
-    (e^-80 ~ 2e-35).  The factors have poles only at Re k = 0 and pi
-    (mod 2pi), so none lies between the legs.
+    The first four periods, (lo, lo + c), are integrated on the real axis.
+    From lo + c and from kf the path runs straight to Im k = sign(rate) * inf,
+    where the phase decays as exp(-|rate| Im k); the legs are cut at 80 decay
+    lengths (e^-80 ~ 2e-35).  The factors have poles only at Re k = 0 and pi
+    (mod 2pi), so none lies between the legs.  Rate 0 is integrated on the
+    real axis alone.
     """
     g = lambda k: f(k) * mpmath.exp(1j * rate * k)
+    if rate == 0:
+        return mpmath.quad(g, mpmath.linspace(lo, kf, 9)) / (2 * mpmath.pi)
     sign, scale = (1 if rate > 0 else -1), mpmath.mpf(abs(rate))
-    c = min(kf / 2, 8 * mpmath.pi / scale)
+    c = min((kf - lo) / 2, 8 * mpmath.pi / scale)
 
     def leg(x):
         return mpmath.quad(lambda u: g(x + 1j * sign * u / scale), [0, 4, 16, 80], method="gauss-legendre") / scale
 
-    direct = mpmath.quad(g, mpmath.linspace(0, c, 5), method="gauss-legendre")
-    return (direct + 1j * sign * (leg(c) - leg(kf))) / (2 * mpmath.pi)
+    direct = mpmath.quad(g, mpmath.linspace(lo, lo + c, 5), method="gauss-legendre")
+    return (direct + 1j * sign * (leg(lo + c) - leg(kf))) / (2 * mpmath.pi)
 
 
 def test_deformed_path_matches_plain_mpmath_quad():
@@ -271,11 +261,8 @@ def test_deformed_path_matches_plain_mpmath_quad():
 
 @pytest.mark.parametrize("epsilon0", [0.5, 2.0])
 def test_table_coefficients_match_mpmath_reference(epsilon0):
-    # rates on both sides of the Filon-Clenshaw-Curtis switch; table values
-    # include the 1/2pi.  On the Gauss-Legendre grid, rate 3906 was off by
-    # up to 1.1e-14.  Every block here but those of rates +-300 on window R
-    # takes Filon-Clenshaw-Curtis, whose Chebyshev coefficients by FFT err by
-    # at most 2.6e-17 here (1.3e-16 with a dense DCT matrix).
+    # table values include the 1/2pi; the bound of window R at rates +-300
+    # is that of the Gauss-Legendre grid the tables were once filled on
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     with mpmath.workdps(30):
@@ -293,8 +280,8 @@ def test_table_coefficients_match_mpmath_reference(epsilon0):
 def test_far_table_coefficients_match_mpmath_reference(epsilon0):
     # the voltage-window factors of every far-limit matrix, on both sides of
     # rate 0 and up to rate 294 (ell = 147); the panels of mpmath.quad are at
-    # most one period of rate 294 wide.  These blocks take the Gauss-Legendre
-    # grid, which errs here by up to 2e-16 at rate 53 and 7.5e-16 at rate 232.
+    # most one period of rate 294 wide.  The Gauss-Legendre grid that filled
+    # these blocks erred by up to 7.5e-16 at rate 232.
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     with mpmath.workdps(30):
@@ -305,6 +292,84 @@ def test_far_table_coefficients_match_mpmath_reference(epsilon0):
                 integral = mpmath.quad(lambda k: f(k) * mpmath.exp(1j * rate * k), edges, method="gauss-legendre")
                 table = builder.coefficients("V", factor, np.array([rate]))[0]
                 assert abs(table - complex(integral / (2 * mpmath.pi))) <= 1e-15, (factor, rate)
+
+
+@pytest.mark.parametrize("epsilon0", [0.02, 0.05, 1.0, -0.7])
+def test_closed_form_tables_match_mpmath_on_every_window(epsilon0):
+    # rates 0, +-1, 63, 700 and +-4000 on the windows L, R and V, with the
+    # near pole of epsilon0 = 0.02 and 0.05 (the longest series) and a
+    # negative epsilon0, whose inner pole is the positive root; 0.5 and 2
+    # are the cases above.  The closed form came within 1.2e-16 of these
+    # references on all six factors; the quadrature within 2.2e-16
+    mpmath = pytest.importorskip("mpmath")
+    builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
+    windows = {"L": (0, BIAS.k_fl, "rL"), "R": (0, BIAS.k_fr, "tR"), "V": (BIAS.k_fr, BIAS.k_fl, "T")}
+    with mpmath.workdps(30):
+        for window, (lo, hi, factor) in windows.items():
+            f = _mp_factor(mpmath, epsilon0, factor)
+            for rate in (0, 1, -1, 63, 700, 4000, -4000):
+                reference = complex(mp_window_integral(mpmath, f, mpmath.mpf(hi), rate, mpmath.mpf(lo)))
+                table = builder.coefficients(window, factor, np.array([rate]))[0]
+                assert abs(table - reference) <= 5e-16, (window, factor, rate)
+
+
+@pytest.mark.parametrize(
+    "model, f", [(ConstantTransmission(0.0), 0.0), (ConstantTransmission(0.5), 0.5), (ConstantTransmission(1.0), 1.0),
+                 (TrivialScatterer(), 1.0)], ids=["T=0", "T=0.5", "T=1", "trivial"]
+)
+def test_constant_model_tables_are_the_window_exponentials(model, f):
+    # W_T(x) = T int e^{ixk} dk/2pi on each window, against that integral in
+    # 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    builder = CorrelationBuilder(model, BIAS)
+    rates = np.array([0, 1, -1, 63, 700, 4000, -4000])
+    with mpmath.workdps(30):
+        for window, (lo, hi) in {"L": (0, BIAS.k_fl), "R": (0, BIAS.k_fr), "V": (BIAS.k_fr, BIAS.k_fl)}.items():
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            exact = [(b - a) if x == 0 else (mpmath.expj(x * b) - mpmath.expj(x * a)) / (1j * x) for x in rates]
+            table = builder.coefficients(window, "T", rates)
+            assert np.abs(table - [complex(f * e / (2 * mpmath.pi)) for e in exact]).max() <= 1e-16, window
+
+
+@pytest.mark.parametrize("model", [SingleImpurity(0.02), SingleImpurity(1.0), ConstantTransmission(0.3)])
+def test_empty_window_tables_are_exact_zeros(model):
+    builder = CorrelationBuilder(model, BiasState(np.pi / 2, np.pi / 2))
+    for factor in ("T", "tLc_rL"):
+        assert not builder.coefficients("V", factor, np.arange(-4160, 4160)).any()
+
+
+def test_conjugate_factor_reads_the_table_at_negated_rates():
+    # W(conj t, x) = conj W(t, -x) exactly, at negative and positive rates,
+    # and within round-off of the closed form of conj t's own pole data
+    model = SingleImpurity(-0.7)
+    builder = CorrelationBuilder(model, BIAS)
+    t_conj = model.pole_data()[2].conj()
+    for window, hi in (("L", BIAS.k_fl), ("R", BIAS.k_fr)):
+        rates = np.arange(-200, 70)
+        conj = builder.coefficients(window, "tLc", rates)
+        assert conj.tobytes() == builder.coefficients(window, "tL", -rates).conj().tobytes()
+        direct = np.concatenate([window_fourier(t_conj, 0.0, hi, x0) for x0 in (-256, -192, -128, -64, 0, 64)])
+        assert np.abs(conj - direct[rates + 256] / (2 * np.pi)).max() < 1e-16
+
+
+class AmplitudesOnly(ScatteringModel):
+    """A model that states its amplitudes and no pole data."""
+
+    def amplitudes(self, k):
+        return SingleImpurity(1.0).amplitudes(k)
+
+
+def test_builder_rejects_a_model_without_pole_data():
+    with pytest.raises(TypeError, match="^AmplitudesOnly states no pole data: ScatteringModel.pole_data"):
+        CorrelationBuilder(AmplitudesOnly(), BIAS)
+
+
+def test_builder_rejects_a_pole_too_close_to_the_unit_circle():
+    # epsilon0 = 1e-5 puts |p| within 5e-6 of 1: its series would need
+    # about 8e6 terms per block, more than MAX_SERIES
+    with pytest.raises(ValueError, match=r"^a pole 5e-06 from the unit circle needs \d+ series terms, more than 65536$"):
+        CorrelationBuilder(SingleImpurity(1e-5), BIAS)
+    CorrelationBuilder(SingleImpurity(2e-3), BIAS)
 
 
 def mp_occupied_integrals(mpmath, epsilon0, bias, pairs):
@@ -481,30 +546,6 @@ def test_far_finite_mi_agreement_moderate_distance():
     mi_fin = measures(fin, "vn").mutual_info
     mi_far = measures(far, "vn").mutual_info
     assert abs(mi_fin - mi_far) < 0.05
-
-
-def test_matrix_dump_round_trip(tmp_path):
-    # a far matrix, a finite one, whose site matrix the dump assembles on
-    # its first read, and a complex one built by hand
-    builder = CorrelationBuilder(IMPURITY, BIAS)
-    finite = correlation_matrix_finite(builder, SubsystemGeometry(4, 3, 2, 5))
-    assert "matrix" not in vars(finite)
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    for cm in (
-        correlation_matrix_far(builder, SubsystemGeometry(1, 3, 1, 2)),
-        finite,
-        CorrelationMatrix(0.25 * (h + h.conj().T), 1),
-    ):
-        path = tmp_path / "matrix.bin"
-        write_matrix_dump(cm, path)
-        back = read_matrix_dump(path)
-        assert back.dtype == np.complex128 and back.shape == (cm.dim, cm.dim)
-        assert back.tobytes() == cm.matrix.astype(np.complex128).tobytes()
-        # layout: uint64 dim then row-major little-endian float64 pairs
-        raw = path.read_bytes()
-        assert len(raw) == 8 + 16 * cm.dim**2
-        assert struct.unpack("<Q", raw[:8]) == (cm.dim,)
 
 
 def test_partition_block_views():

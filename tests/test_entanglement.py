@@ -174,6 +174,16 @@ def test_negativity_two_site_fock_oracle():
     assert fermionic_negativity(cm) == pytest.approx(oracle, abs=1e-10)
 
 
+@pytest.mark.parametrize("left", [[0], [0, 1], [1, 3]])
+def test_partial_time_reversal_matches_the_monomial_walk(left):
+    # the product of per-Majorana maps against the walk over all 4^4
+    # Majorana monomials, on a 2 + 2 Gaussian state
+    cm, _ = cm_from_spectrum(np.random.default_rng(7), 2, 2)
+    rho = fs.gaussian_density_matrix(cm.matrix)
+    fast, walk = fs.partial_time_reversal(rho, left, 4), fs.partial_time_reversal_walk(rho, left, 4)
+    assert np.abs(fast - walk).max() < 1e-15
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_negativity_and_measures_fock_oracle_3p3(seed):
     rng = np.random.default_rng(100 + seed)

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text, read_csv
+import nessent.correlation as cor
 from nessent.correlation import (
-    ENTRY_SPEC,
     CorrelationBuilder,
     CorrelationMatrix,
+    FiniteMatrix,
     SubsystemGeometry,
     correlation_matrix_far,
-    finite_keys,
 )
 from nessent.entanglement import SpectrumError
 from nessent.numerics import NonConvergence, NotHermitian
-from nessent.scattering import ScatteringModel, SingleImpurity
+from nessent.scattering import PoleData, ScatteringModel, SingleImpurity
 from nessent.experiments import (
     LengthMismatch,
     _distance_clusters,
@@ -818,37 +818,20 @@ def test_sweep_integrates_each_window_once_per_order(monkeypatch):
     assert len(windows) == 2
 
 
-def test_distance_sweep_runs_one_moment_recurrence_per_window_block_and_degree(monkeypatch):
-    # d/ell = 50..150 at ell = 4 put the j + m rates of both windows above
-    # the Filon-Clenshaw-Curtis switch, in several blocks per window.  Each
-    # block's omega row is in exactly one recurrence per degree, a
-    # recurrence stacks up to MOMENT_BLOCKS blocks, and on window R rR and
-    # tR read the same table blocks and share their recurrences
-    import nessent.correlation as cor
-    import nessent.numerics as num
-
-    recurrences = count_calls(monkeypatch, num, "_chebyshev_moments")
-    filled = []
-    prefetch = cor.CorrelationBuilder.prefetch
-
-    def counted(builder, keys):
-        filled.extend(key for key in keys if key not in builder._blocks)
-        return prefetch(builder, keys)
-
-    monkeypatch.setattr(cor.CorrelationBuilder, "prefetch", counted)
+def test_distance_sweep_fills_each_table_block_once(monkeypatch):
+    # d/ell = 50..150 at ell = 4 read several blocks per window; each
+    # (window, factor, block) is integrated once, whichever distances and
+    # threads read it, and r_R and t_R read the same blocks of window R
+    filled = count_calls(monkeypatch, cor, "window_fourier")
     cfg = ExperimentConfig(
         scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
         d_over_ell_min=50, d_over_ell_max=150, n_centers=3, window=3, measures=("mi", "negativity"),
     )
     run_sweep_distance(cfg)
-    runs = [(row.tobytes(), degree) for omega, degree in recurrences for row in omega]
-    assert runs and len(set(runs)) == len(runs)
-    assert 1 < max(len(omega) for omega, _ in recurrences) <= num.MOMENT_BLOCKS
-    shared = {block for window, factor, block in filled if factor == "rR"}
-    assert len(shared) > 1 and shared == {block for window, factor, block in filled if factor == "tR"}
-    for block in shared:
-        omega = np.arange(64 * block, 64 * (block + 1), dtype=float) * (0.5 * K_FR)
-        assert omega.tobytes() in {row for row, _ in runs}
+    assert len(set(filled)) == len(filled)
+    _, t_r, _, r_r = SingleImpurity(1.0).pole_data()
+    starts = {f: {x0 for g, a, b, x0 in filled if g == f and b == K_FR} for f in (r_r, t_r)}
+    assert len(starts[r_r]) > 1 and starts[r_r] == starts[t_r]
 
 
 FIGS2 = Path(__file__).resolve().parents[1] / "configs" / "figS2_distance.cfg"
@@ -858,91 +841,69 @@ def figs2_table_keys(epsilon0: float):
     """The Fig. S2 config at epsilon0 and the table keys its distances read."""
     cfg = replace(parse_config(FIGS2, "sweep-distance"), epsilon0=epsilon0)
     geoms = [SubsystemGeometry(d, cfg.ell, d, cfg.ell) for ds in _distance_clusters(cfg, cfg.build_bias()) for d in ds]
-    return cfg, [key for geom in geoms for key in finite_keys(geom)]
+    reads = [read for geom in geoms for read in cor._hankel_reads(geom)]
+    keys = [(window, "tL" if factor == "tLc" else factor, b) for window, factor, rates in reads for b in cor._span(rates)]
+    return cfg, list(dict.fromkeys(keys))
 
 
 @pytest.mark.parametrize("epsilon0", [1.0, 0.02])
-def test_stacked_table_fill_keeps_the_bytes_of_one_block_at_a_time(monkeypatch, epsilon0):
-    # the distance sweep fills every block its distances read in stacks of
-    # one window and factor set; each block keeps the bytes that filling it
-    # alone, one factor at a time, gives.  At epsilon0 = 0.02 every Filon
-    # block has a near-pole row that stays pending past the first pair of
-    # degrees, and some pass their block's stability bound and go to the grid
-    import nessent.experiments as ex
-    import nessent.numerics as num
-
-    handed = []
-    grid_rows = num._grid_rows
-
-    def counted(rows, count, rates, a, b, spec):
-        if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
-            handed.append(rates[0])
-        return grid_rows(rows, count, rates, a, b, spec)
-
-    monkeypatch.setattr(num, "_grid_rows", counted)
+def test_table_fill_order_keeps_the_bytes(epsilon0):
+    # the blocks of a Fig. S2 sweep, filled in ascending, descending and a
+    # shuffled key order: every block keeps its bytes.  At epsilon0 = 0.02
+    # the near pole has the longest series
     cfg, keys = figs2_table_keys(epsilon0)
-    stacked, alone = (CorrelationBuilder(cfg.build_model(), cfg.build_bias()) for _ in range(2))
-    stacked.prefetch(keys)
-    assert bool(handed) == (epsilon0 == 0.02)
-    for key in dict.fromkeys(keys):
-        alone.prefetch([key])
-    assert stacked._blocks.keys() == alone._blocks.keys() == set(keys)
-    assert all(stacked._blocks[key].tobytes() == alone._blocks[key].tobytes() for key in keys)
+    shuffled = [keys[i] for i in np.random.default_rng(3).permutation(len(keys))]
+    builders = []
+    for order in (sorted(keys), sorted(keys, reverse=True), shuffled):
+        builder = CorrelationBuilder(cfg.build_model(), cfg.build_bias())
+        builder.prefetch(order)
+        builders.append(builder)
+    first = builders[0]._blocks
+    assert first.keys() == set(keys)
+    for builder in builders[1:]:
+        assert builder._blocks.keys() == first.keys()
+        assert all(builder._blocks[key].tobytes() == first[key].tobytes() for key in keys)
 
 
-@pytest.mark.parametrize(
-    "epsilon0, max_panels, d_over_ell, message",
-    [
-        # d = 154 and 155 read block 4 of window R, whose grid fits 180
-        # panels; d = 156 is the first to read block 5, whose grid does not
-        (1.0, 180, 38.5, "d=156: W(window R, factor rR, rates 320..383): "
-         "batch with max rate 383 needs 194 panels, budget is 180"),
-        # a near-pole Filon row handed to a grid that does not fit
-        (0.02, 300, 50, "d=200: W(window L, factor tLc, rates -448..-385): "
-         "batch with max rate 448 needs 302 panels, budget is 300"),
-    ],
-)
+def _overfilled(finite, at):
+    """correlation_matrix_finite with Hankel terms 100 times too large at
+    the distances in at: a matrix whose spectrum leaves [0, 1]."""
+
+    def build(builder, geom):
+        cm = finite(builder, geom)
+        if geom.d_l not in at:
+            return cm
+        return FiniteMatrix(cm.far, 100 * cm.hankel_left, 100 * cm.hankel_right, 100 * cm.hankel_cross)
+
+    return build
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_distance_sweep_failure_names_the_first_distance_reading_the_block(
-    starve, epsilon0, max_panels, d_over_ell, message, threads
-):
-    # the sweep fills its table blocks before its first distance, and leaves
-    # a block that fails unfilled; the messages are those of a build that
-    # filled each distance's blocks as it read them
-    starve(max_panels)
+def test_distance_sweep_failure_names_the_first_failing_distance(monkeypatch, threads):
+    # the spectra of d = 155 and 156 leave [0, 1]; the sweep fails as the
+    # first of them does, at any thread count
+    import nessent.experiments as ex
+
+    monkeypatch.setattr(ex, "correlation_matrix_finite", _overfilled(ex.correlation_matrix_finite, {155, 156}))
     cfg = ExperimentConfig(
-        scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
-        d_over_ell_min=d_over_ell, d_over_ell_max=d_over_ell, n_centers=1, window=5, measures=("mi",),
-        threads=threads,
+        scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=38.5, d_over_ell_max=38.5, n_centers=1, window=5, measures=("mi",), threads=threads,
     )
-    with pytest.raises(NonConvergence) as failure:
+    with pytest.raises(SpectrumError, match=r"^d=155: correlation eigenvalue \S+ outside \[0, 1\] beyond slack$"):
         run_sweep_distance(cfg)
-    assert str(failure.value) == message
 
 
 @pytest.mark.parametrize("epsilon0", [0.02, 0.05])
-def test_distance_sweep_hands_near_pole_filon_blocks_to_the_grid(monkeypatch, epsilon0):
-    # t(k) has a pole about epsilon0/2 from k = 0, where the windows L and R
-    # start; at d = 200 some blocks above the Filon-Clenshaw-Curtis switch
-    # pass its stability bound short of the target, and the Gauss-Legendre
-    # grid fills them
-    import nessent.numerics as num
-
-    handed = []
-    grid_rows = num._grid_rows
-
-    def counted(rows, count, rates, a, b, spec):
-        if np.abs(rates).min() * (b - a) / 2 >= num.FILON_MIN_PHASE:
-            handed.append(rates[0])
-        return grid_rows(rows, count, rates, a, b, spec)
-
-    monkeypatch.setattr(num, "_grid_rows", counted)
+def test_distance_sweep_near_a_pole_gives_finite_points(epsilon0):
+    # t(k) has a pole about epsilon0/2 from the unit circle, next to k = 0
+    # where the windows L and R start: the longest series of the tables
+    p = SingleImpurity(epsilon0).pole_data()[2].poles[1]
+    assert cor._geometric(p)[0] > 1000
     cfg = ExperimentConfig(
         scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
         d_over_ell_min=50, d_over_ell_max=50, n_centers=1, window=3, measures=("mi", "negativity"),
     )
     _, rows = run_sweep_distance(cfg)
-    assert handed
     points = rows_of(rows, row_type="point")
     assert points and all(np.isfinite(row["value"]) for row in points)
 
@@ -989,14 +950,21 @@ def test_threaded_position_sweep_bytes_match_serial(tmp_path):
 
 
 class TurnedImpurity(ScatteringModel):
-    """SingleImpurity(1) with r_l turned by a momentum-dependent phase and
-    r_r rebuilt from it: a unitary S-matrix whose t_l^* r_l is not
-    imaginary, so the W_X values have no parity and mirror offsets differ."""
+    """SingleImpurity(1) with r_l turned by the momentum-dependent phase
+    B = (z - 1/2)/(1 - z/2), |B| = 1 on the unit circle, and r_r by its
+    conjugate 1/B: a unitary S-matrix whose t_l^* r_l is not imaginary, so
+    the W_X values have no parity and mirror offsets differ."""
 
     def amplitudes(self, k):
         r, t, _, _ = SingleImpurity(1.0).amplitudes(k)
-        r_l = r * np.exp(0.5j * np.cos(2.0 * k))
-        return r_l, t, t, -np.conj(r_l) * t / np.conj(t)
+        z = np.exp(1j * np.asarray(k))
+        turn = (z - 0.5) / (1 - 0.5 * z)
+        return r * turn, t, t, r / turn
+
+    def pole_data(self):
+        r, t, _, _ = SingleImpurity(1.0).pole_data()
+        # B = -2 - 3/(z - 2) and 1/B = -1/2 + (3/4)/(z - 1/2)
+        return r * PoleData(-2.0, [-3.0], [2.0]), t, t, r * PoleData(-0.5, [0.75], [0.5])
 
 
 def position_values(rows):
@@ -1039,9 +1007,22 @@ def test_parity_breaking_model_solves_every_point(monkeypatch):
     assert abs(values[(-18, "mi", "vn")] - values[(30, "mi", "vn")]) > 1e-6
 
 
-def test_position_sweep_failure_names_the_offset(starve):
-    starve(10)
-    with pytest.raises(NonConvergence, match=r"^delta=-8: W\(window V, factor T, rates 0\.\.63\): "):
+class Overfull(ScatteringModel):
+    """t = 3, r = 0: a transmission of 9, whose far blocks have occupations
+    outside [0, 1]."""
+
+    def amplitudes(self, k):
+        k = np.asarray(k, dtype=float)
+        return np.zeros(k.shape, complex), np.full(k.shape, 3.0 + 0j), np.full(k.shape, 3.0 + 0j), np.zeros(k.shape, complex)
+
+    def pole_data(self):
+        r, t = PoleData(0.0), PoleData(3.0)
+        return r, t, t, r
+
+
+def test_position_sweep_failure_names_the_offset(monkeypatch):
+    monkeypatch.setattr(ExperimentConfig, "build_model", lambda self: Overfull())
+    with pytest.raises(SpectrumError, match=r"^delta=-8: correlation eigenvalue \S+ outside \[0, 1\] beyond slack$"):
         run_sweep_position(position_config())
 
 
@@ -1059,14 +1040,14 @@ class _Built(Exception):
     ],
     ids=lambda cfg: cfg.scenario,
 )
-def test_every_runner_builds_on_the_entry_spec(monkeypatch, config):
-    # a runner hands its builder the model and bias only, so every sweep
-    # reads the one fixed quadrature
+def test_every_runner_builds_on_the_model_and_bias_alone(monkeypatch, config):
+    # a runner hands its builder the model and bias only: the tables have
+    # no settings
     import nessent.experiments as ex
 
     def built(*args, **kwargs):
-        builder = CorrelationBuilder(*args, **kwargs)
-        assert not kwargs and len(args) == 2 and builder.spec is ENTRY_SPEC
+        assert not kwargs and len(args) == 2
+        CorrelationBuilder(*args)
         raise _Built
 
     monkeypatch.setattr(ex, "CorrelationBuilder", built)

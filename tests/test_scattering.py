@@ -6,6 +6,7 @@ from nessent.scattering import (
     BiasState,
     ConstantTransmission,
     DomainError,
+    PoleData,
     SingleImpurity,
     TrivialScatterer,
     reflection,
@@ -118,3 +119,45 @@ def test_bias_state_validation_and_window():
         BiasState(0.0, 1.0)
     with pytest.raises(ValueError):
         BiasState(1.0, np.pi)
+
+
+def evaluate(f, k):
+    """A PoleData function at the momenta k, on z = e^{ik}."""
+    z = np.exp(1j * np.asarray(k))
+    return f.const + sum(c / (z - p) for c, p in zip(f.residues, f.poles))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [SingleImpurity(1.0), SingleImpurity(0.02), SingleImpurity(-0.7), SingleImpurity(2.5, 0.8), SingleImpurity(0.0),
+     SingleImpurity(1e4), ConstantTransmission(0.3), ConstantTransmission(1.0), TrivialScatterer()],
+    ids=lambda m: repr(m),
+)
+def test_pole_data_states_the_amplitudes(model):
+    # on the unit circle the rational functions are the amplitudes, and each
+    # single-impurity pole pair has one pole inside the circle, one outside
+    k = np.linspace(1e-3, np.pi - 1e-3, 401)
+    for f, amplitude in zip(model.pole_data(), model.amplitudes(k)):
+        assert np.abs(evaluate(f, k) - amplitude).max() < 1e-12
+    poles = model.pole_data()[2].poles
+    assert sorted(abs(p) < 1 for p in poles) == ([False, True] if poles else [])
+
+
+def test_pole_data_conjugate_and_product_on_the_unit_circle():
+    r, t, _, _ = SingleImpurity(0.5).pole_data()
+    k = np.linspace(0.01, 3.1, 101)
+    assert np.abs(evaluate(t.conj(), k) - np.conj(evaluate(t, k))).max() < 1e-13
+    assert np.abs(evaluate(t.conj() * t, k) - np.abs(evaluate(t, k)) ** 2).max() < 1e-13
+    assert np.abs(evaluate(t.conj() * r, k) - np.conj(evaluate(t, k)) * evaluate(r, k)).max() < 1e-13
+    with pytest.raises(ValueError, match="double pole"):
+        t * r
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1.0, [1.0], []), (np.nan,), (0.0, [np.inf], [2.0]), (0.0, [1.0], [0.0]), (0.0, [1.0], [1j])],
+    ids=["lengths", "nan", "inf", "zero pole", "pole on the circle"],
+)
+def test_pole_data_rejects_malformed_input(args):
+    with pytest.raises(ValueError):
+        PoleData(*args)

@@ -54,7 +54,6 @@ SPANS = (
     "asymptotics.predict",
     "correlation.far",
     "correlation.prefetch",
-    "numerics.quad_batch",
 )
 
 
@@ -89,5 +88,5 @@ def test_traced_distance_sweep_keeps_csv_bytes_and_opens_finite_spans(tmp_path):
     spans = traced_spans(tmp_path, "sweep-distance", DISTANCE_CONFIG)
     assert spans.count("correlation.finite") == 3
     assert spans.count("correlation.far") == 1
-    for name in ("numerics.quad_batch", "entanglement.negativity"):
+    for name in ("correlation.prefetch", "entanglement.negativity"):
         assert spans.count(name) >= 1, f"span {name} never opened"
