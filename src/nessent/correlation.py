@@ -220,8 +220,10 @@ _FACTORS = {
     "tR": lambda r_l, t_r, t_l, r_r: t_r,
 }
 
-#: the longest geometric series of a pole: |p| = 1 -+ 7e-4 needs about
-#: 2^16 terms, so the single impurity reaches it at epsilon0 = 1.4e-3 eta
+#: the longest geometric series a block start sums for a pole.  A pole
+#: within about 7e-4 of the unit circle (the single impurity below
+#: epsilon0 = 1.4e-3 eta) needs more, and ``_near_pole`` starts its blocks
+#: from J_0 where it can.
 MAX_SERIES = 1 << 16
 
 
@@ -231,61 +233,103 @@ def _ratio(p: complex) -> complex:
     return p if abs(p) < 1 else 1 / p
 
 
-@lru_cache(maxsize=64)
-def _geometric(rho: complex) -> tuple[int, np.ndarray, np.ndarray]:
-    """For a ratio |rho| < 1: the series length n, after which the terms
-    rho^n/(1 - |rho|) of an upward sum fall below 2^-54; the weights
-    rho^(n-1) .. rho^0 of the sum's first n terms; and the BLOCK x BLOCK
-    lower-triangular Toeplitz matrix of powers rho^(j-i), every entry at
-    most 1 in modulus."""
+def _series_length(rho: complex) -> int:
+    """For a ratio |rho| < 1: the number n of terms of a geometric series
+    after which the rest, at most |rho|^n/(1 - |rho|), falls below 2^-54."""
     a = abs(rho)
-    n = max(1, int(np.ceil(np.log(2.0**-54 * (1.0 - a)) / np.log(a))))
-    if n > MAX_SERIES:
-        raise ValueError(f"a pole {1 - a:.2g} from the unit circle needs {n} series terms, more than {MAX_SERIES}")
-    powers = rho ** np.arange(max(n, BLOCK))
+    return max(1, int(np.ceil(np.log(2.0**-54 * (1.0 - a)) / np.log(a))))
+
+
+@lru_cache(maxsize=64)
+def _toeplitz(rho: complex) -> np.ndarray:
+    """The BLOCK x BLOCK lower-triangular Toeplitz matrix of powers
+    rho^(i-j), every entry at most 1 in modulus for |rho| < 1."""
+    powers = rho ** np.arange(BLOCK)
     r = np.arange(BLOCK)
-    return n, powers[n - 1 :: -1].copy(), np.tril(powers[np.subtract.outer(r, r)])
+    return np.tril(powers[np.subtract.outer(r, r)])
+
+
+@lru_cache(maxsize=64)
+def _weights(rho: complex) -> np.ndarray:
+    """rho^(n-1) .. rho^0, the weights of a series of n = _series_length(rho)
+    <= MAX_SERIES terms."""
+    return rho ** np.arange(_series_length(rho) - 1, -1, -1)
+
+
+def _exponentials(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """E_x = int_a^b e^{ixk} dk = e^{ixm} 2 sin(xh)/x, with m and h the
+    window's centre and half width: exactly 0 on an empty window."""
+    m, h = 0.5 * (a + b), 0.5 * (b - a)
+    safe = np.where(x == 0, 1, x)
+    return np.exp(1j * m * x) * np.where(x == 0, 2.0 * h, 2.0 * np.sin(h * x) / safe)
+
+
+def _j0(rho: complex, a: float, b: float) -> complex:
+    """J_0 = int_a^b dk/(z - rho) = [log(1 - rho e^{-ik})]/(i rho) for
+    |rho| < 1, over the arc, on which 1 - rho e^{-ik} stays in the right
+    half plane."""
+    return (np.log(1 - rho * np.exp(-1j * b)) - np.log(1 - rho * np.exp(-1j * a))) / (1j * rho)
+
+
+def _near_pole(rho: complex, a: float, b: float, x0: int) -> np.ndarray:
+    """J_x = int_a^b z^x/(z - rho) dk at x = x0 .. x0 + BLOCK - 1 for a
+    ratio |rho| < 1 whose series is longer than MAX_SERIES, upward from one
+    start value J_x0.  J_x0 comes from J_0 by the recurrence wherever that
+    amplifies round-off by at most 2: upward for 0 <= x0 < n, or downward
+    for |x0| ln(1/|rho|) <= ln 2.  Otherwise it is the series of
+    n = _series_length(rho) terms, and n is then at most x0 upward, or a
+    multiple of |x0| downward: a block costs a multiple of its rate, however
+    near the unit circle rho lies."""
+    n = _series_length(rho)
+    if x0 < n and -x0 * np.log(abs(rho)) <= np.log(2.0):
+        if x0 >= 0:
+            start = rho**x0 * _j0(rho, a, b) + _exponentials(a, b, np.arange(x0)) @ rho ** np.arange(x0 - 1, -1, -1)
+        else:
+            start = rho**x0 * _j0(rho, a, b) - _exponentials(a, b, np.arange(x0, 0)) @ rho ** np.arange(-1, x0 - 1, -1)
+    else:
+        start = _exponentials(a, b, np.arange(x0 - n, x0)) @ rho ** np.arange(n - 1, -1, -1)
+    v = _exponentials(a, b, np.arange(x0 - 1, x0 + BLOCK - 1))
+    v[0] = start
+    return _toeplitz(rho) @ v
 
 
 def window_fourier(f: PoleData, a: float, b: float, x0: int) -> np.ndarray:
     """int_a^b f(e^{ik}) e^{ixk} dk at the rates x = x0 .. x0 + BLOCK - 1, in
     closed form.
 
-    With E_x = int e^{ixk} dk = e^{ixm} 2 sin(xh)/x (m and h the window's
-    centre and half width; exactly 0 on an empty window) and
+    With E_x = int e^{ixk} dk (``_exponentials``) and
     J_x(p) = int z^x/(z - p) dk, the integral is
     const E_x + sum_j c_j J_x(p_j), and J_{x+1} = p J_x + E_x.  That
     recurrence runs only in its stable direction (Miller's method; Gautschi,
-    SIAM Rev. 9, 24 (1967)).  For |p| < 1 it runs upward: from J_0, one
-    complex log on the arc, to a block that starts within the series length
-    n of ``_geometric`` above rate 0, and otherwise from the series
-    J_x = sum_n p^n E_{x-1-n} cut after n terms.  For |p| > 1 it runs
-    downward from the series J_x = -sum_n p^(-n-1) E_{x+n}, cut likewise.
-    Over the block that is one start value and one lower-triangular
-    Toeplitz matrix of powers, so each value is a pure function of
-    (a, b, f, x0).
+    SIAM Rev. 9, 24 (1967)).  For |p| < 1 it runs upward: from J_0 to a
+    block that starts within the series length n of ``_series_length``
+    above rate 0, and otherwise from the series J_x = sum_n p^n E_{x-1-n}
+    cut after n terms.  For |p| > 1 it runs downward from the series
+    J_x = -sum_n p^(-n-1) E_{x+n}, cut likewise.  Over the block that is
+    one start value and one lower-triangular Toeplitz matrix of powers, so
+    each value is a pure function of (a, b, f, x0).  A pole whose series
+    is longer than MAX_SERIES is ``_near_pole``'s, by k -> -k when
+    |p| > 1: J_x(p) over (a, b) = -J_{1-x}(1/p)/p over (-b, -a).
     """
-    m, h = 0.5 * (a + b), 0.5 * (b - a)
     rhos = [_ratio(p) for p in f.poles]
-    n = max((_geometric(rho)[0] for rho in rhos), default=0)
-    x = np.arange(x0 - n, x0 + BLOCK + n)
-    safe = np.where(x == 0, 1, x)
-    e = np.exp(1j * m * x) * np.where(x == 0, 2.0 * h, 2.0 * np.sin(h * x) / safe)
+    lengths = [_series_length(rho) for rho in rhos]
+    n = max((k for k in lengths if k <= MAX_SERIES), default=0)
+    e = _exponentials(a, b, np.arange(x0 - n, x0 + BLOCK + n))
     out = f.const * e[n : n + BLOCK]
-    for c, p, rho in zip(f.residues, f.poles, rhos):
-        k, weights, toeplitz = _geometric(rho)
-        # E along the stable direction: the k terms of the start sum, then the block
+    for c, p, rho, k in zip(f.residues, f.poles, rhos, lengths):
         inside = abs(p) < 1
-        run = e[n - k : n + BLOCK - 1] if inside else e[n : n + BLOCK + k - 1][::-1]
-        v = run[k - 1 :].copy()
-        if inside and 0 <= x0 < k:
-            # upward from J_0 = [log(1 - p e^{-ik})]/(i p) over the arc, on
-            # which 1 - p e^{-ik} stays in the right half plane
-            j0 = (np.log(1 - p * np.exp(-1j * b)) - np.log(1 - p * np.exp(-1j * a))) / (1j * p)
-            v[0] = p**x0 * j0 + run[k - x0 : k] @ weights[k - x0 :]
+        if k > MAX_SERIES:
+            s = _near_pole(rho, a, b, x0) if inside else _near_pole(rho, -b, -a, 2 - x0 - BLOCK)
         else:
-            v[0] = run[:k] @ weights
-        s = toeplitz @ v
+            # E along the stable direction: the k terms of the start sum, then the block
+            run = e[n - k : n + BLOCK - 1] if inside else e[n : n + BLOCK + k - 1][::-1]
+            v = run[k - 1 :].copy()
+            weights = _weights(rho)
+            if inside and 0 <= x0 < k:
+                v[0] = p**x0 * _j0(p, a, b) + run[k - x0 : k] @ weights[k - x0 :]
+            else:
+                v[0] = run[:k] @ weights
+            s = _toeplitz(rho) @ v
         out = out + c * (s if inside else -rho * s[::-1])
     return out
 
@@ -315,9 +359,6 @@ class CorrelationBuilder:
         self.bias = bias
         amplitudes = model.pole_data()
         self._factors = {name: f(*amplitudes) for name, f in _FACTORS.items()}
-        for f in self._factors.values():
-            for p in f.poles:
-                _geometric(_ratio(p))  # a pole too near the unit circle fails here
         self._windows = {
             "L": (0.0, bias.k_fl, 1.0),
             "R": (0.0, bias.k_fr, 1.0),

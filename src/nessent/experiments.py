@@ -271,21 +271,18 @@ def _mirror_key(geom: SubsystemGeometry) -> tuple[int, int, int]:
     return geom.ell_l, geom.ell_r, min(delta, geom.ell_r - geom.ell_l - delta)
 
 
-def _mirrors_have_parity(builder: CorrelationBuilder, partners: list[tuple[str, SubsystemGeometry]]) -> bool:
+def _mirrors_have_parity(builder: CorrelationBuilder, partners: list[SubsystemGeometry]) -> bool:
     """Whether the W_X values every mirror pair reads have parity
-    (``has_parity``), given the second geometry of each pair and the sweep
-    point it is.  The first geometry has read the negated rates of its
-    partner; the partner's own rates are read under its name, so a failing
-    quadrature names the point that needs it.
+    (``has_parity``), given the second geometry of each pair.  The first
+    geometry has read the negated rates of its partner.
 
     With P = diag(J_L, -J_R), the matrices at delta and at
     ell_r - ell_l - delta are then P conj(C) P of each other: the diagonal
     blocks are Hermitian Toeplitz, the two cross blocks read W_X at negated
     rates (``cross_rates``), and no measure sees P or the conjugation."""
-    for where, geom in partners:
+    for geom in partners:
         rates = cross_rates(geom)
-        with _failure_at(where):
-            w = builder.coefficients("V", "tLc_rL", np.concatenate([-rates[::-1], rates]))
+        w = builder.coefficients("V", "tLc_rL", np.concatenate([-rates[::-1], rates]))
         if not has_parity(w, builder.far_block("L", geom.ell_l), builder.far_block("R", geom.ell_r)):
             return False
     return True
@@ -316,7 +313,7 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
 
     values = solved(list(first.values()))
     partners = [i for i, rep in enumerate(reps) if rep != i]
-    if not _mirrors_have_parity(builder, [(f"{name}={coords[i]}", placed[i][0]) for i in partners]):
+    if not _mirrors_have_parity(builder, [placed[i][0] for i in partners]):
         values.update(solved(partners))
         reps = list(range(len(coords)))
     points = []

@@ -10,11 +10,11 @@ rules over start panels: the single panel [a, b], or 45 panels graded
 geometrically toward a singular left endpoint.  ``integrate_oscillatory``
 multiplies f by exp(i*mu*k) and starts from one panel per period.
 
-Every rule runs one refinement loop (_refine): size n against size 2n, each
-row of estimates accepted once it agrees to abs_tol, n doubling while the
-row's own bound allows it.  n counts the equal panels each start panel is
-split into (_composite_rule), and 2n times the start panels must stay
-within max_panels, the first pair included.
+Both rules run one refinement loop (_panel_integral): size n against size
+2n, the finer estimate accepted once the two agree to abs_tol, n doubling
+while 2n times the start panels stays within max_panels, the first pair
+included.  n counts the equal panels each start panel is split into
+(_composite_rule).
 
 Gauss-Legendre nodes are interior points, so integrable endpoint
 singularities are never evaluated at the endpoint itself.  Every rule
@@ -123,23 +123,31 @@ def _composite_rule(edges: np.ndarray, parts: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _panel_integral(f, edges: np.ndarray, spec: QuadratureSpec, parts: int = 1) -> complex:
-    """Integral of f over edges[0]..edges[-1] by _refine: each start panel
-    split into n equal Gauss-Legendre panels, n = parts, 2 parts, ..., each n
-    against 2 n, while 2 n times the start panels is within max_panels."""
+    """Integral of f over edges[0]..edges[-1], each start panel split into n
+    equal Gauss-Legendre panels, n = parts, 2 parts, ...: the estimate at n
+    against the one at 2 n, the latter accepted once they agree to
+    spec.abs_tol, while 2 n times the start panels is within max_panels."""
     starts = edges.size - 1
+    limit = spec.max_panels // starts
+    if 2 * parts > limit:
+        raise NonConvergence(f"integral needs {2 * parts * starts} panels, budget is {spec.max_panels}")
 
-    def estimate(n: int, rows: list) -> list:
+    def estimate(n: int) -> complex:
         nodes, weights = _composite_rule(edges, n)
         vals = np.asarray(f(nodes), dtype=complex)
         if not np.all(np.isfinite(vals)):
             raise NonConvergence("integrand evaluated to a non-finite value")
-        return [vals @ weights]
+        return vals @ weights
 
-    (value,) = _refine(
-        estimate, parts, [spec.max_panels // starts], spec,
-        f"integral needs {2 * parts * starts} panels, budget is {spec.max_panels}", lambda n: f"{n * starts} panels",
-    )
-    return complex(value)
+    n, coarse = parts, estimate(parts)
+    while True:
+        fine = estimate(2 * n)
+        if abs(fine - coarse) <= spec.abs_tol:
+            return complex(fine)
+        n *= 2
+        if 2 * n > limit:
+            raise NonConvergence(f"batch error {abs(fine - coarse):.3e} above target with {n * starts} panels")
+        coarse = fine
 
 
 def _require_finite(caller: str, **args) -> None:
@@ -194,39 +202,6 @@ def integrate_oscillatory(
     return _panel_integral(
         lambda k: np.asarray(f_smooth(k), dtype=complex) * np.exp(1j * phase_rate * k), np.array([a, b]), spec, n0
     )
-
-
-def _refine(estimate, n: int, limits, spec: QuadratureSpec, needs: str | None = None, size=None) -> list:
-    """The refinement loop of every quadrature, over rows with one bound
-    each in limits.  estimate(n, rows) returns the estimates at size n of
-    the listed rows; each row is checked against its estimate at 2 n and
-    accepted with the latter once every rate agrees to spec.abs_tol, n
-    doubling and the row estimated again while it is pending and 2 n is
-    within its bound.  estimate is asked only for such live rows.
-
-    Without needs, a row whose bound is reached while it is pending, or
-    before its first pair, is None.  With needs, a row whose first pair
-    does not fit raises NonConvergence(needs), and one whose bound is
-    reached while it is pending NonConvergence naming size(n) of the last
-    estimate and the largest |fine - coarse| of such rows in the last pair.
-    """
-    out = [None] * len(limits)
-    live = [i for i, bound in enumerate(limits) if 2 * n <= bound]
-    if needs is not None and len(live) < len(limits):
-        raise NonConvergence(needs)
-    coarse = dict(zip(live, estimate(n, live))) if live else {}
-    while coarse:
-        fine = dict(zip(coarse, estimate(2 * n, list(coarse))))
-        for i, lo in coarse.items():
-            if np.all(np.abs(fine[i] - lo) <= spec.abs_tol):
-                out[i] = fine[i]
-        n *= 2
-        stuck = [i for i in coarse if out[i] is None and 2 * n > limits[i]]
-        if stuck and needs is not None:
-            err = max(float(np.abs(fine[i] - coarse[i]).max()) for i in stuck)
-            raise NonConvergence(f"batch error {err:.3e} above target with {size(n)}")
-        coarse = {i: fine[i] for i in coarse if out[i] is None and 2 * n <= limits[i]}
-    return out
 
 
 def check_hermitian(m: np.ndarray) -> None:

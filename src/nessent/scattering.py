@@ -160,11 +160,13 @@ class SingleImpurity(ScatteringModel):
 
     def pole_data(self):
         e = self.epsilon0 / self.eta
+        # the pole of larger modulus without cancellation, the other from p_+ p_- = -1
+        big = 0.5 * (e + np.copysign(np.sqrt(e * e + 4.0), e))
         poles = residues = ()
-        if e:
-            root = np.sqrt(e * e + 4.0)
-            # the pole of larger modulus without cancellation, the other from p_+ p_- = -1
-            big = 0.5 * (e + np.copysign(root, e))
+        # at |e| below about 2e-16 (e = 0 included) both poles round onto
+        # the unit circle, and their terms, of order e ln(1/e), drop below
+        # round-off: t = 1
+        if abs(big) != 1:
             poles = (big, -1.0 / big)
             residues = tuple(e * p / (2.0 * p - e) for p in poles)
         r = PoleData(0.0, residues, poles)

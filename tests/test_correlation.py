@@ -261,8 +261,7 @@ def test_deformed_path_matches_plain_mpmath_quad():
 
 @pytest.mark.parametrize("epsilon0", [0.5, 2.0])
 def test_table_coefficients_match_mpmath_reference(epsilon0):
-    # table values include the 1/2pi; the bound of window R at rates +-300
-    # is that of the Gauss-Legendre grid the tables were once filled on
+    # table values include the 1/2pi
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     with mpmath.workdps(30):
@@ -272,16 +271,14 @@ def test_table_coefficients_match_mpmath_reference(epsilon0):
                 for rate in (300, -300, 1000, 3906, 4000):
                     reference = complex(mp_window_integral(mpmath, f, mpmath.mpf(kf), rate))
                     table = builder.coefficients(window, factor, np.array([rate]))[0]
-                    bound = 1e-15 if (window, abs(rate)) == ("R", 300) else 1e-16
-                    assert abs(table - reference) <= bound, (window, factor, rate)
+                    assert abs(table - reference) <= 1e-16, (window, factor, rate)
 
 
 @pytest.mark.parametrize("epsilon0", [0.5, 2.0])
 def test_far_table_coefficients_match_mpmath_reference(epsilon0):
     # the voltage-window factors of every far-limit matrix, on both sides of
     # rate 0 and up to rate 294 (ell = 147); the panels of mpmath.quad are at
-    # most one period of rate 294 wide.  The Gauss-Legendre grid that filled
-    # these blocks erred by up to 7.5e-16 at rate 232.
+    # most one period of rate 294 wide
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     with mpmath.workdps(30):
@@ -299,8 +296,7 @@ def test_closed_form_tables_match_mpmath_on_every_window(epsilon0):
     # rates 0, +-1, 63, 700 and +-4000 on the windows L, R and V, with the
     # near pole of epsilon0 = 0.02 and 0.05 (the longest series) and a
     # negative epsilon0, whose inner pole is the positive root; 0.5 and 2
-    # are the cases above.  The closed form came within 1.2e-16 of these
-    # references on all six factors; the quadrature within 2.2e-16
+    # are the cases above
     mpmath = pytest.importorskip("mpmath")
     builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
     windows = {"L": (0, BIAS.k_fl, "rL"), "R": (0, BIAS.k_fr, "tR"), "V": (BIAS.k_fr, BIAS.k_fl, "T")}
@@ -364,12 +360,34 @@ def test_builder_rejects_a_model_without_pole_data():
         CorrelationBuilder(AmplitudesOnly(), BIAS)
 
 
-def test_builder_rejects_a_pole_too_close_to_the_unit_circle():
-    # epsilon0 = 1e-5 puts |p| within 5e-6 of 1: its series would need
-    # about 8e6 terms per block, more than MAX_SERIES
-    with pytest.raises(ValueError, match=r"^a pole 5e-06 from the unit circle needs \d+ series terms, more than 65536$"):
-        CorrelationBuilder(SingleImpurity(1e-5), BIAS)
-    CorrelationBuilder(SingleImpurity(2e-3), BIAS)
+def mp_near_pole_integral(mpmath, f, lo, hi, rate, epsilon0):
+    """int_lo^hi f(k) exp(i rate k) dk / 2pi by mpmath.quad, on panels graded
+    geometrically toward a pole epsilon0/2 off k = 0 when lo = 0, then at
+    most half a period of the rate wide."""
+    g = lambda k: f(k) * mpmath.exp(1j * rate * k)
+    edges = [lo]
+    if lo == 0:
+        edges += [mpmath.mpf(epsilon0) * 2**j for j in range(60) if mpmath.mpf(epsilon0) * 2**j < hi]
+    edges += list(mpmath.linspace(edges[-1], hi, int(abs(rate) * (hi - edges[-1]) / 2) + 2))[1:]
+    return mpmath.quad(g, edges, method="gauss-legendre") / (2 * mpmath.pi)
+
+
+@pytest.mark.parametrize("epsilon0", [1e-3, 1e-6])
+def test_near_pole_tables_match_mpmath_reference(epsilon0):
+    # a pole epsilon0/2 from the unit circle, with a series of 9e4 and 1e8
+    # terms: the blocks start from J_0 or from a series no longer than a
+    # multiple of their rate, and stay within 2e-16 of 30 digits on every
+    # window, at rates on both sides of 0 and in the third block
+    mpmath = pytest.importorskip("mpmath")
+    builder = CorrelationBuilder(SingleImpurity(epsilon0), BIAS)
+    windows = {"L": (0, BIAS.k_fl, "T"), "R": (0, BIAS.k_fr, "tR"), "V": (BIAS.k_fr, BIAS.k_fl, "tLc_rL")}
+    with mpmath.workdps(30):
+        for window, (lo, hi, factor) in windows.items():
+            f = _mp_factor(mpmath, epsilon0, factor)
+            for rate in (0, 1, -1, 63, 130):
+                reference = mp_near_pole_integral(mpmath, f, mpmath.mpf(lo), mpmath.mpf(hi), rate, epsilon0)
+                table = builder.coefficients(window, factor, np.array([rate]))[0]
+                assert abs(table - complex(reference)) <= 2e-16, (window, factor, rate)
 
 
 def mp_occupied_integrals(mpmath, epsilon0, bias, pairs):

@@ -893,12 +893,12 @@ def test_distance_sweep_failure_names_the_first_failing_distance(monkeypatch, th
         run_sweep_distance(cfg)
 
 
-@pytest.mark.parametrize("epsilon0", [0.02, 0.05])
+@pytest.mark.parametrize("epsilon0", [0.02, 0.05, 1e-4])
 def test_distance_sweep_near_a_pole_gives_finite_points(epsilon0):
     # t(k) has a pole about epsilon0/2 from the unit circle, next to k = 0
     # where the windows L and R start: the longest series of the tables
     p = SingleImpurity(epsilon0).pole_data()[2].poles[1]
-    assert cor._geometric(p)[0] > 1000
+    assert cor._series_length(p) > 1000
     cfg = ExperimentConfig(
         scenario="sweep-distance", model="single_impurity", epsilon0=epsilon0, k_fl=K_FL, k_fr=K_FR, ell=4,
         d_over_ell_min=50, d_over_ell_max=50, n_centers=1, window=3, measures=("mi", "negativity"),

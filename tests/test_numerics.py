@@ -103,71 +103,41 @@ def test_oscillatory_self_consistency_two_paths():
     assert abs(a - b) < 1e-9
 
 
-def test_refine_accepts_each_row_at_its_first_passing_pair():
-    # row 0 agrees to 0.07 between sizes 4 and 8, row 1 only between 8 and
-    # 16; each keeps the finer estimate of the pair it passed, and every
-    # size is estimated once
-    calls = []
+def per_node(scale, sizes):
+    """An integrand whose composite integral over [0, 1] with n panels,
+    16 n nodes, is scale/n, recording each node count it is asked for."""
 
-    def estimate(n, rows):
-        calls.append(n)
-        return [[np.array([1.0 + 2.0**-n]), np.array([1.0 + 1.0 / n])][i] for i in rows]
+    def f(x):
+        sizes.append(x.size)
+        return np.full(x.size, 16.0 * scale / x.size)
 
-    out = num._refine(estimate, 4, [64, 64], QuadratureSpec(abs_tol=0.07), "needs", str)
-    assert calls == [4, 8, 16]
-    assert out[0].tobytes() == np.array([1.0 + 2.0**-8]).tobytes()
-    assert out[1].tobytes() == np.array([1.0 + 1.0 / 16]).tobytes()
+    return f
 
 
-def test_refine_first_pair_beyond_limit_raises_needs_without_estimating():
-    calls = []
-    with pytest.raises(NonConvergence, match="^needs 80, limit 64$"):
-        num._refine(lambda n, rows: calls.append(n), 40, [64], SPEC, "needs 80, limit 64", str)
-    # without needs, the row is None
-    assert num._refine(lambda n, rows: calls.append(n), 40, [64], SPEC) == [None]
-    assert calls == []
+def test_panel_integral_accepts_the_finer_estimate_of_the_first_passing_pair():
+    # 1/4 against 1/8 misses abs_tol = 0.07, 1/8 against 1/16 passes: the
+    # 16-panel estimate is returned, and every size is estimated once
+    sizes = []
+    value = num._panel_integral(per_node(1.0, sizes), np.array([0.0, 1.0]), QuadratureSpec(abs_tol=0.07), 4)
+    assert sizes == [64, 128, 256]
+    nodes, weights = num._composite_rule(np.array([0.0, 1.0]), 16)
+    assert value == complex(np.full(nodes.size, 1.0 / 16, dtype=complex) @ weights)
 
 
-def test_refine_failure_reports_the_error_of_the_last_pair():
-    # sizes 4..64: the last pair is (32, 64), where the pending row moves by
-    # 1/96 - 1/192; row 1 passes at once and does not count
-    calls = []
-
-    def estimate(n, rows):
-        calls.append(n)
-        return [[np.array([1.0 / (3 * n), 0.0]), np.array([2.0])][i] for i in rows]
-
-    with pytest.raises(NonConvergence, match=r"^batch error 5\.208e-03 above target with size 64$"):
-        num._refine(estimate, 4, [64, 64], SPEC, "needs", lambda n: f"size {n}")
-    assert calls == [4, 8, 16, 32, 64]
-    # without needs, the pending row is None and the other keeps its value
-    out = num._refine(estimate, 4, [64, 64], SPEC)
-    assert out[0] is None and out[1].tobytes() == np.array([2.0]).tobytes()
+def test_panel_integral_first_pair_beyond_the_budget_raises_without_estimating():
+    sizes = []
+    with pytest.raises(NonConvergence, match="^integral needs 80 panels, budget is 64$"):
+        num._panel_integral(per_node(1.0, sizes), np.array([0.0, 1.0]), QuadratureSpec(max_panels=64), 40)
+    assert sizes == []
 
 
-def test_refine_keeps_each_row_within_its_own_bound():
-    # row 0 never settles and may reach size 16; row 1 settles between 32
-    # and 64, within its bound of 64; row 2's first pair (4, 8) passes its
-    # bound of 6, so it is never estimated
-    asked = []
-
-    def estimate(n, rows):
-        asked.append((n, list(rows)))
-        return [[np.array([1.0 / n]), np.array([0.0 if n >= 32 else 1.0 / n]), None][i] for i in rows]
-
-    out = num._refine(estimate, 4, [16, 64, 6], SPEC)
-    assert asked == [(4, [0, 1]), (8, [0, 1]), (16, [0, 1]), (32, [1]), (64, [1])]
-    assert out[0] is None and out[2] is None and out[1].tobytes() == np.array([0.0]).tobytes()
-    # with needs, row 0 reaching its bound pending raises, naming its last pair
-    asked.clear()
-    with pytest.raises(NonConvergence, match=r"^batch error 6\.250e-02 above target with size 16$"):
-        num._refine(estimate, 4, [16, 64], SPEC, "needs", lambda n: f"size {n}")
-    assert asked == [(4, [0, 1]), (8, [0, 1]), (16, [0, 1])]
-    # and a row whose first pair does not fit raises needs before any estimate
-    asked.clear()
-    with pytest.raises(NonConvergence, match="^needs$"):
-        num._refine(estimate, 4, [16, 64, 6], SPEC, "needs", str)
-    assert asked == []
+def test_panel_integral_failure_reports_the_error_of_the_last_pair():
+    # sizes 4..64 within a budget of 64 panels: the last pair is (32, 64),
+    # whose estimates 1/96 and 1/192 differ by 5.208e-03
+    sizes = []
+    with pytest.raises(NonConvergence, match=r"^batch error 5\.208e-03 above target with 64 panels$"):
+        num._panel_integral(per_node(1.0 / 3, sizes), np.array([0.0, 1.0]), QuadratureSpec(max_panels=64), 4)
+    assert sizes == [64, 128, 256, 512, 1024]
 
 
 def test_oscillatory_panel_budget_raises():

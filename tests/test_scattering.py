@@ -153,6 +153,11 @@ def test_pole_data_conjugate_and_product_on_the_unit_circle():
         t * r
 
 
+@pytest.mark.parametrize("epsilon0", [1e-17, -1e-300, 0.0])
+def test_single_impurity_poles_that_round_onto_the_circle_are_dropped(epsilon0):
+    assert SingleImpurity(epsilon0).pole_data() == TrivialScatterer().pole_data()
+
+
 @pytest.mark.parametrize(
     "args",
     [(1.0, [1.0], []), (np.nan,), (0.0, [np.inf], [2.0]), (0.0, [1.0], [0.0]), (0.0, [1.0], [1j])],
