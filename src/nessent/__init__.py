@@ -16,12 +16,8 @@ from .scattering import (
     PoleData,
     ScatteringModel,
     SingleImpurity,
-    SMatrix,
     TrivialScatterer,
-    reflection,
-    s_matrix,
     transmission,
-    wavefunction,
 )
 from .correlation import (
     CorrelationBuilder,

@@ -154,7 +154,6 @@ _REQUIRED: dict[str, tuple[str, ...]] = {
     "sweep-bias": ("k_fr", "dk_list", "ell_min", "ell_max"),
     "sweep-distance": ("k_fl", "k_fr", "ell", "d_over_ell_min", "d_over_ell_max"),
     "eval-asymptotics": ("k_fl", "k_fr", "ell_l", "ell_r", "d_l", "d_r"),
-    "selftest": (),
 }
 
 #: the range of each key a config file sets, checked at parse time so that a
@@ -221,6 +220,9 @@ def parse_config_text(text: str, scenario: str | None = None) -> ExperimentConfi
         raise ParseError("missing required key 'scenario'")
     if scenario not in SCENARIOS:
         raise ParseError(f"unknown scenario {scenario!r}")
+    # the one scenario without a runner: ``nessent selftest`` takes no config
+    if scenario not in _REQUIRED:
+        raise ParseError(f"key 'scenario': {scenario} takes no config file")
 
     cfg = ExperimentConfig(scenario=scenario)
     for key, value in pairs.items():
@@ -307,12 +309,3 @@ def emit_csv(rows: list[dict], path, fieldnames: list[str]) -> None:
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(data)
-
-
-def read_csv(path) -> tuple[list[str], list[dict]]:
-    """Inverse of emit_csv for round-trip checks (no quoting needed here)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    fieldnames = lines[0].split(",")
-    rows = [dict(zip(fieldnames, line.split(","))) for line in lines[1:]]
-    return fieldnames, rows

@@ -148,12 +148,6 @@ class SubsystemGeometry:
     def is_symmetric(self) -> bool:
         return self.d_l == self.d_r and self.ell_l == self.ell_r
 
-    def sites_left(self) -> tuple[int, ...]:
-        return tuple(-(self.d_l + j) for j in range(1, self.ell_l + 1))
-
-    def sites_right(self) -> tuple[int, ...]:
-        return tuple(self.d_r + j for j in range(1, self.ell_r + 1))
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -275,13 +269,15 @@ def _near_pole(rho: complex, a: float, b: float, x0: int) -> np.ndarray:
     """J_x = int_a^b z^x/(z - rho) dk at x = x0 .. x0 + BLOCK - 1 for a
     ratio |rho| < 1 whose series is longer than MAX_SERIES, upward from one
     start value J_x0.  J_x0 comes from J_0 by the recurrence wherever that
-    amplifies round-off by at most 2: upward for 0 <= x0 < n, or downward
-    for |x0| ln(1/|rho|) <= ln 2.  Otherwise it is the series of
-    n = _series_length(rho) terms, and n is then at most x0 upward, or a
-    multiple of |x0| downward: a block costs a multiple of its rate, however
-    near the unit circle rho lies."""
+    amplifies round-off by at most 2: upward for 0 <= x0 < n, at a cost of
+    x0 terms, or downward for |x0| ln(1/|rho|) <= ln 2.  Otherwise it is the
+    series of n = _series_length(rho) terms: at x0 >= n, where n <= x0, and
+    below rate -ln 2/ln(1/|rho|), where k -> -k takes an outer pole's blocks
+    above rate ln 2/ln(1/|rho|).  Such a block costs n terms, 65-75 times
+    that threshold rate: at epsilon0 = 1e-3, 90,063 terms past rate 1,386,
+    and at 1e-6, 1e8 terms past rate 1.4e6, which no sweep reads."""
     n = _series_length(rho)
-    if x0 < n and -x0 * np.log(abs(rho)) <= np.log(2.0):
+    if x0 < n and x0 * np.log(abs(rho)) <= np.log(2.0):
         if x0 >= 0:
             start = rho**x0 * _j0(rho, a, b) + _exponentials(a, b, np.arange(x0)) @ rho ** np.arange(x0 - 1, -1, -1)
         else:

@@ -1,13 +1,13 @@
 """Scattering models for a short obstruction in a tight-binding chain.
 
-A model provides the 2x2 unitary scattering matrix
+A model provides the entries of the 2x2 unitary scattering matrix
 
     S(k) = [[r_l(k), t_r(k)],
             [t_l(k), r_r(k)]]
 
-for lattice momenta 0 < k < pi (energy band -2*eta*cos k), together with the
-plane-wave scattering states on either side of the obstruction.  Transmission
-and reflection probabilities are T(k) = |t_l(k)|^2 and R(k) = 1 - T(k).
+as arrays over lattice momenta 0 < k < pi (energy band -2*eta*cos k),
+``amplitudes``.  The transmission probability is T(k) = |t_l(k)|^2
+(``transmission``), and the reflection probability is 1 - T(k).
 
 Three models are provided:
 
@@ -45,38 +45,17 @@ import numpy as np
 __all__ = [
     "DomainError",
     "PoleData",
-    "SMatrix",
     "ScatteringModel",
     "SingleImpurity",
     "ConstantTransmission",
     "TrivialScatterer",
     "BiasState",
-    "s_matrix",
     "transmission",
-    "reflection",
-    "wavefunction",
 ]
 
 
 class DomainError(ValueError):
     """Momentum or site index outside the domain of a scattering quantity."""
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    """Entries of the 2x2 scattering matrix at a fixed momentum."""
-
-    r_l: complex
-    t_r: complex
-    t_l: complex
-    r_r: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.r_l, self.t_r], [self.t_l, self.r_r]])
-
-    def unitarity_defect(self) -> float:
-        s = self.as_array()
-        return float(np.abs(s.conj().T @ s - np.eye(2)).max())
 
 
 @dataclass(frozen=True)
@@ -238,46 +217,7 @@ def _check_momentum(k: float) -> None:
         raise DomainError(f"momentum {k} outside (0, pi)")
 
 
-def s_matrix(model: ScatteringModel, k: float) -> SMatrix:
-    """Scattering matrix of the model at momentum k in (0, pi)."""
-    _check_momentum(k)
-    r_l, t_r, t_l, r_r = model.amplitudes(np.asarray(k, dtype=float))
-    return SMatrix(complex(r_l), complex(t_r), complex(t_l), complex(r_r))
-
-
 def transmission(model: ScatteringModel, k: float) -> float:
     _check_momentum(k)
     _, _, t_l, _ = model.amplitudes(np.asarray(k, dtype=float))
     return float(np.abs(t_l) ** 2)
-
-
-def reflection(model: ScatteringModel, k: float) -> float:
-    return 1.0 - transmission(model, k)
-
-
-def wavefunction(model: ScatteringModel, k, m: int):
-    """Scattering-state amplitude at site m for signed momentum k.
-
-    Positive k labels the state incoming from the left reservoir, negative k
-    the state incoming from the right.  Valid off the scatterer's site only
-    (m != 0).  k may be an array of momenta of one sign.
-    """
-    karr = np.asarray(k, dtype=float)
-    if karr.size == 0:
-        return np.zeros(0, dtype=complex)
-    if np.any(np.abs(karr) <= 0.0) or np.any(np.abs(karr) >= np.pi):
-        raise DomainError("momenta must lie in (-pi, 0) or (0, pi)")
-    sign = np.sign(karr.flat[0])
-    if np.any(np.sign(karr) != sign):
-        raise DomainError("mixed-sign momentum arrays are not supported")
-    if m == 0:
-        raise DomainError("site 0 is the scatterer's site")
-    r_l, t_r, t_l, r_r = model.amplitudes(np.abs(karr))
-    phase = np.exp(1j * karr * m)
-    if m > 0:
-        out = t_l * phase if sign > 0 else phase + r_r * np.conj(phase)
-    else:
-        out = phase + r_l * np.conj(phase) if sign > 0 else t_r * phase
-    if np.isscalar(k) or np.ndim(k) == 0:
-        return complex(out)
-    return out

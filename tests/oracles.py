@@ -1,7 +1,12 @@
-"""Independent oracles for the spectra and the log kernels, read only by tests.
+"""Independent oracles for the spectra, the states and the log kernels, read
+only by tests.
 
 ``correlation_moments`` is Tr C^p by repeated matrix products, against
 which the occupation spectrum's power sums are checked.
+
+``wavefunction`` is the scattering state of a model at a site, the input of
+the factored-projector and mpmath references, and ``sites`` lists the sites
+of a geometry's two intervals in the row order of its correlation matrix.
 
 ``log_kernel(n, p) = (1 - n) step_kernel(n, p)`` and ``log_kernel_pair``
 are the ``asymptotics`` kernels in the normalization of the unsubtracted
@@ -19,8 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from nessent.asymptotics import pair_kernel, step_kernel
-from nessent.correlation import CorrelationMatrix
+from nessent.correlation import CorrelationMatrix, SubsystemGeometry
 from nessent.numerics import QuadratureSpec, integrate
+from nessent.scattering import DomainError, ScatteringModel
 
 #: the unsubtracted representations carry hard endpoint singularities;
 #: 1e-10 is plenty for the 1e-8 cross-checks and keeps them cheap
@@ -36,6 +42,39 @@ def correlation_moments(c: CorrelationMatrix, p: int) -> float:
     for _ in range(p - 1):
         power = power @ a
     return float(np.trace(power).real)
+
+
+def sites(geom: SubsystemGeometry) -> tuple[int, ...]:
+    """The sites of A_L, then of A_R, each outward from the scatterer."""
+    return tuple(-(geom.d_l + j) for j in range(1, geom.ell_l + 1)) + tuple(geom.d_r + j for j in range(1, geom.ell_r + 1))
+
+
+def wavefunction(model: ScatteringModel, k, m: int):
+    """Scattering-state amplitude at site m for signed momentum k.
+
+    Positive k labels the state incoming from the left reservoir, negative k
+    the state incoming from the right.  Valid off the scatterer's site only
+    (m != 0).  k may be an array of momenta of one sign.
+    """
+    karr = np.asarray(k, dtype=float)
+    if karr.size == 0:
+        return np.zeros(0, dtype=complex)
+    if np.any(np.abs(karr) <= 0.0) or np.any(np.abs(karr) >= np.pi):
+        raise DomainError("momenta must lie in (-pi, 0) or (0, pi)")
+    sign = np.sign(karr.flat[0])
+    if np.any(np.sign(karr) != sign):
+        raise DomainError("mixed-sign momentum arrays are not supported")
+    if m == 0:
+        raise DomainError("site 0 is the scatterer's site")
+    r_l, t_r, t_l, r_r = model.amplitudes(np.abs(karr))
+    phase = np.exp(1j * karr * m)
+    if m > 0:
+        out = t_l * phase if sign > 0 else phase + r_r * np.conj(phase)
+    else:
+        out = phase + r_l * np.conj(phase) if sign > 0 else t_r * phase
+    if np.isscalar(k) or np.ndim(k) == 0:
+        return complex(out)
+    return out
 
 
 def log_kernel(n: float, p: float) -> float:

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import sites, wavefunction
 from nessent.correlation import (
     _FACTORS,
     BLOCK,
@@ -20,7 +21,6 @@ from nessent.scattering import (
     ScatteringModel,
     SingleImpurity,
     TrivialScatterer,
-    wavefunction,
 )
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
@@ -73,8 +73,7 @@ def test_geometry_validation():
 
 def test_geometry_site_lists():
     geom = SubsystemGeometry(3, 3, 5, 2)
-    assert geom.sites_left() == (-4, -5, -6)
-    assert geom.sites_right() == (6, 7)
+    assert sites(geom) == (-4, -5, -6, 6, 7)
 
 
 def finite_entry(model, bias, j, m):
@@ -135,9 +134,8 @@ def test_finite_matrix_matches_entrywise_assembly():
     # each entry depends on its two sites only, not on the intervals around them
     geom = SubsystemGeometry(3, 4, 1, 3)
     cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
-    sites = geom.sites_left() + geom.sites_right()
-    for a, sa in enumerate(sites):
-        for b, sb in enumerate(sites):
+    for a, sa in enumerate(sites(geom)):
+        for b, sb in enumerate(sites(geom)):
             assert abs(cm.matrix[a, b] - finite_entry(IMPURITY, BIAS, sa, sb)) < 1e-12
 
 
@@ -390,6 +388,56 @@ def test_near_pole_tables_match_mpmath_reference(epsilon0):
                 assert abs(table - complex(reference)) <= 2e-16, (window, factor, rate)
 
 
+def longdouble_tables(lo, hi, factors, rates):
+    """int_lo^hi f(e^{ik}) e^{ixk} dk / 2pi for each pole data f of factors at
+    each rate x: const E_x + sum_j c_j J_x(p_j), with E_x = e^{ixm} 2 sin(xh)/x
+    and each J_x the geometric series of its pole, sum_n p^n E_{x-1-n} inside
+    the unit circle and -sum_n p^(-n-1) E_{x+n} outside.  All of it is summed
+    in np.longdouble, each series until its tail falls below 2^-64: no start
+    from J_0 and no recurrence."""
+    ld = np.longdouble
+    rhos = {p: np.clongdouble(p) if abs(p) < 1 else 1 / np.clongdouble(p) for f in factors for p in f.poles}
+    n = max(int(np.ceil(np.log(ld(2) ** -64 * (1 - abs(rho))) / np.log(abs(rho)))) for rho in rhos.values())
+    powers = {p: np.exp(np.arange(n, dtype=ld) * np.log(rho)) for p, rho in rhos.items()}
+    first = min(rates) - n
+    y = np.arange(first, max(rates) + n).astype(ld)
+    m, h = (ld(lo) + ld(hi)) / 2, (ld(hi) - ld(lo)) / 2
+    size = np.where(y == 0, 2 * h, 2 * np.sin(h * y) / np.where(y == 0, 1, y))
+    e = np.empty(y.shape, np.clongdouble)
+    e.real, e.imag = size * np.cos(m * y), size * np.sin(m * y)
+    tables = np.empty((len(factors), len(rates)), complex)
+    for i, f in enumerate(factors):
+        for j, x in enumerate(rates):
+            at = x - first
+            total = f.const * e[at]
+            for c, p in zip(f.residues, f.poles):
+                if abs(p) < 1:
+                    total += c * (powers[p] @ e[at - n : at][::-1])
+                else:
+                    total -= c * rhos[p] * (powers[p] @ e[at : at + n])
+            tables[i, j] = total / (2 * np.arccos(ld(-1)))
+    return tables
+
+
+def test_near_pole_tables_at_large_rates_match_a_longdouble_series():
+    # epsilon0 = 1e-3, whose poles need 9e4 series terms, on the six tables
+    # the matrices read: past rate 1386 a block of the outer pole, which
+    # k -> -k takes below rate 0, must start from its series, since a start
+    # from J_0 there amplifies round-off by |rho|^-|x0| (errors up to 3.6e-7)
+    model = SingleImpurity(1e-3)
+    builder = CorrelationBuilder(model, BIAS)
+    windows = {"L": (0.0, BIAS.k_fl, ("rL", "tL")), "R": (0.0, BIAS.k_fr, ("rR", "tR")),
+               "V": (BIAS.k_fr, BIAS.k_fl, ("T", "tLc_rL"))}
+    rates = [-40960, -16384, 16384, 40960 + BLOCK - 1]
+    for window, (lo, hi, factors) in windows.items():
+        reference = longdouble_tables(lo, hi, [_FACTORS[name](*model.pole_data()) for name in factors], rates)
+        for name, expected in zip(factors, reference):
+            # one read per rate: a read fills every block between its rates
+            table = [builder.coefficients(window, name, np.array([rate]))[0] for rate in rates]
+            error = np.abs(np.subtract(table, expected))
+            assert error.max() <= 2e-16, (window, name, error)
+
+
 def mp_occupied_integrals(mpmath, epsilon0, bias, pairs):
     """int_{-k_fr}^{k_fl} conj(u_j(k)) u_m(k) dk / 2pi for each site pair (j, m)
     of the single impurity, in mpmath arithmetic at its working precision.
@@ -432,7 +480,7 @@ def test_finite_entries_match_mpmath_reference():
     mpmath = pytest.importorskip("mpmath")
     geom = SubsystemGeometry(100, 50, 100, 50)
     cm = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
-    index = {site: i for i, site in enumerate(geom.sites_left() + geom.sites_right())}
+    index = {site: i for i, site in enumerate(sites(geom))}
     left, right = (-101, -102, -117, -150), (101, 103, 129, 150)
     pairs = [
         (left[0], left[0]), (left[1], left[2]), (left[3], left[0]), (left[2], left[3]), (left[3], left[3]),

@@ -1,3 +1,4 @@
+import csv
 import math
 import sys
 from dataclasses import fields, replace
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text, read_csv
+from nessent.config import ExperimentConfig, ParseError, emit_csv, format_value, parse_config, parse_config_text
 import nessent.correlation as cor
 from nessent.correlation import (
     CorrelationBuilder,
@@ -122,6 +123,19 @@ def test_parse_config_good():
     assert cfg.build_model().t_prob == 0.5
 
 
+#: the keys sweep-length requires, at their defaults; the parse tests add
+#: each one their own lines leave out
+LENGTH_KEYS = {"k_fl": "2*pi/3", "k_fr": "pi/2", "ell_min": "20", "ell_max": "200"}
+
+
+def length_config(lines: str) -> str:
+    """A sweep-length config: the scenario line, the given lines, then every
+    required key they do not set, so their line numbers hold."""
+    given = {line.split("=", 1)[0].strip() for line in lines.splitlines()}
+    missing = "".join(f"{key} = {value}\n" for key, value in LENGTH_KEYS.items() if key not in given)
+    return f"scenario = sweep-length\n{lines}\n{missing}"
+
+
 def test_parse_config_missing_required_key_names_it():
     with pytest.raises(ParseError, match="ell_min"):
         parse_config_text("scenario = sweep-length\nk_fl = 1.0\nk_fr = 0.9\nell_max = 50\n")
@@ -129,7 +143,7 @@ def test_parse_config_missing_required_key_names_it():
 
 def test_parse_config_unknown_key_and_scenario():
     with pytest.raises(ParseError, match="unknown key"):
-        parse_config_text("scenario = selftest\nbogus = 1\n")
+        parse_config_text(length_config("bogus = 1"))
     with pytest.raises(ParseError, match="unknown scenario"):
         parse_config_text("scenario = sweep-everything\n")
 
@@ -140,7 +154,7 @@ def test_parse_config_unknown_key_and_scenario():
 def test_parse_config_fixed_quadrature_settings_are_unknown_keys(key, value):
     # the quadrature's targets, panel budget and panel order are fixed, not keys
     with pytest.raises(ParseError, match=f"^line 2: unknown key '{key}'$"):
-        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+        parse_config_text(length_config(f"{key} = {value}"))
 
 
 @pytest.mark.parametrize("key", ["rel_tol", "nodes_per_panel", "abs_tol", "max_panels"])
@@ -151,6 +165,15 @@ def test_experiment_config_has_no_quadrature_field(key):
         ExperimentConfig(scenario="selftest", **{key: 1})
 
 
+def test_parse_config_rejects_the_selftest_scenario():
+    # `nessent selftest` reads no config; a config naming it parsed, and
+    # run_scenario rejected it afterwards with a bare ValueError
+    with pytest.raises(ParseError, match="^key 'scenario': selftest takes no config file$"):
+        parse_config_text("scenario = selftest\n")
+    with pytest.raises(ParseError, match="^key 'scenario': selftest takes no config file$"):
+        parse_config_text("ell = 3\n", scenario="selftest")
+
+
 def test_parse_config_scenario_mismatch():
     with pytest.raises(ParseError, match="mismatch"):
         parse_config_text("scenario = selftest\n", scenario="sweep-length")
@@ -158,21 +181,21 @@ def test_parse_config_scenario_mismatch():
 
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ParseError, match="line 2"):
-        parse_config_text("scenario = selftest\nnot a pair\n")
+        parse_config_text(length_config("not a pair"))
 
 
 def test_parse_config_integer_keys_reject_fractions():
     for key in ("ell_l", "window"):
         with pytest.raises(ParseError, match=f"'{key}'.*integer"):
-            parse_config_text(f"scenario = selftest\n{key} = 2.6\n")
-    cfg = parse_config_text("scenario = selftest\nell_l = 6/2\nwindow = 12\n")
+            parse_config_text(length_config(f"{key} = 2.6"))
+    cfg = parse_config_text(length_config("ell_l = 6/2\nwindow = 12"))
     assert (cfg.ell_l, cfg.window) == (3, 12)
 
 
 def test_parse_config_rejects_nonpositive_renyi_order():
     for value in ("-1", "0", "vn, 2, -0.5", "1e400"):
         with pytest.raises(ParseError, match="'renyi_orders'.*positive"):
-            parse_config_text(f"scenario = selftest\nrenyi_orders = {value}\n")
+            parse_config_text(length_config(f"renyi_orders = {value}"))
 
 
 def test_parse_config_rejects_duplicate_renyi_order():
@@ -180,8 +203,8 @@ def test_parse_config_rejects_duplicate_renyi_order():
     # orders the CSV prints alike would merge into one fitted series
     for value in ("vn, 1", "1, vn", "2, 0.5, 2", "vn, vn", "0.5, 1/2", "0.5, 0.5000001"):
         with pytest.raises(ParseError, match="'renyi_orders'.*duplicate"):
-            parse_config_text(f"scenario = selftest\nrenyi_orders = {value}\n")
-    assert parse_config_text("scenario = selftest\nrenyi_orders = vn, 0.5, 2\n").renyi_orders == ("vn", 0.5, 2.0)
+            parse_config_text(length_config(f"renyi_orders = {value}"))
+    assert parse_config_text(length_config("renyi_orders = vn, 0.5, 2")).renyi_orders == ("vn", 0.5, 2.0)
 
 
 OUT_OF_RANGE = [
@@ -220,16 +243,16 @@ def test_parse_config_out_of_range_value_names_key(lines, key):
     # each of these reached a runner before, as a bare ValueError, an
     # IndexError or an empty sweep
     with pytest.raises(ParseError, match=f"'{key}': must be"):
-        parse_config_text(f"scenario = selftest\n{lines}\n")
+        parse_config_text(length_config(lines))
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("scenario = selftest\nk_fl = 2*pi/3)\n", "^key 'k_fl': cannot parse number '2\\*pi/3\\)'$"),
-        ("scenario = selftest\nell = 3\nell = 4\n", "^line 3: duplicate key 'ell'$"),
+        (length_config("k_fl = 2*pi/3)"), "^key 'k_fl': cannot parse number '2\\*pi/3\\)'$"),
+        (length_config("ell = 3\nell = 4"), "^line 3: duplicate key 'ell'$"),
         ("ell = 3\n", "^missing required key 'scenario'$"),
-        ("scenario = selftest\nmeasures = mi, entanglement\n", "^key 'measures': unknown measure 'entanglement'$"),
+        (length_config("measures = mi, entanglement"), "^key 'measures': unknown measure 'entanglement'$"),
     ],
     ids=["unparsable-number", "duplicate-key", "missing-scenario", "unknown-measure"],
 )
@@ -276,7 +299,7 @@ def test_parse_config_rejects_non_finite_numbers(key, value):
     # inf used to parse and reach a runner: d_over_ell_max = 1e400 raised
     # OverflowError there, and eta = 1e400 wrote a CSV
     with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
-        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+        parse_config_text(length_config(f"{key} = {value}"))
 
 
 #: every key parsed as an integer, and window, an integer or "auto"
@@ -288,9 +311,9 @@ def test_parse_config_rejects_int_literals_beyond_float_range(key):
     # ell_max = 1 followed by 400 zeros raised OverflowError, which the CLI
     # reported as kind=OverflowError without naming the key
     with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
-        parse_config_text(f"scenario = selftest\n{key} = {HUGE_INT}\n")
+        parse_config_text(length_config(f"{key} = {HUGE_INT}"))
     with pytest.raises(ParseError, match=f"'{key}': must be a finite number"):
-        parse_config_text(f"scenario = selftest\n{key} = 2 * -{HUGE_INT}\n")
+        parse_config_text(length_config(f"{key} = 2 * -{HUGE_INT}"))
 
 
 @pytest.mark.parametrize("key", INT_KEYS + FLOAT_KEYS + ["renyi_orders"])
@@ -299,20 +322,20 @@ def test_parse_config_rejects_booleans(key, value):
     # bool is an int subclass: ell_min = True parsed as 1, epsilon0 = False
     # as 0.0 and renyi_orders = True as order 1
     with pytest.raises(ParseError, match=f"'{key}': unsupported expression"):
-        parse_config_text(f"scenario = selftest\n{key} = {value}\n")
+        parse_config_text(length_config(f"{key} = {value}"))
 
 
 def test_parse_config_rejects_duplicate_measure():
     # a repeated measure wrote every point twice and fitted the doubled series
     for value in ("mi, mi", "mi, ci, negativity, ci"):
         with pytest.raises(ParseError, match="'measures': duplicate measure"):
-            parse_config_text(f"scenario = selftest\nmeasures = {value}\n")
-    assert parse_config_text("scenario = selftest\nmeasures = ci, mi\n").measures == ("ci", "mi")
+            parse_config_text(length_config(f"measures = {value}"))
+    assert parse_config_text(length_config("measures = ci, mi")).measures == ("ci", "mi")
 
 
 def test_parse_config_division_by_zero_names_key():
     with pytest.raises(ParseError, match="'d_r'"):
-        parse_config_text("scenario = selftest\nd_r = 1/0\n")
+        parse_config_text(length_config("d_r = 1/0"))
 
 
 def test_sample_configs_parse():
@@ -327,9 +350,9 @@ def test_sample_configs_parse():
 def test_parse_config_accepts_utf8_byte_order_mark(tmp_path):
     # the BOM was read as part of the first key: "unknown key '\ufeffscenario'"
     path = tmp_path / "bom.cfg"
-    path.write_bytes("\ufeffscenario = selftest\nell = 3\n".encode("utf-8"))
+    path.write_bytes(("\ufeff" + length_config("ell = 3")).encode("utf-8"))
     cfg = parse_config(path)
-    assert (cfg.scenario, cfg.ell) == ("selftest", 3)
+    assert (cfg.scenario, cfg.ell) == ("sweep-length", 3)
 
 
 @pytest.mark.parametrize("data, line, at", [
@@ -354,8 +377,10 @@ def test_csv_round_trip_preserves_12_digits(tmp_path):
     rows = [{"a": 1.2345678901234e-7, "b": "x", "c": 42, "d": None}]
     path = tmp_path / "t.csv"
     emit_csv(rows, path, ["a", "b", "c", "d"])
-    fieldnames, back = read_csv(path)
-    assert fieldnames == ["a", "b", "c", "d"]
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        back = list(reader)
+    assert reader.fieldnames == ["a", "b", "c", "d"]
     assert float(back[0]["a"]) == pytest.approx(1.2345678901234e-7, rel=1e-12)
     assert back[0]["c"] == "42"
     assert back[0]["d"] == ""

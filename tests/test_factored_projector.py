@@ -27,7 +27,7 @@ symmetry by which a position sweep solves each mirror pair once.
 
 At a finite distance C = V V^dag still holds, with the occupied scattering
 states as the columns of V: sqrt(w/2pi) conj u_x(k), u from
-``scattering.wavefunction``, left-incoming on (0, k_fl) and right-incoming on
+``oracles.wavefunction``, left-incoming on (0, k_fl) and right-incoming on
 (0, k_fr).  W takes the empty states on (k_fl, pi) and (k_fr, pi) and the
 impurity's bound state b_x = N z^|x|, N = sqrt((1 - z^2)/(1 + z^2)), with
 z the root of z - 1/z = epsilon0/eta inside the unit disk: for
@@ -43,9 +43,10 @@ import numpy as np
 import pytest
 
 import undeflated
+from oracles import sites, wavefunction
 from nessent.correlation import CorrelationBuilder, SubsystemGeometry, correlation_matrix_far, correlation_matrix_finite
 from nessent.entanglement import measures, report_from_spectra
-from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity, wavefunction
+from nessent.scattering import BiasState, ConstantTransmission, SingleImpurity
 
 BIAS = BiasState(2 * np.pi / 3, np.pi / 2)
 MODELS = {
@@ -202,18 +203,18 @@ def finite_factors(epsilon0, d, ell):
     geom = SubsystemGeometry(d, ell, d, ell)
     cm = correlation_matrix_finite(finite_builder(epsilon0), geom)
     model = SingleImpurity(epsilon0)
-    sites = geom.sites_left() + geom.sites_right()
+    xs = sites(geom)
     rate = 2 * (d + ell)
 
     def states(a, b, sign):
         k, w = nodes(a, b, rate)
-        return np.conj([wavefunction(model, sign * k, x) for x in sites]) * np.sqrt(w / (2 * np.pi))
+        return np.conj([wavefunction(model, sign * k, x) for x in xs]) * np.sqrt(w / (2 * np.pi))
 
     v = np.hstack([states(0.0, BIAS.k_fl, 1), states(0.0, BIAS.k_fr, -1)])
     w = np.hstack([states(BIAS.k_fl, np.pi, 1), states(BIAS.k_fr, np.pi, -1)])
     eta = model.eta
     z = (epsilon0 / eta - np.sqrt((epsilon0 / eta) ** 2 + 4.0)) / 2.0
-    b = np.sqrt((1.0 - z * z) / (1.0 + z * z)) * z ** np.abs(sites)
+    b = np.sqrt((1.0 - z * z) / (1.0 + z * z)) * z ** np.abs(xs)
     return cm, v, w, b
 
 
