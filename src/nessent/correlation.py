@@ -51,8 +51,10 @@ Two regimes are implemented:
   the ``FarMatrix`` of the same d_l - d_r and lengths, which the builder
   keeps, and the 1-D values of the four Hankel terms, 2 ell_l - 1 and
   2 ell_r - 1 real ones for the diagonal blocks and ell_l + ell_r - 1
-  complex ones for the cross block.  So a distance sweep builds its far
-  matrix once and each matrix reads only its Hankel values.  The solvers
+  complex ones for the cross block; for a list of geometries at one
+  d_l - d_r and lengths it returns a ``FiniteStack``, one row of Hankel
+  values per matrix.  So a distance sweep builds its far matrix once, and
+  each stack of its distances reads only its Hankel values.  The solvers
   partition it in the eigenbasis of the far blocks (``entanglement``
   module docstring), and its site entries, too, are assembled from views
   when something first reads them.  The diagonal Hankel terms are real and
@@ -90,6 +92,7 @@ __all__ = [
     "FarBlock",
     "FarMatrix",
     "FiniteMatrix",
+    "FiniteStack",
     "correlation_matrix_finite",
     "correlation_matrix_far",
     "CorrelationBuilder",
@@ -375,15 +378,19 @@ class CorrelationBuilder:
 
     def coefficients(self, window: str, factor: str, rates: np.ndarray) -> np.ndarray:
         """W(window, factor, x) at an integer array of rates x, same shape:
-        the one read of the tables, which fills the blocks it reads first.
-        The factor "tLc", conj t_l, reads W(tLc, x) = conj W(tL, -x)."""
+        the one read of the tables, which first fills the blocks the rates
+        lie in, and no block between them.  The factor "tLc", conj t_l,
+        reads W(tLc, x) = conj W(tL, -x)."""
         conjugate = factor == "tLc"
         if conjugate:
             factor, rates = "tL", -rates
-        span = _span(rates)
-        self.prefetch([(window, factor, b) for b in span])
-        table = np.concatenate([self._blocks[(window, factor, b)] for b in span])
-        values = table[rates - BLOCK * span[0]]
+        blocks = rates // BLOCK
+        # the blocks the rates lie in, ascending: a sorted set, not np.unique,
+        # which imports numpy.ma on first use (numpy 2.4)
+        read = sorted(set(blocks.ravel().tolist()))
+        self.prefetch([(window, factor, b) for b in read])
+        table = np.stack([self._blocks[(window, factor, b)] for b in read])
+        values = table[np.searchsorted(read, blocks), rates - BLOCK * blocks]
         return values.conj() if conjugate else values
 
     def far_block(self, side: str, n: int) -> "FarBlock":
@@ -401,11 +408,6 @@ class CorrelationBuilder:
             # Re B - s J Im B with s = -sign: P = J on A_L and -J on A_R
             self._far[side] = block = FarBlock(site, site.real + sign * site.imag[::-1])
         return block
-
-
-def _span(rates: np.ndarray) -> range:
-    """The table blocks an integer array of rates reads."""
-    return range(int(rates.min()) // BLOCK, int(rates.max()) // BLOCK + 1)
 
 
 def hermitian_matrix(left: np.ndarray, right: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -431,9 +433,9 @@ class FiniteMatrix(CorrelationMatrix):
     Hankel terms as their 1-D values.  A_L sites j, m (from 0) add
     ``hankel_left[j + m]`` (real), A_R sites add ``hankel_right[j + m]``
     (real), and A_R row j, A_L column m of the cross block adds
-    ``hankel_cross[j + m]``.  The solvers read ``far`` and these values
-    (``entanglement.partition``), so the site matrix is assembled only when
-    something reads ``matrix``."""
+    ``hankel_cross[j + m]``.  The solvers read ``far`` and these values, as
+    a stack of one (``entanglement.partition``), so the site matrix is
+    assembled only when something reads ``matrix``."""
 
     def __init__(self, far: FarMatrix, hankel_left: np.ndarray, hankel_right: np.ndarray, hankel_cross: np.ndarray):
         # frozen like any CorrelationMatrix, and built Hermitian exactly
@@ -454,21 +456,50 @@ class FiniteMatrix(CorrelationMatrix):
         )
 
 
-def _hankel_reads(geom: SubsystemGeometry) -> tuple:
-    """(window, factor, rates) of the four Hankel terms of a finite-distance
-    matrix, in the order right, left, cross from L, cross from R."""
-    d_l, d_r, nl, nr = geom.d_l, geom.d_r, geom.ell_l, geom.ell_r
-    cross = np.arange(d_l + d_r + 2, d_l + d_r + nl + nr + 1)
+@dataclass(frozen=True)
+class FiniteStack:
+    """Finite-distance matrices that share one far matrix ``far``, as their
+    builder makes them: the Hankel values of ``FiniteMatrix``, one row per
+    matrix, in arrays of shape (len, 2 n_left - 1), (len, 2 n_right - 1) and
+    (len, n_left + n_right - 1).  Item i is the i-th matrix."""
+
+    far: FarMatrix
+    hankel_left: np.ndarray
+    hankel_right: np.ndarray
+    hankel_cross: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.far.dim
+
+    def __len__(self) -> int:
+        return self.hankel_left.shape[0]
+
+    def __getitem__(self, i: int) -> FiniteMatrix:
+        return FiniteMatrix(self.far, self.hankel_left[i], self.hankel_right[i], self.hankel_cross[i])
+
+
+def _hankel_reads(geoms: list[SubsystemGeometry]) -> tuple:
+    """(window, factor, rates) of the four Hankel terms of finite-distance
+    matrices at the same lengths, in the order right, left, cross from L,
+    cross from R; the rates have one row per geometry."""
+    d_l, d_r = (np.array([[getattr(g, side)] for g in geoms]) for side in ("d_l", "d_r"))
+    nl, nr = geoms[0].ell_l, geoms[0].ell_r
+    cross = d_l + d_r + np.arange(2, nl + nr + 1)
     return (
-        ("R", "rR", np.arange(2 * d_r + 2, 2 * d_r + 2 * nr + 1)),
-        ("L", "rL", np.arange(2 * d_l + 2, 2 * d_l + 2 * nl + 1)),
+        ("R", "rR", 2 * d_r + np.arange(2, 2 * nr + 1)),
+        ("L", "rL", 2 * d_l + np.arange(2, 2 * nl + 1)),
         ("L", "tLc", -cross),
         ("R", "tR", cross),
     )
 
 
-def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeometry) -> FiniteMatrix:
-    """Finite-distance correlation matrix of A_L u A_R in the builder's state.
+def correlation_matrix_finite(
+    builder: CorrelationBuilder, geom: SubsystemGeometry | list[SubsystemGeometry]
+) -> FiniteMatrix | FiniteStack:
+    """Finite-distance correlation matrix of A_L u A_R in the builder's
+    state, or a ``FiniteStack`` of them for a list of geometries that share
+    d_l - d_r and the lengths.
 
     The far-limit matrix of the same d_l - d_r and lengths
     (``correlation_matrix_far``; the builder keeps the last one, a pure
@@ -488,18 +519,23 @@ def correlation_matrix_finite(builder: CorrelationBuilder, geom: SubsystemGeomet
     far blocks are, the diagonal Hankel terms are real and symmetric, and
     the A_L rows of the cross block are the conjugate transpose of its A_R
     rows.  A builder shared across matrices reuses its tables and its far
-    matrix, so a distance sweep reads only the Hankel values per matrix.
+    matrix, so a distance sweep reads only the Hankel values, one gather
+    per term for a whole stack.
     """
-    key = (geom.d_l - geom.d_r, geom.ell_l, geom.ell_r)
+    geoms = [geom] if isinstance(geom, SubsystemGeometry) else list(geom)
+    key = (geoms[0].d_l - geoms[0].d_r, geoms[0].ell_l, geoms[0].ell_r)
+    if any((g.d_l - g.d_r, g.ell_l, g.ell_r) != key for g in geoms):
+        raise ValueError("a stack of finite-distance matrices shares d_l - d_r and the lengths")
     kept = builder._far_matrix
     if kept is not None and kept[0] == key:
         far = kept[1]
     else:
-        far = correlation_matrix_far(builder, geom)
+        far = correlation_matrix_far(builder, geoms[0])
         # one assignment: a thread reads the last pair or the one before it
         builder._far_matrix = (key, far)
-    right, left, t_lc, t_r = (builder.coefficients(*read) for read in _hankel_reads(geom))
-    return FiniteMatrix(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
+    right, left, t_lc, t_r = (builder.coefficients(*read) for read in _hankel_reads(geoms))
+    stack = FiniteStack(far, 2.0 * left.real, 2.0 * right.real, t_lc + t_r)
+    return stack[0] if isinstance(geom, SubsystemGeometry) else stack
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,22 @@ round-off either way.  Over the 288 Fig. S2 points, MI and E_1 of the
 partition stay within 6.7e-13 and 6.2e-14 of the undeflated spectra and
 pencil of the whole matrix, which the tests keep as their oracle.
 
+Since the basis is the same at every distance, a distance sweep solves its
+matrices in stacks (``correlation.FiniteStack``, one far matrix and a row
+of Hankel values per matrix): every step above is one array operation for
+the whole stack, the Hankel terms folded and carried to the modes by one
+stacked product per term.  The rule reads an E_1 share only where a mode
+is within DEFLATION_TOL of 0 or 1, so the shares are formed on the rows of
+such edge modes alone, and the kept modes are those of the whole share
+matrix.  The stack's matrices are then grouped by their active modes
+(``PartitionStack``; a Fig. S2 stack is one group), and each group takes
+its block and union spectra with one batched ``eigvalsh`` each and its
+negativity from one whitened pencil, one Cholesky factor, solve and SVD
+for the group.  numpy's linear algebra runs each matrix of a batch through
+the LAPACK call a single matrix takes, and the stacked products run the
+same gemm per matrix, so every value is the one the matrix gives alone,
+to the last bit; a single finite matrix is a stack of one.
+
 Hermiticity.  Every matrix here is a ``CorrelationMatrix``: checked once,
 for finite entries and Hermiticity, when it is made from outside the
 package (``numerics.check_hermitian``), or built Hermitian exactly by the
@@ -183,7 +199,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
-from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix
+from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix, FiniteStack
 from .numerics import NumericsError
 
 __all__ = [
@@ -194,6 +210,7 @@ __all__ = [
     "renyi_index",
     "entropy",
     "Partition",
+    "PartitionStack",
     "partition",
     "BlockSpectra",
     "block_spectra",
@@ -253,14 +270,15 @@ def occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
     return _clamped(np.linalg.eigvalsh(c.matrix))
 
 
-def _clamped(nu: np.ndarray) -> tuple[np.ndarray, int]:
-    """nu clamped to [0, 1] and the number of values clamped; SpectrumError
-    beyond CLAMP_SLACK."""
+def _clamped(nu: np.ndarray):
+    """nu clamped to [0, 1] and the number of values clamped, an int for a
+    spectrum and one per row for a stack of them; SpectrumError beyond
+    CLAMP_SLACK."""
     if nu.size and (nu.min() < -CLAMP_SLACK or nu.max() > 1.0 + CLAMP_SLACK):
         worst = nu.min() if -nu.min() > nu.max() - 1.0 else nu.max()
         raise SpectrumError(f"correlation eigenvalue {worst} outside [0, 1] beyond slack")
-    clamped = int((nu < 0.0).sum() + (nu > 1.0).sum())
-    return np.clip(nu, 0.0, 1.0), clamped
+    clamped = (nu < 0.0).sum(axis=-1) + (nu > 1.0).sum(axis=-1)
+    return np.clip(nu, 0.0, 1.0), clamped if clamped.ndim else int(clamped)
 
 
 def renyi_index(order: float | str) -> float:
@@ -294,7 +312,10 @@ class BlockModes(NamedTuple):
     keeps, and ``first`` per block each mode's first-order share, the sum of
     the |off-diagonal entries| of its row.  ``matrix`` is None when U
     diagonalizes both blocks, and otherwise the whole of U^dag C U, whose
-    same-block entries the rule reads too."""
+    same-block entries the rule reads too.  The modes of finite-distance
+    matrices, the only ones with a ``matrix``, are those of a stack: every
+    array has a leading axis over its matrices, and ``clamp_count`` holds
+    one count per matrix."""
 
     nu_l: np.ndarray
     nu_r: np.ndarray
@@ -314,7 +335,8 @@ class Partition(NamedTuple):
     ``deflated_left`` and ``deflated_right`` are the clamped occupations of
     the other modes, and ``clamp_count`` counts the values clamped.  Either
     both blocks keep active modes or neither does.  ``modes``
-    (``BlockModes``) holds what every order's deflation reads.
+    (``BlockModes``) holds what every order's deflation reads, for a
+    finite-distance matrix as a stack of one.
     """
 
     reduced: CorrelationMatrix
@@ -342,10 +364,11 @@ def _far_eigenpairs(c: FarMatrix) -> tuple:
 
 
 def _real_congruence(left: np.ndarray, middle: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left^T (Re middle) right and left^T (Im middle) right, stacked, for real
-    left and right: a real matrix times a complex one would run in complex
+    """left^T (Re middle) right and left^T (Im middle) right, stacked on the
+    axis before the last two (middle may be a stack), for real left and
+    right: a real matrix times a complex one would run in complex
     arithmetic."""
-    return left.T @ np.stack([middle.real, middle.imag]) @ right
+    return left.T @ np.stack([middle.real, middle.imag], axis=-3) @ right
 
 
 @lru_cache(maxsize=4)
@@ -362,19 +385,21 @@ def _hankel_index(rows: int, cols: int) -> np.ndarray:
 
 
 def _folded(v: np.ndarray, rows: int, a: float, b: float) -> np.ndarray:
-    """Q_a^dag K Q_b for the Hankel matrix K[j, m] = v[j + m] with ``rows``
-    rows and Q_s = (I - i s J)/sqrt 2, as the stack of its real part
-    (K + ab JKJ)/2, Hankel, and its imaginary part (a JK - b KJ)/2,
-    Toeplitz, each formed on the 1-D values before its gather."""
-    flip = v[::-1]
-    terms = np.concatenate([0.5 * (v + a * b * flip), 0.5 * (a * v - b * flip)])
-    return terms[_hankel_index(rows, v.size + 1 - rows)]
+    """Q_a^dag K Q_b for the Hankel matrices K[j, m] = v[i, j + m] of the rows
+    v[i] of v, each with ``rows`` rows and Q_s = (I - i s J)/sqrt 2, as the
+    stack of its real part (K + ab JKJ)/2, Hankel, and its imaginary part
+    (a JK - b KJ)/2, Toeplitz, each formed on the 1-D values before its
+    gather: shape (len(v), 2, rows, columns)."""
+    flip = v[:, ::-1]
+    terms = np.concatenate([0.5 * (v + a * b * flip), 0.5 * (a * v - b * flip)], axis=1)
+    return terms[:, _hankel_index(rows, v.shape[1] + 1 - rows)]
 
 
 def _shares(size: np.ndarray, nu_a: np.ndarray, nu_b: np.ndarray) -> np.ndarray:
     """Two-mode estimate of each coupling's share of E_1,
-    min(|y|, |y|^2 / pair), between modes of occupations nu_a and nu_b."""
-    pair = np.maximum(1.0 - np.abs(np.subtract.outer(nu_a, nu_b)), size)
+    min(|y|, |y|^2 / pair), between the modes of occupations nu_a, one per
+    row of ``size``, and those of occupations nu_b along its rows."""
+    pair = np.maximum(1.0 - np.abs(nu_a[:, None] - nu_b), size)
     return np.divide(size * size, pair, out=np.zeros_like(size), where=pair > 0.0)
 
 
@@ -385,35 +410,43 @@ def _coupled(nu: np.ndarray, share: np.ndarray, coupled: np.ndarray) -> np.ndarr
     return ~edge & coupled
 
 
-def _finite_modes(c: FiniteMatrix) -> BlockModes:
-    """``Partition.modes`` of a finite-distance matrix in the eigenbasis
-    U = Q V of its far matrix's folded blocks.  There M = U^dag C U is
-    diag(nu_far) plus V^T X V for the folded far coupling and Hankel terms
-    X, each folded on its 1-D values and carried to the modes by real
-    products; the rule reads every off-diagonal entry of a mode's row,
-    same-block ones included."""
-    far, nl, dim = c.far, c.n_left, c.dim
+def _finite_modes(c: FiniteStack) -> BlockModes:
+    """``Partition.modes`` of a stack of finite-distance matrices in the
+    eigenbasis U = Q V of their far matrix's folded blocks.  There
+    M = U^dag C U is diag(nu_far) plus V^T X V for the folded far coupling
+    and Hankel terms X, each folded on its 1-D values and carried to the
+    modes by real products, one per term for the whole stack.  The rule
+    reads every off-diagonal entry of a mode's row, same-block ones
+    included, and the E_1 shares are formed on the rows of edge modes only,
+    since the rule reads no other share."""
+    far, nl, dim = c.far, c.far.n_left, c.dim
     (nu_l, _, vec_l), (nu_r, _, vec_r) = _far_eigenpairs(far)
-    m = np.empty((dim, dim), dtype=complex)
+    m = np.empty((len(c), dim, dim), dtype=complex)
     for rows, vec, h, sign in ((slice(0, nl), vec_l, c.hankel_left, 1.0), (slice(nl, dim), vec_r, c.hankel_right, -1.0)):
-        re, im = vec.T @ _folded(h, vec.shape[0], sign, sign) @ vec
+        parts = vec.T @ _folded(h, vec.shape[0], sign, sign) @ vec
+        re, im = parts[:, 0], parts[:, 1]
         # exactly Hermitian: the symmetric part of re, the antisymmetric one of im
-        np.add(re, re.T, out=m.real[rows, rows])
-        np.subtract(im, im.T, out=m.imag[rows, rows])
-        m[rows, rows] *= 0.5
+        np.add(re, re.swapaxes(1, 2), out=m.real[:, rows, rows])
+        np.subtract(im, im.swapaxes(1, 2), out=m.imag[:, rows, rows])
+        m[:, rows, rows] *= 0.5
     # the cross term of the A_L rows is K[m, j] = conj hankel_cross[j + m]
-    hankel, toeplitz = _folded(c.hankel_cross.conj(), nl, 1.0, -1.0)
-    re, im = _real_congruence(vec_l, far.coupling + (hankel + 1j * toeplitz), vec_r)
-    m.real[:nl, nl:], m.imag[:nl, nl:] = re, im
-    m.real[nl:, :nl], m.imag[nl:, :nl] = re.T, -im.T
-    nu, clamp_count = _clamped(np.concatenate([nu_l, nu_r]) + m.real.diagonal())
-    np.fill_diagonal(m, nu)
+    cross = _folded(c.hankel_cross.conj(), nl, 1.0, -1.0)
+    parts = _real_congruence(vec_l, far.coupling + (cross[:, 0] + 1j * cross[:, 1]), vec_r)
+    re, im = parts[:, 0], parts[:, 1]
+    m.real[:, :nl, nl:], m.imag[:, :nl, nl:] = re, im
+    m.real[:, nl:, :nl], m.imag[:, nl:, :nl] = re.swapaxes(1, 2), -im.swapaxes(1, 2)
+    diag = np.arange(dim)
+    nu, clamp_count = _clamped(np.concatenate([nu_l, nu_r]) + m.real[:, diag, diag])
+    m[:, diag, diag] = nu
     size = np.abs(m)
-    np.fill_diagonal(size, 0.0)
-    first = size.sum(axis=1)
-    kept = _coupled(nu, _shares(size, nu, nu).sum(axis=1), first > 0.0)
+    size[:, diag, diag] = 0.0
+    first = size.sum(axis=2)
+    share = np.zeros_like(nu)
+    at, row = np.nonzero(np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL)
+    share[at, row] = _shares(size[at, row], nu[at, row], nu[at]).sum(axis=1)
+    kept = _coupled(nu, share, first > 0.0)
     return BlockModes(
-        nu[:nl], nu[nl:], clamp_count, m[:nl, nl:], (kept[:nl], kept[nl:]), (first[:nl], first[nl:]), m
+        nu[:, :nl], nu[:, nl:], clamp_count, m[:, :nl, nl:], (kept[:, :nl], kept[:, nl:]), (first[:, :nl], first[:, nl:]), m
     )
 
 
@@ -422,15 +455,12 @@ def _block_modes(c: CorrelationMatrix) -> BlockModes:
 
     A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
     folded blocks and couples them through F in real arithmetic.  A
-    finite-distance matrix (``FiniteMatrix``) takes the same eigenpairs,
-    those of its far matrix (``_finite_modes``).  Any other matrix takes the
-    eigenpairs of its own blocks and its cross block, read from the rows of
-    A_L.
+    finite-distance matrix is the stack of ``_finite_modes``.  Any other
+    matrix takes the eigenpairs of its own blocks and its cross block, read
+    from the rows of A_L.
     """
     if c.n_left == 0 or c.n_right == 0:
         raise ValueError("a partition needs both blocks non-empty")
-    if isinstance(c, FiniteMatrix):
-        return _finite_modes(c)
     nl = c.n_left
     if isinstance(c, FarMatrix):
         pairs, cross = _far_eigenpairs(c), c.coupling
@@ -451,31 +481,86 @@ def _block_modes(c: CorrelationMatrix) -> BlockModes:
     return BlockModes(nu_l, nu_r, clamp_l + clamp_r, coupling, kept, (size.sum(axis=1), size.sum(axis=0)))
 
 
-def partition(c: CorrelationMatrix | Partition, order: float | str = "vn") -> Partition:
+class PartitionGroup(NamedTuple):
+    """The matrices of a stack that keep the same active modes: their
+    positions ``members`` in the stack, their reduced matrices as one array
+    of shape (len(members), k, k) split after ``n_left`` rows, and per
+    member its deflated occupations and clamp count, as in ``Partition``."""
+
+    members: np.ndarray
+    reduced: np.ndarray
+    n_left: int
+    deflated_left: np.ndarray
+    deflated_right: np.ndarray
+    clamp_count: np.ndarray
+
+
+class PartitionStack(NamedTuple):
+    """The partitions of a ``FiniteStack`` of ``size`` matrices at one order,
+    grouped by their active modes (``PartitionGroup``), so that the spectra
+    and the negativity of a group are taken in one batched call each."""
+
+    groups: tuple
+    size: int
+
+
+def _partition_stack(modes: BlockModes, order: float | str) -> PartitionStack:
+    """The partitions of the order from the block modes of a stack."""
+    nu_l, nu_r, clamp_count, _, (act_l, act_r), first, m = modes
+    if renyi_index(order) < 1.0:
+        act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
+    # a block without partners is decoupled whole, and the other with it
+    both = (act_l.any(axis=1) & act_r.any(axis=1))[:, None]
+    active = np.concatenate([act_l, act_r], axis=1) & both
+    members: dict[bytes, list[int]] = {}
+    for i, mask in enumerate(active):
+        members.setdefault(mask.tobytes(), []).append(i)
+    nl, groups = nu_l.shape[1], []
+    for rows in members.values():
+        idx, mask = np.array(rows), active[rows[0]]
+        if mask.any():
+            left, right, clamps = nu_l[idx][:, ~mask[:nl]], nu_r[idx][:, ~mask[nl:]], clamp_count[idx]
+        else:
+            # decoupled whole: the spectra of their blocks, which the modes
+            # do not diagonalize
+            (left, clamp_l), (right, clamp_r) = (
+                _clamped(np.linalg.eigvalsh(m[idx, b, b])) for b in (slice(0, nl), slice(nl, None))
+            )
+            clamps = clamp_count[idx] + clamp_l + clamp_r
+        keep = np.flatnonzero(mask)
+        groups.append(
+            PartitionGroup(idx, m[np.ix_(idx, keep, keep)], int(mask[:nl].sum()), left, right, clamps)
+        )
+    return PartitionStack(tuple(groups), len(active))
+
+
+def partition(c: CorrelationMatrix | Partition | FiniteStack, order: float | str = "vn"):
     """The partition deflated for an entropy of this order; the rule is in
     the module docstring, and the negativity reads order 1.  A partition
     passed in is deflated again from its ``modes``, so the partitions of
-    several orders share one decomposition."""
-    modes = c.modes if isinstance(c, Partition) else _block_modes(c)
-    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first, m = modes
+    several orders share one decomposition.  A ``FiniteStack`` gives a
+    ``PartitionStack``, and a single finite-distance matrix is partitioned
+    as a stack of one."""
+    if isinstance(c, FiniteStack):
+        return _partition_stack(_finite_modes(c), order)
+    if isinstance(c, FiniteMatrix):
+        modes = _finite_modes(FiniteStack(c.far, c.hankel_left[None], c.hankel_right[None], c.hankel_cross[None]))
+    else:
+        modes = c.modes if isinstance(c, Partition) else _block_modes(c)
+    if modes.matrix is not None:
+        (group,) = _partition_stack(modes, order).groups
+        reduced = CorrelationMatrix(group.reduced[0], group.n_left, built_hermitian=True)
+        return Partition(reduced, group.deflated_left[0], group.deflated_right[0], int(group.clamp_count[0]), modes)
+    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first, _ = modes
     if renyi_index(order) < 1.0:
         act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
     if not (act_l.any() and act_r.any()):
-        # a block without partners is decoupled whole: its occupations, or
-        # the spectrum of its block where the modes do not diagonalize it
+        # a block without partners is decoupled whole
         act_l, act_r = np.zeros_like(act_l), np.zeros_like(act_r)
-        if m is not None:
-            nl = nu_l.size
-            (nu_l, clamp_l), (nu_r, clamp_r) = (_clamped(np.linalg.eigvalsh(b)) for b in (m[:nl, :nl], m[nl:, nl:]))
-            clamp_count += clamp_l + clamp_r
     k = int(act_l.sum())
-    if m is None:
-        reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
-        reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
-        reduced[k:, :k] = reduced[:k, k:].conj().T
-    else:
-        active = np.concatenate([act_l, act_r])
-        reduced = m[np.ix_(active, active)]
+    reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
+    reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
+    reduced[k:, :k] = reduced[:k, k:].conj().T
     active = CorrelationMatrix(reduced, k, built_hermitian=True)
     return Partition(active, nu_l[~act_l], nu_r[~act_r], clamp_count, modes)
 
@@ -492,25 +577,41 @@ class BlockSpectra(NamedTuple):
     deflated_right: np.ndarray
 
 
-def block_spectra(c: Partition) -> BlockSpectra:
+def _reduced_spectra(a: np.ndarray, k: int) -> tuple:
+    """The clamped spectra of the A_L block, the A_R block and the whole of
+    a reduced matrix split after k rows, or of each matrix of a stack, and
+    the values clamped.  The blocks are not diagonal: their spectra, never
+    their eigenvectors."""
+    (left, clamp_l), (right, clamp_r), (union, clamp_a) = (
+        _clamped(np.linalg.eigvalsh(b)) for b in (a[..., :k, :k], a[..., k:, k:], a)
+    )
+    return left, right, union, clamp_l + clamp_r + clamp_a
+
+
+def block_spectra(c: Partition | PartitionStack):
     """The spectra every entropy-based measure of a partition reads: the
     active and deflated spectra, whose union spectrum is that of the reduced
-    matrix."""
+    matrix.  A ``PartitionStack`` gives a list, one per matrix, from one
+    batched ``eigvalsh`` per group and block."""
+    if isinstance(c, PartitionStack):
+        out = [None] * c.size
+        for g in c.groups:
+            spectra = zip(*_reduced_spectra(g.reduced, g.n_left), g.clamp_count, g.deflated_left, g.deflated_right)
+            for i, (left, right, union, clamp, offset, off_l, off_r) in zip(g.members, spectra):
+                out[i] = BlockSpectra(left, right, union, int(clamp + offset), off_l, off_r)
+        return out
     if not isinstance(c, Partition):
         raise TypeError(f"block_spectra reads a Partition, not a {type(c).__name__}: pass partition(c)")
     active, k = c.reduced, c.reduced.n_left
-    nu = active.matrix.diagonal().real
     if not active.dim:
+        nu = active.matrix.diagonal().real
         return BlockSpectra(nu, nu, nu, c.clamp_count, c.deflated_left, c.deflated_right)
-    if c.modes.matrix is None:
-        (left, right), clamp = (nu[:k], nu[k:]), 0
-    else:
-        # the reduced blocks are not diagonal: their spectra, never their
-        # eigenvectors
-        (left, clamp_l), (right, clamp_r) = map(occupation_spectrum, (active.block_left(), active.block_right()))
-        clamp = clamp_l + clamp_r
+    if c.modes.matrix is not None:
+        left, right, union, clamp = _reduced_spectra(active.matrix, k)
+        return BlockSpectra(left, right, union, c.clamp_count + clamp, c.deflated_left, c.deflated_right)
+    nu = active.matrix.diagonal().real
     union, clamp_a = occupation_spectrum(active)
-    return BlockSpectra(left, right, union, c.clamp_count + clamp + clamp_a, c.deflated_left, c.deflated_right)
+    return BlockSpectra(nu[:k], nu[k:], union, c.clamp_count + clamp_a, c.deflated_left, c.deflated_right)
 
 
 def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> EntanglementReport:
@@ -541,39 +642,49 @@ def _negativity_detail(c: CorrelationMatrix | Partition) -> tuple[float, float]:
         c = partition(c)
     if c.reduced.dim == 0:
         return 0.0, 0.0
-    return _whitened_pencil(c.reduced)
+    e1, residual = _whitened_pencil(c.reduced.matrix, c.reduced.n_left)
+    return float(e1), float(residual)
 
 
-def _whitened_pencil(c: CorrelationMatrix) -> tuple[float, float]:
-    """(E_1, pairing residual max(s) - 1) of a matrix with both blocks
-    non-empty, in its own dtype."""
-    a = c.matrix
-    dim = a.shape[0]
-    diag = np.diag_indices(dim)
-    z = np.where(np.arange(dim) < c.n_left, 1.0, -1.0)
+def _whitened_pencil(a: np.ndarray, n_left: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E_1, pairing residual max(s) - 1) of a matrix split after n_left
+    rows, both blocks non-empty, in its own dtype, or of each matrix of a
+    stack of them, from one Cholesky factor, one solve and one SVD."""
+    dim = a.shape[-1]
+    diag = np.arange(dim)
+    z = np.where(diag < n_left, 1.0, -1.0)
     gamma = 2.0 * a - np.eye(dim)
-    b = gamma @ gamma.conj().T
-    b[diag] += 1.0
+    b = gamma @ gamma.conj().swapaxes(-1, -2)
+    b[..., diag, diag] += 1.0
     minus = -gamma
-    minus[diag] += z
-    gamma[diag] += z
+    minus[..., diag, diag] += z
+    gamma[..., diag, diag] += z
     try:
-        log_det_half = float(np.log(np.linalg.cholesky(b).diagonal().real).sum())
+        log_det_half = np.log(np.linalg.cholesky(b).diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
         s = np.linalg.svd(minus @ np.linalg.solve(b, gamma), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(f"whitened pencil of I + Gamma_+ Gamma_-: {exc}") from exc
 
+    residual = s.max(axis=-1) - 1.0
     # not max(0, ...): a NaN must fail the check
-    residual = float(s.max()) - 1.0
-    if not residual <= PAIRING_TOL:
-        raise SingularResolvent(f"C_X pairing residual {residual:.3e} exceeds {PAIRING_TOL:.1e}")
-    return float(0.5 * np.log1p(s).sum() + (log_det_half - 0.5 * dim * np.log(2.0))), residual
+    failed = ~(residual <= PAIRING_TOL)
+    if failed.any():
+        raise SingularResolvent(f"C_X pairing residual {residual[failed][0]:.3e} exceeds {PAIRING_TOL:.1e}")
+    return 0.5 * np.log1p(s).sum(axis=-1) + (log_det_half - 0.5 * dim * np.log(2.0)), residual
 
 
-def fermionic_negativity(c: CorrelationMatrix | Partition) -> float:
+def fermionic_negativity(c: CorrelationMatrix | Partition | PartitionStack):
     """Logarithmic fermionic negativity E_1 of a partition, or of a matrix
-    partitioned at order 1."""
-    return _negativity_detail(c)[0]
+    partitioned at order 1.  A ``PartitionStack`` gives a list, one per
+    matrix, from one whitened pencil per group."""
+    if not isinstance(c, PartitionStack):
+        return _negativity_detail(c)[0]
+    values = [0.0] * c.size
+    for g in c.groups:
+        if g.reduced.shape[-1]:
+            for i, value in zip(g.members, _whitened_pencil(g.reduced, g.n_left)[0].tolist()):
+                values[i] = value
+    return values
 
 
 def measures(

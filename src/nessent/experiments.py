@@ -409,6 +409,10 @@ def _distance_clusters(config: ExperimentConfig, bias: BiasState) -> list[range]
     return [range(center, center + window) for center in sorted({int(c) for c in np.round(spaced)})]
 
 
+#: consecutive distances a distance sweep solves in one stack; the stack's
+#: arrays grow with it (16 raised the Fig. S2 run's peak RSS from 37 to 48 MB)
+DISTANCE_STACK = 4
+
 _DISTANCE_FIELDS = [
     "row_type", "measure", "d", "center_d", "value", "far_value",
     "window_mean", "avg_deviation", "amplitude",
@@ -422,8 +426,11 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     Distances are sampled in clusters of ``window`` consecutive integers
     around logarithmically spaced centers; the cluster mean removes the
     aliased Friedel oscillation, the spread around it gives the amplitude.
-    Every distance is solved once, on one worker pool for the whole sweep,
-    and the clusters read their values from it.
+    Every distance is solved once: the sorted distances in stacks of
+    DISTANCE_STACK consecutive ones (``correlation.FiniteStack``), on one
+    worker pool for the whole sweep, and the clusters read their values
+    from it.  A stack that fails is solved again one distance at a time, so
+    the failure names the first distance that fails, as it fails alone.
     """
     model = config.build_model()
     bias = config.build_bias()
@@ -440,12 +447,33 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     with _failure_at("far limit"):
         far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell)))
 
-    def one_distance(d: int) -> dict[str, float]:
-        with _failure_at(f"d={d}"):
-            return measured(correlation_matrix_finite(builder, SubsystemGeometry(d, ell, d, ell)))
+    def stacked(ds: list[int]) -> list[dict[str, float]]:
+        part = partition(correlation_matrix_finite(builder, [SubsystemGeometry(d, ell, d, ell) for d in ds]))
+        values: list[dict[str, float]] = [{} for _ in ds]
+        if "mi" in wanted:
+            for v, spectra in zip(values, block_spectra(part)):
+                v["mi"] = report_from_spectra(spectra, "vn").mutual_info
+        if "negativity" in wanted:
+            for v, e1 in zip(values, fermionic_negativity(part)):
+                v["negativity"] = e1
+        return values
+
+    def one_stack(ds: list[int]) -> list[dict[str, float]]:
+        try:
+            return stacked(ds)
+        except (NumericsError, SpectrumError, np.linalg.LinAlgError):
+            pass
+        # a stack fails as a whole: solved one at a time, its distances raise
+        # as each does alone, the first that fails first
+        values = []
+        for d in ds:
+            with _failure_at(f"d={d}"):
+                values += stacked([d])
+        return values
 
     distances = sorted({d for ds in clusters for d in ds})
-    by_distance = dict(zip(distances, _map_ordered(one_distance, distances, config.threads)))
+    stacks = [distances[i : i + DISTANCE_STACK] for i in range(0, len(distances), DISTANCE_STACK)]
+    by_distance = dict(zip(distances, (v for vs in _map_ordered(one_stack, stacks, config.threads) for v in vs)))
     rows: list[dict] = []
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
     for ds in clusters:

@@ -169,6 +169,20 @@ def test_finite_sweep_reads_only_the_hankel_terms_after_its_first_matrix(monkeyp
     assert read[1] == read[2] == [("L", "rL"), ("L", "tLc"), ("R", "rR"), ("R", "tR")]
 
 
+def test_finite_stack_rows_are_the_matrices_alone():
+    # a stack gathers each Hankel term once for all its distances; every
+    # matrix of it has the bytes of the one built alone
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    geoms = [SubsystemGeometry(d, 5, d, 5) for d in (3, 70, 200)]
+    stack = correlation_matrix_finite(builder, geoms)
+    assert len(stack) == 3 and stack.hankel_cross.shape == (3, 9)
+    for i, geom in enumerate(geoms):
+        alone = correlation_matrix_finite(CorrelationBuilder(IMPURITY, BIAS), geom)
+        assert stack[i].matrix.tobytes() == alone.matrix.tobytes()
+    with pytest.raises(ValueError, match="shares d_l - d_r and the lengths"):
+        correlation_matrix_finite(builder, [SubsystemGeometry(3, 5, 3, 5), SubsystemGeometry(4, 5, 3, 5)])
+
+
 def test_every_table_factor_is_read():
     # a factor that neither regime reads is dead code
     builder = CorrelationBuilder(IMPURITY, BIAS)
@@ -186,6 +200,27 @@ def test_table_blocks_do_not_depend_on_request_order():
         a = fresh.coefficients(window, factor, rates)
         b = primed.coefficients(window, factor, rates)
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("window, factor", [("L", "rL"), ("R", "tR"), ("V", "T"), ("L", "tLc")])
+def test_coefficients_fill_only_the_blocks_their_rates_lie_in(window, factor):
+    # rates 0 and 6400 lie in blocks 0 and 100 (tLc reads tL at -6400 and 0,
+    # blocks -100 and 0): the blocks between them stay empty, and each value
+    # is the one a read of its rate alone gives
+    rates = np.array([0, 6400])
+    builder = CorrelationBuilder(IMPURITY, BIAS)
+    both = builder.coefficients(window, factor, rates)
+    table = "tL" if factor == "tLc" else factor
+    blocks = [-100, 0] if factor == "tLc" else [0, 100]
+    assert sorted(b for w, f, b in builder._blocks if (w, f) == (window, table)) == blocks
+    assert len(builder._blocks) == 2
+    for rate, value in zip(rates, both):
+        alone = CorrelationBuilder(IMPURITY, BIAS).coefficients(window, factor, np.array([rate]))
+        assert value.tobytes() == alone[0].tobytes()
+    # a stack of rows reads the same values as each row alone
+    rows = np.array([[6400, 0], [1, 6401]])
+    for row, values in zip(rows, builder.coefficients(window, factor, rows)):
+        assert values.tobytes() == CorrelationBuilder(IMPURITY, BIAS).coefficients(window, factor, row).tobytes()
 
 
 def test_high_rate_blocks_do_not_depend_on_company_or_thread():

@@ -12,11 +12,11 @@ import nessent.correlation as cor
 from nessent.correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
-    FiniteMatrix,
+    FiniteStack,
     SubsystemGeometry,
     correlation_matrix_far,
 )
-from nessent.entanglement import SpectrumError
+from nessent.entanglement import SingularResolvent, SpectrumError, partition
 from nessent.numerics import NonConvergence, NotHermitian
 from nessent.scattering import PoleData, ScatteringModel, SingleImpurity
 from nessent.experiments import (
@@ -697,17 +697,20 @@ def distance_config(**overrides):
 
 
 def test_distance_sweep_maps_its_distances_once(monkeypatch):
-    # one worker pool per sweep, whatever the number of clusters, and a
-    # distance two clusters share is solved once
+    # one worker pool per sweep, whatever the number of clusters, over
+    # stacks of consecutive distances that cover the sorted distances once:
+    # a distance two clusters share is solved once
     import nessent.experiments as ex
 
     calls = count_calls(monkeypatch, ex, "_map_ordered")
     # twelve clusters of consecutive distances between 16 and 80 overlap
     _, rows = run_sweep_distance(distance_config(d_over_ell_max=10, n_centers=12, threads=2))
     assert len(calls) == 1
-    mapped = calls[0][1]
+    stacks = calls[0][1]
     points = [row["d"] for row in rows_of(rows, row_type="point", measure="mi")]
-    assert mapped == sorted(set(points)) and len(mapped) < len(points)
+    assert [d for ds in stacks for d in ds] == sorted(set(points)) and len(stacks) > 1
+    assert all(len(ds) == ex.DISTANCE_STACK for ds in stacks[:-1]) and 1 <= len(stacks[-1]) <= ex.DISTANCE_STACK
+    assert len(set(points)) < len(points)
 
 
 def test_distance_sweep_decomposes_only_its_far_blocks(monkeypatch):
@@ -866,8 +869,11 @@ def figs2_table_keys(epsilon0: float):
     """The Fig. S2 config at epsilon0 and the table keys its distances read."""
     cfg = replace(parse_config(FIGS2, "sweep-distance"), epsilon0=epsilon0)
     geoms = [SubsystemGeometry(d, cfg.ell, d, cfg.ell) for ds in _distance_clusters(cfg, cfg.build_bias()) for d in ds]
-    reads = [read for geom in geoms for read in cor._hankel_reads(geom)]
-    keys = [(window, "tL" if factor == "tLc" else factor, b) for window, factor, rates in reads for b in cor._span(rates)]
+    keys = [
+        (window, "tL" if factor == "tLc" else factor, b)
+        for window, factor, rates in cor._hankel_reads(geoms)
+        for b in sorted(set(((-rates if factor == "tLc" else rates) // cor.BLOCK).ravel().tolist()))
+    ]
     return cfg, list(dict.fromkeys(keys))
 
 
@@ -890,15 +896,16 @@ def test_table_fill_order_keeps_the_bytes(epsilon0):
         assert all(builder._blocks[key].tobytes() == first[key].tobytes() for key in keys)
 
 
-def _overfilled(finite, at):
-    """correlation_matrix_finite with Hankel terms 100 times too large at
-    the distances in at: a matrix whose spectrum leaves [0, 1]."""
+def _overfilled(finite, at, terms=("left", "right", "cross"), factor=100.0):
+    """correlation_matrix_finite on a stack of geometries, with the Hankel
+    terms named 100 times too large (or ``factor`` times) at the distances
+    in at: by default matrices whose spectra leave [0, 1]."""
 
-    def build(builder, geom):
-        cm = finite(builder, geom)
-        if geom.d_l not in at:
-            return cm
-        return FiniteMatrix(cm.far, 100 * cm.hankel_left, 100 * cm.hankel_right, 100 * cm.hankel_cross)
+    def build(builder, geoms):
+        stack = finite(builder, geoms)
+        scale = np.array([[factor if geom.d_l in at else 1.0] for geom in geoms])
+        hankel = {term: getattr(stack, f"hankel_{term}") for term in ("left", "right", "cross")}
+        return FiniteStack(stack.far, *(scale * h if term in terms else h for term, h in hankel.items()))
 
     return build
 
@@ -916,6 +923,58 @@ def test_distance_sweep_failure_names_the_first_failing_distance(monkeypatch, th
     )
     with pytest.raises(SpectrumError, match=r"^d=155: correlation eigenvalue \S+ outside \[0, 1\] beyond slack$"):
         run_sweep_distance(cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_distance_sweep_names_a_singular_pencil_inside_its_stack(monkeypatch, threads):
+    # d = 156 is the third distance of the stack 154..157: its cross term
+    # 1e8 times too large leaves the diagonal occupations alone and gives a
+    # pencil whose Cholesky factor, as emulated here, fails; the stack fails
+    # as a whole and the failure names d = 156
+    import nessent.experiments as ex
+
+    monkeypatch.setattr(ex, "correlation_matrix_finite", _overfilled(ex.correlation_matrix_finite, {156}, ("cross",), 1e8))
+    cholesky = np.linalg.cholesky
+
+    def fails_when_ill_scaled(b):
+        if np.abs(b).max() > 1e6:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(b)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fails_when_ill_scaled)
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=38.5, d_over_ell_max=38.5, n_centers=1, window=5, measures=("negativity",), threads=threads,
+    )
+    with pytest.raises(SingularResolvent, match=r"^d=156: whitened pencil of I \+ Gamma_\+ Gamma_-: Matrix is not"):
+        run_sweep_distance(cfg)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stacked_distance_sweep_equals_each_distance_alone(monkeypatch, threads):
+    # at epsilon0 = 2, k_fl = 3 and k_fr = 2.95 every mode of ell = 8 stays
+    # active up to d = 7, and 12 of 16 from d = 10 on: the stack 5, 6, 9, 10
+    # holds three sets of active modes.  Each point is the value of its
+    # matrix solved alone, to the last bit
+    import nessent.experiments as ex
+
+    calls = count_calls(monkeypatch, ex, "_map_ordered")
+    cfg = distance_config(
+        epsilon0=2.0, k_fl=3.0, k_fr=2.95, d_over_ell_min=0.125, d_over_ell_max=5, n_centers=6, window=3,
+        fit_min_d_over_ell=0.125, threads=threads,
+    )
+    _, rows = run_sweep_distance(cfg)
+    builder = CorrelationBuilder(cfg.build_model(), cfg.build_bias())
+    geoms = [[SubsystemGeometry(d, 8, d, 8) for d in ds] for ds in calls[0][1]]
+    groups = [len(partition(cor.correlation_matrix_finite(builder, stack)).groups) for stack in geoms]
+    assert max(groups) == 3
+    active = {g.d_l: partition(cor.correlation_matrix_finite(builder, g)).reduced.dim for stack in geoms for g in stack}
+    assert active[1] == 16 and active[40] == 12
+    points = rows_of(rows, row_type="point")
+    assert {row["measure"] for row in points} == {"mi", "negativity"}
+    for row in points:
+        numeric = ex._point_values(cor.correlation_matrix_finite(builder, SubsystemGeometry(row["d"], 8, row["d"], 8)))
+        assert row["value"] == numeric(row["measure"], "vn")
 
 
 @pytest.mark.parametrize("epsilon0", [0.02, 0.05, 1e-4])

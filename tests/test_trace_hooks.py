@@ -20,7 +20,8 @@ measures = mi, ci, negativity
 renyi_orders = vn
 """
 
-# l = 4 at the three distances 8, 9 and 10: a far matrix and three finite ones
+# l = 4 at the three distances 8, 9 and 10: a far matrix and one stack of
+# three finite ones
 DISTANCE_CONFIG = """scenario = sweep-distance
 model = single_impurity
 epsilon0 = 1.0
@@ -86,7 +87,7 @@ def test_traced_run_keeps_csv_bytes_and_opens_layer_spans(tmp_path):
 
 def test_traced_distance_sweep_keeps_csv_bytes_and_opens_finite_spans(tmp_path):
     spans = traced_spans(tmp_path, "sweep-distance", DISTANCE_CONFIG)
-    assert spans.count("correlation.finite") == 3
+    assert spans.count("correlation.finite") == 1
     assert spans.count("correlation.far") == 1
     for name in ("correlation.prefetch", "entanglement.negativity"):
         assert spans.count(name) >= 1, f"span {name} never opened"

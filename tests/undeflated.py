@@ -35,4 +35,5 @@ def spectra(cm):
 
 def negativity(cm):
     """E_1 of the whitened pencil on the whole matrix."""
-    return ent._whitened_pencil(folded(cm))[0]
+    cm = folded(cm)
+    return float(ent._whitened_pencil(cm.matrix, cm.n_left)[0])
