@@ -28,7 +28,7 @@ from .correlation import (
 )
 from .entanglement import (
     EntanglementReport,
-    Partition,
+    PartitionStack,
     block_spectra,
     entropy,
     fermionic_negativity,

@@ -184,14 +184,6 @@ class CorrelationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def block_left(self) -> "CorrelationMatrix":
-        n = self.n_left
-        return CorrelationMatrix(self.matrix[:n, :n], n, built_hermitian=True)
-
-    def block_right(self) -> "CorrelationMatrix":
-        n = self.n_left
-        return CorrelationMatrix(self.matrix[n:, n:], 0, built_hermitian=True)
-
     def cross_block(self) -> np.ndarray:
         """<c_L^dag c_R> block (rows A_L, columns A_R)."""
         n = self.n_left

@@ -6,8 +6,10 @@ measures follow from the eigenvalues nu of the restricted correlation matrix:
     Renyi:        S_n = 1/(1-n) * sum ln[nu^n + (1-nu)^n]
     von Neumann:  S   = -sum [nu ln nu + (1-nu) ln(1-nu)]
 
-(Peschel, J. Phys. A 36, L205 (2003)).  Every measure reads a ``Partition``
-(below): ``block_spectra`` takes its spectra of A_L, A_R and A once, and
+(Peschel, J. Phys. A 36, L205 (2003)).  Every measure reads a
+``PartitionStack`` (below), the partitions of a stack of matrices, where a
+single matrix of any kind is a stack of one: ``block_spectra`` takes the
+spectra of A_L, A_R and A of each matrix once, and
 ``report_from_spectra`` turns them into one ``EntanglementReport`` per
 order: mutual information S(A_L) + S(A_R) - S(A) and the coherent
 information, fixed to the direction I(A_L > A_R) = S(A_R) - S(A).
@@ -18,9 +20,12 @@ J. 57, 1371 (1978)), and such modes barely entangle A_L with A_R.
 ``partition`` takes the eigenpairs (nu, u) of the A_L and A_R blocks, forms
 their coupling Y = U_L^dag C_LR U_R, and keeps the active modes; the rest
 are deflated.  It returns the reduced matrix U^dag C U on the active modes
-and the deflated eigenvalues.  A finite-distance matrix takes the
-eigenpairs of its far matrix's blocks instead (below), so its modes carry
-same-block entries too, and nu is the diagonal of U^dag C U.  Why this is
+and the deflated eigenvalues; where U diagonalizes both blocks, as for a
+far-limit or hand-built matrix, the reduced matrix is the active
+occupations on the diagonal, bordered by their coupling.  A
+finite-distance matrix takes the eigenpairs of its far matrix's blocks
+instead (below), so its modes carry same-block entries too, and nu is the
+diagonal of U^dag C U.  Why this is
 exact to round-off:
 
 * 0 <= C <= I, so Cauchy-Schwarz for C and for I - C bounds every coupling
@@ -110,7 +115,18 @@ negativity from one whitened pencil, one Cholesky factor, solve and SVD
 for the group.  numpy's linear algebra runs each matrix of a batch through
 the LAPACK call a single matrix takes, and the stacked products run the
 same gemm per matrix, so every value is the one the matrix gives alone,
-to the last bit; a single finite matrix is a stack of one.
+to the last bit.  Every other matrix is a stack of one, a single group: a
+far-limit or hand-built one reads its block spectra off the diagonal of
+its reduced matrix and takes the union spectrum with
+``occupation_spectrum``.
+
+Non-finite values.  The builders make finite entries, and
+``check_hermitian`` rejects a non-finite entry of a matrix made outside the
+package.  A NaN that still reaches the partition fails it by name: a NaN
+occupation raises SpectrumError where the occupations are clamped, as does
+a block whose ``eigh`` fails on it, and a non-finite first-order share (a
+coupling row sum) raises NotHermitian, where it would otherwise fail every
+comparison of the rule and be deflated unseen.
 
 Hermiticity.  Every matrix here is a ``CorrelationMatrix``: checked once,
 for finite entries and Hermiticity, when it is made from outside the
@@ -127,10 +143,11 @@ E_1 rule above deflates it and its first-order share sum_j |Y_ij| is at most
 LOW_ORDER_TOL = 3e-9 as well, 5x below the sqrt(eps) = 1.5e-8 round-off
 floor of the order-1/2 spectra themselves.  The n < 1 active modes are thus
 a superset of the others, and both sets are read from the one Y: a
-``Partition`` keeps its block modes, and ``partition(p, order)`` deflates it
-again for another order without a further decomposition.  On fig. 2 far
-matrices (epsilon0 = 0.5, 1, 2 and constant T = 1/2) 38-39 of 40 modes stay
-at ell = 20, 80-81 of 200 at ell = 100 and 106-108 of 400 at ell = 200.
+``PartitionStack`` keeps its block modes, and ``partition(p, order)``
+deflates it again for another order without a further decomposition.  On
+fig. 2 far matrices (epsilon0 = 0.5, 1, 2 and constant T = 1/2) 38-39 of 40
+modes stay at ell = 20, 80-81 of 200 at ell = 100 and 106-108 of 400 at
+ell = 200.
 Their order-1/2 MI was compared with a reference
 S_1/2 = 2 sum ln(sigma + sigma'), sigma and sigma' the singular values of
 the rows of V and W, where C = V V^dag and I - C = W W^dag (V V^dag matches
@@ -186,8 +203,9 @@ s <= 1 in exact arithmetic, so the pairing residual max(s) - 1 is asserted
 at most PAIRING_TOL and reported in the diagnostics; a NaN fails that
 check.  The C_X construction is from Shapourian, Shiozaki & Ryu, PRB 95,
 165101 (2017), and Eisler & Zimboras, NJP 17, 053048 (2015).
-The pencil runs on a partition's reduced matrix only, a bare matrix being
-partitioned at order 1 first; a deflated mode adds nothing to E_1.
+The pencil runs on the reduced matrices of a partition stack only, one
+pencil per group, a bare matrix or ``FiniteStack`` being partitioned at
+order 1 first; a deflated mode adds nothing to E_1.
 """
 
 from __future__ import annotations
@@ -200,7 +218,7 @@ import numpy as np
 from numpy.linalg import eigvals as eig_general, inv as mat_inverse  # noqa: F401  read by perfbench/tracer.py
 
 from .correlation import CorrelationMatrix, FarMatrix, FiniteMatrix, FiniteStack
-from .numerics import NumericsError
+from .numerics import NotHermitian, NumericsError
 
 __all__ = [
     "SpectrumError",
@@ -209,7 +227,6 @@ __all__ = [
     "occupation_spectrum",
     "renyi_index",
     "entropy",
-    "Partition",
     "PartitionStack",
     "partition",
     "BlockSpectra",
@@ -237,7 +254,8 @@ PAIRING_TOL = 1e-7
 
 
 class SpectrumError(ValueError):
-    """Correlation-matrix spectrum outside [0, 1] beyond the clamping slack."""
+    """Correlation-matrix spectrum outside [0, 1] beyond the clamping slack,
+    NaN, or not computed at all."""
 
 
 class SingularResolvent(NumericsError):
@@ -273,8 +291,8 @@ def occupation_spectrum(c: CorrelationMatrix) -> tuple[np.ndarray, int]:
 def _clamped(nu: np.ndarray):
     """nu clamped to [0, 1] and the number of values clamped, an int for a
     spectrum and one per row for a stack of them; SpectrumError beyond
-    CLAMP_SLACK."""
-    if nu.size and (nu.min() < -CLAMP_SLACK or nu.max() > 1.0 + CLAMP_SLACK):
+    CLAMP_SLACK, and on a NaN, which fails both comparisons."""
+    if nu.size and not (nu.min() >= -CLAMP_SLACK and nu.max() <= 1.0 + CLAMP_SLACK):
         worst = nu.min() if -nu.min() > nu.max() - 1.0 else nu.max()
         raise SpectrumError(f"correlation eigenvalue {worst} outside [0, 1] beyond slack")
     clamped = (nu < 0.0).sum(axis=-1) + (nu > 1.0).sum(axis=-1)
@@ -304,51 +322,33 @@ def entropy(nu: np.ndarray, order: float | str = "vn") -> float:
 
 
 class BlockModes(NamedTuple):
-    """What every order's deflation of a matrix reads, in a basis U of block
-    modes (module docstring).  ``nu_l`` and ``nu_r`` are the clamped
-    occupations of the modes, the diagonal of U^dag C U, and
-    ``clamp_count`` counts the values clamped; ``coupling`` is
-    Y = U_L^dag C_LR U_R; ``kept`` holds per block the modes the E_1 rule
-    keeps, and ``first`` per block each mode's first-order share, the sum of
-    the |off-diagonal entries| of its row.  ``matrix`` is None when U
-    diagonalizes both blocks, and otherwise the whole of U^dag C U, whose
-    same-block entries the rule reads too.  The modes of finite-distance
-    matrices, the only ones with a ``matrix``, are those of a stack: every
-    array has a leading axis over its matrices, and ``clamp_count`` holds
-    one count per matrix."""
+    """What every order's deflation of a stack of matrices reads, in a basis
+    U of block modes (module docstring); every array has a leading axis over
+    the matrices.  ``nu`` holds the clamped occupations of the modes, those
+    of A_L and then those of A_R, the diagonal of U^dag C U, and
+    ``clamp_count`` per matrix the values clamped; ``coupling`` is
+    Y = U_L^dag C_LR U_R; ``kept`` marks the modes the E_1 rule keeps, and
+    ``first`` holds each mode's first-order share, the sum of the
+    |off-diagonal entries| of its row.  ``matrix`` is None when U
+    diagonalizes both blocks, as for a far-limit or hand-built matrix, and
+    otherwise the whole of U^dag C U, whose same-block entries the rule
+    reads too."""
 
-    nu_l: np.ndarray
-    nu_r: np.ndarray
-    clamp_count: int
+    nu: np.ndarray
+    clamp_count: np.ndarray
     coupling: np.ndarray
-    kept: tuple
-    first: tuple
+    kept: np.ndarray
+    first: np.ndarray
     matrix: np.ndarray | None = None
 
 
-class Partition(NamedTuple):
-    """A partition deflated to the modes an entropy of its order keeps.
-
-    ``reduced`` is U^dag C U on the active modes, those of A_L and then
-    those of A_R: their occupations on the diagonal, their coupling across
-    the blocks, and within the blocks too when ``modes.matrix`` is set.
-    ``deflated_left`` and ``deflated_right`` are the clamped occupations of
-    the other modes, and ``clamp_count`` counts the values clamped.  Either
-    both blocks keep active modes or neither does.  ``modes``
-    (``BlockModes``) holds what every order's deflation reads, for a
-    finite-distance matrix as a stack of one.
-    """
-
-    reduced: CorrelationMatrix
-    deflated_left: np.ndarray
-    deflated_right: np.ndarray
-    clamp_count: int
-    modes: BlockModes
-
-
 def _block_eigenpairs(block: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block."""
-    nu, vecs = np.linalg.eigh(block)
+    """Clamped eigenvalues, clamp count and eigenvectors of a diagonal block;
+    SpectrumError where ``eigh`` fails, as it may on a block with a NaN."""
+    try:
+        nu, vecs = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"block spectrum not computed: {exc}") from exc
     return (*_clamped(nu), vecs)
 
 
@@ -403,15 +403,16 @@ def _shares(size: np.ndarray, nu_a: np.ndarray, nu_b: np.ndarray) -> np.ndarray:
     return np.divide(size * size, pair, out=np.zeros_like(size), where=pair > 0.0)
 
 
-def _coupled(nu: np.ndarray, share: np.ndarray, coupled: np.ndarray) -> np.ndarray:
+def _coupled(nu: np.ndarray, share: np.ndarray, first: np.ndarray) -> np.ndarray:
     """The modes the E_1 rule keeps, from their occupations, their summed
-    E_1 shares and whether they couple at all."""
+    E_1 shares and their first-order shares, which are 0 exactly when a
+    mode couples to nothing."""
     edge = (np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL) & (share <= DEFLATION_TOL)
-    return ~edge & coupled
+    return ~edge & (first > 0.0)
 
 
 def _finite_modes(c: FiniteStack) -> BlockModes:
-    """``Partition.modes`` of a stack of finite-distance matrices in the
+    """The block modes of a stack of finite-distance matrices in the
     eigenbasis U = Q V of their far matrix's folded blocks.  There
     M = U^dag C U is diag(nu_far) plus V^T X V for the folded far coupling
     and Hankel terms X, each folded on its 1-D values and carried to the
@@ -444,18 +445,14 @@ def _finite_modes(c: FiniteStack) -> BlockModes:
     share = np.zeros_like(nu)
     at, row = np.nonzero(np.minimum(nu, 1.0 - nu) <= DEFLATION_TOL)
     share[at, row] = _shares(size[at, row], nu[at, row], nu[at]).sum(axis=1)
-    kept = _coupled(nu, share, first > 0.0)
-    return BlockModes(
-        nu[:, :nl], nu[:, nl:], clamp_count, m[:, :nl, nl:], (kept[:, :nl], kept[:, nl:]), (first[:, :nl], first[:, nl:]), m
-    )
+    return BlockModes(nu, clamp_count, m[:, :nl, nl:], _coupled(nu, share, first), first, m)
 
 
 def _block_modes(c: CorrelationMatrix) -> BlockModes:
-    """``Partition.modes`` of a matrix.
+    """The block modes of a far-limit or hand-built matrix, a stack of one.
 
     A far-limit matrix (``FarMatrix``) takes the eigenpairs of its builder's
-    folded blocks and couples them through F in real arithmetic.  A
-    finite-distance matrix is the stack of ``_finite_modes``.  Any other
+    folded blocks and couples them through F in real arithmetic.  Any other
     matrix takes the eigenpairs of its own blocks and its cross block, read
     from the rows of A_L.
     """
@@ -474,18 +471,20 @@ def _block_modes(c: CorrelationMatrix) -> BlockModes:
         coupling = vec_l.conj().T @ cross @ vec_r
     size = np.abs(coupling)
     share = _shares(size, nu_l, nu_r)
-    kept = (
-        _coupled(nu_l, share.sum(axis=1), np.any(coupling, axis=1)),
-        _coupled(nu_r, share.sum(axis=0), np.any(coupling, axis=0)),
-    )
-    return BlockModes(nu_l, nu_r, clamp_l + clamp_r, coupling, kept, (size.sum(axis=1), size.sum(axis=0)))
+    nu = np.concatenate([nu_l, nu_r])
+    first = np.concatenate([size.sum(axis=1), size.sum(axis=0)])
+    kept = _coupled(nu, np.concatenate([share.sum(axis=1), share.sum(axis=0)]), first)
+    return BlockModes(nu[None], np.array([clamp_l + clamp_r]), coupling[None], kept[None], first[None])
 
 
 class PartitionGroup(NamedTuple):
     """The matrices of a stack that keep the same active modes: their
-    positions ``members`` in the stack, their reduced matrices as one array
-    of shape (len(members), k, k) split after ``n_left`` rows, and per
-    member its deflated occupations and clamp count, as in ``Partition``."""
+    positions ``members`` in the stack, and their reduced matrices U^dag C U
+    on the active modes, those of A_L and then those of A_R, as one array of
+    shape (len(members), k, k) split after ``n_left`` rows.  Per member,
+    ``deflated_left`` and ``deflated_right`` hold the clamped occupations of
+    the other modes and ``clamp_count`` the values clamped.  Either both
+    blocks keep active modes or neither does."""
 
     members: np.ndarray
     reduced: np.ndarray
@@ -496,30 +495,48 @@ class PartitionGroup(NamedTuple):
 
 
 class PartitionStack(NamedTuple):
-    """The partitions of a ``FiniteStack`` of ``size`` matrices at one order,
-    grouped by their active modes (``PartitionGroup``), so that the spectra
-    and the negativity of a group are taken in one batched call each."""
+    """The partitions of ``size`` matrices at one order, grouped by their
+    active modes (``PartitionGroup``), so that the spectra and the
+    negativity of a group are taken in one batched call each.  ``modes``
+    (``BlockModes``) holds what every order's deflation reads."""
 
     groups: tuple
     size: int
+    modes: BlockModes
 
 
 def _partition_stack(modes: BlockModes, order: float | str) -> PartitionStack:
-    """The partitions of the order from the block modes of a stack."""
-    nu_l, nu_r, clamp_count, _, (act_l, act_r), first, m = modes
+    """The partitions of the order from the block modes of a stack.  A
+    non-finite first-order share raises NotHermitian: it would fail every
+    comparison and deflate its mode unseen."""
+    nu, clamp_count, coupling, kept, first, m = modes
+    bad = np.argwhere(~np.isfinite(first))
+    if bad.size:
+        raise NotHermitian(f"non-finite coupling of block mode {bad[0, 1]}")
+    nl = coupling.shape[1]
     if renyi_index(order) < 1.0:
-        act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
+        kept = kept | (first > LOW_ORDER_TOL)
     # a block without partners is decoupled whole, and the other with it
-    both = (act_l.any(axis=1) & act_r.any(axis=1))[:, None]
-    active = np.concatenate([act_l, act_r], axis=1) & both
+    active = kept & (kept[:, :nl].any(axis=1) & kept[:, nl:].any(axis=1))[:, None]
     members: dict[bytes, list[int]] = {}
     for i, mask in enumerate(active):
         members.setdefault(mask.tobytes(), []).append(i)
-    nl, groups = nu_l.shape[1], []
+    groups = []
     for rows in members.values():
         idx, mask = np.array(rows), active[rows[0]]
-        if mask.any():
-            left, right, clamps = nu_l[idx][:, ~mask[:nl]], nu_r[idx][:, ~mask[nl:]], clamp_count[idx]
+        keep, k = np.flatnonzero(mask), int(mask[:nl].sum())
+        if m is None:
+            # diagonal blocks: the active occupations, bordered by their coupling
+            reduced = np.zeros((len(idx), keep.size, keep.size), dtype=coupling.dtype)
+            diag = np.arange(keep.size)
+            reduced[:, diag, diag] = nu[np.ix_(idx, keep)]
+            reduced[:, :k, k:] = coupling[np.ix_(idx, keep[:k], keep[k:] - nl)]
+            reduced[:, k:, :k] = reduced[:, :k, k:].conj().swapaxes(1, 2)
+        else:
+            reduced = m[np.ix_(idx, keep, keep)]
+        if mask.any() or m is None:
+            deflated = nu[idx][:, ~mask]
+            left, right, clamps = deflated[:, : nl - k], deflated[:, nl - k :], clamp_count[idx]
         else:
             # decoupled whole: the spectra of their blocks, which the modes
             # do not diagonalize
@@ -527,42 +544,25 @@ def _partition_stack(modes: BlockModes, order: float | str) -> PartitionStack:
                 _clamped(np.linalg.eigvalsh(m[idx, b, b])) for b in (slice(0, nl), slice(nl, None))
             )
             clamps = clamp_count[idx] + clamp_l + clamp_r
-        keep = np.flatnonzero(mask)
-        groups.append(
-            PartitionGroup(idx, m[np.ix_(idx, keep, keep)], int(mask[:nl].sum()), left, right, clamps)
-        )
-    return PartitionStack(tuple(groups), len(active))
+        groups.append(PartitionGroup(idx, reduced, k, left, right, clamps))
+    return PartitionStack(tuple(groups), len(active), modes)
 
 
-def partition(c: CorrelationMatrix | Partition | FiniteStack, order: float | str = "vn"):
-    """The partition deflated for an entropy of this order; the rule is in
-    the module docstring, and the negativity reads order 1.  A partition
+def partition(c: CorrelationMatrix | FiniteStack | PartitionStack, order: float | str = "vn") -> PartitionStack:
+    """The partitions of a matrix, a stack of one, or of a ``FiniteStack``,
+    deflated for an entropy of this order; the rule is in the module
+    docstring, and the negativity reads order 1.  A ``PartitionStack``
     passed in is deflated again from its ``modes``, so the partitions of
-    several orders share one decomposition.  A ``FiniteStack`` gives a
-    ``PartitionStack``, and a single finite-distance matrix is partitioned
-    as a stack of one."""
-    if isinstance(c, FiniteStack):
-        return _partition_stack(_finite_modes(c), order)
+    several orders share one decomposition."""
     if isinstance(c, FiniteMatrix):
-        modes = _finite_modes(FiniteStack(c.far, c.hankel_left[None], c.hankel_right[None], c.hankel_cross[None]))
+        c = FiniteStack(c.far, c.hankel_left[None], c.hankel_right[None], c.hankel_cross[None])
+    if isinstance(c, PartitionStack):
+        modes = c.modes
+    elif isinstance(c, FiniteStack):
+        modes = _finite_modes(c)
     else:
-        modes = c.modes if isinstance(c, Partition) else _block_modes(c)
-    if modes.matrix is not None:
-        (group,) = _partition_stack(modes, order).groups
-        reduced = CorrelationMatrix(group.reduced[0], group.n_left, built_hermitian=True)
-        return Partition(reduced, group.deflated_left[0], group.deflated_right[0], int(group.clamp_count[0]), modes)
-    nu_l, nu_r, clamp_count, coupling, (act_l, act_r), first, _ = modes
-    if renyi_index(order) < 1.0:
-        act_l, act_r = act_l | (first[0] > LOW_ORDER_TOL), act_r | (first[1] > LOW_ORDER_TOL)
-    if not (act_l.any() and act_r.any()):
-        # a block without partners is decoupled whole
-        act_l, act_r = np.zeros_like(act_l), np.zeros_like(act_r)
-    k = int(act_l.sum())
-    reduced = np.diag(np.concatenate([nu_l[act_l], nu_r[act_r]])).astype(coupling.dtype)
-    reduced[:k, k:] = coupling[np.ix_(act_l, act_r)]
-    reduced[k:, :k] = reduced[:k, k:].conj().T
-    active = CorrelationMatrix(reduced, k, built_hermitian=True)
-    return Partition(active, nu_l[~act_l], nu_r[~act_r], clamp_count, modes)
+        modes = _block_modes(c)
+    return _partition_stack(modes, order)
 
 
 class BlockSpectra(NamedTuple):
@@ -579,39 +579,43 @@ class BlockSpectra(NamedTuple):
 
 def _reduced_spectra(a: np.ndarray, k: int) -> tuple:
     """The clamped spectra of the A_L block, the A_R block and the whole of
-    a reduced matrix split after k rows, or of each matrix of a stack, and
-    the values clamped.  The blocks are not diagonal: their spectra, never
-    their eigenvectors."""
+    each reduced matrix of a stack split after k rows, and the values
+    clamped.  The blocks are not diagonal: their spectra, never their
+    eigenvectors."""
     (left, clamp_l), (right, clamp_r), (union, clamp_a) = (
         _clamped(np.linalg.eigvalsh(b)) for b in (a[..., :k, :k], a[..., k:, k:], a)
     )
     return left, right, union, clamp_l + clamp_r + clamp_a
 
 
-def block_spectra(c: Partition | PartitionStack):
-    """The spectra every entropy-based measure of a partition reads: the
-    active and deflated spectra, whose union spectrum is that of the reduced
-    matrix.  A ``PartitionStack`` gives a list, one per matrix, from one
-    batched ``eigvalsh`` per group and block."""
-    if isinstance(c, PartitionStack):
-        out = [None] * c.size
-        for g in c.groups:
-            spectra = zip(*_reduced_spectra(g.reduced, g.n_left), g.clamp_count, g.deflated_left, g.deflated_right)
-            for i, (left, right, union, clamp, offset, off_l, off_r) in zip(g.members, spectra):
-                out[i] = BlockSpectra(left, right, union, int(clamp + offset), off_l, off_r)
-        return out
-    if not isinstance(c, Partition):
-        raise TypeError(f"block_spectra reads a Partition, not a {type(c).__name__}: pass partition(c)")
-    active, k = c.reduced, c.reduced.n_left
-    if not active.dim:
-        nu = active.matrix.diagonal().real
-        return BlockSpectra(nu, nu, nu, c.clamp_count, c.deflated_left, c.deflated_right)
-    if c.modes.matrix is not None:
-        left, right, union, clamp = _reduced_spectra(active.matrix, k)
-        return BlockSpectra(left, right, union, c.clamp_count + clamp, c.deflated_left, c.deflated_right)
-    nu = active.matrix.diagonal().real
-    union, clamp_a = occupation_spectrum(active)
-    return BlockSpectra(nu[:k], nu[k:], union, c.clamp_count + clamp_a, c.deflated_left, c.deflated_right)
+def _diagonal_spectra(a: np.ndarray, k: int):
+    """The spectra of each reduced matrix of a stack whose blocks are
+    diagonal: the blocks' read off the diagonal, the union's from
+    ``occupation_spectrum``, matrix by matrix."""
+    for member in a:
+        nu = member.diagonal().real
+        yield (nu[:k], nu[k:], *occupation_spectrum(CorrelationMatrix(member, k, built_hermitian=True)))
+
+
+def block_spectra(c: PartitionStack) -> list[BlockSpectra]:
+    """The spectra every entropy-based measure of a partition reads, one
+    ``BlockSpectra`` per matrix: the active and deflated spectra, whose
+    union spectrum is that of the reduced matrix.  A group whose blocks the
+    modes do not diagonalize takes them with one batched ``eigvalsh`` per
+    block and one for the union."""
+    if not isinstance(c, PartitionStack):
+        raise TypeError(f"block_spectra reads a PartitionStack, not a {type(c).__name__}: pass partition(c)")
+    out = [None] * c.size
+    for g in c.groups:
+        if c.modes.matrix is None:
+            spectra = _diagonal_spectra(g.reduced, g.n_left)
+        else:
+            spectra = zip(*_reduced_spectra(g.reduced, g.n_left))
+        for i, (left, right, union, clamp), offset, off_l, off_r in zip(
+            g.members, spectra, g.clamp_count, g.deflated_left, g.deflated_right
+        ):
+            out[i] = BlockSpectra(left, right, union, int(clamp + offset), off_l, off_r)
+    return out
 
 
 def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> EntanglementReport:
@@ -633,17 +637,6 @@ def report_from_spectra(spectra: BlockSpectra, order: float | str = "vn") -> Ent
         coherent_info=s_r - s_u - off_l,
         clamp_count=spectra.clamp_count,
     )
-
-
-def _negativity_detail(c: CorrelationMatrix | Partition) -> tuple[float, float]:
-    """(E_1, pairing residual max(s) - 1) of a partition, a bare matrix
-    being partitioned at order 1; the deflated modes add nothing."""
-    if not isinstance(c, Partition):
-        c = partition(c)
-    if c.reduced.dim == 0:
-        return 0.0, 0.0
-    e1, residual = _whitened_pencil(c.reduced.matrix, c.reduced.n_left)
-    return float(e1), float(residual)
 
 
 def _whitened_pencil(a: np.ndarray, n_left: int) -> tuple[np.ndarray, np.ndarray]:
@@ -673,18 +666,22 @@ def _whitened_pencil(a: np.ndarray, n_left: int) -> tuple[np.ndarray, np.ndarray
     return 0.5 * np.log1p(s).sum(axis=-1) + (log_det_half - 0.5 * dim * np.log(2.0)), residual
 
 
-def fermionic_negativity(c: CorrelationMatrix | Partition | PartitionStack):
-    """Logarithmic fermionic negativity E_1 of a partition, or of a matrix
-    partitioned at order 1.  A ``PartitionStack`` gives a list, one per
-    matrix, from one whitened pencil per group."""
-    if not isinstance(c, PartitionStack):
-        return _negativity_detail(c)[0]
-    values = [0.0] * c.size
+def _negativity(c: PartitionStack) -> tuple[list[float], list[float]]:
+    """E_1 and the pairing residual of each matrix of a partition stack,
+    from one whitened pencil per group; a deflated mode adds nothing, so a
+    group without active modes reads 0 for both."""
+    e1, residual = np.zeros(c.size), np.zeros(c.size)
     for g in c.groups:
         if g.reduced.shape[-1]:
-            for i, value in zip(g.members, _whitened_pencil(g.reduced, g.n_left)[0].tolist()):
-                values[i] = value
-    return values
+            e1[g.members], residual[g.members] = _whitened_pencil(g.reduced, g.n_left)
+    return e1.tolist(), residual.tolist()
+
+
+def fermionic_negativity(c: CorrelationMatrix | FiniteStack | PartitionStack) -> list[float]:
+    """Logarithmic fermionic negativity E_1 of each matrix of a partition
+    stack, or of a matrix (a stack of one) or a ``FiniteStack`` partitioned
+    at order 1."""
+    return _negativity(c if isinstance(c, PartitionStack) else partition(c))[0]
 
 
 def measures(
@@ -692,9 +689,10 @@ def measures(
     order: float | str = "vn",
     with_negativity: bool = False,
 ) -> EntanglementReport:
-    """MI, CI and the entropies of one partition, plus the negativity on request."""
+    """MI, CI and the entropies of one matrix, plus the negativity on request."""
     part = partition(c, order)
-    report = report_from_spectra(block_spectra(part), order)
+    (spectra,) = block_spectra(part)
+    report = report_from_spectra(spectra, order)
     if with_negativity:
-        report.negativity, report.pairing_residual = _negativity_detail(partition(part))
+        (report.negativity,), (report.pairing_residual,) = _negativity(partition(part))
     return report

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from .config import ExperimentConfig, format_value, order_label
 from .correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
+    FiniteStack,
     SubsystemGeometry,
     correlation_matrix_far,
     correlation_matrix_finite,
@@ -151,36 +151,31 @@ _REPORT_FIELDS = {
 }
 
 
-def _point_values(cmat: CorrelationMatrix):
-    """``numeric(measure, order)``, the value of a CSV measure on one matrix.
+def _point_values(c: CorrelationMatrix | FiniteStack, series: list[tuple]) -> list[list[float]]:
+    """The value of each (measure, order) of ``series`` on each matrix of c,
+    a matrix being a stack of one: one list per matrix, in series order.
 
     The block modes, the partition and spectra of each deflation rule
-    (orders below 1, or not) and each order's report are taken at most once,
-    whatever the measures asked; the negativity is E_1 at any order.
+    (orders below 1, or not) and each order's reports are taken at most
+    once, whatever the measures asked; the negativity is E_1 at any order.
     """
-
-    # no cached function here calls itself: one that did would be a reference
-    # cycle, holding the point's arrays until the cycle collector runs
-    @cache
-    def deflated():
-        return partition(cmat)
-
-    @cache
-    def spectra(low_order: bool):
-        # every order below 1 reads one deflation, every other order another,
-        # both from the block modes of the latter
-        return block_spectra(partition(deflated(), 0.5) if low_order else deflated())
-
-    @cache
-    def report(order):
-        return report_from_spectra(spectra(renyi_index(order) < 1.0), order)
-
-    def numeric(measure: str, order) -> float:
+    vn = partition(c)
+    spectra: dict[bool, list] = {}
+    reports: dict = {}
+    columns = []
+    for measure, order in series:
         if measure == "negativity":
-            return fermionic_negativity(deflated())
-        return getattr(report(order), _REPORT_FIELDS[measure])
-
-    return numeric
+            columns.append(fermionic_negativity(vn))
+            continue
+        low = renyi_index(order) < 1.0
+        if low not in spectra:
+            # every order below 1 reads one deflation, every other order
+            # another, both from the block modes of the latter
+            spectra[low] = block_spectra(partition(vn, 0.5) if low else vn)
+        if order not in reports:
+            reports[order] = [report_from_spectra(s, order) for s in spectra[low]]
+        columns.append([getattr(report, _REPORT_FIELDS[measure]) for report in reports[order]])
+    return [[column[i] for column in columns] for i in range(vn.size)]
 
 
 def _point_rows(
@@ -303,10 +298,12 @@ def _far_sweep(config: ExperimentConfig, name: str, coords: list[int], point, dr
     first: dict[tuple[int, int, int], int] = {}
     reps = [first.setdefault(_mirror_key(geom), i) for i, (geom, _) in enumerate(placed)]
 
+    wanted = [(measure, order) for measure, order, _ in series]
+
     def compute(i: int) -> list[float]:
         with _failure_at(f"{name}={coords[i]}"):
-            numeric = _point_values(correlation_matrix_far(builder, placed[i][0]))
-            return [numeric(measure, order) for measure, order, _ in series]
+            (values,) = _point_values(correlation_matrix_far(builder, placed[i][0]), wanted)
+            return values
 
     def solved(indices: list[int]) -> dict[int, list[float]]:
         return dict(zip(indices, _map_ordered(compute, indices, config.threads)))
@@ -438,27 +435,17 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     clusters = _distance_clusters(config, bias)
 
     wanted = [m for m in ("mi", "negativity") if m in config.measures]
-
-    def measured(cmat: CorrelationMatrix) -> dict[str, float]:
-        numeric = _point_values(cmat)
-        return {measure: numeric(measure, "vn") for measure in wanted}
+    vn_series = [(measure, "vn") for measure in wanted]
 
     builder = CorrelationBuilder(model, bias)
     with _failure_at("far limit"):
-        far_vals = measured(correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell)))
+        (far_vals,) = _point_values(correlation_matrix_far(builder, SubsystemGeometry(0, ell, 0, ell)), vn_series)
 
-    def stacked(ds: list[int]) -> list[dict[str, float]]:
-        part = partition(correlation_matrix_finite(builder, [SubsystemGeometry(d, ell, d, ell) for d in ds]))
-        values: list[dict[str, float]] = [{} for _ in ds]
-        if "mi" in wanted:
-            for v, spectra in zip(values, block_spectra(part)):
-                v["mi"] = report_from_spectra(spectra, "vn").mutual_info
-        if "negativity" in wanted:
-            for v, e1 in zip(values, fermionic_negativity(part)):
-                v["negativity"] = e1
-        return values
+    def stacked(ds: list[int]) -> list[list[float]]:
+        geoms = [SubsystemGeometry(d, ell, d, ell) for d in ds]
+        return _point_values(correlation_matrix_finite(builder, geoms), vn_series)
 
-    def one_stack(ds: list[int]) -> list[dict[str, float]]:
+    def one_stack(ds: list[int]) -> list[list[float]]:
         try:
             return stacked(ds)
         except (NumericsError, SpectrumError, np.linalg.LinAlgError):
@@ -478,11 +465,11 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
     series: dict[str, list[tuple[float, float, float]]] = {m: [] for m in wanted}
     for ds in clusters:
         values = [by_distance[d] for d in ds]
-        for measure in wanted:
-            vals = np.array([v[measure] for v in values])
+        for j, measure in enumerate(wanted):
+            vals = np.array([v[j] for v in values])
             mean = float(vals.mean())
             center_d = float(np.mean(ds))
-            avg_dev = abs(mean - far_vals[measure])
+            avg_dev = abs(mean - far_vals[j])
             # the 1/d^2 trend drifts across the window; remove a local linear
             # fit before reading off the oscillation amplitude, otherwise the
             # drift buries the oscillation of weakly oscillating measures
@@ -491,11 +478,11 @@ def run_sweep_distance(config: ExperimentConfig) -> tuple[list[str], list[dict]]
             for d, v in zip(ds, vals):
                 rows.append(
                     {"row_type": "point", "measure": measure, "d": d, "center_d": center_d,
-                     "value": float(v), "far_value": far_vals[measure]}
+                     "value": float(v), "far_value": far_vals[j]}
                 )
             rows.append(
                 {"row_type": "center", "measure": measure, "center_d": center_d,
-                 "far_value": far_vals[measure], "window_mean": mean,
+                 "far_value": far_vals[j], "window_mean": mean,
                  "avg_deviation": avg_dev, "amplitude": amplitude}
             )
             series[measure].append((center_d, avg_dev, amplitude))

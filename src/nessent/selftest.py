@@ -125,7 +125,7 @@ def negativity_product_state_zero():
     c[:2, 2:] = 0.0
     c[2:, :2] = 0.0
     cm0 = CorrelationMatrix(c, cm.n_left)
-    assert abs(fermionic_negativity(cm0)) < 1e-8
+    assert abs(fermionic_negativity(cm0)[0]) < 1e-8
 
 
 @check

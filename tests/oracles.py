@@ -2,7 +2,9 @@
 only by tests.
 
 ``correlation_moments`` is Tr C^p by repeated matrix products, against
-which the occupation spectrum's power sums are checked.
+which the occupation spectrum's power sums are checked, and ``block_left``
+and ``block_right`` are the diagonal blocks of a correlation matrix as
+matrices of their own.
 
 ``wavefunction`` is the scattering state of a model at a site, the input of
 the factored-projector and mpmath references, and ``sites`` lists the sites
@@ -42,6 +44,18 @@ def correlation_moments(c: CorrelationMatrix, p: int) -> float:
     for _ in range(p - 1):
         power = power @ a
     return float(np.trace(power).real)
+
+
+def block_left(c: CorrelationMatrix) -> CorrelationMatrix:
+    """The A_L block of a correlation matrix, all of it A_L."""
+    n = c.n_left
+    return CorrelationMatrix(c.matrix[:n, :n], n, built_hermitian=True)
+
+
+def block_right(c: CorrelationMatrix) -> CorrelationMatrix:
+    """The A_R block of a correlation matrix, all of it A_R."""
+    n = c.n_left
+    return CorrelationMatrix(c.matrix[n:, n:], 0, built_hermitian=True)
 
 
 def sites(geom: SubsystemGeometry) -> tuple[int, ...]:

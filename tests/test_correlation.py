@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import sites, wavefunction
+from oracles import block_left, block_right, sites, wavefunction
 from nessent.correlation import (
     _FACTORS,
     BLOCK,
@@ -572,7 +572,7 @@ def test_far_limit_mirrored_bias_ordering():
 
 def test_far_diag_constant_transmission():
     model = ConstantTransmission(0.37)
-    cm = correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 3, 0, 3)).block_right()
+    cm = block_right(correlation_matrix_far(CorrelationBuilder(model, BIAS), SubsystemGeometry(0, 3, 0, 3)))
     expected = BIAS.k_fr / np.pi + 0.37 * (BIAS.k_fl - BIAS.k_fr) / (2 * np.pi)
     assert cm.matrix[0, 0].real == pytest.approx(expected, abs=1e-12)
 
@@ -598,7 +598,7 @@ def test_far_diagonal_blocks_equal_direct_construction_bytes(k_fl, k_fr):
         cm = correlation_matrix_far(builder, SubsystemGeometry(0, n, 0, n))
         idx = np.arange(1, n + 1)
         x = np.subtract.outer(idx, idx)
-        for block, kf, sign in ((cm.block_left().matrix, k_fl, -1.0), (cm.block_right().matrix, k_fr, 1.0)):
+        for block, kf, sign in ((block_left(cm).matrix, k_fl, -1.0), (block_right(cm).matrix, k_fr, 1.0)):
             sea = np.where(x == 0, kf / np.pi, np.sin(kf * x) / (np.pi * np.where(x == 0, 1, x)))
             full = sea + sign * builder.coefficients("V", "T", -x)
             upper = np.triu(full, 1)
@@ -652,11 +652,11 @@ def test_far_finite_mi_agreement_moderate_distance():
 def test_partition_block_views():
     geom = SubsystemGeometry(1, 2, 1, 3)
     cm = correlation_matrix_far(CorrelationBuilder(IMPURITY, BIAS), geom)
-    assert cm.block_left().matrix.shape == (2, 2)
-    assert cm.block_right().matrix.shape == (3, 3)
+    assert block_left(cm).matrix.shape == (2, 2)
+    assert block_right(cm).matrix.shape == (3, 3)
     assert cm.cross_block().shape == (2, 3)
     assert (cm.n_left, cm.n_right, cm.dim) == (2, 3, 5)
-    assert (cm.block_left().n_left, cm.block_right().n_left) == (2, 0)
+    assert (block_left(cm).n_left, block_right(cm).n_left) == (2, 0)
 
 
 def test_correlation_matrix_validates_shape_and_split():

@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import fockspace as fs
 import undeflated
-from oracles import correlation_moments
+from oracles import block_left, block_right, correlation_moments
 from nessent.correlation import (
     CorrelationBuilder,
     CorrelationMatrix,
+    FarBlock,
+    FarMatrix,
+    FiniteMatrix,
     SubsystemGeometry,
     correlation_matrix_far,
     correlation_matrix_finite,
@@ -50,6 +53,13 @@ def diag_cm(values, nl):
 
 def spectrum_of(cm):
     return occupation_spectrum(cm)[0]
+
+
+def single(part):
+    """The reduced matrix and the deflated occupations of the one matrix of
+    a partition stack of one."""
+    (group,) = part.groups
+    return group.reduced[0], group.deflated_left[0], group.deflated_right[0]
 
 
 def far_fig2(ell):
@@ -171,7 +181,7 @@ def test_negativity_two_site_fock_oracle():
     rho = fs.gaussian_density_matrix(cm.matrix)
     oracle = fs.negativity_dm(rho, [0], 2)
     assert oracle == pytest.approx(np.log(2.0), abs=1e-10)
-    assert fermionic_negativity(cm) == pytest.approx(oracle, abs=1e-10)
+    assert fermionic_negativity(cm) == [pytest.approx(oracle, abs=1e-10)]
 
 
 @pytest.mark.parametrize("left", [[0], [0, 1], [1, 3]])
@@ -251,14 +261,15 @@ def test_every_measure_rejects_a_nonfinite_matrix(solve, entry, value):
         solve(CorrelationMatrix(mat, 1))
 
 
-def test_negativity_nonfinite_input_raises_singular_resolvent():
-    # the pencil's own failure path: a matrix marked as a builder's skips
-    # the check on construction
-    for entry in ((0, 1), (1, 1)):
-        mat = np.full((2, 2), 0.5, dtype=complex)
-        mat[entry] = np.nan
-        with pytest.raises(SingularResolvent):
-            fermionic_negativity(CorrelationMatrix(mat, 1, built_hermitian=True))
+@pytest.mark.parametrize("entry, error", [((0, 1), NotHermitian), ((1, 1), SpectrumError)])
+def test_negativity_nonfinite_builder_matrix_fails_the_partition_by_name(entry, error):
+    # a matrix marked as a builder's skips the check on construction; its
+    # NaN fails the partition before the pencil: in the coupling as a
+    # non-finite first-order share, on the diagonal as a NaN occupation
+    mat = np.full((2, 2), 0.5, dtype=complex)
+    mat[entry] = np.nan
+    with pytest.raises(error, match="non-finite coupling|eigenvalue nan"):
+        fermionic_negativity(CorrelationMatrix(mat, 1, built_hermitian=True))
 
 
 def test_negativity_relation_to_half_renyi_mi_slope():
@@ -293,7 +304,7 @@ def test_negativity_pure_state_fock_oracle(nl, nr):
     occupied = np.arange(dim) < rng.integers(1, dim)
     cm, _ = cm_from_spectrum(rng, nl, nr, occupied.astype(float))
     oracle = fs.negativity_dm(fs.gaussian_density_matrix(cm.matrix), list(range(nl)), dim)
-    assert abs(fermionic_negativity(cm) - oracle) < 1e-12
+    assert abs(fermionic_negativity(cm)[0] - oracle) < 1e-12
 
 
 def test_negativity_stable_under_roundoff_perturbation():
@@ -302,7 +313,7 @@ def test_negativity_stable_under_roundoff_perturbation():
     h = rng.normal(size=(cm.dim, cm.dim)) + 1j * rng.normal(size=(cm.dim, cm.dim))
     h = 0.5 * (h + h.conj().T)
     nudged = CorrelationMatrix(cm.matrix + 1e-13 * h / np.abs(h).max(), cm.n_left)
-    assert abs(fermionic_negativity(nudged) - fermionic_negativity(cm)) < 1e-9
+    assert abs(fermionic_negativity(nudged)[0] - fermionic_negativity(cm)[0]) < 1e-9
 
 
 def mp_negativity(cm, mp):
@@ -335,7 +346,7 @@ def test_negativity_matches_mpmath_reference(ell):
     with mpmath.workdps(40):
         reference = float(mp_negativity(cm, mpmath))
     assert abs(undeflated.negativity(cm) - reference) < 1e-12
-    assert abs(fermionic_negativity(cm) - reference) < 1e-12
+    assert abs(fermionic_negativity(cm)[0] - reference) < 1e-12
 
 
 @pytest.mark.parametrize("d", [16, 59])
@@ -348,7 +359,7 @@ def test_finite_negativity_matches_mpmath_reference(d):
     with mpmath.workdps(40):
         reference = float(mp_negativity(cm, mpmath))
     assert abs(undeflated.negativity(cm) - reference) < 1e-13
-    assert abs(fermionic_negativity(partition(cm)) - reference) < 1e-13
+    assert abs(fermionic_negativity(partition(cm))[0] - reference) < 1e-13
 
 
 @pytest.mark.parametrize("stage", ["solve", "svd"])
@@ -378,11 +389,11 @@ def test_negativity_nonnegative_and_swap_symmetric(seed, nl, nr, n_pinned):
     pinned = min(n_pinned, nl + nr)
     nu[:pinned] = rng.integers(0, 2, size=pinned)
     cm, _ = cm_from_spectrum(rng, nl, nr, nu)
-    value = fermionic_negativity(cm)
+    (value,) = fermionic_negativity(cm)
     assert value >= -1e-12
     swap = np.r_[nl:nl + nr, 0:nl]
     swapped = CorrelationMatrix(cm.matrix[np.ix_(swap, swap)], nr)
-    assert abs(fermionic_negativity(swapped) - value) < 1e-12
+    assert abs(fermionic_negativity(swapped)[0] - value) < 1e-12
 
 
 # --- properties of real builder output -----------------------------------------
@@ -418,7 +429,7 @@ builder_inputs = st.tuples(
 def test_builder_output_spectrum_mi_and_ci_bounds(inputs):
     regime, epsilon0, flip, d_l, ell_l, d_r, ell_r = inputs
     cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l, d_r, ell_r))
-    for block in (cm.matrix, cm.block_left().matrix, cm.block_right().matrix):
+    for block in (cm.matrix, block_left(cm).matrix, block_right(cm).matrix):
         nu = np.linalg.eigvalsh(block)
         assert nu.min() >= -CLAMP_SLACK and nu.max() <= 1.0 + CLAMP_SLACK
     rep = measures(cm, "vn")
@@ -459,19 +470,20 @@ def test_deflated_partition_matches_full_matrix(inputs):
     cm = builder_matrix(regime, epsilon0, flip, SubsystemGeometry(d_l, ell_l, d_r, ell_r))
     full = report_from_spectra(undeflated.spectra(cm), "vn")
     deflated = partition(cm)
-    rep = report_from_spectra(block_spectra(deflated), "vn")
+    (spectra,) = block_spectra(deflated)
+    rep = report_from_spectra(spectra, "vn")
     assert abs(rep.mutual_info - full.mutual_info) < 1e-11
     assert abs(rep.coherent_info - full.coherent_info) < 1e-11
-    assert abs(fermionic_negativity(deflated) - undeflated.negativity(cm)) < 1e-11
+    assert abs(fermionic_negativity(deflated)[0] - undeflated.negativity(cm)) < 1e-11
 
 
 def test_partition_deflates_most_far_modes():
     cm = far_fig2(100)
-    deflated = partition(cm)
-    active = deflated.reduced.dim
+    reduced, deflated_left, deflated_right = single(partition(cm))
+    active = reduced.shape[0]
     assert active < cm.dim // 2
-    assert active + deflated.deflated_left.size + deflated.deflated_right.size == cm.dim
-    assert np.minimum(deflated.deflated_left, 1 - deflated.deflated_left).max() <= 1e-13
+    assert active + deflated_left.size + deflated_right.size == cm.dim
+    assert np.minimum(deflated_left, 1 - deflated_left).max() <= 1e-13
     rep = measures(cm, "vn", with_negativity=True)
     full = report_from_spectra(undeflated.spectra(cm), "vn")
     assert abs(rep.s_a - full.s_a) < 1e-11
@@ -488,18 +500,20 @@ def test_sub_unit_orders_deflate_the_same_modes_again(monkeypatch):
     half = partition(vn, 0.5)
     assert not solves and half.modes is vn.modes
     monkeypatch.undo()
-    assert partition(cm, 0.5).reduced.matrix.tobytes() == half.reduced.matrix.tobytes()
-    assert partition(vn).reduced.matrix.tobytes() == vn.reduced.matrix.tobytes()
-    assert vn.reduced.dim < half.reduced.dim < cm.dim
+    (vn_reduced, *_), (half_reduced, *_) = single(vn), single(half)
+    assert single(partition(cm, 0.5))[0].tobytes() == half_reduced.tobytes()
+    assert single(partition(vn))[0].tobytes() == vn_reduced.tobytes()
+    assert vn_reduced.shape[0] < half_reduced.shape[0] < cm.dim
     for part in (vn, half):
-        assert part.reduced.dim + part.deflated_left.size + part.deflated_right.size == cm.dim
-    assert np.isin(vn.reduced.matrix.diagonal(), half.reduced.matrix.diagonal()).all()
+        reduced, deflated_left, deflated_right = single(part)
+        assert reduced.shape[0] + deflated_left.size + deflated_right.size == cm.dim
+    assert np.isin(vn_reduced.diagonal(), half_reduced.diagonal()).all()
     # the modes only orders below 1 keep are those with a first-order share
     # above the tolerance
-    coupling, (kept_l, kept_r) = vn.modes.coupling, vn.modes.kept
-    extra_l = ~kept_l & (np.abs(coupling).sum(axis=1) > ent.LOW_ORDER_TOL)
-    extra_r = ~kept_r & (np.abs(coupling).sum(axis=0) > ent.LOW_ORDER_TOL)
-    assert half.reduced.dim == vn.reduced.dim + extra_l.sum() + extra_r.sum() > vn.reduced.dim
+    coupling, kept, nl = vn.modes.coupling[0], vn.modes.kept[0], cm.n_left
+    extra_l = ~kept[:nl] & (np.abs(coupling).sum(axis=1) > ent.LOW_ORDER_TOL)
+    extra_r = ~kept[nl:] & (np.abs(coupling).sum(axis=0) > ent.LOW_ORDER_TOL)
+    assert half_reduced.shape[0] == vn_reduced.shape[0] + extra_l.sum() + extra_r.sum() > vn_reduced.shape[0]
 
 
 def test_partition_without_coupling_keeps_no_mode():
@@ -509,12 +523,13 @@ def test_partition_without_coupling_keeps_no_mode():
     )
     assert not np.any(cm.cross_block())
     deflated = partition(cm)
-    assert deflated.reduced.dim == 0
-    assert (deflated.deflated_left.size, deflated.deflated_right.size) == (20, 30)
+    reduced, deflated_left, deflated_right = single(deflated)
+    assert reduced.shape[0] == 0
+    assert (deflated_left.size, deflated_right.size) == (20, 30)
     rep = measures(cm, "vn", with_negativity=True)
     assert rep.mutual_info == 0.0 and rep.negativity == 0.0
     assert rep.s_al > 0.0 and rep.coherent_info == -rep.s_al
-    assert report_from_spectra(block_spectra(deflated), 2.0).mutual_info == 0.0
+    assert report_from_spectra(block_spectra(deflated)[0], 2.0).mutual_info == 0.0
 
 
 # --- folding to real symmetric form ---------------------------------------------
@@ -661,19 +676,19 @@ def test_far_basis_partition_matches_the_undeflated_spectra(epsilon0, ell):
         full, vn = undeflated.spectra(plain), partition(cm)
         for order in ("vn", 2.0):
             want = report_from_spectra(full, order)
-            got = report_from_spectra(block_spectra(partition(vn, order)), order)
+            got = report_from_spectra(block_spectra(partition(vn, order))[0], order)
             assert abs(got.mutual_info - want.mutual_info) < 1e-11
             assert abs(got.coherent_info - want.coherent_info) < 1e-11
-        assert abs(fermionic_negativity(vn) - undeflated.negativity(plain)) < 1e-11
+        assert abs(fermionic_negativity(vn)[0] - undeflated.negativity(plain)) < 1e-11
         if ell in FINITE_HALF_MI_BAND:
-            half = report_from_spectra(block_spectra(partition(vn, 0.5)), 0.5).mutual_info
+            half = report_from_spectra(block_spectra(partition(vn, 0.5))[0], 0.5).mutual_info
             assert abs(half - report_from_spectra(full, 0.5).mutual_info) <= FINITE_HALF_MI_BAND[ell]
         if d >= 2 * ell:
             # far from the scatterer the far basis deflates as well as the
             # blocks' own eigenbasis, up to one mode within round-off of the
             # 1e-13 edge (ell = 35 at epsilon0 = 2 keeps 49 modes, not 48)
-            own = partition(plain).reduced.dim
-            assert own <= vn.reduced.dim <= own + 1
+            own = single(partition(plain))[0].shape[0]
+            assert own <= single(vn)[0].shape[0] <= own + 1
 
 
 def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
@@ -685,10 +700,11 @@ def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
     cm = correlation_matrix_finite(builder, SubsystemGeometry(3, 1, 3, 20))
     cut = type(cm)(cm.far, cm.hankel_left, cm.hankel_right, np.zeros_like(cm.hankel_cross))
     part = partition(cut)
-    assert part.reduced.dim == 0 and (part.deflated_left.size, part.deflated_right.size) == (1, 20)
+    reduced, deflated_left, deflated_right = single(part)
+    assert reduced.shape[0] == 0 and (deflated_left.size, deflated_right.size) == (1, 20)
     full = report_from_spectra(undeflated.spectra(CorrelationMatrix(cut.matrix, 1)), "vn")
-    rep = report_from_spectra(block_spectra(part), "vn")
-    assert rep.mutual_info == 0.0 and fermionic_negativity(part) == 0.0
+    rep = report_from_spectra(block_spectra(part)[0], "vn")
+    assert rep.mutual_info == 0.0 and fermionic_negativity(part) == [0.0]
     assert rep.s_ar > 1.0 and abs(rep.s_ar - full.s_ar) < 1e-12
     assert abs(rep.coherent_info - full.coherent_info) < 1e-12
 
@@ -696,9 +712,105 @@ def test_far_basis_partition_decouples_a_block_whole_with_its_spectrum():
 def test_negativity_reads_the_deflated_entropies_only_where_they_count(monkeypatch):
     # a deflated mode adds nothing to E_1, so no deflated entropy is read
     part = partition(far_fig2(20))
-    assert part.deflated_left.size and part.deflated_right.size
+    _, deflated_left, deflated_right = single(part)
+    assert deflated_left.size and deflated_right.size
     one = fermionic_negativity(part)
     calls = []
     entropy = ent.entropy
     monkeypatch.setattr(ent, "entropy", lambda *args: calls.append(args) or entropy(*args))
     assert fermionic_negativity(part) == one and not calls
+
+
+# --- one partition path for every matrix ------------------------------------------
+
+
+def one_path_input(kind):
+    """A stack of matrices and the matrices in it, one per kind of input."""
+    builder = shared_builder(1.0, False)
+    if kind == "folded far":
+        cm = correlation_matrix_far(builder, SubsystemGeometry(0, 20, 0, 20))
+        assert not np.iscomplexobj(cm.coupling)
+    elif kind == "complex far":
+        cm = correlation_matrix_far(builder, SubsystemGeometry(10, 12, 0, 24))
+        assert np.iscomplexobj(cm.coupling)
+    elif kind == "hand-built":
+        cm, _ = cm_from_spectrum(np.random.default_rng(41), 3, 4)
+    else:
+        stack = correlation_matrix_finite(builder, [SubsystemGeometry(d, 8, d, 8) for d in (3, 16, 40)])
+        return stack, [stack[i] for i in range(len(stack))]
+    return cm, [cm]
+
+
+@pytest.mark.parametrize("kind", ["folded far", "complex far", "hand-built", "finite stack"])
+def test_every_matrix_takes_the_one_partition_path(kind):
+    # a far-limit or hand-built matrix is a stack of one: the partition, its
+    # spectra and its negativity give one entry per matrix, each that of the
+    # undeflated matrix, and a partition deflated again from its kept modes
+    # holds the bytes of a fresh one
+    c, matrices = one_path_input(kind)
+    vn = partition(c)
+    assert isinstance(vn, ent.PartitionStack) and vn.size == len(matrices)
+    assert sorted(i for g in vn.groups for i in g.members) == list(range(len(matrices)))
+    spectra, e1 = block_spectra(vn), fermionic_negativity(c)
+    assert len(spectra) == len(e1) == len(matrices)
+    assert e1 == fermionic_negativity(vn)
+    for cm, got, value in zip(matrices, spectra, e1):
+        want = report_from_spectra(undeflated.spectra(cm), "vn")
+        assert abs(report_from_spectra(got, "vn").mutual_info - want.mutual_info) < 1e-11
+        assert abs(value - undeflated.negativity(cm)) < 1e-11
+    again, fresh = partition(vn, 0.5), partition(c, 0.5)
+    assert again.modes is vn.modes and again.size == fresh.size
+    assert len(again.groups) == len(fresh.groups)
+    for kept, made in zip(again.groups, fresh.groups):
+        for field, value in zip(kept._fields, kept):
+            assert np.asarray(value).tobytes() == np.asarray(getattr(made, field)).tobytes(), field
+
+
+def poisoned(regime, where):
+    """The far or finite matrix of d = 20, ell = 8 at epsilon0 = 1 with one
+    NaN in its coupling (F, or the cross Hankel values) or on the diagonal
+    blocks (a folded far block, or the A_L Hankel values)."""
+    geom = SubsystemGeometry(20, 8, 20, 8)
+    if regime == "far":
+        cm = correlation_matrix_far(shared_builder(1.0, False), geom)
+        if where == "coupling":
+            coupling = cm.coupling.copy()
+            coupling[3, 2] = np.nan
+            return FarMatrix(cm.left, cm.right, cm.cross_values, coupling)
+        folded = cm.left.folded.copy()
+        folded[3, 3] = np.nan
+        return FarMatrix(FarBlock(cm.left.site, folded), cm.right, cm.cross_values, cm.coupling)
+    cm = correlation_matrix_finite(shared_builder(1.0, False), geom)
+    if where == "coupling":
+        h = cm.hankel_cross.copy()
+        h[3] = np.nan
+        return FiniteMatrix(cm.far, cm.hankel_left, cm.hankel_right, h)
+    h = cm.hankel_left.copy()
+    h[3] = np.nan
+    return FiniteMatrix(cm.far, h, cm.hankel_right, cm.hankel_cross)
+
+
+@pytest.mark.parametrize("regime", ["far", "finite"])
+@pytest.mark.parametrize(
+    "where, error, message",
+    [
+        ("coupling", NotHermitian, r"^non-finite coupling of block mode \d+$"),
+        (
+            "block",
+            SpectrumError,
+            r"^(correlation eigenvalue nan outside \[0, 1\] beyond slack|block spectrum not computed: .+)$",
+        ),
+    ],
+)
+def test_a_nan_fails_the_partition_by_name(regime, where, error, message):
+    # a NaN coupling row sum fails every comparison of the deflation rule,
+    # which would deflate every mode it touches, and a NaN occupation fails
+    # both clamping bounds; each raises instead, naming what it is.  A far
+    # block with a NaN fails in eigh, which LAPACK may report as a failed
+    # convergence rather than a NaN eigenvalue
+    healthy = measures(builder_matrix(regime, 1.0, False, SubsystemGeometry(20, 8, 20, 8)), "vn", with_negativity=True)
+    assert healthy.mutual_info > 0.1 and healthy.negativity > 0.0
+    cm = poisoned(regime, where)
+    for solve in (partition, fermionic_negativity, lambda c: measures(c, "vn", with_negativity=True)):
+        with pytest.raises(error, match=message):
+            solve(cm)

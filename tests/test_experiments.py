@@ -785,8 +785,8 @@ def test_fig2_point_takes_no_eigvalsh_of_block_size(monkeypatch):
 
 
 def test_point_values_are_freed_without_the_cycle_collector():
-    # a point's partitions and spectra go with its closure as soon as the
-    # point is done, so a sweep's peak memory holds one point's worth
+    # a point's partitions and spectra go as soon as its values are taken,
+    # so a sweep's peak memory holds one point's worth
     import gc
     import weakref
 
@@ -798,11 +798,10 @@ def test_point_values_are_freed_without_the_cycle_collector():
     cm = correlation_matrix_far(builder, SubsystemGeometry(0, 12, 0, 12))
     gc.disable()
     try:
-        numeric = ex._point_values(cm)
-        for measure, order in (("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("negativity", 1)):
-            numeric(measure, order)
+        (values,) = ex._point_values(cm, [("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("negativity", 1)])
+        assert len(values) == 4
         freed = weakref.ref(cm)
-        del numeric, cm
+        del cm
         assert freed() is None
     finally:
         gc.enable()
@@ -925,6 +924,51 @@ def test_distance_sweep_failure_names_the_first_failing_distance(monkeypatch, th
         run_sweep_distance(cfg)
 
 
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        (("cross",), NotHermitian, r"non-finite coupling of block mode \d+$"),
+        (
+            ("left",),
+            SpectrumError,
+            r"(correlation eigenvalue nan outside \[0, 1\] beyond slack|block spectrum not computed: .+)$",
+        ),
+    ],
+)
+def test_a_nan_fails_a_sweep_at_its_point(monkeypatch, terms, error, message):
+    # a NaN in the coupling or a diagonal block of one matrix fails the
+    # sweep by name, after the prefix of its point: ell= for a far-limit
+    # point, d= for a distance inside its stack
+    import nessent.experiments as ex
+
+    monkeypatch.setattr(ex, "correlation_matrix_finite", _overfilled(ex.correlation_matrix_finite, {156}, terms, np.nan))
+    cfg = ExperimentConfig(
+        scenario="sweep-distance", model="single_impurity", epsilon0=1.0, k_fl=K_FL, k_fr=K_FR, ell=4,
+        d_over_ell_min=38.5, d_over_ell_max=38.5, n_centers=1, window=5, measures=("mi", "negativity"),
+    )
+    with pytest.raises(error, match="^d=156: " + message):
+        run_sweep_distance(cfg)
+    monkeypatch.undo()
+
+    far = ex.correlation_matrix_far
+
+    def poisoned(builder, geom):
+        cm = far(builder, geom)
+        if geom.ell_l != 12:
+            return cm
+        if terms == ("cross",):
+            coupling = cm.coupling.copy()
+            coupling[0, 0] = np.nan
+            return cor.FarMatrix(cm.left, cm.right, cm.cross_values, coupling)
+        folded = cm.left.folded.copy()
+        folded[0, 0] = np.nan
+        return cor.FarMatrix(cor.FarBlock(cm.left.site, folded), cm.right, cm.cross_values, cm.coupling)
+
+    monkeypatch.setattr(ex, "correlation_matrix_far", poisoned)
+    with pytest.raises(error, match="^ell=12: " + message):
+        run_sweep_length(small_length_config())
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_distance_sweep_names_a_singular_pencil_inside_its_stack(monkeypatch, threads):
     # d = 156 is the third distance of the stack 154..157: its cross term
@@ -968,13 +1012,17 @@ def test_stacked_distance_sweep_equals_each_distance_alone(monkeypatch, threads)
     geoms = [[SubsystemGeometry(d, 8, d, 8) for d in ds] for ds in calls[0][1]]
     groups = [len(partition(cor.correlation_matrix_finite(builder, stack)).groups) for stack in geoms]
     assert max(groups) == 3
-    active = {g.d_l: partition(cor.correlation_matrix_finite(builder, g)).reduced.dim for stack in geoms for g in stack}
+    active = {
+        g.d_l: partition(cor.correlation_matrix_finite(builder, g)).groups[0].reduced.shape[-1]
+        for stack in geoms
+        for g in stack
+    }
     assert active[1] == 16 and active[40] == 12
     points = rows_of(rows, row_type="point")
     assert {row["measure"] for row in points} == {"mi", "negativity"}
     for row in points:
-        numeric = ex._point_values(cor.correlation_matrix_finite(builder, SubsystemGeometry(row["d"], 8, row["d"], 8)))
-        assert row["value"] == numeric(row["measure"], "vn")
+        alone = cor.correlation_matrix_finite(builder, SubsystemGeometry(row["d"], 8, row["d"], 8))
+        assert [row["value"]] == ex._point_values(alone, [(row["measure"], "vn")])[0]
 
 
 @pytest.mark.parametrize("epsilon0", [0.02, 0.05, 1e-4])
@@ -1086,8 +1134,8 @@ def test_parity_breaking_model_solves_every_point(monkeypatch):
     values = position_values(rows)
     builder = CorrelationBuilder(TurnedImpurity(), cfg.build_bias())
     for (delta, measure, order), value in values.items():
-        own = ex._point_values(correlation_matrix_far(builder, SubsystemGeometry(18 + delta, 12, 18, 24)))
-        assert value == own(measure, "vn")
+        own = ex._point_values(correlation_matrix_far(builder, SubsystemGeometry(18 + delta, 12, 18, 24)), [(measure, "vn")])
+        assert [[value]] == own
     assert abs(values[(-18, "mi", "vn")] - values[(30, "mi", "vn")]) > 1e-6
 
 
@@ -1196,9 +1244,8 @@ def test_builder_matrices_are_never_checked_again(monkeypatch):
     assert [np.iscomplexobj(cm.coupling) for cm in points[:2]] == [False, True]
     assert not hasattr(points[2], "coupling")
     for cm in points:
-        numeric = ex._point_values(cm)
-        for measure, order in (("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("entropy_a", 2.0), ("negativity", 1)):
-            assert np.isfinite(numeric(measure, order))
+        (values,) = ex._point_values(cm, [("mi", "vn"), ("mi", 0.5), ("ci", "vn"), ("entropy_a", 2.0), ("negativity", 1)])
+        assert len(values) == 5 and np.isfinite(values).all()
     assert sum(map(len, calls)) == 0
     CorrelationMatrix(points[2].matrix, points[2].n_left)
     assert sum(map(len, calls)) == 1

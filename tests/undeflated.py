@@ -1,6 +1,6 @@
 """The undeflated path, the oracle the partition is tested against.
 
-Production reads every measure off a ``Partition``.  These helpers read them
+Production reads every measure off a ``PartitionStack``.  These helpers read them
 off the whole matrix instead: the three ``eigvalsh`` of A_L, A_R and A, and
 the whitened negativity pencil on all of A.  A far-limit matrix is read in
 its builder's folded real form, the union too when its coupling F is real
@@ -11,6 +11,7 @@ measure went through the partition.
 import numpy as np
 
 import nessent.entanglement as ent
+from oracles import block_left, block_right
 from nessent.correlation import CorrelationMatrix, FarMatrix, hermitian_matrix
 
 
@@ -27,7 +28,7 @@ def spectra(cm):
     if isinstance(cm, FarMatrix):
         left, right = (CorrelationMatrix(block.folded, 0) for block in (cm.left, cm.right))
     else:
-        left, right = cm.block_left(), cm.block_right()
+        left, right = block_left(cm), block_right(cm)
     (nu_a, clamp_a), (nu_l, clamp_l), (nu_r, clamp_r) = map(ent.occupation_spectrum, (folded(cm), left, right))
     empty = np.zeros(0)
     return ent.BlockSpectra(nu_l, nu_r, nu_a, clamp_a + clamp_l + clamp_r, empty, empty)
